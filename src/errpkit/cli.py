@@ -428,6 +428,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

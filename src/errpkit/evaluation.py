@@ -94,8 +94,8 @@ class Hyperparams:
     reg_c: float = 1.0
     clf_tol: float = 1e-6
     clf_max_iter: int = 500
-    mean_tol: float = 1e-8
-    mean_max_iter: int = 200
+    mean_tol: float = features.DEFAULT_MEAN_TOL
+    mean_max_iter: int = features.DEFAULT_MEAN_MAX_ITER
 
 
 def derive_seed(*parts) -> int:

@@ -28,6 +28,8 @@ from .preprocessing import Epoch, EpochSet, _window_slice
 RIEMANN_WINDOW = (0.100, 0.600)
 BENCHMARK_WINDOWS = ((0.100, 0.200), (0.200, 0.300), (0.300, 0.400), (0.400, 0.600))
 DEFAULT_SHRINKAGE = 0.01
+DEFAULT_MEAN_TOL = 1e-8
+DEFAULT_MEAN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,8 @@ def fit_riemann(
     train: EpochSet,
     window: tuple[float, float] = RIEMANN_WINDOW,
     shrinkage: float = DEFAULT_SHRINKAGE,
-    mean_tol: float = 1e-8,
-    mean_max_iter: int = 50,
+    mean_tol: float = DEFAULT_MEAN_TOL,
+    mean_max_iter: int = DEFAULT_MEAN_MAX_ITER,
 ) -> RiemannModel:
     """Fit prototypes and the tangent-space reference point on training epochs only."""
     counts = train.class_counts()

@@ -149,6 +149,19 @@ class TestCompare:
         assert len(acc) == 1 + 2 * 5
 
 
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_exits_2(self, tiny_container, tmp_path, capsys, threads):
+        out = tmp_path / "run.json"
+        capsys.readouterr()
+        assert main(["run", "--input", str(tiny_container), "--method", "benchmark",
+                     "--threads", threads, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --threads must be at least 1, got {threads}"
+        ]
+        assert not out.exists()
+
+
 class TestChanceCommand:
     def test_writes_chance_doc(self, shared_tmp, tiny_container):
         out = shared_tmp / "chance.json"

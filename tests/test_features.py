@@ -1,13 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from errpkit import manifold
+from errpkit.config import DEFAULTS
 from errpkit.errors import (
     DegenerateTrainingSet,
     DimMismatch,
     InvalidWindow,
     NotPositiveDefinite,
 )
+from errpkit.evaluation import Hyperparams
 from errpkit.features import (
     BENCHMARK_WINDOWS,
     PrototypePair,
@@ -121,6 +125,12 @@ class TestFitRiemann:
                            es.data[es.labels == 0][:, :, sl].mean(axis=0), atol=1e-12)
         assert np.allclose(model.prototypes.proto_failure,
                            es.data[es.labels == 1][:, :, sl].mean(axis=0), atol=1e-12)
+
+    def test_mean_defaults_match_hyperparams_and_config(self):
+        params = inspect.signature(fit_riemann).parameters
+        hp = Hyperparams()
+        assert params["mean_tol"].default == hp.mean_tol == DEFAULTS["mean_tol"]
+        assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
 
     def test_single_class_rejected(self, rng):
         es = make_set(rng, n_trials=10, labels=np.zeros(10, dtype=int))

@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from errpkit import manifold
+from errpkit import features, manifold, synth
 from errpkit.errors import (
     DimMismatch,
     EmptyInput,
@@ -18,6 +20,16 @@ def geodesic_midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq = manifold.mat_sqrt(a)
     isq = manifold.mat_invsqrt(a)
     return sq @ manifold.mat_sqrt(isq @ b @ isq) @ sq
+
+
+def convergence_battery():
+    """Nine SPD sets: cond 10, 1e3, 1e5 by shapes (d, n) (2, 5), (6, 10), (8, 40)."""
+    rng = np.random.default_rng(0)
+    return [
+        np.stack([random_spd(rng, d, cond=cond) for _ in range(n)])
+        for cond in (10.0, 1e3, 1e5)
+        for d, n in ((2, 5), (6, 10), (8, 40))
+    ]
 
 
 class TestSymEig:
@@ -144,6 +156,42 @@ class TestGeometricMean:
     def test_nonconvergence_reports_residual(self, rng):
         mats = np.stack([random_spd(rng, 4, cond=1000.0) for _ in range(5)])
         with pytest.raises(NonConvergence, match="residual"):
+            manifold.geometric_mean(mats, tol=1e-14, max_iter=1)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-11])
+    def test_convergence_battery(self, tol):
+        # spread sets that defeat weaker step rules: a unit step that
+        # backtracks when the cost rises stalls at residual 1.6e-2 on the
+        # cond-1e3 6x10 set, and a 0.95 decay without the 0.5 floor stalls
+        # short of tol on five runs
+        for mats in convergence_battery():
+            g = manifold.geometric_mean(mats, tol=tol, max_iter=300)
+            isq = manifold.mat_invsqrt(g)
+            logs = [manifold.mat_log(isq @ c @ isq) for c in mats]
+            assert np.linalg.norm(np.mean(logs, axis=0)) <= tol * 1.001
+
+    def test_desk_shaped_set_iteration_budget(self):
+        # 150 super-trial covariances of 96x96, as one desk-scale training
+        # fold builds them: 8 iterations reach tol 1e-4, where a unit step
+        # with backtracking needs 15
+        es = synth.generate_epochs(np.arange(150) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
+                                   n_channels=32, seed=0, post_s=0.7)
+        windowed = features._sliced(es, features.RIEMANN_WINDOW)
+        protos = features.PrototypePair(manifold.canonical_mean(windowed[es.labels == 0]),
+                                        manifold.canonical_mean(windowed[es.labels == 1]))
+        covs = features._covariances(features._super_trials(windowed, protos),
+                                     features.DEFAULT_SHRINKAGE)
+        assert covs.shape == (150, 96, 96)
+        manifold.geometric_mean(covs, tol=1e-4, max_iter=12)
+
+    def test_logs_iterations_residual_and_step(self, rng, caplog):
+        mats = np.stack([random_spd(rng, 4, cond=1000.0) for _ in range(5)])
+        with caplog.at_level(logging.DEBUG, logger="errpkit.manifold"):
+            manifold.geometric_mean(mats, tol=1e-8, max_iter=100)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert all(word in record.getMessage() for word in ("iterations", "residual", "step"))
+        with pytest.raises(NonConvergence, match="final step"):
             manifold.geometric_mean(mats, tol=1e-14, max_iter=1)
 
 
