@@ -26,7 +26,7 @@ from .errors import (
     PlanMismatch,
 )
 from .labels import FAILURE, LABEL_NAMES, SUCCESS
-from .preprocessing import ContinuousRecording, Epoch, EpochSet
+from .preprocessing import ContinuousRecording, EpochSet
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "DegenerateTrainingSet",
     "DimMismatch",
     "EmptyInput",
-    "Epoch",
     "EpochSet",
     "ErrpkitError",
     "FAILURE",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, io, synth
-from .config import ConfigError, load_config
+from .config import ConfigError, from_config, load_config
 from .errors import (
     DegenerateTrainingSet,
     DimMismatch,
@@ -59,39 +59,6 @@ _USAGE_ERRORS = (
 )
 
 
-def _template_from_config(cfg: dict) -> synth.ErpTemplateSpec:
-    return synth.ErpTemplateSpec(
-        frn_peak_s=cfg["frn_peak_s"],
-        frn_width_s=cfg["frn_width_s"],
-        frn_amp_uv=cfg["frn_amp_uv"],
-        p3a_peak_s=cfg["p3a_peak_s"],
-        p3a_width_s=cfg["p3a_width_s"],
-        p3a_amp_uv=cfg["p3a_amp_uv"],
-        p3a_success_scale=cfg["p3a_success_scale"],
-        topography=None if cfg["topography"] is None else np.asarray(cfg["topography"]),
-        noise_rms_uv=cfg["noise_rms_uv"],
-        noise_exponent=cfg["noise_exponent"],
-        confound_enabled=cfg["confound_enabled"],
-        confound_peak_s=cfg["confound_peak_s"],
-        confound_width_s=cfg["confound_width_s"],
-        confound_amp_success_uv=cfg["confound_amp_success_uv"],
-        confound_amp_failure_uv=cfg["confound_amp_failure_uv"],
-    )
-
-
-def _hyperparams_from_config(cfg: dict) -> evaluation.Hyperparams:
-    return evaluation.Hyperparams(
-        window=tuple(cfg["riemann_window_s"]),
-        shrinkage=cfg["shrinkage"],
-        benchmark_windows=tuple(tuple(w) for w in cfg["benchmark_windows_s"]),
-        reg_c=cfg["reg_c"],
-        clf_tol=cfg["clf_tol"],
-        clf_max_iter=cfg["clf_max_iter"],
-        mean_tol=cfg["mean_tol"],
-        mean_max_iter=cfg["mean_max_iter"],
-    )
-
-
 def _synth_labels(cfg: dict) -> np.ndarray:
     n = cfg["n_trials"]
     if cfg["label_source"] == "balanced":
@@ -118,7 +85,7 @@ def cmd_synth(args) -> int:
     labels = _synth_labels(cfg)
     es = synth.generate_epochs(
         labels,
-        _template_from_config(cfg),
+        from_config(synth.ErpTemplateSpec, cfg),
         n_channels=cfg["n_channels"],
         fs_hz=cfg["fs_hz"],
         seed=cfg["seed"],
@@ -175,7 +142,7 @@ def cmd_run(args) -> int:
     r = args.repeats if args.repeats is not None else cfg["repeats"]
     seed = args.seed if args.seed is not None else cfg["seed"]
     plan = evaluation.make_fold_plan(es.labels, k=k, r=r, seed=seed)
-    res = evaluation.run_cv(es, args.method, plan, _hyperparams_from_config(cfg),
+    res = evaluation.run_cv(es, args.method, plan, from_config(evaluation.Hyperparams, cfg),
                             n_threads=args.threads)
     doc = {
         "format_version": io.REPORT_VERSION,
@@ -194,10 +161,10 @@ def cmd_run(args) -> int:
 
 def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams) -> dict:
     """Whole-dataset featurizer fits, for report provenance."""
-    rm = features.fit_riemann(es, window=hp.window, shrinkage=hp.shrinkage,
+    rm = features.fit_riemann(es, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
                               mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter)
     eig = np.linalg.eigvalsh(rm.reference)
-    bm = features.fit_benchmark(es, windows=hp.benchmark_windows)
+    bm = features.fit_benchmark(es, windows=hp.benchmark_windows_s)
     return {
         "riemann": {
             "prototype_sha256_success": io.sha256_hex(rm.prototypes.proto_success),
@@ -243,7 +210,7 @@ def cmd_compare(args) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     k = args.folds if args.folds is not None else cfg["folds"]
     r = args.repeats if args.repeats is not None else cfg["repeats"]
-    hp = _hyperparams_from_config(cfg)
+    hp = from_config(evaluation.Hyperparams, cfg)
 
     dataset_blocks = []
     csv_blocks = []
@@ -339,7 +306,7 @@ def cmd_chance(args) -> int:
     es = io.read_epoch_container(args.input)
     ch = evaluation.chance_level(
         es, plan_seed=seed, n_shuffles=cfg["n_chance_shuffles"], k=k, r=r,
-        hyperparams=_hyperparams_from_config(cfg), n_threads=args.threads,
+        hyperparams=from_config(evaluation.Hyperparams, cfg), n_threads=args.threads,
     )
     doc = {
         "format_version": io.REPORT_VERSION,

@@ -1,14 +1,26 @@
-"""Flat key-value experiment configuration (JSON) with command-line overrides."""
+"""Flat key-value experiment configuration (JSON) with command-line overrides.
+
+The template and hyperparameter entries of :data:`DEFAULTS` are the field
+defaults of :class:`synth.ErpTemplateSpec` and :class:`evaluation.Hyperparams`,
+and :func:`from_config` builds either dataclass back from a config.
+"""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ErrpkitError
+from .evaluation import Hyperparams
+from .synth import ErpTemplateSpec
 
 
 class ConfigError(ErrpkitError):
     """Bad configuration file or override."""
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
 
 DEFAULTS: dict = {
@@ -21,21 +33,7 @@ DEFAULTS: dict = {
     "label_source": "balanced",  # balanced | staircase
     "seed": 0,
     # templates and noise
-    "frn_peak_s": 0.15,
-    "frn_width_s": 0.05,
-    "frn_amp_uv": -10.0,
-    "p3a_peak_s": 0.30,
-    "p3a_width_s": 0.08,
-    "p3a_amp_uv": 4.0,
-    "p3a_success_scale": 0.5,
-    "topography": None,
-    "noise_rms_uv": 10.0,
-    "noise_exponent": 1.0,
-    "confound_enabled": False,
-    "confound_peak_s": 0.1375,
-    "confound_width_s": 0.03,
-    "confound_amp_success_uv": -1.0,
-    "confound_amp_failure_uv": -2.0,
+    **_field_defaults(ErpTemplateSpec),
     # staircase observer (used when label_source == "staircase")
     "psy_threshold_alpha": 0.004,
     "psy_slope_beta": 3.5,
@@ -56,21 +54,47 @@ DEFAULTS: dict = {
     # evaluation
     "folds": 10,
     "repeats": 10,
-    "shrinkage": 0.01,
-    "reg_c": 1.0,
-    "clf_tol": 1e-6,
-    "clf_max_iter": 500,
-    "mean_tol": 1e-8,
-    "mean_max_iter": 200,
-    "riemann_window_s": [0.1, 0.6],
-    "benchmark_windows_s": [[0.1, 0.2], [0.2, 0.3], [0.3, 0.4], [0.4, 0.6]],
+    **_field_defaults(Hyperparams),
     "n_chance_shuffles": 100,
     "n_permutations": 1000,
 }
 
 
+def _matches(value, default) -> bool:
+    """Whether a JSON value has the type of a default.
+
+    An int passes for a float and a list for a tuple, list elements are held
+    to the default's first element, a bool never passes for a number, and a
+    ``None`` default takes any value.
+    """
+    if default is None:
+        return True
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
+def _checked(key: str, value, source: str):
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config field {key!r} in {source}")
+    if not _matches(value, DEFAULTS[key]):
+        raise ConfigError(
+            f"config field {key!r} in {source} must have the type of its default "
+            f"{json.dumps(DEFAULTS[key])}, got {json.dumps(value)}"
+        )
+    return value
+
+
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> dict:
-    """Defaults, optionally updated from a JSON file and ``key=value`` overrides."""
+    """Defaults, optionally updated from a JSON file and ``key=value`` overrides.
+
+    Raises :class:`ConfigError` for an unknown key or a value whose type
+    differs from its default's.
+    """
     cfg = dict(DEFAULTS)
     if path is not None:
         try:
@@ -80,18 +104,25 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} must be a JSON object")
         for key, value in loaded.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config field {key!r} in {path}")
-            cfg[key] = value
+            cfg[key] = _checked(key, value, str(path))
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config field {key!r} in --set")
         try:
-            cfg[key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            cfg[key] = raw
+            value = raw
+        cfg[key] = _checked(key, value, "--set")
     return cfg
+
+
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, (list, tuple)) else value
+
+
+def from_config(cls, cfg: dict):
+    """Build ``Hyperparams`` or ``ErpTemplateSpec`` from the config entries named
+    like its fields, with lists turned into tuples."""
+    return cls(**{f.name: _frozen(cfg[f.name]) for f in fields(cls)})

@@ -86,11 +86,15 @@ class ChanceLevel:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Featurizer and classifier settings shared by both pipelines."""
+    """Featurizer and classifier settings shared by both pipelines.
 
-    window: tuple[float, float] = features.RIEMANN_WINDOW
+    Field names are config keys: ``config.DEFAULTS`` takes its entries for
+    them from these defaults.
+    """
+
+    riemann_window_s: tuple[float, float] = features.RIEMANN_WINDOW
     shrinkage: float = features.DEFAULT_SHRINKAGE
-    benchmark_windows: tuple = features.BENCHMARK_WINDOWS
+    benchmark_windows_s: tuple = features.BENCHMARK_WINDOWS
     reg_c: float = 1.0
     clf_tol: float = 1e-6
     clf_max_iter: int = 500
@@ -145,6 +149,18 @@ def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
     return FoldPlan(n, k, r, assignments, seed)
 
 
+def _run_indexed(fn, n: int, n_threads: int) -> None:
+    """Call ``fn(i)`` for every i < n: in order on one thread, else on a pool."""
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be at least 1, got {n_threads}")
+    if n_threads == 1:
+        for i in range(n):
+            fn(i)
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(fn, range(n)))
+
+
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Deterministic sample order that depends only on the (feature, label) multiset."""
     key = np.ascontiguousarray(
@@ -160,12 +176,12 @@ def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
     test = dataset.subset(te_idx)
     if method == "riemann":
         model = features.fit_riemann(
-            train, window=hp.window, shrinkage=hp.shrinkage,
+            train, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
             mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter,
         )
         return (features.transform_riemann_set(model, train), train.labels,
                 features.transform_riemann_set(model, test), test.labels)
-    model = features.fit_benchmark(train, windows=hp.benchmark_windows)
+    model = features.fit_benchmark(train, windows=hp.benchmark_windows_s)
     return (features.transform_benchmark_set(model, train), train.labels,
             features.transform_benchmark_set(model, test), test.labels)
 
@@ -207,12 +223,7 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
         rep, fold = jobs[i]
         accs[i], sizes[i] = _run_fold(dataset, method, plan, rep, fold, hp)
 
-    if n_threads <= 1:
-        for i in range(len(jobs)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run, range(len(jobs))))
+    _run_indexed(run, len(jobs), n_threads)
     return CVResult(method, accs, plan, sizes)
 
 
@@ -284,12 +295,7 @@ def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
         res = run_cv(shuffled, "benchmark", plan, hyperparams)
         means[s] = res.accuracies.mean()
 
-    if n_threads <= 1:
-        for s in range(n_shuffles):
-            one(s)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(one, range(n_shuffles)))
+    _run_indexed(one, n_shuffles, n_threads)
     return ChanceLevel(
         mean_accuracy=float(means.mean()),
         threshold_97_5=float(np.percentile(means, 97.5)),

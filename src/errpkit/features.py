@@ -23,7 +23,7 @@ import numpy as np
 from . import manifold
 from .errors import DegenerateTrainingSet, DimMismatch, EmptyInput, InvalidWindow, NotPositiveDefinite
 from .labels import FAILURE, SUCCESS
-from .preprocessing import Epoch, EpochSet, _window_slice
+from .preprocessing import EpochSet, _window_slice
 
 RIEMANN_WINDOW = (0.100, 0.600)
 BENCHMARK_WINDOWS = ((0.100, 0.200), (0.200, 0.300), (0.300, 0.400), (0.400, 0.600))
@@ -69,17 +69,6 @@ class BenchmarkModel:
     n_channels: int
 
 
-def super_trial(epoch_window: np.ndarray, protos: PrototypePair) -> np.ndarray:
-    """Stack [success prototype; failure prototype; trial], (3c, n_window)."""
-    trial = np.asarray(epoch_window, dtype=np.float64)
-    if trial.shape != (protos.n_channels, protos.n_window):
-        raise DimMismatch(
-            f"trial window {trial.shape} does not match prototypes "
-            f"({protos.n_channels}, {protos.n_window})"
-        )
-    return np.concatenate([protos.proto_success, protos.proto_failure, trial], axis=0)
-
-
 def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     """Shrunk sample covariances of a stack of (d, w) matrices -> (n, d, d).
 
@@ -112,14 +101,6 @@ def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     return cov
 
 
-def trial_covariance(st: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE) -> np.ndarray:
-    """Shrunk sample covariance of one super trial, (3c, 3c)."""
-    st = np.asarray(st, dtype=np.float64)
-    if st.ndim != 2:
-        raise DimMismatch("super trial must be a 2-D matrix")
-    return _covariances(st[None], shrinkage)[0]
-
-
 def _sliced(es: EpochSet, window: tuple[float, float]) -> np.ndarray:
     sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window[0], window[1])
     return es.data[:, :, sl]
@@ -148,7 +129,13 @@ def fit_riemann(
 
 
 def _super_trials(windowed: np.ndarray, protos: PrototypePair) -> np.ndarray:
+    """Stack [success prototype; failure prototype; trial] per epoch, (n, 3c, n_window)."""
     n = windowed.shape[0]
+    if windowed.shape[1:] != (protos.n_channels, protos.n_window):
+        raise DimMismatch(
+            f"trial windows {windowed.shape[1:]} do not match prototypes "
+            f"({protos.n_channels}, {protos.n_window})"
+        )
     top = np.broadcast_to(
         np.concatenate([protos.proto_success, protos.proto_failure], axis=0),
         (n, 2 * protos.n_channels, protos.n_window),
@@ -165,17 +152,9 @@ def transform_riemann_set(model: RiemannModel, es: EpochSet) -> np.ndarray:
     if es.fs_hz != model.fs_hz:
         raise DimMismatch(f"epoch rate {es.fs_hz} differs from model rate {model.fs_hz}")
     windowed = _sliced(es, model.window)
-    if windowed.shape[-1] != model.prototypes.n_window:
-        raise DimMismatch("window length does not match the fitted prototypes")
     sts = _super_trials(windowed, model.prototypes)
     covs = _covariances(sts, model.shrinkage)
     return manifold.tangent_project(covs, model.reference)
-
-
-def transform_riemann(model: RiemannModel, e: Epoch) -> np.ndarray:
-    es = EpochSet(e.data[None], np.asarray([e.label]), e.fs_hz, e.t0_offset_s,
-                  [f"ch{i}" for i in range(e.data.shape[0])])
-    return transform_riemann_set(model, es)[0]
 
 
 def _benchmark_features(
@@ -224,9 +203,3 @@ def transform_benchmark_set(model: BenchmarkModel, es: EpochSet) -> np.ndarray:
         raise DimMismatch(f"epoch rate {es.fs_hz} differs from model rate {model.fs_hz}")
     feats = _benchmark_features(es.data, es.fs_hz, es.t0_offset_s, model.windows)
     return feats / model.scale
-
-
-def transform_benchmark(model: BenchmarkModel, e: Epoch) -> np.ndarray:
-    es = EpochSet(e.data[None], np.asarray([e.label]), e.fs_hz, e.t0_offset_s,
-                  [f"ch{i}" for i in range(e.data.shape[0])])
-    return transform_benchmark_set(model, es)[0]

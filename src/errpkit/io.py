@@ -117,6 +117,10 @@ def validate_epoch_container(path) -> list[str]:
         actual = dpath.stat().st_size
         if actual != expected:
             problems.append(f"data file is {actual} bytes, expected {expected}")
+        else:
+            bad = np.count_nonzero(~np.isfinite(np.fromfile(dpath, dtype="<f4")))
+            if bad:
+                problems.append(f"data file holds {bad} non-finite samples")
 
     lpath = path / LABELS_NAME
     if not lpath.is_file():

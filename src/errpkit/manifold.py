@@ -28,14 +28,6 @@ logger = logging.getLogger(__name__)
 
 SYMMETRY_ATOL = 1e-12
 
-_SPECTRAL_FUNCS = {
-    "log": np.log,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "invsqrt": lambda w: 1.0 / np.sqrt(w),
-}
-
-
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -51,16 +43,6 @@ def check_symmetric(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     skew = np.abs(a - a.swapaxes(-1, -2)).max() if a.size else 0.0
     if skew > atol:
         raise InvalidMatrix(f"matrix is not symmetric: max |m - m.T| = {skew:.3e} > {atol}")
-    return a
-
-
-def check_spd(m) -> np.ndarray:
-    """Validate symmetry and strictly positive eigenvalues."""
-    a = check_symmetric(m)
-    w = np.linalg.eigvalsh(a)
-    wmin = w.min()
-    if wmin <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {wmin:.3e} is not positive")
     return a
 
 
@@ -87,36 +69,30 @@ def _spectral_apply(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
     return _symmetrize(out)
 
 
-def mat_fn(m, fn: str) -> np.ndarray:
-    """Spectral calculus: apply a scalar function to the eigenvalues.
-
-    ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``invsqrt``.  All but
-    ``exp`` require a positive-definite input.
-    """
-    if fn not in _SPECTRAL_FUNCS:
-        raise ValueError(f"unknown matrix function {fn!r}; expected one of {sorted(_SPECTRAL_FUNCS)}")
+def _positive_fn(m, fn, name: str) -> np.ndarray:
+    """Apply ``fn`` to the eigenvalues of a positive-definite matrix."""
     w, v = sym_eig(m)
-    if fn != "exp" and w.min() <= 0.0:
+    if w.min() <= 0.0:
         raise NotPositiveDefinite(
-            f"matrix {fn} requires positive eigenvalues; smallest is {w.min():.3e}"
+            f"matrix {name} requires positive eigenvalues; smallest is {w.min():.3e}"
         )
-    return _spectral_apply(w, v, _SPECTRAL_FUNCS[fn])
+    return _spectral_apply(w, v, fn)
 
 
 def mat_log(m) -> np.ndarray:
-    return mat_fn(m, "log")
+    return _positive_fn(m, np.log, "log")
 
 
 def mat_exp(m) -> np.ndarray:
-    return mat_fn(m, "exp")
+    return _spectral_apply(*sym_eig(m), np.exp)
 
 
 def mat_sqrt(m) -> np.ndarray:
-    return mat_fn(m, "sqrt")
+    return _positive_fn(m, np.sqrt, "sqrt")
 
 
 def mat_invsqrt(m) -> np.ndarray:
-    return mat_fn(m, "invsqrt")
+    return _positive_fn(m, lambda w: 1.0 / np.sqrt(w), "invsqrt")
 
 
 def airm_distance(a, b) -> float:
@@ -234,18 +210,6 @@ def vectorize_sym(m: np.ndarray) -> np.ndarray:
     rows, cols = np.triu_indices(d)
     coeff = np.where(rows == cols, 1.0, np.sqrt(2.0))
     return m[..., rows, cols] * coeff
-
-
-def unvectorize_sym(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vectorize_sym`."""
-    v = np.asarray(v, dtype=np.float64)
-    rows, cols = np.triu_indices(d)
-    coeff = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    out = np.zeros(v.shape[:-1] + (d, d))
-    out[..., rows, cols] = v / coeff
-    lower = out.swapaxes(-1, -2).copy()
-    lower[..., rows, cols] = 0.0  # keep the diagonal single-counted
-    return out + lower
 
 
 def tangent_project(c, base) -> np.ndarray:

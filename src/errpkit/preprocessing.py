@@ -69,27 +69,6 @@ class ContinuousRecording:
 
 
 @dataclass
-class Epoch:
-    """One trial: (n_channels, n_samples) in microvolts, time-locked to feedback."""
-
-    fs_hz: float
-    data: np.ndarray
-    t0_offset_s: float
-    label: int
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError("epoch data must be (n_channels, n_samples)")
-        if self.label not in (SUCCESS, FAILURE):
-            raise ValueError(f"label must be {SUCCESS} or {FAILURE}, got {self.label}")
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
 class EpochSet:
     """A stack of equally-shaped labelled epochs sharing fs and channel names."""
 
@@ -121,9 +100,6 @@ class EpochSet:
     @property
     def n_samples(self) -> int:
         return self.data.shape[2]
-
-    def epoch(self, i: int) -> Epoch:
-        return Epoch(self.fs_hz, self.data[i], self.t0_offset_s, int(self.labels[i]))
 
     def subset(self, indices) -> "EpochSet":
         idx = np.asarray(indices)
@@ -170,13 +146,6 @@ def average_reference(rec: ContinuousRecording) -> ContinuousRecording:
         raise InsufficientChannels("average reference needs at least 2 channels")
     out = rec.data - rec.data.mean(axis=0, keepdims=True)
     return replace(rec, data=out)
-
-
-def remove_eog(rec: ContinuousRecording) -> ContinuousRecording:
-    """EOG-removal hook. Deliberately a pass-through: ocular-artifact
-    separation is out of scope here, but the pipeline stage keeps its slot
-    so a real implementation can be swapped in."""
-    return rec
 
 
 def epoch_extract(
@@ -231,45 +200,29 @@ def _window_slice(fs: float, t0: float, n_samples: int, t_a: float, t_b: float) 
     return slice(start, stop)
 
 
-def _baseline_array(data: np.ndarray, fs: float, t0: float, window) -> np.ndarray:
-    sl = _window_slice(fs, t0, data.shape[-1], window[0], window[1])
-    return data - data[..., sl].mean(axis=-1, keepdims=True)
-
-
-def baseline_subtract(e: Epoch, window: tuple[float, float] = (-0.5, 0.0)) -> Epoch:
-    """Subtract each channel's mean over ``window`` (seconds, feedback-relative)."""
-    return replace(e, data=_baseline_array(e.data, e.fs_hz, e.t0_offset_s, window))
-
-
 def baseline_subtract_set(es: EpochSet, window: tuple[float, float] = (-0.5, 0.0)) -> EpochSet:
-    return replace(es, data=_baseline_array(es.data, es.fs_hz, es.t0_offset_s, window))
-
-
-def _downsample_array(data: np.ndarray, fs: float, target_fs: float) -> np.ndarray:
-    if target_fs <= 0:
-        raise InvalidResampleFactor("target rate must be positive")
-    factor = fs / target_fs
-    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
-        raise InvalidResampleFactor(
-            f"fs {fs} / target {target_fs} = {factor} is not a positive integer"
-        )
-    factor = int(round(factor))
-    cutoff = 0.4 * target_fs
-    sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
-    filtered = _filtfilt(sos, data, _padlen(8, cutoff, fs, data.shape[-1]))
-    n_out = data.shape[-1] // factor
-    return filtered[..., : n_out * factor : factor]
-
-
-def downsample(e: Epoch, target_fs_hz: float) -> Epoch:
-    """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
-    out = _downsample_array(e.data, e.fs_hz, target_fs_hz)
-    return Epoch(target_fs_hz, out, e.t0_offset_s, e.label)
+    """Subtract each channel's mean over ``window`` (seconds, feedback-relative)."""
+    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window[0], window[1])
+    return replace(es, data=es.data - es.data[..., sl].mean(axis=-1, keepdims=True))
 
 
 def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
-    out = _downsample_array(es.data, es.fs_hz, target_fs_hz)
-    return EpochSet(out, es.labels, target_fs_hz, es.t0_offset_s, list(es.channels))
+    """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
+    if target_fs_hz <= 0:
+        raise InvalidResampleFactor("target rate must be positive")
+    fs = es.fs_hz
+    factor = fs / target_fs_hz
+    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
+        raise InvalidResampleFactor(
+            f"fs {fs} / target {target_fs_hz} = {factor} is not a positive integer"
+        )
+    factor = int(round(factor))
+    cutoff = 0.4 * target_fs_hz
+    sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    filtered = _filtfilt(sos, es.data, _padlen(8, cutoff, fs, es.n_samples))
+    n_out = es.n_samples // factor
+    return EpochSet(filtered[..., : n_out * factor : factor], es.labels, target_fs_hz,
+                    es.t0_offset_s, list(es.channels))
 
 
 def preprocess_recording(
@@ -283,13 +236,12 @@ def preprocess_recording(
     target_fs_hz: float = 256.0,
     baseline_before_downsample: bool = True,
 ) -> tuple[EpochSet, list[int]]:
-    """Full pipeline: bandpass, notches, average reference, EOG hook,
-    epoching, baseline subtraction, downsampling."""
+    """Full pipeline: bandpass, notches, average reference, epoching,
+    baseline subtraction, downsampling."""
     rec = bandpass(rec, *bandpass_hz)
     for f0 in notch_hz:
         rec = notch(rec, f0)
     rec = average_reference(rec)
-    rec = remove_eog(rec)
     es, skipped = epoch_extract(rec, event_code, epoch_window_s[0], epoch_window_s[1], labels)
     if baseline_before_downsample:
         es = baseline_subtract_set(es, baseline_window_s)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InsufficientData, InvalidWindow
+from .evaluation import derive_seed
 from .labels import FAILURE, SUCCESS
 from .preprocessing import EpochSet
 
@@ -121,17 +122,13 @@ def simulate_labels(
     for i in range(n_trials % n_blocks):
         per_block[i] += 1
     runs = [
-        staircase_run(model, nb, start_contrast, step_factor, seed=derive(seed, b))
+        staircase_run(model, nb, start_contrast, step_factor, seed=derive_seed(seed, b))
         for b, nb in enumerate(per_block) if nb > 0
     ]
     labels = np.concatenate([
         np.where(run.correct, SUCCESS, FAILURE) for run in runs
     ])
     return labels, runs
-
-
-def derive(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,13 @@ class ErpTemplateSpec:
     amplitude ``p3a_amp_uv`` on failure and ``p3a_amp_uv * p3a_success_scale``
     on success.  When the confound is enabled, an extra early bump with a
     per-class amplitude mimics tone-frequency differences in the auditory
-    response.
+    response.  Field names are config keys: ``config.DEFAULTS`` takes its
+    entries for them from these defaults.
     """
 
     frn_peak_s: float = 0.15
     frn_width_s: float = 0.05
-    frn_amp_uv: float = -5.0
+    frn_amp_uv: float = -10.0
     p3a_peak_s: float = 0.30
     p3a_width_s: float = 0.08
     p3a_amp_uv: float = 4.0

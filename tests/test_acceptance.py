@@ -13,8 +13,8 @@ import pytest
 from scipy.stats import binomtest
 
 from errpkit import logreg, manifold
-from errpkit.cli import main, _hyperparams_from_config, _synth_labels, _template_from_config
-from errpkit.config import load_config
+from errpkit.cli import main, _synth_labels
+from errpkit.config import from_config, load_config
 from errpkit.evaluation import (
     CVResult,
     Hyperparams,
@@ -169,8 +169,8 @@ def test_07_desk_scale_method_comparison():
         assert cfg["frn_amp_uv"] == -cfg["noise_rms_uv"]  # amplitude = 1.0 x noise RMS
         assert cfg["confound_enabled"] is False
         assert cfg["n_trials"] == 300 and cfg["n_channels"] == 32
-        hp = _hyperparams_from_config(cfg)
-        template = _template_from_config(cfg)
+        hp = from_config(Hyperparams, cfg)
+        template = from_config(ErpTemplateSpec, cfg)
         wins = losses = 0
         for seed in range(10):
             cfg_seed = dict(cfg, seed=seed)

@@ -77,6 +77,17 @@ class TestValidate:
         assert main(["validate", "--input", str(out)]) == 2
         assert "violation" in capsys.readouterr().out
 
+    def test_nan_sample_exits_2(self, tmp_path, capsys):
+        out = synth_tiny(tmp_path, "nan")
+        raw = bytearray((out / "data.bin").read_bytes())
+        raw[400:404] = np.array([np.nan], dtype="<f4").tobytes()
+        (out / "data.bin").write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["validate", "--input", str(out)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: data file holds 1 non-finite samples"
+        ]
+
 
 class TestRun:
     def test_accuracy_vector_and_plan_logged(self, shared_tmp, tiny_container):
@@ -147,6 +158,27 @@ class TestCompare:
         acc = (shared_tmp / "cmp_erp_accuracies.csv").read_text().splitlines()
         assert acc[0] == "dataset,method,index,accuracy"
         assert len(acc) == 1 + 2 * 5
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("setting", [
+        ["--set", "folds=abc"],
+        ["--set", 'reg_c="x"'],
+        ["--set", "folds=true"],
+        ["--config", {"folds": "10"}],
+    ], ids=["set-folds-word", "set-reg_c-string", "set-folds-bool", "file-folds-string"])
+    def test_mistyped_config_value_exits_2(self, tiny_container, tmp_path, capsys, setting):
+        flag, value = setting
+        if isinstance(value, dict):
+            value = tmp_path / "cfg.json"
+            value.write_text(json.dumps(setting[1]))
+        out = tmp_path / "run.json"
+        capsys.readouterr()
+        assert main(["run", "--input", str(tiny_container), "--method", "benchmark",
+                     "--out", str(out), flag, str(value)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config field ") and "must have the type" in line
+        assert not out.exists()
 
 
 class TestThreads:

@@ -1,0 +1,48 @@
+import pytest
+
+from errpkit.config import DEFAULTS, ConfigError, from_config, load_config
+from errpkit.evaluation import Hyperparams
+from errpkit.synth import ErpTemplateSpec
+
+
+class TestTypeCheck:
+    def test_compatible_values_accepted(self):
+        cfg = load_config(overrides=[
+            "reg_c=2",  # int for a float
+            "riemann_window_s=[0.1, 0.5]",  # list for a tuple
+            "benchmark_windows_s=[[0.1, 0.3], [0.3, 0.6]]",
+            "topography=[1, 0.5, 0.2]",  # None default takes any value
+            "label_source=staircase",  # raw string fallback
+            "notch_hz=[]",
+        ])
+        assert cfg["reg_c"] == 2
+        assert cfg["riemann_window_s"] == [0.1, 0.5]
+        assert cfg["topography"] == [1, 0.5, 0.2]
+        assert cfg["label_source"] == "staircase"
+
+    @pytest.mark.parametrize("item", [
+        "folds=abc", 'reg_c="x"', "folds=true", "reg_c=false", "confound_enabled=1",
+        "folds=10.0", "riemann_window_s=0.1", 'notch_hz=[50, "x"]',
+        "benchmark_windows_s=[0.1, 0.2]", "notch_hz=null",
+    ])
+    def test_mismatched_values_rejected(self, item):
+        with pytest.raises(ConfigError, match="must have the type of its default"):
+            load_config(overrides=[item])
+
+    def test_file_values_checked(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"folds": "10"}')
+        with pytest.raises(ConfigError, match=r"'folds' in .*cfg.json"):
+            load_config(path)
+
+
+class TestFromConfig:
+    def test_defaults_round_trip(self):
+        assert from_config(Hyperparams, DEFAULTS) == Hyperparams()
+        assert from_config(ErpTemplateSpec, DEFAULTS) == ErpTemplateSpec()
+
+    def test_lists_become_tuples(self):
+        cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])
+        hp = from_config(Hyperparams, cfg)
+        assert hp.benchmark_windows_s == ((0.1, 0.3),)
+        assert hp.shrinkage == 0.1

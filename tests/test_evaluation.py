@@ -137,6 +137,13 @@ class TestRunCV:
         with pytest.raises(PlanMismatch):
             run_cv(es, "benchmark", plan)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        es = tiny_dataset(seed=16)
+        plan = make_fold_plan(es.labels, k=4, r=1, seed=17)
+        with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
+            run_cv(es, "benchmark", plan, n_threads=threads)
+
 
 class TestCorrectedTTest:
     def test_identical_inputs(self):
@@ -259,6 +266,12 @@ class TestChanceLevel:
         assert np.array_equal(ch1.per_shuffle_mean_accuracies,
                               ch2.per_shuffle_mean_accuracies)
         assert ch1.threshold_97_5 == ch2.threshold_97_5
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        es = tiny_dataset(seed=19)
+        with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
+            chance_level(es, plan_seed=20, n_shuffles=2, k=4, r=1, n_threads=threads)
 
 
 class TestTails:

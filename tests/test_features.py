@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,16 +16,15 @@ from errpkit.evaluation import Hyperparams
 from errpkit.features import (
     BENCHMARK_WINDOWS,
     PrototypePair,
+    _covariances,
+    _super_trials,
     fit_benchmark,
     fit_riemann,
-    super_trial,
-    transform_benchmark,
     transform_benchmark_set,
-    transform_riemann,
     transform_riemann_set,
-    trial_covariance,
 )
 from errpkit.preprocessing import EpochSet
+from errpkit.synth import ErpTemplateSpec
 
 
 def make_set(rng, n_trials=20, n_channels=4, fs=256.0, pre=0.5, post=0.7, scale=5.0,
@@ -35,6 +35,16 @@ def make_set(rng, n_trials=20, n_channels=4, fs=256.0, pre=0.5, post=0.7, scale=
         labels = np.arange(n_trials) % 2
     return EpochSet(data, np.asarray(labels), fs, -pre,
                     [f"c{i}" for i in range(n_channels)])
+
+
+def super_trial(window, protos):
+    """One epoch's super trial through the set path, (3c, n_window)."""
+    return _super_trials(np.asarray(window)[None], protos)[0]
+
+
+def trial_covariance(st, shrinkage):
+    """One super trial's shrunk covariance through the set path, (3c, 3c)."""
+    return _covariances(np.asarray(st)[None], shrinkage)[0]
 
 
 class TestSuperTrial:
@@ -68,7 +78,8 @@ class TestTrialCovariance:
         st = rng.standard_normal((96, 128))
         c = trial_covariance(st, 0.01)
         assert c.shape == (96, 96)
-        manifold.check_spd(c)
+        assert np.abs(c - c.T).max() == 0.0
+        assert np.linalg.eigvalsh(c).min() > 0.0
 
     def test_duplicate_rows_singular_without_shrinkage(self, rng):
         row = rng.standard_normal(50)
@@ -127,10 +138,18 @@ class TestFitRiemann:
                            es.data[es.labels == 1][:, :, sl].mean(axis=0), atol=1e-12)
 
     def test_mean_defaults_match_hyperparams_and_config(self):
+        for cls in (ErpTemplateSpec, Hyperparams):
+            for f in fields(cls):
+                assert f.name in DEFAULTS, f"{cls.__name__}.{f.name} is not a config key"
+                assert DEFAULTS[f.name] == f.default, f"{cls.__name__}.{f.name}"
         params = inspect.signature(fit_riemann).parameters
         hp = Hyperparams()
+        assert params["window"].default == hp.riemann_window_s
+        assert params["shrinkage"].default == hp.shrinkage
         assert params["mean_tol"].default == hp.mean_tol == DEFAULTS["mean_tol"]
         assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
+        windows = inspect.signature(fit_benchmark).parameters["windows"].default
+        assert windows == hp.benchmark_windows_s
 
     def test_single_class_rejected(self, rng):
         es = make_set(rng, n_trials=10, labels=np.zeros(10, dtype=int))
@@ -151,18 +170,18 @@ class TestTransformRiemann:
     def test_feature_length_4656(self, rng):
         es = make_set(rng, n_trials=8, n_channels=32, fs=256.0, pre=0.5, post=0.7)
         model = fit_riemann(es)
-        v = transform_riemann(model, es.epoch(0))
-        assert v.shape == (4656,)
+        v = transform_riemann_set(model, es.subset([0]))
+        assert v.shape == (1, 4656)
 
     def test_norm_matches_distance_oracle(self, rng):
         es = make_set(rng, n_trials=10, n_channels=3)
         model = fit_riemann(es)
         feats = transform_riemann_set(model, es)
         sl = slice(154, 282)
+        covs = _covariances(_super_trials(es.data[:4, :, sl], model.prototypes),
+                            model.shrinkage)
         for i in range(4):
-            st = super_trial(es.data[i, :, sl], model.prototypes)
-            cov = trial_covariance(st, model.shrinkage)
-            d = manifold.airm_distance(model.reference, cov)
+            d = manifold.airm_distance(model.reference, covs[i])
             assert abs(np.linalg.norm(feats[i]) - d) < 1e-8
 
     def test_epoch_at_reference_gives_zero_vector(self, rng):
@@ -170,7 +189,8 @@ class TestTransformRiemann:
         data = np.broadcast_to(base, (6, 3, 307)).copy()
         es = EpochSet(data, np.arange(6) % 2, 256.0, -0.5, ["a", "b", "c"])
         model = fit_riemann(es)
-        v = transform_riemann(model, es.epoch(0))
+        v = transform_riemann_set(model, es.subset([0]))
+        assert v.shape == (1, 9 * 10 // 2)
         assert np.abs(v).max() < 1e-7
 
     def test_channel_mismatch(self, rng):
@@ -184,11 +204,8 @@ class TestTransformRiemann:
         es = make_set(rng, n_trials=10, n_channels=2)
         model = fit_riemann(es, shrinkage=0.0)
         sl = slice(154, 282)
-        covs = [
-            trial_covariance(super_trial(es.data[i, :, sl], model.prototypes), 0.0)
-            for i in range(10)
-        ]
-        blocks = np.stack([c[:4, :4] for c in covs])
+        covs = _covariances(_super_trials(es.data[:, :, sl], model.prototypes), 0.0)
+        blocks = covs[:, :4, :4]
         assert np.abs(blocks - blocks[0]).max() < 1e-12
 
 
@@ -211,7 +228,7 @@ class TestBenchmark:
         es = EpochSet(data, [1], 256.0, -0.5, ["a", "b"])
         model = fit_benchmark(es)
         # scale of a constant +5 feature is 5; mean scales to 1, std to 0
-        feats = transform_benchmark(model, es.epoch(0))
+        [feats] = transform_benchmark_set(model, es)
         means = feats[0::2]
         stds = feats[1::2]
         assert np.allclose(means, 1.0)

@@ -10,15 +10,14 @@ from errpkit.errors import (
 )
 from errpkit.preprocessing import (
     ContinuousRecording,
-    Epoch,
+    EpochSet,
     average_reference,
     bandpass,
-    baseline_subtract,
-    downsample,
+    baseline_subtract_set,
+    downsample_set,
     epoch_extract,
     notch,
     preprocess_recording,
-    remove_eog,
 )
 
 FS = 2048.0
@@ -26,6 +25,12 @@ FS = 2048.0
 
 def one_channel(x, fs=FS, events=()):
     return ContinuousRecording(fs, ["ch0"], np.asarray(x)[None, :], list(events))
+
+
+def one_epoch(fs, data, t0):
+    """A single (n_channels, n_samples) epoch as an EpochSet of length 1."""
+    data = np.asarray(data)
+    return EpochSet(data[None], [0], fs, t0, [f"ch{i}" for i in range(data.shape[0])])
 
 
 def sinusoid(freq, fs=FS, seconds=12.0):
@@ -144,14 +149,6 @@ class TestAverageReference:
             average_reference(one_channel(np.zeros(10)))
 
 
-class TestEogHook:
-    def test_pass_through(self):
-        rng = np.random.default_rng(2)
-        rec = ContinuousRecording(FS, ["a", "b"], rng.standard_normal((2, 100)))
-        out = remove_eog(rec)
-        assert np.array_equal(out.data, rec.data)
-
-
 class TestEpochExtract:
     def test_index_arithmetic(self):
         rng = np.random.default_rng(3)
@@ -190,57 +187,57 @@ class TestEpochExtract:
 
 class TestBaseline:
     def test_constant_channel_zeroed(self):
-        e = Epoch(256.0, np.full((1, 640), 7.5), -0.5, 0)
-        out = baseline_subtract(e, (-0.5, 0.0))
+        e = one_epoch(256.0, np.full((1, 640), 7.5), -0.5)
+        out = baseline_subtract_set(e, (-0.5, 0.0))
         assert np.abs(out.data).max() < 1e-12
 
     def test_only_offset_changes(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((3, 640))
-        e1 = Epoch(256.0, base, -0.5, 1)
-        e2 = Epoch(256.0, base + np.array([[3.0], [-2.0], [10.0]]), -0.5, 1)
-        o1 = baseline_subtract(e1)
-        o2 = baseline_subtract(e2)
+        e1 = one_epoch(256.0, base, -0.5)
+        e2 = one_epoch(256.0, base + np.array([[3.0], [-2.0], [10.0]]), -0.5)
+        o1 = baseline_subtract_set(e1)
+        o2 = baseline_subtract_set(e2)
         assert np.abs(o1.data - o2.data).max() < 1e-10
 
     def test_window_mean_vanishes(self):
         rng = np.random.default_rng(5)
-        e = Epoch(256.0, rng.standard_normal((4, 640)) * 30, -0.5, 0)
-        out = baseline_subtract(e, (-0.5, 0.0))
+        e = one_epoch(256.0, rng.standard_normal((4, 640)) * 30, -0.5)
+        out = baseline_subtract_set(e, (-0.5, 0.0))
         sl = slice(0, 128)
-        assert np.abs(out.data[:, sl].mean(axis=1)).max() < 1e-10
+        assert np.abs(out.data[0, :, sl].mean(axis=1)).max() < 1e-10
 
     def test_window_outside_epoch(self):
-        e = Epoch(256.0, np.zeros((1, 640)), -0.5, 0)
+        e = one_epoch(256.0, np.zeros((1, 640)), -0.5)
         with pytest.raises(InvalidWindow):
-            baseline_subtract(e, (-1.0, 0.0))
+            baseline_subtract_set(e, (-1.0, 0.0))
 
 
 class TestDownsample:
     def test_length_2048_to_256(self):
-        e = Epoch(2048.0, np.zeros((2, 5120)), -0.5, 0)
-        out = downsample(e, 256.0)
-        assert out.data.shape == (2, 640)
+        e = one_epoch(2048.0, np.zeros((2, 5120)), -0.5)
+        out = downsample_set(e, 256.0)
+        assert out.data.shape == (1, 2, 640)
         assert out.fs_hz == 256.0
         assert out.t0_offset_s == -0.5
 
     def test_slow_component_survives(self):
         x, _ = sinusoid(5.0, fs=2048.0, seconds=10.0)
-        e = Epoch(2048.0, x[None, :], 0.0, 0)
-        out = downsample(e, 256.0)
-        amp = measured_amplitude(out.data[0], 5.0, fs=256.0)
+        e = one_epoch(2048.0, x[None, :], 0.0)
+        out = downsample_set(e, 256.0)
+        amp = measured_amplitude(out.data[0, 0], 5.0, fs=256.0)
         assert 0.88 <= amp <= 1.12
 
     def test_above_cutoff_attenuated(self):
         x, _ = sinusoid(120.0, fs=2048.0, seconds=10.0)
-        e = Epoch(2048.0, x[None, :], 0.0, 0)
-        out = downsample(e, 256.0)
-        assert measured_amplitude(out.data[0], 120.0, fs=256.0) < 0.10
+        e = one_epoch(2048.0, x[None, :], 0.0)
+        out = downsample_set(e, 256.0)
+        assert measured_amplitude(out.data[0, 0], 120.0, fs=256.0) < 0.10
 
     def test_non_integer_factor(self):
-        e = Epoch(2048.0, np.zeros((1, 4096)), 0.0, 0)
+        e = one_epoch(2048.0, np.zeros((1, 4096)), 0.0)
         with pytest.raises(InvalidResampleFactor):
-            downsample(e, 300.0)
+            downsample_set(e, 300.0)
 
 
 class TestPipeline:
