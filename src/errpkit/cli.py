@@ -4,7 +4,10 @@ Subcommands: ``synth`` (generate a synthetic epoch container),
 ``preprocess`` (continuous container -> epoch container), ``run`` (one
 method's cross-validation), ``compare`` (both methods, statistics, optional
 chance level and ERP/accuracy CSV export), ``chance`` (shuffle-based chance
-level alone) and ``validate`` (container integrity check).
+level alone) and ``validate`` (container integrity check).  ``run``,
+``compare`` and ``chance`` are one command function that writes one report
+schema (:func:`io.write_report`); they differ only in which methods run and
+whether the chance level does.
 
 Every command is deterministic given its inputs, flags and seed; reports
 embed all seeds.  Exit codes: 0 success, 1 internal or numerical failure,
@@ -19,6 +22,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,144 +139,117 @@ def _method_block(res: evaluation.CVResult) -> dict:
     }
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.set)
-    es = io.read_epoch_container(args.input)
-    k = args.folds if args.folds is not None else cfg["folds"]
-    r = args.repeats if args.repeats is not None else cfg["repeats"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    plan = evaluation.make_fold_plan(es.labels, k=k, r=r, seed=seed)
-    res = evaluation.run_cv(es, args.method, plan, from_config(evaluation.Hyperparams, cfg),
-                            n_threads=args.threads)
-    doc = {
-        "format_version": io.REPORT_VERSION,
-        "method": args.method,
-        "seed": seed,
-        "plan": _plan_block(plan),
-        "config": cfg,
-        **_method_block(res),
-        "per_fold_test_sizes": res.per_fold_test_sizes,
-    }
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(io.canonical_json(doc))
-    print(f"{args.method}: mean accuracy {res.accuracies.mean():.4f} over {res.accuracies.size} folds")
-    return 0
-
-
-def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams) -> dict:
-    """Whole-dataset featurizer fits, for report provenance."""
-    rm = features.fit_riemann(es, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
-                              mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter)
-    eig = np.linalg.eigvalsh(rm.reference)
-    bm = features.fit_benchmark(es, windows=hp.benchmark_windows_s)
-    return {
-        "riemann": {
-            "prototype_sha256_success": io.sha256_hex(rm.prototypes.proto_success),
-            "prototype_sha256_failure": io.sha256_hex(rm.prototypes.proto_failure),
-            "reference_eig_min": float(eig.min()),
-            "reference_eig_max": float(eig.max()),
-        },
-        "benchmark": {"scale": bm.scale},
-    }
+def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
+    """Whole-dataset featurizer provenance for each method that ran."""
+    audit = {}
+    if "riemann" in methods:
+        protos = features.fit_prototypes(es, window=hp.riemann_window_s)
+        audit["riemann"] = {
+            "prototype_sha256_success": io.sha256_hex(protos.proto_success),
+            "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
+        }
+    if "benchmark" in methods:
+        audit["benchmark"] = {
+            "scale": features.fit_benchmark(es, windows=hp.benchmark_windows_s).scale,
+        }
+    return audit
 
 
 def _write_erp_csv(path: Path, es: EpochSet) -> None:
     succ = es.data[es.labels == SUCCESS].mean(axis=0)
     fail = es.data[es.labels == FAILURE].mean(axis=0)
-    diff = fail - succ
+    # (n_samples, 3 * n_channels): success, failure and difference of each channel
+    waves = np.stack([succ, fail, fail - succ], axis=1).reshape(-1, es.n_samples).T
     t = np.arange(es.n_samples) / es.fs_hz + es.t0_offset_s
-    header = ["time_s"]
-    for ch in es.channels:
-        header += [f"{ch}_success_uv", f"{ch}_failure_uv", f"{ch}_diff_uv"]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(es.n_samples):
-            row = [f"{t[j]:.6f}"]
-            for i in range(es.n_channels):
-                row += [repr(succ[i, j]), repr(fail[i, j]), repr(diff[i, j])]
-            writer.writerow(row)
+        writer.writerow(["time_s"] + [f"{ch}_{kind}_uv" for ch in es.channels
+                                      for kind in ("success", "failure", "diff")])
+        writer.writerows([f"{tj:.6f}", *map(repr, row)] for tj, row in zip(t, waves.tolist()))
 
 
-def _write_accuracy_csv(path: Path, blocks: list[tuple[str, dict]]) -> None:
+def _write_accuracy_csv(path: Path, dataset_blocks: list[dict]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "method", "index", "accuracy"])
-        for name, methods in blocks:
-            for method, block in methods.items():
-                for i, acc in enumerate(block["accuracies"]):
-                    writer.writerow([name, method, i, repr(float(acc))])
+        for block in dataset_blocks:
+            for method, res in block["methods"].items():
+                for i, acc in enumerate(res["accuracies"]):
+                    writer.writerow([block["path"], method, i, repr(float(acc))])
 
 
-def cmd_compare(args) -> int:
+def _summary_line(block: dict) -> str:
+    parts = [f"{m} {res['mean']:.4f}" for m, res in block["methods"].items()]
+    if block["t_test"] is not None:
+        parts.append(f"t={block['t_test']['t']:.3f}, p={block['t_test']['p']:.4f}")
+    if block["chance"] is not None:
+        parts.append(f"chance {block['chance']['mean_accuracy']:.4f} "
+                     f"(97.5th percentile {block['chance']['threshold_97_5']:.4f})")
+    return f"{block['path']}: " + "; ".join(parts)
+
+
+def cmd_evaluate(args) -> int:
+    """``run``, ``compare`` and ``chance``: cross-validate ``args.methods`` and,
+    with ``args.chance``, estimate the chance level, on every ``--input``.
+
+    Dataset ``d`` gets the plan seed ``derive_seed(seed, d)`` and the chance
+    seed ``derive_seed(seed, d, 0xC)`` whichever command runs, so a block is
+    the same in every report that holds it.  Blocks that do not apply are
+    null: ``t_test`` needs both methods, ``permutation_test`` needs both
+    methods on at least two datasets.
+    """
     t_start = time.perf_counter()
     cfg = load_config(args.config, args.set)
     seed = args.seed if args.seed is not None else cfg["seed"]
     k = args.folds if args.folds is not None else cfg["folds"]
     r = args.repeats if args.repeats is not None else cfg["repeats"]
     hp = from_config(evaluation.Hyperparams, cfg)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
 
     dataset_blocks = []
-    csv_blocks = []
     pairs = []
     for d_index, in_path in enumerate(args.input):
         es = io.read_epoch_container(in_path)
-        plan_seed = evaluation.derive_seed(seed, d_index)
-        plan = evaluation.make_fold_plan(es.labels, k=k, r=r, seed=plan_seed)
+        plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
+                                         seed=evaluation.derive_seed(seed, d_index))
         results = {
             method: evaluation.run_cv(es, method, plan, hp, n_threads=args.threads)
-            for method in evaluation.METHODS
+            for method in args.methods
         }
-        ttest = evaluation.corrected_t_test(results["riemann"], results["benchmark"])
+        ttest = None
+        if len(results) == len(evaluation.METHODS):
+            pairs.append((results["riemann"], results["benchmark"]))
+            ttest = asdict(evaluation.corrected_t_test(*pairs[-1]))
         chance = None
         if args.chance:
-            ch = evaluation.chance_level(
+            chance = asdict(evaluation.chance_level(
                 es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
                 n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
                 n_threads=args.threads,
-            )
-            chance = {
-                "mean_accuracy": ch.mean_accuracy,
-                "threshold_97_5": ch.threshold_97_5,
-                "n_shuffles": ch.n_shuffles,
-                "per_shuffle_mean_accuracies": ch.per_shuffle_mean_accuracies,
-            }
-        methods_block = {m: _method_block(results[m]) for m in evaluation.METHODS}
+            ))
         dataset_blocks.append({
             "path": str(in_path),
             "n_trials": len(es),
             "n_channels": es.n_channels,
             "fs_hz": float(es.fs_hz),
             "plan": _plan_block(plan),
-            "methods": methods_block,
-            "t_test": {"t": ttest.t, "p": ttest.p, "df": ttest.df, "mean_diff": ttest.mean_diff},
+            "methods": {m: _method_block(res) for m, res in results.items()},
+            "t_test": ttest,
             "chance": chance,
-            "audit": _audit_blocks(es, hp),
+            "audit": _audit_blocks(es, hp, args.methods),
         })
-        csv_blocks.append((str(in_path), methods_block))
-        pairs.append((results["riemann"], results["benchmark"]))
         if args.emit_erp:
-            erp_path = Path(args.out).with_suffix("").parent / (
-                Path(args.out).stem + f"_erp_{d_index}.csv"
-            )
-            _write_erp_csv(erp_path, es)
+            _write_erp_csv(out.with_name(f"{out.stem}_erp_{d_index}.csv"), es)
 
     perm = None
     if len(pairs) >= 2:
         pt = evaluation.permutation_test(
             pairs, n_perm=cfg["n_permutations"], seed=evaluation.derive_seed(seed, 0xBEEF),
         )
-        perm = {
-            "observed_metric": pt.observed_metric,
-            "z": pt.z,
-            "p": pt.p,
-            "n_permutations": pt.n_permutations,
-            "null_mean": pt.null_mean,
-            "null_std": pt.null_std,
-            "swap_scheme": "independent per-dataset swaps",
-        }
+        perm = {**asdict(pt), "swap_scheme": "independent per-dataset swaps"}
 
-    report = {
+    io.write_report(out, {
         "format_version": io.REPORT_VERSION,
         "meta": {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -282,44 +259,13 @@ def cmd_compare(args) -> int:
         "seed": seed,
         "datasets": dataset_blocks,
         "permutation_test": perm,
-    }
-    io.write_report(args.out, report)
+    })
     if args.emit_erp:
-        acc_path = Path(args.out).with_suffix("").parent / (Path(args.out).stem + "_accuracies.csv")
-        _write_accuracy_csv(acc_path, csv_blocks)
+        _write_accuracy_csv(out.with_name(f"{out.stem}_accuracies.csv"), dataset_blocks)
     for block in dataset_blocks:
-        print(
-            f"{block['path']}: riemann {block['methods']['riemann']['mean']:.4f} "
-            f"vs benchmark {block['methods']['benchmark']['mean']:.4f} "
-            f"(t={block['t_test']['t']:.3f}, p={block['t_test']['p']:.4f})"
-        )
+        print(_summary_line(block))
     if perm is not None:
         print(f"across datasets: z={perm['z']:.3f}, p={perm['p']:.3e}")
-    return 0
-
-
-def cmd_chance(args) -> int:
-    cfg = load_config(args.config, args.set)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    k = args.folds if args.folds is not None else cfg["folds"]
-    r = args.repeats if args.repeats is not None else cfg["repeats"]
-    es = io.read_epoch_container(args.input)
-    ch = evaluation.chance_level(
-        es, plan_seed=seed, n_shuffles=cfg["n_chance_shuffles"], k=k, r=r,
-        hyperparams=from_config(evaluation.Hyperparams, cfg), n_threads=args.threads,
-    )
-    doc = {
-        "format_version": io.REPORT_VERSION,
-        "seed": seed,
-        "config": cfg,
-        "mean_accuracy": ch.mean_accuracy,
-        "threshold_97_5": ch.threshold_97_5,
-        "n_shuffles": ch.n_shuffles,
-        "per_shuffle_mean_accuracies": ch.per_shuffle_mean_accuracies,
-    }
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(io.canonical_json(doc))
-    print(f"chance mean {ch.mean_accuracy:.4f}, 97.5th percentile {ch.threshold_97_5:.4f}")
     return 0
 
 
@@ -331,6 +277,13 @@ def cmd_validate(args) -> int:
         return 2
     print("ok")
     return 0
+
+
+class _OneMethod(argparse.Action):
+    """Store ``--method m`` as the one-method tuple ``(m,)``."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, (value,))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,31 +311,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("run", help="cross-validate one method on a container")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=list(evaluation.METHODS), required=True)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.set_defaults(func=cmd_run)
+    def evaluation_command(name, help_text, **defaults):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--input", action="append", required=True,
+                       help="epoch container (repeat for multiple datasets)")
+        p.add_argument("--folds", type=int, default=None)
+        p.add_argument("--repeats", type=int, default=None)
+        p.set_defaults(**{"func": cmd_evaluate, "chance": False, "emit_erp": False, **defaults})
+        return p
 
-    p = sub.add_parser("compare", help="compare both methods, with statistics")
-    common(p)
-    p.add_argument("--input", action="append", required=True,
-                   help="epoch container (repeat for multiple datasets)")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    p = evaluation_command("run", "cross-validate one method on a container")
+    p.add_argument("--method", dest="methods", choices=list(evaluation.METHODS),
+                   required=True, action=_OneMethod)
+
+    p = evaluation_command("compare", "compare both methods, with statistics",
+                           methods=evaluation.METHODS)
     p.add_argument("--chance", action="store_true", help="include the shuffle chance level")
     p.add_argument("--emit-erp", action="store_true",
                    help="export ERP class means / difference waves and accuracy CSVs")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("chance", help="shuffle-based chance level for a container")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.set_defaults(func=cmd_chance)
+    evaluation_command("chance", "shuffle-based chance level for a container",
+                       methods=(), chance=True)
 
     p = sub.add_parser("validate", help="check a container against the format")
     p.add_argument("--input", required=True)

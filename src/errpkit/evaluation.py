@@ -7,13 +7,14 @@ estimation (benchmark pipeline only).
 """
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc, stdtr
 
-from . import features, logreg
+from . import features, logreg, manifold
 from .errors import (
     EmptyInput,
     ErrpkitError,
@@ -22,6 +23,8 @@ from .errors import (
     PlanMismatch,
 )
 from .preprocessing import EpochSet
+
+logger = logging.getLogger(__name__)
 
 METHODS = ("riemann", "benchmark")
 
@@ -95,11 +98,11 @@ class Hyperparams:
     riemann_window_s: tuple[float, float] = features.RIEMANN_WINDOW
     shrinkage: float = features.DEFAULT_SHRINKAGE
     benchmark_windows_s: tuple = features.BENCHMARK_WINDOWS
-    reg_c: float = 1.0
-    clf_tol: float = 1e-6
-    clf_max_iter: int = 500
-    mean_tol: float = features.DEFAULT_MEAN_TOL
-    mean_max_iter: int = features.DEFAULT_MEAN_MAX_ITER
+    reg_c: float = logreg.DEFAULT_REG_C
+    clf_tol: float = logreg.DEFAULT_TOL
+    clf_max_iter: int = logreg.DEFAULT_MAX_ITER
+    mean_tol: float = manifold.DEFAULT_MEAN_TOL
+    mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER
 
 
 def derive_seed(*parts) -> int:
@@ -187,7 +190,8 @@ def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
 
 
 def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: int,
-              hp: Hyperparams) -> tuple[float, int]:
+              hp: Hyperparams) -> tuple[float, int, logreg.LogisticModel]:
+    """Accuracy, test size and fitted classifier of one fold."""
     mask = plan.assignments[rep] == fold
     te_idx = np.flatnonzero(mask)
     tr_idx = np.flatnonzero(~mask)
@@ -200,7 +204,7 @@ def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: in
     except ErrpkitError as exc:
         raise type(exc)(f"(repeat {rep}, fold {fold}): {exc}") from exc
     acc = float(np.mean(pred == yte))
-    return acc, int(te_idx.size)
+    return acc, int(te_idx.size), clf
 
 
 def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
@@ -208,7 +212,8 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
     """Fit on each training split, score accuracy on the held-out fold.
 
     Results are placed by (repeat, fold) index, so the output is identical
-    for any ``n_threads``.
+    for any ``n_threads``.  Folds whose classifier fit did not converge are
+    counted in one WARNING per call; they still count.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -218,12 +223,20 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
     jobs = [(rep, fold) for rep in range(plan.r) for fold in range(plan.k)]
     accs = np.empty(len(jobs))
     sizes = np.empty(len(jobs), dtype=np.int64)
+    clfs = [None] * len(jobs)
 
     def run(i: int) -> None:
         rep, fold = jobs[i]
-        accs[i], sizes[i] = _run_fold(dataset, method, plan, rep, fold, hp)
+        accs[i], sizes[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp)
 
     _run_indexed(run, len(jobs), n_threads)
+    failed = [clf.final_grad_norm for clf in clfs if not clf.converged]
+    if failed:
+        logger.warning(
+            "%s: the classifier did not converge in %d of %d folds "
+            "(largest final gradient norm %.3e, tol %.1e)",
+            method, len(failed), len(jobs), max(failed), hp.clf_tol,
+        )
     return CVResult(method, accs, plan, sizes)
 
 

@@ -28,8 +28,6 @@ from .preprocessing import EpochSet, _window_slice
 RIEMANN_WINDOW = (0.100, 0.600)
 BENCHMARK_WINDOWS = ((0.100, 0.200), (0.200, 0.300), (0.300, 0.400), (0.400, 0.600))
 DEFAULT_SHRINKAGE = 0.01
-DEFAULT_MEAN_TOL = 1e-8
-DEFAULT_MEAN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -106,24 +104,29 @@ def _sliced(es: EpochSet, window: tuple[float, float]) -> np.ndarray:
     return es.data[:, :, sl]
 
 
-def fit_riemann(
-    train: EpochSet,
-    window: tuple[float, float] = RIEMANN_WINDOW,
-    shrinkage: float = DEFAULT_SHRINKAGE,
-    mean_tol: float = DEFAULT_MEAN_TOL,
-    mean_max_iter: int = DEFAULT_MEAN_MAX_ITER,
-) -> RiemannModel:
-    """Fit prototypes and the tangent-space reference point on training epochs only."""
+def fit_prototypes(train: EpochSet,
+                   window: tuple[float, float] = RIEMANN_WINDOW) -> PrototypePair:
+    """Per-class mean ERPs of the training epochs over the analysis window."""
     counts = train.class_counts()
     if counts.get(SUCCESS, 0) == 0 or counts.get(FAILURE, 0) == 0:
         raise DegenerateTrainingSet(f"need both classes in training data, got {counts}")
     windowed = _sliced(train, window)
-    protos = PrototypePair(
+    return PrototypePair(
         proto_success=manifold.canonical_mean(windowed[train.labels == SUCCESS]),
         proto_failure=manifold.canonical_mean(windowed[train.labels == FAILURE]),
     )
-    sts = _super_trials(windowed, protos)
-    covs = _covariances(sts, shrinkage)
+
+
+def fit_riemann(
+    train: EpochSet,
+    window: tuple[float, float] = RIEMANN_WINDOW,
+    shrinkage: float = DEFAULT_SHRINKAGE,
+    mean_tol: float = manifold.DEFAULT_MEAN_TOL,
+    mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER,
+) -> RiemannModel:
+    """Fit prototypes and the tangent-space reference point on training epochs only."""
+    protos = fit_prototypes(train, window)
+    covs = _covariances(_super_trials(_sliced(train, window), protos), shrinkage)
     reference = manifold.geometric_mean(covs, tol=mean_tol, max_iter=mean_max_iter)
     return RiemannModel(tuple(window), protos, reference, shrinkage, train.fs_hz)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ DATA_NAME = "data.bin"
 LABELS_NAME = "labels.bin"
 EVENTS_NAME = "events.json"
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2  # 2: one schema for run, compare and chance; no reference_eig_* audit
 _REPORT_KEYS = {
     "format_version", "meta", "config", "seed", "datasets", "permutation_test",
 }
@@ -32,6 +33,40 @@ _REPORT_KEYS = {
 
 class ContainerError(ErrpkitError):
     """Container on disk violates the format."""
+
+
+_KINDS = {  # kind -> (what a value must be, its test)
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "number": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "names": ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v)),
+    "codes": ("an object keyed by label bytes",
+              lambda v: type(v) is dict and all(k.isdecimal() for k in v)),
+}
+_EPOCH_FIELDS = {
+    "format_version": "count", "n_trials": "count", "n_channels": "count",
+    "n_samples": "count", "fs_hz": "number", "t0_offset_s": "number",
+    "channel_names": "names", "label_codes": "codes",
+}
+_CONTINUOUS_FIELDS = {
+    "format_version": "count", "n_channels": "count", "n_samples": "count",
+    "fs_hz": "number", "channel_names": "names",
+}
+_EVENT_FIELDS = {"sample": "count", "code": "count", "label": "count"}
+
+
+def _field_problems(doc, spec: dict[str, str], what: str) -> list[str]:
+    """One line per field of ``spec`` that ``doc`` lacks or holds with the wrong type."""
+    if not isinstance(doc, dict):
+        return [f"{what} is not a JSON object"]
+    problems = []
+    for key, kind in spec.items():
+        expected, ok = _KINDS[kind]
+        if key not in doc:
+            problems.append(f"{what} missing field {key!r}")
+        elif not ok(doc[key]):
+            problems.append(f"{what} field {key!r} must be {expected}, "
+                            f"got {json.dumps(doc[key])[:40]}")
+    return problems
 
 
 def _label_codes() -> dict[str, str]:
@@ -81,7 +116,6 @@ def read_epoch_container(path) -> EpochSet:
 def validate_epoch_container(path) -> list[str]:
     """Check every container invariant; return a list of violations (empty = ok)."""
     path = Path(path)
-    problems: list[str] = []
     mpath = path / MANIFEST_NAME
     if not mpath.is_file():
         return [f"missing {MANIFEST_NAME}"]
@@ -90,11 +124,7 @@ def validate_epoch_container(path) -> list[str]:
     except json.JSONDecodeError as exc:
         return [f"unreadable manifest: {exc}"]
 
-    required = ["format_version", "n_trials", "n_channels", "n_samples",
-                "fs_hz", "t0_offset_s", "channel_names", "label_codes"]
-    for key in required:
-        if key not in manifest:
-            problems.append(f"manifest missing field {key!r}")
+    problems = _field_problems(manifest, _EPOCH_FIELDS, "manifest")
     if problems:
         return problems
     if manifest["format_version"] > FORMAT_VERSION:
@@ -165,11 +195,23 @@ def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> 
 def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     path = Path(path)
     manifest = json.loads((path / MANIFEST_NAME).read_text())
-    if manifest.get("kind") != "continuous":
+    if not isinstance(manifest, dict) or manifest.get("kind") != "continuous":
         raise ContainerError(f"{path} is not a continuous container")
+    problems = _field_problems(manifest, _CONTINUOUS_FIELDS, "manifest")
+    if problems:
+        raise ContainerError("; ".join(problems))
     c, s = manifest["n_channels"], manifest["n_samples"]
-    data = np.frombuffer((path / DATA_NAME).read_bytes(), dtype="<f4").reshape(c, s)
+    raw = (path / DATA_NAME).read_bytes()
+    if len(raw) != 4 * c * s:
+        raise ContainerError(f"data file is {len(raw)} bytes, expected {4 * c * s}")
+    data = np.frombuffer(raw, dtype="<f4").reshape(c, s)
     events_raw = json.loads((path / EVENTS_NAME).read_text())
+    if not isinstance(events_raw, list):
+        raise ContainerError(f"{EVENTS_NAME} is not a JSON list")
+    for i, e in enumerate(events_raw):
+        problems = _field_problems(e, _EVENT_FIELDS, f"event {i}")
+        if problems:
+            raise ContainerError("; ".join(problems))
     events = [(e["sample"], e["code"]) for e in events_raw]
     labels = [e["label"] for e in events_raw]
     rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]),
@@ -209,12 +251,13 @@ def write_report(path, report: dict) -> Path:
 
 
 def read_report(path) -> dict:
-    """Strict reader: unknown top-level fields or a newer version are errors."""
+    """Strict reader of versions 1 to :data:`REPORT_VERSION`: unknown top-level
+    fields or another version are errors."""
     report = json.loads(Path(path).read_text())
     if not isinstance(report, dict):
         raise ContainerError("report is not a JSON object")
     version = report.get("format_version")
-    if version is None or version > REPORT_VERSION:
+    if type(version) is not int or not 1 <= version <= REPORT_VERSION:
         raise ContainerError(
             f"report format_version {version!r} is not supported (max {REPORT_VERSION})"
         )

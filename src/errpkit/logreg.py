@@ -19,6 +19,10 @@ from scipy.special import expit
 from .errors import DegenerateTrainingSet, DimMismatch, NumericalFailure
 from .labels import FAILURE, SUCCESS
 
+DEFAULT_REG_C = 1.0
+DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -59,8 +63,8 @@ def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
     return loss, grad
 
 
-def fit(features, labels, reg_c: float = 1.0, tol: float = 1e-6,
-        max_iter: int = 500) -> LogisticModel:
+def fit(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAULT_TOL,
+        max_iter: int = DEFAULT_MAX_ITER) -> LogisticModel:
     """Train from a zero start; ``converged`` reflects the gradient test at return."""
     if reg_c <= 0:
         raise ValueError("reg_c must be positive")

@@ -27,6 +27,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 SYMMETRY_ATOL = 1e-12
+DEFAULT_MEAN_TOL = 1e-8
+DEFAULT_MEAN_MAX_ITER = 200
+
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
@@ -129,7 +132,8 @@ def canonical_mean(stack: np.ndarray) -> np.ndarray:
     return np.sum(np.sort(stack, axis=0), axis=0) / stack.shape[0]
 
 
-def geometric_mean(mats, tol: float = 1e-8, max_iter: int = 50) -> np.ndarray:
+def geometric_mean(mats, tol: float = DEFAULT_MEAN_TOL,
+                   max_iter: int = DEFAULT_MEAN_MAX_ITER) -> np.ndarray:
     """Karcher mean of a set of SPD matrices under the affine-invariant metric.
 
     Gradient descent from the arithmetic mean (Pennec et al. 2006):

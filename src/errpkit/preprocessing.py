@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     EmptyInput,
@@ -116,6 +115,8 @@ def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
 
 
 def _filtfilt(sos: np.ndarray, data: np.ndarray, padlen: int) -> np.ndarray:
+    from scipy import signal  # imported on use: it is the slowest import in the package
+
     return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=padlen)
 
 
@@ -125,7 +126,9 @@ def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> Continuous
         raise InvalidFilterSpec(
             f"need 0 < lo < hi < fs/2, got lo={lo_hz}, hi={hi_hz}, fs={rec.fs_hz}"
         )
-    sos = signal.butter(2, [lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz, output="sos")
+    from scipy import signal
+
+    sos = signal.butter(2,[lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz, output="sos")
     out = _filtfilt(sos, rec.data, _padlen(4, lo_hz, rec.fs_hz, rec.n_samples))
     return replace(rec, data=out)
 
@@ -134,6 +137,8 @@ def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
     """Zero-phase second-order IIR notch (quality factor 35)."""
     if not (0.0 < freq_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
+    from scipy import signal
+
     b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)
     sos = signal.tf2sos(b, a)
     out = _filtfilt(sos, rec.data, _padlen(2, freq_hz, rec.fs_hz, rec.n_samples))
@@ -218,6 +223,8 @@ def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
         )
     factor = int(round(factor))
     cutoff = 0.4 * target_fs_hz
+    from scipy import signal
+
     sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
     filtered = _filtfilt(sos, es.data, _padlen(8, cutoff, fs, es.n_samples))
     n_out = es.n_samples // factor

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import errpkit
 from errpkit.cli import main
+from errpkit.evaluation import derive_seed
 from errpkit.io import (
+    REPORT_VERSION,
     read_epoch_container,
     read_report,
     write_continuous_container,
@@ -95,10 +102,10 @@ class TestRun:
         assert main(["run", "--input", str(tiny_container), "--method", "riemann",
                      "--folds", "5", "--repeats", "2", "--seed", "7",
                      "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert len(doc["accuracies"]) == 10
-        assert doc["plan"]["k"] == 5 and doc["plan"]["r"] == 2
-        assert doc["plan"]["seed"] == 7
+        [block] = read_report(out)["datasets"]
+        assert len(block["methods"]["riemann"]["accuracies"]) == 10
+        assert block["plan"]["k"] == 5 and block["plan"]["r"] == 2
+        assert block["plan"]["seed"] == derive_seed(7, 0)
 
     def test_same_plan_seed_same_assignments(self, shared_tmp, tiny_container):
         outs = []
@@ -107,8 +114,8 @@ class TestRun:
             assert main(["run", "--input", str(tiny_container), "--method", method,
                          "--folds", "5", "--repeats", "1", "--seed", "7",
                          "--out", str(out)]) == 0
-            outs.append(json.loads(out.read_text()))
-        assert outs[0]["plan"]["assignments_sha256"] == outs[1]["plan"]["assignments_sha256"]
+            outs.append(read_report(out)["datasets"][0]["plan"])
+        assert outs[0]["assignments_sha256"] == outs[1]["assignments_sha256"]
 
 
 class TestCompare:
@@ -159,6 +166,18 @@ class TestCompare:
         assert acc[0] == "dataset,method,index,accuracy"
         assert len(acc) == 1 + 2 * 5
 
+    def test_emit_erp_into_new_directory_writes_plain_numbers(self, tmp_path, tiny_container):
+        out = tmp_path / "new" / "cmp.json"
+        assert main(["compare", "--input", str(tiny_container), "--seed", "5",
+                     "--folds", "5", "--repeats", "1", "--emit-erp",
+                     "--out", str(out)]) == 0
+        rows = (tmp_path / "new" / "cmp_erp_0.csv").read_text().splitlines()[1:]
+        es = read_epoch_container(tiny_container)
+        first = [float(v) for v in rows[0].split(",")]
+        succ = es.data[es.labels == 0][:, 0, 0].mean()
+        fail = es.data[es.labels == 1][:, 0, 0].mean()
+        assert first[:4] == pytest.approx([es.t0_offset_s, succ, fail, fail - succ], rel=1e-12)
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("setting", [
@@ -200,23 +219,128 @@ class TestChanceCommand:
         assert main(["chance", "--input", str(tiny_container), "--seed", "9",
                      "--folds", "5", "--repeats", "1",
                      "--set", "n_chance_shuffles=10", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["n_shuffles"] == 10
-        assert 0.2 <= doc["mean_accuracy"] <= 0.8
+        chance = read_report(out)["datasets"][0]["chance"]
+        assert chance["n_shuffles"] == 10
+        assert 0.2 <= chance["mean_accuracy"] <= 0.8
+
+
+class TestOneReport:
+    """``run``, ``chance`` and ``compare`` write one schema with shared seeds."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, shared_tmp, tiny_container):
+        two = synth_tiny(shared_tmp, "one_report_second", seed=22)
+        flags = ["--input", str(tiny_container), "--input", str(two), "--seed", "13",
+                 "--folds", "4", "--repeats", "2", "--set", "n_chance_shuffles=3",
+                 "--set", "n_permutations=200"]
+        commands = {
+            "compare": ["compare", "--chance"],
+            "riemann": ["run", "--method", "riemann"],
+            "benchmark": ["run", "--method", "benchmark"],
+            "chance": ["chance"],
+        }
+        out = {}
+        for name, command in commands.items():
+            path = shared_tmp / f"one_report_{name}.json"
+            assert main([*command, *flags, "--out", str(path)]) == 0
+            out[name] = read_report(path)
+        return out
+
+    def test_every_report_is_version_2_with_every_dataset(self, reports):
+        for rep in reports.values():
+            assert rep["format_version"] == REPORT_VERSION == 2
+            assert len(rep["datasets"]) == 2
+
+    def test_run_reproduces_compare_method_blocks(self, reports):
+        for method in ("riemann", "benchmark"):
+            for run, cmp in zip(reports[method]["datasets"], reports["compare"]["datasets"]):
+                assert list(run["methods"]) == [method]
+                assert run["methods"][method] == cmp["methods"][method]
+                assert run["plan"] == cmp["plan"]
+                assert run["audit"] == {method: cmp["audit"][method]}
+                assert run["t_test"] is None and run["chance"] is None
+            assert reports[method]["permutation_test"] is None
+
+    def test_chance_reproduces_compare_chance_block(self, reports):
+        for ch, cmp in zip(reports["chance"]["datasets"], reports["compare"]["datasets"]):
+            assert ch["chance"] == cmp["chance"]
+            assert ch["methods"] == {} and ch["audit"] == {} and ch["t_test"] is None
+        assert reports["chance"]["permutation_test"] is None
+        assert reports["compare"]["permutation_test"]["n_permutations"] == 200
+
+    def test_audit_has_no_reference_fit(self, reports):
+        audit = reports["compare"]["datasets"][0]["audit"]
+        assert sorted(audit["riemann"]) == ["prototype_sha256_failure",
+                                            "prototype_sha256_success"]
+        assert sorted(audit["benchmark"]) == ["scale"]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    env = dict(os.environ)
+    src = str(Path(errpkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, errpkit.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def make_raw(tmp_path, n_events=4, fs=2048.0):
+    rng = np.random.default_rng(0)
+    samples = int(fs * (3 * n_events + 3))
+    data = (rng.standard_normal((3, samples)) * 10).astype(np.float32).astype(np.float64)
+    events = [(int(fs * (2 + 3 * i)), 1) for i in range(n_events)]
+    rec = ContinuousRecording(fs, ["Fz", "Cz", "Pz"], data, events)
+    return write_continuous_container(tmp_path / "raw", rec, [i % 2 for i in range(n_events)])
+
+
+_DROP = object()
+
+
+def _set_field(path: Path, key, value, index=None):
+    doc = json.loads(path.read_text())
+    target = doc if index is None else doc[index]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedContainers:
+    """Each malformed container exits 2 with one short ``error:``/``violation:`` line."""
+
+    @pytest.mark.parametrize("kind, name, key, value, index", [
+        ("epochs", "manifest.json", "n_trials", "20", None),
+        ("epochs", "manifest.json", "fs_hz", "64", None),
+        ("epochs", "manifest.json", "channel_names", 3, None),
+        ("epochs", "manifest.json", "format_version", "1", None),
+        ("epochs", "manifest.json", "label_codes", {"x": "success"}, None),
+        ("continuous", "manifest.json", "fs_hz", _DROP, None),
+        ("continuous", "events.json", "sample", "5", 0),
+    ], ids=["n_trials-string", "fs_hz-string", "channel_names-int",
+            "format_version-string", "label_codes-word-key", "continuous-no-fs_hz",
+            "event-sample-string"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, kind, name, key, value, index):
+        if kind == "epochs":
+            path = synth_tiny(tmp_path, "bad")
+            commands = [["validate", "--input", str(path)],
+                        ["run", "--input", str(path), "--method", "benchmark",
+                         "--out", str(tmp_path / "r.json")]]
+        else:
+            path = make_raw(tmp_path)
+            commands = [["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")]]
+        _set_field(path / name, key, value, index)
+        for command in commands:
+            capsys.readouterr()
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            [line] = (captured.out + captured.err).splitlines()
+            assert line.startswith(("error: ", "violation: ")) and len(line) < 200, line
+            assert repr(key) in line
 
 
 class TestPreprocess:
-    def make_raw(self, tmp_path, n_events=4, fs=2048.0):
-        rng = np.random.default_rng(0)
-        samples = int(fs * (3 * n_events + 3))
-        data = (rng.standard_normal((3, samples)) * 10).astype(np.float32).astype(np.float64)
-        events = [(int(fs * (2 + 3 * i)), 1) for i in range(n_events)]
-        rec = ContinuousRecording(fs, ["Fz", "Cz", "Pz"], data, events)
-        return write_continuous_container(tmp_path / "raw", rec,
-                                          [i % 2 for i in range(n_events)])
-
     def test_full_pipeline_shapes(self, tmp_path):
-        raw = self.make_raw(tmp_path)
+        raw = make_raw(tmp_path)
         out = tmp_path / "epochs"
         assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
         es = read_epoch_container(out)
@@ -227,7 +351,7 @@ class TestPreprocess:
         assert manifest["skipped_events"] == []
 
     def test_no_events_exits_2(self, tmp_path):
-        raw = self.make_raw(tmp_path)
+        raw = make_raw(tmp_path)
         out = tmp_path / "epochs"
         assert main(["preprocess", "--input", str(raw), "--out", str(out),
                      "--set", "event_code=99"]) == 2

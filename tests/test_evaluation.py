@@ -144,6 +144,25 @@ class TestRunCV:
         with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
             run_cv(es, "benchmark", plan, n_threads=threads)
 
+    def test_nonconverged_folds_warn_once(self, caplog):
+        es = tiny_dataset(seed=18)
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=19)
+        with caplog.at_level("WARNING", logger="errpkit.evaluation"):
+            res = run_cv(es, "benchmark", plan, Hyperparams(clf_max_iter=1))
+        [record] = caplog.records
+        assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
+        msg = record.getMessage()
+        assert msg.startswith("benchmark: the classifier did not converge in 8 of 8 folds")
+        assert "largest final gradient norm" in msg
+        assert res.accuracies.size == 8
+
+    def test_converged_folds_do_not_warn(self, caplog):
+        es = tiny_dataset(seed=18)
+        plan = make_fold_plan(es.labels, k=4, r=1, seed=19)
+        with caplog.at_level("WARNING", logger="errpkit.evaluation"):
+            run_cv(es, "benchmark", plan)
+        assert caplog.records == []
+
 
 class TestCorrectedTTest:
     def test_identical_inputs(self):

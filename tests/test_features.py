@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from errpkit import manifold
+from errpkit import logreg, manifold
 from errpkit.config import DEFAULTS
 from errpkit.errors import (
     DegenerateTrainingSet,
@@ -150,6 +150,13 @@ class TestFitRiemann:
         assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
         windows = inspect.signature(fit_benchmark).parameters["windows"].default
         assert windows == hp.benchmark_windows_s
+        mean = inspect.signature(manifold.geometric_mean).parameters
+        assert mean["tol"].default == hp.mean_tol
+        assert mean["max_iter"].default == hp.mean_max_iter
+        clf = inspect.signature(logreg.fit).parameters
+        assert clf["reg_c"].default == hp.reg_c == DEFAULTS["reg_c"]
+        assert clf["tol"].default == hp.clf_tol == DEFAULTS["clf_tol"]
+        assert clf["max_iter"].default == hp.clf_max_iter == DEFAULTS["clf_max_iter"]
 
     def test_single_class_rejected(self, rng):
         es = make_set(rng, n_trials=10, labels=np.zeros(10, dtype=int))

@@ -110,6 +110,21 @@ class TestReports:
         with pytest.raises(ContainerError, match="surprise"):
             read_report(tmp_path / "r.json")
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_1_and_2_read(self, tmp_path, version):
+        doc = self.report()
+        doc["format_version"] = version
+        (tmp_path / "r.json").write_text(json.dumps(doc))
+        assert read_report(tmp_path / "r.json")["format_version"] == version
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_other_versions_rejected(self, tmp_path, version):
+        doc = self.report()
+        doc["format_version"] = version
+        (tmp_path / "r.json").write_text(json.dumps(doc))
+        with pytest.raises(ContainerError, match="format_version"):
+            read_report(tmp_path / "r.json")
+
     def test_newer_version_rejected(self, tmp_path):
         doc = self.report()
         doc["format_version"] = 99
