@@ -69,6 +69,15 @@ def _field_problems(doc, spec: dict[str, str], what: str) -> list[str]:
     return problems
 
 
+def _version_problems(manifest: dict) -> list[str]:
+    """A well-typed manifest whose ``format_version`` is newer than this reader's."""
+    version = manifest["format_version"]
+    if version > FORMAT_VERSION:
+        return [f"manifest field 'format_version' is {version}, "
+                f"newer than the supported {FORMAT_VERSION}"]
+    return []
+
+
 def _label_codes() -> dict[str, str]:
     return {str(code): name for code, name in LABEL_NAMES.items()}
 
@@ -127,10 +136,7 @@ def validate_epoch_container(path) -> list[str]:
     problems = _field_problems(manifest, _EPOCH_FIELDS, "manifest")
     if problems:
         return problems
-    if manifest["format_version"] > FORMAT_VERSION:
-        problems.append(
-            f"format_version {manifest['format_version']} is newer than supported {FORMAT_VERSION}"
-        )
+    problems = _version_problems(manifest)
     n, c, s = manifest["n_trials"], manifest["n_channels"], manifest["n_samples"]
     if manifest["fs_hz"] <= 0:
         problems.append("fs_hz must be positive")
@@ -197,7 +203,8 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     if not isinstance(manifest, dict) or manifest.get("kind") != "continuous":
         raise ContainerError(f"{path} is not a continuous container")
-    problems = _field_problems(manifest, _CONTINUOUS_FIELDS, "manifest")
+    problems = (_field_problems(manifest, _CONTINUOUS_FIELDS, "manifest")
+                or _version_problems(manifest))
     if problems:
         raise ContainerError("; ".join(problems))
     c, s = manifest["n_channels"], manifest["n_samples"]

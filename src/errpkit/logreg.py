@@ -4,16 +4,24 @@ Minimizes, over weights w and (unpenalized) bias b,
 
     J(w, b) = sum_i log(1 + exp(-y_i (w . x_i + b))) + ||w||^2 / (2 reg_c)
 
-with y in {-1, +1} and failure encoded as +1.  Deterministic L-BFGS-B from
-a zero start; a central-finite-difference harness verifies the analytic
-gradient.
+with y in {-1, +1} and failure encoded as +1.
+
+The fit works in the row space of the training features x (n x p).  At
+the optimum the gradient in w vanishes, so w = -reg_c x.T c, where c holds
+the per-sample derivatives of the loss term: the optimal weights lie in the
+row space of x.  With the reduced QR factorization x.T = q r (q is p x m
+with orthonormal columns, m = min(n, p)), span(q) contains that row space,
+and writing w = q beta gives x w = r.T beta and ||w|| = ||beta||.  So J
+becomes the same penalized problem on the m features r.T, with the same
+bias; its optimum beta maps back to the optimum w = q beta.  That problem
+is solved by damped Newton from a zero start.  A central-finite-difference
+harness verifies the analytic gradient.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .errors import DegenerateTrainingSet, DimMismatch, NumericalFailure
@@ -21,7 +29,14 @@ from .labels import FAILURE, SUCCESS
 
 DEFAULT_REG_C = 1.0
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 500
+DEFAULT_MAX_ITER = 500  # counts Newton iterations
+
+_ARMIJO_C = 1e-4  # sufficient-decrease fraction of the Armijo test
+_MAX_HALVINGS = 60
+# Relative rounding error allowed in the loss, a sum of up to a few hundred
+# terms each exact to about 1e-16: near the optimum a Newton step lowers the
+# loss by less than that, and the test must still take it.
+_LOSS_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -65,20 +80,25 @@ def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
 
 def fit(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER) -> LogisticModel:
-    """Train from a zero start; ``converged`` reflects the gradient test at return."""
+    """Train from a zero start; ``converged`` reflects the gradient test at return.
+
+    The weights are found as ``q beta`` in the row space of ``features``
+    (see the module docstring), by at most ``max_iter`` Newton steps on the
+    (m+1)-parameter reduced problem, each backtracked from step 1 until the
+    Armijo condition holds.  The steps stop once the 2-norm of the reduced
+    gradient is at most ``tol``: as ``q`` is orthonormal, the weight gradient
+    in the original space is ``q`` times the reduced one, so its max-abs
+    entry is at most that norm.  ``final_grad_norm`` is the max-abs gradient
+    recomputed in the original space, and ``converged`` is whether it is at
+    most ``tol``.
+    """
     if reg_c <= 0:
         raise ValueError("reg_c must be positive")
     x, y_pm = _prepare(features, labels)
-    x0 = np.zeros(x.shape[1] + 1)
-    res = minimize(
-        objective,
-        x0,
-        args=(x, y_pm, reg_c),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 10 * max_iter, "ftol": 1e-14, "gtol": tol},
-    )
-    params = res.x
+    q, r = np.linalg.qr(x.T)
+    beta = minimize(r.T, y_pm, reg_c, tol, max_iter)
+    weights = q @ beta[:-1]
+    params = np.append(weights, beta[-1])
     if not np.all(np.isfinite(params)):
         raise NumericalFailure("optimizer produced non-finite parameters")
     _, grad = objective(params, x, y_pm, reg_c)
@@ -86,12 +106,48 @@ def fit(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAULT_TOL
     if not np.isfinite(gnorm):
         raise NumericalFailure("non-finite gradient at the solution")
     return LogisticModel(
-        weights=params[:-1].copy(),
+        weights=weights,
         bias=float(params[-1]),
         reg_c=reg_c,
         converged=bool(gnorm <= tol),
         final_grad_norm=gnorm,
     )
+
+
+def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
+             max_iter: int) -> np.ndarray:
+    """Minimize ``objective(., z, y_pm, reg_c)`` by damped Newton from zero.
+
+    Returns ``[w..., b]`` after the first iterate whose gradient has 2-norm
+    at most ``tol``, or after ``max_iter`` Newton steps.  Each step solves
+    with the full (p+1) x (p+1) Hessian, so ``fit`` passes the reduced
+    features.
+    """
+    z1 = np.hstack([z, np.ones((z.shape[0], 1))])
+    penalty = np.full(z1.shape[1], 1.0 / reg_c)
+    penalty[-1] = 0.0
+    params = np.zeros(z1.shape[1])
+    loss, grad = objective(params, z, y_pm, reg_c)
+    for _ in range(max_iter):
+        if np.linalg.norm(grad) <= tol:
+            break
+        a = z1 @ params
+        d = expit(a) * expit(-a)  # sigma'(a), without the underflow of p * (1 - p)
+        hess = (z1.T * d) @ z1 + np.diag(penalty)
+        step = -np.linalg.solve(hess, grad)
+        slope = grad @ step
+        noise = _LOSS_RTOL * abs(loss)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = params + t * step
+            trial_loss, trial_grad = objective(trial, z, y_pm, reg_c)
+            if trial_loss <= loss + _ARMIJO_C * t * slope + noise:
+                break
+            t *= 0.5
+        else:
+            break
+        params, loss, grad = trial, trial_loss, trial_grad
+    return params
 
 
 def decision_value(model: LogisticModel, x) -> np.ndarray | float:

@@ -275,12 +275,20 @@ class TestOneReport:
         assert sorted(audit["benchmark"]) == ["scale"]
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def _loaded_by_cli_import(module: str) -> bool:
     env = dict(os.environ)
     src = str(Path(errpkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, errpkit.cli; sys.exit('scipy.signal' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, errpkit.cli; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    assert not _loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert not _loaded_by_cli_import("scipy.optimize")
 
 
 def make_raw(tmp_path, n_events=4, fs=2048.0):
@@ -316,9 +324,11 @@ class TestMalformedContainers:
         ("epochs", "manifest.json", "label_codes", {"x": "success"}, None),
         ("continuous", "manifest.json", "fs_hz", _DROP, None),
         ("continuous", "events.json", "sample", "5", 0),
+        ("epochs", "manifest.json", "format_version", 2, None),
+        ("continuous", "manifest.json", "format_version", 2, None),
     ], ids=["n_trials-string", "fs_hz-string", "channel_names-int",
             "format_version-string", "label_codes-word-key", "continuous-no-fs_hz",
-            "event-sample-string"])
+            "event-sample-string", "format_version-newer", "continuous-format_version-newer"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, kind, name, key, value, index):
         if kind == "epochs":
             path = synth_tiny(tmp_path, "bad")

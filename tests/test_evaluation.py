@@ -156,6 +156,16 @@ class TestRunCV:
         assert "largest final gradient norm" in msg
         assert res.accuracies.size == 8
 
+    def test_null_container_folds_converge_at_defaults(self, caplog):
+        # the shape of the null benchmark container: 60 trials x 3 channels at 64 Hz, no ERP
+        spec = ErpTemplateSpec(frn_amp_uv=0.0, p3a_amp_uv=0.0, noise_rms_uv=8.0)
+        es = generate_epochs(np.arange(60) % 2, spec, seed=2, **TINY)
+        plan = make_fold_plan(es.labels, k=10, r=10, seed=3)
+        with caplog.at_level("WARNING", logger="errpkit.evaluation"):
+            for method in ("benchmark", "riemann"):
+                run_cv(es, method, plan)
+        assert caplog.records == []
+
     def test_converged_folds_do_not_warn(self, caplog):
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=19)

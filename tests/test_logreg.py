@@ -4,6 +4,7 @@ import pytest
 from errpkit.errors import DegenerateTrainingSet, DimMismatch
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.logreg import (
+    DEFAULT_TOL,
     LogisticModel,
     decision_value,
     fit,
@@ -136,3 +137,60 @@ class TestProperties:
         ]
         for a, b in zip(norms, norms[1:]):
             assert b >= a - 1e-8
+
+
+def lbfgs_reference(x, y, reg_c):
+    """An independent L-BFGS-B solve of the same objective at gtol 1e-10."""
+    from scipy.optimize import minimize
+
+    y_pm = np.where(y == FAILURE, 1.0, -1.0)
+    res = minimize(objective, np.zeros(x.shape[1] + 1), args=(x, y_pm, reg_c), jac=True,
+                   method="L-BFGS-B",
+                   options={"gtol": 1e-10, "ftol": 0.0, "maxiter": 20000, "maxfun": 40000})
+    return res.x[:-1], res.x[-1]
+
+
+def shaped_problem(shape):
+    """Two-class features of the given (n, p) with a weak class shift."""
+    n, p = shape
+    rng = np.random.default_rng(n * 100003 + p)
+    x = rng.standard_normal((n, p))
+    y = np.arange(n) % 2
+    x[y == 1, : max(1, p // 10)] += 0.5
+    return x, y
+
+
+class TestNewtonRowSpace:
+    """The row-space Newton fit reaches the penalized optimum in every shape."""
+
+    @pytest.mark.parametrize("shape, duplicate", [
+        ((30, 500), False), ((150, 4656), False), ((200, 12), False), ((60, 8), True),
+    ], ids=["p-above-n", "desk", "p-below-n", "duplicated-column"])
+    def test_optimum(self, shape, duplicate):
+        x, y = shaped_problem(shape)
+        if duplicate:
+            x[:, -1] = x[:, 0]
+        y_pm = np.where(y == FAILURE, 1.0, -1.0)
+        for tol in (DEFAULT_TOL, 1e-10):
+            model = fit(x, y, tol=tol)
+            assert model.converged
+            _, g = objective(np.append(model.weights, model.bias), x, y_pm, model.reg_c)
+            assert np.abs(g).max() <= tol
+            assert model.final_grad_norm == np.abs(g).max()
+            # w = x.T a for some a: no part of w lies outside the row space of x
+            a, *_ = np.linalg.lstsq(x.T, model.weights, rcond=None)
+            off = np.linalg.norm(model.weights - x.T @ a)
+            assert off <= 1e-10 * np.linalg.norm(model.weights)
+            if duplicate:
+                assert abs(model.weights[-1] - model.weights[0]) <= 1e-10
+
+        # at equal gradient tolerance both solvers give the same decision values
+        w_ref, b_ref = lbfgs_reference(x, y, model.reg_c)
+        x_eval = np.vstack([x, np.random.default_rng(1).standard_normal(x.shape)])
+        np.testing.assert_allclose(decision_value(model, x_eval), x_eval @ w_ref + b_ref,
+                                   rtol=0, atol=1e-6)
+
+    def test_max_iter_counts_newton_steps(self, rng):
+        x, y = blobs(rng, gap=1.0)
+        assert not fit(x, y, max_iter=1).converged
+        assert fit(x, y, max_iter=20).converged
