@@ -11,6 +11,7 @@ import numpy as np
 
 from errpkit.preprocessing import (
     ContinuousRecording,
+    PreprocessSpec,
     average_reference,
     bandpass,
     epoch_extract,
@@ -59,7 +60,7 @@ print("column means after average reference:",
 
 # one call for the whole chain; labels alternate success/failure
 labels = [i % 2 for i in range(n_events)]
-epochs, skipped = preprocess_recording(rec, labels, target_fs_hz=256.0)
+epochs, skipped = preprocess_recording(rec, labels, PreprocessSpec(target_fs_hz=256.0))
 print(f"\nepochs: {epochs.data.shape} at {epochs.fs_hz:.0f}/s, "
       f"t0 = {epochs.t0_offset_s} s, skipped events: {skipped}")
 

@@ -42,7 +42,7 @@ from .errors import (
     PlanMismatch,
 )
 from .labels import FAILURE, SUCCESS
-from .preprocessing import EpochSet, preprocess_recording
+from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
 
 logger = logging.getLogger(__name__)
 
@@ -104,17 +104,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = load_config(args.config, args.set)
     rec, labels = io.read_continuous_container(args.input)
-    es, skipped = preprocess_recording(
-        rec,
-        labels,
-        event_code=cfg["event_code"],
-        bandpass_hz=(cfg["bandpass_lo_hz"], cfg["bandpass_hi_hz"]),
-        notch_hz=cfg["notch_hz"],
-        epoch_window_s=(cfg["epoch_pre_s"], cfg["epoch_post_s"]),
-        baseline_window_s=tuple(cfg["baseline_window_s"]),
-        target_fs_hz=cfg["target_fs_hz"],
-        baseline_before_downsample=cfg["baseline_before_downsample"],
-    )
+    es, skipped = preprocess_recording(rec, labels, from_config(PreprocessSpec, cfg))
     io.write_epoch_container(
         args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": cfg},
     )

@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration (JSON) with command-line overrides.
 
-The template and hyperparameter entries of :data:`DEFAULTS` are the field
-defaults of :class:`synth.ErpTemplateSpec` and :class:`evaluation.Hyperparams`,
-and :func:`from_config` builds either dataclass back from a config.
+The template, preprocessing and hyperparameter entries of :data:`DEFAULTS`
+are the field defaults of :class:`synth.ErpTemplateSpec`,
+:class:`preprocessing.PreprocessSpec` and :class:`evaluation.Hyperparams`,
+and :func:`from_config` builds any of these dataclasses back from a config.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathlib import Path
 
 from .errors import ErrpkitError
 from .evaluation import Hyperparams
+from .preprocessing import PreprocessSpec
 from .synth import ErpTemplateSpec
 
 
@@ -42,15 +44,7 @@ DEFAULTS: dict = {
     "step_factor": 1.15,
     "n_blocks": 5,
     # preprocessing
-    "bandpass_lo_hz": 1.0,
-    "bandpass_hi_hz": 100.0,
-    "notch_hz": [50.0, 100.0],
-    "epoch_pre_s": 0.5,
-    "epoch_post_s": 2.0,
-    "baseline_window_s": [-0.5, 0.0],
-    "target_fs_hz": 256.0,
-    "event_code": 1,
-    "baseline_before_downsample": True,
+    **_field_defaults(PreprocessSpec),
     # evaluation
     "folds": 10,
     "repeats": 10,
@@ -123,6 +117,6 @@ def _frozen(value):
 
 
 def from_config(cls, cfg: dict):
-    """Build ``Hyperparams`` or ``ErpTemplateSpec`` from the config entries named
-    like its fields, with lists turned into tuples."""
+    """Build ``Hyperparams``, ``ErpTemplateSpec`` or ``PreprocessSpec`` from the
+    config entries named like its fields, with lists turned into tuples."""
     return cls(**{f.name: _frozen(cfg[f.name]) for f in fields(cls)})

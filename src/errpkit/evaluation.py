@@ -266,7 +266,11 @@ def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
 def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> PermTestResult:
     """Sum over datasets of (median a - median b), z-scored against a null
     built by independently swapping the two methods' accuracy sets within
-    each dataset."""
+    each dataset.
+
+    When the medians tie on every dataset, every swap gives 0, and the
+    result is observed 0, z 0, p 1 with a null of mean 0 and std 0.
+    """
     pairs = list(per_participant)
     if not pairs:
         raise EmptyInput("permutation test needs at least one dataset")
@@ -275,6 +279,9 @@ def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> Perm
     diffs = np.array([
         float(np.median(a.accuracies)) - float(np.median(b.accuracies)) for a, b in pairs
     ])
+    if not diffs.any():
+        # every sign pattern sums to 0: no evidence either way
+        return PermTestResult(0.0, 0.0, 1.0, n_perm, 0.0, 0.0)
     observed = float(diffs.sum())
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(n_perm, diffs.size)) * 2.0 - 1.0
@@ -283,8 +290,8 @@ def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> Perm
     null_std = float(nulls.std(ddof=1))
     if null_std == 0.0:
         raise NumericalFailure(
-            "null distribution has zero variance; the methods' accuracy medians "
-            "are identical on every dataset"
+            "null distribution has zero variance although the methods' accuracy "
+            "medians differ"
         )
     z = (observed - null_mean) / null_std
     return PermTestResult(observed, float(z), normal_two_sided_p(z), n_perm, null_mean, null_std)

@@ -24,6 +24,7 @@ MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 LABELS_NAME = "labels.bin"
 EVENTS_NAME = "events.json"
+_CHUNK = 1 << 20  # samples per chunk of the finiteness check
 
 REPORT_VERSION = 2  # 2: one schema for run, compare and chance; no reference_eig_* audit
 _REPORT_KEYS = {
@@ -106,15 +107,13 @@ def write_epoch_container(path, es: EpochSet, extra_manifest: dict | None = None
 
 def read_epoch_container(path) -> EpochSet:
     path = Path(path)
-    problems = validate_epoch_container(path)
+    problems, manifest, data = _inspect_epoch_container(path)
     if problems:
         raise ContainerError("; ".join(problems))
-    manifest = json.loads((path / MANIFEST_NAME).read_text())
     n, c, s = manifest["n_trials"], manifest["n_channels"], manifest["n_samples"]
-    data = np.frombuffer((path / DATA_NAME).read_bytes(), dtype="<f4").reshape(n, c, s)
     labels = np.frombuffer((path / LABELS_NAME).read_bytes(), dtype=np.uint8)
     return EpochSet(
-        data.astype(np.float64),
+        data.reshape(n, c, s).astype(np.float64),
         labels.astype(np.int64),
         manifest["fs_hz"],
         manifest["t0_offset_s"],
@@ -124,18 +123,30 @@ def read_epoch_container(path) -> EpochSet:
 
 def validate_epoch_container(path) -> list[str]:
     """Check every container invariant; return a list of violations (empty = ok)."""
-    path = Path(path)
+    return _inspect_epoch_container(Path(path))[0]
+
+
+def _count_nonfinite(data: np.ndarray) -> int:
+    """Non-finite entries of ``data``, tested a chunk at a time so the mask stays small."""
+    flat = data.reshape(-1)
+    return sum(int(np.count_nonzero(~np.isfinite(flat[i:i + _CHUNK])))
+               for i in range(0, flat.size, _CHUNK))
+
+
+def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.ndarray | None]:
+    """The violations of the container at ``path``, its manifest once that is
+    well-typed, and the flat float32 samples once ``data.bin`` has the right size."""
     mpath = path / MANIFEST_NAME
     if not mpath.is_file():
-        return [f"missing {MANIFEST_NAME}"]
+        return [f"missing {MANIFEST_NAME}"], None, None
     try:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
-        return [f"unreadable manifest: {exc}"]
+        return [f"unreadable manifest: {exc}"], None, None
 
     problems = _field_problems(manifest, _EPOCH_FIELDS, "manifest")
     if problems:
-        return problems
+        return problems, None, None
     problems = _version_problems(manifest)
     n, c, s = manifest["n_trials"], manifest["n_channels"], manifest["n_samples"]
     if manifest["fs_hz"] <= 0:
@@ -145,6 +156,7 @@ def validate_epoch_container(path) -> list[str]:
             f"channel_names has {len(manifest['channel_names'])} entries, expected {c}"
         )
 
+    data = None
     dpath = path / DATA_NAME
     if not dpath.is_file():
         problems.append(f"missing {DATA_NAME}")
@@ -154,7 +166,8 @@ def validate_epoch_container(path) -> list[str]:
         if actual != expected:
             problems.append(f"data file is {actual} bytes, expected {expected}")
         else:
-            bad = np.count_nonzero(~np.isfinite(np.fromfile(dpath, dtype="<f4")))
+            data = np.fromfile(dpath, dtype="<f4")
+            bad = _count_nonfinite(data)
             if bad:
                 problems.append(f"data file holds {bad} non-finite samples")
 
@@ -169,7 +182,7 @@ def validate_epoch_container(path) -> list[str]:
         bad = sorted({b for b in raw} - declared)
         if bad:
             problems.append(f"labels file contains undeclared codes {bad}")
-    return problems
+    return problems, manifest, data
 
 
 def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> Path:
@@ -212,6 +225,9 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     if len(raw) != 4 * c * s:
         raise ContainerError(f"data file is {len(raw)} bytes, expected {4 * c * s}")
     data = np.frombuffer(raw, dtype="<f4").reshape(c, s)
+    bad = _count_nonfinite(data)
+    if bad:
+        raise ContainerError(f"data file holds {bad} non-finite samples")
     events_raw = json.loads((path / EVENTS_NAME).read_text())
     if not isinstance(events_raw, list):
         raise ContainerError(f"{EVENTS_NAME} is not a JSON list")
@@ -221,8 +237,7 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
             raise ContainerError("; ".join(problems))
     events = [(e["sample"], e["code"]) for e in events_raw]
     labels = [e["label"] for e in events_raw]
-    rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]),
-                              data.astype(np.float64), events)
+    rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]), data, events)
     return rec, labels
 
 

@@ -5,9 +5,20 @@ extraction around feedback events, baseline subtraction and integer-factor
 downsampling.  All filters are Butterworth/IIR designs applied
 forward-backward (``sosfiltfilt``) with reflect padding, so they are
 zero-phase and linear.
+
+Memory: a recording may hold float32 samples, as a continuous container
+stores them; float32 is storage only.  Every filter upcasts a block of
+rows (about :data:`_BLOCK_BYTES` of float64) at a time, so all arithmetic
+is float64, and writes each block into one preallocated float64 output.
+:func:`preprocess_recording` filters the whole chain block by block into
+one float64 array, re-references it in place and epochs it a block of
+events at a time, so its peak is about that float64 filtered recording
+plus the float32 input; the epochs are bit-identical to whole-array
+filtering, because each row is filtered on its own.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +36,7 @@ from .labels import FAILURE, SUCCESS
 logger = logging.getLogger(__name__)
 
 NOTCH_Q = 35.0
+_BLOCK_BYTES = 1 << 19  # float64 bytes of one block of filtered rows or of epochs
 
 
 def sample_index(t: float, t0: float, fs: float) -> int:
@@ -36,8 +48,9 @@ def sample_index(t: float, t0: float, fs: float) -> int:
 class ContinuousRecording:
     """A multi-channel continuous recording with event markers.
 
-    data is (n_channels, n_samples) in microvolts; events are
-    (sample_index, event_code) pairs.
+    data is (n_channels, n_samples) in microvolts, kept as given if float32
+    and converted to float64 otherwise; events are (sample_index,
+    event_code) pairs.
     """
 
     fs_hz: float
@@ -46,7 +59,8 @@ class ContinuousRecording:
     events: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if self.fs_hz <= 0:
             raise ValueError("fs_hz must be positive")
         if self.data.ndim != 2:
@@ -114,14 +128,32 @@ def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     return int(min(n_samples - 1, round(3.0 * order * fs / lo_hz)))
 
 
-def _filtfilt(sos: np.ndarray, data: np.ndarray, padlen: int) -> np.ndarray:
+def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None)) -> np.ndarray:
+    """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
+    last axis of ``data`` and keep samples ``keep`` of each filtered row.
+
+    Rows are upcast to float64 and filtered a block of about
+    :data:`_BLOCK_BYTES` at a time into one preallocated float64 array, so
+    the temporaries of ``sosfiltfilt`` stay block-sized.  Every row is
+    filtered on its own, so the result equals whole-array filtering bit for
+    bit.
+    """
     from scipy import signal  # imported on use: it is the slowest import in the package
 
-    return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=padlen)
+    n = data.shape[-1]
+    rows = data.reshape(-1, n)
+    kept = len(range(n)[keep])
+    out = np.empty((rows.shape[0], kept))
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for i in range(0, rows.shape[0], step):
+        block = np.asarray(rows[i:i + step], dtype=np.float64)
+        for sos, padlen in stages:
+            block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
+        out[i:i + step] = block[:, keep]
+    return out.reshape(data.shape[:-1] + (kept,))
 
 
-def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
-    """Zero-phase 4th-order Butterworth bandpass (8th-order after filtfilt)."""
+def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
     if not (0.0 < lo_hz < hi_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(
             f"need 0 < lo < hi < fs/2, got lo={lo_hz}, hi={hi_hz}, fs={rec.fs_hz}"
@@ -129,28 +161,69 @@ def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> Continuous
     from scipy import signal
 
     sos = signal.butter(2,[lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz, output="sos")
-    out = _filtfilt(sos, rec.data, _padlen(4, lo_hz, rec.fs_hz, rec.n_samples))
-    return replace(rec, data=out)
+    return sos, _padlen(4, lo_hz, rec.fs_hz, rec.n_samples)
 
 
-def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
-    """Zero-phase second-order IIR notch (quality factor 35)."""
+def _notch_stage(rec: ContinuousRecording, freq_hz: float):
     if not (0.0 < freq_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
     from scipy import signal
 
     b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)
-    sos = signal.tf2sos(b, a)
-    out = _filtfilt(sos, rec.data, _padlen(2, freq_hz, rec.fs_hz, rec.n_samples))
-    return replace(rec, data=out)
+    return signal.tf2sos(b, a), _padlen(2, freq_hz, rec.fs_hz, rec.n_samples)
+
+
+def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
+    """Zero-phase 4th-order Butterworth bandpass (8th-order after filtfilt)."""
+    return replace(rec, data=_filter_rows(rec.data, [_bandpass_stage(rec, lo_hz, hi_hz)]))
+
+
+def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
+    """Zero-phase second-order IIR notch (quality factor 35)."""
+    return replace(rec, data=_filter_rows(rec.data, [_notch_stage(rec, freq_hz)]))
+
+
+def _rereference(data: np.ndarray) -> None:
+    """Subtract the instantaneous mean across channels from float64 ``data`` in place."""
+    if data.shape[0] < 2:
+        raise InsufficientChannels("average reference needs at least 2 channels")
+    data -= data.mean(axis=0, keepdims=True)
 
 
 def average_reference(rec: ContinuousRecording) -> ContinuousRecording:
     """Re-reference to the instantaneous mean across channels."""
-    if rec.n_channels < 2:
-        raise InsufficientChannels("average reference needs at least 2 channels")
-    out = rec.data - rec.data.mean(axis=0, keepdims=True)
+    out = rec.data.astype(np.float64)
+    _rereference(out)
     return replace(rec, data=out)
+
+
+def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post_s: float,
+                   labels) -> tuple[list[int], int, np.ndarray, list[int]]:
+    """Start samples, common length and labels of the epochs that fit in the
+    recording, and the positions of the skipped events among the matching ones."""
+    if pre_s < 0 or post_s < 0:
+        raise InvalidWindow("pre_s and post_s must be nonnegative")
+    matches = [s for s, code in rec.events if code == event_code]
+    if not matches:
+        raise EmptyInput(f"no events with code {event_code}")
+    labels = list(labels)
+    if len(labels) != len(matches):
+        raise ValueError(f"{len(matches)} matching events but {len(labels)} labels")
+
+    n_pre = sample_index(pre_s, 0.0, rec.fs_hz)
+    n_post = sample_index(post_s, 0.0, rec.fs_hz)
+    starts, kept_labels, skipped = [], [], []
+    for i, s in enumerate(matches):
+        if s - n_pre < 0 or s + n_post > rec.n_samples:
+            skipped.append(i)
+            continue
+        starts.append(s - n_pre)
+        kept_labels.append(labels[i])
+    if skipped:
+        logger.info("epoch_extract skipped %d edge-clipped events: %s", len(skipped), skipped)
+    if not starts:
+        raise EmptyInput("all matching events were too close to the recording edges")
+    return starts, n_pre + n_post, np.asarray(kept_labels), skipped
 
 
 def epoch_extract(
@@ -166,31 +239,9 @@ def epoch_extract(
     close to the recording edges are skipped; their positions (indices into
     the matching-event list) are returned alongside the epochs.
     """
-    if pre_s < 0 or post_s < 0:
-        raise InvalidWindow("pre_s and post_s must be nonnegative")
-    matches = [s for s, code in rec.events if code == event_code]
-    if not matches:
-        raise EmptyInput(f"no events with code {event_code}")
-    labels = list(labels)
-    if len(labels) != len(matches):
-        raise ValueError(f"{len(matches)} matching events but {len(labels)} labels")
-
-    n_pre = sample_index(pre_s, 0.0, rec.fs_hz)
-    n_post = sample_index(post_s, 0.0, rec.fs_hz)
-    kept, kept_labels, skipped = [], [], []
-    for i, s in enumerate(matches):
-        start, stop = s - n_pre, s + n_post
-        if start < 0 or stop > rec.n_samples:
-            skipped.append(i)
-            continue
-        kept.append(rec.data[:, start:stop])
-        kept_labels.append(labels[i])
-    if skipped:
-        logger.info("epoch_extract skipped %d edge-clipped events: %s", len(skipped), skipped)
-    if not kept:
-        raise EmptyInput("all matching events were too close to the recording edges")
-    es = EpochSet(np.stack(kept), np.asarray(kept_labels), rec.fs_hz, -pre_s,
-                  list(rec.channels))
+    starts, length, kept_labels, skipped = _event_windows(rec, event_code, pre_s, post_s, labels)
+    es = EpochSet(np.stack([rec.data[:, s:s + length] for s in starts]), kept_labels,
+                  rec.fs_hz, -pre_s, list(rec.channels))
     return es, skipped
 
 
@@ -211,6 +262,16 @@ def baseline_subtract_set(es: EpochSet, window: tuple[float, float] = (-0.5, 0.0
     return replace(es, data=es.data - es.data[..., sl].mean(axis=-1, keepdims=True))
 
 
+@functools.lru_cache(maxsize=8)
+def _lowpass(cutoff_hz: float, fs: float) -> np.ndarray:
+    """8th-order Butterworth lowpass sections, designed once per cutoff and
+    rate, because :func:`preprocess_recording` downsamples every block of
+    events with the same filter.  The cached array is shared: copy it."""
+    from scipy import signal
+
+    return signal.butter(8, cutoff_hz, btype="lowpass", fs=fs, output="sos")
+
+
 def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
     """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
     if target_fs_hz <= 0:
@@ -223,37 +284,65 @@ def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
         )
     factor = int(round(factor))
     cutoff = 0.4 * target_fs_hz
-    from scipy import signal
-
-    sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
-    filtered = _filtfilt(sos, es.data, _padlen(8, cutoff, fs, es.n_samples))
     n_out = es.n_samples // factor
-    return EpochSet(filtered[..., : n_out * factor : factor], es.labels, target_fs_hz,
-                    es.t0_offset_s, list(es.channels))
+    sos = _lowpass(cutoff, fs).copy()
+    data = _filter_rows(es.data, [(sos, _padlen(8, cutoff, fs, es.n_samples))],
+                        keep=slice(None, n_out * factor, factor))
+    return EpochSet(data, es.labels, target_fs_hz, es.t0_offset_s, list(es.channels))
 
 
-def preprocess_recording(
-    rec: ContinuousRecording,
-    labels,
-    event_code: int = 1,
-    bandpass_hz: tuple[float, float] = (1.0, 100.0),
-    notch_hz=(50.0, 100.0),
-    epoch_window_s: tuple[float, float] = (0.5, 2.0),
-    baseline_window_s: tuple[float, float] = (-0.5, 0.0),
-    target_fs_hz: float = 256.0,
-    baseline_before_downsample: bool = True,
-) -> tuple[EpochSet, list[int]]:
+@dataclass(frozen=True)
+class PreprocessSpec:
+    """Settings of :func:`preprocess_recording`.
+
+    Field names are config keys: ``config.DEFAULTS`` takes its entries for
+    them from these defaults.
+    """
+
+    bandpass_lo_hz: float = 1.0
+    bandpass_hi_hz: float = 100.0
+    notch_hz: tuple[float, ...] = (50.0, 100.0)
+    epoch_pre_s: float = 0.5
+    epoch_post_s: float = 2.0
+    baseline_window_s: tuple[float, float] = (-0.5, 0.0)
+    target_fs_hz: float = 256.0
+    event_code: int = 1
+    baseline_before_downsample: bool = True
+
+
+def preprocess_recording(rec: ContinuousRecording, labels,
+                         spec: PreprocessSpec = PreprocessSpec()) -> tuple[EpochSet, list[int]]:
     """Full pipeline: bandpass, notches, average reference, epoching,
-    baseline subtraction, downsampling."""
-    rec = bandpass(rec, *bandpass_hz)
-    for f0 in notch_hz:
-        rec = notch(rec, f0)
-    rec = average_reference(rec)
-    es, skipped = epoch_extract(rec, event_code, epoch_window_s[0], epoch_window_s[1], labels)
-    if baseline_before_downsample:
-        es = baseline_subtract_set(es, baseline_window_s)
-        es = downsample_set(es, target_fs_hz)
-    else:
-        es = downsample_set(es, target_fs_hz)
-        es = baseline_subtract_set(es, baseline_window_s)
-    return es, skipped
+    baseline subtraction, downsampling.
+
+    The same epochs as chaining :func:`bandpass`, :func:`notch`,
+    :func:`average_reference`, :func:`epoch_extract`,
+    :func:`baseline_subtract_set` and :func:`downsample_set`, in bounded
+    memory: the filter chain runs block by block into one float64 array,
+    which is re-referenced in place, and the epochs are baselined and
+    downsampled a block of events at a time into the result.
+    """
+    stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
+              *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
+    starts, length, kept_labels, skipped = _event_windows(
+        rec, spec.event_code, spec.epoch_pre_s, spec.epoch_post_s, labels)
+    data = _filter_rows(rec.data, stages)
+    _rereference(data)
+
+    def finish(es: EpochSet) -> EpochSet:
+        if spec.baseline_before_downsample:
+            return downsample_set(baseline_subtract_set(es, spec.baseline_window_s),
+                                  spec.target_fs_hz)
+        return baseline_subtract_set(downsample_set(es, spec.target_fs_hz),
+                                     spec.baseline_window_s)
+
+    step = max(1, _BLOCK_BYTES // (8 * rec.n_channels * length))
+    out = None
+    for i in range(0, len(starts), step):
+        block = np.stack([data[:, s:s + length] for s in starts[i:i + step]])
+        es = finish(EpochSet(block, kept_labels[i:i + step], rec.fs_hz, -spec.epoch_pre_s,
+                             list(rec.channels)))
+        if out is None:
+            out = np.empty((len(starts),) + es.data.shape[1:])
+        out[i:i + step] = es.data
+    return replace(es, data=out, labels=kept_labels), skipped

@@ -143,6 +143,24 @@ class TestCompare:
         assert "z" in rep["permutation_test"]
         assert rep["permutation_test"]["n_permutations"] == 300
 
+    def test_all_ties_exit_0_with_p_1(self, tmp_path):
+        # a strong, low-noise ERP: both methods classify every test trial
+        easy = ["--set", "frn_amp_uv=-40.0", "--set", "noise_rms_uv=2.0"]
+        inputs = []
+        for seed in (3, 4):
+            out = tmp_path / f"easy{seed}"
+            assert main(["synth", "--out", str(out), "--seed", str(seed), *TINY, *easy]) == 0
+            inputs += ["--input", str(out)]
+        report = tmp_path / "ties.json"
+        assert main(["compare", *inputs, "--seed", "5", "--folds", "5", "--repeats", "1",
+                     "--set", "n_permutations=300", "--out", str(report)]) == 0
+        rep = read_report(report)
+        for block in rep["datasets"]:
+            assert block["methods"]["riemann"]["median"] == block["methods"]["benchmark"]["median"]
+        perm = rep["permutation_test"]
+        assert (perm["observed_metric"], perm["z"], perm["p"]) == (0.0, 0.0, 1.0)
+        assert (perm["null_mean"], perm["null_std"]) == (0.0, 0.0)
+
     def test_chance_flag(self, shared_tmp, tiny_container):
         out = shared_tmp / "cmp_chance.json"
         assert main(["compare", "--input", str(tiny_container), "--seed", "5",
@@ -359,6 +377,19 @@ class TestPreprocess:
         assert es.t0_offset_s == -0.5
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["skipped_events"] == []
+
+    def test_nan_sample_exits_2_with_one_line(self, tmp_path, capsys):
+        raw = make_raw(tmp_path)
+        data = bytearray((raw / "data.bin").read_bytes())
+        data[400:404] = np.array([np.nan], dtype="<f4").tobytes()
+        (raw / "data.bin").write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--out", str(tmp_path / "ep")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: data file holds 1 non-finite samples"
+        ]
+        assert not (tmp_path / "ep").exists()
 
     def test_no_events_exits_2(self, tmp_path):
         raw = make_raw(tmp_path)

@@ -2,6 +2,7 @@ import pytest
 
 from errpkit.config import DEFAULTS, ConfigError, from_config, load_config
 from errpkit.evaluation import Hyperparams
+from errpkit.preprocessing import PreprocessSpec
 from errpkit.synth import ErpTemplateSpec
 
 
@@ -40,6 +41,7 @@ class TestFromConfig:
     def test_defaults_round_trip(self):
         assert from_config(Hyperparams, DEFAULTS) == Hyperparams()
         assert from_config(ErpTemplateSpec, DEFAULTS) == ErpTemplateSpec()
+        assert from_config(PreprocessSpec, DEFAULTS) == PreprocessSpec()
 
     def test_lists_become_tuples(self):
         cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])

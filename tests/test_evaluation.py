@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from errpkit import logreg
-from errpkit.errors import InsufficientData, NumericalFailure, PlanMismatch
+from errpkit.errors import InsufficientData, PlanMismatch
 from errpkit.evaluation import (
     CVResult,
     FoldPlan,
@@ -265,13 +265,14 @@ class TestPermutationTest:
         assert rev.z == -fwd.z
         assert rev.p == fwd.p
 
-    def test_zero_null_variance_is_an_error(self):
+    def test_all_ties_give_p_one(self):
         plan = make_fold_plan(np.arange(40) % 2, k=4, r=1, seed=13)
         acc = [0.7, 0.8, 0.75, 0.9]
         pairs = [(synthetic_result(plan, acc),
                   synthetic_result(plan, acc, "benchmark"))] * 3
-        with pytest.raises(NumericalFailure):
-            permutation_test(pairs, n_perm=200, seed=14)
+        res = permutation_test(pairs, n_perm=200, seed=14)
+        assert (res.observed_metric, res.z, res.p) == (0.0, 0.0, 1.0)
+        assert (res.null_mean, res.null_std, res.n_permutations) == (0.0, 0.0, 200)
 
     def test_relabeling_datasets_barely_moves_p(self):
         rng = np.random.default_rng(15)

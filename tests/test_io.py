@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from errpkit import io
 from errpkit.io import (
     ContainerError,
     canonical_json,
@@ -41,6 +43,30 @@ class TestEpochContainer:
         assert (p1 / "data.bin").read_bytes() == (p2 / "data.bin").read_bytes()
         assert (p1 / "labels.bin").read_bytes() == (p2 / "labels.bin").read_bytes()
 
+    def test_data_file_read_once(self, tmp_path, small_set, monkeypatch):
+        path = write_epoch_container(tmp_path / "c", small_set)
+        reads = []
+
+        def counting(read):
+            def wrapper(file, *args, **kwargs):
+                reads.append(Path(file).name)
+                return read(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "fromfile", counting(np.fromfile))
+        monkeypatch.setattr(Path, "read_bytes", counting(Path.read_bytes))
+        back = read_epoch_container(path)
+        assert reads.count("data.bin") == 1
+        assert np.array_equal(back.data, small_set.data)
+
+    def test_nonfinite_samples_counted_across_chunks(self, tmp_path, small_set, monkeypatch):
+        data = small_set.data.copy()
+        data.flat[[0, 6, 7, 200]] = [np.nan, np.inf, -np.inf, np.nan]
+        small_set.data = data
+        path = write_epoch_container(tmp_path / "c", small_set)
+        monkeypatch.setattr(io, "_CHUNK", 7)
+        assert validate_epoch_container(path) == ["data file holds 4 non-finite samples"]
+
     def test_validate_ok(self, tmp_path, small_set):
         path = write_epoch_container(tmp_path / "c", small_set)
         assert validate_epoch_container(path) == []
@@ -76,9 +102,19 @@ class TestContinuousContainer:
         rec = ContinuousRecording(512.0, ["a", "b", "c"], data, [(100, 1), (300, 1)])
         path = write_continuous_container(tmp_path / "raw", rec, [0, 1])
         back, labels = read_continuous_container(path)
+        assert back.data.dtype == np.float32
         assert np.array_equal(back.data, data)
         assert back.events == [(100, 1), (300, 1)]
         assert labels == [0, 1]
+
+    def test_nonfinite_samples_rejected(self, tmp_path, monkeypatch):
+        data = np.zeros((3, 500))
+        data[1, [10, 20, 490]] = np.nan
+        rec = ContinuousRecording(512.0, ["a", "b", "c"], data, [(100, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0])
+        monkeypatch.setattr(io, "_CHUNK", 64)
+        with pytest.raises(ContainerError, match="^data file holds 3 non-finite samples$"):
+            read_continuous_container(path)
 
     def test_epoch_container_is_not_continuous(self, tmp_path):
         es = generate_epochs(np.array([0, 1]), n_channels=2, fs_hz=64.0, seed=3,

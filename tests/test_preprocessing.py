@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from errpkit import preprocessing
 from errpkit.errors import (
     EmptyInput,
     InsufficientChannels,
@@ -11,6 +14,7 @@ from errpkit.errors import (
 from errpkit.preprocessing import (
     ContinuousRecording,
     EpochSet,
+    PreprocessSpec,
     average_reference,
     bandpass,
     baseline_subtract_set,
@@ -252,9 +256,118 @@ class TestPipeline:
             rng.standard_normal((4, samples)) * 20, events,
         )
         labels = [i % 2 for i in range(n_events)]
-        es, skipped = preprocess_recording(rec, labels, target_fs_hz=256.0)
+        es, skipped = preprocess_recording(rec, labels, PreprocessSpec(target_fs_hz=256.0))
         assert skipped == []
         assert es.data.shape == (n_events, 4, 640)
         assert es.fs_hz == 256.0
         assert es.t0_offset_s == -0.5
         assert list(es.labels) == labels
+
+
+def whole_array_reference(rec, labels, spec):
+    """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle)."""
+    from scipy import signal
+
+    fs, n = rec.fs_hz, rec.n_samples
+
+    def filtfilt(sos, x, order, lo_hz, length):
+        padlen = int(min(length - 1, round(3.0 * order * fs / lo_hz)))
+        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
+
+    lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
+    x = filtfilt(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
+                 rec.data.astype(np.float64), 4, lo, n)
+    for f0 in spec.notch_hz:
+        x = filtfilt(signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), x, 2, f0, n)
+    x = x - x.mean(axis=0, keepdims=True)
+    n_pre, n_post = round(spec.epoch_pre_s * fs), round(spec.epoch_post_s * fs)
+    kept = [(s, lab) for (s, _), lab in zip(rec.events, labels)
+            if s - n_pre >= 0 and s + n_post <= n]
+    epochs = np.stack([x[:, s - n_pre:s + n_post] for s, _ in kept])
+
+    def baseline(e, rate):
+        a, b = (round((t + spec.epoch_pre_s) * rate) for t in spec.baseline_window_s)
+        return e - e[..., a:b].mean(axis=-1, keepdims=True)
+
+    factor = round(fs / spec.target_fs_hz)
+    cutoff = 0.4 * spec.target_fs_hz
+    lowpass = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    n_out = epochs.shape[-1] // factor
+
+    def downsample(e):
+        return filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
+
+    if spec.baseline_before_downsample:
+        epochs = downsample(baseline(epochs, fs))
+    else:
+        epochs = baseline(downsample(epochs), spec.target_fs_hz)
+    return epochs, [lab for _, lab in kept]
+
+
+class TestBlockwisePipeline:
+    FS = 1024.0
+    N_CHANNELS = 5
+    N_SAMPLES = int(18 * 1024)
+
+    def recording(self, dtype):
+        rng = np.random.default_rng(21)
+        data = (rng.standard_normal((self.N_CHANNELS, self.N_SAMPLES)) * 20).astype(dtype)
+        # 7 kept events, one too early, one too late, one with another code
+        events = [(int(self.FS * t), 1) for t in (1.0, 3.0, 4.5, 6.0, 8.0, 11.0, 13.5)]
+        events += [(int(self.FS * 0.2), 1), (int(self.FS * 17.0), 1), (int(self.FS * 9.0), 2)]
+        labels = [0, 1, 1, 0, 1, 0, 0, 1, 0]
+        rec = ContinuousRecording(self.FS, [f"c{i}" for i in range(self.N_CHANNELS)], data,
+                                  events)
+        return rec, labels
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("baseline_first", [True, False])
+    def test_equals_whole_array_filtering(self, monkeypatch, dtype, baseline_first):
+        # blocks of 2 of the 5 channels and 3 of the 7 kept epochs
+        block = 300 * 1024
+        assert block // (8 * self.N_SAMPLES) == 2
+        assert block // (8 * self.N_CHANNELS * int(2.5 * self.FS)) == 3
+        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", block)
+        rec, labels = self.recording(dtype)
+        assert rec.data.dtype == dtype
+        spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+        es, skipped = preprocess_recording(rec, labels, spec)
+        expected, kept_labels = whole_array_reference(rec, labels, spec)
+        assert skipped == [7, 8]
+        assert list(es.labels) == kept_labels
+        assert es.data.dtype == np.float64
+        assert np.array_equal(es.data, expected)
+        assert (es.fs_hz, es.t0_offset_s) == (256.0, -0.5)
+
+    def test_peak_memory_is_bounded_by_four_times_float32_input(self):
+        fs, n_channels = 512.0, 16
+        rng = np.random.default_rng(22)
+        data = (rng.standard_normal((n_channels, int(120 * fs))) * 20).astype(np.float32)
+        events = [(int(fs * (2 + 3 * i)), 1) for i in range(39)]
+        rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
+        labels = [i % 2 for i in range(len(events))]
+        preprocess_recording(  # loads scipy.signal outside the measurement
+            ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
+        tracemalloc.start()
+        try:
+            es, _ = preprocess_recording(rec, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.data.shape == (39, n_channels, 640)
+        assert peak <= 4 * data.nbytes, peak / data.nbytes
+
+
+class TestSampleStorage:
+    def test_float32_storage_other_dtypes_float64(self):
+        assert ContinuousRecording(FS, ["a"], np.zeros((1, 4), np.float32)).data.dtype == np.float32
+        assert ContinuousRecording(FS, ["a"], np.zeros((1, 4), np.int16)).data.dtype == np.float64
+        assert ContinuousRecording(FS, ["a"], [[1, 2, 3]]).data.dtype == np.float64
+
+    def test_float32_filters_compute_in_float64(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(4096).astype(np.float32)
+        out32 = bandpass(one_channel(x), 1.0, 100.0).data
+        out64 = bandpass(one_channel(x.astype(np.float64)), 1.0, 100.0).data
+        assert out32.dtype == np.float64
+        assert np.array_equal(out32, out64)
