@@ -139,9 +139,8 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
             "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
         }
     if "benchmark" in methods:
-        audit["benchmark"] = {
-            "scale": features.fit_benchmark(es, windows=hp.benchmark_windows_s).scale,
-        }
+        raw = features.benchmark_features(es, windows=hp.benchmark_windows_s)
+        audit["benchmark"] = {"scale": features.max_abs_scale(raw)}
     return audit
 
 

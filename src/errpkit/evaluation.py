@@ -126,6 +126,8 @@ def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
     n = labels.size
     if k < 2:
         raise ValueError("k must be at least 2")
+    if r < 1:
+        raise ValueError(f"need at least 1 repeat, got r={r}")
     classes, counts = np.unique(labels, return_counts=True)
     if n == 0 or counts.min() < k:
         raise InsufficientData(
@@ -174,29 +176,33 @@ def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
-                   te_idx: np.ndarray, hp: Hyperparams):
-    train = dataset.subset(tr_idx)
-    test = dataset.subset(te_idx)
+                   te_idx: np.ndarray, hp: Hyperparams, bench_raw: np.ndarray | None):
+    """Training and test features of one fold; the benchmark route indexes the
+    rows of ``bench_raw`` and divides them by the training rows' scale."""
     if method == "riemann":
+        # both copies before the fit: a test copy made after the fit's
+        # temporaries were freed raised a desk compare's peak RSS by 10 MB
+        train, test = dataset.subset(tr_idx), dataset.subset(te_idx)
         model = features.fit_riemann(
             train, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
             mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter,
         )
-        return (features.transform_riemann_set(model, train), train.labels,
-                features.transform_riemann_set(model, test), test.labels)
-    model = features.fit_benchmark(train, windows=hp.benchmark_windows_s)
-    return (features.transform_benchmark_set(model, train), train.labels,
-            features.transform_benchmark_set(model, test), test.labels)
+        return (features.transform_riemann_set(model, train),
+                features.transform_riemann_set(model, test))
+    raw_tr = bench_raw[tr_idx]
+    scale = features.max_abs_scale(raw_tr)
+    return raw_tr / scale, bench_raw[te_idx] / scale
 
 
 def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: int,
-              hp: Hyperparams) -> tuple[float, int, logreg.LogisticModel]:
+              hp: Hyperparams, bench_raw) -> tuple[float, int, logreg.LogisticModel]:
     """Accuracy, test size and fitted classifier of one fold."""
     mask = plan.assignments[rep] == fold
     te_idx = np.flatnonzero(mask)
     tr_idx = np.flatnonzero(~mask)
+    ytr, yte = dataset.labels[tr_idx], dataset.labels[te_idx]
     try:
-        xtr, ytr, xte, yte = _fit_transform(dataset, method, tr_idx, te_idx, hp)
+        xtr, xte = _fit_transform(dataset, method, tr_idx, te_idx, hp, bench_raw)
         order = _canonical_order(xtr, ytr)
         clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
                          tol=hp.clf_tol, max_iter=hp.clf_max_iter)
@@ -211,15 +217,18 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
            hyperparams: Hyperparams | None = None, n_threads: int = 1) -> CVResult:
     """Fit on each training split, score accuracy on the held-out fold.
 
-    Results are placed by (repeat, fold) index, so the output is identical
-    for any ``n_threads``.  Folds whose classifier fit did not converge are
-    counted in one WARNING per call; they still count.
+    The benchmark features are computed once per call; each fold indexes
+    their rows.  Results are placed by (repeat, fold) index, so the output
+    is identical for any ``n_threads``.  Folds whose classifier fit did not
+    converge are counted in one WARNING per call; they still count.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if plan.n_epochs != len(dataset):
         raise PlanMismatch(f"plan covers {plan.n_epochs} epochs, dataset has {len(dataset)}")
     hp = hyperparams or Hyperparams()
+    bench_raw = (features.benchmark_features(dataset, windows=hp.benchmark_windows_s)
+                 if method == "benchmark" else None)
     jobs = [(rep, fold) for rep in range(plan.r) for fold in range(plan.k)]
     accs = np.empty(len(jobs))
     sizes = np.empty(len(jobs), dtype=np.int64)
@@ -227,7 +236,7 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
 
     def run(i: int) -> None:
         rep, fold = jobs[i]
-        accs[i], sizes[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp)
+        accs[i], sizes[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp, bench_raw)
 
     _run_indexed(run, len(jobs), n_threads)
     failed = [clf.final_grad_norm for clf in clfs if not clf.converged]
@@ -306,6 +315,8 @@ def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
     the full CV and records the mean accuracy; the threshold is the 97.5th
     percentile (linear interpolation) of those means.
     """
+    if n_shuffles < 1:
+        raise ValueError(f"need at least 1 chance shuffle, got n_shuffles={n_shuffles}")
     means = np.empty(n_shuffles)
 
     def one(s: int) -> None:

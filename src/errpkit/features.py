@@ -4,15 +4,18 @@ Riemannian route: average the training epochs of each class over the
 analysis window into per-class prototype matrices, stack
 [success prototype; failure prototype; trial] into a super trial, take its
 shrunk sample covariance, and project onto the tangent space at the
-geometric mean of the training covariances.
+geometric mean of the training covariances.  It has a fit phase (training
+epochs only) and a pure transform phase; the fitted model is immutable.
 
 Benchmark route: per channel, the mean and standard deviation over four
 fixed windows, each feature scaled by its maximum absolute value in the
-training set.
+training set.  The features of a trial depend on that trial alone, so
+:func:`benchmark_features` computes them once for a whole dataset and a
+fold only indexes its rows and divides by :func:`max_abs_scale` of its
+training rows.
 
-Both have a fit phase (training epochs only) and a pure transform phase.
-Fitted models are immutable; fitting is bit-identical under any permutation
-of the training epochs (canonical summation, max-based scaling).
+Fitting is bit-identical under any permutation of the training epochs
+(canonical summation, max-based scaling).
 """
 from __future__ import annotations
 
@@ -57,14 +60,6 @@ class RiemannModel:
     reference: np.ndarray  # (3c, 3c) geometric mean of training covariances
     shrinkage: float
     fs_hz: float
-
-
-@dataclass(frozen=True)
-class BenchmarkModel:
-    windows: tuple[tuple[float, float], ...]
-    scale: np.ndarray  # per-feature positive max-abs from training
-    fs_hz: float
-    n_channels: int
 
 
 def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
@@ -160,17 +155,17 @@ def transform_riemann_set(model: RiemannModel, es: EpochSet) -> np.ndarray:
     return manifold.tangent_project(covs, model.reference)
 
 
-def _benchmark_features(
-    data: np.ndarray,
-    fs: float,
-    t0: float,
-    windows: tuple[tuple[float, float], ...],
+def benchmark_features(
+    es: EpochSet,
+    windows: tuple[tuple[float, float], ...] = BENCHMARK_WINDOWS,
 ) -> np.ndarray:
-    """Raw windowed features, (n, n_channels * n_windows * 2).
+    """Unscaled windowed features of every epoch, (n, n_channels * n_windows * 2).
 
     Layout is channel-major, window-minor, with (mean, std) innermost; std
-    uses the n-1 denominator.
+    uses the n-1 denominator.  Each row depends on its own epoch only, so
+    the rows of a subset equal the subset of the rows bit for bit.
     """
+    data, fs, t0 = es.data, es.fs_hz, es.t0_offset_s
     n, c, s = data.shape
     feats = np.empty((n, c, len(windows), 2))
     for w, (t_a, t_b) in enumerate(windows):
@@ -183,26 +178,10 @@ def _benchmark_features(
     return feats.reshape(n, c * len(windows) * 2)
 
 
-def fit_benchmark(
-    train: EpochSet,
-    windows: tuple[tuple[float, float], ...] = BENCHMARK_WINDOWS,
-) -> BenchmarkModel:
-    """Record each feature's max absolute value over the training set (0 -> 1)."""
-    if len(train) == 0:
-        raise EmptyInput("cannot fit on an empty epoch set")
-    feats = _benchmark_features(train.data, train.fs_hz, train.t0_offset_s, windows)
-    scale = np.abs(feats).max(axis=0)
+def max_abs_scale(train_feats: np.ndarray) -> np.ndarray:
+    """Each feature's max absolute value over the training rows (0 -> 1)."""
+    if len(train_feats) == 0:
+        raise EmptyInput("cannot fit a scale on no training rows")
+    scale = np.abs(train_feats).max(axis=0)
     scale[scale == 0.0] = 1.0
-    return BenchmarkModel(tuple(tuple(w) for w in windows), scale, train.fs_hz,
-                          train.n_channels)
-
-
-def transform_benchmark_set(model: BenchmarkModel, es: EpochSet) -> np.ndarray:
-    if es.n_channels != model.n_channels:
-        raise DimMismatch(
-            f"epoch has {es.n_channels} channels, model expects {model.n_channels}"
-        )
-    if es.fs_hz != model.fs_hz:
-        raise DimMismatch(f"epoch rate {es.fs_hz} differs from model rate {model.fs_hz}")
-    feats = _benchmark_features(es.data, es.fs_hz, es.t0_offset_s, model.windows)
-    return feats / model.scale
+    return scale

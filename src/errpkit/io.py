@@ -70,6 +70,15 @@ def _field_problems(doc, spec: dict[str, str], what: str) -> list[str]:
     return problems
 
 
+def _load_json(path: Path):
+    """The JSON document in ``path``; text that does not parse is a ContainerError
+    naming the file."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ContainerError(f"unreadable {path.name}: {exc}") from None
+
+
 def _version_problems(manifest: dict) -> list[str]:
     """A well-typed manifest whose ``format_version`` is newer than this reader's."""
     version = manifest["format_version"]
@@ -140,9 +149,9 @@ def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.nda
     if not mpath.is_file():
         return [f"missing {MANIFEST_NAME}"], None, None
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        return [f"unreadable manifest: {exc}"], None, None
+        manifest = _load_json(mpath)
+    except ContainerError as exc:
+        return [str(exc)], None, None
 
     problems = _field_problems(manifest, _EPOCH_FIELDS, "manifest")
     if problems:
@@ -213,7 +222,7 @@ def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> 
 
 def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     path = Path(path)
-    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    manifest = _load_json(path / MANIFEST_NAME)
     if not isinstance(manifest, dict) or manifest.get("kind") != "continuous":
         raise ContainerError(f"{path} is not a continuous container")
     problems = (_field_problems(manifest, _CONTINUOUS_FIELDS, "manifest")
@@ -228,7 +237,7 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     bad = _count_nonfinite(data)
     if bad:
         raise ContainerError(f"data file holds {bad} non-finite samples")
-    events_raw = json.loads((path / EVENTS_NAME).read_text())
+    events_raw = _load_json(path / EVENTS_NAME)
     if not isinstance(events_raw, list):
         raise ContainerError(f"{EVENTS_NAME} is not a JSON list")
     for i, e in enumerate(events_raw):

@@ -18,7 +18,6 @@ filtering, because each row is filtered on its own.
 """
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -262,21 +261,12 @@ def baseline_subtract_set(es: EpochSet, window: tuple[float, float] = (-0.5, 0.0
     return replace(es, data=es.data - es.data[..., sl].mean(axis=-1, keepdims=True))
 
 
-@functools.lru_cache(maxsize=8)
-def _lowpass(cutoff_hz: float, fs: float) -> np.ndarray:
-    """8th-order Butterworth lowpass sections, designed once per cutoff and
-    rate, because :func:`preprocess_recording` downsamples every block of
-    events with the same filter.  The cached array is shared: copy it."""
-    from scipy import signal
-
-    return signal.butter(8, cutoff_hz, btype="lowpass", fs=fs, output="sos")
-
-
-def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
-    """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
+def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
+    """The anti-alias lowpass stage ``(sos, padlen)`` (8th-order Butterworth at
+    0.4 * target rate) for rows of ``n_samples`` at ``fs``, and the samples
+    ``keep`` of each filtered row: every factor-th."""
     if target_fs_hz <= 0:
         raise InvalidResampleFactor("target rate must be positive")
-    fs = es.fs_hz
     factor = fs / target_fs_hz
     if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
         raise InvalidResampleFactor(
@@ -284,11 +274,18 @@ def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
         )
     factor = int(round(factor))
     cutoff = 0.4 * target_fs_hz
-    n_out = es.n_samples // factor
-    sos = _lowpass(cutoff, fs).copy()
-    data = _filter_rows(es.data, [(sos, _padlen(8, cutoff, fs, es.n_samples))],
-                        keep=slice(None, n_out * factor, factor))
-    return EpochSet(data, es.labels, target_fs_hz, es.t0_offset_s, list(es.channels))
+    from scipy import signal
+
+    sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    keep = slice(None, n_samples // factor * factor, factor)
+    return (sos, _padlen(8, cutoff, fs, n_samples)), keep
+
+
+def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
+    """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
+    stage, keep = _downsample_stage(es.fs_hz, target_fs_hz, es.n_samples)
+    return EpochSet(_filter_rows(es.data, [stage], keep), es.labels, target_fs_hz,
+                    es.t0_offset_s, list(es.channels))
 
 
 @dataclass(frozen=True)
@@ -319,30 +316,32 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     :func:`average_reference`, :func:`epoch_extract`,
     :func:`baseline_subtract_set` and :func:`downsample_set`, in bounded
     memory: the filter chain runs block by block into one float64 array,
-    which is re-referenced in place, and the epochs are baselined and
-    downsampled a block of events at a time into the result.
+    which is re-referenced in place, and the epochs are cut, baselined and
+    downsampled a block of events at a time into the result.  The lowpass
+    is designed once per call; downsampling first, the baseline is
+    subtracted once from the whole result.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
     starts, length, kept_labels, skipped = _event_windows(
         rec, spec.event_code, spec.epoch_pre_s, spec.epoch_post_s, labels)
+    lowpass, keep = _downsample_stage(rec.fs_hz, spec.target_fs_hz, length)
+    n_out = len(range(length)[keep])
+    t0 = -spec.epoch_pre_s
+    if spec.baseline_before_downsample:
+        base = _window_slice(rec.fs_hz, t0, length, *spec.baseline_window_s)
+    else:
+        base = _window_slice(spec.target_fs_hz, t0, n_out, *spec.baseline_window_s)
     data = _filter_rows(rec.data, stages)
     _rereference(data)
 
-    def finish(es: EpochSet) -> EpochSet:
-        if spec.baseline_before_downsample:
-            return downsample_set(baseline_subtract_set(es, spec.baseline_window_s),
-                                  spec.target_fs_hz)
-        return baseline_subtract_set(downsample_set(es, spec.target_fs_hz),
-                                     spec.baseline_window_s)
-
     step = max(1, _BLOCK_BYTES // (8 * rec.n_channels * length))
-    out = None
+    out = np.empty((len(starts), rec.n_channels, n_out))
     for i in range(0, len(starts), step):
         block = np.stack([data[:, s:s + length] for s in starts[i:i + step]])
-        es = finish(EpochSet(block, kept_labels[i:i + step], rec.fs_hz, -spec.epoch_pre_s,
-                             list(rec.channels)))
-        if out is None:
-            out = np.empty((len(starts),) + es.data.shape[1:])
-        out[i:i + step] = es.data
-    return replace(es, data=out, labels=kept_labels), skipped
+        if spec.baseline_before_downsample:
+            block -= block[..., base].mean(axis=-1, keepdims=True)
+        out[i:i + step] = _filter_rows(block, [lowpass], keep)
+    if not spec.baseline_before_downsample:
+        out -= out[..., base].mean(axis=-1, keepdims=True)
+    return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

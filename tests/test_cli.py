@@ -231,6 +231,26 @@ class TestThreads:
         assert not out.exists()
 
 
+class TestEmptyProtocol:
+    """A protocol with no repeats or no chance shuffles exits 2 with one line."""
+
+    @pytest.mark.parametrize("command, line", [
+        (["run", "--method", "benchmark", "--repeats", "0"],
+         "error: need at least 1 repeat, got r=0"),
+        (["run", "--method", "benchmark", "--repeats", "-1"],
+         "error: need at least 1 repeat, got r=-1"),
+        (["chance", "--folds", "5", "--repeats", "1", "--set", "n_chance_shuffles=0"],
+         "error: need at least 1 chance shuffle, got n_shuffles=0"),
+    ], ids=["repeats-0", "repeats-negative", "chance-shuffles-0"])
+    def test_exits_2(self, tiny_container, tmp_path, capsys, command, line):
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([*command, "--input", str(tiny_container), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
+
+
 class TestChanceCommand:
     def test_writes_chance_doc(self, shared_tmp, tiny_container):
         out = shared_tmp / "chance.json"
@@ -364,6 +384,27 @@ class TestMalformedContainers:
             [line] = (captured.out + captured.err).splitlines()
             assert line.startswith(("error: ", "violation: ")) and len(line) < 200, line
             assert repr(key) in line
+
+    @pytest.mark.parametrize("kind, name", [
+        ("continuous", "manifest.json"),
+        ("continuous", "events.json"),
+        ("epochs", "manifest.json"),
+    ], ids=["continuous-manifest", "continuous-events", "epochs-manifest"])
+    def test_unparsable_json_names_the_file(self, tmp_path, capsys, kind, name):
+        if kind == "epochs":
+            path = synth_tiny(tmp_path, "bad")
+            command = ["validate", "--input", str(path)]
+        else:
+            path = make_raw(tmp_path)
+            command = ["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")]
+        (path / name).write_text("[}")
+        capsys.readouterr()
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        [line] = (captured.out + captured.err).splitlines()
+        assert line.startswith((f"error: unreadable {name}: ",
+                                f"violation: unreadable {name}: ")), line
+        assert "line 1 column 2" in line and len(line) < 200, line
 
 
 class TestPreprocess:

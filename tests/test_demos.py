@@ -1,7 +1,9 @@
-"""Every errpkit name a demo imports or reads as an attribute must exist.
+"""Every errpkit name a demo or a benchmark script imports or reads as an
+attribute must exist.
 
-The demos are parsed with ``ast``, not run, so removing a public name that
-a demo still uses fails here in well under a second.
+The scripts are parsed with ``ast``, not run, so removing a name that a
+demo or the benchmark harness (``bench/``) still uses fails here in well
+under a second, not when the benchmark runs.
 """
 import ast
 import importlib
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def errpkit_names(source: str) -> set[str]:
@@ -67,8 +70,22 @@ def test_scanner_sees_imports_and_attributes():
     assert sorted(n for n in names if unresolved(n)) == ["errpkit.io.nope", "errpkit.synth.gone"]
 
 
+# benchmark scripts that use errpkit at all (bench/selftest.py drives the others)
+BENCH = [p for p in sorted((ROOT / "bench").glob("*.py")) if errpkit_names(p.read_text())]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_names_resolve(demo):
     names = errpkit_names(demo.read_text())
     assert names, f"{demo.name} uses no errpkit names"
+    assert sorted(n for n in names if unresolved(n)) == []
+
+
+def test_bench_scripts_are_scanned():
+    assert {p.name for p in BENCH} >= {"recording.py", "run.py", "tracer.py"}
+
+
+@pytest.mark.parametrize("script", BENCH, ids=[f"bench/{p.name}" for p in BENCH])
+def test_bench_names_resolve(script):
+    names = errpkit_names(script.read_text())
     assert sorted(n for n in names if unresolved(n)) == []

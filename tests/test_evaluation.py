@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from errpkit import logreg
+from errpkit import features, logreg
 from errpkit.errors import InsufficientData, PlanMismatch
 from errpkit.evaluation import (
     CVResult,
@@ -77,6 +77,11 @@ class TestFoldPlan:
         with pytest.raises(InsufficientData):
             make_fold_plan(labels, k=10)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_no_repeats_rejected(self, r):
+        with pytest.raises(ValueError, match=f"need at least 1 repeat, got r={r}"):
+            make_fold_plan(np.arange(20) % 2, k=4, r=r)
+
 
 class TestRunCV:
     def test_strong_signal_high_accuracy_both_methods(self):
@@ -121,15 +126,38 @@ class TestRunCV:
         plan = make_fold_plan(es.labels, k=4, r=1, seed=15)
         res = run_cv(es, "benchmark", plan)
         hp = Hyperparams()
+        raw = features.benchmark_features(es, windows=hp.benchmark_windows_s)
         for fold in range(4):
             mask = plan.assignments[0] == fold
-            xtr, ytr, xte, yte = _fit_transform(
-                es, "benchmark", np.flatnonzero(~mask), np.flatnonzero(mask), hp)
+            tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
+            xtr, xte = _fit_transform(es, "benchmark", tr, te, hp, raw)
+            # the fold's features are those of its own epochs alone
+            train, test = es.subset(tr), es.subset(te)
+            scale = features.max_abs_scale(features.benchmark_features(train))
+            assert np.array_equal(xtr, features.benchmark_features(train) / scale)
+            assert np.array_equal(xte, features.benchmark_features(test) / scale)
+            ytr, yte = train.labels, test.labels
             order = _canonical_order(xtr, ytr)
             clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
                              tol=hp.clf_tol, max_iter=hp.clf_max_iter)
             acc = float(np.mean(logreg.predict(clf, xte) == yte))
             assert acc == res.accuracies[fold]
+
+    def test_benchmark_features_computed_once_per_call(self, monkeypatch):
+        calls = []
+        original = features.benchmark_features
+
+        def counted(es, *args, **kwargs):
+            calls.append(len(es))
+            return original(es, *args, **kwargs)
+
+        monkeypatch.setattr(features, "benchmark_features", counted)
+        es = tiny_dataset(seed=18)
+        plan = make_fold_plan(es.labels, k=4, r=3, seed=19)
+        run_cv(es, "benchmark", plan, n_threads=2)
+        assert calls == [len(es)]
+        run_cv(es, "riemann", plan)
+        assert calls == [len(es)]
 
     def test_plan_size_mismatch(self):
         es = tiny_dataset(seed=16)
@@ -302,6 +330,12 @@ class TestChanceLevel:
         es = tiny_dataset(seed=19)
         with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
             chance_level(es, plan_seed=20, n_shuffles=2, k=4, r=1, n_threads=threads)
+
+    @pytest.mark.parametrize("n_shuffles", [0, -2])
+    def test_no_shuffles_rejected(self, n_shuffles):
+        es = tiny_dataset(seed=19)
+        with pytest.raises(ValueError, match="need at least 1 chance shuffle"):
+            chance_level(es, plan_seed=20, n_shuffles=n_shuffles, k=4, r=1)
 
 
 class TestTails:

@@ -9,6 +9,7 @@ from errpkit.config import DEFAULTS
 from errpkit.errors import (
     DegenerateTrainingSet,
     DimMismatch,
+    EmptyInput,
     InvalidWindow,
     NotPositiveDefinite,
 )
@@ -18,9 +19,9 @@ from errpkit.features import (
     PrototypePair,
     _covariances,
     _super_trials,
-    fit_benchmark,
+    benchmark_features,
     fit_riemann,
-    transform_benchmark_set,
+    max_abs_scale,
     transform_riemann_set,
 )
 from errpkit.preprocessing import EpochSet
@@ -148,7 +149,7 @@ class TestFitRiemann:
         assert params["shrinkage"].default == hp.shrinkage
         assert params["mean_tol"].default == hp.mean_tol == DEFAULTS["mean_tol"]
         assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
-        windows = inspect.signature(fit_benchmark).parameters["windows"].default
+        windows = inspect.signature(benchmark_features).parameters["windows"].default
         assert windows == hp.benchmark_windows_s
         mean = inspect.signature(manifold.geometric_mean).parameters
         assert mean["tol"].default == hp.mean_tol
@@ -216,26 +217,28 @@ class TestTransformRiemann:
         assert np.abs(blocks - blocks[0]).max() < 1e-12
 
 
+def scaled_features(train, es):
+    """``es``'s benchmark features divided by ``train``'s max-abs scale."""
+    return benchmark_features(es) / max_abs_scale(benchmark_features(train))
+
+
 class TestBenchmark:
     def test_feature_count(self, rng):
         es = make_set(rng, n_trials=6, n_channels=32, fs=256.0, pre=0.5, post=0.7)
-        model = fit_benchmark(es)
-        feats = transform_benchmark_set(model, es)
+        feats = scaled_features(es, es)
         assert feats.shape == (6, 32 * 2 * 4) == (6, 256)
 
     def test_scale_is_training_max_abs(self, rng):
         es = make_set(rng, n_trials=12, n_channels=3)
-        model = fit_benchmark(es)
-        feats = transform_benchmark_set(model, es)
+        feats = scaled_features(es, es)
         assert np.abs(feats).max() <= 1.0 + 1e-12
         assert np.isclose(np.abs(feats).max(), 1.0)
 
     def test_constant_channel_mean_and_std(self):
         data = np.full((1, 2, 307), 5.0)
         es = EpochSet(data, [1], 256.0, -0.5, ["a", "b"])
-        model = fit_benchmark(es)
         # scale of a constant +5 feature is 5; mean scales to 1, std to 0
-        [feats] = transform_benchmark_set(model, es)
+        [feats] = scaled_features(es, es)
         means = feats[0::2]
         stds = feats[1::2]
         assert np.allclose(means, 1.0)
@@ -244,21 +247,19 @@ class TestBenchmark:
     def test_zero_feature_gets_unit_scale(self):
         data = np.zeros((3, 2, 307))
         es = EpochSet(data, [0, 1, 0], 256.0, -0.5, ["a", "b"])
-        model = fit_benchmark(es)
-        assert np.all(model.scale == 1.0)
+        assert np.all(max_abs_scale(benchmark_features(es)) == 1.0)
 
     def test_test_epoch_may_exceed_unit_range(self, rng):
         train = make_set(rng, n_trials=10, n_channels=2, scale=1.0)
-        model = fit_benchmark(train)
         big = EpochSet(train.data[:1] * 50.0, train.labels[:1], train.fs_hz,
                        train.t0_offset_s, list(train.channels))
-        feats = transform_benchmark_set(model, big)
+        feats = scaled_features(train, big)
         assert np.abs(feats).max() > 1.0
 
     def test_matches_bruteforce_oracle(self, rng):
         es = make_set(rng, n_trials=5, n_channels=3)
-        model = fit_benchmark(es)
-        feats = transform_benchmark_set(model, es)
+        scale = max_abs_scale(benchmark_features(es))
+        feats = scaled_features(es, es)
         fs, t0 = es.fs_hz, es.t0_offset_s
         for trial in range(5):
             expected = []
@@ -268,16 +269,27 @@ class TestBenchmark:
                     b = int(np.floor((tb - t0) * fs + 0.5))
                     seg = es.data[trial, ch, a:b]
                     expected += [seg.mean(), seg.std(ddof=1)]
-            expected = np.asarray(expected) / model.scale
+            expected = np.asarray(expected) / scale
             assert np.allclose(feats[trial], expected, atol=1e-12)
 
     def test_window_outside_epoch(self, rng):
         es = make_set(rng, pre=0.1, post=0.3)
         with pytest.raises(InvalidWindow):
-            fit_benchmark(es)
+            benchmark_features(es)
 
     def test_permuted_training_order_bit_identical(self, rng):
         es = make_set(rng, n_trials=9, n_channels=3)
-        m1 = fit_benchmark(es)
-        m2 = fit_benchmark(es.subset(rng.permutation(9)))
-        assert np.array_equal(m1.scale, m2.scale)
+        s1 = max_abs_scale(benchmark_features(es))
+        s2 = max_abs_scale(benchmark_features(es.subset(rng.permutation(9))))
+        assert np.array_equal(s1, s2)
+
+    def test_rows_of_whole_set_equal_features_of_subset(self, rng):
+        # the invariant that lets evaluation compute the features once per dataset
+        es = make_set(rng, n_trials=30, n_channels=5)
+        whole = benchmark_features(es)
+        for idx in (rng.permutation(30)[:11], np.arange(0, 30, 3), np.array([29])):
+            assert np.array_equal(whole[idx], benchmark_features(es.subset(idx)))
+
+    def test_scale_of_no_rows_rejected(self):
+        with pytest.raises(EmptyInput):
+            max_abs_scale(np.empty((0, 8)))
