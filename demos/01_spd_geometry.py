@@ -51,11 +51,11 @@ print(f"distance {d_plain:.6f} vs after mixing {d_mixed:.6f} "
 # ---------------------------------------------------------------------------
 isq = manifold.mat_invsqrt(a)
 midpoint = manifold.mat_sqrt(a) @ manifold.mat_sqrt(isq @ b @ isq) @ manifold.mat_sqrt(a)
-karcher = manifold.geometric_mean(np.stack([a, b]), tol=1e-11, max_iter=200)
+karcher = manifold.geometric_mean(np.stack([a, b]), tol=1e-11, max_iter=200).mean
 print("pair mean vs closed-form midpoint:", np.linalg.norm(karcher - midpoint))
 
 mats = np.stack([random_spd(6) for _ in range(12)])
-g = manifold.geometric_mean(mats)
+g = manifold.geometric_mean(mats).mean
 logs = [manifold.mat_log(manifold.mat_invsqrt(g) @ c @ manifold.mat_invsqrt(g)) for c in mats]
 print("Karcher residual at the mean:", np.linalg.norm(np.mean(logs, axis=0)))
 

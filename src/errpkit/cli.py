@@ -202,6 +202,13 @@ def cmd_evaluate(args) -> int:
         es = io.read_epoch_container(in_path)
         plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
                                          seed=evaluation.derive_seed(seed, d_index))
+        chance = None
+        if args.chance:  # first: it rejects a shuffle count below 1 before any fold runs
+            chance = asdict(evaluation.chance_level(
+                es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
+                n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
+                n_threads=args.threads,
+            ))
         results = {
             method: evaluation.run_cv(es, method, plan, hp, n_threads=args.threads)
             for method in args.methods
@@ -210,13 +217,6 @@ def cmd_evaluate(args) -> int:
         if len(results) == len(evaluation.METHODS):
             pairs.append((results["riemann"], results["benchmark"]))
             ttest = asdict(evaluation.corrected_t_test(*pairs[-1]))
-        chance = None
-        if args.chance:
-            chance = asdict(evaluation.chance_level(
-                es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
-                n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
-                n_threads=args.threads,
-            ))
         dataset_blocks.append({
             "path": str(in_path),
             "n_trials": len(es),

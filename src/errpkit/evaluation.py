@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc, stdtr
 
 from . import features, logreg, manifold
 from .errors import (
@@ -112,11 +111,15 @@ def derive_seed(*parts) -> int:
 
 def normal_two_sided_p(z: float) -> float:
     """Two-sided tail probability of a standard normal at |z|."""
+    from scipy.special import erfc  # imported on use: it is a slow import
+
     return float(erfc(abs(z) / np.sqrt(2.0)))
 
 
 def t_two_sided_p(t: float, df: int) -> float:
     """Two-sided tail probability of Student's t with ``df`` degrees of freedom."""
+    from scipy.special import stdtr
+
     return float(2.0 * stdtr(df, -abs(t)))
 
 
@@ -187,8 +190,7 @@ def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
             train, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
             mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter,
         )
-        return (features.transform_riemann_set(model, train),
-                features.transform_riemann_set(model, test))
+        return model.train_features, features.transform_riemann_set(model, test)
     raw_tr = bench_raw[tr_idx]
     scale = features.max_abs_scale(raw_tr)
     return raw_tr / scale, bench_raw[te_idx] / scale

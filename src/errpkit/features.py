@@ -6,6 +6,9 @@ analysis window into per-class prototype matrices, stack
 shrunk sample covariance, and project onto the tangent space at the
 geometric mean of the training covariances.  It has a fit phase (training
 epochs only) and a pure transform phase; the fitted model is immutable.
+The fit also yields the training epochs' tangent vectors: the Karcher
+iteration computes them at its final iterate, bit for bit as the transform
+would, so a fold transforms only its test epochs.
 
 Benchmark route: per channel, the mean and standard deviation over four
 fixed windows, each feature scaled by its maximum absolute value in the
@@ -60,6 +63,7 @@ class RiemannModel:
     reference: np.ndarray  # (3c, 3c) geometric mean of training covariances
     shrinkage: float
     fs_hz: float
+    train_features: np.ndarray  # (n_train, D(D+1)/2), rows in training order
 
 
 def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
@@ -119,11 +123,15 @@ def fit_riemann(
     mean_tol: float = manifold.DEFAULT_MEAN_TOL,
     mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER,
 ) -> RiemannModel:
-    """Fit prototypes and the tangent-space reference point on training epochs only."""
+    """Fit prototypes and the tangent-space reference point on training epochs only.
+
+    ``train_features`` equals ``transform_riemann_set(model, train)``.
+    """
     protos = fit_prototypes(train, window)
     covs = _covariances(_super_trials(_sliced(train, window), protos), shrinkage)
-    reference = manifold.geometric_mean(covs, tol=mean_tol, max_iter=mean_max_iter)
-    return RiemannModel(tuple(window), protos, reference, shrinkage, train.fs_hz)
+    karcher = manifold.geometric_mean(covs, tol=mean_tol, max_iter=mean_max_iter)
+    return RiemannModel(tuple(window), protos, karcher.mean, shrinkage, train.fs_hz,
+                        manifold.vectorize_sym(karcher.logs))
 
 
 def _super_trials(windowed: np.ndarray, protos: PrototypePair) -> np.ndarray:

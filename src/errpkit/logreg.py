@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateTrainingSet, DimMismatch, NumericalFailure
 from .labels import FAILURE, SUCCESS
@@ -67,6 +66,8 @@ def _prepare(features, labels) -> tuple[np.ndarray, np.ndarray]:
 def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
               reg_c: float) -> tuple[float, np.ndarray]:
     """Loss and gradient at ``params = [w..., b]``."""
+    from scipy.special import expit  # imported on use: it is a slow import
+
     w, b = params[:-1], params[-1]
     margin = -y_pm * (x @ w + b)
     loss = float(np.logaddexp(0.0, margin).sum() + 0.5 * (w @ w) / reg_c)
@@ -123,6 +124,8 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
     with the full (p+1) x (p+1) Hessian, so ``fit`` passes the reduced
     features.
     """
+    from scipy.special import expit
+
     z1 = np.hstack([z, np.ones((z.shape[0], 1))])
     penalty = np.full(z1.shape[1], 1.0 / reg_c)
     penalty[-1] = 0.0
@@ -163,6 +166,8 @@ def decision_value(model: LogisticModel, x) -> np.ndarray | float:
 
 def predict_proba(model: LogisticModel, x) -> np.ndarray | float:
     """P(failure | x) through the logistic link."""
+    from scipy.special import expit
+
     z = decision_value(model, x)
     p = expit(z)
     return float(p) if np.ndim(p) == 0 else p

@@ -11,9 +11,9 @@ operate on the last two axes, like ``numpy.linalg`` routines.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimMismatch,
@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 SYMMETRY_ATOL = 1e-12
 DEFAULT_MEAN_TOL = 1e-8
 DEFAULT_MEAN_MAX_ITER = 200
+_MIN_STEP, _MAX_STEP = 0.05, 2.0  # bounds of the Karcher step size
 
 
 def _as_square(m) -> np.ndarray:
@@ -94,8 +95,12 @@ def mat_sqrt(m) -> np.ndarray:
     return _positive_fn(m, np.sqrt, "sqrt")
 
 
+def _invsqrt(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
+
+
 def mat_invsqrt(m) -> np.ndarray:
-    return _positive_fn(m, lambda w: 1.0 / np.sqrt(w), "invsqrt")
+    return _positive_fn(m, _invsqrt, "invsqrt")
 
 
 def airm_distance(a, b) -> float:
@@ -105,6 +110,8 @@ def airm_distance(a, b) -> float:
     which is an independent route from the whitening used by
     :func:`tangent_project`; the two must agree, and tests rely on that.
     """
+    import scipy.linalg  # imported on use: it is a slow import, needed only here
+
     a = check_symmetric(a)
     b = check_symmetric(b)
     if a.shape != b.shape or a.ndim != 2:
@@ -132,17 +139,36 @@ def canonical_mean(stack: np.ndarray) -> np.ndarray:
     return np.sum(np.sort(stack, axis=0), axis=0) / stack.shape[0]
 
 
+@dataclass(frozen=True)
+class KarcherMean:
+    """Result of :func:`geometric_mean`.
+
+    ``logs[i]`` is ``log(mean^-1/2 C_i mean^-1/2)``, computed as
+    :func:`tangent_project` computes it, so ``vectorize_sym(logs)`` equals
+    ``tangent_project(mats, mean)`` bit for bit.
+    """
+
+    mean: np.ndarray  # (d, d)
+    logs: np.ndarray  # (n, d, d), in input order
+    iterations: int  # steps taken
+    residual: float  # Frobenius norm of the mean of ``logs``
+    step: float  # step size the next iteration would take
+
+
 def geometric_mean(mats, tol: float = DEFAULT_MEAN_TOL,
-                   max_iter: int = DEFAULT_MEAN_MAX_ITER) -> np.ndarray:
+                   max_iter: int = DEFAULT_MEAN_MAX_ITER) -> KarcherMean:
     """Karcher mean of a set of SPD matrices under the affine-invariant metric.
 
     Gradient descent from the arithmetic mean (Pennec et al. 2006):
     ``G <- G^1/2 exp(nu * T) G^1/2`` with ``T = mean_i log(G^-1/2 C_i G^-1/2)``.
-    The step follows pyRiemann's ``mean_riemann`` (Barachant et al. 2012;
-    Congedo et al. 2017): with ``h = nu * ||T||``, ``nu`` decays by 0.95 when
-    ``h`` reaches a new minimum, but not below 0.5 (a geometric decay stalls
-    short of ``tol`` on widely spread sets), and is halved otherwise.  Stops
-    when the Frobenius norm of ``T`` falls below ``tol``.
+    The step is the Barzilai-Borwein rule (Barzilai & Borwein 1988), one of
+    those compared for this mean by Jeuris, Vandebril & Vandereycken (2012,
+    ETNA 39), taken in the whitened coordinates of each iterate and without
+    parallel transport: with ``s = nu * T_k`` and ``y = T_k - T_k+1``, the
+    next step is ``<s, s> / <s, y>``.  It starts at 1 and is clipped to
+    [0.05, 2]; when ``<s, y>`` is not positive or not finite the step is
+    halved instead, down to the same floor.  Stops when the Frobenius norm
+    of ``T`` falls below ``tol``.
 
     Parameters
     ----------
@@ -164,35 +190,45 @@ def geometric_mean(mats, tol: float = DEFAULT_MEAN_TOL,
         raise ValueError("tol must be positive")
     check_symmetric(stack)
 
-    g = canonical_mean(stack)
+    g = _symmetrize(canonical_mean(stack))
     resid = np.inf
     nu = 1.0
-    tau = np.inf
+    s = t = None
     for it in range(max_iter + 1):
         w, v = np.linalg.eigh(g)
         if w.min() <= 0.0:
             raise NotPositiveDefinite("iterate lost positive definiteness")
-        sq = (v * np.sqrt(w)) @ v.T
-        isq = (v / np.sqrt(w)) @ v.T
+        # as mat_invsqrt computes it, so the final logs are tangent_project's
+        isq = _spectral_apply(w, v, _invsqrt)
         whitened = _symmetrize(isq @ stack @ isq)
         lw, lv = np.linalg.eigh(whitened)
+        # each (n, d, d) array is freed once used: this loop sets the peak
+        # memory of a desk-scale fold
+        del whitened
         if lw.min() <= 0.0:
             raise NotPositiveDefinite("input matrix is not positive definite")
-        t = canonical_mean(_spectral_apply(lw, lv, np.log))
+        logs = _spectral_apply(lw, lv, np.log)
+        del lw, lv
+        t_prev, t = t, canonical_mean(logs)
         resid = float(np.linalg.norm(t, ord="fro"))
+        if s is not None:
+            sy = float(np.sum(s * (t_prev - t)))
+            if sy > 0.0 and np.isfinite(sy):
+                nu = float(np.clip(np.sum(s * s) / sy, _MIN_STEP, _MAX_STEP))
+            else:
+                nu = max(0.5 * nu, _MIN_STEP)
         if resid <= tol:
-            logger.debug("Karcher mean: %d iterations, residual %.3e, step %.3g", it, resid, nu)
-            return _symmetrize(g)
+            result = KarcherMean(g, logs, it, resid, nu)
+            logger.debug("Karcher mean: %d iterations, residual %.3e, step %.3g",
+                         result.iterations, result.residual, result.step)
+            return result
         if it == max_iter:
             break
-        ew, ev = np.linalg.eigh(_symmetrize(nu * t))
+        del logs
+        s = nu * t
+        ew, ev = np.linalg.eigh(s)
+        sq = (v * np.sqrt(w)) @ v.T
         g = _symmetrize(sq @ _spectral_apply(ew, ev, np.exp) @ sq)
-        h = nu * resid
-        if h < tau:
-            tau = h
-            nu = max(0.95 * nu, min(nu, 0.5))
-        else:
-            nu *= 0.5
     raise NonConvergence(
         f"Karcher mean residual {resid:.3e} > tol {tol:.1e} after {max_iter} iterations "
         f"(final step {nu:.3g})"

@@ -62,13 +62,13 @@ def test_01_manifold_suite():
         for d, n_pairs in ((2, 6), (6, 12), (96, 2)):
             for _ in range(n_pairs):
                 a, b = random_spd(rng, d), random_spd(rng, d)
-                g = manifold.geometric_mean(np.stack([a, b]), tol=1e-11, max_iter=300)
+                g = manifold.geometric_mean(np.stack([a, b]), tol=1e-11, max_iter=300).mean
                 assert np.linalg.norm(g - geodesic_midpoint(a, b)) < 1e-8
         for _ in range(8):
             sets = np.stack([random_spd(rng, 6) for _ in range(5)])
             w = rng.standard_normal((6, 6)) / np.sqrt(6)
-            g = manifold.geometric_mean(sets, tol=1e-11, max_iter=300)
-            gw = manifold.geometric_mean(w.T @ sets @ w, tol=1e-11, max_iter=300)
+            g = manifold.geometric_mean(sets, tol=1e-11, max_iter=300).mean
+            gw = manifold.geometric_mean(w.T @ sets @ w, tol=1e-11, max_iter=300).mean
             assert np.linalg.norm(gw - w.T @ g @ w) < 1e-7
         assert time.monotonic() - t0 < 60.0
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import errpkit
+from errpkit import evaluation
 from errpkit.cli import main
 from errpkit.evaluation import derive_seed
 from errpkit.io import (
@@ -251,6 +252,21 @@ class TestEmptyProtocol:
         assert not out.exists()
 
 
+    def test_compare_rejects_no_shuffles_before_any_fold(self, tiny_container, tmp_path,
+                                                         capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "run_cv", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["compare", "--chance", "--set", "n_chance_shuffles=0",
+                     "--input", str(tiny_container), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: need at least 1 chance shuffle, got n_shuffles=0"]
+        assert calls == []
+        assert not out.exists()
+
+
 class TestChanceCommand:
     def test_writes_chance_doc(self, shared_tmp, tiny_container):
         out = shared_tmp / "chance.json"
@@ -327,6 +343,14 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     assert not _loaded_by_cli_import("scipy.optimize")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert not _loaded_by_cli_import("scipy.special")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    assert not _loaded_by_cli_import("scipy.linalg")
 
 
 def make_raw(tmp_path, n_events=4, fs=2048.0):

@@ -27,6 +27,8 @@ from errpkit.features import (
 from errpkit.preprocessing import EpochSet
 from errpkit.synth import ErpTemplateSpec
 
+from conftest import desk_shaped_epochs
+
 
 def make_set(rng, n_trials=20, n_channels=4, fs=256.0, pre=0.5, post=0.7, scale=5.0,
              labels=None):
@@ -172,6 +174,12 @@ class TestFitRiemann:
         assert np.array_equal(m1.prototypes.proto_success, m2.prototypes.proto_success)
         assert np.array_equal(m1.prototypes.proto_failure, m2.prototypes.proto_failure)
         assert np.array_equal(m1.reference, m2.reference)
+
+    def test_train_features_equal_transform_of_train(self, rng):
+        es = desk_shaped_epochs()
+        for train in (es, es.subset(rng.permutation(len(es)))):
+            model = fit_riemann(train, mean_tol=1e-4)
+            assert np.array_equal(model.train_features, transform_riemann_set(model, train))
 
 
 class TestTransformRiemann:
