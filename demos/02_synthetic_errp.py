@@ -13,7 +13,7 @@ import numpy as np
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.synth import (
     ErpTemplateSpec,
-    PsychometricModel,
+    SynthSpec,
     estimate_threshold,
     generate_epochs,
     simulate_labels,
@@ -24,13 +24,14 @@ from errpkit.synth import (
 # is wrong on a substantial fraction of trials - exactly what an
 # error-detection dataset needs.
 # ---------------------------------------------------------------------------
-observer = PsychometricModel(threshold_alpha=0.004, slope_beta=3.5, lapse=0.02)
-labels, blocks = simulate_labels(300, observer, n_blocks=5, seed=1)
+behavior = SynthSpec(n_trials=300, psy_threshold_alpha=0.004, psy_slope_beta=3.5,
+                     psy_lapse=0.02, n_blocks=5)
+labels, blocks = simulate_labels(behavior, seed=1)
 pc = 100.0 * np.mean(labels == SUCCESS)
 print(f"observer: {pc:.1f}% correct over 300 trials "
       f"({np.sum(labels == FAILURE)} failure trials)")
 print(f"reversal-based threshold estimate: {estimate_threshold(blocks):.5f} "
-      f"(Weibull scale parameter was {observer.threshold_alpha})")
+      f"(Weibull scale parameter was {behavior.psy_threshold_alpha})")
 
 # ---------------------------------------------------------------------------
 # Epochs: 32 channels at 256 samples/s, from 0.5 s before feedback to
@@ -38,7 +39,8 @@ print(f"reversal-based threshold estimate: {estimate_threshold(blocks):.5f} "
 # positivity at 300 ms with a failure-weighted amplitude.
 # ---------------------------------------------------------------------------
 template = ErpTemplateSpec(frn_amp_uv=-8.0, p3a_amp_uv=6.0, noise_rms_uv=9.0)
-epochs = generate_epochs(labels, template, n_channels=32, fs_hz=256.0, seed=1)
+epochs = generate_epochs(labels, template, n_channels=32, fs_hz=256.0, seed=1,
+                         pre_s=0.5, post_s=2.0)
 print(f"epochs: {epochs.data.shape} (trials x channels x samples), "
       f"t0 = {epochs.t0_offset_s} s")
 

@@ -17,6 +17,7 @@ from .errors import (
     InsufficientChannels,
     InsufficientData,
     InvalidFilterSpec,
+    InvalidInput,
     InvalidMatrix,
     InvalidResampleFactor,
     InvalidWindow,
@@ -41,6 +42,7 @@ __all__ = [
     "InsufficientChannels",
     "InsufficientData",
     "InvalidFilterSpec",
+    "InvalidInput",
     "InvalidMatrix",
     "InvalidResampleFactor",
     "InvalidWindow",

@@ -28,74 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, io, synth
-from .config import ConfigError, from_config, load_config
-from .errors import (
-    DegenerateTrainingSet,
-    DimMismatch,
-    EmptyInput,
-    ErrpkitError,
-    InsufficientChannels,
-    InsufficientData,
-    InvalidFilterSpec,
-    InvalidResampleFactor,
-    InvalidWindow,
-    PlanMismatch,
-)
+from .config import from_config, load_config
+from .errors import ErrpkitError, InvalidInput
 from .labels import FAILURE, SUCCESS
 from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
 
 logger = logging.getLogger(__name__)
-
-_USAGE_ERRORS = (
-    ConfigError,
-    io.ContainerError,
-    EmptyInput,
-    InsufficientData,
-    InsufficientChannels,
-    InvalidWindow,
-    InvalidFilterSpec,
-    InvalidResampleFactor,
-    DegenerateTrainingSet,
-    DimMismatch,
-    PlanMismatch,
-    FileNotFoundError,
-    ValueError,
-)
-
-
-def _synth_labels(cfg: dict) -> np.ndarray:
-    n = cfg["n_trials"]
-    if cfg["label_source"] == "balanced":
-        labels = np.array([SUCCESS, FAILURE] * (n // 2) + [SUCCESS] * (n % 2))
-        return np.random.default_rng([cfg["seed"], 0xBA1A]).permutation(labels)
-    if cfg["label_source"] == "staircase":
-        model = synth.PsychometricModel(
-            threshold_alpha=cfg["psy_threshold_alpha"],
-            slope_beta=cfg["psy_slope_beta"],
-            lapse=cfg["psy_lapse"],
-        )
-        labels, _runs = synth.simulate_labels(
-            n, model, n_blocks=cfg["n_blocks"], start_contrast=cfg["start_contrast"],
-            step_factor=cfg["step_factor"], seed=cfg["seed"],
-        )
-        return labels
-    raise ConfigError(f"label_source must be 'balanced' or 'staircase', got {cfg['label_source']!r}")
 
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    labels = _synth_labels(cfg)
-    es = synth.generate_epochs(
-        labels,
-        from_config(synth.ErpTemplateSpec, cfg),
-        n_channels=cfg["n_channels"],
-        fs_hz=cfg["fs_hz"],
-        seed=cfg["seed"],
-        pre_s=cfg["pre_s"],
-        post_s=cfg["post_s"],
-    )
+    es = synth.generate_dataset(from_config(synth.SynthSpec, cfg),
+                                from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
     io.write_epoch_container(args.out, es, extra_manifest={"generator": cfg})
     print(f"wrote {len(es)} epochs to {args.out}")
     return 0
@@ -337,7 +283,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (InvalidInput, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ErrpkitError as exc:

@@ -1,8 +1,9 @@
 """Flat key-value experiment configuration (JSON) with command-line overrides.
 
-The template, preprocessing and hyperparameter entries of :data:`DEFAULTS`
-are the field defaults of :class:`synth.ErpTemplateSpec`,
-:class:`preprocessing.PreprocessSpec` and :class:`evaluation.Hyperparams`,
+Every entry of :data:`DEFAULTS` except ``seed``, ``folds``, ``repeats``,
+``n_chance_shuffles`` and ``n_permutations`` is a field default of
+:class:`synth.SynthSpec`, :class:`synth.ErpTemplateSpec`,
+:class:`preprocessing.PreprocessSpec` or :class:`evaluation.Hyperparams`,
 and :func:`from_config` builds any of these dataclasses back from a config.
 """
 from __future__ import annotations
@@ -11,13 +12,13 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ErrpkitError
+from .errors import InvalidInput
 from .evaluation import Hyperparams
 from .preprocessing import PreprocessSpec
-from .synth import ErpTemplateSpec
+from .synth import ErpTemplateSpec, SynthSpec
 
 
-class ConfigError(ErrpkitError):
+class ConfigError(InvalidInput):
     """Bad configuration file or override."""
 
 
@@ -27,22 +28,10 @@ def _field_defaults(cls) -> dict:
 
 DEFAULTS: dict = {
     # dataset generation
-    "n_trials": 300,
-    "n_channels": 32,
-    "fs_hz": 256.0,
-    "pre_s": 0.5,
-    "post_s": 2.0,
-    "label_source": "balanced",  # balanced | staircase
+    **_field_defaults(SynthSpec),
     "seed": 0,
     # templates and noise
     **_field_defaults(ErpTemplateSpec),
-    # staircase observer (used when label_source == "staircase")
-    "psy_threshold_alpha": 0.004,
-    "psy_slope_beta": 3.5,
-    "psy_lapse": 0.02,
-    "start_contrast": 0.004,
-    "step_factor": 1.15,
-    "n_blocks": 5,
     # preprocessing
     **_field_defaults(PreprocessSpec),
     # evaluation
@@ -117,6 +106,7 @@ def _frozen(value):
 
 
 def from_config(cls, cfg: dict):
-    """Build ``Hyperparams``, ``ErpTemplateSpec`` or ``PreprocessSpec`` from the
-    config entries named like its fields, with lists turned into tuples."""
+    """Build ``SynthSpec``, ``ErpTemplateSpec``, ``PreprocessSpec`` or
+    ``Hyperparams`` from the config entries named like its fields, with lists
+    turned into tuples."""
     return cls(**{f.name: _frozen(cfg[f.name]) for f in fields(cls)})

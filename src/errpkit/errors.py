@@ -5,6 +5,12 @@ class ErrpkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(ErrpkitError):
+    """Base class for errors in data, configuration or arguments that the
+    caller must fix; the command line exits 2 on them, and 1 on any other
+    :class:`ErrpkitError`."""
+
+
 class InvalidMatrix(ErrpkitError):
     """Matrix violates a structural requirement (squareness, symmetry, finiteness)."""
 
@@ -13,7 +19,7 @@ class NotPositiveDefinite(InvalidMatrix):
     """A nonpositive eigenvalue was found where positive-definiteness is required."""
 
 
-class DimMismatch(ErrpkitError):
+class DimMismatch(InvalidInput):
     """Operands have incompatible shapes or dimensions."""
 
 
@@ -25,33 +31,33 @@ class NonConvergence(NumericalFailure):
     """An iterative scheme did not reach tolerance within its iteration budget."""
 
 
-class EmptyInput(ErrpkitError):
+class EmptyInput(InvalidInput):
     """An operation received an empty collection where data is required."""
 
 
-class InvalidFilterSpec(ErrpkitError):
+class InvalidFilterSpec(InvalidInput):
     """Filter band or frequency is outside the valid range for the sampling rate."""
 
 
-class InsufficientChannels(ErrpkitError):
+class InsufficientChannels(InvalidInput):
     """Too few channels for the requested operation."""
 
 
-class InvalidWindow(ErrpkitError):
+class InvalidWindow(InvalidInput):
     """A time window falls outside the epoch extent or is too short."""
 
 
-class InvalidResampleFactor(ErrpkitError):
+class InvalidResampleFactor(InvalidInput):
     """Requested resampling rate is not an integer divisor of the input rate."""
 
 
-class DegenerateTrainingSet(ErrpkitError):
+class DegenerateTrainingSet(InvalidInput):
     """Training data does not contain both classes."""
 
 
-class InsufficientData(ErrpkitError):
+class InsufficientData(InvalidInput):
     """Not enough data to honour the requested split or estimate."""
 
 
-class PlanMismatch(ErrpkitError):
+class PlanMismatch(InvalidInput):
     """Two results being compared were not produced under the same fold plan."""

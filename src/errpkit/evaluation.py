@@ -57,7 +57,6 @@ class CVResult:
     method: str
     accuracies: np.ndarray  # (r * k,), repeat-major
     plan: FoldPlan
-    per_fold_test_sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,8 @@ def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
 
 
 def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: int,
-              hp: Hyperparams, bench_raw) -> tuple[float, int, logreg.LogisticModel]:
-    """Accuracy, test size and fitted classifier of one fold."""
+              hp: Hyperparams, bench_raw) -> tuple[float, logreg.LogisticModel]:
+    """Accuracy and fitted classifier of one fold."""
     mask = plan.assignments[rep] == fold
     te_idx = np.flatnonzero(mask)
     tr_idx = np.flatnonzero(~mask)
@@ -211,8 +210,7 @@ def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: in
         pred = logreg.predict(clf, xte)
     except ErrpkitError as exc:
         raise type(exc)(f"(repeat {rep}, fold {fold}): {exc}") from exc
-    acc = float(np.mean(pred == yte))
-    return acc, int(te_idx.size), clf
+    return float(np.mean(pred == yte)), clf
 
 
 def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
@@ -233,12 +231,11 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
                  if method == "benchmark" else None)
     jobs = [(rep, fold) for rep in range(plan.r) for fold in range(plan.k)]
     accs = np.empty(len(jobs))
-    sizes = np.empty(len(jobs), dtype=np.int64)
     clfs = [None] * len(jobs)
 
     def run(i: int) -> None:
         rep, fold = jobs[i]
-        accs[i], sizes[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp, bench_raw)
+        accs[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp, bench_raw)
 
     _run_indexed(run, len(jobs), n_threads)
     failed = [clf.final_grad_norm for clf in clfs if not clf.converged]
@@ -248,7 +245,7 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
             "(largest final gradient norm %.3e, tol %.1e)",
             method, len(failed), len(jobs), max(failed), hp.clf_tol,
         )
-    return CVResult(method, accs, plan, sizes)
+    return CVResult(method, accs, plan)
 
 
 def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:

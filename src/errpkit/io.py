@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ErrpkitError
+from .errors import InvalidInput
 from .labels import FAILURE, LABEL_NAMES, SUCCESS
 from .preprocessing import ContinuousRecording, EpochSet
 
@@ -32,7 +32,7 @@ _REPORT_KEYS = {
 }
 
 
-class ContainerError(ErrpkitError):
+class ContainerError(InvalidInput):
     """Container on disk violates the format."""
 
 

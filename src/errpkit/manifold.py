@@ -129,6 +129,20 @@ def _dim_mismatch(a, b):
     return DimMismatch(f"incompatible matrix shapes {a.shape} and {b.shape}")
 
 
+def _whitened_logs(stack: np.ndarray, isq: np.ndarray, what: str) -> np.ndarray:
+    """``log(isq @ C @ isq)`` for each matrix ``C`` of the stack; the one
+    route to the tangent logs of :func:`geometric_mean` and
+    :func:`tangent_project`, so the two agree bit for bit."""
+    whitened = _symmetrize(isq @ stack @ isq)
+    lw, lv = np.linalg.eigh(whitened)
+    # each (n, d, d) array is freed once used: this sets the peak memory of
+    # a desk-scale fold
+    del whitened
+    if lw.min() <= 0.0:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+    return _spectral_apply(lw, lv, np.log)
+
+
 def canonical_mean(stack: np.ndarray) -> np.ndarray:
     """Arithmetic mean along axis 0, summed in a canonical (sorted) order.
 
@@ -143,8 +157,8 @@ def canonical_mean(stack: np.ndarray) -> np.ndarray:
 class KarcherMean:
     """Result of :func:`geometric_mean`.
 
-    ``logs[i]`` is ``log(mean^-1/2 C_i mean^-1/2)``, computed as
-    :func:`tangent_project` computes it, so ``vectorize_sym(logs)`` equals
+    ``logs[i]`` is ``log(mean^-1/2 C_i mean^-1/2)``, computed by the routine
+    :func:`tangent_project` calls, so ``vectorize_sym(logs)`` equals
     ``tangent_project(mats, mean)`` bit for bit.
     """
 
@@ -199,16 +213,7 @@ def geometric_mean(mats, tol: float = DEFAULT_MEAN_TOL,
         if w.min() <= 0.0:
             raise NotPositiveDefinite("iterate lost positive definiteness")
         # as mat_invsqrt computes it, so the final logs are tangent_project's
-        isq = _spectral_apply(w, v, _invsqrt)
-        whitened = _symmetrize(isq @ stack @ isq)
-        lw, lv = np.linalg.eigh(whitened)
-        # each (n, d, d) array is freed once used: this loop sets the peak
-        # memory of a desk-scale fold
-        del whitened
-        if lw.min() <= 0.0:
-            raise NotPositiveDefinite("input matrix is not positive definite")
-        logs = _spectral_apply(lw, lv, np.log)
-        del lw, lv
+        logs = _whitened_logs(stack, _spectral_apply(w, v, _invsqrt), "input matrix")
         t_prev, t = t, canonical_mean(logs)
         resid = float(np.linalg.norm(t, ord="fro"))
         if s is not None:
@@ -263,10 +268,4 @@ def tangent_project(c, base) -> np.ndarray:
     base = check_symmetric(base)
     if c.shape[-1] != base.shape[-1] or base.ndim != 2:
         raise _dim_mismatch(c, base)
-    isq = mat_invsqrt(base)
-    whitened = _symmetrize(isq @ c @ isq)
-    lw, lv = np.linalg.eigh(whitened)
-    if lw.min() <= 0.0:
-        raise NotPositiveDefinite("matrix to project is not positive definite")
-    logs = _spectral_apply(lw, lv, np.log)
-    return vectorize_sym(logs)
+    return vectorize_sym(_whitened_logs(c, mat_invsqrt(base), "matrix to project"))

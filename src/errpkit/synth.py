@@ -4,7 +4,9 @@ A one-up/one-down staircase driving a simulated Weibull observer produces
 realistic success/failure label streams, and an epoch generator plants
 class-dependent frontocentral components (an early negativity on failure
 trials and a later positivity with a class amplitude difference) in 1/f
-noise, with an optional tone-frequency confound bump.
+noise, with an optional tone-frequency confound bump.  :class:`SynthSpec`
+sets a dataset's size, epoch shape and label source, and
+:func:`generate_dataset` builds the dataset ``errpkit synth`` writes.
 """
 from __future__ import annotations
 
@@ -49,6 +51,40 @@ class PsychometricModel:
 
 
 @dataclass(frozen=True)
+class SynthSpec:
+    """Size, epoch shape and label stream of a synthetic dataset.
+
+    ``label_source`` is ``"balanced"`` (equal classes in a seeded random
+    order) or ``"staircase"`` (:func:`simulate_labels`, whose observer has
+    the ``psy_*`` parameters).  Field names are config keys:
+    ``config.DEFAULTS`` takes its entries for them from these defaults.
+    """
+
+    n_trials: int = 300
+    n_channels: int = 32
+    fs_hz: float = 256.0
+    pre_s: float = 0.5
+    post_s: float = 2.0
+    label_source: str = "balanced"
+    psy_threshold_alpha: float = PsychometricModel.threshold_alpha
+    psy_slope_beta: float = PsychometricModel.slope_beta
+    psy_lapse: float = PsychometricModel.lapse
+    start_contrast: float = 0.004
+    step_factor: float = 1.15
+    n_blocks: int = 5
+
+    def __post_init__(self):
+        for key in ("n_trials", "n_channels", "n_blocks"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.fs_hz <= 0:
+            raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
+        if self.label_source not in ("balanced", "staircase"):
+            raise ValueError(
+                f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")
+
+
+@dataclass(frozen=True)
 class StaircaseRun:
     """One block's trajectory: presented contrasts, correctness, reversal contrasts."""
 
@@ -64,8 +100,8 @@ class StaircaseRun:
 def staircase_run(
     model: PsychometricModel,
     n_trials: int,
-    start_contrast: float = 0.004,
-    step_factor: float = 1.15,
+    start_contrast: float,
+    step_factor: float,
     seed: int = 0,
 ) -> StaircaseRun:
     """One-up/one-down staircase: divide the contrast by ``step_factor``
@@ -108,21 +144,17 @@ def estimate_threshold(blocks, n_last: int = 10) -> float:
     return float(np.exp(np.mean(block_means)))
 
 
-def simulate_labels(
-    n_trials: int,
-    model: PsychometricModel | None = None,
-    n_blocks: int = 5,
-    start_contrast: float = 0.004,
-    step_factor: float = 1.15,
-    seed: int = 0,
-) -> tuple[np.ndarray, list[StaircaseRun]]:
-    """Success/failure stream from staircase blocks (failure = incorrect)."""
-    model = model or PsychometricModel()
+def simulate_labels(spec: SynthSpec, seed: int = 0) -> tuple[np.ndarray, list[StaircaseRun]]:
+    """Success/failure stream (failure = incorrect) of ``spec.n_trials``
+    staircase trials, split as evenly as possible into ``spec.n_blocks``
+    blocks; ``spec.label_source`` is not read."""
+    model = PsychometricModel(spec.psy_threshold_alpha, spec.psy_slope_beta, spec.psy_lapse)
+    n_trials, n_blocks = spec.n_trials, spec.n_blocks
     per_block = [n_trials // n_blocks] * n_blocks
     for i in range(n_trials % n_blocks):
         per_block[i] += 1
     runs = [
-        staircase_run(model, nb, start_contrast, step_factor, seed=derive_seed(seed, b))
+        staircase_run(model, nb, spec.start_contrast, spec.step_factor, seed=derive_seed(seed, b))
         for b, nb in enumerate(per_block) if nb > 0
     ]
     labels = np.concatenate([
@@ -253,11 +285,12 @@ def _mixing_matrix(rng: np.random.Generator, n_channels: int) -> np.ndarray:
 def generate_epochs(
     labels,
     spec: ErpTemplateSpec | None = None,
-    n_channels: int = 32,
-    fs_hz: float = 256.0,
+    *,
+    n_channels: int,
+    fs_hz: float,
+    pre_s: float,
+    post_s: float,
     seed: int = 0,
-    pre_s: float = 0.5,
-    post_s: float = 2.0,
     channel_names=None,
 ) -> EpochSet:
     """Template-plus-noise epochs, one per label.
@@ -296,3 +329,18 @@ def generate_epochs(
 
     data = data.astype(np.float32).astype(np.float64)
     return EpochSet(data, labels, fs_hz, -pre_s, names)
+
+
+def generate_labels(spec: SynthSpec, seed: int) -> np.ndarray:
+    """The label stream that ``spec.label_source`` names."""
+    if spec.label_source == "staircase":
+        return simulate_labels(spec, seed)[0]
+    n = spec.n_trials
+    labels = np.array([SUCCESS, FAILURE] * (n // 2) + [SUCCESS] * (n % 2))
+    return np.random.default_rng([seed, 0xBA1A]).permutation(labels)
+
+
+def generate_dataset(spec: SynthSpec, template: ErpTemplateSpec, seed: int) -> EpochSet:
+    """What ``errpkit synth`` writes: :func:`generate_labels` and their epochs."""
+    return generate_epochs(generate_labels(spec, seed), template, n_channels=spec.n_channels,
+                           fs_hz=spec.fs_hz, pre_s=spec.pre_s, post_s=spec.post_s, seed=seed)

@@ -22,7 +22,7 @@ def desk_shaped_epochs():
     """150 synthetic epochs of 32 channels at 256 Hz, as one desk-scale
     training fold holds them: their super-trial covariances are 96x96."""
     return synth.generate_epochs(np.arange(150) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
-                                 n_channels=32, seed=0, post_s=0.7)
+                                 n_channels=32, fs_hz=256.0, seed=0, pre_s=0.5, post_s=0.7)
 
 
 @pytest.fixture

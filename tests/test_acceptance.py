@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binomtest
 
 from errpkit import logreg, manifold
-from errpkit.cli import main, _synth_labels
+from errpkit.cli import main
 from errpkit.config import from_config, load_config
 from errpkit.evaluation import (
     CVResult,
@@ -27,7 +27,15 @@ from errpkit.evaluation import (
 )
 from errpkit.io import canonical_json
 from errpkit.preprocessing import ContinuousRecording, bandpass, notch
-from errpkit.synth import ErpTemplateSpec, PsychometricModel, generate_epochs, simulate_labels, staircase_run
+from errpkit.synth import (
+    ErpTemplateSpec,
+    PsychometricModel,
+    SynthSpec,
+    generate_dataset,
+    generate_epochs,
+    simulate_labels,
+    staircase_run,
+)
 
 from conftest import random_spd
 from test_manifold import geodesic_midpoint
@@ -102,8 +110,8 @@ def test_04_statistics_analytic():
         plan = make_fold_plan(np.arange(300) % 2, k=10, r=10, seed=4)
         acc = np.linspace(0.7, 0.9, 100)
         same = corrected_t_test(
-            CVResult("riemann", acc, plan, np.full(100, 30)),
-            CVResult("benchmark", acc.copy(), plan, np.full(100, 30)),
+            CVResult("riemann", acc, plan),
+            CVResult("benchmark", acc.copy(), plan),
         )
         assert same.t == 0.0 and same.p == 1.0 and same.df == 99
         # variance-correction scaling identity vs the plain paired t
@@ -111,8 +119,8 @@ def test_04_statistics_analytic():
         d = rng.normal(0.01, 0.03, 100)
         base = rng.uniform(0.6, 0.9, 100)
         res = corrected_t_test(
-            CVResult("riemann", base + d, plan, np.full(100, 30)),
-            CVResult("benchmark", base, plan, np.full(100, 30)),
+            CVResult("riemann", base + d, plan),
+            CVResult("benchmark", base, plan),
         )
         n = 100
         plain_t = d.mean() / math.sqrt(d.var(ddof=1) / n)
@@ -170,14 +178,11 @@ def test_07_desk_scale_method_comparison():
         assert cfg["confound_enabled"] is False
         assert cfg["n_trials"] == 300 and cfg["n_channels"] == 32
         hp = from_config(Hyperparams, cfg)
+        spec = from_config(SynthSpec, cfg)
         template = from_config(ErpTemplateSpec, cfg)
         wins = losses = 0
         for seed in range(10):
-            cfg_seed = dict(cfg, seed=seed)
-            labels = _synth_labels(cfg_seed)
-            es = generate_epochs(labels, template, n_channels=cfg["n_channels"],
-                                 fs_hz=cfg["fs_hz"], seed=seed,
-                                 pre_s=cfg["pre_s"], post_s=cfg["post_s"])
+            es = generate_dataset(spec, template, seed)
             plan = make_fold_plan(es.labels, k=cfg["folds"], r=cfg["repeats"],
                                   seed=derive_seed(seed, 1))
             med_r = float(np.median(run_cv(es, "riemann", plan, hp, n_threads=2).accuracies))
@@ -198,7 +203,7 @@ def test_08_staircase_behavior():
                             step_factor=1.5, seed=8)
         assert abs(run.percent_correct() - 50.0) <= 3.0
         pcs = [
-            100.0 * np.mean(simulate_labels(300, seed=seed)[0] == 0)
+            100.0 * np.mean(simulate_labels(SynthSpec(), seed=seed)[0] == 0)
             for seed in range(100)
         ]
         mean_pc = float(np.mean(pcs))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import errpkit
-from errpkit import evaluation
+from errpkit import cli, evaluation
 from errpkit.cli import main
+from errpkit.errors import ErrpkitError
 from errpkit.evaluation import derive_seed
 from errpkit.io import (
     REPORT_VERSION,
@@ -71,6 +72,62 @@ class TestSynth:
         es = read_epoch_container(out)
         frac_success = np.mean(es.labels == 0)
         assert 0.4 <= frac_success <= 0.75
+
+
+class TestSynthErrors:
+    """A synth setting the dataset spec rejects exits 2 with one line naming
+    the key, before anything is written."""
+
+    @pytest.mark.parametrize("settings, line", [
+        (["label_source=staircase", "n_blocks=0"], "error: n_blocks must be at least 1, got 0"),
+        (["label_source=staircase", "n_blocks=-1"], "error: n_blocks must be at least 1, got -1"),
+        (["n_trials=-5"], "error: n_trials must be at least 1, got -5"),
+        (["label_source=staircase", "n_trials=-5"], "error: n_trials must be at least 1, got -5"),
+        (["n_channels=0"], "error: n_channels must be at least 1, got 0"),
+        (["fs_hz=0"], "error: fs_hz must be positive, got 0"),
+        (["label_source=random"],
+         "error: label_source must be 'balanced' or 'staircase', got 'random'"),
+    ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
+            "n_channels-0", "fs_hz-0", "label_source"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out),
+                     *[arg for item in settings for arg in ("--set", item)]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
+
+
+def _error_classes(cls=ErrpkitError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+# every ErrpkitError class and the exit code the command line gives it
+EXIT_CODES = {
+    "ErrpkitError": 1, "InvalidMatrix": 1, "NotPositiveDefinite": 1,
+    "NumericalFailure": 1, "NonConvergence": 1,
+    "InvalidInput": 2, "EmptyInput": 2, "InsufficientData": 2, "InsufficientChannels": 2,
+    "InvalidWindow": 2, "InvalidFilterSpec": 2, "InvalidResampleFactor": 2,
+    "DegenerateTrainingSet": 2, "DimMismatch": 2, "PlanMismatch": 2,
+    "ConfigError": 2, "ContainerError": 2,
+}
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    assert sorted(cls.__name__ for cls in _error_classes()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_error_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    capsys.readouterr()
+    code = EXIT_CODES[cls.__name__]
+    assert main(["validate", "--input", "x"]) == code
+    assert capsys.readouterr().err == ("error" if code == 2 else "failure") + ": boom\n"
 
 
 class TestValidate:

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from errpkit.config import DEFAULTS, ConfigError, from_config, load_config
 from errpkit.evaluation import Hyperparams
 from errpkit.preprocessing import PreprocessSpec
-from errpkit.synth import ErpTemplateSpec
+from errpkit.synth import ErpTemplateSpec, SynthSpec
 
 
 class TestTypeCheck:
@@ -42,6 +44,13 @@ class TestFromConfig:
         assert from_config(Hyperparams, DEFAULTS) == Hyperparams()
         assert from_config(ErpTemplateSpec, DEFAULTS) == ErpTemplateSpec()
         assert from_config(PreprocessSpec, DEFAULTS) == PreprocessSpec()
+        assert from_config(SynthSpec, DEFAULTS) == SynthSpec()
+
+    def test_every_default_but_the_protocol_counts_is_a_spec_field(self):
+        spec_keys = {f.name for cls in (SynthSpec, ErpTemplateSpec, PreprocessSpec, Hyperparams)
+                     for f in fields(cls)}
+        assert set(DEFAULTS) - spec_keys == {
+            "seed", "folds", "repeats", "n_chance_shuffles", "n_permutations"}
 
     def test_lists_become_tuples(self):
         cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])

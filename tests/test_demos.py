@@ -1,12 +1,16 @@
-"""Every errpkit name a demo or a benchmark script imports or reads as an
-attribute must exist.
+"""Every errpkit name a demo, a benchmark script or a README ``python``
+block imports or reads as an attribute must exist, and every keyword it
+passes to an errpkit callable must be one that callable takes.
 
-The scripts are parsed with ``ast``, not run, so removing a name that a
-demo or the benchmark harness (``bench/``) still uses fails here in well
-under a second, not when the benchmark runs.
+The scripts are parsed with ``ast``, not run, so removing or renaming a name
+or keyword that a demo, the benchmark harness (``bench/``) or the README's
+quick start still uses fails here in well under a second, not when the
+benchmark runs or a reader copies the example.
 """
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -15,11 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def errpkit_names(source: str) -> set[str]:
-    """Dotted errpkit paths the script imports or reads, e.g. ``errpkit.manifold.mat_log``."""
-    tree = ast.parse(source)
+def _bindings(tree: ast.AST) -> tuple[dict[str, str], set[str]]:
+    """Local names bound to errpkit paths, and the modules imported whole."""
     bound: dict[str, str] = {}  # local name -> dotted errpkit path
-    names = set()
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "errpkit":
             for alias in node.names:
@@ -29,19 +32,35 @@ def errpkit_names(source: str) -> set[str]:
                 if alias.name.split(".")[0] == "errpkit":
                     local = alias.asname or alias.name.split(".")[0]
                     bound[local] = alias.name if alias.asname else "errpkit"
-                    names.add(alias.name)
+                    modules.add(alias.name)
+    return bound, modules
+
+
+def _dotted(node: ast.AST, bound: dict[str, str]) -> str | None:
+    """The errpkit path an attribute chain on a bound name spells, if any."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in bound:
+        return ".".join([bound[node.id], *reversed(attrs)])
+    return None
+
+
+def errpkit_names(source: str) -> set[str]:
+    """Dotted errpkit paths the script imports or reads, e.g. ``errpkit.manifold.mat_log``."""
+    tree = ast.parse(source)
+    bound, names = _bindings(tree)
     names.update(bound.values())
-    for node in ast.walk(tree):
-        attrs = []
-        while isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        if attrs and isinstance(node, ast.Name) and node.id in bound:
-            names.add(".".join([bound[node.id], *reversed(attrs)]))
+    names.update(path for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and (path := _dotted(node, bound)))
     return names
 
 
-def unresolved(path: str) -> bool:
+_MISSING = object()
+
+
+def _resolve(path: str):
     parts = path.split(".")
     obj = importlib.import_module(parts[0])
     for i, part in enumerate(parts[1:], start=2):
@@ -51,8 +70,32 @@ def unresolved(path: str) -> bool:
         try:
             obj = importlib.import_module(".".join(parts[:i]))
         except ModuleNotFoundError:
-            return True
-    return False
+            return _MISSING
+    return obj
+
+
+def unresolved(path: str) -> bool:
+    return _resolve(path) is _MISSING
+
+
+def unknown_keywords(source: str) -> list[str]:
+    """``path(keyword=)`` for each keyword passed to an errpkit callable that
+    its signature does not take; ``**mapping`` arguments are not checked."""
+    tree = ast.parse(source)
+    bound, _ = _bindings(tree)
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not (path := _dotted(node.func, bound)):
+            continue
+        obj = _resolve(path)
+        if obj is _MISSING or not callable(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        bad += [f"{path}({kw.arg}=)" for kw in node.keywords
+                if kw.arg is not None and kw.arg not in params]
+    return sorted(bad)
 
 
 def test_scanner_sees_imports_and_attributes():
@@ -70,15 +113,40 @@ def test_scanner_sees_imports_and_attributes():
     assert sorted(n for n in names if unresolved(n)) == ["errpkit.io.nope", "errpkit.synth.gone"]
 
 
+def test_scanner_sees_unknown_keywords():
+    source = (
+        "from errpkit import synth\n"
+        "from errpkit.synth import SynthSpec\n"
+        "SynthSpec(n_trials=5, n_trails=5)\n"
+        "synth.generate_epochs(labels, n_channels=3, fs_hz=64.0, pre_s=0.1, post_s=0.4,\n"
+        "                      seed=1, n_samples=9, **extra)\n"
+    )
+    assert unknown_keywords(source) == [
+        "errpkit.synth.SynthSpec(n_trails=)", "errpkit.synth.generate_epochs(n_samples=)"]
+
+
 # benchmark scripts that use errpkit at all (bench/selftest.py drives the others)
 BENCH = [p for p in sorted((ROOT / "bench").glob("*.py")) if errpkit_names(p.read_text())]
 
 
+def problems(source: str) -> list[str]:
+    """Unresolved errpkit names and unknown keywords of a script."""
+    return sorted(n for n in errpkit_names(source) if unresolved(n)) + unknown_keywords(source)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_names_resolve(demo):
-    names = errpkit_names(demo.read_text())
-    assert names, f"{demo.name} uses no errpkit names"
-    assert sorted(n for n in names if unresolved(n)) == []
+    assert errpkit_names(demo.read_text()), f"{demo.name} uses no errpkit names"
+    assert problems(demo.read_text()) == []
+
+
+def test_readme_names_resolve():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks, "README.md has no python block"
+    for source in blocks:
+        assert errpkit_names(source), "a README python block uses no errpkit names"
+        assert problems(source) == []
 
 
 def test_bench_scripts_are_scanned():
@@ -87,5 +155,4 @@ def test_bench_scripts_are_scanned():
 
 @pytest.mark.parametrize("script", BENCH, ids=[f"bench/{p.name}" for p in BENCH])
 def test_bench_names_resolve(script):
-    names = errpkit_names(script.read_text())
-    assert sorted(n for n in names if unresolved(n)) == []
+    assert problems(script.read_text()) == []

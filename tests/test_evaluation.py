@@ -32,8 +32,7 @@ def tiny_dataset(seed=0, n=40, frn=-30.0, noise=6.0):
 
 
 def synthetic_result(plan, accs, method="riemann"):
-    return CVResult(method, np.asarray(accs, dtype=np.float64), plan,
-                    np.full(plan.r * plan.k, plan.n_epochs // plan.k))
+    return CVResult(method, np.asarray(accs, dtype=np.float64), plan)
 
 
 class TestFoldPlan:

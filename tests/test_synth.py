@@ -6,14 +6,19 @@ from errpkit.labels import FAILURE, SUCCESS
 from errpkit.synth import (
     ErpTemplateSpec,
     PsychometricModel,
+    SynthSpec,
     class_templates,
     default_topography,
     estimate_threshold,
     generate_epochs,
+    generate_labels,
     simulate_labels,
     staircase_run,
     STANDARD_32,
 )
+
+DEFAULT = SynthSpec()
+STEPS = dict(start_contrast=DEFAULT.start_contrast, step_factor=DEFAULT.step_factor)
 
 
 class TestPsychometric:
@@ -43,8 +48,8 @@ class TestStaircase:
 
     def test_deterministic_given_seed(self):
         m = PsychometricModel()
-        r1 = staircase_run(m, 100, seed=42)
-        r2 = staircase_run(m, 100, seed=42)
+        r1 = staircase_run(m, 100, **STEPS, seed=42)
+        r2 = staircase_run(m, 100, **STEPS, seed=42)
         assert np.array_equal(r1.contrasts, r2.contrasts)
         assert np.array_equal(r1.correct, r2.correct)
 
@@ -56,7 +61,7 @@ class TestStaircase:
     def test_default_observer_percent_correct_band(self):
         pcs = []
         for seed in range(30):
-            labels, _ = simulate_labels(300, seed=seed)
+            labels, _ = simulate_labels(DEFAULT, seed=seed)
             pcs.append(100.0 * np.mean(labels == SUCCESS))
         assert 55.0 <= np.mean(pcs) <= 60.0
 
@@ -64,20 +69,20 @@ class TestStaircase:
 class TestEstimateThreshold:
     def test_constant_reversals(self):
         m = PsychometricModel()
-        run = staircase_run(m, 120, seed=2)
+        run = staircase_run(m, 120, **STEPS, seed=2)
         forced = type(run)(run.contrasts, run.correct, np.full(12, 0.01), run.step_factor)
         assert np.isclose(estimate_threshold([forced]), 0.01)
 
     def test_alternating_reversals_geometric_mean(self):
         m = PsychometricModel()
-        run = staircase_run(m, 120, seed=3)
+        run = staircase_run(m, 120, **STEPS, seed=3)
         revs = np.array([0.002, 0.008] * 5)
         forced = type(run)(run.contrasts, run.correct, revs, run.step_factor)
         assert np.isclose(estimate_threshold([forced]), np.sqrt(0.002 * 0.008))
 
     def test_too_few_reversals(self):
         m = PsychometricModel()
-        run = staircase_run(m, 120, seed=4)
+        run = staircase_run(m, 120, **STEPS, seed=4)
         forced = type(run)(run.contrasts, run.correct, np.full(3, 0.01), run.step_factor)
         with pytest.raises(InsufficientData):
             estimate_threshold([forced])
@@ -87,10 +92,11 @@ class TestEstimateThreshold:
         # Weibull scale parameter; the band below was frozen from a 100-seed
         # Monte Carlo run of this generator (mean ratio 0.33 +/- 0.08).
         alpha = 0.005
-        m = PsychometricModel(threshold_alpha=alpha, slope_beta=3.5, lapse=0.02)
+        spec = SynthSpec(n_trials=300, psy_threshold_alpha=alpha, psy_slope_beta=3.5,
+                         psy_lapse=0.02, start_contrast=alpha)
         ests = []
         for seed in range(60):
-            _, runs = simulate_labels(300, m, start_contrast=alpha, seed=seed)
+            _, runs = simulate_labels(spec, seed=seed)
             ests.append(estimate_threshold(runs))
         ratio = np.mean(ests) / alpha
         assert 0.2 <= ratio <= 0.5
@@ -139,8 +145,9 @@ class TestGenerateEpochs:
     def test_swapped_labels_mirror_templates_exactly(self):
         spec = ErpTemplateSpec(frn_amp_uv=-6.0, p3a_amp_uv=3.0, noise_rms_uv=0.0)
         labels = np.array([0, 1, 0, 1, 1, 0])
-        a = generate_epochs(labels, spec, n_channels=4, fs_hz=128.0, seed=5)
-        b = generate_epochs(1 - labels, spec, n_channels=4, fs_hz=128.0, seed=5)
+        a = generate_epochs(labels, spec, n_channels=4, fs_hz=128.0, seed=5, pre_s=0.5, post_s=2.0)
+        b = generate_epochs(1 - labels, spec, n_channels=4, fs_hz=128.0, seed=5,
+                            pre_s=0.5, post_s=2.0)
         mean_s_a = a.data[a.labels == SUCCESS].mean(axis=0)
         mean_f_a = a.data[a.labels == FAILURE].mean(axis=0)
         mean_s_b = b.data[b.labels == SUCCESS].mean(axis=0)
@@ -175,9 +182,23 @@ class TestGenerateEpochs:
 
     def test_empty_labels(self):
         with pytest.raises(EmptyInput):
-            generate_epochs(np.array([], dtype=int))
+            generate_epochs(np.array([], dtype=int), n_channels=32, fs_hz=256.0,
+                            pre_s=0.5, post_s=2.0)
 
     def test_float32_quantized_for_container_roundtrip(self):
         es = generate_epochs(np.array([0, 1]), n_channels=2, fs_hz=64.0, seed=8,
                              pre_s=0.25, post_s=0.75)
         assert np.array_equal(es.data, es.data.astype(np.float32).astype(np.float64))
+
+
+class TestSynthSpec:
+    def test_balanced_labels_are_a_seeded_permutation(self):
+        labels = generate_labels(SynthSpec(n_trials=7), seed=4)
+        assert sorted(labels.tolist()) == [0, 0, 0, 0, 1, 1, 1]
+        assert np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=4))
+        assert not np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=5))
+
+    def test_staircase_labels_are_simulate_labels(self):
+        spec = SynthSpec(n_trials=50, label_source="staircase", n_blocks=3)
+        assert np.array_equal(generate_labels(spec, seed=2), simulate_labels(spec, seed=2)[0])
+        assert [run.correct.size for run in simulate_labels(spec, seed=2)[1]] == [17, 17, 16]
