@@ -79,7 +79,8 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     """Whole-dataset featurizer provenance for each method that ran."""
     audit = {}
     if "riemann" in methods:
-        protos = features.fit_prototypes(es, window=hp.riemann_window_s)
+        protos = features.fit_prototypes(features.riemann_windows(es, hp.riemann_window_s),
+                                         es.labels)
         audit["riemann"] = {
             "prototype_sha256_success": io.sha256_hex(protos.proto_success),
             "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
@@ -228,27 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, seed=True, threads=False):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config field")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
-        if out:
-            p.add_argument("--out", required=True)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic epoch container")
     common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="filter/epoch a continuous container")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_preprocess)
 
     def evaluation_command(name, help_text, **defaults):
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        common(p, threads=True)
         p.add_argument("--input", action="append", required=True,
                        help="epoch container (repeat for multiple datasets)")
         p.add_argument("--folds", type=int, default=None)

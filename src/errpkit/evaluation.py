@@ -177,33 +177,31 @@ def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argsort(as_bytes, kind="stable")
 
 
-def _fit_transform(dataset: EpochSet, method: str, tr_idx: np.ndarray,
-                   te_idx: np.ndarray, hp: Hyperparams, bench_raw: np.ndarray | None):
-    """Training and test features of one fold; the benchmark route indexes the
-    rows of ``bench_raw`` and divides them by the training rows' scale."""
+def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np.ndarray,
+                   te_idx: np.ndarray, hp: Hyperparams):
+    """Training and test features of one fold, from the rows ``run_cv``
+    computed for the whole dataset: riemann windows, or benchmark features
+    divided by the training rows' scale."""
     if method == "riemann":
-        # both copies before the fit: a test copy made after the fit's
-        # temporaries were freed raised a desk compare's peak RSS by 10 MB
-        train, test = dataset.subset(tr_idx), dataset.subset(te_idx)
         model = features.fit_riemann(
-            train, window=hp.riemann_window_s, shrinkage=hp.shrinkage,
+            rows[tr_idx], labels[tr_idx], shrinkage=hp.shrinkage,
             mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter,
         )
-        return model.train_features, features.transform_riemann_set(model, test)
-    raw_tr = bench_raw[tr_idx]
+        return model.train_features, features.transform_riemann_set(model, rows[te_idx])
+    raw_tr = rows[tr_idx]
     scale = features.max_abs_scale(raw_tr)
-    return raw_tr / scale, bench_raw[te_idx] / scale
+    return raw_tr / scale, rows[te_idx] / scale
 
 
-def _run_fold(dataset: EpochSet, method: str, plan: FoldPlan, rep: int, fold: int,
-              hp: Hyperparams, bench_raw) -> tuple[float, logreg.LogisticModel]:
+def _run_fold(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
+              fold: int, hp: Hyperparams) -> tuple[float, logreg.LogisticModel]:
     """Accuracy and fitted classifier of one fold."""
     mask = plan.assignments[rep] == fold
     te_idx = np.flatnonzero(mask)
     tr_idx = np.flatnonzero(~mask)
-    ytr, yte = dataset.labels[tr_idx], dataset.labels[te_idx]
+    ytr, yte = labels[tr_idx], labels[te_idx]
     try:
-        xtr, xte = _fit_transform(dataset, method, tr_idx, te_idx, hp, bench_raw)
+        xtr, xte = _fit_transform(rows, labels, method, tr_idx, te_idx, hp)
         order = _canonical_order(xtr, ytr)
         clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
                          tol=hp.clf_tol, max_iter=hp.clf_max_iter)
@@ -217,25 +215,25 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
            hyperparams: Hyperparams | None = None, n_threads: int = 1) -> CVResult:
     """Fit on each training split, score accuracy on the held-out fold.
 
-    The benchmark features are computed once per call; each fold indexes
-    their rows.  Results are placed by (repeat, fold) index, so the output
-    is identical for any ``n_threads``.  Folds whose classifier fit did not
-    converge are counted in one WARNING per call; they still count.
+    The method's rows (riemann windows or benchmark features) are computed
+    once per call; each fold indexes them.  Results are placed by (repeat,
+    fold) index, so the output is identical for any ``n_threads``.  Folds
+    whose classifier fit did not converge are counted in one WARNING per
+    call; they still count.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if plan.n_epochs != len(dataset):
         raise PlanMismatch(f"plan covers {plan.n_epochs} epochs, dataset has {len(dataset)}")
     hp = hyperparams or Hyperparams()
-    bench_raw = (features.benchmark_features(dataset, windows=hp.benchmark_windows_s)
-                 if method == "benchmark" else None)
+    rows = (features.riemann_windows(dataset, hp.riemann_window_s) if method == "riemann"
+            else features.benchmark_features(dataset, windows=hp.benchmark_windows_s))
     jobs = [(rep, fold) for rep in range(plan.r) for fold in range(plan.k)]
     accs = np.empty(len(jobs))
     clfs = [None] * len(jobs)
 
     def run(i: int) -> None:
-        rep, fold = jobs[i]
-        accs[i], clfs[i] = _run_fold(dataset, method, plan, rep, fold, hp, bench_raw)
+        accs[i], clfs[i] = _run_fold(rows, dataset.labels, method, plan, *jobs[i], hp)
 
     _run_indexed(run, len(jobs), n_threads)
     failed = [clf.final_grad_norm for clf in clfs if not clf.converged]

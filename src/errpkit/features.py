@@ -1,21 +1,21 @@
 """The two featurizers.
 
-Riemannian route: average the training epochs of each class over the
-analysis window into per-class prototype matrices, stack
-[success prototype; failure prototype; trial] into a super trial, take its
-shrunk sample covariance, and project onto the tangent space at the
-geometric mean of the training covariances.  It has a fit phase (training
-epochs only) and a pure transform phase; the fitted model is immutable.
-The fit also yields the training epochs' tangent vectors: the Karcher
-iteration computes them at its final iterate, bit for bit as the transform
-would, so a fold transforms only its test epochs.
+Riemannian route: average the training windows of each class into
+per-class prototype matrices, stack [success prototype; failure
+prototype; trial] into a super trial, take its shrunk sample covariance,
+and project onto the tangent space at the geometric mean of the training
+covariances.  The fit (training windows only) also yields the training
+windows' tangent vectors: the Karcher iteration computes them at its
+final iterate, bit for bit as the pure transform would, so a fold
+transforms only its test windows.  The fitted model is immutable.
 
 Benchmark route: per channel, the mean and standard deviation over four
 fixed windows, each feature scaled by its maximum absolute value in the
-training set.  The features of a trial depend on that trial alone, so
-:func:`benchmark_features` computes them once for a whole dataset and a
-fold only indexes its rows and divides by :func:`max_abs_scale` of its
-training rows.
+training set.
+
+Both routes compute their rows once per dataset (:func:`riemann_windows`,
+:func:`benchmark_features`) and a fold indexes them: a row depends on its
+own epoch alone.
 
 Fitting is bit-identical under any permutation of the training epochs
 (canonical summation, max-based scaling).
@@ -58,11 +58,9 @@ class PrototypePair:
 
 @dataclass(frozen=True)
 class RiemannModel:
-    window: tuple[float, float]
     prototypes: PrototypePair
     reference: np.ndarray  # (3c, 3c) geometric mean of training covariances
     shrinkage: float
-    fs_hz: float
     train_features: np.ndarray  # (n_train, D(D+1)/2), rows in training order
 
 
@@ -98,40 +96,42 @@ def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     return cov
 
 
-def _sliced(es: EpochSet, window: tuple[float, float]) -> np.ndarray:
+def riemann_windows(es: EpochSet,
+                    window: tuple[float, float] = RIEMANN_WINDOW) -> np.ndarray:
+    """The analysis window of every epoch, an (n, n_channels, n_window) view."""
     sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window[0], window[1])
     return es.data[:, :, sl]
 
 
-def fit_prototypes(train: EpochSet,
-                   window: tuple[float, float] = RIEMANN_WINDOW) -> PrototypePair:
-    """Per-class mean ERPs of the training epochs over the analysis window."""
-    counts = train.class_counts()
+def fit_prototypes(windows: np.ndarray, labels: np.ndarray) -> PrototypePair:
+    """Per-class mean ERPs of the training windows, labelled by ``labels``."""
+    labels = np.asarray(labels)
+    if labels.shape != windows.shape[:1]:
+        raise DimMismatch(f"{len(labels)} labels for {len(windows)} windows")
+    counts = {int(c): int(n) for c, n in zip(*np.unique(labels, return_counts=True))}
     if counts.get(SUCCESS, 0) == 0 or counts.get(FAILURE, 0) == 0:
         raise DegenerateTrainingSet(f"need both classes in training data, got {counts}")
-    windowed = _sliced(train, window)
     return PrototypePair(
-        proto_success=manifold.canonical_mean(windowed[train.labels == SUCCESS]),
-        proto_failure=manifold.canonical_mean(windowed[train.labels == FAILURE]),
+        proto_success=manifold.canonical_mean(windows[labels == SUCCESS]),
+        proto_failure=manifold.canonical_mean(windows[labels == FAILURE]),
     )
 
 
 def fit_riemann(
-    train: EpochSet,
-    window: tuple[float, float] = RIEMANN_WINDOW,
+    train: np.ndarray,
+    labels: np.ndarray,
     shrinkage: float = DEFAULT_SHRINKAGE,
     mean_tol: float = manifold.DEFAULT_MEAN_TOL,
     mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER,
 ) -> RiemannModel:
-    """Fit prototypes and the tangent-space reference point on training epochs only.
+    """Fit prototypes and the tangent-space reference point on training windows only.
 
     ``train_features`` equals ``transform_riemann_set(model, train)``.
     """
-    protos = fit_prototypes(train, window)
-    covs = _covariances(_super_trials(_sliced(train, window), protos), shrinkage)
+    protos = fit_prototypes(train, labels)
+    covs = _covariances(_super_trials(train, protos), shrinkage)
     karcher = manifold.geometric_mean(covs, tol=mean_tol, max_iter=mean_max_iter)
-    return RiemannModel(tuple(window), protos, karcher.mean, shrinkage, train.fs_hz,
-                        manifold.vectorize_sym(karcher.logs))
+    return RiemannModel(protos, karcher.mean, shrinkage, manifold.vectorize_sym(karcher.logs))
 
 
 def _super_trials(windowed: np.ndarray, protos: PrototypePair) -> np.ndarray:
@@ -149,17 +149,9 @@ def _super_trials(windowed: np.ndarray, protos: PrototypePair) -> np.ndarray:
     return np.concatenate([top, windowed], axis=1)
 
 
-def transform_riemann_set(model: RiemannModel, es: EpochSet) -> np.ndarray:
-    """Tangent feature vectors for every epoch in the set, (n, D(D+1)/2)."""
-    if es.n_channels != model.prototypes.n_channels:
-        raise DimMismatch(
-            f"epoch has {es.n_channels} channels, model expects {model.prototypes.n_channels}"
-        )
-    if es.fs_hz != model.fs_hz:
-        raise DimMismatch(f"epoch rate {es.fs_hz} differs from model rate {model.fs_hz}")
-    windowed = _sliced(es, model.window)
-    sts = _super_trials(windowed, model.prototypes)
-    covs = _covariances(sts, model.shrinkage)
+def transform_riemann_set(model: RiemannModel, windows: np.ndarray) -> np.ndarray:
+    """Tangent feature vectors of a stack of windows, (n, D(D+1)/2)."""
+    covs = _covariances(_super_trials(windows, model.prototypes), model.shrinkage)
     return manifold.tangent_project(covs, model.reference)
 
 

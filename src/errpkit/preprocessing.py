@@ -118,9 +118,6 @@ class EpochSet:
         return EpochSet(self.data[idx], self.labels[idx], self.fs_hz,
                         self.t0_offset_s, list(self.channels))
 
-    def class_counts(self) -> dict[int, int]:
-        return {int(c): int(n) for c, n in zip(*np.unique(self.labels, return_counts=True))}
-
 
 def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     # reflect padding of 3*order/lo_hz seconds, capped by the signal length

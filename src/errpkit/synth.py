@@ -77,8 +77,15 @@ class SynthSpec:
         for key in ("n_trials", "n_channels", "n_blocks"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if self.fs_hz <= 0:
-            raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
+        for key in ("fs_hz", "psy_threshold_alpha", "psy_slope_beta", "start_contrast"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if np.floor((self.pre_s + self.post_s) * self.fs_hz + 0.5) < 1:
+            raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
+        if not 0.0 <= self.psy_lapse <= 0.1:
+            raise ValueError(f"psy_lapse must lie in [0, 0.1], got {self.psy_lapse}")
+        if not self.step_factor > 1:
+            raise ValueError(f"step_factor must exceed 1, got {self.step_factor}")
         if self.label_source not in ("balanced", "staircase"):
             raise ValueError(
                 f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")

@@ -85,10 +85,20 @@ class TestSynthErrors:
         (["label_source=staircase", "n_trials=-5"], "error: n_trials must be at least 1, got -5"),
         (["n_channels=0"], "error: n_channels must be at least 1, got 0"),
         (["fs_hz=0"], "error: fs_hz must be positive, got 0"),
+        (["fs_hz=0.1"], "error: fs_hz must give at least one sample per epoch, got 0.1"),
         (["label_source=random"],
          "error: label_source must be 'balanced' or 'staircase', got 'random'"),
+        (["psy_threshold_alpha=0"], "error: psy_threshold_alpha must be positive, got 0"),
+        (["label_source=staircase", "psy_slope_beta=-1"],
+         "error: psy_slope_beta must be positive, got -1"),
+        (["psy_lapse=0.5"], "error: psy_lapse must lie in [0, 0.1], got 0.5"),
+        (["step_factor=1.0"], "error: step_factor must exceed 1, got 1.0"),
+        (["label_source=staircase", "start_contrast=-1"],
+         "error: start_contrast must be positive, got -1"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
-            "n_channels-0", "fs_hz-0", "label_source"])
+            "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "label_source",
+            "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
+            "step_factor-1", "start_contrast-staircase"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()
@@ -97,6 +107,18 @@ class TestSynthErrors:
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "x", "--threads", "2"],
+    ["preprocess", "--input", "x", "--out", "y", "--threads", "2"],
+    ["preprocess", "--input", "x", "--out", "y", "--seed", "1"],
+], ids=["synth-threads", "preprocess-threads", "preprocess-seed"])
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def _error_classes(cls=ErrpkitError):

@@ -120,21 +120,29 @@ class TestRunCV:
         r2 = run_cv(es, "benchmark", plan, n_threads=3)
         assert np.array_equal(r1.accuracies, r2.accuracies)
 
-    def test_fold_accuracy_is_pure_function_of_split(self):
+    @pytest.mark.parametrize("method", ["riemann", "benchmark"])
+    def test_fold_accuracy_is_pure_function_of_split(self, method):
         es = tiny_dataset(seed=14)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=15)
-        res = run_cv(es, "benchmark", plan)
+        res = run_cv(es, method, plan)
         hp = Hyperparams()
-        raw = features.benchmark_features(es, windows=hp.benchmark_windows_s)
+        rows = (features.riemann_windows(es, hp.riemann_window_s) if method == "riemann"
+                else features.benchmark_features(es, windows=hp.benchmark_windows_s))
         for fold in range(4):
             mask = plan.assignments[0] == fold
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
-            xtr, xte = _fit_transform(es, "benchmark", tr, te, hp, raw)
+            xtr, xte = _fit_transform(rows, es.labels, method, tr, te, hp)
             # the fold's features are those of its own epochs alone
             train, test = es.subset(tr), es.subset(te)
-            scale = features.max_abs_scale(features.benchmark_features(train))
-            assert np.array_equal(xtr, features.benchmark_features(train) / scale)
-            assert np.array_equal(xte, features.benchmark_features(test) / scale)
+            if method == "riemann":
+                model = features.fit_riemann(features.riemann_windows(train), train.labels)
+                assert np.array_equal(xtr, model.train_features)
+                assert np.array_equal(
+                    xte, features.transform_riemann_set(model, features.riemann_windows(test)))
+            else:
+                scale = features.max_abs_scale(features.benchmark_features(train))
+                assert np.array_equal(xtr, features.benchmark_features(train) / scale)
+                assert np.array_equal(xte, features.benchmark_features(test) / scale)
             ytr, yte = train.labels, test.labels
             order = _canonical_order(xtr, ytr)
             clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
@@ -144,19 +152,24 @@ class TestRunCV:
 
     def test_benchmark_features_computed_once_per_call(self, monkeypatch):
         calls = []
-        original = features.benchmark_features
 
-        def counted(es, *args, **kwargs):
-            calls.append(len(es))
-            return original(es, *args, **kwargs)
+        def counted(name):
+            original = getattr(features, name)
 
-        monkeypatch.setattr(features, "benchmark_features", counted)
+            def wrapper(es, *args, **kwargs):
+                calls.append((name, len(es)))
+                return original(es, *args, **kwargs)
+
+            monkeypatch.setattr(features, name, wrapper)
+
+        counted("benchmark_features")
+        counted("riemann_windows")
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=3, seed=19)
         run_cv(es, "benchmark", plan, n_threads=2)
-        assert calls == [len(es)]
-        run_cv(es, "riemann", plan)
-        assert calls == [len(es)]
+        assert calls == [("benchmark_features", len(es))]
+        run_cv(es, "riemann", plan, n_threads=2)
+        assert calls == [("benchmark_features", len(es)), ("riemann_windows", len(es))]
 
     def test_plan_size_mismatch(self):
         es = tiny_dataset(seed=16)

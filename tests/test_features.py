@@ -22,6 +22,7 @@ from errpkit.features import (
     benchmark_features,
     fit_riemann,
     max_abs_scale,
+    riemann_windows,
     transform_riemann_set,
 )
 from errpkit.preprocessing import EpochSet
@@ -111,21 +112,21 @@ class TestTrialCovariance:
 class TestFitRiemann:
     def test_prototype_shapes_at_full_montage(self, rng):
         es = make_set(rng, n_trials=12, n_channels=32, fs=256.0, pre=0.5, post=0.7)
-        model = fit_riemann(es)
+        model = fit_riemann(riemann_windows(es), es.labels)
         assert model.prototypes.proto_success.shape == (32, 128)
         assert model.prototypes.proto_failure.shape == (32, 128)
         assert model.reference.shape == (96, 96)
 
     def test_toy_reference_dimension(self, rng):
         es = make_set(rng, n_trials=10, n_channels=2)
-        model = fit_riemann(es)
+        model = fit_riemann(riemann_windows(es), es.labels)
         assert model.reference.shape == (6, 6)
 
     def test_identical_epochs_reference_is_shared_covariance(self, rng):
         base = rng.standard_normal((3, 307)) * 4
         data = np.broadcast_to(base, (8, 3, 307)).copy()
         es = EpochSet(data, np.arange(8) % 2, 256.0, -0.5, ["a", "b", "c"])
-        model = fit_riemann(es, shrinkage=0.01)
+        model = fit_riemann(riemann_windows(es), es.labels, shrinkage=0.01)
         windowed = base[:, 154:282]
         protos = PrototypePair(windowed, windowed)
         expected = trial_covariance(super_trial(windowed, protos), 0.01)
@@ -133,7 +134,7 @@ class TestFitRiemann:
 
     def test_prototypes_are_class_means(self, rng):
         es = make_set(rng, n_trials=14, n_channels=3)
-        model = fit_riemann(es)
+        model = fit_riemann(riemann_windows(es), es.labels)
         sl = slice(154, 282)
         assert np.allclose(model.prototypes.proto_success,
                            es.data[es.labels == 0][:, :, sl].mean(axis=0), atol=1e-12)
@@ -147,7 +148,8 @@ class TestFitRiemann:
                 assert DEFAULTS[f.name] == f.default, f"{cls.__name__}.{f.name}"
         params = inspect.signature(fit_riemann).parameters
         hp = Hyperparams()
-        assert params["window"].default == hp.riemann_window_s
+        window = inspect.signature(riemann_windows).parameters["window"].default
+        assert window == hp.riemann_window_s
         assert params["shrinkage"].default == hp.shrinkage
         assert params["mean_tol"].default == hp.mean_tol == DEFAULTS["mean_tol"]
         assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
@@ -164,13 +166,19 @@ class TestFitRiemann:
     def test_single_class_rejected(self, rng):
         es = make_set(rng, n_trials=10, labels=np.zeros(10, dtype=int))
         with pytest.raises(DegenerateTrainingSet):
-            fit_riemann(es)
+            fit_riemann(riemann_windows(es), es.labels)
+
+    def test_label_count_mismatch_rejected(self, rng):
+        es = make_set(rng, n_trials=10)
+        with pytest.raises(DimMismatch, match="9 labels for 10 windows"):
+            fit_riemann(riemann_windows(es), es.labels[:-1])
 
     def test_permuted_training_order_bit_identical(self, rng):
         es = make_set(rng, n_trials=16, n_channels=3)
         perm = rng.permutation(16)
-        m1 = fit_riemann(es)
-        m2 = fit_riemann(es.subset(perm))
+        m1 = fit_riemann(riemann_windows(es), es.labels)
+        moved = es.subset(perm)
+        m2 = fit_riemann(riemann_windows(moved), moved.labels)
         assert np.array_equal(m1.prototypes.proto_success, m2.prototypes.proto_success)
         assert np.array_equal(m1.prototypes.proto_failure, m2.prototypes.proto_failure)
         assert np.array_equal(m1.reference, m2.reference)
@@ -178,21 +186,22 @@ class TestFitRiemann:
     def test_train_features_equal_transform_of_train(self, rng):
         es = desk_shaped_epochs()
         for train in (es, es.subset(rng.permutation(len(es)))):
-            model = fit_riemann(train, mean_tol=1e-4)
-            assert np.array_equal(model.train_features, transform_riemann_set(model, train))
+            windows = riemann_windows(train)
+            model = fit_riemann(windows, train.labels, mean_tol=1e-4)
+            assert np.array_equal(model.train_features, transform_riemann_set(model, windows))
 
 
 class TestTransformRiemann:
     def test_feature_length_4656(self, rng):
         es = make_set(rng, n_trials=8, n_channels=32, fs=256.0, pre=0.5, post=0.7)
-        model = fit_riemann(es)
-        v = transform_riemann_set(model, es.subset([0]))
+        model = fit_riemann(riemann_windows(es), es.labels)
+        v = transform_riemann_set(model, riemann_windows(es.subset([0])))
         assert v.shape == (1, 4656)
 
     def test_norm_matches_distance_oracle(self, rng):
         es = make_set(rng, n_trials=10, n_channels=3)
-        model = fit_riemann(es)
-        feats = transform_riemann_set(model, es)
+        model = fit_riemann(riemann_windows(es), es.labels)
+        feats = transform_riemann_set(model, riemann_windows(es))
         sl = slice(154, 282)
         covs = _covariances(_super_trials(es.data[:4, :, sl], model.prototypes),
                             model.shrinkage)
@@ -204,21 +213,21 @@ class TestTransformRiemann:
         base = rng.standard_normal((3, 307)) * 2
         data = np.broadcast_to(base, (6, 3, 307)).copy()
         es = EpochSet(data, np.arange(6) % 2, 256.0, -0.5, ["a", "b", "c"])
-        model = fit_riemann(es)
-        v = transform_riemann_set(model, es.subset([0]))
+        model = fit_riemann(riemann_windows(es), es.labels)
+        v = transform_riemann_set(model, riemann_windows(es.subset([0])))
         assert v.shape == (1, 9 * 10 // 2)
         assert np.abs(v).max() < 1e-7
 
     def test_channel_mismatch(self, rng):
         es = make_set(rng, n_channels=3)
         other = make_set(rng, n_channels=4)
-        model = fit_riemann(es)
+        model = fit_riemann(riemann_windows(es), es.labels)
         with pytest.raises(DimMismatch):
-            transform_riemann_set(model, other)
+            transform_riemann_set(model, riemann_windows(other))
 
     def test_prototype_block_constant_across_trials(self, rng):
         es = make_set(rng, n_trials=10, n_channels=2)
-        model = fit_riemann(es, shrinkage=0.0)
+        model = fit_riemann(riemann_windows(es), es.labels, shrinkage=0.0)
         sl = slice(154, 282)
         covs = _covariances(_super_trials(es.data[:, :, sl], model.prototypes), 0.0)
         blocks = covs[:, :4, :4]

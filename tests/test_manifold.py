@@ -181,7 +181,7 @@ class TestGeometricMean:
         # fold builds them: 6 iterations reach tol 1e-4, where the 0.95-decay
         # step with a 0.5 floor needs 8 and a unit step with backtracking 15
         es = desk_shaped_epochs()
-        windowed = features._sliced(es, features.RIEMANN_WINDOW)
+        windowed = features.riemann_windows(es, features.RIEMANN_WINDOW)
         protos = features.PrototypePair(manifold.canonical_mean(windowed[es.labels == 0]),
                                         manifold.canonical_mean(windowed[es.labels == 1]))
         covs = features._covariances(features._super_trials(windowed, protos),
