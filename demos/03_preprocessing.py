@@ -2,8 +2,9 @@
 
 Builds a 2048-samples/s multi-channel recording contaminated with drift
 and 50 Hz mains interference, plants a feedback-locked deflection at each
-event, then runs the standard chain: bandpass, notches, average
-reference, epoching, baseline subtraction, downsampling to 256/s.
+event, then shows two filter stages alone and runs the whole chain in
+one call: bandpass, notches, average reference, epoching, baseline
+subtraction, downsampling to 256/s.
 
 Run:  python3 demos/03_preprocessing.py
 """
@@ -12,9 +13,7 @@ import numpy as np
 from errpkit.preprocessing import (
     ContinuousRecording,
     PreprocessSpec,
-    average_reference,
     bandpass,
-    epoch_extract,
     notch,
     preprocess_recording,
 )
@@ -54,15 +53,13 @@ filtered = bandpass(rec, 1.0, 100.0)
 print(f"drift (0.05 Hz) before/after bandpass: "
       f"{power_at(rec.data[0], 0.05):.1f} -> {power_at(filtered.data[0], 0.05):.3f} uV")
 
-referenced = average_reference(filtered)
-print("column means after average reference:",
-      float(np.abs(referenced.data.mean(axis=0)).max()))
-
 # one call for the whole chain; labels alternate success/failure
 labels = [i % 2 for i in range(n_events)]
 epochs, skipped = preprocess_recording(rec, labels, PreprocessSpec(target_fs_hz=256.0))
 print(f"\nepochs: {epochs.data.shape} at {epochs.fs_hz:.0f}/s, "
       f"t0 = {epochs.t0_offset_s} s, skipped events: {skipped}")
+print("cross-channel means after average reference:",
+      float(np.abs(epochs.data.mean(axis=1)).max()))
 
 baseline = epochs.data[:, :, : int(0.5 * 256)]
 print("baseline-window channel means:", float(np.abs(baseline.mean(axis=2)).max()))
@@ -74,7 +71,8 @@ print(f"planted deflection recovered at "
       f"{t_epoch[np.argmin(fz_mean)] * 1000:.0f} ms on Fz "
       f"({fz_mean.min():.1f} uV)")
 
-# epoch_extract alone also reports edge-clipped events
+# events too close to the recording edges are skipped and reported
 rec_short = ContinuousRecording(fs, channels, data[:, : events[-1][0] + 100], events)
-_, clipped = epoch_extract(rec_short, 1, 0.5, 2.0, labels)
-print("with a truncated recording the last event is clipped:", clipped)
+short, clipped = preprocess_recording(rec_short, labels, PreprocessSpec(target_fs_hz=256.0))
+print(f"with a truncated recording the last event is clipped: {clipped} "
+      f"({len(short)} of {n_events} epochs kept)")

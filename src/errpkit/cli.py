@@ -11,7 +11,8 @@ whether the chance level does.
 
 Every command is deterministic given its inputs, flags and seed; reports
 embed all seeds.  Exit codes: 0 success, 1 internal or numerical failure,
-2 invalid input or configuration.  ``ERRP_LOG`` selects the log level.
+2 invalid input or configuration.  ``ERRP_LOG`` selects the log level;
+a value that names no level exits 2.
 """
 from __future__ import annotations
 
@@ -149,8 +150,9 @@ def cmd_evaluate(args) -> int:
         es = io.read_epoch_container(in_path)
         plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
                                          seed=evaluation.derive_seed(seed, d_index))
+        audit = _audit_blocks(es, hp, args.methods)  # before the folds: rejects a short window
         chance = None
-        if args.chance:  # first: it rejects a shuffle count below 1 before any fold runs
+        if args.chance:  # before the folds: it rejects a shuffle count below 1
             chance = asdict(evaluation.chance_level(
                 es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
                 n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
@@ -173,7 +175,7 @@ def cmd_evaluate(args) -> int:
             "methods": {m: _method_block(res) for m, res in results.items()},
             "t_test": ttest,
             "chance": chance,
-            "audit": _audit_blocks(es, hp, args.methods),
+            "audit": audit,
         })
         if args.emit_erp:
             _write_erp_csv(out.with_name(f"{out.stem}_erp_{d_index}.csv"), es)
@@ -278,10 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("ERRP_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("ERRP_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ValueError(f"ERRP_LOG must be a log level such as INFO or DEBUG, got {level!r}")
+        logging.basicConfig(level=level.upper())
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -96,11 +96,20 @@ def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     return cov
 
 
+def _sample_window(es: EpochSet, window: tuple[float, float]) -> slice:
+    """The samples of ``window`` (seconds) in every epoch: at least 2, as a
+    covariance and an n-1 standard deviation need."""
+    t_a, t_b = window
+    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, t_a, t_b)
+    if sl.stop - sl.start < 2:
+        raise InvalidWindow(f"window [{t_a}, {t_b}] has fewer than 2 samples at fs={es.fs_hz}")
+    return sl
+
+
 def riemann_windows(es: EpochSet,
                     window: tuple[float, float] = RIEMANN_WINDOW) -> np.ndarray:
     """The analysis window of every epoch, an (n, n_channels, n_window) view."""
-    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window[0], window[1])
-    return es.data[:, :, sl]
+    return es.data[:, :, _sample_window(es, window)]
 
 
 def fit_prototypes(windows: np.ndarray, labels: np.ndarray) -> PrototypePair:
@@ -165,14 +174,10 @@ def benchmark_features(
     uses the n-1 denominator.  Each row depends on its own epoch only, so
     the rows of a subset equal the subset of the rows bit for bit.
     """
-    data, fs, t0 = es.data, es.fs_hz, es.t0_offset_s
-    n, c, s = data.shape
+    n, c, _ = es.data.shape
     feats = np.empty((n, c, len(windows), 2))
-    for w, (t_a, t_b) in enumerate(windows):
-        sl = _window_slice(fs, t0, s, t_a, t_b)
-        if sl.stop - sl.start < 2:
-            raise InvalidWindow(f"window [{t_a}, {t_b}] has fewer than 2 samples at fs={fs}")
-        seg = data[:, :, sl]
+    for w, window in enumerate(windows):
+        seg = es.data[:, :, _sample_window(es, window)]
         feats[:, :, w, 0] = seg.mean(axis=-1)
         feats[:, :, w, 1] = seg.std(axis=-1, ddof=1)
     return feats.reshape(n, c * len(windows) * 2)

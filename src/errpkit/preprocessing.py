@@ -1,8 +1,10 @@
 """Continuous-recording preprocessing and epoching.
 
-Zero-phase bandpass/notch filtering, average re-referencing, epoch
-extraction around feedback events, baseline subtraction and integer-factor
-downsampling.  All filters are Butterworth/IIR designs applied
+One pipeline, :func:`preprocess_recording`: zero-phase bandpass/notch
+filtering, average re-referencing, epoch extraction around feedback
+events, baseline subtraction and integer-factor downsampling.
+:func:`bandpass` and :func:`notch` apply one filter stage to a whole
+recording.  All filters are Butterworth/IIR designs applied
 forward-backward (``sosfiltfilt``) with reflect padding, so they are
 zero-phase and linear.
 
@@ -186,13 +188,6 @@ def _rereference(data: np.ndarray) -> None:
     data -= data.mean(axis=0, keepdims=True)
 
 
-def average_reference(rec: ContinuousRecording) -> ContinuousRecording:
-    """Re-reference to the instantaneous mean across channels."""
-    out = rec.data.astype(np.float64)
-    _rereference(out)
-    return replace(rec, data=out)
-
-
 def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post_s: float,
                    labels) -> tuple[list[int], int, np.ndarray, list[int]]:
     """Start samples, common length and labels of the epochs that fit in the
@@ -216,29 +211,10 @@ def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post
         starts.append(s - n_pre)
         kept_labels.append(labels[i])
     if skipped:
-        logger.info("epoch_extract skipped %d edge-clipped events: %s", len(skipped), skipped)
+        logger.info("skipped %d edge-clipped events: %s", len(skipped), skipped)
     if not starts:
         raise EmptyInput("all matching events were too close to the recording edges")
     return starts, n_pre + n_post, np.asarray(kept_labels), skipped
-
-
-def epoch_extract(
-    rec: ContinuousRecording,
-    event_code: int,
-    pre_s: float,
-    post_s: float,
-    labels,
-) -> tuple[EpochSet, list[int]]:
-    """Cut one epoch per matching event; sample 0 sits at t = -pre_s.
-
-    ``labels`` has one success/failure code per matching event.  Events too
-    close to the recording edges are skipped; their positions (indices into
-    the matching-event list) are returned alongside the epochs.
-    """
-    starts, length, kept_labels, skipped = _event_windows(rec, event_code, pre_s, post_s, labels)
-    es = EpochSet(np.stack([rec.data[:, s:s + length] for s in starts]), kept_labels,
-                  rec.fs_hz, -pre_s, list(rec.channels))
-    return es, skipped
 
 
 def _window_slice(fs: float, t0: float, n_samples: int, t_a: float, t_b: float) -> slice:
@@ -250,12 +226,6 @@ def _window_slice(fs: float, t0: float, n_samples: int, t_a: float, t_b: float) 
             f"outside epoch of {n_samples} samples"
         )
     return slice(start, stop)
-
-
-def baseline_subtract_set(es: EpochSet, window: tuple[float, float] = (-0.5, 0.0)) -> EpochSet:
-    """Subtract each channel's mean over ``window`` (seconds, feedback-relative)."""
-    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window[0], window[1])
-    return replace(es, data=es.data - es.data[..., sl].mean(axis=-1, keepdims=True))
 
 
 def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
@@ -276,13 +246,6 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
     keep = slice(None, n_samples // factor * factor, factor)
     return (sos, _padlen(8, cutoff, fs, n_samples)), keep
-
-
-def downsample_set(es: EpochSet, target_fs_hz: float) -> EpochSet:
-    """Anti-alias lowpass (0.4 * target rate) then keep every factor-th sample."""
-    stage, keep = _downsample_stage(es.fs_hz, target_fs_hz, es.n_samples)
-    return EpochSet(_filter_rows(es.data, [stage], keep), es.labels, target_fs_hz,
-                    es.t0_offset_s, list(es.channels))
 
 
 @dataclass(frozen=True)
@@ -309,14 +272,15 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     """Full pipeline: bandpass, notches, average reference, epoching,
     baseline subtraction, downsampling.
 
-    The same epochs as chaining :func:`bandpass`, :func:`notch`,
-    :func:`average_reference`, :func:`epoch_extract`,
-    :func:`baseline_subtract_set` and :func:`downsample_set`, in bounded
-    memory: the filter chain runs block by block into one float64 array,
-    which is re-referenced in place, and the epochs are cut, baselined and
-    downsampled a block of events at a time into the result.  The lowpass
-    is designed once per call; downsampling first, the baseline is
-    subtracted once from the whole result.
+    Sample 0 of each epoch sits at t = -``epoch_pre_s``.  Events too close
+    to the recording edges are skipped; their positions among the matching
+    events are returned alongside the epochs.
+
+    Bounded memory: the filter chain runs block by block into one float64
+    array, which is re-referenced in place, and the epochs are cut,
+    baselined and downsampled a block of events at a time into the result.
+    The lowpass is designed once per call; downsampling first, the baseline
+    is subtracted once from the whole result.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]

@@ -311,6 +311,23 @@ class TestThreads:
         assert not out.exists()
 
 
+def _src_env(**extra) -> dict:
+    """This environment with ``extra`` and the tested package first on PYTHONPATH."""
+    env = {**os.environ, **extra}
+    src = str(Path(errpkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_unknown_log_level_exits_2_with_one_line(tiny_container):
+    proc = subprocess.run([sys.executable, "-m", "errpkit.cli", "validate",
+                           "--input", str(tiny_container)],
+                          env=_src_env(ERRP_LOG="bogus"), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert (proc.stdout + proc.stderr).splitlines() == [
+        "error: ERRP_LOG must be a log level such as INFO or DEBUG, got 'bogus'"]
+
+
 class TestEmptyProtocol:
     """A protocol with no repeats or no chance shuffles exits 2 with one line."""
 
@@ -342,6 +359,31 @@ class TestEmptyProtocol:
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
             "error: need at least 1 chance shuffle, got n_shuffles=0"]
+        assert calls == []
+        assert not out.exists()
+
+
+class TestShortWindow:
+    """A window too short for a method exits 2 with one line that names it,
+    before any fold runs."""
+
+    @pytest.mark.parametrize("fs_hz, line", [
+        ("8", "error: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"),
+        ("0.5", "error: window [0.1, 0.6] has fewer than 2 samples at fs=0.5"),
+    ], ids=["benchmark-window", "riemann-window"])
+    def test_exits_2_before_any_fold(self, tmp_path, capsys, monkeypatch, fs_hz, line):
+        data, out = tmp_path / "data", tmp_path / "r.json"
+        assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=20",
+                     "--set", "n_channels=2", "--set", f"fs_hz={fs_hz}"]) == 0
+        calls = []
+        run_fold = evaluation._run_fold
+        monkeypatch.setattr(evaluation, "_run_fold",
+                            lambda *args: calls.append(args) or run_fold(*args))
+        capsys.readouterr()
+        assert main(["compare", "--input", str(data), "--out", str(out),
+                     "--folds", "2", "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
         assert calls == []
         assert not out.exists()
 
@@ -409,11 +451,8 @@ class TestOneReport:
 
 
 def _loaded_by_cli_import(module: str) -> bool:
-    env = dict(os.environ)
-    src = str(Path(errpkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = f"import sys, errpkit.cli; sys.exit({module!r} in sys.modules)"
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    return subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode != 0
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

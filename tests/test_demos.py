@@ -5,12 +5,16 @@ passes to an errpkit callable must be one that callable takes.
 The scripts are parsed with ``ast``, not run, so removing or renaming a name
 or keyword that a demo, the benchmark harness (``bench/``) or the README's
 quick start still uses fails here in well under a second, not when the
-benchmark runs or a reader copies the example.
+benchmark runs or a reader copies the example.  The scanner cannot see a
+demo that fails at run time, so each demo also runs once to exit 0.
 """
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,6 +142,15 @@ def problems(source: str) -> list[str]:
 def test_demo_names_resolve(demo):
     assert errpkit_names(demo.read_text()), f"{demo.name} uses no errpkit names"
     assert problems(demo.read_text()) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_names_resolve():

@@ -13,13 +13,8 @@ from errpkit.errors import (
 )
 from errpkit.preprocessing import (
     ContinuousRecording,
-    EpochSet,
     PreprocessSpec,
-    average_reference,
     bandpass,
-    baseline_subtract_set,
-    downsample_set,
-    epoch_extract,
     notch,
     preprocess_recording,
 )
@@ -29,12 +24,6 @@ FS = 2048.0
 
 def one_channel(x, fs=FS, events=()):
     return ContinuousRecording(fs, ["ch0"], np.asarray(x)[None, :], list(events))
-
-
-def one_epoch(fs, data, t0):
-    """A single (n_channels, n_samples) epoch as an EpochSet of length 1."""
-    data = np.asarray(data)
-    return EpochSet(data[None], [0], fs, t0, [f"ch{i}" for i in range(data.shape[0])])
 
 
 def sinusoid(freq, fs=FS, seconds=12.0):
@@ -123,125 +112,179 @@ class TestFilterProperties:
             assert list(lags)[int(np.argmax(corr))] == 0
 
 
+def random_recording(n_channels, seconds, events, seed, fs=FS):
+    rng = np.random.default_rng(seed)
+    return ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)],
+                               rng.standard_normal((n_channels, int(seconds * fs))) * 20,
+                               list(events))
+
+
+def filter_calls(monkeypatch):
+    """The arrays ``preprocess_recording`` passes to ``_filter_rows``, in call order."""
+    calls = []
+    original = preprocessing._filter_rows
+
+    def spy(data, *args, **kwargs):
+        calls.append(np.array(data))
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(preprocessing, "_filter_rows", spy)
+    return calls
+
+
+def with_channel_offsets(monkeypatch, offsets):
+    """Add a constant per channel right after the pipeline's re-reference, so
+    the epochs reach the baseline step with those offsets."""
+    original = preprocessing._rereference
+
+    def rereference_then_offset(data):
+        original(data)
+        data += np.asarray(offsets)[:, None]
+
+    monkeypatch.setattr(preprocessing, "_rereference", rereference_then_offset)
+
+
 class TestAverageReference:
     def test_already_zero_mean_unchanged(self):
-        rec = ContinuousRecording(FS, ["a", "b"], np.array([[1.0] * 10, [-1.0] * 10]))
-        out = average_reference(rec)
-        assert np.allclose(out.data, rec.data)
+        data = np.array([[1.0] * 10, [-1.0] * 10])
+        out = data.copy()
+        preprocessing._rereference(out)
+        assert np.array_equal(out, data)
 
     def test_identical_channels_cancel(self):
-        rec = ContinuousRecording(FS, ["a", "b", "c"], np.ones((3, 50)))
-        assert np.abs(average_reference(rec).data).max() == 0.0
+        rng = np.random.default_rng(2)
+        row = rng.standard_normal(int(6 * FS)) * 20
+        rec = ContinuousRecording(FS, ["a", "b"], np.stack([row, row]), [(int(2 * FS), 1)])
+        es, _ = preprocess_recording(rec, [0])
+        assert np.abs(es.data).max() == 0.0
 
     def test_column_means_vanish(self):
-        rng = np.random.default_rng(0)
-        rec = ContinuousRecording(FS, [f"c{i}" for i in range(32)],
-                                  rng.standard_normal((32, 1000)))
-        out = average_reference(rec)
-        assert np.abs(out.data.mean(axis=0)).max() < 1e-10
+        events = [(int(FS * t), 1) for t in (1.0, 4.0)]
+        es, _ = preprocess_recording(random_recording(32, 7.0, events, seed=0), [0, 1])
+        assert np.abs(es.data.mean(axis=1)).max() < 1e-10
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        rec = ContinuousRecording(FS, [f"c{i}" for i in range(8)],
-                                  rng.standard_normal((8, 256)) * 50)
-        once = average_reference(rec)
-        twice = average_reference(once)
-        assert np.abs(twice.data - once.data).max() < 1e-10
+        once = rng.standard_normal((8, 256)) * 50
+        preprocessing._rereference(once)
+        twice = once.copy()
+        preprocessing._rereference(twice)
+        assert np.abs(twice - once).max() < 1e-10
 
     def test_single_channel_rejected(self):
+        rec = one_channel(np.zeros(int(4 * FS)), events=[(int(FS), 1)])
         with pytest.raises(InsufficientChannels):
-            average_reference(one_channel(np.zeros(10)))
+            preprocess_recording(rec, [0])
+        with pytest.raises(InsufficientChannels):
+            preprocessing._rereference(np.zeros((1, 10)))
 
 
 class TestEpochExtract:
     def test_index_arithmetic(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((2, 20480))
-        rec = ContinuousRecording(FS, ["a", "b"], data, [(10240, 1)])
-        es, skipped = epoch_extract(rec, 1, 0.5, 2.0, [0])
-        assert skipped == []
-        assert es.n_samples == 5120
-        assert es.t0_offset_s == -0.5
-        assert np.array_equal(es.data[0], data[:, 9216:14336])
+        rec = ContinuousRecording(FS, ["a", "b"], np.zeros((2, 20480)), [(10240, 1)])
+        starts, length, labels, skipped = preprocessing._event_windows(rec, 1, 0.5, 2.0, [0])
+        assert (starts, length, list(labels), skipped) == ([9216], 5120, [0], [])
 
     def test_edge_event_skipped_and_reported(self):
-        data = np.zeros((2, 8192))
-        rec = ContinuousRecording(FS, ["a", "b"], data, [(100, 1), (4096, 1)])
-        es, skipped = epoch_extract(rec, 1, 0.5, 1.0, [0, 1])
+        rec = random_recording(2, 4.0, [(100, 1), (4096, 1)], seed=3)
+        es, skipped = preprocess_recording(rec, [0, 1], PreprocessSpec(epoch_post_s=1.0))
         assert skipped == [0]
         assert len(es) == 1
+        assert list(es.labels) == [1]
 
     def test_three_hundred_events_three_hundred_epochs(self):
         fs = 256.0
         n = 300
-        samples = int(fs * (n + 2) * 1.0)
-        rec = ContinuousRecording(
-            fs, ["a", "b"], np.zeros((2, samples)),
-            [(int(fs * (i + 1)), 1) for i in range(n)],
-        )
-        es, skipped = epoch_extract(rec, 1, 0.5, 0.5, [i % 2 for i in range(n)])
+        rec = random_recording(2, n + 2, [(int(fs * (i + 1)), 1) for i in range(n)],
+                               seed=4, fs=fs)
+        es, skipped = preprocess_recording(rec, [i % 2 for i in range(n)],
+                                           PreprocessSpec(epoch_post_s=0.5))
         assert len(es) == 300
         assert skipped == []
 
     def test_no_matching_events(self):
         rec = one_channel(np.zeros(100), events=[(50, 2)])
-        with pytest.raises(EmptyInput):
-            epoch_extract(rec, 1, 0.0, 0.01, [])
+        with pytest.raises(EmptyInput, match="no events with code 1"):
+            preprocess_recording(rec, [])
 
 
 class TestBaseline:
-    def test_constant_channel_zeroed(self):
-        e = one_epoch(256.0, np.full((1, 640), 7.5), -0.5)
-        out = baseline_subtract_set(e, (-0.5, 0.0))
-        assert np.abs(out.data).max() < 1e-12
+    EVENTS = [(int(FS * t), 1) for t in (1.0, 4.0, 7.0)]
+    OFFSETS = [3.0, -2.0, 10.0]
 
-    def test_only_offset_changes(self):
-        rng = np.random.default_rng(4)
-        base = rng.standard_normal((3, 640))
-        e1 = one_epoch(256.0, base, -0.5)
-        e2 = one_epoch(256.0, base + np.array([[3.0], [-2.0], [10.0]]), -0.5)
-        o1 = baseline_subtract_set(e1)
-        o2 = baseline_subtract_set(e2)
-        assert np.abs(o1.data - o2.data).max() < 1e-10
+    def run(self, rec, baseline_first):
+        es, _ = preprocess_recording(rec, [0, 1, 0],
+                                     PreprocessSpec(baseline_before_downsample=baseline_first))
+        return es.data
 
-    def test_window_mean_vanishes(self):
-        rng = np.random.default_rng(5)
-        e = one_epoch(256.0, rng.standard_normal((4, 640)) * 30, -0.5)
-        out = baseline_subtract_set(e, (-0.5, 0.0))
-        sl = slice(0, 128)
-        assert np.abs(out.data[0, :, sl].mean(axis=1)).max() < 1e-10
+    def test_constant_channel_zeroed(self, monkeypatch):
+        with_channel_offsets(monkeypatch, [7.5, -7.5, 0.0])
+        rec = ContinuousRecording(FS, ["a", "b", "c"], np.zeros((3, int(10 * FS))), self.EVENTS)
+        for baseline_first in (True, False):
+            assert np.abs(self.run(rec, baseline_first)).max() < 1e-12
 
-    def test_window_outside_epoch(self):
-        e = one_epoch(256.0, np.zeros((1, 640)), -0.5)
-        with pytest.raises(InvalidWindow):
-            baseline_subtract_set(e, (-1.0, 0.0))
+    def test_only_offset_changes(self, monkeypatch):
+        rec = random_recording(3, 10.0, self.EVENTS, seed=4)
+        plain = [self.run(rec, baseline_first) for baseline_first in (True, False)]
+        with_channel_offsets(monkeypatch, self.OFFSETS)
+        for baseline_first, expected in zip((True, False), plain):
+            assert np.abs(self.run(rec, baseline_first) - expected).max() < 1e-10
+
+    def test_window_mean_vanishes(self, monkeypatch):
+        rec = random_recording(4, 10.0, self.EVENTS, seed=5)
+        calls = filter_calls(monkeypatch)
+        self.run(rec, baseline_first=True)
+        epoch_blocks = [block for block in calls if block.ndim == 3]  # full-rate epochs
+        assert sum(len(block) for block in epoch_blocks) == 3
+        for block in epoch_blocks:  # the baseline is [-0.5, 0) s: samples [0, 1024) at 2048 Hz
+            assert np.abs(block[..., :1024].mean(axis=-1)).max() < 1e-10
+        out = self.run(rec, baseline_first=False)  # samples [0, 128) at 256 Hz
+        assert np.abs(out[..., :128].mean(axis=-1)).max() < 1e-10
+
+    def test_window_outside_epoch(self, monkeypatch):
+        calls = filter_calls(monkeypatch)
+        rec = random_recording(2, 6.0, [(int(2 * FS), 1)], seed=6)
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_window_s=(-1.0, 0.0),
+                                  baseline_before_downsample=baseline_first)
+            with pytest.raises(InvalidWindow):
+                preprocess_recording(rec, [0], spec)
+        assert calls == []
+
+
+def sinusoid_epoch(freq):
+    """One 10 s epoch of a sinusoid, 2,048 Hz in and 256 Hz out.
+
+    The channels are +x and -x, so the average reference is 0, and the
+    bandpass edges lie far from 5 and 120 Hz with no notch, so only the
+    anti-alias lowpass shapes those components.
+    """
+    x, _ = sinusoid(freq, seconds=12.0)
+    rec = ContinuousRecording(FS, ["a", "b"], np.stack([x, -x]), [(int(1.0 * FS), 1)])
+    spec = PreprocessSpec(bandpass_hi_hz=1000.0, notch_hz=(), epoch_post_s=9.5)
+    es, _ = preprocess_recording(rec, [0], spec)
+    return es.data[0, 0]
 
 
 class TestDownsample:
     def test_length_2048_to_256(self):
-        e = one_epoch(2048.0, np.zeros((2, 5120)), -0.5)
-        out = downsample_set(e, 256.0)
-        assert out.data.shape == (1, 2, 640)
-        assert out.fs_hz == 256.0
-        assert out.t0_offset_s == -0.5
+        rec = random_recording(2, 4.0, [(int(1.0 * FS), 1)], seed=7)
+        es, _ = preprocess_recording(rec, [0])
+        assert es.data.shape == (1, 2, 640)
+        assert es.fs_hz == 256.0
+        assert es.t0_offset_s == -0.5
 
     def test_slow_component_survives(self):
-        x, _ = sinusoid(5.0, fs=2048.0, seconds=10.0)
-        e = one_epoch(2048.0, x[None, :], 0.0)
-        out = downsample_set(e, 256.0)
-        amp = measured_amplitude(out.data[0, 0], 5.0, fs=256.0)
+        amp = measured_amplitude(sinusoid_epoch(5.0), 5.0, fs=256.0)
         assert 0.88 <= amp <= 1.12
 
     def test_above_cutoff_attenuated(self):
-        x, _ = sinusoid(120.0, fs=2048.0, seconds=10.0)
-        e = one_epoch(2048.0, x[None, :], 0.0)
-        out = downsample_set(e, 256.0)
-        assert measured_amplitude(out.data[0, 0], 120.0, fs=256.0) < 0.10
+        assert measured_amplitude(sinusoid_epoch(120.0), 120.0, fs=256.0) < 0.10
 
     def test_non_integer_factor(self):
-        e = one_epoch(2048.0, np.zeros((1, 4096)), 0.0)
+        rec = random_recording(2, 4.0, [(int(1.0 * FS), 1)], seed=8)
         with pytest.raises(InvalidResampleFactor):
-            downsample_set(e, 300.0)
+            preprocess_recording(rec, [0], PreprocessSpec(target_fs_hz=300.0))
 
 
 class TestPipeline:
