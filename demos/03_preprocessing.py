@@ -61,8 +61,16 @@ print(f"\nepochs: {epochs.data.shape} at {epochs.fs_hz:.0f}/s, "
 print("cross-channel means after average reference:",
       float(np.abs(epochs.data.mean(axis=1)).max()))
 
+# the default order subtracts the baseline at 2048/s and then runs the
+# anti-alias lowpass, so the 256/s window means are small but not 0;
+# subtracting it after downsampling makes them 0 to rounding
 baseline = epochs.data[:, :, : int(0.5 * 256)]
-print("baseline-window channel means:", float(np.abs(baseline.mean(axis=2)).max()))
+print("baseline-window channel means, lowpass after the baseline (default):",
+      float(np.abs(baseline.mean(axis=2)).max()))
+late, _ = preprocess_recording(
+    rec, labels, PreprocessSpec(target_fs_hz=256.0, baseline_before_downsample=False))
+print("baseline-window channel means, baseline after downsampling:",
+      float(np.abs(late.data[:, :, : int(0.5 * 256)].mean(axis=2)).max()))
 
 # the planted deflection survives at the right latency
 fz_mean = epochs.data[:, 0].mean(axis=0)

@@ -8,6 +8,14 @@ permutation test and shuffle-based chance levels.  A built-in generator
 fabricates staircase-driven label streams and template-plus-noise epochs
 for desk-scale verification.
 """
+import os
+
+# One BLAS thread per process: the fold workers of ``evaluation`` are the
+# package's only parallelism.  A value the caller set wins, and none of this
+# has an effect once numpy is loaded.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .errors import (
     DegenerateTrainingSet,

@@ -156,10 +156,10 @@ def cmd_evaluate(args) -> int:
             chance = asdict(evaluation.chance_level(
                 es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
                 n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
-                n_threads=args.threads,
+                n_workers=args.threads,
             ))
         results = {
-            method: evaluation.run_cv(es, method, plan, hp, n_threads=args.threads)
+            method: evaluation.run_cv(es, method, plan, hp, n_workers=args.threads)
             for method in args.methods
         }
         ttest = None
@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes for the folds (1: run them in this process)")
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic epoch container")

@@ -4,12 +4,26 @@ Stratified 10-by-10-fold cross-validation, the variance-corrected paired
 t-test for overlapping CV training sets, a cross-dataset permutation test
 on summed median-accuracy differences, and shuffle-based chance-level
 estimation (benchmark pipeline only).
+
+Folds are independent jobs.  ``run_cv`` and ``chance_level`` each compute
+the method's rows once and map one job per (labelling, repeat, fold) over
+them: in this process at one worker, else on forked worker processes.
+The workers inherit the rows, labels, plans and hyperparameters in memory
+and send back only each fold's accuracy and classifier convergence.
+Results are placed by job index, so they do not depend on the worker
+count.  ``errpkit/__init__.py`` pins BLAS to one thread, so the workers
+are the only parallelism.
 """
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import multiprocessing
+import os
+# ThreadPoolExecutor runs nothing here; bench/tracer.py:204 rebinds it, so
+# the name stays bound until that line goes.
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,18 +170,6 @@ def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
     return FoldPlan(n, k, r, assignments, seed)
 
 
-def _run_indexed(fn, n: int, n_threads: int) -> None:
-    """Call ``fn(i)`` for every i < n: in order on one thread, else on a pool."""
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be at least 1, got {n_threads}")
-    if n_threads == 1:
-        for i in range(n):
-            fn(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fn, range(n)))
-
-
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Deterministic sample order that depends only on the (feature, label) multiset."""
     key = np.ascontiguousarray(
@@ -211,15 +213,104 @@ def _run_fold(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan,
     return float(np.mean(pred == yte)), clf
 
 
+@dataclass(frozen=True)
+class _FoldJobs:
+    """Every fold of one call, over rows computed once.  Job ``i`` is fold
+    ``i % (r * k)`` (repeat-major) under ``labels[s]`` and ``plans[s]``,
+    where ``s = i // (r * k)``; every plan has the same ``k`` and ``r``."""
+
+    rows: np.ndarray
+    method: str
+    labels: tuple
+    plans: tuple
+    hp: Hyperparams
+
+    def __len__(self) -> int:
+        return len(self.plans) * self.plans[0].r * self.plans[0].k
+
+
+def _run_job(jobs: _FoldJobs, i: int) -> tuple[float, bool, float]:
+    """Accuracy, classifier convergence and final gradient norm of job ``i``."""
+    plan = jobs.plans[0]
+    s, j = divmod(i, plan.r * plan.k)
+    rep, fold = divmod(j, plan.k)
+    acc, clf = _run_fold(jobs.rows, jobs.labels[s], jobs.method, jobs.plans[s], rep, fold, jobs.hp)
+    return acc, clf.converged, clf.final_grad_norm
+
+
+# Set in each worker process by _install_jobs, never in the parent.
+_worker_jobs: _FoldJobs | None = None
+_worker_abort = None
+
+
+def _install_jobs(jobs: _FoldJobs, abort) -> None:
+    global _worker_jobs, _worker_abort
+    _worker_jobs, _worker_abort = jobs, abort
+
+
+def _worker_job(i: int):
+    if _worker_abort.is_set():
+        return None  # the parent is raising an earlier job's error
+    return _run_job(_worker_jobs, i)
+
+
+def _map_on_workers(jobs: _FoldJobs, n_workers: int) -> list:
+    """Every job on ``n_workers`` forked processes, results in job order.
+
+    The first failing job in index order raises, as in one process; the
+    jobs after it are cancelled or skipped, and every worker is joined
+    before this returns.  A worker that dies raises :class:`ErrpkitError`.
+    """
+    import scipy.special  # noqa: F401  # loaded before the fork, else every worker imports it
+
+    ctx = multiprocessing.get_context("fork")
+    abort = ctx.Event()
+    n = len(jobs)
+    try:
+        with ProcessPoolExecutor(n_workers, mp_context=ctx, initializer=_install_jobs,
+                                 initargs=(jobs, abort)) as pool:
+            try:
+                return list(pool.map(_worker_job, range(n),
+                                     chunksize=max(1, n // (4 * n_workers))))
+            except BaseException:
+                abort.set()
+                raise
+    except BrokenProcessPool as exc:
+        raise ErrpkitError(f"a fold worker process died: {exc}") from exc
+
+
+def _fold_accuracies(jobs: _FoldJobs, n_workers: int, name: str) -> np.ndarray:
+    """Accuracy of every job, one row per labelling, on at most ``n_workers``
+    processes: in this process when only one would run.  Non-converged
+    classifier fits are counted in one WARNING."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    n = len(jobs)
+    n_workers = min(n_workers, n, os.cpu_count() or 1)
+    if n_workers == 1:
+        results = [_run_job(jobs, i) for i in range(n)]
+    else:
+        results = _map_on_workers(jobs, n_workers)
+    accs, converged, grad_norms = (np.array(col) for col in zip(*results))
+    if not converged.all():
+        logger.warning(
+            "%s: the classifier did not converge in %d of %d folds "
+            "(largest final gradient norm %.3e, tol %.1e)",
+            name, np.count_nonzero(~converged), n, grad_norms[~converged].max(), jobs.hp.clf_tol,
+        )
+    return accs.reshape(len(jobs.plans), -1)
+
+
 def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
-           hyperparams: Hyperparams | None = None, n_threads: int = 1) -> CVResult:
+           hyperparams: Hyperparams | None = None, n_workers: int = 1) -> CVResult:
     """Fit on each training split, score accuracy on the held-out fold.
 
     The method's rows (riemann windows or benchmark features) are computed
-    once per call; each fold indexes them.  Results are placed by (repeat,
-    fold) index, so the output is identical for any ``n_threads``.  Folds
-    whose classifier fit did not converge are counted in one WARNING per
-    call; they still count.
+    once per call; each fold indexes them.  Folds run on up to
+    ``n_workers`` processes (see the module docstring) and are placed by
+    (repeat, fold) index, so the output is identical for any ``n_workers``.
+    Folds whose classifier fit did not converge are counted in one WARNING
+    per call; they still count.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -228,22 +319,8 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
     hp = hyperparams or Hyperparams()
     rows = (features.riemann_windows(dataset, hp.riemann_window_s) if method == "riemann"
             else features.benchmark_features(dataset, windows=hp.benchmark_windows_s))
-    jobs = [(rep, fold) for rep in range(plan.r) for fold in range(plan.k)]
-    accs = np.empty(len(jobs))
-    clfs = [None] * len(jobs)
-
-    def run(i: int) -> None:
-        accs[i], clfs[i] = _run_fold(rows, dataset.labels, method, plan, *jobs[i], hp)
-
-    _run_indexed(run, len(jobs), n_threads)
-    failed = [clf.final_grad_norm for clf in clfs if not clf.converged]
-    if failed:
-        logger.warning(
-            "%s: the classifier did not converge in %d of %d folds "
-            "(largest final gradient norm %.3e, tol %.1e)",
-            method, len(failed), len(jobs), max(failed), hp.clf_tol,
-        )
-    return CVResult(method, accs, plan)
+    jobs = _FoldJobs(rows, method, (dataset.labels,), (plan,), hp)
+    return CVResult(method, _fold_accuracies(jobs, n_workers, method)[0], plan)
 
 
 def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
@@ -305,25 +382,26 @@ def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> Perm
 
 def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
                  k: int = 10, r: int = 10, hyperparams: Hyperparams | None = None,
-                 n_threads: int = 1) -> ChanceLevel:
+                 n_workers: int = 1) -> ChanceLevel:
     """Label-shuffle chance estimate using the benchmark pipeline.
 
     Each shuffle permutes the labels, draws a fresh stratified plan, runs
     the full CV and records the mean accuracy; the threshold is the 97.5th
-    percentile (linear interpolation) of those means.
+    percentile (linear interpolation) of those means.  Benchmark features
+    do not depend on the labels, so they are computed once, and every
+    (shuffle, repeat, fold) is one job on up to ``n_workers`` processes.
+    Non-converged classifier fits are counted in one WARNING per call.
     """
     if n_shuffles < 1:
         raise ValueError(f"need at least 1 chance shuffle, got n_shuffles={n_shuffles}")
-    means = np.empty(n_shuffles)
-
-    def one(s: int) -> None:
-        rng = np.random.default_rng([int(plan_seed), s])
-        shuffled = replace(dataset, labels=rng.permutation(dataset.labels))
-        plan = make_fold_plan(shuffled.labels, k=k, r=r, seed=derive_seed(plan_seed, s, 1))
-        res = run_cv(shuffled, "benchmark", plan, hyperparams)
-        means[s] = res.accuracies.mean()
-
-    _run_indexed(one, n_shuffles, n_threads)
+    hp = hyperparams or Hyperparams()
+    labels = [np.random.default_rng([int(plan_seed), s]).permutation(dataset.labels)
+              for s in range(n_shuffles)]
+    plans = [make_fold_plan(y, k=k, r=r, seed=derive_seed(plan_seed, s, 1))
+             for s, y in enumerate(labels)]
+    rows = features.benchmark_features(dataset, windows=hp.benchmark_windows_s)
+    jobs = _FoldJobs(rows, "benchmark", tuple(labels), tuple(plans), hp)
+    means = _fold_accuracies(jobs, n_workers, "chance level").mean(axis=1)
     return ChanceLevel(
         mean_accuracy=float(means.mean()),
         threshold_97_5=float(np.percentile(means, 97.5)),

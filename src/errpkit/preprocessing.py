@@ -115,11 +115,6 @@ class EpochSet:
     def n_samples(self) -> int:
         return self.data.shape[2]
 
-    def subset(self, indices) -> "EpochSet":
-        idx = np.asarray(indices)
-        return EpochSet(self.data[idx], self.labels[idx], self.fs_hz,
-                        self.t0_offset_s, list(self.channels))
-
 
 def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     # reflect padding of 3*order/lo_hz seconds, capped by the signal length

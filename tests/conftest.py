@@ -1,7 +1,10 @@
+import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
+
 import numpy as np
 import pytest
 
 from errpkit import synth
+from errpkit.preprocessing import EpochSet
 
 
 def random_spd(rng: np.random.Generator, d: int, cond: float = 20.0) -> np.ndarray:
@@ -16,6 +19,12 @@ def random_spd(rng: np.random.Generator, d: int, cond: float = 20.0) -> np.ndarr
 def random_symmetric(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.standard_normal((d, d))
     return 0.5 * (a + a.T)
+
+
+def subset(es: EpochSet, indices) -> EpochSet:
+    """The epochs of ``es`` at ``indices``, in that order."""
+    idx = np.asarray(indices)
+    return EpochSet(es.data[idx], es.labels[idx], es.fs_hz, es.t0_offset_s, list(es.channels))
 
 
 def desk_shaped_epochs():

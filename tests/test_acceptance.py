@@ -138,10 +138,10 @@ def test_05_null_calibration():
             es = generate_epochs(labels, spec, n_channels=3, fs_hz=64.0,
                                  seed=seed, pre_s=0.25, post_s=0.75)
             plan = make_fold_plan(es.labels, k=10, r=10, seed=derive_seed(seed, 1))
-            rr = run_cv(es, "riemann", plan)
-            rb = run_cv(es, "benchmark", plan)
+            rr = run_cv(es, "riemann", plan, n_workers=2)
+            rb = run_cv(es, "benchmark", plan, n_workers=2)
             ch = chance_level(es, plan_seed=derive_seed(seed, 2),
-                              n_shuffles=50, k=5, r=2)
+                              n_shuffles=50, k=5, r=2, n_workers=2)
             below_r += rr.accuracies.mean() < ch.threshold_97_5
             below_b += rb.accuracies.mean() < ch.threshold_97_5
             rejections += corrected_t_test(rr, rb).p < 0.05
@@ -185,8 +185,8 @@ def test_07_desk_scale_method_comparison():
             es = generate_dataset(spec, template, seed)
             plan = make_fold_plan(es.labels, k=cfg["folds"], r=cfg["repeats"],
                                   seed=derive_seed(seed, 1))
-            med_r = float(np.median(run_cv(es, "riemann", plan, hp, n_threads=2).accuracies))
-            med_b = float(np.median(run_cv(es, "benchmark", plan, hp, n_threads=2).accuracies))
+            med_r = float(np.median(run_cv(es, "riemann", plan, hp, n_workers=2).accuracies))
+            med_b = float(np.median(run_cv(es, "benchmark", plan, hp, n_workers=2).accuracies))
             wins += med_r > med_b
             losses += med_r < med_b
             print(f"\n  seed {seed}: riemann median {med_r:.4f} vs benchmark {med_b:.4f}")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 import errpkit
-from errpkit import cli, evaluation
+from errpkit import cli, evaluation, logreg
 from errpkit.cli import main
-from errpkit.errors import ErrpkitError
+from errpkit.errors import ErrpkitError, NumericalFailure
 from errpkit.evaluation import derive_seed
 from errpkit.io import (
     REPORT_VERSION,
@@ -310,6 +311,38 @@ class TestThreads:
         ]
         assert not out.exists()
 
+    def test_fold_error_same_line_at_any_worker_count(self, tiny_container, tmp_path,
+                                                     capsys, monkeypatch):
+        def fit(x, y, **kwargs):
+            raise NumericalFailure("planted failure")
+
+        monkeypatch.setattr(logreg, "fit", fit)
+        lines = []
+        for threads in ("1", "2"):
+            capsys.readouterr()
+            assert main(["compare", "--input", str(tiny_container), "--threads", threads,
+                         "--out", str(tmp_path / "report.json")]) == 1
+            lines.append(capsys.readouterr().err.splitlines())
+            assert multiprocessing.active_children() == []
+        assert lines[0] == lines[1] == ["failure: (repeat 0, fold 0): planted failure"]
+
+    def test_dead_worker_exits_1_with_one_line(self, tiny_container, tmp_path, capsys,
+                                               monkeypatch):
+        parent = os.getpid()
+
+        def fit(x, y, **kwargs):
+            assert os.getpid() != parent, "the fit ran in the parent"
+            os._exit(3)
+
+        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capsys.readouterr()
+        assert main(["run", "--input", str(tiny_container), "--method", "benchmark",
+                     "--threads", "2", "--out", str(tmp_path / "run.json")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("failure: a fold worker process died: ")
+        assert multiprocessing.active_children() == []
+
 
 def _src_env(**extra) -> dict:
     """This environment with ``extra`` and the tested package first on PYTHONPATH."""
@@ -448,6 +481,18 @@ class TestOneReport:
         assert sorted(audit["riemann"]) == ["prototype_sha256_failure",
                                             "prototype_sha256_success"]
         assert sorted(audit["benchmark"]) == ["scale"]
+
+
+@pytest.mark.parametrize("preset, printed", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(preset, printed):
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import errpkit, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"
 
 
 def _loaded_by_cli_import(module: str) -> bool:

@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
-from errpkit import features, logreg
-from errpkit.errors import InsufficientData, PlanMismatch
+from errpkit import evaluation, features, logreg
+from errpkit.errors import ErrpkitError, InsufficientData, NumericalFailure, PlanMismatch
 from errpkit.evaluation import (
     CVResult,
     FoldPlan,
@@ -21,6 +24,8 @@ from errpkit.evaluation import (
     _fit_transform,
 )
 from errpkit.synth import ErpTemplateSpec, generate_epochs
+
+from conftest import subset
 
 TINY = dict(n_channels=3, fs_hz=64.0, pre_s=0.25, post_s=0.75)
 
@@ -107,7 +112,7 @@ class TestRunCV:
 
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(es))
-        es2 = es.subset(perm)
+        es2 = subset(es, perm)
         plan2 = FoldPlan(plan.n_epochs, plan.k, plan.r,
                          plan.assignments[:, perm], plan.seed)
         moved = run_cv(es2, "riemann", plan2)
@@ -116,8 +121,8 @@ class TestRunCV:
     def test_thread_count_does_not_change_result(self):
         es = tiny_dataset(seed=12)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=13)
-        r1 = run_cv(es, "benchmark", plan, n_threads=1)
-        r2 = run_cv(es, "benchmark", plan, n_threads=3)
+        r1 = run_cv(es, "benchmark", plan, n_workers=1)
+        r2 = run_cv(es, "benchmark", plan, n_workers=3)
         assert np.array_equal(r1.accuracies, r2.accuracies)
 
     @pytest.mark.parametrize("method", ["riemann", "benchmark"])
@@ -133,7 +138,7 @@ class TestRunCV:
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
             xtr, xte = _fit_transform(rows, es.labels, method, tr, te, hp)
             # the fold's features are those of its own epochs alone
-            train, test = es.subset(tr), es.subset(te)
+            train, test = subset(es, tr), subset(es, te)
             if method == "riemann":
                 model = features.fit_riemann(features.riemann_windows(train), train.labels)
                 assert np.array_equal(xtr, model.train_features)
@@ -166,9 +171,9 @@ class TestRunCV:
         counted("riemann_windows")
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=3, seed=19)
-        run_cv(es, "benchmark", plan, n_threads=2)
+        run_cv(es, "benchmark", plan, n_workers=2)
         assert calls == [("benchmark_features", len(es))]
-        run_cv(es, "riemann", plan, n_threads=2)
+        run_cv(es, "riemann", plan, n_workers=2)
         assert calls == [("benchmark_features", len(es)), ("riemann_windows", len(es))]
 
     def test_plan_size_mismatch(self):
@@ -181,8 +186,8 @@ class TestRunCV:
     def test_thread_count_below_one_rejected(self, threads):
         es = tiny_dataset(seed=16)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=17)
-        with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
-            run_cv(es, "benchmark", plan, n_threads=threads)
+        with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {threads}"):
+            run_cv(es, "benchmark", plan, n_workers=threads)
 
     def test_nonconverged_folds_warn_once(self, caplog):
         es = tiny_dataset(seed=18)
@@ -212,6 +217,120 @@ class TestRunCV:
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
             run_cv(es, "benchmark", plan)
         assert caplog.records == []
+
+
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: runs the map in this process
+    and records the pool size it was asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestFoldRunner:
+    @staticmethod
+    def fail_some_fits(monkeypatch):
+        """Make about a third of the folds' classifier fits raise, chosen by
+        their training data, so forked workers fail the same folds."""
+        original = logreg.fit
+
+        def fit(x, y, **kwargs):
+            if int(np.abs(x).sum() * 1e3) % 3 == 0:
+                raise NumericalFailure("planted failure")
+            return original(x, y, **kwargs)
+
+        monkeypatch.setattr(logreg, "fit", fit)
+
+    def test_fold_error_same_at_one_and_two_workers(self, monkeypatch):
+        self.fail_some_fits(monkeypatch)
+        es = tiny_dataset(seed=21)
+        plan = make_fold_plan(es.labels, k=4, r=10, seed=22)
+        raised = []
+        for n_workers in (1, 2):
+            with pytest.raises(NumericalFailure) as info:
+                run_cv(es, "benchmark", plan, n_workers=n_workers)
+            raised.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1]
+        assert raised[0][1].startswith("(repeat ") and raised[0][1].endswith("planted failure")
+
+    def test_first_error_skips_the_remaining_folds(self, monkeypatch):
+        # the first fold fails; every other fold takes 20 ms and is counted
+        ran = multiprocessing.get_context("fork").Value("i", 0)
+        original = evaluation._run_fold
+
+        def run_fold(rows, labels, method, plan, rep, fold, hp):
+            if (rep, fold) == (0, 0):
+                raise NumericalFailure("(repeat 0, fold 0): planted failure")
+            with ran.get_lock():
+                ran.value += 1
+            time.sleep(0.02)
+            return original(rows, labels, method, plan, rep, fold, hp)
+
+        monkeypatch.setattr(evaluation, "_run_fold", run_fold)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        es = tiny_dataset(seed=23)
+        plan = make_fold_plan(es.labels, k=4, r=25, seed=24)
+        with pytest.raises(NumericalFailure, match=r"^\(repeat 0, fold 0\): planted failure$"):
+            run_cv(es, "benchmark", plan, n_workers=2)
+        assert multiprocessing.active_children() == []
+        # 12 folds a chunk, 3 chunks in flight: only skipping the rest keeps
+        # the other worker from running all of its chunk
+        assert ran.value < 12
+
+    def test_dead_worker_raises_one_errpkit_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def fit(x, y, **kwargs):
+            assert os.getpid() != parent, "the fit ran in the parent"
+            os._exit(3)
+
+        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        es = tiny_dataset(seed=25)
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=26)
+        with pytest.raises(ErrpkitError, match="^a fold worker process died: "):
+            run_cv(es, "benchmark", plan, n_workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_never_larger_than_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        for name in ("_worker_jobs", "_worker_abort"):  # the fake installs them here
+            monkeypatch.setattr(evaluation, name, None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        es = tiny_dataset(seed=27)
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=28)
+        pooled = run_cv(es, "benchmark", plan, n_workers=10_000)
+        chance_level(es, plan_seed=29, n_shuffles=2, k=4, r=1, n_workers=10_000)
+        assert InProcessPool.sizes == [3, 3]
+        assert np.array_equal(pooled.accuracies, run_cv(es, "benchmark", plan).accuracies)
+        # never more workers than jobs
+        run_cv(es, "benchmark", make_fold_plan(es.labels, k=2, r=1, seed=30), n_workers=10_000)
+        assert InProcessPool.sizes == [3, 3, 2]
+
+    def test_one_worker_constructs_no_executor(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("n_workers=1 constructed an executor")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        es = tiny_dataset(seed=31)
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=32)
+        run_cv(es, "riemann", plan, n_workers=1)
+        chance_level(es, plan_seed=33, n_shuffles=2, k=4, r=1, n_workers=1)
+        assert multiprocessing.active_children() == []
 
 
 class TestCorrectedTTest:
@@ -340,8 +459,34 @@ class TestChanceLevel:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):
         es = tiny_dataset(seed=19)
-        with pytest.raises(ValueError, match=f"n_threads must be at least 1, got {threads}"):
-            chance_level(es, plan_seed=20, n_shuffles=2, k=4, r=1, n_threads=threads)
+        with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {threads}"):
+            chance_level(es, plan_seed=20, n_shuffles=2, k=4, r=1, n_workers=threads)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_benchmark_features_computed_once_per_call(self, monkeypatch, n_workers):
+        calls = []
+        original = features.benchmark_features
+
+        def counted(es, *args, **kwargs):
+            calls.append(len(es))
+            return original(es, *args, **kwargs)
+
+        monkeypatch.setattr(features, "benchmark_features", counted)
+        es = tiny_dataset(seed=34)
+        chance_level(es, plan_seed=35, n_shuffles=4, k=4, r=2, n_workers=n_workers)
+        assert calls == [len(es)]
+
+    def test_nonconverged_folds_warn_once(self, caplog):
+        es = tiny_dataset(seed=18)
+        with caplog.at_level("WARNING", logger="errpkit.evaluation"):
+            ch = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2,
+                              hyperparams=Hyperparams(clf_max_iter=1))
+        [record] = caplog.records
+        assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
+        msg = record.getMessage()
+        assert msg.startswith("chance level: the classifier did not converge in 24 of 24 folds")
+        assert "largest final gradient norm" in msg
+        assert ch.n_shuffles == 3
 
     @pytest.mark.parametrize("n_shuffles", [0, -2])
     def test_no_shuffles_rejected(self, n_shuffles):

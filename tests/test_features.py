@@ -28,7 +28,7 @@ from errpkit.features import (
 from errpkit.preprocessing import EpochSet
 from errpkit.synth import ErpTemplateSpec
 
-from conftest import desk_shaped_epochs
+from conftest import desk_shaped_epochs, subset
 
 
 def make_set(rng, n_trials=20, n_channels=4, fs=256.0, pre=0.5, post=0.7, scale=5.0,
@@ -177,7 +177,7 @@ class TestFitRiemann:
         es = make_set(rng, n_trials=16, n_channels=3)
         perm = rng.permutation(16)
         m1 = fit_riemann(riemann_windows(es), es.labels)
-        moved = es.subset(perm)
+        moved = subset(es, perm)
         m2 = fit_riemann(riemann_windows(moved), moved.labels)
         assert np.array_equal(m1.prototypes.proto_success, m2.prototypes.proto_success)
         assert np.array_equal(m1.prototypes.proto_failure, m2.prototypes.proto_failure)
@@ -185,7 +185,7 @@ class TestFitRiemann:
 
     def test_train_features_equal_transform_of_train(self, rng):
         es = desk_shaped_epochs()
-        for train in (es, es.subset(rng.permutation(len(es)))):
+        for train in (es, subset(es, rng.permutation(len(es)))):
             windows = riemann_windows(train)
             model = fit_riemann(windows, train.labels, mean_tol=1e-4)
             assert np.array_equal(model.train_features, transform_riemann_set(model, windows))
@@ -195,7 +195,7 @@ class TestTransformRiemann:
     def test_feature_length_4656(self, rng):
         es = make_set(rng, n_trials=8, n_channels=32, fs=256.0, pre=0.5, post=0.7)
         model = fit_riemann(riemann_windows(es), es.labels)
-        v = transform_riemann_set(model, riemann_windows(es.subset([0])))
+        v = transform_riemann_set(model, riemann_windows(subset(es, [0])))
         assert v.shape == (1, 4656)
 
     def test_norm_matches_distance_oracle(self, rng):
@@ -214,7 +214,7 @@ class TestTransformRiemann:
         data = np.broadcast_to(base, (6, 3, 307)).copy()
         es = EpochSet(data, np.arange(6) % 2, 256.0, -0.5, ["a", "b", "c"])
         model = fit_riemann(riemann_windows(es), es.labels)
-        v = transform_riemann_set(model, riemann_windows(es.subset([0])))
+        v = transform_riemann_set(model, riemann_windows(subset(es, [0])))
         assert v.shape == (1, 9 * 10 // 2)
         assert np.abs(v).max() < 1e-7
 
@@ -297,7 +297,7 @@ class TestBenchmark:
     def test_permuted_training_order_bit_identical(self, rng):
         es = make_set(rng, n_trials=9, n_channels=3)
         s1 = max_abs_scale(benchmark_features(es))
-        s2 = max_abs_scale(benchmark_features(es.subset(rng.permutation(9))))
+        s2 = max_abs_scale(benchmark_features(subset(es, rng.permutation(9))))
         assert np.array_equal(s1, s2)
 
     def test_rows_of_whole_set_equal_features_of_subset(self, rng):
@@ -305,7 +305,7 @@ class TestBenchmark:
         es = make_set(rng, n_trials=30, n_channels=5)
         whole = benchmark_features(es)
         for idx in (rng.permutation(30)[:11], np.arange(0, 30, 3), np.array([29])):
-            assert np.array_equal(whole[idx], benchmark_features(es.subset(idx)))
+            assert np.array_equal(whole[idx], benchmark_features(subset(es, idx)))
 
     def test_scale_of_no_rows_rejected(self):
         with pytest.raises(EmptyInput):
