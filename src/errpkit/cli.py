@@ -50,8 +50,10 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = load_config(args.config, args.set)
+    spec = from_config(PreprocessSpec, cfg)
     rec, labels = io.read_continuous_container(args.input)
-    es, skipped = preprocess_recording(rec, labels, from_config(PreprocessSpec, cfg))
+    labels = [lab for (_, code), lab in zip(rec.events, labels) if code == spec.event_code]
+    es, skipped = preprocess_recording(rec, labels, spec)
     io.write_epoch_container(
         args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": cfg},
     )

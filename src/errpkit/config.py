@@ -9,6 +9,7 @@ and :func:`from_config` builds any of these dataclasses back from a config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -61,6 +62,18 @@ def _matches(value, default) -> bool:
     return type(value) is type(default)
 
 
+def _finite(value) -> bool:
+    """Whether every number in a JSON value, at any depth, is finite: ``json``
+    parses ``NaN``, ``Infinity`` and ``-Infinity``."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return _finite(list(value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return True
+
+
 def _checked(key: str, value, source: str):
     if key not in DEFAULTS:
         raise ConfigError(f"unknown config field {key!r} in {source}")
@@ -68,6 +81,11 @@ def _checked(key: str, value, source: str):
         raise ConfigError(
             f"config field {key!r} in {source} must have the type of its default "
             f"{json.dumps(DEFAULTS[key])}, got {json.dumps(value)}"
+        )
+    if not _finite(value):
+        raise ConfigError(
+            f"config field {key!r} in {source} must hold finite numbers only, "
+            f"got {json.dumps(value)}"
         )
     return value
 

@@ -17,12 +17,10 @@ are the only parallelism.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 # ThreadPoolExecutor runs nothing here; bench/tracer.py:204 rebinds it, so
 # the name stays bound until that line goes.
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +30,11 @@ from .errors import (
     EmptyInput,
     ErrpkitError,
     InsufficientData,
+    InvalidWindow,
     NumericalFailure,
     PlanMismatch,
 )
-from .preprocessing import EpochSet
+from .preprocessing import EpochSet, check_window
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +114,13 @@ class Hyperparams:
     clf_max_iter: int = logreg.DEFAULT_MAX_ITER
     mean_tol: float = manifold.DEFAULT_MEAN_TOL
     mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER
+
+    def __post_init__(self):
+        check_window("riemann_window_s", self.riemann_window_s)
+        if not self.benchmark_windows_s:
+            raise InvalidWindow("benchmark_windows_s must hold at least one window")
+        for i, window in enumerate(self.benchmark_windows_s):
+            check_window(f"benchmark_windows_s[{i}]", window)
 
 
 def derive_seed(*parts) -> int:
@@ -261,6 +267,9 @@ def _map_on_workers(jobs: _FoldJobs, n_workers: int) -> list:
     jobs after it are cancelled or skipped, and every worker is joined
     before this returns.  A worker that dies raises :class:`ErrpkitError`.
     """
+    import multiprocessing  # imported on use: only a pooled run needs it
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     import scipy.special  # noqa: F401  # loaded before the fork, else every worker imports it
 
     ctx = multiprocessing.get_context("fork")

@@ -3,8 +3,9 @@
 An epoch container is a directory holding ``manifest.json``, ``data.bin``
 (raw little-endian float32, trial-major then channel then sample) and
 ``labels.bin`` (one byte per trial).  A continuous container holds a
-channels-by-samples float32 block plus ``events.json``.  Reports are
-canonical JSON: sorted keys, fixed separators, native floats.
+channels-by-samples float32 block plus ``events.json``.  One inspector
+checks the manifest and samples of both kinds and lists every violation.
+Reports are canonical JSON: sorted keys, fixed separators, native floats.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .labels import FAILURE, LABEL_NAMES, SUCCESS
+from .labels import LABEL_NAMES
 from .preprocessing import ContinuousRecording, EpochSet
 
 FORMAT_VERSION = 1
@@ -42,6 +43,7 @@ _KINDS = {  # kind -> (what a value must be, its test)
     "names": ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v)),
     "codes": ("an object keyed by label bytes",
               lambda v: type(v) is dict and all(k.isdecimal() for k in v)),
+    "continuous": ('"continuous"', lambda v: v == "continuous"),
 }
 _EPOCH_FIELDS = {
     "format_version": "count", "n_trials": "count", "n_channels": "count",
@@ -49,8 +51,8 @@ _EPOCH_FIELDS = {
     "channel_names": "names", "label_codes": "codes",
 }
 _CONTINUOUS_FIELDS = {
-    "format_version": "count", "n_channels": "count", "n_samples": "count",
-    "fs_hz": "number", "channel_names": "names",
+    "format_version": "count", "kind": "continuous", "n_channels": "count",
+    "n_samples": "count", "fs_hz": "number", "channel_names": "names", "label_codes": "codes",
 }
 _EVENT_FIELDS = {"sample": "count", "code": "count", "label": "count"}
 
@@ -71,45 +73,48 @@ def _field_problems(doc, spec: dict[str, str], what: str) -> list[str]:
 
 
 def _load_json(path: Path):
-    """The JSON document in ``path``; text that does not parse is a ContainerError
-    naming the file."""
+    """The JSON document in ``path``; a missing file or text that does not
+    parse is a ContainerError naming the file."""
+    if not path.is_file():
+        raise ContainerError(f"missing {path.name}")
     try:
         return json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ContainerError(f"unreadable {path.name}: {exc}") from None
 
 
-def _version_problems(manifest: dict) -> list[str]:
-    """A well-typed manifest whose ``format_version`` is newer than this reader's."""
-    version = manifest["format_version"]
-    if version > FORMAT_VERSION:
-        return [f"manifest field 'format_version' is {version}, "
-                f"newer than the supported {FORMAT_VERSION}"]
-    return []
+def _label_problems(labels, manifest: dict, what: str) -> list[str]:
+    """A line naming the codes among ``labels`` that the manifest's
+    ``label_codes`` does not declare, if any."""
+    bad = sorted(set(labels) - {int(code) for code in manifest["label_codes"]})
+    return [f"{what} contains undeclared codes {bad}"] if bad else []
 
 
-def _label_codes() -> dict[str, str]:
-    return {str(code): name for code, name in LABEL_NAMES.items()}
-
-
-def write_epoch_container(path, es: EpochSet, extra_manifest: dict | None = None) -> Path:
+def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
+                     fields: dict) -> Path:
+    """Write the manifest that both kinds share, plus ``fields``, and the
+    samples of ``rec`` as ``data.bin``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": "epochs",
-        "n_trials": len(es),
-        "n_channels": es.n_channels,
-        "n_samples": es.n_samples,
-        "fs_hz": float(es.fs_hz),
-        "t0_offset_s": float(es.t0_offset_s),
-        "channel_names": list(es.channels),
-        "label_codes": _label_codes(),
+        "kind": kind,
+        "n_channels": rec.n_channels,
+        "n_samples": rec.n_samples,
+        "fs_hz": float(rec.fs_hz),
+        "channel_names": list(rec.channels),
+        "label_codes": {str(code): name for code, name in LABEL_NAMES.items()},
+        **fields,
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     (path / MANIFEST_NAME).write_text(canonical_json(manifest))
-    (path / DATA_NAME).write_bytes(np.ascontiguousarray(es.data, dtype="<f4").tobytes())
+    (path / DATA_NAME).write_bytes(np.ascontiguousarray(rec.data, dtype="<f4").tobytes())
+    return path
+
+
+def write_epoch_container(path, es: EpochSet, extra_manifest: dict | None = None) -> Path:
+    path = _write_container(path, "epochs", es, {
+        "n_trials": len(es), "t0_offset_s": float(es.t0_offset_s), **(extra_manifest or {}),
+    })
     (path / LABELS_NAME).write_bytes(es.labels.astype(np.uint8).tobytes())
     return path
 
@@ -119,10 +124,9 @@ def read_epoch_container(path) -> EpochSet:
     problems, manifest, data = _inspect_epoch_container(path)
     if problems:
         raise ContainerError("; ".join(problems))
-    n, c, s = manifest["n_trials"], manifest["n_channels"], manifest["n_samples"]
     labels = np.frombuffer((path / LABELS_NAME).read_bytes(), dtype=np.uint8)
     return EpochSet(
-        data.reshape(n, c, s).astype(np.float64),
+        data.astype(np.float64),
         labels.astype(np.int64),
         manifest["fs_hz"],
         manifest["t0_offset_s"],
@@ -142,76 +146,67 @@ def _count_nonfinite(data: np.ndarray) -> int:
                for i in range(0, flat.size, _CHUNK))
 
 
-def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.ndarray | None]:
-    """The violations of the container at ``path``, its manifest once that is
-    well-typed, and the flat float32 samples once ``data.bin`` has the right size."""
-    mpath = path / MANIFEST_NAME
-    if not mpath.is_file():
-        return [f"missing {MANIFEST_NAME}"], None, None
+def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
+             ) -> tuple[list[str], dict | None, np.ndarray | None]:
+    """The violations of the container at ``path``, whose manifest must hold
+    the fields ``spec``; its manifest once that is well-typed; and its float32
+    samples, shaped by the manifest fields ``shape``, once ``data.bin`` has
+    that size."""
     try:
-        manifest = _load_json(mpath)
+        manifest = _load_json(path / MANIFEST_NAME)
     except ContainerError as exc:
         return [str(exc)], None, None
-
-    problems = _field_problems(manifest, _EPOCH_FIELDS, "manifest")
+    problems = _field_problems(manifest, spec, "manifest")
     if problems:
         return problems, None, None
-    problems = _version_problems(manifest)
-    n, c, s = manifest["n_trials"], manifest["n_channels"], manifest["n_samples"]
+    if manifest["format_version"] > FORMAT_VERSION:
+        problems.append(f"manifest field 'format_version' is {manifest['format_version']}, "
+                        f"newer than the supported {FORMAT_VERSION}")
     if manifest["fs_hz"] <= 0:
         problems.append("fs_hz must be positive")
-    if len(manifest["channel_names"]) != c:
-        problems.append(
-            f"channel_names has {len(manifest['channel_names'])} entries, expected {c}"
-        )
+    n_names, c = len(manifest["channel_names"]), manifest["n_channels"]
+    if n_names != c:
+        problems.append(f"channel_names has {n_names} entries, expected {c}")
 
+    dims = tuple(manifest[key] for key in shape)
     data = None
     dpath = path / DATA_NAME
     if not dpath.is_file():
         problems.append(f"missing {DATA_NAME}")
+    elif (actual := dpath.stat().st_size) != 4 * math.prod(dims):
+        problems.append(f"data file is {actual} bytes, expected {4 * math.prod(dims)}")
     else:
-        expected = 4 * n * c * s
-        actual = dpath.stat().st_size
-        if actual != expected:
-            problems.append(f"data file is {actual} bytes, expected {expected}")
-        else:
-            data = np.fromfile(dpath, dtype="<f4")
-            bad = _count_nonfinite(data)
-            if bad:
-                problems.append(f"data file holds {bad} non-finite samples")
+        data = np.fromfile(dpath, dtype="<f4").reshape(dims)
+        bad = _count_nonfinite(data)
+        if bad:
+            problems.append(f"data file holds {bad} non-finite samples")
+    return problems, manifest, data
 
+
+def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.ndarray | None]:
+    """:func:`_inspect` of an epoch container, plus the checks of ``labels.bin``."""
+    problems, manifest, data = _inspect(path, _EPOCH_FIELDS,
+                                        ("n_trials", "n_channels", "n_samples"))
+    if manifest is None:
+        return problems, None, None
     lpath = path / LABELS_NAME
     if not lpath.is_file():
         problems.append(f"missing {LABELS_NAME}")
     else:
         raw = lpath.read_bytes()
+        n = manifest["n_trials"]
         if len(raw) != n:
             problems.append(f"labels file has {len(raw)} bytes, expected {n}")
-        declared = {int(k) for k in manifest["label_codes"]}
-        bad = sorted({b for b in raw} - declared)
-        if bad:
-            problems.append(f"labels file contains undeclared codes {bad}")
+        problems += _label_problems(raw, manifest, "labels file")
     return problems, manifest, data
 
 
 def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> Path:
     """Continuous recording plus labelled events, for the preprocess command."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     event_labels = list(event_labels)
     if len(event_labels) != len(rec.events):
         raise ValueError("need one label per event")
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "continuous",
-        "n_channels": rec.n_channels,
-        "n_samples": rec.n_samples,
-        "fs_hz": float(rec.fs_hz),
-        "channel_names": list(rec.channels),
-        "label_codes": _label_codes(),
-    }
-    (path / MANIFEST_NAME).write_text(canonical_json(manifest))
-    (path / DATA_NAME).write_bytes(np.ascontiguousarray(rec.data, dtype="<f4").tobytes())
+    path = _write_container(path, "continuous", rec, {})
     events = [
         {"sample": int(s), "code": int(code), "label": int(lab)}
         for (s, code), lab in zip(rec.events, event_labels)
@@ -220,34 +215,35 @@ def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> 
     return path
 
 
+def _event_problems(events, manifest: dict) -> list[str]:
+    """The violations of the ``events.json`` document ``events``: its type, the
+    fields of the first malformed event, or labels the manifest does not declare."""
+    if not isinstance(events, list):
+        return [f"{EVENTS_NAME} is not a JSON list"]
+    for i, event in enumerate(events):
+        problems = _field_problems(event, _EVENT_FIELDS, f"event {i}")
+        if problems:
+            return problems
+    return _label_problems([e["label"] for e in events], manifest, "event field 'label'")
+
+
 def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
+    """The recording and the label of each of its events.  A container that
+    violates the format raises one ContainerError that names every violation."""
     path = Path(path)
-    manifest = _load_json(path / MANIFEST_NAME)
-    if not isinstance(manifest, dict) or manifest.get("kind") != "continuous":
-        raise ContainerError(f"{path} is not a continuous container")
-    problems = (_field_problems(manifest, _CONTINUOUS_FIELDS, "manifest")
-                or _version_problems(manifest))
+    problems, manifest, data = _inspect(path, _CONTINUOUS_FIELDS, ("n_channels", "n_samples"))
+    if manifest is not None:
+        try:
+            events = _load_json(path / EVENTS_NAME)
+        except ContainerError as exc:
+            problems.append(str(exc))
+        else:
+            problems += _event_problems(events, manifest)
     if problems:
         raise ContainerError("; ".join(problems))
-    c, s = manifest["n_channels"], manifest["n_samples"]
-    raw = (path / DATA_NAME).read_bytes()
-    if len(raw) != 4 * c * s:
-        raise ContainerError(f"data file is {len(raw)} bytes, expected {4 * c * s}")
-    data = np.frombuffer(raw, dtype="<f4").reshape(c, s)
-    bad = _count_nonfinite(data)
-    if bad:
-        raise ContainerError(f"data file holds {bad} non-finite samples")
-    events_raw = _load_json(path / EVENTS_NAME)
-    if not isinstance(events_raw, list):
-        raise ContainerError(f"{EVENTS_NAME} is not a JSON list")
-    for i, e in enumerate(events_raw):
-        problems = _field_problems(e, _EVENT_FIELDS, f"event {i}")
-        if problems:
-            raise ContainerError("; ".join(problems))
-    events = [(e["sample"], e["code"]) for e in events_raw]
-    labels = [e["label"] for e in events_raw]
-    rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]), data, events)
-    return rec, labels
+    rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]), data,
+                              [(e["sample"], e["code"]) for e in events])
+    return rec, [e["label"] for e in events]
 
 
 def _to_native(obj):

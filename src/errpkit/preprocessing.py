@@ -212,6 +212,15 @@ def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post
     return starts, n_pre + n_post, np.asarray(kept_labels), skipped
 
 
+def check_window(name: str, window) -> None:
+    """Raise :class:`InvalidWindow` unless ``window``, the setting ``name``, is a
+    (start, stop) pair of numbers with start < stop."""
+    if not (len(window) == 2 and all(isinstance(t, (int, float)) for t in window)
+            and window[0] < window[1]):
+        raise InvalidWindow(
+            f"{name} must be a (start, stop) pair with start < stop, got {list(window)}")
+
+
 def _window_slice(fs: float, t0: float, n_samples: int, t_a: float, t_b: float) -> slice:
     start = sample_index(t_a, t0, fs)
     stop = sample_index(t_b, t0, fs)
@@ -260,6 +269,9 @@ class PreprocessSpec:
     target_fs_hz: float = 256.0
     event_code: int = 1
     baseline_before_downsample: bool = True
+
+    def __post_init__(self):
+        check_window("baseline_window_s", self.baseline_window_s)
 
 
 def preprocess_recording(rec: ContinuousRecording, labels,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import errpkit
-from errpkit import cli, evaluation, logreg
+from errpkit import cli, evaluation, logreg, preprocessing
 from errpkit.cli import main
 from errpkit.errors import ErrpkitError, NumericalFailure
 from errpkit.evaluation import derive_seed
@@ -96,10 +96,18 @@ class TestSynthErrors:
         (["step_factor=1.0"], "error: step_factor must exceed 1, got 1.0"),
         (["label_source=staircase", "start_contrast=-1"],
          "error: start_contrast must be positive, got -1"),
+        (["frn_amp_uv=NaN"],
+         "error: config field 'frn_amp_uv' in --set must hold finite numbers only, got NaN"),
+        (["noise_rms_uv=NaN"],
+         "error: config field 'noise_rms_uv' in --set must hold finite numbers only, got NaN"),
+        (["topography=[1, 0.5, Infinity]"],
+         "error: config field 'topography' in --set must hold finite numbers only, "
+         "got [1, 0.5, Infinity]"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
-            "step_factor-1", "start_contrast-staircase"])
+            "step_factor-1", "start_contrast-staircase", "frn_amp_uv-nan", "noise_rms_uv-nan",
+            "topography-infinity"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()
@@ -421,6 +429,38 @@ class TestShortWindow:
         assert not out.exists()
 
 
+class TestWindowSettings:
+    """A window setting that is not one (start, stop) pair, or no benchmark
+    window at all, exits 2 with one line before the input is read."""
+
+    @pytest.mark.parametrize("command, setting, line", [
+        ("preprocess", "baseline_window_s=[0.1]",
+         "error: baseline_window_s must be a (start, stop) pair with start < stop, got [0.1]"),
+        ("preprocess", "baseline_window_s=[-0.5, -0.2, 0.0]",
+         "error: baseline_window_s must be a (start, stop) pair with start < stop, "
+         "got [-0.5, -0.2, 0.0]"),
+        ("compare", "riemann_window_s=[0.1]",
+         "error: riemann_window_s must be a (start, stop) pair with start < stop, got [0.1]"),
+        ("compare", "riemann_window_s=[0.6, 0.1]",
+         "error: riemann_window_s must be a (start, stop) pair with start < stop, "
+         "got [0.6, 0.1]"),
+        ("compare", "benchmark_windows_s=[]",
+         "error: benchmark_windows_s must hold at least one window"),
+        ("compare", "benchmark_windows_s=[[0.1, 0.2], [0.3]]",
+         "error: benchmark_windows_s[1] must be a (start, stop) pair with start < stop, "
+         "got [0.3]"),
+    ], ids=["baseline-one", "baseline-three", "riemann-one", "riemann-reversed",
+            "benchmark-none", "benchmark-one"])
+    def test_exits_2_before_reading(self, tmp_path, capsys, command, setting, line):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--input", str(tmp_path / "absent"), "--out", str(out),
+                     "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
+
+
 class TestChanceCommand:
     def test_writes_chance_doc(self, shared_tmp, tiny_container):
         out = shared_tmp / "chance.json"
@@ -514,6 +554,10 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
     assert not _loaded_by_cli_import("scipy.linalg")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    assert not _loaded_by_cli_import("multiprocessing")
 
 
 def make_raw(tmp_path, n_events=4, fs=2048.0):
@@ -618,6 +662,41 @@ class TestPreprocess:
             "error: data file holds 1 non-finite samples"
         ]
         assert not (tmp_path / "ep").exists()
+
+    @pytest.mark.parametrize("name, key, value, line", [
+        ("data.bin", None, None, "error: missing data.bin"),
+        ("manifest.json", "fs_hz", 0, "error: fs_hz must be positive"),
+        ("manifest.json", "channel_names", ["Fz", "Cz"],
+         "error: channel_names has 2 entries, expected 3"),
+        ("events.json", "label", 7, "error: event field 'label' contains undeclared codes [7]"),
+    ], ids=["no-data", "fs_hz-0", "channel-count", "event-label"])
+    def test_malformed_container_exits_2_before_filtering(self, tmp_path, capsys, monkeypatch,
+                                                          name, key, value, line):
+        raw = make_raw(tmp_path)
+        if key is None:
+            (raw / name).unlink()
+        else:
+            _set_field(raw / name, key, value, index=1 if name == "events.json" else None)
+        calls = []
+        monkeypatch.setattr(preprocessing, "_filter_rows", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--out", str(tmp_path / "ep")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert calls == []
+        assert not (tmp_path / "ep").exists()
+
+    def test_events_of_other_codes_are_skipped(self, tmp_path):
+        fs = 512.0
+        data = np.random.default_rng(1).standard_normal((3, int(fs * 20)))
+        # feedback events (code 1) labelled 1, 0, 1 between markers (code 2) labelled 0
+        events = [(int(fs * t), code) for t, code in
+                  [(1.0, 2), (2.0, 1), (5.0, 1), (6.5, 2), (9.0, 1)]]
+        rec = ContinuousRecording(fs, ["Fz", "Cz", "Pz"], data, events)
+        raw = write_continuous_container(tmp_path / "raw", rec, [0, 1, 0, 0, 1])
+        out = tmp_path / "ep"
+        assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
+        assert (out / "labels.bin").read_bytes() == bytes([1, 0, 1])
 
     def test_no_events_exits_2(self, tmp_path):
         raw = make_raw(tmp_path)

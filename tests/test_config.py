@@ -27,9 +27,14 @@ class TestTypeCheck:
         "folds=abc", 'reg_c="x"', "folds=true", "reg_c=false", "confound_enabled=1",
         "folds=10.0", "riemann_window_s=0.1", 'notch_hz=[50, "x"]',
         "benchmark_windows_s=[0.1, 0.2]", "notch_hz=null",
+        "reg_c=NaN", "mean_tol=Infinity", "epoch_post_s=-Infinity", "notch_hz=[50, NaN]",
+        "benchmark_windows_s=[[0.1, Infinity]]", "topography=[1, NaN]", "topography=NaN",
     ])
     def test_mismatched_values_rejected(self, item):
-        with pytest.raises(ConfigError, match="must have the type of its default"):
+        key, _, value = item.partition("=")
+        problem = ("must hold finite numbers only" if "NaN" in value or "Infinity" in value
+                   else "must have the type of its default")
+        with pytest.raises(ConfigError, match=f"^config field '{key}' in --set {problem}"):
             load_config(overrides=[item])
 
     def test_file_values_checked(self, tmp_path):

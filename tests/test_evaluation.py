@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import math
 import multiprocessing
 import os
@@ -306,7 +307,7 @@ class TestFoldRunner:
         assert multiprocessing.active_children() == []
 
     def test_pool_never_larger_than_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(InProcessPool, "sizes", [])
         for name in ("_worker_jobs", "_worker_abort"):  # the fake installs them here
             monkeypatch.setattr(evaluation, name, None)
@@ -325,7 +326,7 @@ class TestFoldRunner:
         def no_pool(*args, **kwargs):
             raise AssertionError("n_workers=1 constructed an executor")
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         es = tiny_dataset(seed=31)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=32)
         run_cv(es, "riemann", plan, n_workers=1)
