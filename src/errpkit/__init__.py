@@ -10,9 +10,10 @@ for desk-scale verification.
 """
 import os
 
-# One BLAS thread per process: the fold workers of ``evaluation`` are the
-# package's only parallelism.  A value the caller set wins, and none of this
-# has an effect once numpy is loaded.
+# One BLAS thread per process: the worker processes of ``parallel``, which
+# run the folds of ``evaluation`` and the filter jobs of ``preprocessing``,
+# are the package's only parallelism.  A value the caller set wins, and none
+# of this has an effect once numpy is loaded.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

@@ -53,7 +53,9 @@ def cmd_preprocess(args) -> int:
     spec = from_config(PreprocessSpec, cfg)
     rec, labels = io.read_continuous_container(args.input)
     labels = [lab for (_, code), lab in zip(rec.events, labels) if code == spec.event_code]
-    es, skipped = preprocess_recording(rec, labels, spec)
+    # every CPU this process may run on, so `taskset` bounds the workers
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    es, skipped = preprocess_recording(rec, labels, spec, n_workers=cpus or 1)
     io.write_epoch_container(
         args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": cfg},
     )
@@ -146,10 +148,11 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
+    # every input before the first plan: a bad later one exits 2 before any fold
+    datasets = [io.read_epoch_container(in_path) for in_path in args.input]
     dataset_blocks = []
     pairs = []
-    for d_index, in_path in enumerate(args.input):
-        es = io.read_epoch_container(in_path)
+    for d_index, (in_path, es) in enumerate(zip(args.input, datasets)):
         plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
                                          seed=evaluation.derive_seed(seed, d_index))
         audit = _audit_blocks(es, hp, args.methods)  # before the folds: rejects a short window

@@ -7,17 +7,16 @@ estimation (benchmark pipeline only).
 
 Folds are independent jobs.  ``run_cv`` and ``chance_level`` each compute
 the method's rows once and map one job per (labelling, repeat, fold) over
-them: in this process at one worker, else on forked worker processes.
-The workers inherit the rows, labels, plans and hyperparameters in memory
-and send back only each fold's accuracy and classifier convergence.
-Results are placed by job index, so they do not depend on the worker
-count.  ``errpkit/__init__.py`` pins BLAS to one thread, so the workers
-are the only parallelism.
+them with :func:`parallel.map_jobs`: in this process at one worker, else
+on forked worker processes.  The workers inherit the rows, labels, plans
+and hyperparameters in memory and send back only each fold's accuracy and
+classifier convergence.  Results are placed by job index, so they do not
+depend on the worker count.
 """
 from __future__ import annotations
 
+import functools
 import logging
-import os
 # ThreadPoolExecutor runs nothing here; bench/tracer.py:204 rebinds it, so
 # the name stays bound until that line goes.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features, logreg, manifold
+from . import features, logreg, manifold, parallel
 from .errors import (
     EmptyInput,
     ErrpkitError,
@@ -244,62 +243,14 @@ def _run_job(jobs: _FoldJobs, i: int) -> tuple[float, bool, float]:
     return acc, clf.converged, clf.final_grad_norm
 
 
-# Set in each worker process by _install_jobs, never in the parent.
-_worker_jobs: _FoldJobs | None = None
-_worker_abort = None
-
-
-def _install_jobs(jobs: _FoldJobs, abort) -> None:
-    global _worker_jobs, _worker_abort
-    _worker_jobs, _worker_abort = jobs, abort
-
-
-def _worker_job(i: int):
-    if _worker_abort.is_set():
-        return None  # the parent is raising an earlier job's error
-    return _run_job(_worker_jobs, i)
-
-
-def _map_on_workers(jobs: _FoldJobs, n_workers: int) -> list:
-    """Every job on ``n_workers`` forked processes, results in job order.
-
-    The first failing job in index order raises, as in one process; the
-    jobs after it are cancelled or skipped, and every worker is joined
-    before this returns.  A worker that dies raises :class:`ErrpkitError`.
-    """
-    import multiprocessing  # imported on use: only a pooled run needs it
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    import scipy.special  # noqa: F401  # loaded before the fork, else every worker imports it
-
-    ctx = multiprocessing.get_context("fork")
-    abort = ctx.Event()
-    n = len(jobs)
-    try:
-        with ProcessPoolExecutor(n_workers, mp_context=ctx, initializer=_install_jobs,
-                                 initargs=(jobs, abort)) as pool:
-            try:
-                return list(pool.map(_worker_job, range(n),
-                                     chunksize=max(1, n // (4 * n_workers))))
-            except BaseException:
-                abort.set()
-                raise
-    except BrokenProcessPool as exc:
-        raise ErrpkitError(f"a fold worker process died: {exc}") from exc
-
-
 def _fold_accuracies(jobs: _FoldJobs, n_workers: int, name: str) -> np.ndarray:
     """Accuracy of every job, one row per labelling, on at most ``n_workers``
     processes: in this process when only one would run.  Non-converged
     classifier fits are counted in one WARNING."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     n = len(jobs)
-    n_workers = min(n_workers, n, os.cpu_count() or 1)
-    if n_workers == 1:
-        results = [_run_job(jobs, i) for i in range(n)]
-    else:
-        results = _map_on_workers(jobs, n_workers)
+    if parallel.workers_for(n_workers, n) > 1:
+        import scipy.special  # noqa: F401  # loaded before the fork, else every worker imports it
+    results = parallel.map_jobs(functools.partial(_run_job, jobs), n, n_workers, "fold")
     accs, converged, grad_norms = (np.array(col) for col in zip(*results))
     if not converged.all():
         logger.warning(

@@ -17,6 +17,14 @@ one float64 array, re-references it in place and epochs it a block of
 events at a time, so its peak is about that float64 filtered recording
 plus the float32 input; the epochs are bit-identical to whole-array
 filtering, because each row is filtered on its own.
+
+Parallelism: the row blocks, then the event blocks, are independent jobs
+of :func:`parallel.map_jobs`.  At one worker (the library default) they
+run in this process into plain ``np.empty`` arrays.  Above one, forked
+workers inherit the recording and write their blocks into anonymous
+shared memory, which then holds the filtered recording and the epochs;
+only block indexes cross the pipe, and the bytes do not depend on the
+worker count.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     EmptyInput,
     InsufficientChannels,
@@ -121,28 +130,36 @@ def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     return int(min(n_samples - 1, round(3.0 * order * fs / lo_hz)))
 
 
-def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None)) -> np.ndarray:
+def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
+                 n_workers: int = 1) -> np.ndarray:
     """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
     last axis of ``data`` and keep samples ``keep`` of each filtered row.
 
     Rows are upcast to float64 and filtered a block of about
     :data:`_BLOCK_BYTES` at a time into one preallocated float64 array, so
-    the temporaries of ``sosfiltfilt`` stay block-sized.  Every row is
-    filtered on its own, so the result equals whole-array filtering bit for
-    bit.
+    the temporaries of ``sosfiltfilt`` stay block-sized.  The blocks are
+    jobs of :func:`parallel.map_jobs` on up to ``n_workers`` processes.
+    Every row is filtered on its own, so the result equals whole-array
+    filtering bit for bit at any worker count.
     """
     from scipy import signal  # imported on use: it is the slowest import in the package
 
     n = data.shape[-1]
     rows = data.reshape(-1, n)
     kept = len(range(n)[keep])
-    out = np.empty((rows.shape[0], kept))
     step = max(1, _BLOCK_BYTES // (8 * n))
-    for i in range(0, rows.shape[0], step):
+    starts = range(0, rows.shape[0], step)
+    n_workers = parallel.workers_for(n_workers, len(starts))
+    out = parallel.empty((rows.shape[0], kept), n_workers)
+
+    def filter_block(j: int) -> None:
+        i = starts[j]
         block = np.asarray(rows[i:i + step], dtype=np.float64)
         for sos, padlen in stages:
             block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
         out[i:i + step] = block[:, keep]
+
+    parallel.map_jobs(filter_block, len(starts), n_workers, "filter")
     return out.reshape(data.shape[:-1] + (kept,))
 
 
@@ -275,7 +292,8 @@ class PreprocessSpec:
 
 
 def preprocess_recording(rec: ContinuousRecording, labels,
-                         spec: PreprocessSpec = PreprocessSpec()) -> tuple[EpochSet, list[int]]:
+                         spec: PreprocessSpec = PreprocessSpec(),
+                         n_workers: int = 1) -> tuple[EpochSet, list[int]]:
     """Full pipeline: bandpass, notches, average reference, epoching,
     baseline subtraction, downsampling.
 
@@ -287,7 +305,9 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     array, which is re-referenced in place, and the epochs are cut,
     baselined and downsampled a block of events at a time into the result.
     The lowpass is designed once per call; downsampling first, the baseline
-    is subtracted once from the whole result.
+    is subtracted once from the whole result.  The row blocks, then the
+    event blocks, are jobs of :func:`parallel.map_jobs` on up to
+    ``n_workers`` processes; the result is bit-identical at any count.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
@@ -300,16 +320,22 @@ def preprocess_recording(rec: ContinuousRecording, labels,
         base = _window_slice(rec.fs_hz, t0, length, *spec.baseline_window_s)
     else:
         base = _window_slice(spec.target_fs_hz, t0, n_out, *spec.baseline_window_s)
-    data = _filter_rows(rec.data, stages)
+    data = _filter_rows(rec.data, stages, n_workers=n_workers)
     _rereference(data)
 
     step = max(1, _BLOCK_BYTES // (8 * rec.n_channels * length))
-    out = np.empty((len(starts), rec.n_channels, n_out))
-    for i in range(0, len(starts), step):
+    blocks = range(0, len(starts), step)
+    n_workers = parallel.workers_for(n_workers, len(blocks))
+    out = parallel.empty((len(starts), rec.n_channels, n_out), n_workers)
+
+    def epoch_block(j: int) -> None:
+        i = blocks[j]
         block = np.stack([data[:, s:s + length] for s in starts[i:i + step]])
         if spec.baseline_before_downsample:
             block -= block[..., base].mean(axis=-1, keepdims=True)
         out[i:i + step] = _filter_rows(block, [lowpass], keep)
+
+    parallel.map_jobs(epoch_block, len(blocks), n_workers, "epoch")
     if not spec.baseline_before_downsample:
         out -= out[..., base].mean(axis=-1, keepdims=True)
     return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

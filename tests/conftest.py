@@ -1,5 +1,8 @@
 import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,22 @@ def desk_shaped_epochs():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def worker_filter_calls(monkeypatch):
+    """A fork-visible count of the ``sosfiltfilt`` calls made in processes
+    other than this one, such as forked filter workers."""
+    from scipy import signal
+
+    parent, calls = os.getpid(), multiprocessing.get_context("fork").Value("i", 0)
+    original = signal.sosfiltfilt
+
+    def sosfiltfilt(*args, **kwargs):
+        if os.getpid() != parent:
+            with calls.get_lock():
+                calls.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(signal, "sosfiltfilt", sosfiltfilt)
+    return calls

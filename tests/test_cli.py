@@ -334,6 +334,30 @@ class TestThreads:
             assert multiprocessing.active_children() == []
         assert lines[0] == lines[1] == ["failure: (repeat 0, fold 0): planted failure"]
 
+    def test_bad_later_input_exits_2_before_any_fold(self, tiny_container, tmp_path, capsys,
+                                                     monkeypatch):
+        folds = multiprocessing.get_context("fork").Value("i", 0)
+        original = evaluation._run_fold
+
+        def run_fold(*args):
+            with folds.get_lock():
+                folds.value += 1
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "_run_fold", run_fold)
+        bad = synth_tiny(tmp_path, "bad")
+        (bad / "labels.bin").unlink()
+        for later in (tmp_path / "nowhere", bad):
+            capsys.readouterr()
+            assert main(["compare", "--input", str(tiny_container), "--input", str(later),
+                         "--chance", "--threads", "2",
+                         "--out", str(tmp_path / "report.json")]) == 2
+            captured = capsys.readouterr()
+            [line] = (captured.out + captured.err).splitlines()
+            assert line.startswith("error: "), line
+        assert folds.value == 0
+        assert not (tmp_path / "report.json").exists()
+
     def test_dead_worker_exits_1_with_one_line(self, tiny_container, tmp_path, capsys,
                                                monkeypatch):
         parent = os.getpid()
@@ -677,13 +701,64 @@ class TestPreprocess:
             (raw / name).unlink()
         else:
             _set_field(raw / name, key, value, index=1 if name == "events.json" else None)
-        calls = []
-        monkeypatch.setattr(preprocessing, "_filter_rows", lambda *args: calls.append(args))
+        # counts calls in this process and in forked filter workers alike
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        original = preprocessing._filter_rows
+
+        def filter_rows(*args, **kwargs):
+            with calls.get_lock():
+                calls.value += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(preprocessing, "_filter_rows", filter_rows)
         capsys.readouterr()
         assert main(["preprocess", "--input", str(raw), "--out", str(tmp_path / "ep")]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
-        assert calls == []
+        assert calls.value == 0
+        assert not (tmp_path / "ep").exists()
+
+    @staticmethod
+    def two_cpus(monkeypatch, cpu_count=2):
+        """Two CPUs in the affinity mask, ``cpu_count`` in the machine, and
+        blocks of 1 channel (3 row jobs) and 2 events (2 event jobs)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
+
+    def test_same_bytes_at_one_and_two_cpus(self, tmp_path, monkeypatch, worker_filter_calls):
+        raw = make_raw(tmp_path)
+        outputs = []
+        for cpus in (1, 2):
+            self.two_cpus(monkeypatch, cpu_count=cpus)
+            out = tmp_path / f"ep{cpus}"
+            assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append([(out / name).read_bytes()
+                            for name in ("data.bin", "labels.bin", "manifest.json")])
+            # in this process at one CPU; on workers at two: 3 chains of 3 stages
+            # and 2 lowpass calls
+            assert worker_filter_calls.value == (0 if cpus == 1 else 3 * 3 + 2)
+        assert outputs[0] == outputs[1]
+
+    def test_dead_filter_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        from scipy import signal
+
+        parent = os.getpid()
+
+        def sosfiltfilt(*args, **kwargs):
+            assert os.getpid() != parent, "the filter ran in the parent"
+            os._exit(3)
+
+        monkeypatch.setattr(signal, "sosfiltfilt", sosfiltfilt)
+        self.two_cpus(monkeypatch)
+        raw = make_raw(tmp_path)
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--out", str(tmp_path / "ep")]) == 1
+        captured = capsys.readouterr()
+        [line] = (captured.out + captured.err).splitlines()
+        assert line.startswith("failure: a filter worker process died: ")
+        assert multiprocessing.active_children() == []
         assert not (tmp_path / "ep").exists()
 
     def test_events_of_other_codes_are_skipped(self, tmp_path):

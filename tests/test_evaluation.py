@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from errpkit import evaluation, features, logreg
+from errpkit import evaluation, features, logreg, parallel
 from errpkit.errors import ErrpkitError, InsufficientData, NumericalFailure, PlanMismatch
 from errpkit.evaluation import (
     CVResult,
@@ -309,8 +309,8 @@ class TestFoldRunner:
     def test_pool_never_larger_than_cpu_count(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(InProcessPool, "sizes", [])
-        for name in ("_worker_jobs", "_worker_abort"):  # the fake installs them here
-            monkeypatch.setattr(evaluation, name, None)
+        for name in ("_worker_fn", "_worker_abort"):  # the fake installs them here
+            monkeypatch.setattr(parallel, name, None)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         es = tiny_dataset(seed=27)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=28)

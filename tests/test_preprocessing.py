@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -382,6 +384,23 @@ class TestBlockwisePipeline:
         assert np.array_equal(es.data, expected)
         assert (es.fs_hz, es.t0_offset_s) == (256.0, -0.5)
 
+    def test_pooled_equals_whole_array_filtering(self, monkeypatch, worker_filter_calls):
+        # three row jobs (2, 2 and 1 channels) and three event jobs (3, 3 and 1
+        # epochs) on two forked workers
+        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 300 * 1024)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rec, labels = self.recording(np.float32)
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+            es, skipped = preprocess_recording(rec, labels, spec, n_workers=2)
+            expected, kept_labels = whole_array_reference(rec, labels, spec)
+            assert skipped == [7, 8]
+            assert list(es.labels) == kept_labels
+            assert np.array_equal(es.data, expected)
+            assert multiprocessing.active_children() == []
+        # per baseline order: 3 row jobs of 3 stages, 3 event jobs of one lowpass
+        assert worker_filter_calls.value == 2 * (3 * 3 + 3)
+
     def test_peak_memory_is_bounded_by_four_times_float32_input(self):
         fs, n_channels = 512.0, 16
         rng = np.random.default_rng(22)
@@ -398,6 +417,8 @@ class TestBlockwisePipeline:
         finally:
             tracemalloc.stop()
         assert es.data.shape == (39, n_channels, 640)
+        # one worker by default: plain arrays that tracemalloc sees, no shared memory
+        assert es.data.flags.owndata
         assert peak <= 4 * data.nbytes, peak / data.nbytes
 
 
