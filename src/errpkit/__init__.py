@@ -1,12 +1,15 @@
 """Success/failure feedback-ERP classification toolkit.
 
-A numpy/scipy library pairing a Riemannian tangent-space featurizer
+A numpy library pairing a Riemannian tangent-space featurizer
 (prototype-augmented trial covariances on the SPD manifold) with a
 windowed mean/std benchmark, evaluated under stratified repeated k-fold
 cross-validation with corrected paired t-tests, a cross-dataset
 permutation test and shuffle-based chance levels.  A built-in generator
 fabricates staircase-driven label streams and template-plus-noise epochs
-for desk-scale verification.
+for desk-scale verification.  scipy is needed only by the filters of
+``preprocessing`` and by the reference ``manifold.airm_distance``; both
+import it on use, so cross-validation, the statistics and the command
+line load no scipy module.
 """
 import os
 

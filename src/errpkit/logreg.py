@@ -36,6 +36,8 @@ _MAX_HALVINGS = 60
 # terms each exact to about 1e-16: near the optimum a Newton step lowers the
 # loss by less than that, and the test must still take it.
 _LOSS_RTOL = 1e-13
+# exp(-x) is finite exactly for x >= _EXPIT_LOW; below it the link rounds to 0.
+_EXPIT_LOW = -float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,22 @@ def _prepare(features, labels) -> tuple[np.ndarray, np.ndarray]:
     return x, y_pm
 
 
+def _expit(x):
+    """The logistic link ``1 / (1 + exp(-x))``, scipy.special.expit's formula.
+
+    ``x`` is clipped at :data:`_EXPIT_LOW` so that ``exp`` cannot overflow,
+    and the clipped entries are set to 0 by the 0/1 numerator.
+    """
+    return (x >= _EXPIT_LOW) / (1.0 + np.exp(-np.maximum(x, _EXPIT_LOW)))
+
+
 def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
               reg_c: float) -> tuple[float, np.ndarray]:
     """Loss and gradient at ``params = [w..., b]``."""
-    from scipy.special import expit  # imported on use: it is a slow import
-
     w, b = params[:-1], params[-1]
     margin = -y_pm * (x @ w + b)
     loss = float(np.logaddexp(0.0, margin).sum() + 0.5 * (w @ w) / reg_c)
-    s = expit(margin)  # sigma(-y z)
+    s = _expit(margin)  # sigma(-y z)
     coef = -y_pm * s
     grad = np.empty_like(params)
     grad[:-1] = x.T @ coef + w / reg_c
@@ -124,8 +133,6 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
     with the full (p+1) x (p+1) Hessian, so ``fit`` passes the reduced
     features.
     """
-    from scipy.special import expit
-
     z1 = np.hstack([z, np.ones((z.shape[0], 1))])
     penalty = np.full(z1.shape[1], 1.0 / reg_c)
     penalty[-1] = 0.0
@@ -135,7 +142,7 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
         if np.linalg.norm(grad) <= tol:
             break
         a = z1 @ params
-        d = expit(a) * expit(-a)  # sigma'(a), without the underflow of p * (1 - p)
+        d = _expit(a) * _expit(-a)  # sigma'(a), without the underflow of p * (1 - p)
         hess = (z1.T * d) @ z1 + np.diag(penalty)
         step = -np.linalg.solve(hess, grad)
         slope = grad @ step
@@ -166,10 +173,8 @@ def decision_value(model: LogisticModel, x) -> np.ndarray | float:
 
 def predict_proba(model: LogisticModel, x) -> np.ndarray | float:
     """P(failure | x) through the logistic link."""
-    from scipy.special import expit
-
     z = decision_value(model, x)
-    p = expit(z)
+    p = _expit(z)
     return float(p) if np.ndim(p) == 0 else p
 
 

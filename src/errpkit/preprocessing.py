@@ -19,8 +19,9 @@ plus the float32 input; the epochs are bit-identical to whole-array
 filtering, because each row is filtered on its own.
 
 Parallelism: the row blocks, then the event blocks, are independent jobs
-of :func:`parallel.map_jobs`.  At one worker (the library default) they
-run in this process into plain ``np.empty`` arrays.  Above one, forked
+of :func:`parallel.map_jobs`.  At one worker (the library default), or
+for a phase whose float64 input is below :data:`_POOL_MIN_BYTES`, they
+run in this process into plain ``np.empty`` arrays.  Otherwise forked
 workers inherit the recording and write their blocks into anonymous
 shared memory, which then holds the filtered recording and the epochs;
 only block indexes cross the pipe, and the bytes do not depend on the
@@ -47,6 +48,10 @@ logger = logging.getLogger(__name__)
 
 NOTCH_Q = 35.0
 _BLOCK_BYTES = 1 << 19  # float64 bytes of one block of filtered rows or of epochs
+# Float64 bytes of a phase's input below which it runs in this process: on 2
+# CPUs a pool costs 45-90 ms to start and fill, and pays for itself only from
+# about 14-19 MiB (filter phase) and 11-15 MiB (epoch phase).
+_POOL_MIN_BYTES = 1 << 24
 
 
 def sample_index(t: float, t0: float, fs: float) -> int:
@@ -130,6 +135,12 @@ def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     return int(min(n_samples - 1, round(3.0 * order * fs / lo_hz)))
 
 
+def _phase_workers(n_workers: int, n_bytes: int, n_jobs: int) -> int:
+    """Processes for a phase of ``n_jobs`` jobs over ``n_bytes`` of float64
+    input: :func:`parallel.workers_for`, or 1 below :data:`_POOL_MIN_BYTES`."""
+    return parallel.workers_for(n_workers if n_bytes >= _POOL_MIN_BYTES else 1, n_jobs)
+
+
 def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
                  n_workers: int = 1) -> np.ndarray:
     """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
@@ -138,7 +149,8 @@ def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
     Rows are upcast to float64 and filtered a block of about
     :data:`_BLOCK_BYTES` at a time into one preallocated float64 array, so
     the temporaries of ``sosfiltfilt`` stay block-sized.  The blocks are
-    jobs of :func:`parallel.map_jobs` on up to ``n_workers`` processes.
+    jobs of :func:`parallel.map_jobs` on up to ``n_workers`` processes, or
+    in this process when ``data`` is small (:func:`_phase_workers`).
     Every row is filtered on its own, so the result equals whole-array
     filtering bit for bit at any worker count.
     """
@@ -149,7 +161,7 @@ def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
     kept = len(range(n)[keep])
     step = max(1, _BLOCK_BYTES // (8 * n))
     starts = range(0, rows.shape[0], step)
-    n_workers = parallel.workers_for(n_workers, len(starts))
+    n_workers = _phase_workers(n_workers, 8 * rows.size, len(starts))
     out = parallel.empty((rows.shape[0], kept), n_workers)
 
     def filter_block(j: int) -> None:
@@ -307,7 +319,9 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     The lowpass is designed once per call; downsampling first, the baseline
     is subtracted once from the whole result.  The row blocks, then the
     event blocks, are jobs of :func:`parallel.map_jobs` on up to
-    ``n_workers`` processes; the result is bit-identical at any count.
+    ``n_workers`` processes, or in this process for a phase of less than
+    :data:`_POOL_MIN_BYTES` of float64 input; the result is bit-identical
+    at any count.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
@@ -325,7 +339,8 @@ def preprocess_recording(rec: ContinuousRecording, labels,
 
     step = max(1, _BLOCK_BYTES // (8 * rec.n_channels * length))
     blocks = range(0, len(starts), step)
-    n_workers = parallel.workers_for(n_workers, len(blocks))
+    n_workers = _phase_workers(n_workers, 8 * len(starts) * rec.n_channels * length,
+                               len(blocks))
     out = parallel.empty((len(starts), rec.n_channels, n_out), n_workers)
 
     def epoch_block(j: int) -> None:

@@ -15,6 +15,7 @@ from errpkit.errors import ErrpkitError, NumericalFailure
 from errpkit.evaluation import derive_seed
 from errpkit.io import (
     REPORT_VERSION,
+    read_continuous_container,
     read_epoch_container,
     read_report,
     write_continuous_container,
@@ -584,6 +585,32 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert not _loaded_by_cli_import("multiprocessing")
 
 
+def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container):
+    # two datasets at two workers: the t-test, the permutation test and the
+    # forked fold pool all run in the compare
+    second = synth_tiny(shared_tmp, "no_scipy_second", seed=21)
+    flags = ["--input", str(tiny_container), "--input", str(second), "--seed", "5",
+             "--folds", "5", "--repeats", "2", "--set", "n_chance_shuffles=2",
+             "--set", "n_permutations=200"]
+    commands = [["compare", "--chance", "--threads", "2"], ["run", "--method", "riemann"],
+                ["chance"]]
+    argvs = [[*command, *flags, "--out", str(shared_tmp / f"no_scipy_{command[0]}.json")]
+             for command in commands]
+    code = ("import json, sys\n"
+            "from errpkit.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
+    rep = read_report(shared_tmp / "no_scipy_compare.json")
+    assert rep["permutation_test"]["z"] != 0.0
+    assert all(0.0 < block["t_test"]["p"] < 1.0 for block in rep["datasets"])
+
+
 def make_raw(tmp_path, n_events=4, fs=2048.0):
     rng = np.random.default_rng(0)
     samples = int(fs * (3 * n_events + 3))
@@ -720,11 +747,30 @@ class TestPreprocess:
 
     @staticmethod
     def two_cpus(monkeypatch, cpu_count=2):
-        """Two CPUs in the affinity mask, ``cpu_count`` in the machine, and
-        blocks of 1 channel (3 row jobs) and 2 events (2 event jobs)."""
+        """Two CPUs in the affinity mask, ``cpu_count`` in the machine, blocks
+        of 1 channel (3 row jobs) and 2 events (2 event jobs), and no lower
+        bound on the bytes a pooled phase needs."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
+        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
+
+    def test_small_recording_stays_in_process_at_two_cpus(self, tmp_path, monkeypatch,
+                                                         worker_filter_calls):
+        raw = make_raw(tmp_path)
+        rec, _ = read_continuous_container(raw)
+        assert 8 * rec.data.size < preprocessing._POOL_MIN_BYTES
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"ep{cpus}"
+            assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("data.bin", "labels.bin", "manifest.json")])
+        assert worker_filter_calls.value == 0
+        assert outputs[0] == outputs[1]
 
     def test_same_bytes_at_one_and_two_cpus(self, tmp_path, monkeypatch, worker_filter_calls):
         raw = make_raw(tmp_path)

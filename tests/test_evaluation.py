@@ -500,6 +500,35 @@ class TestTails:
     def test_normal_two_sided_matches_reference_value(self):
         assert abs(normal_two_sided_p(4.028) - 5.632e-05) < 1e-7
 
+    def test_normal_two_sided_matches_scipy(self):
+        from scipy import special
+
+        # out to z = 37, where the tail is about 6e-300
+        z = np.linspace(-37.0, 37.0, 7401)
+        ours = [normal_two_sided_p(v) for v in z]
+        np.testing.assert_allclose(ours, special.erfc(np.abs(z) / np.sqrt(2.0)), rtol=1e-12)
+        assert normal_two_sided_p(0.0) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 9, 99, 999, 9999])
+    def test_t_tail_matches_scipy(self, df):
+        from scipy import special
+
+        # |t| out to where scipy's tail falls to 1e-300; at df 1 it reads 0
+        # beyond |t| ~ 1.3e154 (t^2 overflows), so the grid stops there
+        t_max = 1.0
+        while 2.0 * special.stdtr(df, -1.01 * t_max) > 1e-300:
+            t_max *= 1.01
+        t = np.concatenate([np.linspace(0.0, 5.0, 501), np.geomspace(5.0, t_max, 1500)])
+        ours = [t_two_sided_p(s * v, df) for v in t for s in (1.0, -1.0)]
+        np.testing.assert_allclose(ours, np.repeat(2.0 * special.stdtr(df, -t), 2), rtol=1e-12)
+        assert t_two_sided_p(0.0, df) == 1.0
+
+    def test_t_tail_at_one_degree_is_cauchy_out_to_1e_300(self):
+        t = np.geomspace(1e-3, 6.4e299, 2000)
+        ours = [t_two_sided_p(v, 1) for v in t]
+        np.testing.assert_allclose(ours, 2.0 / np.pi * np.arctan(1.0 / t), rtol=1e-12)
+        assert ours[-1] < 1.01e-300
+
     def test_t_tail_at_zero(self):
         assert t_two_sided_p(0.0, 99) == 1.0
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from errpkit.labels import FAILURE, SUCCESS
 from errpkit.logreg import (
     DEFAULT_TOL,
     LogisticModel,
+    _expit,
     decision_value,
     fit,
     grad_check,
@@ -57,6 +60,24 @@ class TestFit:
         m2 = fit(x, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+
+class TestExpit:
+    def test_within_four_ulp_of_scipy(self):
+        from scipy import special
+
+        # Both evaluate 1 / (1 + exp(-x)); numpy's exp and the C library's
+        # differ by up to 1 ulp, and near exp(-x) = 2^53 the rounding of
+        # 1 + exp(-x) can turn that into 2 ulp of the result on each side.
+        x = np.linspace(-750.0, 750.0, 1_500_001)
+        ours, ref = _expit(x), special.expit(x)
+        assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _expit(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+            assert (_expit(-1000.0), _expit(1000.0)) == (0.0, 1.0)
 
 
 class TestPredict:

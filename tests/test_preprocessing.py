@@ -388,6 +388,7 @@ class TestBlockwisePipeline:
         # three row jobs (2, 2 and 1 channels) and three event jobs (3, 3 and 1
         # epochs) on two forked workers
         monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 300 * 1024)
+        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rec, labels = self.recording(np.float32)
         for baseline_first in (True, False):
