@@ -84,8 +84,10 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     """Whole-dataset featurizer provenance for each method that ran."""
     audit = {}
     if "riemann" in methods:
-        protos = features.fit_prototypes(features.riemann_windows(es, hp.riemann_window_s),
-                                         es.labels)
+        windows = features.riemann_windows(es, hp.riemann_window_s)
+        # a super trial stacks both prototypes on the trial: 3 * n_channels rows
+        features.check_covariance_shape(3 * es.n_channels, windows.shape[-1], hp.shrinkage)
+        protos = features.fit_prototypes(windows, es.labels)
         audit["riemann"] = {
             "prototype_sha256_success": io.sha256_hex(protos.proto_success),
             "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
@@ -148,14 +150,14 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    # every input before the first plan: a bad later one exits 2 before any fold
+    # every input and its audit first: a bad later one exits 2 before any fold
     datasets = [io.read_epoch_container(in_path) for in_path in args.input]
+    audits = [_audit_blocks(es, hp, args.methods) for es in datasets]
     dataset_blocks = []
     pairs = []
-    for d_index, (in_path, es) in enumerate(zip(args.input, datasets)):
+    for d_index, (in_path, es, audit) in enumerate(zip(args.input, datasets, audits)):
         plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
                                          seed=evaluation.derive_seed(seed, d_index))
-        audit = _audit_blocks(es, hp, args.methods)  # before the folds: rejects a short window
         chance = None
         if args.chance:  # before the folds: it rejects a shuffle count below 1
             chance = asdict(evaluation.chance_level(

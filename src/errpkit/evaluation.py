@@ -16,7 +16,6 @@ depend on the worker count.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 # ThreadPoolExecutor runs nothing here; bench/tracer.py:204 rebinds it, so
@@ -229,11 +228,7 @@ def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
 
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Deterministic sample order that depends only on the (feature, label) multiset."""
-    key = np.ascontiguousarray(
-        np.concatenate([np.asarray(y, dtype=np.float64)[:, None], x], axis=1)
-    )
-    as_bytes = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
-    return np.argsort(as_bytes, kind="stable")
+    return manifold.canonical_order(np.column_stack([np.asarray(y, dtype=np.float64), x]))
 
 
 def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np.ndarray,
@@ -270,45 +265,30 @@ def _run_fold(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan,
     return float(np.mean(pred == yte)), clf
 
 
-@dataclass(frozen=True)
-class _FoldJobs:
-    """Every fold of one call, over rows computed once.  Job ``i`` is fold
-    ``i % (r * k)`` (repeat-major) under ``labels[s]`` and ``plans[s]``,
-    where ``s = i // (r * k)``; every plan has the same ``k`` and ``r``."""
-
-    rows: np.ndarray
-    method: str
-    labels: tuple
-    plans: tuple
-    hp: Hyperparams
-
-    def __len__(self) -> int:
-        return len(self.plans) * self.plans[0].r * self.plans[0].k
-
-
-def _run_job(jobs: _FoldJobs, i: int) -> tuple[float, bool, float]:
-    """Accuracy, classifier convergence and final gradient norm of job ``i``."""
-    plan = jobs.plans[0]
-    s, j = divmod(i, plan.r * plan.k)
-    rep, fold = divmod(j, plan.k)
-    acc, clf = _run_fold(jobs.rows, jobs.labels[s], jobs.method, jobs.plans[s], rep, fold, jobs.hp)
-    return acc, clf.converged, clf.final_grad_norm
-
-
-def _fold_accuracies(jobs: _FoldJobs, n_workers: int, name: str) -> np.ndarray:
-    """Accuracy of every job, one row per labelling, on at most ``n_workers``
+def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperparams,
+                     n_workers: int, name: str) -> np.ndarray:
+    """Accuracy of every fold, one row per labelling ``labels[s]`` under
+    ``plans[s]`` (all with the same ``k`` and ``r``), on at most ``n_workers``
     processes: in this process when only one would run.  Non-converged
     classifier fits are counted in one WARNING."""
-    n = len(jobs)
-    results = parallel.map_jobs(functools.partial(_run_job, jobs), n, n_workers, "fold")
+    r, k = plans[0].r, plans[0].k
+
+    def job(i: int) -> tuple[float, bool, float]:
+        s, j = divmod(i, r * k)
+        rep, fold = divmod(j, k)
+        acc, clf = _run_fold(rows, labels[s], method, plans[s], rep, fold, hp)
+        return acc, clf.converged, clf.final_grad_norm
+
+    n = len(plans) * r * k
+    results = parallel.map_jobs(job, n, n_workers, "fold")
     accs, converged, grad_norms = (np.array(col) for col in zip(*results))
     if not converged.all():
         logger.warning(
             "%s: the classifier did not converge in %d of %d folds "
             "(largest final gradient norm %.3e, tol %.1e)",
-            name, np.count_nonzero(~converged), n, grad_norms[~converged].max(), jobs.hp.clf_tol,
+            name, np.count_nonzero(~converged), n, grad_norms[~converged].max(), hp.clf_tol,
         )
-    return accs.reshape(len(jobs.plans), -1)
+    return accs.reshape(len(plans), -1)
 
 
 def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
@@ -329,8 +309,8 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
     hp = hyperparams or Hyperparams()
     rows = (features.riemann_windows(dataset, hp.riemann_window_s) if method == "riemann"
             else features.benchmark_features(dataset, windows=hp.benchmark_windows_s))
-    jobs = _FoldJobs(rows, method, (dataset.labels,), (plan,), hp)
-    return CVResult(method, _fold_accuracies(jobs, n_workers, method)[0], plan)
+    accs = _fold_accuracies(rows, method, [dataset.labels], [plan], hp, n_workers, method)
+    return CVResult(method, accs[0], plan)
 
 
 def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
@@ -410,8 +390,8 @@ def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
     plans = [make_fold_plan(y, k=k, r=r, seed=derive_seed(plan_seed, s, 1))
              for s, y in enumerate(labels)]
     rows = features.benchmark_features(dataset, windows=hp.benchmark_windows_s)
-    jobs = _FoldJobs(rows, "benchmark", tuple(labels), tuple(plans), hp)
-    means = _fold_accuracies(jobs, n_workers, "chance level").mean(axis=1)
+    means = _fold_accuracies(rows, "benchmark", labels, plans, hp, n_workers,
+                             "chance level").mean(axis=1)
     return ChanceLevel(
         mean_accuracy=float(means.mean()),
         threshold_97_5=float(np.percentile(means, 97.5)),

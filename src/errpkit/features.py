@@ -18,7 +18,7 @@ Both routes compute their rows once per dataset (:func:`riemann_windows`,
 own epoch alone.
 
 Fitting is bit-identical under any permutation of the training epochs
-(canonical summation, max-based scaling).
+(means summed in the order of the addends' bytes, max-based scaling).
 """
 from __future__ import annotations
 
@@ -64,6 +64,18 @@ class RiemannModel:
     train_features: np.ndarray  # (n_train, D(D+1)/2), rows in training order
 
 
+def check_covariance_shape(d: int, w: int, shrinkage: float) -> None:
+    """Reject a shrinkage outside [0, 1), and fewer samples ``w`` than a shrunk
+    covariance of ``d`` rows needs to be SPD: 2, or ``d + 1`` without
+    shrinkage, as the centred rows span at most ``w - 1`` dimensions."""
+    if not 0.0 <= shrinkage < 1.0:
+        raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
+    need = 2 if shrinkage > 0.0 else d + 1
+    if w < need:
+        raise InvalidWindow(f"a {d}x{d} covariance at shrinkage {shrinkage} needs at least "
+                            f"{need} samples, got {w}")
+
+
 def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     """Shrunk sample covariances of a stack of (d, w) matrices -> (n, d, d).
 
@@ -71,12 +83,9 @@ def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     Eigenvalues of C are bounded below by s * mu, so the result is SPD for
     s > 0 whenever the input is nonzero.
     """
-    if not 0.0 <= shrinkage < 1.0:
-        raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     stack = np.asarray(stack, dtype=np.float64)
     d, w = stack.shape[-2], stack.shape[-1]
-    if w < 2:
-        raise InvalidWindow(f"need at least 2 samples for a covariance, got {w}")
+    check_covariance_shape(d, w, shrinkage)
     xc = stack - stack.mean(axis=-1, keepdims=True)
     cov = xc @ xc.swapaxes(-1, -2) / (w - 1)
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))

@@ -143,14 +143,23 @@ def _whitened_logs(stack: np.ndarray, isq: np.ndarray, what: str) -> np.ndarray:
     return _spectral_apply(lw, lv, np.log)
 
 
-def canonical_mean(stack: np.ndarray) -> np.ndarray:
-    """Arithmetic mean along axis 0, summed in a canonical (sorted) order.
+def canonical_order(stack: np.ndarray) -> np.ndarray:
+    """Stable argsort of the entries along axis 0, keyed on their bytes: permuting
+    the entries changes it only among byte-identical ones."""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.argsort(keys, kind="stable")
 
-    Sorting each entry's addends first makes the result bit-identical under
-    any permutation of the inputs.
-    """
+
+def canonical_mean(stack: np.ndarray) -> np.ndarray:
+    """Arithmetic mean along axis 0 that adds the entries one by one in
+    :func:`canonical_order`, so it is bit-identical under any permutation."""
     stack = np.asarray(stack, dtype=np.float64)
-    return np.sum(np.sort(stack, axis=0), axis=0) / stack.shape[0]
+    first, *rest = canonical_order(stack).tolist()
+    total = stack[first].copy()
+    for i in rest:
+        total += stack[i]
+    return total / stack.shape[0]
 
 
 @dataclass(frozen=True)

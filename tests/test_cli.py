@@ -454,6 +454,52 @@ class TestShortWindow:
         assert not out.exists()
 
 
+class TestShrinkage:
+    """A shrinkage the data cannot support exits 2 with one line before the
+    chance level and the folds run."""
+
+    @pytest.mark.parametrize("setting, line", [
+        ("shrinkage=0", "error: a 48x48 covariance at shrinkage 0 needs at least 49 samples, "
+                        "got 32"),
+        ("shrinkage=1.0", "error: shrinkage must be in [0, 1), got 1.0"),
+        ("shrinkage=-0.1", "error: shrinkage must be in [0, 1), got -0.1"),
+    ], ids=["zero-with-short-window", "one", "negative"])
+    def test_exits_2_before_chance_and_folds(self, tmp_path, capsys, monkeypatch, setting, line):
+        data, out = tmp_path / "data", tmp_path / "r.json"
+        assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=40",
+                     "--set", "n_channels=16", "--set", "fs_hz=64.0"]) == 0
+        calls = []
+        run_fold = evaluation._run_fold
+        monkeypatch.setattr(evaluation, "_run_fold",
+                            lambda *args: calls.append(args) or run_fold(*args))
+        capsys.readouterr()
+        assert main(["compare", "--chance", "--set", setting, "--set", "n_chance_shuffles=2",
+                     "--input", str(data), "--out", str(out), "--folds", "2", "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert calls == []
+        assert not out.exists()
+
+    def test_later_dataset_exits_2_before_any_fold(self, tmp_path, capsys, monkeypatch):
+        """The second container's 48x48 covariances are singular without
+        shrinkage; the first container's 9x9 ones are not."""
+        first, second, out = tmp_path / "c3", tmp_path / "c16", tmp_path / "r.json"
+        for path, channels in ((first, 3), (second, 16)):
+            assert main(["synth", "--out", str(path), "--seed", "1", "--set", "n_trials=40",
+                         "--set", f"n_channels={channels}", "--set", "fs_hz=64.0"]) == 0
+        calls = []
+        monkeypatch.setattr(evaluation, "_run_fold", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert main(["compare", "--chance", "--set", "shrinkage=0", "--input", str(first),
+                     "--input", str(second), "--out", str(out), "--folds", "2",
+                     "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: a 48x48 covariance at shrinkage 0 needs at least 49 samples, got 32"]
+        assert calls == []
+        assert not out.exists()
+
+
 class TestWindowSettings:
     """A window setting that is not one (start, stop) pair, or no benchmark
     window at all, exits 2 with one line before the input is read."""

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from errpkit import features, manifold
+from errpkit import evaluation, features, manifold
 from errpkit.errors import (
     DimMismatch,
     EmptyInput,
@@ -107,6 +107,42 @@ class TestDistance:
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             manifold.airm_distance(random_spd(rng, 3), random_spd(rng, 4))
+
+
+class TestCanonicalMean:
+    @staticmethod
+    def with_duplicates(rng, shape):
+        """A stack of ``shape`` in which entries 1, 4 and 7 repeat entry 0, and
+        entry 5 is entry 2 with -0.0 in place of its first element, 0.0."""
+        stack = rng.standard_normal(shape)
+        stack[2].flat[0] = 0.0
+        stack[[1, 4, 7]] = stack[0]
+        stack[5] = stack[2]
+        stack[5].flat[0] = -0.0
+        return stack
+
+    @pytest.mark.parametrize("shape", [(12, 5, 5), (12, 3, 40)], ids=["matrices", "windows"])
+    def test_permutation_gives_bit_identical_result(self, rng, shape):
+        stack = self.with_duplicates(rng, shape)
+        moved = stack[rng.permutation(len(stack))]
+        assert np.array_equal(stack[manifold.canonical_order(stack)],
+                              moved[manifold.canonical_order(moved)])
+        assert np.array_equal(manifold.canonical_mean(stack), manifold.canonical_mean(moved))
+
+    @pytest.mark.parametrize("shape", [(150, 6, 6), (75, 32, 128)], ids=["matrices", "windows"])
+    def test_agrees_with_numpy_mean_to_rounding(self, rng, shape):
+        stack = 1e3 * rng.standard_normal(shape)
+        bound = shape[0] * np.finfo(np.float64).eps * np.abs(stack).max()
+        assert np.abs(manifold.canonical_mean(stack) - stack.mean(axis=0)).max() <= bound
+
+    def test_fold_order_is_the_concatenated_byte_key_order(self, rng):
+        x = rng.standard_normal((40, 7))
+        x[[3, 9]] = x[20]
+        y = rng.integers(0, 2, 40)
+        key = np.ascontiguousarray(np.concatenate([y.astype(np.float64)[:, None], x], axis=1))
+        reference = np.argsort(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
+                               kind="stable")
+        assert np.array_equal(evaluation._canonical_order(x, y), reference)
 
 
 class TestGeometricMean:

@@ -2,9 +2,11 @@
 
 The tracer finds what it measures by name: it wraps
 ``features.fit_riemann`` and ``features.transform_riemann_set``, binds their
-``train`` and ``model`` arguments and reads the model's prototype shape.  A
-change to those names breaks ``bench/run.py --trace 1``; this test runs the
-tracer on a toy compare so that the break shows here.
+``train`` and ``model`` arguments and reads the model's prototype shape, and
+it counts Karcher iterations as the ``manifold.canonical_mean`` spans under
+``manifold.geometric_mean``.  A change to those names breaks ``bench/run.py
+--trace 1``; this test runs the tracer on a toy compare so that the break
+shows here.
 """
 import json
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_times_the_riemann_route(tmp_path):
+def test_tracer_times_the_riemann_route(tmp_path, monkeypatch):
     data, report, spans = tmp_path / "data", tmp_path / "report.json", tmp_path / "spans.json"
     commands = [
         ["cli", ["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=40",
@@ -34,3 +36,7 @@ def test_tracer_times_the_riemann_route(tmp_path):
     names = {span[2] for span in doc["spans"]}
     assert {"features.fit_riemann", "features.transform_riemann_set"} <= names
     assert doc["computed"]["features.cov_flop"] > 0
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracer
+
+    assert tracer.layer_metrics([doc])["manifold.karcher_iters"] > 0
