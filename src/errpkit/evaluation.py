@@ -6,16 +6,21 @@ on summed median-accuracy differences, and shuffle-based chance-level
 estimation (benchmark pipeline only).  The t and normal tails are computed
 here from the ``math`` module, so evaluation loads no scipy module.
 
-Folds are independent jobs.  ``run_cv`` and ``chance_level`` each compute
-the method's rows once and map one job per (labelling, repeat, fold) over
-them with :func:`parallel.map_jobs`: in this process at one worker, else
-on forked worker processes.  The workers inherit the rows, labels, plans
-and hyperparameters in memory and send back only each fold's accuracy and
-classifier convergence.  Results are placed by job index, so they do not
-depend on the worker count.
+Folds are independent.  ``run_cv`` and ``chance_level`` each compute the
+method's rows once and map jobs over them with :func:`parallel.map_jobs`:
+in this process at one worker, else on forked worker processes.  A job is
+up to k consecutive folds of one repeat of one labelling, as many as keep
+their stacked training features within :data:`_STACK_BYTES`; it fits the
+classifiers of its folds of equal training shape as one stack with
+:func:`logreg.fit_many`, which gives each the bits of its own fit.  The
+workers inherit the rows, labels, plans and hyperparameters in memory and
+send back only each fold's accuracy and classifier convergence.  Results
+are placed by job index, and jobs do not depend on the worker count, so
+neither do the results.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 # ThreadPoolExecutor runs nothing here; bench/tracer.py:204 rebinds it, so
@@ -45,6 +50,10 @@ METHODS = ("riemann", "benchmark")
 _CF_TINY = 1e-300
 _CF_EPS = 2.0 ** -52
 _CF_MAX_TERMS = 100_000
+
+# The most bytes of training features one job stacks into one classifier
+# fit: a repeat of small folds fits as one stack, a desk-scale fold alone.
+_STACK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,12 @@ class Hyperparams:
             raise InvalidWindow("benchmark_windows_s must hold at least one window")
         for i, window in enumerate(self.benchmark_windows_s):
             check_window(f"benchmark_windows_s[{i}]", window)
+        for key in ("clf_max_iter", "mean_max_iter"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("reg_c", "clf_tol", "mean_tol"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 def derive_seed(*parts) -> int:
@@ -247,46 +262,109 @@ def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np
     return raw_tr / scale, rows[te_idx] / scale
 
 
-def _run_fold(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
-              fold: int, hp: Hyperparams) -> tuple[float, logreg.LogisticModel]:
-    """Accuracy and fitted classifier of one fold."""
+def _named(exc: ErrpkitError, rep: int, fold: int) -> ErrpkitError:
+    return type(exc)(f"(repeat {rep}, fold {fold}): {exc}")
+
+
+def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
+                fold: int, hp: Hyperparams):
+    """Training features and labels in canonical order, then test features
+    and labels, of one fold; an error names the fold."""
     mask = plan.assignments[rep] == fold
     te_idx = np.flatnonzero(mask)
     tr_idx = np.flatnonzero(~mask)
     ytr, yte = labels[tr_idx], labels[te_idx]
     try:
         xtr, xte = _fit_transform(rows, labels, method, tr_idx, te_idx, hp)
-        order = _canonical_order(xtr, ytr)
-        clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
-                         tol=hp.clf_tol, max_iter=hp.clf_max_iter)
-        pred = logreg.predict(clf, xte)
     except ErrpkitError as exc:
-        raise type(exc)(f"(repeat {rep}, fold {fold}): {exc}") from exc
-    return float(np.mean(pred == yte)), clf
+        raise _named(exc, rep, fold) from exc
+    order = _canonical_order(xtr, ytr)
+    return xtr[order], ytr[order], xte, yte
+
+
+def _fit_stacks(splits: list, hp: Hyperparams) -> list[logreg.LogisticModel]:
+    """One classifier per split, the splits of equal training shape fitted
+    as one stack by :func:`logreg.fit_many`."""
+    by_shape: dict = {}
+    for i, (xtr, *_) in enumerate(splits):
+        by_shape.setdefault(xtr.shape, []).append(i)
+
+    def stack(part, members):  # a lone split's arrays are viewed, not copied
+        arrays = [splits[i][part] for i in members]
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    models = [None] * len(splits)
+    for members in by_shape.values():
+        fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c,
+                                 tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+        for i, model in zip(members, fitted):
+            models[i] = model
+    return models
+
+
+def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
+               folds: range, hp: Hyperparams) -> list[tuple[float, bool, float]]:
+    """Accuracy, classifier convergence and final gradient norm of each of
+    ``folds`` of repeat ``rep``.  The first fold in order that fails raises,
+    named, as if the folds ran one by one."""
+    splits, error = [], None
+    for fold in folds:
+        try:
+            splits.append(_fold_split(rows, labels, method, plan, rep, fold, hp))
+        except ErrpkitError as exc:
+            error = exc
+            break
+    try:
+        models = _fit_stacks(splits, hp)
+    except ErrpkitError:
+        # a stack member fits the same bits alone: fit one by one to name the fold
+        models = []
+        for fold, (xtr, ytr, *_) in zip(folds, splits):
+            try:
+                models.append(logreg.fit(xtr, ytr, reg_c=hp.reg_c, tol=hp.clf_tol,
+                                         max_iter=hp.clf_max_iter))
+            except ErrpkitError as exc:
+                raise _named(exc, rep, fold) from exc
+    if error is not None:
+        raise error
+    return [(float(np.mean(logreg.predict(clf, xte) == yte)), clf.converged, clf.final_grad_norm)
+            for (_, _, xte, yte), clf in zip(splits, models)]
+
+
+def _folds_per_job(rows: np.ndarray, method: str, plan: FoldPlan) -> int:
+    """How many consecutive folds of one repeat a job runs: as many as keep
+    their stacked training features within :data:`_STACK_BYTES`, at least 1."""
+    n_train = plan.n_epochs - plan.n_epochs // plan.k  # the largest training set
+    d = 3 * rows.shape[1]  # a riemann window's super trial has 3 * n_channels rows
+    width = d * (d + 1) // 2 if method == "riemann" else rows.shape[1]
+    return max(1, min(plan.k, _STACK_BYTES // (8 * n_train * width)))
 
 
 def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperparams,
                      n_workers: int, name: str) -> np.ndarray:
     """Accuracy of every fold, one row per labelling ``labels[s]`` under
     ``plans[s]`` (all with the same ``k`` and ``r``), on at most ``n_workers``
-    processes: in this process when only one would run.  Non-converged
+    processes: in this process when only one would run.  A job runs up to
+    :func:`_folds_per_job` consecutive folds of one repeat.  Non-converged
     classifier fits are counted in one WARNING."""
     r, k = plans[0].r, plans[0].k
+    per_job = _folds_per_job(rows, method, plans[0])
+    n_groups = -(-k // per_job)
 
-    def job(i: int) -> tuple[float, bool, float]:
-        s, j = divmod(i, r * k)
-        rep, fold = divmod(j, k)
-        acc, clf = _run_fold(rows, labels[s], method, plans[s], rep, fold, hp)
-        return acc, clf.converged, clf.final_grad_norm
+    def job(i: int) -> list[tuple[float, bool, float]]:
+        s, j = divmod(i, r * n_groups)
+        rep, g = divmod(j, n_groups)
+        folds = range(g * per_job, min(k, (g + 1) * per_job))
+        return _run_folds(rows, labels[s], method, plans[s], rep, folds, hp)
 
-    n = len(plans) * r * k
-    results = parallel.map_jobs(job, n, n_workers, "fold")
-    accs, converged, grad_norms = (np.array(col) for col in zip(*results))
+    results = parallel.map_jobs(job, len(plans) * r * n_groups, n_workers, "fold")
+    accs, converged, grad_norms = (np.array(col) for col in zip(*itertools.chain(*results)))
     if not converged.all():
         logger.warning(
             "%s: the classifier did not converge in %d of %d folds "
             "(largest final gradient norm %.3e, tol %.1e)",
-            name, np.count_nonzero(~converged), n, grad_norms[~converged].max(), hp.clf_tol,
+            name, np.count_nonzero(~converged), converged.size, grad_norms[~converged].max(),
+            hp.clf_tol,
         )
     return accs.reshape(len(plans), -1)
 
@@ -378,8 +456,9 @@ def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
     Each shuffle permutes the labels, draws a fresh stratified plan, runs
     the full CV and records the mean accuracy; the threshold is the 97.5th
     percentile (linear interpolation) of those means.  Benchmark features
-    do not depend on the labels, so they are computed once, and every
-    (shuffle, repeat, fold) is one job on up to ``n_workers`` processes.
+    do not depend on the labels, so they are computed once, and the folds
+    of every shuffle run as jobs (see the module docstring) on up to
+    ``n_workers`` processes.
     Non-converged classifier fits are counted in one WARNING per call.
     """
     if n_shuffles < 1:

@@ -16,6 +16,16 @@ becomes the same penalized problem on the m features r.T, with the same
 bias; its optimum beta maps back to the optimum w = q beta.  That problem
 is solved by damped Newton from a zero start.  A central-finite-difference
 harness verifies the analytic gradient.
+
+:func:`fit_many` fits a stack of problems of one shape at once, and
+:func:`fit` is that stack of one, so there is one Newton loop.  The stack
+takes one batched QR, one label check and one Newton loop over all
+problems: a problem leaves the active set when it meets ``tol`` or when its
+line search fails, and each keeps its own Armijo step.  Every operand of a
+member has the memory layout of its own fit, and every reduction is taken
+per member as that fit takes it (a BLAS dot, matrix-vector or matrix
+product, or numpy's sum along one row), so each model is the same bits as
+a fit of its problem alone.
 """
 from __future__ import annotations
 
@@ -50,17 +60,21 @@ class LogisticModel:
 
 
 def _prepare(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of problems as float64 features and +-1 labels, its labels
+    checked once for the whole stack."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimMismatch("features must be (n_samples, n_features)")
+    if x.ndim != 3:
+        raise DimMismatch("features must be (n_problems, n_samples, n_features)")
     y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise DimMismatch(f"{x.shape[0]} samples but {y.size} labels")
+    if y.shape != x.shape[:2]:
+        raise DimMismatch(f"labels must have shape {x.shape[:2]}, got {y.shape}")
     present = set(np.unique(y).tolist())
     if not present <= {SUCCESS, FAILURE}:
         raise ValueError(f"labels must be success/failure codes, got {present}")
-    if present != {SUCCESS, FAILURE}:
-        raise DegenerateTrainingSet(f"training labels contain a single class: {present}")
+    both = (y == SUCCESS).any(axis=1) & (y == FAILURE).any(axis=1)
+    if not both.all():
+        single = set(np.unique(y[np.argmin(both)]).tolist())
+        raise DegenerateTrainingSet(f"training labels contain a single class: {single}")
     y_pm = np.where(y == FAILURE, 1.0, -1.0)
     return x, y_pm
 
@@ -74,89 +88,124 @@ def _expit(x):
     return (x >= _EXPIT_LOW) / (1.0 + np.exp(-np.maximum(x, _EXPIT_LOW)))
 
 
-def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray,
-              reg_c: float) -> tuple[float, np.ndarray]:
-    """Loss and gradient at ``params = [w..., b]``."""
-    w, b = params[:-1], params[-1]
-    margin = -y_pm * (x @ w + b)
-    loss = float(np.logaddexp(0.0, margin).sum() + 0.5 * (w @ w) / reg_c)
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a[i] . b[i]`` over the last axis, by the BLAS dot product of
+    ``a @ b`` on vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a[i] @ v[i]``, by the BLAS matrix-vector product of ``a @ v``."""
+    return (a @ v[..., None])[..., 0]
+
+
+def objective(params: np.ndarray, x: np.ndarray, y_pm: np.ndarray, reg_c: float):
+    """Loss and gradient at ``params = [w..., b]``.
+
+    ``params`` may also be a stack (B, p+1) with ``x`` (B, n, p) and
+    ``y_pm`` (B, n): the loss is then one per problem, each the same bits
+    as its problem's own call.
+    """
+    w, b = params[..., :-1], params[..., -1:]
+    margin = -y_pm * (_matvec(x, w) + b)
+    loss = np.logaddexp(0.0, margin).sum(axis=-1) + 0.5 * _dot(w, w) / reg_c
     s = _expit(margin)  # sigma(-y z)
     coef = -y_pm * s
     grad = np.empty_like(params)
-    grad[:-1] = x.T @ coef + w / reg_c
-    grad[-1] = coef.sum()
+    grad[..., :-1] = _matvec(np.swapaxes(x, -1, -2), coef) + w / reg_c
+    grad[..., -1] = coef.sum(axis=-1)
     return loss, grad
 
 
 def fit(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER) -> LogisticModel:
-    """Train from a zero start; ``converged`` reflects the gradient test at return.
+    """Train from a zero start: :func:`fit_many` on a stack of one."""
+    return fit_many(np.asarray(features)[None], np.asarray(labels)[None], reg_c=reg_c, tol=tol,
+                    max_iter=max_iter)[0]
 
-    The weights are found as ``q beta`` in the row space of ``features``
-    (see the module docstring), by at most ``max_iter`` Newton steps on the
-    (m+1)-parameter reduced problem, each backtracked from step 1 until the
-    Armijo condition holds.  The steps stop once the 2-norm of the reduced
-    gradient is at most ``tol``: as ``q`` is orthonormal, the weight gradient
-    in the original space is ``q`` times the reduced one, so its max-abs
-    entry is at most that norm.  ``final_grad_norm`` is the max-abs gradient
-    recomputed in the original space, and ``converged`` is whether it is at
-    most ``tol``.
+
+def fit_many(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER) -> list[LogisticModel]:
+    """Train one model per problem of a stack, ``features`` (B, n, p) and
+    ``labels`` (B, n); ``converged`` reflects the gradient test at return.
+
+    Each problem's weights are found as ``q beta`` in the row space of its
+    features (see the module docstring), by at most ``max_iter`` Newton
+    steps on the (m+1)-parameter reduced problem, each backtracked from step
+    1 until the Armijo condition holds.  A problem's steps stop once the
+    2-norm of its reduced gradient is at most ``tol``: as ``q`` is
+    orthonormal, the weight gradient in the original space is ``q`` times
+    the reduced one, so its max-abs entry is at most that norm.
+    ``final_grad_norm`` is the max-abs gradient recomputed in the original
+    space, and ``converged`` is whether it is at most ``tol``.  Every model
+    is the same bits as a fit of its problem alone.
     """
     if reg_c <= 0:
         raise ValueError("reg_c must be positive")
     x, y_pm = _prepare(features, labels)
-    q, r = np.linalg.qr(x.T)
-    beta = minimize(r.T, y_pm, reg_c, tol, max_iter)
-    weights = q @ beta[:-1]
-    params = np.append(weights, beta[-1])
+    q, r = np.linalg.qr(np.swapaxes(x, 1, 2))
+    beta = minimize(np.swapaxes(r, 1, 2), y_pm, reg_c, tol, max_iter)
+    weights = _matvec(q, beta[:, :-1])
+    params = np.concatenate([weights, beta[:, -1:]], axis=1)
     if not np.all(np.isfinite(params)):
         raise NumericalFailure("optimizer produced non-finite parameters")
     _, grad = objective(params, x, y_pm, reg_c)
-    gnorm = float(np.abs(grad).max())
-    if not np.isfinite(gnorm):
+    gnorm = np.abs(grad).max(axis=1)
+    if not np.all(np.isfinite(gnorm)):
         raise NumericalFailure("non-finite gradient at the solution")
-    return LogisticModel(
-        weights=weights,
-        bias=float(params[-1]),
-        reg_c=reg_c,
-        converged=bool(gnorm <= tol),
-        final_grad_norm=gnorm,
-    )
+    return [
+        LogisticModel(weights=weights[i], bias=float(params[i, -1]), reg_c=reg_c,
+                      converged=bool(gnorm[i] <= tol), final_grad_norm=float(gnorm[i]))
+        for i in range(len(params))
+    ]
 
 
 def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
              max_iter: int) -> np.ndarray:
-    """Minimize ``objective(., z, y_pm, reg_c)`` by damped Newton from zero.
+    """Minimize ``objective(., z[i], y_pm[i], reg_c)`` for every problem ``i``
+    of the stack ``z`` (B, n, p) by damped Newton from zero.
 
-    Returns ``[w..., b]`` after the first iterate whose gradient has 2-norm
-    at most ``tol``, or after ``max_iter`` Newton steps.  Each step solves
-    with the full (p+1) x (p+1) Hessian, so ``fit`` passes the reduced
-    features.
+    Returns the (B, p+1) stack of ``[w..., b]``.  A problem leaves the
+    active set after the first iterate whose gradient has 2-norm at most
+    ``tol``, or when its line search finds no step that passes the Armijo
+    test in :data:`_MAX_HALVINGS` halvings; the rest stop after
+    ``max_iter`` Newton steps.  Each step solves with the full (p+1) x (p+1)
+    Hessian, so ``fit_many`` passes the reduced features.
     """
-    z1 = np.hstack([z, np.ones((z.shape[0], 1))])
-    penalty = np.full(z1.shape[1], 1.0 / reg_c)
-    penalty[-1] = 0.0
-    params = np.zeros(z1.shape[1])
+    z1 = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)
+    penalty = np.diag(np.append(np.full(z.shape[2], 1.0 / reg_c), 0.0))
+    params = np.zeros((z1.shape[0], z1.shape[2]))
     loss, grad = objective(params, z, y_pm, reg_c)
+    live = np.ones(len(params), dtype=bool)
     for _ in range(max_iter):
-        if np.linalg.norm(grad) <= tol:
+        live &= ~(np.sqrt(_dot(grad, grad)) <= tol)
+        if not live.any():
             break
-        a = z1 @ params
+        # while every problem is active, its operands are views, not copies
+        at = slice(None) if live.all() else np.flatnonzero(live)
+        az, az1, ay, aparams, aloss, agrad = (v[at] for v in (z, z1, y_pm, params, loss, grad))
+        a = _matvec(az1, aparams)
         d = _expit(a) * _expit(-a)  # sigma'(a), without the underflow of p * (1 - p)
-        hess = (z1.T * d) @ z1 + np.diag(penalty)
-        step = -np.linalg.solve(hess, grad)
-        slope = grad @ step
-        noise = _LOSS_RTOL * abs(loss)
-        t = 1.0
+        hess = (np.swapaxes(az1, 1, 2) * d[:, None, :]) @ az1
+        hess += penalty
+        step = -np.linalg.solve(hess, agrad[..., None])[..., 0]
+        slope = _dot(agrad, step)
+        noise = _LOSS_RTOL * np.abs(aloss)
+        # each problem halves its own step until it passes; one that has
+        # passed keeps its step, and its trial repeats the same bits
+        t = np.ones(len(aparams))
         for _ in range(_MAX_HALVINGS):
-            trial = params + t * step
-            trial_loss, trial_grad = objective(trial, z, y_pm, reg_c)
-            if trial_loss <= loss + _ARMIJO_C * t * slope + noise:
+            trial = aparams + t[:, None] * step
+            trial_loss, trial_grad = objective(trial, az, ay, reg_c)
+            ok = trial_loss <= aloss + _ARMIJO_C * t * slope + noise
+            if ok.all():
                 break
-            t *= 0.5
-        else:
-            break
-        params, loss, grad = trial, trial_loss, trial_grad
+            t = np.where(ok, t, 0.5 * t)
+        # a problem with no acceptable step keeps its iterate and stops
+        params[at] = np.where(ok[:, None], trial, aparams)
+        loss[at] = np.where(ok, trial_loss, aloss)
+        grad[at] = np.where(ok[:, None], trial_grad, agrad)
+        live[at] &= ok
     return params
 
 

@@ -308,6 +308,32 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+class TestSolverSettings:
+    """A solver setting that cannot fit exits 2 with one line naming its key,
+    before the chance level or any fold runs."""
+
+    @pytest.mark.parametrize("setting, line", [
+        ("clf_max_iter=0", "error: clf_max_iter must be at least 1, got 0"),
+        ("mean_max_iter=0", "error: mean_max_iter must be at least 1, got 0"),
+        ("clf_tol=-1", "error: clf_tol must be positive, got -1"),
+        ("mean_tol=0", "error: mean_tol must be positive, got 0"),
+        ("reg_c=0", "error: reg_c must be positive, got 0"),
+    ], ids=["clf_max_iter", "mean_max_iter", "clf_tol", "mean_tol", "reg_c"])
+    def test_exits_2_before_chance_and_folds(self, tiny_container, tmp_path, capsys,
+                                             monkeypatch, setting, line):
+        calls = []
+        monkeypatch.setattr(evaluation, "chance_level", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(evaluation, "_fold_split", lambda *args: calls.append(args))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["compare", "--chance", "--set", setting, "--input", str(tiny_container),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert calls == []
+        assert not out.exists()
+
+
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_below_one_exits_2(self, tiny_container, tmp_path, capsys, threads):
@@ -322,10 +348,10 @@ class TestThreads:
 
     def test_fold_error_same_line_at_any_worker_count(self, tiny_container, tmp_path,
                                                      capsys, monkeypatch):
-        def fit(x, y, **kwargs):
+        def fit_many(xs, ys, **kwargs):
             raise NumericalFailure("planted failure")
 
-        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(logreg, "fit_many", fit_many)
         lines = []
         for threads in ("1", "2"):
             capsys.readouterr()
@@ -338,14 +364,14 @@ class TestThreads:
     def test_bad_later_input_exits_2_before_any_fold(self, tiny_container, tmp_path, capsys,
                                                      monkeypatch):
         folds = multiprocessing.get_context("fork").Value("i", 0)
-        original = evaluation._run_fold
+        original = evaluation._fold_split
 
-        def run_fold(*args):
+        def fold_split(*args):
             with folds.get_lock():
                 folds.value += 1
             return original(*args)
 
-        monkeypatch.setattr(evaluation, "_run_fold", run_fold)
+        monkeypatch.setattr(evaluation, "_fold_split", fold_split)
         bad = synth_tiny(tmp_path, "bad")
         (bad / "labels.bin").unlink()
         for later in (tmp_path / "nowhere", bad):
@@ -363,11 +389,11 @@ class TestThreads:
                                                monkeypatch):
         parent = os.getpid()
 
-        def fit(x, y, **kwargs):
+        def fit_many(xs, ys, **kwargs):
             assert os.getpid() != parent, "the fit ran in the parent"
             os._exit(3)
 
-        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(logreg, "fit_many", fit_many)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         capsys.readouterr()
         assert main(["run", "--input", str(tiny_container), "--method", "benchmark",
@@ -442,9 +468,9 @@ class TestShortWindow:
         assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=20",
                      "--set", "n_channels=2", "--set", f"fs_hz={fs_hz}"]) == 0
         calls = []
-        run_fold = evaluation._run_fold
-        monkeypatch.setattr(evaluation, "_run_fold",
-                            lambda *args: calls.append(args) or run_fold(*args))
+        fold_split = evaluation._fold_split
+        monkeypatch.setattr(evaluation, "_fold_split",
+                            lambda *args: calls.append(args) or fold_split(*args))
         capsys.readouterr()
         assert main(["compare", "--input", str(data), "--out", str(out),
                      "--folds", "2", "--repeats", "1"]) == 2
@@ -469,9 +495,9 @@ class TestShrinkage:
         assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=40",
                      "--set", "n_channels=16", "--set", "fs_hz=64.0"]) == 0
         calls = []
-        run_fold = evaluation._run_fold
-        monkeypatch.setattr(evaluation, "_run_fold",
-                            lambda *args: calls.append(args) or run_fold(*args))
+        fold_split = evaluation._fold_split
+        monkeypatch.setattr(evaluation, "_fold_split",
+                            lambda *args: calls.append(args) or fold_split(*args))
         capsys.readouterr()
         assert main(["compare", "--chance", "--set", setting, "--set", "n_chance_shuffles=2",
                      "--input", str(data), "--out", str(out), "--folds", "2", "--repeats", "1"]) == 2
@@ -488,7 +514,7 @@ class TestShrinkage:
             assert main(["synth", "--out", str(path), "--seed", "1", "--set", "n_trials=40",
                          "--set", f"n_channels={channels}", "--set", "fs_hz=64.0"]) == 0
         calls = []
-        monkeypatch.setattr(evaluation, "_run_fold", lambda *args: calls.append(args))
+        monkeypatch.setattr(evaluation, "_fold_split", lambda *args: calls.append(args))
         capsys.readouterr()
         assert main(["compare", "--chance", "--set", "shrinkage=0", "--input", str(first),
                      "--input", str(second), "--out", str(out), "--folds", "2",

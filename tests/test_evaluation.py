@@ -37,6 +37,14 @@ def tiny_dataset(seed=0, n=40, frn=-30.0, noise=6.0):
     return generate_epochs(labels, spec, seed=seed, **TINY)
 
 
+def oracle_accuracy(xtr, ytr, xte, yte, hp):
+    """One fold's accuracy from a classifier fitted to that fold alone."""
+    order = _canonical_order(xtr, ytr)
+    clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
+                     tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+    return float(np.mean(logreg.predict(clf, xte) == yte))
+
+
 def synthetic_result(plan, accs, method="riemann"):
     return CVResult(method, np.asarray(accs, dtype=np.float64), plan)
 
@@ -149,12 +157,39 @@ class TestRunCV:
                 scale = features.max_abs_scale(features.benchmark_features(train))
                 assert np.array_equal(xtr, features.benchmark_features(train) / scale)
                 assert np.array_equal(xte, features.benchmark_features(test) / scale)
-            ytr, yte = train.labels, test.labels
-            order = _canonical_order(xtr, ytr)
-            clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
-                             tol=hp.clf_tol, max_iter=hp.clf_max_iter)
-            acc = float(np.mean(logreg.predict(clf, xte) == yte))
-            assert acc == res.accuracies[fold]
+            assert oracle_accuracy(xtr, train.labels, xte, test.labels, hp) == res.accuracies[fold]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_uneven_folds_match_the_per_fold_oracle(self, n_workers):
+        # 21 epochs a class in 4 folds: training sets of 31 to 32 rows, so a
+        # job fits more than one stack
+        es = tiny_dataset(seed=34, n=42)
+        hp = Hyperparams()
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=35)
+        assert len({np.count_nonzero(plan.assignments[0] == f) for f in range(4)}) > 1
+
+        def oracle(rows, labels, method, plan):
+            accs = []
+            for rep in range(plan.r):
+                for fold in range(plan.k):
+                    mask = plan.assignments[rep] == fold
+                    tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
+                    xtr, xte = _fit_transform(rows, labels, method, tr, te, hp)
+                    accs.append(oracle_accuracy(xtr, labels[tr], xte, labels[te], hp))
+            return np.array(accs)
+
+        for method in ("riemann", "benchmark"):
+            rows = (features.riemann_windows(es) if method == "riemann"
+                    else features.benchmark_features(es))
+            res = run_cv(es, method, plan, n_workers=n_workers)
+            assert np.array_equal(res.accuracies, oracle(rows, es.labels, method, plan))
+        chance = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2, n_workers=n_workers)
+        rows = features.benchmark_features(es)
+        for s in range(3):
+            labels = np.random.default_rng([36, s]).permutation(es.labels)
+            plan = make_fold_plan(labels, k=4, r=2, seed=derive_seed(36, s, 1))
+            assert chance.per_shuffle_mean_accuracies[s] == oracle(
+                rows, labels, "benchmark", plan).mean()
 
     def test_benchmark_features_computed_once_per_call(self, monkeypatch):
         calls = []
@@ -242,17 +277,21 @@ class InProcessPool:
 
 class TestFoldRunner:
     @staticmethod
-    def fail_some_fits(monkeypatch):
+    def planted(x) -> bool:
+        return int(np.abs(x).sum() * 1e3) % 3 == 0
+
+    def fail_some_fits(self, monkeypatch):
         """Make about a third of the folds' classifier fits raise, chosen by
-        their training data, so forked workers fail the same folds."""
-        original = logreg.fit
+        their training data, so forked workers fail the same folds; a stack
+        that holds such a fold fails as a whole."""
+        original = logreg.fit_many
 
-        def fit(x, y, **kwargs):
-            if int(np.abs(x).sum() * 1e3) % 3 == 0:
+        def fit_many(xs, ys, **kwargs):
+            if any(map(self.planted, xs)):
                 raise NumericalFailure("planted failure")
-            return original(x, y, **kwargs)
+            return original(xs, ys, **kwargs)
 
-        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(logreg, "fit_many", fit_many)
 
     def test_fold_error_same_at_one_and_two_workers(self, monkeypatch):
         self.fail_some_fits(monkeypatch)
@@ -265,14 +304,19 @@ class TestFoldRunner:
             raised.append((type(info.value), str(info.value)))
             assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
-        assert raised[0][1].startswith("(repeat ") and raised[0][1].endswith("planted failure")
+        # the message names the first fold, in (repeat, fold) order, whose fit fails
+        rows = features.benchmark_features(es)
+        first = next((rep, fold) for rep in range(10) for fold in range(4) if self.planted(
+            evaluation._fold_split(rows, es.labels, "benchmark", plan, rep, fold,
+                                   Hyperparams())[0]))
+        assert raised[0][1] == "(repeat %d, fold %d): planted failure" % first
 
     def test_first_error_skips_the_remaining_folds(self, monkeypatch):
         # the first fold fails; every other fold takes 20 ms and is counted
         ran = multiprocessing.get_context("fork").Value("i", 0)
-        original = evaluation._run_fold
+        original = evaluation._fold_split
 
-        def run_fold(rows, labels, method, plan, rep, fold, hp):
+        def fold_split(rows, labels, method, plan, rep, fold, hp):
             if (rep, fold) == (0, 0):
                 raise NumericalFailure("(repeat 0, fold 0): planted failure")
             with ran.get_lock():
@@ -280,25 +324,26 @@ class TestFoldRunner:
             time.sleep(0.02)
             return original(rows, labels, method, plan, rep, fold, hp)
 
-        monkeypatch.setattr(evaluation, "_run_fold", run_fold)
+        monkeypatch.setattr(evaluation, "_fold_split", fold_split)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         es = tiny_dataset(seed=23)
         plan = make_fold_plan(es.labels, k=4, r=25, seed=24)
         with pytest.raises(NumericalFailure, match=r"^\(repeat 0, fold 0\): planted failure$"):
             run_cv(es, "benchmark", plan, n_workers=2)
         assert multiprocessing.active_children() == []
-        # 12 folds a chunk, 3 chunks in flight: only skipping the rest keeps
-        # the other worker from running all of its chunk
+        # a job runs a repeat's 4 folds, 3 jobs a chunk, 3 chunks in flight:
+        # only skipping the rest keeps the other worker from running all 12
+        # folds of its chunk
         assert ran.value < 12
 
     def test_dead_worker_raises_one_errpkit_error(self, monkeypatch):
         parent = os.getpid()
 
-        def fit(x, y, **kwargs):
+        def fit_many(xs, ys, **kwargs):
             assert os.getpid() != parent, "the fit ran in the parent"
             os._exit(3)
 
-        monkeypatch.setattr(logreg, "fit", fit)
+        monkeypatch.setattr(logreg, "fit_many", fit_many)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         es = tiny_dataset(seed=25)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=26)
@@ -313,13 +358,14 @@ class TestFoldRunner:
             monkeypatch.setattr(parallel, name, None)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         es = tiny_dataset(seed=27)
-        plan = make_fold_plan(es.labels, k=4, r=2, seed=28)
+        # a job runs a whole repeat of these small folds: 3 repeats, 3 jobs
+        plan = make_fold_plan(es.labels, k=4, r=3, seed=28)
         pooled = run_cv(es, "benchmark", plan, n_workers=10_000)
-        chance_level(es, plan_seed=29, n_shuffles=2, k=4, r=1, n_workers=10_000)
+        chance_level(es, plan_seed=29, n_shuffles=3, k=4, r=1, n_workers=10_000)
         assert InProcessPool.sizes == [3, 3]
         assert np.array_equal(pooled.accuracies, run_cv(es, "benchmark", plan).accuracies)
         # never more workers than jobs
-        run_cv(es, "benchmark", make_fold_plan(es.labels, k=2, r=1, seed=30), n_workers=10_000)
+        run_cv(es, "benchmark", make_fold_plan(es.labels, k=2, r=2, seed=30), n_workers=10_000)
         assert InProcessPool.sizes == [3, 3, 2]
 
     def test_one_worker_constructs_no_executor(self, monkeypatch):

@@ -3,14 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
+from errpkit import logreg
 from errpkit.errors import DegenerateTrainingSet, DimMismatch
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.logreg import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LogisticModel,
     _expit,
     decision_value,
     fit,
+    fit_many,
     grad_check,
     objective,
     predict,
@@ -215,3 +218,66 @@ class TestNewtonRowSpace:
         x, y = blobs(rng, gap=1.0)
         assert not fit(x, y, max_iter=1).converged
         assert fit(x, y, max_iter=20).converged
+
+
+class TestFitMany:
+    """Every member of a stack fits the same bits as its problem alone."""
+
+    @staticmethod
+    def mixed_stack(n, p):
+        """Six problems: all-zero features (at the optimum from the start),
+        then class shifts and scales that converge after different numbers
+        of Newton steps."""
+        rng = np.random.default_rng(n * 1000 + p)
+        xs = rng.standard_normal((6, n, p))
+        ys = np.stack([rng.permutation(np.arange(n) % 2) for _ in range(6)])
+        for i, (gap, scale) in enumerate([(0, 0), (0.2, 1), (1, 1), (3, 1), (1, 10), (6, 3)]):
+            xs[i, ys[i] == FAILURE, : max(1, p // 4)] += gap
+            xs[i] *= scale
+        return xs, ys
+
+    @pytest.mark.parametrize("n, p", [(40, 6), (20, 60)], ids=["p-below-n", "p-above-n"])
+    def test_members_match_fit_bit_for_bit(self, n, p):
+        xs, ys = self.mixed_stack(n, p)
+        for max_iter in (DEFAULT_MAX_ITER, 1):
+            models = fit_many(xs, ys, max_iter=max_iter)
+            converged = [m.converged for m in models]
+            assert converged == [True] * 6 if max_iter > 1 else converged == [True] + [False] * 5
+            for i, model in enumerate(models):
+                alone = fit(xs[i], ys[i], max_iter=max_iter)
+                assert np.array_equal(model.weights, alone.weights)
+                assert model.bias == alone.bias
+                assert model.converged == alone.converged
+                assert model.final_grad_norm == alone.final_grad_norm
+
+    def test_member_that_halves_its_step(self, monkeypatch):
+        """At a weak penalty the first problem backtracks a Newton step while
+        the others take theirs whole."""
+        xs, ys = [], []
+        for seed in (91, 0, 1, 2):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((40, 6)) + 10 * rng.standard_normal(6)
+            y = rng.permutation(np.arange(40) % 2)
+            x[y == 1] += 2 * rng.standard_normal(6)
+            xs.append(x)
+            ys.append(y)
+        models = fit_many(np.stack(xs), np.stack(ys), reg_c=1e6)
+        for x, y, model in zip(xs, ys, models):
+            alone = fit(x, y, reg_c=1e6)
+            assert np.array_equal(model.weights, alone.weights)
+            assert (model.bias, model.converged, model.final_grad_norm) == (
+                alone.bias, alone.converged, alone.final_grad_norm)
+        # the first problem's fit evaluates more trial steps than it solves for
+        calls = []
+        objective, solve = logreg.objective, np.linalg.solve
+        monkeypatch.setattr(logreg, "objective", lambda *a: calls.append("eval") or objective(*a))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("step") or solve(*a))
+        fit(xs[0], ys[0], reg_c=1e6)
+        # less the evaluations at the start and of the final gradient
+        assert calls.count("eval") - 2 > calls.count("step")
+
+    def test_single_class_member_rejected(self, rng):
+        xs = rng.standard_normal((3, 6, 2))
+        ys = np.array([[0, 1] * 3, [1] * 6, [0, 1] * 3])
+        with pytest.raises(DegenerateTrainingSet, match=r"single class: \{1\}"):
+            fit_many(xs, ys)
