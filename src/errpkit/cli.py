@@ -150,14 +150,16 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    # every input and its audit first: a bad later one exits 2 before any fold
+    if len(args.input) >= 2 and len(args.methods) == len(evaluation.METHODS):
+        evaluation.check_permutation_count(cfg["n_permutations"])
+    # every input, its plan and its audit first: a bad later one exits 2 before any fold
     datasets = [io.read_epoch_container(in_path) for in_path in args.input]
+    plans = [evaluation.make_fold_plan(es.labels, k=k, r=r, seed=evaluation.derive_seed(seed, d))
+             for d, es in enumerate(datasets)]
     audits = [_audit_blocks(es, hp, args.methods) for es in datasets]
     dataset_blocks = []
     pairs = []
-    for d_index, (in_path, es, audit) in enumerate(zip(args.input, datasets, audits)):
-        plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
-                                         seed=evaluation.derive_seed(seed, d_index))
+    for d_index, (in_path, es, plan, audit) in enumerate(zip(args.input, datasets, plans, audits)):
         chance = None
         if args.chance:  # before the folds: it rejects a shuffle count below 1
             chance = asdict(evaluation.chance_level(

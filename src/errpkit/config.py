@@ -49,10 +49,10 @@ def _matches(value, default) -> bool:
 
     An int passes for a float and a list for a tuple, list elements are held
     to the default's first element, a bool never passes for a number, and a
-    ``None`` default takes any value.
+    ``None`` default takes null or a list of numbers.
     """
     if default is None:
-        return True
+        return value is None or _matches(value, [0.0])
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
@@ -67,8 +67,6 @@ def _finite(value) -> bool:
     parses ``NaN``, ``Infinity`` and ``-Infinity``."""
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, dict):
-        return _finite(list(value.values()))
     if isinstance(value, list):
         return all(map(_finite, value))
     return True
@@ -77,15 +75,15 @@ def _finite(value) -> bool:
 def _checked(key: str, value, source: str):
     if key not in DEFAULTS:
         raise ConfigError(f"unknown config field {key!r} in {source}")
-    if not _matches(value, DEFAULTS[key]):
-        raise ConfigError(
-            f"config field {key!r} in {source} must have the type of its default "
-            f"{json.dumps(DEFAULTS[key])}, got {json.dumps(value)}"
-        )
     if not _finite(value):
         raise ConfigError(
             f"config field {key!r} in {source} must hold finite numbers only, "
             f"got {json.dumps(value)}"
+        )
+    if not _matches(value, DEFAULTS[key]):
+        raise ConfigError(
+            f"config field {key!r} in {source} must have the type of its default "
+            f"{json.dumps(DEFAULTS[key])}, got {json.dumps(value)}"
         )
     return value
 

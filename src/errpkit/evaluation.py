@@ -208,7 +208,8 @@ def t_two_sided_p(t: float, df: int) -> float:
 
 
 def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
-    """Stratified assignments, reproducible from ``seed``."""
+    """Stratified assignments, reproducible from ``seed``, of labels that hold
+    two classes of at least ``k`` epochs each: every training set holds both."""
     labels = np.asarray(labels)
     n = labels.size
     if k < 2:
@@ -216,7 +217,9 @@ def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
     if r < 1:
         raise ValueError(f"need at least 1 repeat, got r={r}")
     classes, counts = np.unique(labels, return_counts=True)
-    if n == 0 or counts.min() < k:
+    if classes.size < 2:
+        raise InsufficientData(f"labels must hold both classes, got {classes.tolist()}")
+    if counts.min() < k:
         raise InsufficientData(
             f"every class needs at least k={k} epochs, got counts {dict(zip(classes.tolist(), counts.tolist()))}"
         )
@@ -262,8 +265,9 @@ def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np
     return raw_tr / scale, rows[te_idx] / scale
 
 
-def _named(exc: ErrpkitError, rep: int, fold: int) -> ErrpkitError:
-    return type(exc)(f"(repeat {rep}, fold {fold}): {exc}")
+def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
+    where = f"fold {folds[0]}" if len(folds) == 1 else "folds " + ", ".join(map(str, folds))
+    return type(exc)(f"(repeat {rep}, {where}): {exc}")
 
 
 def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
@@ -277,14 +281,16 @@ def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPla
     try:
         xtr, xte = _fit_transform(rows, labels, method, tr_idx, te_idx, hp)
     except ErrpkitError as exc:
-        raise _named(exc, rep, fold) from exc
+        raise _named(exc, rep, [fold]) from exc
     order = _canonical_order(xtr, ytr)
     return xtr[order], ytr[order], xte, yte
 
 
-def _fit_stacks(splits: list, hp: Hyperparams) -> list[logreg.LogisticModel]:
-    """One classifier per split, the splits of equal training shape fitted
-    as one stack by :func:`logreg.fit_many`."""
+def _fit_stacks(splits: list, rep: int, folds: range,
+                hp: Hyperparams) -> list[logreg.LogisticModel]:
+    """One classifier per split of ``folds`` of repeat ``rep``, the splits of
+    equal training shape fitted as one stack by :func:`logreg.fit_many` in the
+    order of their first fold.  A failing stack raises named by ``rep`` and its folds."""
     by_shape: dict = {}
     for i, (xtr, *_) in enumerate(splits):
         by_shape.setdefault(xtr.shape, []).append(i)
@@ -295,8 +301,11 @@ def _fit_stacks(splits: list, hp: Hyperparams) -> list[logreg.LogisticModel]:
 
     models = [None] * len(splits)
     for members in by_shape.values():
-        fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c,
-                                 tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+        try:
+            fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c,
+                                     tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+        except ErrpkitError as exc:
+            raise _named(exc, rep, [folds[i] for i in members]) from exc
         for i, model in zip(members, fitted):
             models[i] = model
     return models
@@ -305,28 +314,11 @@ def _fit_stacks(splits: list, hp: Hyperparams) -> list[logreg.LogisticModel]:
 def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
                folds: range, hp: Hyperparams) -> list[tuple[float, bool, float]]:
     """Accuracy, classifier convergence and final gradient norm of each of
-    ``folds`` of repeat ``rep``.  The first fold in order that fails raises,
-    named, as if the folds ran one by one."""
-    splits, error = [], None
-    for fold in folds:
-        try:
-            splits.append(_fold_split(rows, labels, method, plan, rep, fold, hp))
-        except ErrpkitError as exc:
-            error = exc
-            break
-    try:
-        models = _fit_stacks(splits, hp)
-    except ErrpkitError:
-        # a stack member fits the same bits alone: fit one by one to name the fold
-        models = []
-        for fold, (xtr, ytr, *_) in zip(folds, splits):
-            try:
-                models.append(logreg.fit(xtr, ytr, reg_c=hp.reg_c, tol=hp.clf_tol,
-                                         max_iter=hp.clf_max_iter))
-            except ErrpkitError as exc:
-                raise _named(exc, rep, fold) from exc
-    if error is not None:
-        raise error
+    ``folds`` of repeat ``rep``: their splits in fold order, where a feature
+    error raises named by its fold, then their classifiers by
+    :func:`_fit_stacks`, then their scores."""
+    splits = [_fold_split(rows, labels, method, plan, rep, fold, hp) for fold in folds]
+    models = _fit_stacks(splits, rep, folds, hp)
     return [(float(np.mean(logreg.predict(clf, xte) == yte)), clf.converged, clf.final_grad_norm)
             for (_, _, xte, yte), clf in zip(splits, models)]
 
@@ -414,6 +406,12 @@ def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
     return TTestResult(t=float(t), p=t_two_sided_p(t, df), df=df, mean_diff=mean_diff)
 
 
+def check_permutation_count(n_perm: int) -> None:
+    """Raise unless :func:`permutation_test` builds its null from ``n_perm`` draws."""
+    if n_perm < 100:
+        raise ValueError("need at least 100 permutations")
+
+
 def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> PermTestResult:
     """Sum over datasets of (median a - median b), z-scored against a null
     built by independently swapping the two methods' accuracy sets within
@@ -425,8 +423,7 @@ def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> Perm
     pairs = list(per_participant)
     if not pairs:
         raise EmptyInput("permutation test needs at least one dataset")
-    if n_perm < 100:
-        raise ValueError("need at least 100 permutations")
+    check_permutation_count(n_perm)
     diffs = np.array([
         float(np.median(a.accuracies)) - float(np.median(b.accuracies)) for a, b in pairs
     ])

@@ -152,14 +152,10 @@ def canonical_order(stack: np.ndarray) -> np.ndarray:
 
 
 def canonical_mean(stack: np.ndarray) -> np.ndarray:
-    """Arithmetic mean along axis 0 that adds the entries one by one in
+    """Arithmetic mean along axis 0 of the entries reduced in
     :func:`canonical_order`, so it is bit-identical under any permutation."""
     stack = np.asarray(stack, dtype=np.float64)
-    first, *rest = canonical_order(stack).tolist()
-    total = stack[first].copy()
-    for i in rest:
-        total += stack[i]
-    return total / stack.shape[0]
+    return np.add.reduce(stack[canonical_order(stack)]) / stack.shape[0]
 
 
 @dataclass(frozen=True)

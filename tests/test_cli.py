@@ -104,11 +104,14 @@ class TestSynthErrors:
         (["topography=[1, 0.5, Infinity]"],
          "error: config field 'topography' in --set must hold finite numbers only, "
          "got [1, 0.5, Infinity]"),
+        (['topography={"a": 1}'],
+         "error: config field 'topography' in --set must have the type of its default null, "
+         'got {"a": 1}'),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
             "step_factor-1", "start_contrast-staircase", "frn_amp_uv-nan", "noise_rms_uv-nan",
-            "topography-infinity"])
+            "topography-infinity", "topography-dict"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()
@@ -359,7 +362,9 @@ class TestThreads:
                          "--out", str(tmp_path / "report.json")]) == 1
             lines.append(capsys.readouterr().err.splitlines())
             assert multiprocessing.active_children() == []
-        assert lines[0] == lines[1] == ["failure: (repeat 0, fold 0): planted failure"]
+        # the 36-epoch training sets of a repeat's 10 riemann folds fit as one stack
+        assert lines[0] == lines[1] == [
+            "failure: (repeat 0, folds 0, 1, 2, 3, 4, 5, 6, 7, 8, 9): planted failure"]
 
     def test_bad_later_input_exits_2_before_any_fold(self, tiny_container, tmp_path, capsys,
                                                      monkeypatch):
@@ -524,6 +529,55 @@ class TestShrinkage:
             "error: a 48x48 covariance at shrinkage 0 needs at least 49 samples, got 32"]
         assert calls == []
         assert not out.exists()
+
+
+class TestPlanBeforeFolds:
+    """An input no fold plan covers, or a permutation count the permutation
+    test rejects, exits 2 with one line before any fold runs."""
+
+    @staticmethod
+    def exits_2(argv, capsys, monkeypatch, line):
+        calls = []
+        monkeypatch.setattr(evaluation, "_fold_split", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [["run", "--method", "benchmark"], ["chance"],
+                                         ["compare"]], ids=["run-benchmark", "chance", "compare"])
+    def test_one_class_input(self, tmp_path, capsys, monkeypatch, command):
+        data, out = synth_tiny(tmp_path), tmp_path / "r.json"
+        (data / "labels.bin").write_bytes(bytes(40))  # every trial a success
+        self.exits_2([*command, "--input", str(data), "--out", str(out)], capsys, monkeypatch,
+                     "error: labels must hold both classes, got [0]")
+        assert not out.exists()
+
+    def test_later_input_too_small_for_k(self, tmp_path, capsys, monkeypatch):
+        first, out = synth_tiny(tmp_path, "a"), tmp_path / "r.json"
+        second = tmp_path / "b"
+        assert main(["synth", "--out", str(second), "--seed", "4", *TINY,
+                     "--set", "n_trials=12"]) == 0
+        self.exits_2(["compare", "--input", str(first), "--input", str(second), "--folds", "8",
+                      "--repeats", "3", "--out", str(out)], capsys, monkeypatch,
+                     "error: every class needs at least k=8 epochs, got counts {0: 6, 1: 6}")
+        assert not out.exists()
+
+    def test_too_few_permutations_over_two_inputs(self, tiny_container, tmp_path, capsys,
+                                                  monkeypatch):
+        out = tmp_path / "r.json"
+        self.exits_2(["compare", "--input", str(tiny_container), "--input", str(tiny_container),
+                      "--set", "n_permutations=50", "--folds", "4", "--repeats", "3",
+                      "--out", str(out)], capsys, monkeypatch,
+                     "error: need at least 100 permutations")
+        assert not out.exists()
+
+    def test_one_input_runs_at_any_permutation_count(self, tiny_container, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["compare", "--input", str(tiny_container), "--set", "n_permutations=50",
+                     "--folds", "2", "--repeats", "1", "--out", str(out)]) == 0
+        assert read_report(out)["permutation_test"] is None
 
 
 class TestWindowSettings:

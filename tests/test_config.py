@@ -14,7 +14,7 @@ class TestTypeCheck:
             "reg_c=2",  # int for a float
             "riemann_window_s=[0.1, 0.5]",  # list for a tuple
             "benchmark_windows_s=[[0.1, 0.3], [0.3, 0.6]]",
-            "topography=[1, 0.5, 0.2]",  # None default takes any value
+            "topography=[1, 0.5, 0.2]",  # None default takes a list of numbers
             "label_source=staircase",  # raw string fallback
             "notch_hz=[]",
         ])
@@ -29,6 +29,7 @@ class TestTypeCheck:
         "benchmark_windows_s=[0.1, 0.2]", "notch_hz=null",
         "reg_c=NaN", "mean_tol=Infinity", "epoch_post_s=-Infinity", "notch_hz=[50, NaN]",
         "benchmark_windows_s=[[0.1, Infinity]]", "topography=[1, NaN]", "topography=NaN",
+        'topography={"a": 1}',
     ])
     def test_mismatched_values_rejected(self, item):
         key, _, value = item.partition("=")

@@ -90,6 +90,15 @@ class TestFoldPlan:
         with pytest.raises(InsufficientData):
             make_fold_plan(labels, k=10)
 
+    @pytest.mark.parametrize("labels, line", [
+        ([0] * 20, "labels must hold both classes, got [0]"),
+        ([], "labels must hold both classes, got []"),
+    ], ids=["one-class", "empty"])
+    def test_fewer_than_two_classes_rejected(self, labels, line):
+        with pytest.raises(InsufficientData) as info:
+            make_fold_plan(np.array(labels, dtype=np.int64), k=4)
+        assert str(info.value) == line
+
     @pytest.mark.parametrize("r", [0, -1])
     def test_no_repeats_rejected(self, r):
         with pytest.raises(ValueError, match=f"need at least 1 repeat, got r={r}"):
@@ -304,12 +313,15 @@ class TestFoldRunner:
             raised.append((type(info.value), str(info.value)))
             assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
-        # the message names the first fold, in (repeat, fold) order, whose fit fails
+        # the message names the repeat and the folds of the first stack, in
+        # (repeat, stack) order, whose fit fails: every training set holds 30
+        # epochs, so a repeat's 4 folds fit as one stack
         rows = features.benchmark_features(es)
-        first = next((rep, fold) for rep in range(10) for fold in range(4) if self.planted(
+        assert evaluation._folds_per_job(rows, "benchmark", plan) == 4
+        first = next(rep for rep in range(10) if any(self.planted(
             evaluation._fold_split(rows, es.labels, "benchmark", plan, rep, fold,
-                                   Hyperparams())[0]))
-        assert raised[0][1] == "(repeat %d, fold %d): planted failure" % first
+                                   Hyperparams())[0]) for fold in range(4)))
+        assert raised[0][1] == "(repeat %d, folds 0, 1, 2, 3): planted failure" % first
 
     def test_first_error_skips_the_remaining_folds(self, monkeypatch):
         # the first fold fails; every other fold takes 20 ms and is counted
