@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, features, io, synth
+from . import evaluation, features, io, parallel, synth
 from .config import from_config, load_config
 from .errors import ErrpkitError, InvalidInput
 from .labels import FAILURE, SUCCESS
@@ -37,7 +37,17 @@ from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
 logger = logging.getLogger(__name__)
 
 
+def _check_out(out: str, kind: str) -> None:
+    """Raise unless a ``kind`` ("file" or "directory") can be made at ``out``: the
+    nearest existing one of it and its parents is a directory, or ``out`` as a ``kind``."""
+    path = Path(out)
+    near = next(p for p in (path, *path.parents) if p.exists())
+    if near.is_dir() != (near != path or kind == "directory"):
+        raise ValueError(f"--out {out}: {near} is {'a' if near.is_dir() else 'not a'} directory")
+
+
 def cmd_synth(args) -> int:
+    _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -49,13 +59,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
     spec = from_config(PreprocessSpec, cfg)
     rec, labels = io.read_continuous_container(args.input)
     labels = [lab for (_, code), lab in zip(rec.events, labels) if code == spec.event_code]
-    # every CPU this process may run on, so `taskset` bounds the workers
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    es, skipped = preprocess_recording(rec, labels, spec, n_workers=cpus or 1)
+    es, skipped = preprocess_recording(rec, labels, spec, n_workers=parallel.n_cpus())
     io.write_epoch_container(
         args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": cfg},
     )
@@ -85,8 +94,8 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     audit = {}
     if "riemann" in methods:
         windows = features.riemann_windows(es, hp.riemann_window_s)
-        # a super trial stacks both prototypes on the trial: 3 * n_channels rows
-        features.check_covariance_shape(3 * es.n_channels, windows.shape[-1], hp.shrinkage)
+        features.check_covariance_shape(features.SUPER_TRIAL_ROWS * es.n_channels,
+                                        windows.shape[-1], hp.shrinkage)
         protos = features.fit_prototypes(windows, es.labels)
         audit["riemann"] = {
             "prototype_sha256_success": io.sha256_hex(protos.proto_success),
@@ -142,13 +151,13 @@ def cmd_evaluate(args) -> int:
     methods on at least two datasets.
     """
     t_start = time.perf_counter()
+    _check_out(args.out, "file")
     cfg = load_config(args.config, args.set)
     seed = args.seed if args.seed is not None else cfg["seed"]
     k = args.folds if args.folds is not None else cfg["folds"]
     r = args.repeats if args.repeats is not None else cfg["repeats"]
     hp = from_config(evaluation.Hyperparams, cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if len(args.input) >= 2 and len(args.methods) == len(evaluation.METHODS):
         evaluation.check_permutation_count(cfg["n_permutations"])
@@ -186,8 +195,6 @@ def cmd_evaluate(args) -> int:
             "chance": chance,
             "audit": audit,
         })
-        if args.emit_erp:
-            _write_erp_csv(out.with_name(f"{out.stem}_erp_{d_index}.csv"), es)
 
     perm = None
     if len(pairs) >= 2:
@@ -207,7 +214,9 @@ def cmd_evaluate(args) -> int:
         "datasets": dataset_blocks,
         "permutation_test": perm,
     })
-    if args.emit_erp:
+    if args.emit_erp:  # beside the report, in the directory write_report made
+        for d_index, es in enumerate(datasets):
+            _write_erp_csv(out.with_name(f"{out.stem}_erp_{d_index}.csv"), es)
         _write_accuracy_csv(out.with_name(f"{out.stem}_accuracies.csv"), dataset_blocks)
     for block in dataset_blocks:
         print(_summary_line(block))
@@ -300,7 +309,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except (InvalidInput, FileNotFoundError, ValueError) as exc:
+    except (InvalidInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ErrpkitError as exc:

@@ -71,13 +71,9 @@ class FoldPlan:
     seed: int
 
     def same_as(self, other: "FoldPlan") -> bool:
-        return (
-            self.n_epochs == other.n_epochs
-            and self.k == other.k
-            and self.r == other.r
-            and self.seed == other.seed
-            and np.array_equal(self.assignments, other.assignments)
-        )
+        """Equal ``k``, ``seed`` and assignments, whose shape is (r, n_epochs)."""
+        return ((self.k, self.seed) == (other.k, other.seed)
+                and np.array_equal(self.assignments, other.assignments))
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ def t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - front * _beta_fraction(b, a, math.exp(log_1mx)) / b
 
 
-def make_fold_plan(labels, k: int = 10, r: int = 10, seed: int = 0) -> FoldPlan:
+def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
     """Stratified assignments, reproducible from ``seed``, of labels that hold
     two classes of at least ``k`` epochs each: every training set holds both."""
     labels = np.asarray(labels)
@@ -327,8 +323,8 @@ def _folds_per_job(rows: np.ndarray, method: str, plan: FoldPlan) -> int:
     """How many consecutive folds of one repeat a job runs: as many as keep
     their stacked training features within :data:`_STACK_BYTES`, at least 1."""
     n_train = plan.n_epochs - plan.n_epochs // plan.k  # the largest training set
-    d = 3 * rows.shape[1]  # a riemann window's super trial has 3 * n_channels rows
-    width = d * (d + 1) // 2 if method == "riemann" else rows.shape[1]
+    width = (manifold.tangent_dim(features.SUPER_TRIAL_ROWS * rows.shape[1])
+             if method == "riemann" else rows.shape[1])
     return max(1, min(plan.k, _STACK_BYTES // (8 * n_train * width)))
 
 
@@ -396,14 +392,11 @@ def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
     mean_diff = float(d.mean())
     var = float(d.var(ddof=1))
     df = n - 1
-    ratio = 1.0 / (a.plan.k - 1)
-    if var == 0.0:
-        if mean_diff == 0.0:
-            return TTestResult(t=0.0, p=1.0, df=df, mean_diff=0.0)
-        t = np.inf if mean_diff > 0 else -np.inf
-        return TTestResult(t=float(t), p=0.0, df=df, mean_diff=mean_diff)
-    t = mean_diff / np.sqrt(var * (1.0 / n + ratio))
-    return TTestResult(t=float(t), p=t_two_sided_p(t, df), df=df, mean_diff=mean_diff)
+    if var > 0.0:
+        t = float(mean_diff / np.sqrt(var * (1.0 / n + 1.0 / (a.plan.k - 1))))
+    else:  # equal differences: t is 0 or infinite, and p is 1 or 0
+        t = math.copysign(math.inf, mean_diff) if mean_diff else 0.0
+    return TTestResult(t=t, p=t_two_sided_p(t, df), df=df, mean_diff=mean_diff)
 
 
 def check_permutation_count(n_perm: int) -> None:
@@ -412,7 +405,7 @@ def check_permutation_count(n_perm: int) -> None:
         raise ValueError("need at least 100 permutations")
 
 
-def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> PermTestResult:
+def permutation_test(per_participant, n_perm: int, seed: int = 0) -> PermTestResult:
     """Sum over datasets of (median a - median b), z-scored against a null
     built by independently swapping the two methods' accuracy sets within
     each dataset.
@@ -445,9 +438,8 @@ def permutation_test(per_participant, n_perm: int = 1000, seed: int = 0) -> Perm
     return PermTestResult(observed, float(z), normal_two_sided_p(z), n_perm, null_mean, null_std)
 
 
-def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int = 100,
-                 k: int = 10, r: int = 10, hyperparams: Hyperparams | None = None,
-                 n_workers: int = 1) -> ChanceLevel:
+def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int, k: int, r: int,
+                 hyperparams: Hyperparams | None = None, n_workers: int = 1) -> ChanceLevel:
     """Label-shuffle chance estimate using the benchmark pipeline.
 
     Each shuffle permutes the labels, draws a fresh stratified plan, runs

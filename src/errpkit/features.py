@@ -34,6 +34,7 @@ from .preprocessing import EpochSet, _window_slice
 RIEMANN_WINDOW = (0.100, 0.600)
 BENCHMARK_WINDOWS = ((0.100, 0.200), (0.200, 0.300), (0.300, 0.400), (0.400, 0.600))
 DEFAULT_SHRINKAGE = 0.01
+SUPER_TRIAL_ROWS = 3  # per channel: [success prototype; failure prototype; trial]
 
 
 @dataclass(frozen=True)

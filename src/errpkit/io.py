@@ -120,18 +120,12 @@ def write_epoch_container(path, es: EpochSet, extra_manifest: dict | None = None
 
 
 def read_epoch_container(path) -> EpochSet:
-    path = Path(path)
-    problems, manifest, data = _inspect_epoch_container(path)
+    problems, manifest, data, labels = _inspect_epoch_container(Path(path))
     if problems:
         raise ContainerError("; ".join(problems))
-    labels = np.frombuffer((path / LABELS_NAME).read_bytes(), dtype=np.uint8)
-    return EpochSet(
-        data.astype(np.float64),
-        labels.astype(np.int64),
-        manifest["fs_hz"],
-        manifest["t0_offset_s"],
-        list(manifest["channel_names"]),
-    )
+    # EpochSet widens the float32 samples and the label bytes
+    return EpochSet(data, np.frombuffer(labels, dtype=np.uint8), manifest["fs_hz"],
+                    manifest["t0_offset_s"], list(manifest["channel_names"]))
 
 
 def validate_epoch_container(path) -> list[str]:
@@ -183,13 +177,15 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
     return problems, manifest, data
 
 
-def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.ndarray | None]:
-    """:func:`_inspect` of an epoch container, plus the checks of ``labels.bin``."""
+def _inspect_epoch_container(path: Path
+                             ) -> tuple[list[str], dict | None, np.ndarray | None, bytes | None]:
+    """:func:`_inspect` of an epoch container, plus the checks of ``labels.bin``
+    and its bytes, read once."""
     problems, manifest, data = _inspect(path, _EPOCH_FIELDS,
                                         ("n_trials", "n_channels", "n_samples"))
     if manifest is None:
-        return problems, None, None
-    lpath = path / LABELS_NAME
+        return problems, None, None, None
+    lpath, raw = path / LABELS_NAME, None
     if not lpath.is_file():
         problems.append(f"missing {LABELS_NAME}")
     else:
@@ -198,7 +194,7 @@ def _inspect_epoch_container(path: Path) -> tuple[list[str], dict | None, np.nda
         if len(raw) != n:
             problems.append(f"labels file has {len(raw)} bytes, expected {n}")
         problems += _label_problems(raw, manifest, "labels file")
-    return problems, manifest, data
+    return problems, manifest, data, raw
 
 
 def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> Path:
@@ -246,25 +242,16 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
     return rec, [e["label"] for e in events]
 
 
-def _to_native(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _native(obj):
+    """A numpy array or scalar as the lists and Python scalars ``json`` writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(_to_native(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_native) + "\n"
 
 
 def write_report(path, report: dict) -> Path:

@@ -25,15 +25,23 @@ _worker_fn = None
 _worker_abort = None
 
 
+def n_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, so ``taskset``
+    bounds every pool, or the machine's count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def workers_for(n_workers: int, n_jobs: int) -> int:
     """How many processes :func:`map_jobs` runs ``n_jobs`` on when asked for
-    ``n_workers``: at most one per job and per CPU, and 1 (this process)
-    where ``fork`` is unavailable."""
+    ``n_workers``: at most one per job and per CPU of :func:`n_cpus`, and 1
+    (this process) where ``fork`` is unavailable."""
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(n_workers, n_jobs, os.cpu_count() or 1))
+    return max(1, min(n_workers, n_jobs, n_cpus()))
 
 
 def empty(shape, n_workers: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EmptyInput, InsufficientData, InvalidWindow
 from .evaluation import derive_seed
 from .labels import FAILURE, SUCCESS
-from .preprocessing import EpochSet
+from .preprocessing import EpochSet, sample_index
 
 # 32-channel montage used when no names are given (frontal/central/parietal/occipital rows)
 STANDARD_32 = [
@@ -80,7 +80,7 @@ class SynthSpec:
         for key in ("fs_hz", "psy_threshold_alpha", "psy_slope_beta", "start_contrast"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        if np.floor((self.pre_s + self.post_s) * self.fs_hz + 0.5) < 1:
+        if sample_index(self.post_s, -self.pre_s, self.fs_hz) < 1:
             raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
         if not 0.0 <= self.psy_lapse <= 0.1:
             raise ValueError(f"psy_lapse must lie in [0, 0.1], got {self.psy_lapse}")
@@ -251,7 +251,7 @@ def class_templates(
     gains = np.asarray(gains, dtype=np.float64)
     if gains.shape != (n_channels,):
         raise ValueError(f"topography length {gains.shape} does not match {n_channels} channels")
-    n_samples = int(np.floor((pre_s + post_s) * fs_hz + 0.5))
+    n_samples = sample_index(post_s, -pre_s, fs_hz)
     t = np.arange(n_samples) / fs_hz - pre_s
     for peak in (spec.frn_peak_s, spec.p3a_peak_s):
         if not (-pre_s <= peak <= post_s):

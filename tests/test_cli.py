@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import errpkit
-from errpkit import cli, evaluation, logreg, preprocessing
+from errpkit import cli, evaluation, io, logreg, parallel, preprocessing, synth
 from errpkit.cli import main
 from errpkit.errors import ErrpkitError, NumericalFailure
 from errpkit.evaluation import derive_seed
@@ -390,6 +391,21 @@ class TestThreads:
         assert folds.value == 0
         assert not (tmp_path / "report.json").exists()
 
+    def test_one_cpu_mask_starts_no_worker(self, tiny_container, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a worker pool on a one-CPU mask")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        # a preprocess phase of any size would pool on two CPUs
+        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
+        assert main(["compare", "--input", str(tiny_container), "--threads", "2",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["preprocess", "--input", str(make_raw(tmp_path)),
+                     "--out", str(tmp_path / "ep")]) == 0
+
     def test_dead_worker_exits_1_with_one_line(self, tiny_container, tmp_path, capsys,
                                                monkeypatch):
         parent = os.getpid()
@@ -399,7 +415,7 @@ class TestThreads:
             os._exit(3)
 
         monkeypatch.setattr(logreg, "fit_many", fit_many)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
         capsys.readouterr()
         assert main(["run", "--input", str(tiny_container), "--method", "benchmark",
                      "--threads", "2", "--out", str(tmp_path / "run.json")]) == 1
@@ -578,6 +594,61 @@ class TestPlanBeforeFolds:
         assert main(["compare", "--input", str(tiny_container), "--set", "n_permutations=50",
                      "--folds", "2", "--repeats", "1", "--out", str(out)]) == 0
         assert read_report(out)["permutation_test"] is None
+
+
+class TestUnusableOut:
+    """An ``--out`` that cannot be written exits 2 with one line before the
+    command reads any input or runs any fold, and a failed write exits 2."""
+
+    CASES = {  # id -> (argv before --out, --out under tmp_path, the error after --out)
+        "synth-under-file": (["synth"], "file/x", ": {tmp}/file is not a directory"),
+        "preprocess-file": (["preprocess", "--input", "{raw}"], "file",
+                            ": {tmp}/file is not a directory"),
+        "preprocess-under-file": (["preprocess", "--input", "{raw}"], "file/ep",
+                                  ": {tmp}/file is not a directory"),
+        "run-dir": (["run", "--method", "benchmark", "--input", "{data}"], "dir",
+                    ": {tmp}/dir is a directory"),
+        "compare-under-file": (["compare", "--input", "{data}"], "file/r.json",
+                               ": {tmp}/file is not a directory"),
+        "compare-dir": (["compare", "--input", "{data}"], "dir", ": {tmp}/dir is a directory"),
+        "chance-dir": (["chance", "--input", "{data}"], "dir", ": {tmp}/dir is a directory"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_before_reading(self, tiny_container, tmp_path, capsys, monkeypatch, case):
+        head, out, error = self.CASES[case]
+        (tmp_path / "file").write_bytes(b"x")
+        (tmp_path / "dir").mkdir()
+        names = {"tmp": tmp_path, "data": tiny_container, "raw": tmp_path / "raw"}
+        if "{raw}" in head:
+            make_raw(tmp_path)
+        calls = []
+        for module, name in ((io, "read_epoch_container"), (io, "read_continuous_container"),
+                             (synth, "generate_dataset"), (evaluation, "_fold_split")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        capsys.readouterr()
+        out = tmp_path / out
+        assert main([*(arg.format(**names) for arg in head), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: --out {out}{error.format(**names)}"]
+        assert calls == []
+        assert (tmp_path / "file").read_bytes() == b"x"
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_failed_write_exits_2_with_one_line(self, tiny_container, tmp_path, capsys,
+                                                monkeypatch):
+        def write_report(path, report):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(io, "write_report", write_report)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["run", "--method", "benchmark", "--input", str(tiny_container),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: [Errno 13] Permission denied: '{out}'"]
 
 
 class TestWindowSettings:
@@ -872,12 +943,11 @@ class TestPreprocess:
         assert not (tmp_path / "ep").exists()
 
     @staticmethod
-    def two_cpus(monkeypatch, cpu_count=2):
-        """Two CPUs in the affinity mask, ``cpu_count`` in the machine, blocks
-        of 1 channel (3 row jobs) and 2 events (2 event jobs), and no lower
-        bound on the bytes a pooled phase needs."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    def two_cpus(monkeypatch, cpus=2):
+        """``cpus`` CPUs to run on, blocks of 1 channel (3 row jobs) and 2
+        events (2 event jobs), and no lower bound on the bytes a pooled phase
+        needs."""
+        monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)
         monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
         monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
 
@@ -888,9 +958,7 @@ class TestPreprocess:
         assert 8 * rec.data.size < preprocessing._POOL_MIN_BYTES
         outputs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)
             out = tmp_path / f"ep{cpus}"
             assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
             outputs.append([(out / name).read_bytes()
@@ -902,7 +970,7 @@ class TestPreprocess:
         raw = make_raw(tmp_path)
         outputs = []
         for cpus in (1, 2):
-            self.two_cpus(monkeypatch, cpu_count=cpus)
+            self.two_cpus(monkeypatch, cpus=cpus)
             out = tmp_path / f"ep{cpus}"
             assert main(["preprocess", "--input", str(raw), "--out", str(out)]) == 0
             assert multiprocessing.active_children() == []

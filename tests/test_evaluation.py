@@ -88,7 +88,7 @@ class TestFoldPlan:
     def test_small_class_rejected(self):
         labels = np.array([0] * 30 + [1] * 5)
         with pytest.raises(InsufficientData):
-            make_fold_plan(labels, k=10)
+            make_fold_plan(labels, k=10, r=1)
 
     @pytest.mark.parametrize("labels, line", [
         ([0] * 20, "labels must hold both classes, got [0]"),
@@ -96,7 +96,7 @@ class TestFoldPlan:
     ], ids=["one-class", "empty"])
     def test_fewer_than_two_classes_rejected(self, labels, line):
         with pytest.raises(InsufficientData) as info:
-            make_fold_plan(np.array(labels, dtype=np.int64), k=4)
+            make_fold_plan(np.array(labels, dtype=np.int64), k=4, r=1)
         assert str(info.value) == line
 
     @pytest.mark.parametrize("r", [0, -1])
@@ -337,7 +337,7 @@ class TestFoldRunner:
             return original(rows, labels, method, plan, rep, fold, hp)
 
         monkeypatch.setattr(evaluation, "_fold_split", fold_split)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
         es = tiny_dataset(seed=23)
         plan = make_fold_plan(es.labels, k=4, r=25, seed=24)
         with pytest.raises(NumericalFailure, match=r"^\(repeat 0, fold 0\): planted failure$"):
@@ -356,7 +356,7 @@ class TestFoldRunner:
             os._exit(3)
 
         monkeypatch.setattr(logreg, "fit_many", fit_many)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
         es = tiny_dataset(seed=25)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=26)
         with pytest.raises(ErrpkitError, match="^a fold worker process died: "):
@@ -368,7 +368,7 @@ class TestFoldRunner:
         monkeypatch.setattr(InProcessPool, "sizes", [])
         for name in ("_worker_fn", "_worker_abort"):  # the fake installs them here
             monkeypatch.setattr(parallel, name, None)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 3)
         es = tiny_dataset(seed=27)
         # a job runs a whole repeat of these small folds: 3 repeats, 3 jobs
         plan = make_fold_plan(es.labels, k=4, r=3, seed=28)

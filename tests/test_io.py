@@ -172,6 +172,20 @@ class TestReports:
         a = canonical_json({"b": np.float64(0.5), "a": [np.int64(1), np.bool_(True)]})
         b = canonical_json({"a": [1, True], "b": 0.5})
         assert a == b
+        doc = {
+            "z": np.array([[1.5, -0.0], [np.nan, 2.0]]),
+            "t": (1, (np.int32(2), "x"), []),
+            "f": np.float32(0.1),
+            "flags": {"on": np.bool_(True), "off": np.bool_(False)},
+            "nan": float("nan"),
+            "n": np.float64(1e-300),
+        }
+        assert canonical_json(doc) == (
+            '{\n  "f": 0.10000000149011612,\n  "flags": {\n    "off": false,\n'
+            '    "on": true\n  },\n  "n": 1e-300,\n  "nan": NaN,\n  "t": [\n    1,\n'
+            '    [\n      2,\n      "x"\n    ],\n    []\n  ],\n  "z": [\n    [\n'
+            '      1.5,\n      -0.0\n    ],\n    [\n      NaN,\n      2.0\n    ]\n  ]\n}\n'
+        )
 
     def test_sha256_stable(self):
         arr = np.arange(6, dtype=np.float64).reshape(2, 3)

@@ -6,7 +6,7 @@ from errpkit import parallel
 
 
 def test_jobs_write_shared_memory_and_return_in_order(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
     n_workers = parallel.workers_for(8, 6)
     assert n_workers == 2
     out = parallel.empty((2, 3), n_workers)
@@ -32,3 +32,13 @@ def test_runs_in_process_without_fork(monkeypatch):
     assert parallel.empty((2, 3), 1).flags.owndata
     assert parallel.map_jobs(lambda i: (os.getpid(), i), 3, 4, "test") == [
         (os.getpid(), i) for i in range(3)]
+
+
+def test_cpu_count_is_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.n_cpus() == 1
+    assert parallel.workers_for(2, 10) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without a mask
+    assert parallel.n_cpus() == 8
+    assert parallel.workers_for(2, 10) == 2

@@ -1,11 +1,10 @@
 import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from errpkit import preprocessing
+from errpkit import parallel, preprocessing
 from errpkit.errors import (
     EmptyInput,
     InsufficientChannels,
@@ -389,7 +388,7 @@ class TestBlockwisePipeline:
         # epochs) on two forked workers
         monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 300 * 1024)
         monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
         rec, labels = self.recording(np.float32)
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
