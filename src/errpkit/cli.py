@@ -37,7 +37,7 @@ from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
 logger = logging.getLogger(__name__)
 
 
-def _check_out(out: str, kind: str) -> None:
+def _check_out(out: str | Path, kind: str) -> None:
     """Raise unless a ``kind`` ("file" or "directory") can be made at ``out``: the
     nearest existing one of it and its parents is a directory, or ``out`` as a ``kind``."""
     path = Path(out)
@@ -148,19 +148,23 @@ def cmd_evaluate(args) -> int:
     seed ``derive_seed(seed, d, 0xC)`` whichever command runs, so a block is
     the same in every report that holds it.  Blocks that do not apply are
     null: ``t_test`` needs both methods, ``permutation_test`` needs both
-    methods on at least two datasets.
+    methods on at least two datasets.  Every file it writes, the report and
+    with ``emit_erp`` the CSVs beside it, is checked before any input is read.
     """
     t_start = time.perf_counter()
-    _check_out(args.out, "file")
+    out = Path(args.out)
+    csvs = []  # with emit_erp: one ERP CSV per input, then the accuracy CSV
+    if args.emit_erp:
+        csvs = [out.with_name(f"{out.stem}_{name}.csv")
+                for name in [*(f"erp_{d}" for d in range(len(args.input))), "accuracies"]]
+    for path in (args.out, *csvs):
+        _check_out(path, "file")
     cfg = load_config(args.config, args.set)
     seed = args.seed if args.seed is not None else cfg["seed"]
     k = args.folds if args.folds is not None else cfg["folds"]
     r = args.repeats if args.repeats is not None else cfg["repeats"]
     hp = from_config(evaluation.Hyperparams, cfg)
-    out = Path(args.out)
 
-    if len(args.input) >= 2 and len(args.methods) == len(evaluation.METHODS):
-        evaluation.check_permutation_count(cfg["n_permutations"])
     # every input, its plan and its audit first: a bad later one exits 2 before any fold
     datasets = [io.read_epoch_container(in_path) for in_path in args.input]
     plans = [evaluation.make_fold_plan(es.labels, k=k, r=r, seed=evaluation.derive_seed(seed, d))
@@ -198,10 +202,8 @@ def cmd_evaluate(args) -> int:
 
     perm = None
     if len(pairs) >= 2:
-        pt = evaluation.permutation_test(
-            pairs, n_perm=cfg["n_permutations"], seed=evaluation.derive_seed(seed, 0xBEEF),
-        )
-        perm = {**asdict(pt), "swap_scheme": "independent per-dataset swaps"}
+        perm = {**asdict(evaluation.permutation_test(pairs)),
+                "swap_scheme": "independent per-dataset swaps"}
 
     io.write_report(out, {
         "format_version": io.REPORT_VERSION,
@@ -215,9 +217,9 @@ def cmd_evaluate(args) -> int:
         "permutation_test": perm,
     })
     if args.emit_erp:  # beside the report, in the directory write_report made
-        for d_index, es in enumerate(datasets):
-            _write_erp_csv(out.with_name(f"{out.stem}_erp_{d_index}.csv"), es)
-        _write_accuracy_csv(out.with_name(f"{out.stem}_accuracies.csv"), dataset_blocks)
+        for path, es in zip(csvs, datasets):
+            _write_erp_csv(path, es)
+        _write_accuracy_csv(csvs[-1], dataset_blocks)
     for block in dataset_blocks:
         print(_summary_line(block))
     if perm is not None:

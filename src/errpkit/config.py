@@ -1,12 +1,12 @@
 """Flat key-value experiment configuration (JSON) with command-line overrides.
 
-Every entry of :data:`DEFAULTS` except ``seed`` and the four CV settings is
-a field default of :class:`synth.SynthSpec`, :class:`synth.ErpTemplateSpec`,
+Every entry of :data:`DEFAULTS` except ``seed`` and the three CV settings
+is a field default of :class:`synth.SynthSpec`, :class:`synth.ErpTemplateSpec`,
 :class:`preprocessing.PreprocessSpec` or :class:`evaluation.Hyperparams`,
 and :func:`from_config` builds any of these dataclasses back from a config.
-The CV settings ``folds``, ``repeats``, ``n_chance_shuffles`` and
-``n_permutations`` have the paper's protocol as their defaults here only:
-the evaluation functions that take them have none.
+The CV settings ``folds``, ``repeats`` and ``n_chance_shuffles`` have the
+paper's protocol as their defaults here only: the evaluation functions that
+take them have none.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ DEFAULTS: dict = {
     "repeats": 10,
     **_field_defaults(Hyperparams),
     "n_chance_shuffles": 100,
-    "n_permutations": 1000,
 }
 
 

@@ -2,9 +2,10 @@
 
 Stratified 10-by-10-fold cross-validation, the variance-corrected paired
 t-test for overlapping CV training sets, a cross-dataset permutation test
-on summed median-accuracy differences, and shuffle-based chance-level
-estimation (benchmark pipeline only).  The t and normal tails are computed
-here from the ``math`` module, so evaluation loads no scipy module.
+on summed median-accuracy differences (its sign-flip null in closed form),
+and shuffle-based chance-level estimation (benchmark pipeline only).  The
+t and normal tails are computed here from the ``math`` module, so
+evaluation loads no scipy module.
 
 Folds are independent.  ``run_cv`` and ``chance_level`` each compute the
 method's rows once and map jobs over them with :func:`parallel.map_jobs`:
@@ -62,13 +63,20 @@ class FoldPlan:
 
     Per repeat, fold sizes differ by at most one and per-class fold counts
     are within one of perfect stratification.  Fully determined by ``seed``.
+    ``r`` and ``n_epochs`` are the shape of ``assignments``.
     """
 
-    n_epochs: int
     k: int
-    r: int
     assignments: np.ndarray  # (r, n_epochs) fold indices
     seed: int
+
+    @property
+    def r(self) -> int:
+        return self.assignments.shape[0]
+
+    @property
+    def n_epochs(self) -> int:
+        return self.assignments.shape[1]
 
     def same_as(self, other: "FoldPlan") -> bool:
         """Equal ``k``, ``seed`` and assignments, whose shape is (r, n_epochs)."""
@@ -96,8 +104,6 @@ class PermTestResult:
     observed_metric: float
     z: float
     p: float
-    n_permutations: int
-    null_mean: float
     null_std: float
 
 
@@ -237,7 +243,7 @@ def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
             for f in range(k):
                 fold_of[idx[starts[f] : stops[f]]] = f
         assignments[rep] = fold_of
-    return FoldPlan(n, k, r, assignments, seed)
+    return FoldPlan(k, assignments, seed)
 
 
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -399,43 +405,28 @@ def corrected_t_test(a: CVResult, b: CVResult) -> TTestResult:
     return TTestResult(t=t, p=t_two_sided_p(t, df), df=df, mean_diff=mean_diff)
 
 
-def check_permutation_count(n_perm: int) -> None:
-    """Raise unless :func:`permutation_test` builds its null from ``n_perm`` draws."""
-    if n_perm < 100:
-        raise ValueError("need at least 100 permutations")
+def permutation_test(per_participant) -> PermTestResult:
+    """Sum over datasets of d = (median a - median b), z-scored against the
+    null of independently swapping the two methods' accuracy sets within each
+    dataset.
 
-
-def permutation_test(per_participant, n_perm: int, seed: int = 0) -> PermTestResult:
-    """Sum over datasets of (median a - median b), z-scored against a null
-    built by independently swapping the two methods' accuracy sets within
-    each dataset.
-
-    When the medians tie on every dataset, every swap gives 0, and the
-    result is observed 0, z 0, p 1 with a null of mean 0 and std 0.
+    Each of the 2^m sign patterns of the m differences is equally likely
+    under that null, so the null sum has mean 0 and standard deviation
+    sqrt(sum d^2) exactly: z = sum d / sqrt(sum d^2), with p from the
+    normal tail.  Both sums are correctly rounded (``math.fsum``), so the
+    order of the datasets does not move a bit, and swapping a and b negates
+    z exactly.  By Cauchy-Schwarz |z| <= sqrt(m): at m = 7, p is never below
+    erfc(sqrt(3.5)), about 0.008.  When the medians tie on every dataset,
+    every pattern sums to 0, and z is 0 and p 1.
     """
     pairs = list(per_participant)
     if not pairs:
         raise EmptyInput("permutation test needs at least one dataset")
-    check_permutation_count(n_perm)
-    diffs = np.array([
-        float(np.median(a.accuracies)) - float(np.median(b.accuracies)) for a, b in pairs
-    ])
-    if not diffs.any():
-        # every sign pattern sums to 0: no evidence either way
-        return PermTestResult(0.0, 0.0, 1.0, n_perm, 0.0, 0.0)
-    observed = float(diffs.sum())
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(n_perm, diffs.size)) * 2.0 - 1.0
-    nulls = signs @ diffs
-    null_mean = float(nulls.mean())
-    null_std = float(nulls.std(ddof=1))
-    if null_std == 0.0:
-        raise NumericalFailure(
-            "null distribution has zero variance although the methods' accuracy "
-            "medians differ"
-        )
-    z = (observed - null_mean) / null_std
-    return PermTestResult(observed, float(z), normal_two_sided_p(z), n_perm, null_mean, null_std)
+    diffs = [float(np.median(a.accuracies)) - float(np.median(b.accuracies)) for a, b in pairs]
+    observed = math.fsum(diffs)
+    null_std = math.sqrt(math.fsum(d * d for d in diffs))
+    z = observed / null_std if null_std else 0.0
+    return PermTestResult(observed, z, normal_two_sided_p(z), null_std)
 
 
 def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int, k: int, r: int,

@@ -27,7 +27,9 @@ LABELS_NAME = "labels.bin"
 EVENTS_NAME = "events.json"
 _CHUNK = 1 << 20  # samples per chunk of the finiteness check
 
-REPORT_VERSION = 2  # 2: one schema for run, compare and chance; no reference_eig_* audit
+# 2: one schema for run, compare and chance; no reference_eig_* audit.
+# 3: the permutation test's null moments in closed form, not drawn.
+REPORT_VERSION = 3
 _REPORT_KEYS = {
     "format_version", "meta", "config", "seed", "datasets", "permutation_test",
 }

@@ -1,5 +1,6 @@
 import concurrent.futures.process
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -22,6 +23,8 @@ from errpkit.io import (
     write_continuous_container,
 )
 from errpkit.preprocessing import ContinuousRecording
+
+PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "swap_scheme", "z"]
 
 TINY = [
     "--set", "n_trials=40", "--set", "n_channels=3", "--set", "fs_hz=64.0",
@@ -230,12 +233,9 @@ class TestCompare:
         second = synth_tiny(tmp_path, "second", seed=21)
         out = shared_tmp / "cmp2.json"
         assert main(["compare", "--input", str(tiny_container), "--input", str(second),
-                     "--seed", "5", "--folds", "5", "--repeats", "1",
-                     "--set", "n_permutations=300", "--out", str(out)]) == 0
+                     "--seed", "5", "--folds", "5", "--repeats", "1", "--out", str(out)]) == 0
         rep = read_report(out)
-        assert rep["permutation_test"] is not None
-        assert "z" in rep["permutation_test"]
-        assert rep["permutation_test"]["n_permutations"] == 300
+        assert sorted(rep["permutation_test"]) == PERMUTATION_KEYS
 
     def test_all_ties_exit_0_with_p_1(self, tmp_path):
         # a strong, low-noise ERP: both methods classify every test trial
@@ -247,13 +247,32 @@ class TestCompare:
             inputs += ["--input", str(out)]
         report = tmp_path / "ties.json"
         assert main(["compare", *inputs, "--seed", "5", "--folds", "5", "--repeats", "1",
-                     "--set", "n_permutations=300", "--out", str(report)]) == 0
+                     "--out", str(report)]) == 0
         rep = read_report(report)
         for block in rep["datasets"]:
             assert block["methods"]["riemann"]["median"] == block["methods"]["benchmark"]["median"]
         perm = rep["permutation_test"]
-        assert (perm["observed_metric"], perm["z"], perm["p"]) == (0.0, 0.0, 1.0)
-        assert (perm["null_mean"], perm["null_std"]) == (0.0, 0.0)
+        assert (perm["observed_metric"], perm["z"], perm["p"], perm["null_std"]) == (
+            0.0, 0.0, 1.0, 0.0)
+
+    def test_seven_datasets_z_from_the_reported_medians(self, tmp_path):
+        # the paper's seven participants: z is sum d / sqrt(sum d^2) of the
+        # reported medians, bit for bit, and within the bound sqrt(7)
+        inputs = []
+        for seed in range(7):
+            inputs += ["--input", str(synth_tiny(tmp_path, f"p{seed}", seed=30 + seed))]
+        report = tmp_path / "seven.json"
+        assert main(["compare", *inputs, "--seed", "5", "--folds", "2", "--repeats", "1",
+                     "--out", str(report)]) == 0
+        rep = read_report(report)
+        diffs = [block["methods"]["riemann"]["median"] - block["methods"]["benchmark"]["median"]
+                 for block in rep["datasets"]]
+        perm = rep["permutation_test"]
+        assert sorted(perm) == PERMUTATION_KEYS
+        assert perm["null_std"] > 0.0
+        assert perm["z"] == math.fsum(diffs) / math.sqrt(math.fsum(d * d for d in diffs))
+        assert perm["p"] == evaluation.normal_two_sided_p(perm["z"])
+        assert abs(perm["z"]) <= math.sqrt(7)
 
     def test_chance_flag(self, shared_tmp, tiny_container):
         out = shared_tmp / "cmp_chance.json"
@@ -309,6 +328,18 @@ class TestConfigErrors:
                      "--out", str(out), flag, str(value)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: config field ") and "must have the type" in line
+        assert not out.exists()
+
+    def test_config_file_setting_n_permutations_exits_2(self, tiny_container, tmp_path, capsys):
+        # the permutation test draws nothing, so the draw count is no longer a setting
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"n_permutations": 1000}))
+        capsys.readouterr()
+        assert main(["compare", "--input", str(tiny_container), "--input", str(tiny_container),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: unknown config field 'n_permutations' in {cfg}"]
         assert not out.exists()
 
 
@@ -548,8 +579,7 @@ class TestShrinkage:
 
 
 class TestPlanBeforeFolds:
-    """An input no fold plan covers, or a permutation count the permutation
-    test rejects, exits 2 with one line before any fold runs."""
+    """An input no fold plan covers exits 2 with one line before any fold runs."""
 
     @staticmethod
     def exits_2(argv, capsys, monkeypatch, line):
@@ -579,21 +609,6 @@ class TestPlanBeforeFolds:
                       "--repeats", "3", "--out", str(out)], capsys, monkeypatch,
                      "error: every class needs at least k=8 epochs, got counts {0: 6, 1: 6}")
         assert not out.exists()
-
-    def test_too_few_permutations_over_two_inputs(self, tiny_container, tmp_path, capsys,
-                                                  monkeypatch):
-        out = tmp_path / "r.json"
-        self.exits_2(["compare", "--input", str(tiny_container), "--input", str(tiny_container),
-                      "--set", "n_permutations=50", "--folds", "4", "--repeats", "3",
-                      "--out", str(out)], capsys, monkeypatch,
-                     "error: need at least 100 permutations")
-        assert not out.exists()
-
-    def test_one_input_runs_at_any_permutation_count(self, tiny_container, tmp_path):
-        out = tmp_path / "r.json"
-        assert main(["compare", "--input", str(tiny_container), "--set", "n_permutations=50",
-                     "--folds", "2", "--repeats", "1", "--out", str(out)]) == 0
-        assert read_report(out)["permutation_test"] is None
 
 
 class TestUnusableOut:
@@ -635,6 +650,21 @@ class TestUnusableOut:
         assert calls == []
         assert (tmp_path / "file").read_bytes() == b"x"
         assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_emit_erp_csv_path_exits_2_before_reading(self, tiny_container, tmp_path, capsys,
+                                                      monkeypatch):
+        taken = tmp_path / "out" / "r_accuracies.csv"
+        taken.mkdir(parents=True)
+        calls = []
+        monkeypatch.setattr(evaluation, "_fold_split", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert main(["compare", "--input", str(tiny_container), "--emit-erp", "--folds", "2",
+                     "--repeats", "1", "--out", str(tmp_path / "out" / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: --out {taken}: {taken} is a directory"]
+        assert calls == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_failed_write_exits_2_with_one_line(self, tiny_container, tmp_path, capsys,
                                                 monkeypatch):
@@ -701,8 +731,7 @@ class TestOneReport:
     def reports(self, shared_tmp, tiny_container):
         two = synth_tiny(shared_tmp, "one_report_second", seed=22)
         flags = ["--input", str(tiny_container), "--input", str(two), "--seed", "13",
-                 "--folds", "4", "--repeats", "2", "--set", "n_chance_shuffles=3",
-                 "--set", "n_permutations=200"]
+                 "--folds", "4", "--repeats", "2", "--set", "n_chance_shuffles=3"]
         commands = {
             "compare": ["compare", "--chance"],
             "riemann": ["run", "--method", "riemann"],
@@ -716,9 +745,10 @@ class TestOneReport:
             out[name] = read_report(path)
         return out
 
-    def test_every_report_is_version_2_with_every_dataset(self, reports):
+    def test_every_report_is_version_3_with_every_dataset(self, reports):
         for rep in reports.values():
-            assert rep["format_version"] == REPORT_VERSION == 2
+            assert rep["format_version"] == REPORT_VERSION == 3
+            assert "n_permutations" not in rep["config"]
             assert len(rep["datasets"]) == 2
 
     def test_run_reproduces_compare_method_blocks(self, reports):
@@ -736,7 +766,7 @@ class TestOneReport:
             assert ch["chance"] == cmp["chance"]
             assert ch["methods"] == {} and ch["audit"] == {} and ch["t_test"] is None
         assert reports["chance"]["permutation_test"] is None
-        assert reports["compare"]["permutation_test"]["n_permutations"] == 200
+        assert sorted(reports["compare"]["permutation_test"]) == PERMUTATION_KEYS
 
     def test_audit_has_no_reference_fit(self, reports):
         audit = reports["compare"]["datasets"][0]["audit"]
@@ -787,8 +817,7 @@ def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container):
     # forked fold pool all run in the compare
     second = synth_tiny(shared_tmp, "no_scipy_second", seed=21)
     flags = ["--input", str(tiny_container), "--input", str(second), "--seed", "5",
-             "--folds", "5", "--repeats", "2", "--set", "n_chance_shuffles=2",
-             "--set", "n_permutations=200"]
+             "--folds", "5", "--repeats", "2", "--set", "n_chance_shuffles=2"]
     commands = [["compare", "--chance", "--threads", "2"], ["run", "--method", "riemann"],
                 ["chance"]]
     argvs = [[*command, *flags, "--out", str(shared_tmp / f"no_scipy_{command[0]}.json")]

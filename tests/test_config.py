@@ -56,7 +56,7 @@ class TestFromConfig:
         spec_keys = {f.name for cls in (SynthSpec, ErpTemplateSpec, PreprocessSpec, Hyperparams)
                      for f in fields(cls)}
         assert set(DEFAULTS) - spec_keys == {
-            "seed", "folds", "repeats", "n_chance_shuffles", "n_permutations"}
+            "seed", "folds", "repeats", "n_chance_shuffles"}
 
     def test_lists_become_tuples(self):
         cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import itertools
 import math
 import multiprocessing
 import os
@@ -131,8 +132,7 @@ class TestRunCV:
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(es))
         es2 = subset(es, perm)
-        plan2 = FoldPlan(plan.n_epochs, plan.k, plan.r,
-                         plan.assignments[:, perm], plan.seed)
+        plan2 = FoldPlan(plan.k, plan.assignments[:, perm], plan.seed)
         moved = run_cv(es2, "riemann", plan2)
         assert np.array_equal(base.accuracies, moved.accuracies)
 
@@ -467,37 +467,70 @@ class TestPermutationTest:
                                            "benchmark")))
         return pairs
 
+    @staticmethod
+    def pairs_with_medians(diffs):
+        """Pairs whose median accuracies differ by exactly ``diffs``."""
+        plan = make_fold_plan(np.arange(40) % 2, k=4, r=1, seed=8)
+        return [(synthetic_result(plan, [0.5 + d] * 4), synthetic_result(plan, [0.5] * 4))
+                for d in diffs]
+
     def test_statistically_identical_methods_give_large_p(self):
         rng = np.random.default_rng(9)
         pairs = self.pairs_from(np.zeros(7), rng, spread=0.02)
-        res = permutation_test(pairs, n_perm=2000, seed=10)
+        res = permutation_test(pairs)
         assert abs(res.z) < 2.5
         assert res.p > 0.01
 
     def test_argument_swap_negates_exactly(self):
         rng = np.random.default_rng(11)
         pairs = self.pairs_from(np.full(7, 0.06), rng)
-        fwd = permutation_test(pairs, n_perm=500, seed=12)
-        rev = permutation_test([(b, a) for a, b in pairs], n_perm=500, seed=12)
+        fwd = permutation_test(pairs)
+        rev = permutation_test([(b, a) for a, b in pairs])
         assert rev.observed_metric == -fwd.observed_metric
-        assert rev.z == -fwd.z
-        assert rev.p == fwd.p
+        assert rev.z.hex() == (-fwd.z).hex()
+        assert rev.p == fwd.p and rev.null_std == fwd.null_std
 
     def test_all_ties_give_p_one(self):
         plan = make_fold_plan(np.arange(40) % 2, k=4, r=1, seed=13)
         acc = [0.7, 0.8, 0.75, 0.9]
         pairs = [(synthetic_result(plan, acc),
                   synthetic_result(plan, acc, "benchmark"))] * 3
-        res = permutation_test(pairs, n_perm=200, seed=14)
-        assert (res.observed_metric, res.z, res.p) == (0.0, 0.0, 1.0)
-        assert (res.null_mean, res.null_std, res.n_permutations) == (0.0, 0.0, 200)
+        res = permutation_test(pairs)
+        assert (res.observed_metric, res.z, res.p, res.null_std) == (0.0, 0.0, 1.0, 0.0)
 
     def test_relabeling_datasets_barely_moves_p(self):
         rng = np.random.default_rng(15)
         pairs = self.pairs_from(np.full(6, 0.05), rng)
-        p1 = permutation_test(pairs, n_perm=4000, seed=16).p
-        p2 = permutation_test(pairs[::-1], n_perm=4000, seed=16).p
-        assert abs(p1 - p2) < 0.35 * max(p1, p2) + 1e-6
+        assert permutation_test(pairs) == permutation_test(pairs[::-1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_null_std_is_that_of_every_sign_pattern(self, m):
+        rng = np.random.default_rng(100 + m)
+        pairs = self.pairs_from(rng.normal(0.0, 0.1, m), rng)
+        diffs = [float(np.median(a.accuracies)) - float(np.median(b.accuracies))
+                 for a, b in pairs]
+        sums = [math.fsum(s * d for s, d in zip(signs, diffs))
+                for signs in itertools.product((-1.0, 1.0), repeat=m)]
+        res = permutation_test(pairs)
+        assert math.fsum(sums) / 2 ** m == 0.0
+        population_std = math.sqrt(math.fsum(x * x for x in sums) / 2 ** m)
+        assert res.null_std == pytest.approx(population_std, rel=1e-12, abs=0.0)
+        assert res.observed_metric == math.fsum(diffs)
+        assert abs(res.z) <= math.sqrt(m)
+        assert res.p == normal_two_sided_p(res.z)
+
+    def test_exact_z(self):
+        res = permutation_test(self.pairs_with_medians([0.25, 0.125, -0.125]))
+        # sum d = 1/4 and sum d^2 = 3/32 are exact in binary
+        assert (res.observed_metric, res.null_std) == (0.25, math.sqrt(0.09375))
+        assert res.z == 0.25 / math.sqrt(0.09375) == pytest.approx(math.sqrt(2 / 3), rel=1e-15)
+        equal = permutation_test(self.pairs_with_medians([0.25] * 4))
+        assert (equal.z, equal.p) == (2.0, normal_two_sided_p(2.0))
+        assert equal.p == pytest.approx(math.erfc(math.sqrt(2.0)), rel=1e-14)
+        # equal differences meet the bound |z| <= sqrt(m)
+        assert permutation_test(self.pairs_with_medians([0.125] * 7)).z == pytest.approx(
+            math.sqrt(7), rel=1e-15)
+        assert permutation_test(self.pairs_with_medians([-0.25])).z == -1.0
 
 
 class TestChanceLevel:

@@ -127,7 +127,7 @@ class TestContinuousContainer:
 class TestReports:
     def report(self):
         return {
-            "format_version": 1,
+            "format_version": io.REPORT_VERSION,
             "meta": {"timestamp": "t", "runtime_s": 0.1},
             "config": {"folds": 10},
             "seed": 7,
@@ -153,7 +153,7 @@ class TestReports:
         (tmp_path / "r.json").write_text(json.dumps(doc))
         assert read_report(tmp_path / "r.json")["format_version"] == version
 
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    @pytest.mark.parametrize("version", [0, 4, "2", None])
     def test_other_versions_rejected(self, tmp_path, version):
         doc = self.report()
         doc["format_version"] = version
