@@ -19,6 +19,13 @@ own epoch alone.
 
 Fitting is bit-identical under any permutation of the training epochs
 (means summed in the order of the addends' bytes, max-based scaling).
+
+Memory: the super trials and their covariances are made a block of
+epochs at a time (:func:`manifold._block_slices`) into one preallocated
+``(n, 3c, 3c)`` array, and the manifold passes are blockwise too.  So a
+fit holds the training covariances and their tangent logs, then the logs
+and their vectors, plus a few blocks; a transform holds the test
+covariances and their vectors, plus a few blocks.
 """
 from __future__ import annotations
 
@@ -77,8 +84,10 @@ def check_covariance_shape(d: int, w: int, shrinkage: float) -> None:
                             f"{need} samples, got {w}")
 
 
-def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
-    """Shrunk sample covariances of a stack of (d, w) matrices -> (n, d, d).
+def _covariances(stack: np.ndarray, shrinkage: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Shrunk sample covariances of a stack of (d, w) matrices -> (n, d, d),
+    computed in ``out`` when given.
 
     C = (1 - s) * Xc Xc' / (w - 1) + s * mu * I   with mu = trace / d.
     Eigenvalues of C are bounded below by s * mu, so the result is SPD for
@@ -88,14 +97,17 @@ def _covariances(stack: np.ndarray, shrinkage: float) -> np.ndarray:
     d, w = stack.shape[-2], stack.shape[-1]
     check_covariance_shape(d, w, shrinkage)
     xc = stack - stack.mean(axis=-1, keepdims=True)
-    cov = xc @ xc.swapaxes(-1, -2) / (w - 1)
-    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    cov = np.matmul(xc, xc.swapaxes(-1, -2), out=out)
+    cov /= w - 1
+    cov += cov.swapaxes(-1, -2)  # numpy buffers the overlapping operand
+    cov *= 0.5
     mu = np.trace(cov, axis1=-2, axis2=-1) / d
     if shrinkage > 0.0:
         if np.any(mu <= 0.0):
             raise NotPositiveDefinite("zero covariance cannot be shrunk to SPD")
-        eye = np.eye(d)
-        cov = (1.0 - shrinkage) * cov + shrinkage * mu[..., None, None] * eye
+        cov *= 1.0 - shrinkage
+        # adds s * mu on the diagonal and +0.0 off it, as the whole-array sum did
+        cov += shrinkage * mu[..., None, None] * np.eye(d)
     else:
         eig = np.linalg.eigvalsh(cov)
         floor = eig[..., -1] * d * 1e-12
@@ -148,8 +160,8 @@ def fit_riemann(
     ``train_features`` equals ``transform_riemann_set(model, train)``.
     """
     protos = fit_prototypes(train, labels)
-    covs = _covariances(_super_trials(train, protos), shrinkage)
-    karcher = manifold.geometric_mean(covs, tol=mean_tol, max_iter=mean_max_iter)
+    karcher = manifold.geometric_mean(_covariance_set(train, protos, shrinkage),
+                                      tol=mean_tol, max_iter=mean_max_iter)
     return RiemannModel(protos, karcher.mean, shrinkage, manifold.vectorize_sym(karcher.logs))
 
 
@@ -168,9 +180,20 @@ def _super_trials(windowed: np.ndarray, protos: PrototypePair) -> np.ndarray:
     return np.concatenate([top, windowed], axis=1)
 
 
+def _covariance_set(windows: np.ndarray, protos: PrototypePair, shrinkage: float) -> np.ndarray:
+    """Shrunk covariances of the super trials of ``windows``, (n, 3c, 3c),
+    made a block of epochs at a time: no (n, 3c, n_window) stack is held."""
+    n, d, w = len(windows), SUPER_TRIAL_ROWS * protos.n_channels, windows.shape[-1]
+    covs = np.empty((n, d, d))
+    # at least one block, so that an empty set is checked as any other
+    for sl in manifold._block_slices(max(n, 1), 8 * d * max(d, w)):
+        _covariances(_super_trials(windows[sl], protos), shrinkage, out=covs[sl])
+    return covs
+
+
 def transform_riemann_set(model: RiemannModel, windows: np.ndarray) -> np.ndarray:
     """Tangent feature vectors of a stack of windows, (n, D(D+1)/2)."""
-    covs = _covariances(_super_trials(windows, model.prototypes), model.shrinkage)
+    covs = _covariance_set(windows, model.prototypes, model.shrinkage)
     return manifold.tangent_project(covs, model.reference)
 
 

@@ -7,10 +7,20 @@ product match the Riemannian one at the base point.
 
 Functions accept a single ``(d, d)`` matrix or a stack ``(..., d, d)`` and
 operate on the last two axes, like ``numpy.linalg`` routines.
+
+Memory: every pass over a stack of matrices (the symmetry check, the
+whitened logs of the Karcher iteration and of the tangent projection, and
+the canonical mean) works on blocks of about :data:`_BLOCK_BYTES` of
+matrices at a time, writing into one preallocated output, so its
+temporaries are a few blocks whatever the stack's length.  Each matrix
+goes through the same operations in the same order as in a whole-stack
+pass, so results do not depend on the block size, and a stack that fits
+in one block is one pass with no extra copy.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,19 @@ SYMMETRY_ATOL = 1e-12
 DEFAULT_MEAN_TOL = 1e-8
 DEFAULT_MEAN_MAX_ITER = 200
 _MIN_STEP, _MAX_STEP = 0.05, 2.0  # bounds of the Karcher step size
+_BLOCK_BYTES = 1 << 19  # float64 bytes of the items of one block of a stack pass
+
+
+def _block_slices(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(n)``, each of as many items of
+    ``item_bytes`` as fit in :data:`_BLOCK_BYTES`, and at least one."""
+    step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _blocks_of(stack: np.ndarray) -> list[slice]:
+    """:func:`_block_slices` over the entries of ``stack`` along axis 0."""
+    return _block_slices(len(stack), stack.itemsize * math.prod(stack.shape[1:]))
 
 
 def _as_square(m) -> np.ndarray:
@@ -40,18 +63,22 @@ def _as_square(m) -> np.ndarray:
 
 
 def check_symmetric(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    """Validate symmetry (absolute tolerance) and finiteness; return float64 array."""
+    """Validate symmetry (absolute tolerance) and finiteness; return float64 array.
+
+    A non-finite entry anywhere is reported ahead of any asymmetry."""
     a = _as_square(m)
-    if not np.all(np.isfinite(a)):
+    stack = a.reshape(-1, *a.shape[-2:])
+    parts = [stack[sl] for sl in _blocks_of(stack)] if a.size else []
+    if not all(np.isfinite(part).all() for part in parts):
         raise InvalidMatrix("matrix contains non-finite entries")
-    skew = np.abs(a - a.swapaxes(-1, -2)).max() if a.size else 0.0
+    skew = max((np.abs(part - part.swapaxes(-1, -2)).max() for part in parts), default=0.0)
     if skew > atol:
         raise InvalidMatrix(f"matrix is not symmetric: max |m - m.T| = {skew:.3e} > {atol}")
     return a
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
+def _symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(0.5, a + a.swapaxes(-1, -2), out=out)
 
 
 def sym_eig(m):
@@ -68,9 +95,9 @@ def sym_eig(m):
     return w, v
 
 
-def _spectral_apply(w: np.ndarray, v: np.ndarray, fn) -> np.ndarray:
-    out = (v * fn(w)[..., None, :]) @ v.swapaxes(-1, -2)
-    return _symmetrize(out)
+def _spectral_apply(w: np.ndarray, v: np.ndarray, fn,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    return _symmetrize((v * fn(w)[..., None, :]) @ v.swapaxes(-1, -2), out=out)
 
 
 def _positive_fn(m, fn, name: str) -> np.ndarray:
@@ -130,17 +157,18 @@ def _dim_mismatch(a, b):
 
 
 def _whitened_logs(stack: np.ndarray, isq: np.ndarray, what: str) -> np.ndarray:
-    """``log(isq @ C @ isq)`` for each matrix ``C`` of the stack; the one
-    route to the tangent logs of :func:`geometric_mean` and
-    :func:`tangent_project`, so the two agree bit for bit."""
-    whitened = _symmetrize(isq @ stack @ isq)
-    lw, lv = np.linalg.eigh(whitened)
-    # each (n, d, d) array is freed once used: this sets the peak memory of
-    # a desk-scale fold
-    del whitened
-    if lw.min() <= 0.0:
-        raise NotPositiveDefinite(f"{what} is not positive definite")
-    return _spectral_apply(lw, lv, np.log)
+    """``log(isq @ C @ isq)`` for each matrix ``C`` of an ``(n, d, d)`` stack;
+    the one route to the tangent logs of :func:`geometric_mean` and
+    :func:`tangent_project`, so the two agree bit for bit.  A block's
+    whitened matrices, eigenvectors and logs are its only temporaries: the
+    peak is the ``(n, d, d)`` result plus a few blocks."""
+    logs = np.empty(stack.shape)
+    for sl in _blocks_of(stack):
+        lw, lv = np.linalg.eigh(_symmetrize(isq @ stack[sl] @ isq))
+        if lw.min() <= 0.0:
+            raise NotPositiveDefinite(f"{what} is not positive definite")
+        _spectral_apply(lw, lv, np.log, out=logs[sl])
+    return logs
 
 
 def canonical_order(stack: np.ndarray) -> np.ndarray:
@@ -153,9 +181,28 @@ def canonical_order(stack: np.ndarray) -> np.ndarray:
 
 def canonical_mean(stack: np.ndarray) -> np.ndarray:
     """Arithmetic mean along axis 0 of the entries reduced in
-    :func:`canonical_order`, so it is bit-identical under any permutation."""
+    :func:`canonical_order`, so it is bit-identical under any permutation.
+
+    The entries are gathered a block at a time into one buffer behind the
+    running total, and each reduction adds them to it in turn.  numpy adds
+    entries of more than one element one by one along axis 0, so these are
+    the sums of one reduction over the whole ordered stack, without its
+    copy.  (Entries of one element it sums pairwise, so past one block their
+    last bits may differ from that; the mean is still permutation-invariant.)"""
     stack = np.asarray(stack, dtype=np.float64)
-    return np.add.reduce(stack[canonical_order(stack)]) / stack.shape[0]
+    n = len(stack)
+    if n == 0:
+        raise EmptyInput("canonical_mean of an empty stack")
+    order = canonical_order(stack)
+    blocks = _blocks_of(stack)
+    buf = np.empty((blocks[0].stop + 1,) + stack.shape[1:])
+    first = 1  # the first block has no running total before it
+    for sl in blocks:
+        k = sl.stop - sl.start
+        np.take(stack, order[sl], axis=0, out=buf[1:k + 1], mode="clip")  # "raise" buffers out
+        buf[0] = np.add.reduce(buf[first:k + 1])
+        first = 0
+    return buf[0] / n
 
 
 @dataclass(frozen=True)
@@ -258,8 +305,9 @@ def vectorize_sym(m: np.ndarray) -> np.ndarray:
     m = _as_square(m)
     d = m.shape[-1]
     rows, cols = np.triu_indices(d)
-    coeff = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    return m[..., rows, cols] * coeff
+    vec = m[..., rows, cols]
+    vec *= np.where(rows == cols, 1.0, np.sqrt(2.0))
+    return vec
 
 
 def tangent_project(c, base) -> np.ndarray:
@@ -267,10 +315,17 @@ def tangent_project(c, base) -> np.ndarray:
 
     ``c`` may be ``(d, d)`` or a stack ``(n, d, d)``; the result is a vector
     of length ``d(d+1)/2`` (or a stack of them).  The vector's Euclidean
-    norm equals ``airm_distance(base, c)``.
+    norm equals ``airm_distance(base, c)``.  Each block's logs are
+    vectorized as they are made, so no ``(n, d, d)`` logs are held.
     """
     c = check_symmetric(c)
     base = check_symmetric(base)
     if c.shape[-1] != base.shape[-1] or base.ndim != 2:
         raise _dim_mismatch(c, base)
-    return vectorize_sym(_whitened_logs(c, mat_invsqrt(base), "matrix to project"))
+    isq = mat_invsqrt(base)
+    d = base.shape[-1]
+    stack = c.reshape(-1, d, d)
+    out = np.empty((len(stack), tangent_dim(d)))
+    for sl in _blocks_of(stack):
+        out[sl] = vectorize_sym(_whitened_logs(stack[sl], isq, "matrix to project"))
+    return out.reshape(c.shape[:-2] + out.shape[1:])

@@ -30,10 +30,10 @@ def subset(es: EpochSet, indices) -> EpochSet:
     return EpochSet(es.data[idx], es.labels[idx], es.fs_hz, es.t0_offset_s, list(es.channels))
 
 
-def desk_shaped_epochs():
-    """150 synthetic epochs of 32 channels at 256 Hz, as one desk-scale
+def desk_shaped_epochs(n_trials: int = 150):
+    """Synthetic epochs of 32 channels at 256 Hz, 150 as one desk-scale
     training fold holds them: their super-trial covariances are 96x96."""
-    return synth.generate_epochs(np.arange(150) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
+    return synth.generate_epochs(np.arange(n_trials) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
                                  n_channels=32, fs_hz=256.0, seed=0, pre_s=0.5, post_s=0.7)
 
 

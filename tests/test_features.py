@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,7 @@ from errpkit.evaluation import Hyperparams
 from errpkit.features import (
     BENCHMARK_WINDOWS,
     PrototypePair,
+    _covariance_set,
     _covariances,
     _super_trials,
     benchmark_features,
@@ -49,6 +51,18 @@ def super_trial(window, protos):
 def trial_covariance(st, shrinkage):
     """One super trial's shrunk covariance through the set path, (3c, 3c)."""
     return _covariances(np.asarray(st)[None], shrinkage)[0]
+
+
+def whole_array_covariances(stack, shrinkage):
+    """The shrunk covariances computed out of place on the whole stack (reference)."""
+    d, w = stack.shape[-2:]
+    xc = stack - stack.mean(axis=-1, keepdims=True)
+    cov = xc @ xc.swapaxes(-1, -2) / (w - 1)
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    mu = np.trace(cov, axis1=-2, axis2=-1) / d
+    if shrinkage == 0.0:
+        return cov
+    return (1.0 - shrinkage) * cov + shrinkage * mu[..., None, None] * np.eye(d)
 
 
 class TestSuperTrial:
@@ -107,6 +121,44 @@ class TestTrialCovariance:
     def test_invalid_shrinkage(self, rng):
         with pytest.raises(ValueError):
             trial_covariance(rng.standard_normal((3, 10)), 1.0)
+
+
+class TestCovarianceSet:
+    @pytest.mark.parametrize("shrinkage", [0.05, 0.0])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    def test_block_edges_change_no_bit(self, rng, monkeypatch, shrinkage, epochs):
+        windows = rng.standard_normal((7, 2, 40))
+        protos = PrototypePair(rng.standard_normal((2, 40)), rng.standard_normal((2, 40)))
+        whole = whole_array_covariances(_super_trials(windows, protos), shrinkage)
+        monkeypatch.setattr(manifold, "_BLOCK_BYTES", epochs * 8 * 6 * 40)
+        assert len(manifold._block_slices(7, 8 * 6 * 40)) > 2
+        assert np.array_equal(_covariance_set(windows, protos, shrinkage), whole)
+
+    def test_empty_set_is_still_checked(self):
+        protos = PrototypePair(np.zeros((2, 8)), np.zeros((2, 8)))
+        assert _covariance_set(np.empty((0, 2, 8)), protos, 0.01).shape == (0, 6, 6)
+        with pytest.raises(DimMismatch):
+            _covariance_set(np.empty((0, 3, 8)), protos, 0.01)
+
+    def test_peak_memory_is_bounded_by_the_folds_lasting_arrays(self, monkeypatch):
+        # a desk-shaped fold: 48 training and 16 test windows of 32 channels x
+        # 128 samples, so 96x96 covariances, in blocks of 4 matrices
+        es = desk_shaped_epochs(64)
+        windows, labels = riemann_windows(es), es.labels
+        d = 3 * es.n_channels
+        block = 4 * 8 * d * d
+        monkeypatch.setattr(manifold, "_BLOCK_BYTES", block)
+        fit_riemann(windows[:6], labels[:6], mean_tol=1e-2)  # warms the lazy set-ups
+        tracemalloc.start()
+        try:
+            model = fit_riemann(windows[:48], labels[:48], mean_tol=1e-4)
+            test = transform_riemann_set(model, windows[48:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert test.shape == (16, manifold.tangent_dim(d))
+        lasting = 2 * 48 * 8 * d * d + model.train_features.nbytes  # covariances, logs, features
+        assert peak <= lasting + 6 * block, (peak - lasting) / block
 
 
 class TestFitRiemann:
@@ -217,6 +269,11 @@ class TestTransformRiemann:
         v = transform_riemann_set(model, riemann_windows(subset(es, [0])))
         assert v.shape == (1, 9 * 10 // 2)
         assert np.abs(v).max() < 1e-7
+
+    def test_no_windows_give_no_rows(self, rng):
+        es = make_set(rng, n_trials=10, n_channels=3)
+        model = fit_riemann(riemann_windows(es), es.labels)
+        assert transform_riemann_set(model, riemann_windows(es)[:0]).shape == (0, 45)
 
     def test_channel_mismatch(self, rng):
         es = make_set(rng, n_channels=3)

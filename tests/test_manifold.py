@@ -1,4 +1,5 @@
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -143,6 +144,103 @@ class TestCanonicalMean:
         reference = np.argsort(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
                                kind="stable")
         assert np.array_equal(evaluation._canonical_order(x, y), reference)
+
+
+class TestBlocks:
+    """Every stack pass gives the bits of one whole-stack pass at any block size."""
+
+    D = 6
+
+    @classmethod
+    def patch_blocks(cls, monkeypatch, matrices):
+        monkeypatch.setattr(manifold, "_BLOCK_BYTES", matrices * 8 * cls.D * cls.D)
+
+    @classmethod
+    def stack(cls, rng, n=7):
+        return np.stack([random_spd(rng, cls.D, cond=100.0) for _ in range(n)])
+
+    def test_one_block_holds_a_small_stack(self):
+        assert manifold._block_slices(7, 8 * self.D * self.D) == [slice(0, 7)]
+        assert manifold._block_slices(0, 8) == []
+
+    @pytest.mark.parametrize("matrices", [1, 2, 3])
+    def test_block_edges_change_no_bit(self, rng, monkeypatch, matrices):
+        mats = self.stack(rng)
+        mats[[2, 5]] = mats[0]  # duplicates land in different blocks
+        moved = mats[rng.permutation(len(mats))]
+        base = random_spd(rng, self.D)
+        isq = manifold.mat_invsqrt(base)
+        whole = {
+            "mean": manifold.canonical_mean(mats),
+            "moved_mean": manifold.canonical_mean(moved),
+            "logs": manifold._whitened_logs(mats, isq, "x"),
+            "projected": manifold.tangent_project(mats, base),
+            "one": manifold.tangent_project(mats[3], base),
+        }
+        karcher = manifold.geometric_mean(mats, tol=1e-10)
+        self.patch_blocks(monkeypatch, matrices)
+        assert len(manifold._block_slices(len(mats), 8 * self.D * self.D)) > 2
+        one = mats[4]
+        assert manifold.check_symmetric(mats) is mats and manifold.check_symmetric(one) is one
+        blocked = {
+            "mean": manifold.canonical_mean(mats),
+            "moved_mean": manifold.canonical_mean(moved),
+            "logs": manifold._whitened_logs(mats, isq, "x"),
+            "projected": manifold.tangent_project(mats, base),
+            "one": manifold.tangent_project(mats[3], base),
+        }
+        for key, value in whole.items():
+            assert np.array_equal(blocked[key], value), key
+        assert np.array_equal(blocked["mean"], blocked["moved_mean"])
+        assert blocked["one"].shape == (manifold.tangent_dim(self.D),)
+        blocked_karcher = manifold.geometric_mean(mats, tol=1e-10)
+        for f in fields(manifold.KarcherMean):
+            assert np.array_equal(getattr(blocked_karcher, f.name), getattr(karcher, f.name)), f.name
+
+    @pytest.mark.parametrize("matrices", [1, 2, 3])
+    def test_asymmetry_message_is_the_whole_stack_maximum(self, rng, monkeypatch, matrices):
+        mats = self.stack(rng)
+        mats[1, 0, 1] += 1e-9
+        mats[6, 2, 4] += 1e-6
+        with pytest.raises(InvalidMatrix) as whole:
+            manifold.check_symmetric(mats)
+        self.patch_blocks(monkeypatch, matrices)
+        with pytest.raises(InvalidMatrix) as blocked:
+            manifold.check_symmetric(mats)
+        assert str(blocked.value) == str(whole.value)
+        assert "1.000e-06" in str(blocked.value)
+
+    @pytest.mark.parametrize("matrices", [1, 2, 3])
+    def test_non_finite_in_a_later_block_beats_an_earlier_asymmetry(self, rng, monkeypatch,
+                                                                    matrices):
+        self.patch_blocks(monkeypatch, matrices)
+        mats = self.stack(rng)
+        mats[0, 0, 1] += 1.0
+        mats[6, 3, 3] = np.nan
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            manifold.check_symmetric(mats)
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            manifold.geometric_mean(mats)
+
+    @pytest.mark.parametrize("matrices", [1, 2])
+    def test_later_block_not_positive_definite(self, rng, monkeypatch, matrices):
+        self.patch_blocks(monkeypatch, matrices)
+        mats = self.stack(rng)
+        mats[5] = -mats[5]
+        with pytest.raises(NotPositiveDefinite, match="matrix to project"):
+            manifold.tangent_project(mats, mats[0])
+
+
+class TestEmptyStacks:
+    def test_tangent_project_of_no_matrices(self, rng):
+        base = random_spd(rng, 4)
+        out = manifold.tangent_project(np.empty((0, 4, 4)), base)
+        assert out.shape == (0, manifold.tangent_dim(4))
+
+    def test_canonical_mean_of_no_entries(self):
+        with pytest.raises(EmptyInput) as err:
+            manifold.canonical_mean(np.empty((0, 3, 3)))
+        assert str(err.value) == "canonical_mean of an empty stack"
 
 
 class TestGeometricMean:

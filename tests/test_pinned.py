@@ -1,0 +1,96 @@
+"""Fixed-seed results pinned across commits.
+
+``pinned_results.json`` holds the accuracies, medians, chance levels and
+t-tests of two small fixed-seed compares:
+
+- ``desk``: a desk-shaped container (60 trials of 32 channels at 256 Hz, so
+  96x96 super-trial covariances, in 30-trial training folds) under the desk
+  config's 2x1 folds;
+- ``tiny_chance``: acceptance 10's 40x3 container under ``compare --chance``
+  at 5x2 folds, run at one and at two threads.
+
+Accuracies, medians and chance accuracies are fractions of test-fold sizes
+and are compared exactly; t, p and the chance threshold to 1e-12 relative.
+A change that moves a pinned value regenerates the file with
+
+    PYTHONPATH=src python tests/test_pinned.py
+
+and names each moved value in CHANGES.md.
+"""
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from errpkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = Path(__file__).resolve().parent / "pinned_results.json"
+DESK_CONFIG = str(ROOT / "configs" / "desk_benchmark.json")
+TINY = [
+    "--set", "n_trials=40", "--set", "n_channels=3", "--set", "fs_hz=64.0",
+    "--set", "pre_s=0.25", "--set", "post_s=0.75",
+    "--set", "frn_amp_uv=-9.0", "--set", "noise_rms_uv=6.0",
+]
+CLOSE = ("t", "p", "threshold_97_5")
+
+
+def _results(report_path):
+    """The pinned fields of each dataset of a report."""
+    out = []
+    for ds in json.loads(Path(report_path).read_text())["datasets"]:
+        entry = {name: {"accuracies": m["accuracies"], "median": m["median"]}
+                 for name, m in ds["methods"].items()}
+        entry["t_test"] = {"t": ds["t_test"]["t"], "p": ds["t_test"]["p"]}
+        if ds["chance"] is not None:
+            entry["chance"] = {key: ds["chance"][key] for key in
+                               ("mean_accuracy", "per_shuffle_mean_accuracies", "threshold_97_5")}
+        out.append(entry)
+    return out
+
+
+def compute(tmp: Path) -> dict:
+    """Run both pinned compares under ``tmp``; the tiny one at 1 and 2 threads."""
+    desk, tiny = tmp / "desk", tmp / "tiny"
+    assert main(["synth", "--config", DESK_CONFIG, "--set", "n_trials=60", "--seed", "1",
+                 "--out", str(desk)]) == 0
+    assert main(["synth", "--out", str(tiny), "--seed", "3", *TINY]) == 0
+    assert main(["compare", "--config", DESK_CONFIG, "--input", str(desk), "--seed", "1",
+                 "--threads", "1", "--out", str(tmp / "desk.json")]) == 0
+    results = {"desk": _results(tmp / "desk.json")}
+    for threads in (1, 2):
+        out = tmp / f"tiny_{threads}.json"
+        assert main(["compare", "--input", str(tiny), "--seed", "5", "--folds", "5",
+                     "--repeats", "2", "--chance", "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        results[f"tiny_chance_threads_{threads}"] = _results(out)
+    return results
+
+
+def _assert_matches(got, want, path=""):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif path.rsplit(".", 1)[-1] in CLOSE:
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_fixed_seed_results_match_the_pinned_file(tmp_path):
+    pinned = json.loads(PINNED.read_text())
+    got = compute(tmp_path)
+    assert sorted(pinned) == ["desk", "tiny_chance_threads_1", "tiny_chance_threads_2"]
+    _assert_matches(got, pinned)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        PINNED.write_text(json.dumps(compute(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {PINNED}\n")
