@@ -49,11 +49,8 @@ def _matches(value, default) -> bool:
     """Whether a JSON value has the type of a default.
 
     An int passes for a float and a list for a tuple, list elements are held
-    to the default's first element, a bool never passes for a number, and a
-    ``None`` default takes null or a list of numbers.
+    to the default's first element, and a bool never passes for a number.
     """
-    if default is None:
-        return value is None or _matches(value, [0.0])
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):

@@ -247,8 +247,10 @@ def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
 
 
 def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Deterministic sample order that depends only on the (feature, label) multiset."""
-    return manifold.canonical_order(np.column_stack([np.asarray(y, dtype=np.float64), x]))
+    """Deterministic sample order that depends only on the (feature, label)
+    multiset: by label, then by the features' bytes, without copying them."""
+    o = manifold.canonical_order(x)
+    return o[np.argsort(y[o], kind="stable")]
 
 
 def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np.ndarray,

@@ -62,8 +62,8 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def check_symmetric(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    """Validate symmetry (absolute tolerance) and finiteness; return float64 array.
+def check_symmetric(m) -> np.ndarray:
+    """Validate symmetry (to :data:`SYMMETRY_ATOL`) and finiteness; return float64 array.
 
     A non-finite entry anywhere is reported ahead of any asymmetry."""
     a = _as_square(m)
@@ -72,8 +72,9 @@ def check_symmetric(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     if not all(np.isfinite(part).all() for part in parts):
         raise InvalidMatrix("matrix contains non-finite entries")
     skew = max((np.abs(part - part.swapaxes(-1, -2)).max() for part in parts), default=0.0)
-    if skew > atol:
-        raise InvalidMatrix(f"matrix is not symmetric: max |m - m.T| = {skew:.3e} > {atol}")
+    if skew > SYMMETRY_ATOL:
+        raise InvalidMatrix(
+            f"matrix is not symmetric: max |m - m.T| = {skew:.3e} > {SYMMETRY_ATOL}")
     return a
 
 

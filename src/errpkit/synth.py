@@ -4,8 +4,10 @@ A one-up/one-down staircase driving a simulated Weibull observer produces
 realistic success/failure label streams, and an epoch generator plants
 class-dependent frontocentral components (an early negativity on failure
 trials and a later positivity with a class amplitude difference) in 1/f
-noise, with an optional tone-frequency confound bump.  :class:`SynthSpec`
-sets a dataset's size, epoch shape and label source, and
+noise, with an optional tone-frequency confound bump of fixed shape.  The
+staircase starts at the observer's threshold and steps by
+:data:`STEP_FACTOR`; channel gains come from :func:`default_topography`.
+:class:`SynthSpec` sets a dataset's size, epoch shape and label source, and
 :func:`generate_dataset` builds the dataset ``errpkit synth`` writes.
 """
 from __future__ import annotations
@@ -28,6 +30,12 @@ STANDARD_32 = [
 
 FRONTOCENTRAL = {"Fz", "FC1", "FC2", "Cz"}
 _NEAR_FRONTOCENTRAL = {"F3", "F4", "C3", "C4", "AF3", "AF4", "CP1", "CP2"}
+
+STEP_FACTOR = 1.15  # the staircase's contrast ratio between consecutive trials
+_N_LAST_REVERSALS = 10  # reversals per block that estimate_threshold averages
+# the confound bump: peak and width (s), and amplitude (uV) on success and failure trials
+_CONFOUND_PEAK_S, _CONFOUND_WIDTH_S = 0.1375, 0.03
+_CONFOUND_AMP_UV = {SUCCESS: -1.0, FAILURE: -2.0}
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,8 @@ class SynthSpec:
 
     ``label_source`` is ``"balanced"`` (equal classes in a seeded random
     order) or ``"staircase"`` (:func:`simulate_labels`, whose observer has
-    the ``psy_*`` parameters).  Field names are config keys:
+    the ``psy_*`` parameters; each block starts at ``psy_threshold_alpha``
+    and steps by :data:`STEP_FACTOR`).  Field names are config keys:
     ``config.DEFAULTS`` takes its entries for them from these defaults.
     """
 
@@ -69,23 +78,19 @@ class SynthSpec:
     psy_threshold_alpha: float = PsychometricModel.threshold_alpha
     psy_slope_beta: float = PsychometricModel.slope_beta
     psy_lapse: float = PsychometricModel.lapse
-    start_contrast: float = 0.004
-    step_factor: float = 1.15
     n_blocks: int = 5
 
     def __post_init__(self):
         for key in ("n_trials", "n_channels", "n_blocks"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("fs_hz", "psy_threshold_alpha", "psy_slope_beta", "start_contrast"):
+        for key in ("fs_hz", "psy_threshold_alpha", "psy_slope_beta"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if sample_index(self.post_s, -self.pre_s, self.fs_hz) < 1:
             raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
         if not 0.0 <= self.psy_lapse <= 0.1:
             raise ValueError(f"psy_lapse must lie in [0, 0.1], got {self.psy_lapse}")
-        if not self.step_factor > 1:
-            raise ValueError(f"step_factor must exceed 1, got {self.step_factor}")
         if self.label_source not in ("balanced", "staircase"):
             raise ValueError(
                 f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")
@@ -135,33 +140,34 @@ def staircase_run(
     return StaircaseRun(contrasts, correct, np.asarray(reversals), step_factor)
 
 
-def estimate_threshold(blocks, n_last: int = 10) -> float:
-    """Average the last ``n_last`` reversal contrasts of each block in log
-    space, then transform the grand log-mean back to a plain contrast."""
+def estimate_threshold(blocks) -> float:
+    """Average the last ``_N_LAST_REVERSALS`` reversal contrasts of each block
+    in log space, then transform the grand log-mean back to a plain contrast."""
     blocks = list(blocks)
     if not blocks:
         raise InsufficientData("no staircase blocks given")
     block_means = []
     for i, blk in enumerate(blocks):
-        if blk.reversals.size < n_last:
+        if blk.reversals.size < _N_LAST_REVERSALS:
             raise InsufficientData(
-                f"block {i} has {blk.reversals.size} reversals, need {n_last}"
+                f"block {i} has {blk.reversals.size} reversals, need {_N_LAST_REVERSALS}"
             )
-        block_means.append(np.log(blk.reversals[-n_last:]).mean())
+        block_means.append(np.log(blk.reversals[-_N_LAST_REVERSALS:]).mean())
     return float(np.exp(np.mean(block_means)))
 
 
 def simulate_labels(spec: SynthSpec, seed: int = 0) -> tuple[np.ndarray, list[StaircaseRun]]:
     """Success/failure stream (failure = incorrect) of ``spec.n_trials``
     staircase trials, split as evenly as possible into ``spec.n_blocks``
-    blocks; ``spec.label_source`` is not read."""
+    blocks that each start at ``spec.psy_threshold_alpha``;
+    ``spec.label_source`` is not read."""
     model = PsychometricModel(spec.psy_threshold_alpha, spec.psy_slope_beta, spec.psy_lapse)
     n_trials, n_blocks = spec.n_trials, spec.n_blocks
     per_block = [n_trials // n_blocks] * n_blocks
     for i in range(n_trials % n_blocks):
         per_block[i] += 1
     runs = [
-        staircase_run(model, nb, spec.start_contrast, spec.step_factor, seed=derive_seed(seed, b))
+        staircase_run(model, nb, spec.psy_threshold_alpha, STEP_FACTOR, seed=derive_seed(seed, b))
         for b, nb in enumerate(per_block) if nb > 0
     ]
     labels = np.concatenate([
@@ -174,13 +180,14 @@ def simulate_labels(spec: SynthSpec, seed: int = 0) -> tuple[np.ndarray, list[St
 class ErpTemplateSpec:
     """Shapes, amplitudes and noise for the synthetic epochs.
 
-    Component shapes are Gaussian bumps.  The early negativity rides on
-    failure trials only; the later positivity appears in both classes with
-    amplitude ``p3a_amp_uv`` on failure and ``p3a_amp_uv * p3a_success_scale``
-    on success.  When the confound is enabled, an extra early bump with a
-    per-class amplitude mimics tone-frequency differences in the auditory
-    response.  Field names are config keys: ``config.DEFAULTS`` takes its
-    entries for them from these defaults.
+    Component shapes are Gaussian bumps, scaled on each channel by
+    :func:`default_topography`.  The early negativity rides on failure
+    trials only; the later positivity appears in both classes with amplitude
+    ``p3a_amp_uv`` on failure and ``p3a_amp_uv * p3a_success_scale`` on
+    success.  When ``confound_enabled``, an extra early bump of fixed shape
+    and per-class amplitude mimics tone-frequency differences in the
+    auditory response.  Field names are config keys: ``config.DEFAULTS``
+    takes its entries for them from these defaults.
     """
 
     frn_peak_s: float = 0.15
@@ -190,25 +197,15 @@ class ErpTemplateSpec:
     p3a_width_s: float = 0.08
     p3a_amp_uv: float = 4.0
     p3a_success_scale: float = 0.5
-    topography: np.ndarray | None = None
     noise_rms_uv: float = 10.0
     noise_exponent: float = 1.0
     confound_enabled: bool = False
-    confound_peak_s: float = 0.1375
-    confound_width_s: float = 0.03
-    confound_amp_success_uv: float = -1.0
-    confound_amp_failure_uv: float = -2.0
 
     def __post_init__(self):
         if self.noise_rms_uv < 0:
             raise ValueError("noise RMS cannot be negative")
-        if self.frn_width_s <= 0 or self.p3a_width_s <= 0 or self.confound_width_s <= 0:
+        if self.frn_width_s <= 0 or self.p3a_width_s <= 0:
             raise ValueError("component widths must be positive")
-        if self.topography is not None:
-            topo = np.asarray(self.topography, dtype=np.float64)
-            if topo.min() < 0.0 or topo.max() > 1.0:
-                raise ValueError("topography gains must lie in [0, 1]")
-            object.__setattr__(self, "topography", topo)
 
 
 def default_channel_names(n_channels: int) -> list[str]:
@@ -247,10 +244,9 @@ def class_templates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free per-class mean epochs (success, failure), (n_channels, n_samples)."""
     names = list(channel_names) if channel_names is not None else default_channel_names(n_channels)
-    gains = spec.topography if spec.topography is not None else default_topography(names)
-    gains = np.asarray(gains, dtype=np.float64)
-    if gains.shape != (n_channels,):
-        raise ValueError(f"topography length {gains.shape} does not match {n_channels} channels")
+    if len(names) != n_channels:
+        raise ValueError(f"{len(names)} channel names do not match {n_channels} channels")
+    gains = default_topography(names)
     n_samples = sample_index(post_s, -pre_s, fs_hz)
     t = np.arange(n_samples) / fs_hz - pre_s
     for peak in (spec.frn_peak_s, spec.p3a_peak_s):
@@ -262,10 +258,10 @@ def class_templates(
     failure_wave = (_bump(t, spec.frn_peak_s, spec.frn_width_s, spec.frn_amp_uv)
                     + _bump(t, spec.p3a_peak_s, spec.p3a_width_s, spec.p3a_amp_uv))
     if spec.confound_enabled:
-        success_wave = success_wave + _bump(t, spec.confound_peak_s, spec.confound_width_s,
-                                            spec.confound_amp_success_uv)
-        failure_wave = failure_wave + _bump(t, spec.confound_peak_s, spec.confound_width_s,
-                                            spec.confound_amp_failure_uv)
+        success_wave = success_wave + _bump(t, _CONFOUND_PEAK_S, _CONFOUND_WIDTH_S,
+                                            _CONFOUND_AMP_UV[SUCCESS])
+        failure_wave = failure_wave + _bump(t, _CONFOUND_PEAK_S, _CONFOUND_WIDTH_S,
+                                            _CONFOUND_AMP_UV[FAILURE])
     return gains[:, None] * success_wave, gains[:, None] * failure_wave
 
 
@@ -298,7 +294,6 @@ def generate_epochs(
     pre_s: float,
     post_s: float,
     seed: int = 0,
-    channel_names=None,
 ) -> EpochSet:
     """Template-plus-noise epochs, one per label.
 
@@ -312,7 +307,7 @@ def generate_epochs(
     if labels.size == 0:
         raise EmptyInput("no labels given")
     spec = spec or ErpTemplateSpec()
-    names = list(channel_names) if channel_names is not None else default_channel_names(n_channels)
+    names = default_channel_names(n_channels)
     success_t, failure_t = class_templates(spec, n_channels, fs_hz, pre_s, post_s, names)
     n_samples = success_t.shape[1]
     data = np.empty((labels.size, n_channels, n_samples))

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from errpkit.evaluation import Hyperparams
 from errpkit.preprocessing import PreprocessSpec
 from errpkit.synth import ErpTemplateSpec, SynthSpec
 
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("bench/configs/*.json")])
+
 
 class TestTypeCheck:
     def test_compatible_values_accepted(self):
@@ -14,13 +18,11 @@ class TestTypeCheck:
             "reg_c=2",  # int for a float
             "riemann_window_s=[0.1, 0.5]",  # list for a tuple
             "benchmark_windows_s=[[0.1, 0.3], [0.3, 0.6]]",
-            "topography=[1, 0.5, 0.2]",  # None default takes a list of numbers
             "label_source=staircase",  # raw string fallback
             "notch_hz=[]",
         ])
         assert cfg["reg_c"] == 2
         assert cfg["riemann_window_s"] == [0.1, 0.5]
-        assert cfg["topography"] == [1, 0.5, 0.2]
         assert cfg["label_source"] == "staircase"
 
     @pytest.mark.parametrize("item", [
@@ -28,8 +30,7 @@ class TestTypeCheck:
         "folds=10.0", "riemann_window_s=0.1", 'notch_hz=[50, "x"]',
         "benchmark_windows_s=[0.1, 0.2]", "notch_hz=null",
         "reg_c=NaN", "mean_tol=Infinity", "epoch_post_s=-Infinity", "notch_hz=[50, NaN]",
-        "benchmark_windows_s=[[0.1, Infinity]]", "topography=[1, NaN]", "topography=NaN",
-        'topography={"a": 1}',
+        "benchmark_windows_s=[[0.1, Infinity]]",
     ])
     def test_mismatched_values_rejected(self, item):
         key, _, value = item.partition("=")
@@ -57,6 +58,13 @@ class TestFromConfig:
                      for f in fields(cls)}
         assert set(DEFAULTS) - spec_keys == {
             "seed", "folds", "repeats", "n_chance_shuffles"}
+
+    @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: str(p.relative_to(ROOT)))
+    def test_committed_configs_build_every_spec(self, path):
+        # a key a committed config names cannot be removed without this failing
+        cfg = load_config(path)
+        for cls in (SynthSpec, ErpTemplateSpec, PreprocessSpec, Hyperparams):
+            from_config(cls, cfg)
 
     def test_lists_become_tuples(self):
         cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])

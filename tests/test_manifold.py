@@ -137,13 +137,14 @@ class TestCanonicalMean:
         assert np.abs(manifold.canonical_mean(stack) - stack.mean(axis=0)).max() <= bound
 
     def test_fold_order_is_the_concatenated_byte_key_order(self, rng):
-        x = rng.standard_normal((40, 7))
-        x[[3, 9]] = x[20]
-        y = rng.integers(0, 2, 40)
-        key = np.ascontiguousarray(np.concatenate([y.astype(np.float64)[:, None], x], axis=1))
-        reference = np.argsort(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
-                               kind="stable")
-        assert np.array_equal(evaluation._canonical_order(x, y), reference)
+        # the reference orders copies of the [label, features] rows
+        for _ in range(50):
+            n, d = rng.integers(2, 40), rng.integers(1, 8)
+            x = np.round(rng.standard_normal((n, d)), 1)  # ties, and -0.0 beside 0.0
+            x[rng.integers(0, n, n // 3)] = x[0]
+            y = rng.integers(0, 2, n)
+            reference = manifold.canonical_order(np.column_stack([y.astype(np.float64), x]))
+            assert np.array_equal(evaluation._canonical_order(x, y), reference)
 
 
 class TestBlocks:

@@ -1,16 +1,20 @@
 """Fixed-seed results pinned across commits.
 
-``pinned_results.json`` holds the accuracies, medians, chance levels and
-t-tests of two small fixed-seed compares:
+``pinned_results.json`` holds the accuracies, medians, chance levels,
+t-tests and permutation tests of three small fixed-seed compares:
 
 - ``desk``: a desk-shaped container (60 trials of 32 channels at 256 Hz, so
   96x96 super-trial covariances, in 30-trial training folds) under the desk
   config's 2x1 folds;
 - ``tiny_chance``: acceptance 10's 40x3 container under ``compare --chance``
-  at 5x2 folds, run at one and at two threads.
+  at 5x2 folds, run at one and at two threads;
+- ``two_null``: two 40x3 containers without components (``frn_amp_uv`` and
+  ``p3a_amp_uv`` 0) in one compare at 5x2 folds, with its permutation test.
 
-Accuracies, medians and chance accuracies are fractions of test-fold sizes
-and are compared exactly; t, p and the chance threshold to 1e-12 relative.
+Accuracies, medians, chance accuracies and the permutation test's observed
+metric are sums of fractions of test-fold sizes and are compared exactly;
+t, p, z, the null's standard deviation and the chance threshold to 1e-12
+relative.
 A change that moves a pinned value regenerates the file with
 
     PYTHONPATH=src python tests/test_pinned.py
@@ -33,7 +37,8 @@ TINY = [
     "--set", "pre_s=0.25", "--set", "post_s=0.75",
     "--set", "frn_amp_uv=-9.0", "--set", "noise_rms_uv=6.0",
 ]
-CLOSE = ("t", "p", "threshold_97_5")
+NULL = ["--set", "frn_amp_uv=0.0", "--set", "p3a_amp_uv=0.0"]
+CLOSE = ("t", "p", "z", "null_std", "threshold_97_5")
 
 
 def _results(report_path):
@@ -51,7 +56,7 @@ def _results(report_path):
 
 
 def compute(tmp: Path) -> dict:
-    """Run both pinned compares under ``tmp``; the tiny one at 1 and 2 threads."""
+    """Run the pinned compares under ``tmp``; the tiny one at 1 and 2 threads."""
     desk, tiny = tmp / "desk", tmp / "tiny"
     assert main(["synth", "--config", DESK_CONFIG, "--set", "n_trials=60", "--seed", "1",
                  "--out", str(desk)]) == 0
@@ -65,6 +70,18 @@ def compute(tmp: Path) -> dict:
                      "--repeats", "2", "--chance", "--threads", str(threads),
                      "--out", str(out)]) == 0
         results[f"tiny_chance_threads_{threads}"] = _results(out)
+    nulls = [tmp / f"null_{seed}" for seed in (21, 22)]
+    for seed, path in zip((21, 22), nulls):
+        assert main(["synth", "--out", str(path), "--seed", str(seed), *TINY, *NULL]) == 0
+    assert main(["compare", *(arg for path in nulls for arg in ("--input", str(path))),
+                 "--seed", "9", "--folds", "5", "--repeats", "2",
+                 "--out", str(tmp / "two_null.json")]) == 0
+    report = json.loads((tmp / "two_null.json").read_text())
+    results["two_null"] = {
+        "datasets": _results(tmp / "two_null.json"),
+        "permutation_test": {key: report["permutation_test"][key]
+                             for key in ("observed_metric", "z", "p", "null_std")},
+    }
     return results
 
 
@@ -86,7 +103,8 @@ def _assert_matches(got, want, path=""):
 def test_fixed_seed_results_match_the_pinned_file(tmp_path):
     pinned = json.loads(PINNED.read_text())
     got = compute(tmp_path)
-    assert sorted(pinned) == ["desk", "tiny_chance_threads_1", "tiny_chance_threads_2"]
+    assert sorted(pinned) == ["desk", "tiny_chance_threads_1", "tiny_chance_threads_2",
+                              "two_null"]
     _assert_matches(got, pinned)
 
 

@@ -15,10 +15,11 @@ from errpkit.synth import (
     simulate_labels,
     staircase_run,
     STANDARD_32,
+    STEP_FACTOR,
 )
 
 DEFAULT = SynthSpec()
-STEPS = dict(start_contrast=DEFAULT.start_contrast, step_factor=DEFAULT.step_factor)
+STEPS = dict(start_contrast=DEFAULT.psy_threshold_alpha, step_factor=STEP_FACTOR)
 
 
 class TestPsychometric:
@@ -93,7 +94,7 @@ class TestEstimateThreshold:
         # Monte Carlo run of this generator (mean ratio 0.33 +/- 0.08).
         alpha = 0.005
         spec = SynthSpec(n_trials=300, psy_threshold_alpha=alpha, psy_slope_beta=3.5,
-                         psy_lapse=0.02, start_contrast=alpha)
+                         psy_lapse=0.02)
         ests = []
         for seed in range(60):
             _, runs = simulate_labels(spec, seed=seed)
@@ -113,8 +114,7 @@ class TestTemplates:
         assert abs(fail[2, t_peak]) < abs(fail[0, t_peak])  # weaker off the target sites
 
     def test_confound_adds_class_correlated_bump(self):
-        base = ErpTemplateSpec(frn_amp_uv=0.0, p3a_amp_uv=0.0, confound_enabled=True,
-                               confound_amp_success_uv=-1.0, confound_amp_failure_uv=-2.0)
+        base = ErpTemplateSpec(frn_amp_uv=0.0, p3a_amp_uv=0.0, confound_enabled=True)
         succ, fail = class_templates(base, 2, 256.0, 0.5, 1.0, ["Fz", "Cz"])
         assert succ[0].min() == pytest.approx(-1.0, abs=0.01)
         assert fail[0].min() == pytest.approx(-2.0, abs=0.01)
@@ -123,6 +123,10 @@ class TestTemplates:
         spec = ErpTemplateSpec(p3a_peak_s=2.5)
         with pytest.raises(InvalidWindow):
             class_templates(spec, 2, 256.0, 0.5, 1.0, ["Fz", "Cz"])
+
+    def test_channel_names_must_match_the_channel_count(self):
+        with pytest.raises(ValueError, match="^3 channel names do not match 2 channels$"):
+            class_templates(ErpTemplateSpec(), 2, 256.0, 0.5, 1.0, ["Fz", "Cz", "Pz"])
 
     def test_default_topography_concentrates_frontocentral(self):
         gains = default_topography(STANDARD_32)
@@ -197,6 +201,14 @@ class TestSynthSpec:
         assert sorted(labels.tolist()) == [0, 0, 0, 0, 1, 1, 1]
         assert np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=4))
         assert not np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=5))
+
+    @pytest.mark.parametrize("alpha", [0.004, 0.02])
+    def test_every_staircase_block_starts_at_the_threshold(self, alpha):
+        spec = SynthSpec(n_trials=50, label_source="staircase", psy_threshold_alpha=alpha)
+        _, runs = simulate_labels(spec, seed=3)
+        assert len(runs) == spec.n_blocks
+        assert all(run.contrasts[0] == alpha for run in runs)
+        assert all(run.step_factor == STEP_FACTOR for run in runs)
 
     def test_staircase_labels_are_simulate_labels(self):
         spec = SynthSpec(n_trials=50, label_source="staircase", n_blocks=3)
