@@ -10,8 +10,8 @@ evaluation loads no scipy module.
 Folds are independent.  ``run_cv`` and ``chance_level`` each compute the
 method's rows once and map jobs over them with :func:`parallel.map_jobs`:
 in this process at one worker, else on forked worker processes.  A job is
-up to k consecutive folds of one repeat of one labelling, as many as keep
-their stacked training features within :data:`_STACK_BYTES`; it fits the
+a block of :func:`parallel.blocks` of consecutive folds of one repeat of
+one labelling, whose items are the folds' training features; it fits the
 classifiers of its folds of equal training shape as one stack with
 :func:`logreg.fit_many`, which gives each the bits of its own fit.  The
 workers inherit the rows, labels, plans and hyperparameters in memory and
@@ -51,10 +51,6 @@ METHODS = ("riemann", "benchmark")
 _CF_TINY = 1e-300
 _CF_EPS = 2.0 ** -52
 _CF_MAX_TERMS = 100_000
-
-# The most bytes of training features one job stacks into one classifier
-# fit: a repeat of small folds fits as one stack, a desk-scale fold alone.
-_STACK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -327,33 +323,24 @@ def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan
             for (_, _, xte, yte), clf in zip(splits, models)]
 
 
-def _folds_per_job(rows: np.ndarray, method: str, plan: FoldPlan) -> int:
-    """How many consecutive folds of one repeat a job runs: as many as keep
-    their stacked training features within :data:`_STACK_BYTES`, at least 1."""
-    n_train = plan.n_epochs - plan.n_epochs // plan.k  # the largest training set
-    width = (manifold.tangent_dim(features.SUPER_TRIAL_ROWS * rows.shape[1])
-             if method == "riemann" else rows.shape[1])
-    return max(1, min(plan.k, _STACK_BYTES // (8 * n_train * width)))
-
-
 def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperparams,
                      n_workers: int, name: str) -> np.ndarray:
     """Accuracy of every fold, one row per labelling ``labels[s]`` under
     ``plans[s]`` (all with the same ``k`` and ``r``), on at most ``n_workers``
-    processes: in this process when only one would run.  A job runs up to
-    :func:`_folds_per_job` consecutive folds of one repeat.  Non-converged
+    processes: in this process when only one would run.  A job runs a block
+    of folds of one repeat (see the module docstring).  Non-converged
     classifier fits are counted in one WARNING."""
-    r, k = plans[0].r, plans[0].k
-    per_job = _folds_per_job(rows, method, plans[0])
-    n_groups = -(-k // per_job)
+    r, k, n = plans[0].r, plans[0].k, plans[0].n_epochs
+    width = (manifold.tangent_dim(features.SUPER_TRIAL_ROWS * rows.shape[1])
+             if method == "riemann" else rows.shape[1])
+    groups = parallel.blocks(k, 8 * (n - n // k) * width)  # items: the largest training set
 
     def job(i: int) -> list[tuple[float, bool, float]]:
-        s, j = divmod(i, r * n_groups)
-        rep, g = divmod(j, n_groups)
-        folds = range(g * per_job, min(k, (g + 1) * per_job))
-        return _run_folds(rows, labels[s], method, plans[s], rep, folds, hp)
+        s, j = divmod(i, r * len(groups))
+        rep, g = divmod(j, len(groups))
+        return _run_folds(rows, labels[s], method, plans[s], rep, range(k)[groups[g]], hp)
 
-    results = parallel.map_jobs(job, len(plans) * r * n_groups, n_workers, "fold")
+    results = parallel.map_jobs(job, len(plans) * r * len(groups), n_workers, "fold")
     accs, converged, grad_norms = (np.array(col) for col in zip(*itertools.chain(*results)))
     if not converged.all():
         logger.warning(

@@ -21,7 +21,7 @@ Fitting is bit-identical under any permutation of the training epochs
 (means summed in the order of the addends' bytes, max-based scaling).
 
 Memory: the super trials and their covariances are made a block of
-epochs at a time (:func:`manifold._block_slices`) into one preallocated
+epochs at a time (:func:`parallel.map_blocks`) into one preallocated
 ``(n, 3c, 3c)`` array, and the manifold passes are blockwise too.  So a
 fit holds the training covariances and their tangent logs, then the logs
 and their vectors, plus a few blocks; a transform holds the test
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import manifold
+from . import manifold, parallel
 from .errors import DegenerateTrainingSet, DimMismatch, EmptyInput, InvalidWindow, NotPositiveDefinite
 from .labels import FAILURE, SUCCESS
 from .preprocessing import EpochSet, _window_slice
@@ -184,11 +184,12 @@ def _covariance_set(windows: np.ndarray, protos: PrototypePair, shrinkage: float
     """Shrunk covariances of the super trials of ``windows``, (n, 3c, 3c),
     made a block of epochs at a time: no (n, 3c, n_window) stack is held."""
     n, d, w = len(windows), SUPER_TRIAL_ROWS * protos.n_channels, windows.shape[-1]
-    covs = np.empty((n, d, d))
+
+    def covariances(sl: slice, out: np.ndarray) -> None:
+        _covariances(_super_trials(windows[sl], protos), shrinkage, out=out)
+
     # at least one block, so that an empty set is checked as any other
-    for sl in manifold._block_slices(max(n, 1), 8 * d * max(d, w)):
-        _covariances(_super_trials(windows[sl], protos), shrinkage, out=covs[sl])
-    return covs
+    return parallel.map_blocks(covariances, max(n, 1), 8 * d * max(d, w), (n, d, d))
 
 
 def transform_riemann_set(model: RiemannModel, windows: np.ndarray) -> np.ndarray:

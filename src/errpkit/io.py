@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import InvalidInput
 from .labels import LABEL_NAMES
 from .preprocessing import ContinuousRecording, EpochSet
@@ -25,7 +26,6 @@ MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 LABELS_NAME = "labels.bin"
 EVENTS_NAME = "events.json"
-_CHUNK = 1 << 20  # samples per chunk of the finiteness check
 
 # 2: one schema for run, compare and chance; no reference_eig_* audit.
 # 3: the permutation test's null moments in closed form, not drawn.
@@ -136,10 +136,11 @@ def validate_epoch_container(path) -> list[str]:
 
 
 def _count_nonfinite(data: np.ndarray) -> int:
-    """Non-finite entries of ``data``, tested a chunk at a time so the mask stays small."""
+    """Non-finite entries of ``data``, tested a block of :func:`parallel.blocks`
+    at a time: its items are mask bytes, so the mask stays at 512 KiB."""
     flat = data.reshape(-1)
-    return sum(int(np.count_nonzero(~np.isfinite(flat[i:i + _CHUNK])))
-               for i in range(0, flat.size, _CHUNK))
+    return sum(int(np.count_nonzero(~np.isfinite(flat[sl])))
+               for sl in parallel.blocks(flat.size, 1))
 
 
 def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
@@ -161,6 +162,8 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
     if manifest["fs_hz"] <= 0:
         problems.append("fs_hz must be positive")
     n_names, c = len(manifest["channel_names"]), manifest["n_channels"]
+    if c < 1:
+        problems.append(f"manifest field 'n_channels' must be at least 1, got {c}")
     if n_names != c:
         problems.append(f"channel_names has {n_names} entries, expected {c}")
 

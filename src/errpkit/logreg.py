@@ -220,13 +220,6 @@ def decision_value(model: LogisticModel, x) -> np.ndarray | float:
     return float(z) if z.ndim == 0 else z
 
 
-def predict_proba(model: LogisticModel, x) -> np.ndarray | float:
-    """P(failure | x) through the logistic link."""
-    z = decision_value(model, x)
-    p = _expit(z)
-    return float(p) if np.ndim(p) == 0 else p
-
-
 def predict(model: LogisticModel, x) -> np.ndarray | int:
     """Hard labels: failure iff the decision value is nonnegative."""
     z = decision_value(model, x)

@@ -10,9 +10,9 @@ operate on the last two axes, like ``numpy.linalg`` routines.
 
 Memory: every pass over a stack of matrices (the symmetry check, the
 whitened logs of the Karcher iteration and of the tangent projection, and
-the canonical mean) works on blocks of about :data:`_BLOCK_BYTES` of
-matrices at a time, writing into one preallocated output, so its
-temporaries are a few blocks whatever the stack's length.  Each matrix
+the canonical mean) works on the blocks of :func:`parallel.blocks`, about
+512 KiB of matrices at a time, writing into one preallocated output, so
+its temporaries are a few blocks whatever the stack's length.  Each matrix
 goes through the same operations in the same order as in a whole-stack
 pass, so results do not depend on the block size, and a stack that fits
 in one block is one pass with no extra copy.
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     DimMismatch,
     EmptyInput,
@@ -40,25 +41,17 @@ SYMMETRY_ATOL = 1e-12
 DEFAULT_MEAN_TOL = 1e-8
 DEFAULT_MEAN_MAX_ITER = 200
 _MIN_STEP, _MAX_STEP = 0.05, 2.0  # bounds of the Karcher step size
-_BLOCK_BYTES = 1 << 19  # float64 bytes of the items of one block of a stack pass
 
 
-def _block_slices(n: int, item_bytes: int) -> list[slice]:
-    """Consecutive slices covering ``range(n)``, each of as many items of
-    ``item_bytes`` as fit in :data:`_BLOCK_BYTES`, and at least one."""
-    step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-def _blocks_of(stack: np.ndarray) -> list[slice]:
-    """:func:`_block_slices` over the entries of ``stack`` along axis 0."""
-    return _block_slices(len(stack), stack.itemsize * math.prod(stack.shape[1:]))
+def _entry_bytes(stack: np.ndarray) -> int:
+    """Bytes of one entry of ``stack`` along axis 0: the item of its blocks."""
+    return stack.itemsize * math.prod(stack.shape[1:])
 
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidMatrix(f"expected square matrices, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise InvalidMatrix(f"expected square matrices of at least 1 row, got shape {a.shape}")
     return a
 
 
@@ -68,7 +61,7 @@ def check_symmetric(m) -> np.ndarray:
     A non-finite entry anywhere is reported ahead of any asymmetry."""
     a = _as_square(m)
     stack = a.reshape(-1, *a.shape[-2:])
-    parts = [stack[sl] for sl in _blocks_of(stack)] if a.size else []
+    parts = [stack[sl] for sl in parallel.blocks(len(stack), _entry_bytes(stack))]
     if not all(np.isfinite(part).all() for part in parts):
         raise InvalidMatrix("matrix contains non-finite entries")
     skew = max((np.abs(part - part.swapaxes(-1, -2)).max() for part in parts), default=0.0)
@@ -163,13 +156,13 @@ def _whitened_logs(stack: np.ndarray, isq: np.ndarray, what: str) -> np.ndarray:
     :func:`tangent_project`, so the two agree bit for bit.  A block's
     whitened matrices, eigenvectors and logs are its only temporaries: the
     peak is the ``(n, d, d)`` result plus a few blocks."""
-    logs = np.empty(stack.shape)
-    for sl in _blocks_of(stack):
+    def logs(sl: slice, out: np.ndarray) -> None:
         lw, lv = np.linalg.eigh(_symmetrize(isq @ stack[sl] @ isq))
         if lw.min() <= 0.0:
             raise NotPositiveDefinite(f"{what} is not positive definite")
-        _spectral_apply(lw, lv, np.log, out=logs[sl])
-    return logs
+        _spectral_apply(lw, lv, np.log, out=out)
+
+    return parallel.map_blocks(logs, len(stack), _entry_bytes(stack), stack.shape)
 
 
 def canonical_order(stack: np.ndarray) -> np.ndarray:
@@ -195,7 +188,7 @@ def canonical_mean(stack: np.ndarray) -> np.ndarray:
     if n == 0:
         raise EmptyInput("canonical_mean of an empty stack")
     order = canonical_order(stack)
-    blocks = _blocks_of(stack)
+    blocks = parallel.blocks(n, _entry_bytes(stack))
     buf = np.empty((blocks[0].stop + 1,) + stack.shape[1:])
     first = 1  # the first block has no running total before it
     for sl in blocks:
@@ -326,7 +319,10 @@ def tangent_project(c, base) -> np.ndarray:
     isq = mat_invsqrt(base)
     d = base.shape[-1]
     stack = c.reshape(-1, d, d)
-    out = np.empty((len(stack), tangent_dim(d)))
-    for sl in _blocks_of(stack):
-        out[sl] = vectorize_sym(_whitened_logs(stack[sl], isq, "matrix to project"))
+
+    def project(sl: slice, out: np.ndarray) -> None:
+        out[...] = vectorize_sym(_whitened_logs(stack[sl], isq, "matrix to project"))
+
+    out = parallel.map_blocks(project, len(stack), _entry_bytes(stack),
+                              (len(stack), tangent_dim(d)))
     return out.reshape(c.shape[:-2] + out.shape[1:])

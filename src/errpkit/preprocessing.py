@@ -10,22 +10,22 @@ zero-phase and linear.
 
 Memory: a recording may hold float32 samples, as a continuous container
 stores them; float32 is storage only.  Every filter upcasts a block of
-rows (about :data:`_BLOCK_BYTES` of float64) at a time, so all arithmetic
-is float64, and writes each block into one preallocated float64 output.
-:func:`preprocess_recording` filters the whole chain block by block into
-one float64 array, re-references it in place and epochs it a block of
-events at a time, so its peak is about that float64 filtered recording
-plus the float32 input; the epochs are bit-identical to whole-array
-filtering, because each row is filtered on its own.
+rows (one block of :func:`parallel.blocks`, about 512 KiB of float64) at a
+time, so all arithmetic is float64, and writes each block into one
+preallocated float64 output.  :func:`preprocess_recording` filters the
+whole chain block by block into one float64 array, re-references it in
+place and epochs it a block of events at a time, so its peak is about
+that float64 filtered recording plus the float32 input; the epochs are
+bit-identical to whole-array filtering, because each row is filtered on
+its own.
 
-Parallelism: the row blocks, then the event blocks, are independent jobs
-of :func:`parallel.map_jobs`.  At one worker (the library default), or
-for a phase whose float64 input is below :data:`_POOL_MIN_BYTES`, they
-run in this process into plain ``np.empty`` arrays.  Otherwise forked
-workers inherit the recording and write their blocks into anonymous
-shared memory, which then holds the filtered recording and the epochs;
-only block indexes cross the pipe, and the bytes do not depend on the
-worker count.
+Parallelism: the row blocks, then the event blocks, are the blocks of
+:func:`parallel.map_blocks`.  At one worker (the library default), or for
+a phase whose float64 input is below its 16 MiB bound, they run in this
+process.  Otherwise forked workers inherit the recording and write their
+blocks into anonymous shared memory, which then holds the filtered
+recording and the epochs; only block indexes cross the pipe, and the
+bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -47,11 +47,6 @@ from .labels import FAILURE, SUCCESS
 logger = logging.getLogger(__name__)
 
 NOTCH_Q = 35.0
-_BLOCK_BYTES = 1 << 19  # float64 bytes of one block of filtered rows or of epochs
-# Float64 bytes of a phase's input below which it runs in this process: on 2
-# CPUs a pool costs 45-90 ms to start and fill, and pays for itself only from
-# about 14-19 MiB (filter phase) and 11-15 MiB (epoch phase).
-_POOL_MIN_BYTES = 1 << 24
 
 
 def sample_index(t: float, t0: float, fs: float) -> int:
@@ -135,43 +130,31 @@ def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     return int(min(n_samples - 1, round(3.0 * order * fs / lo_hz)))
 
 
-def _phase_workers(n_workers: int, n_bytes: int, n_jobs: int) -> int:
-    """Processes for a phase of ``n_jobs`` jobs over ``n_bytes`` of float64
-    input: :func:`parallel.workers_for`, or 1 below :data:`_POOL_MIN_BYTES`."""
-    return parallel.workers_for(n_workers if n_bytes >= _POOL_MIN_BYTES else 1, n_jobs)
-
-
 def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
                  n_workers: int = 1) -> np.ndarray:
     """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
     last axis of ``data`` and keep samples ``keep`` of each filtered row.
 
-    Rows are upcast to float64 and filtered a block of about
-    :data:`_BLOCK_BYTES` at a time into one preallocated float64 array, so
-    the temporaries of ``sosfiltfilt`` stay block-sized.  The blocks are
-    jobs of :func:`parallel.map_jobs` on up to ``n_workers`` processes, or
-    in this process when ``data`` is small (:func:`_phase_workers`).
-    Every row is filtered on its own, so the result equals whole-array
-    filtering bit for bit at any worker count.
+    Rows are upcast to float64 and filtered a block at a time into one
+    preallocated float64 array by :func:`parallel.map_blocks`, on up to
+    ``n_workers`` processes, so the temporaries of ``sosfiltfilt`` stay
+    block-sized.  Every row is filtered on its own, so the result equals
+    whole-array filtering bit for bit at any worker count.
     """
     from scipy import signal  # imported on use: it is the slowest import in the package
 
     n = data.shape[-1]
     rows = data.reshape(-1, n)
     kept = len(range(n)[keep])
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    starts = range(0, rows.shape[0], step)
-    n_workers = _phase_workers(n_workers, 8 * rows.size, len(starts))
-    out = parallel.empty((rows.shape[0], kept), n_workers)
 
-    def filter_block(j: int) -> None:
-        i = starts[j]
-        block = np.asarray(rows[i:i + step], dtype=np.float64)
+    def filter_block(sl: slice, out: np.ndarray) -> None:
+        block = np.asarray(rows[sl], dtype=np.float64)
         for sos, padlen in stages:
             block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
-        out[i:i + step] = block[:, keep]
+        out[...] = block[:, keep]
 
-    parallel.map_jobs(filter_block, len(starts), n_workers, "filter")
+    out = parallel.map_blocks(filter_block, rows.shape[0], 8 * n, (rows.shape[0], kept),
+                              n_workers, "filter")
     return out.reshape(data.shape[:-1] + (kept,))
 
 
@@ -318,10 +301,8 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     baselined and downsampled a block of events at a time into the result.
     The lowpass is designed once per call; downsampling first, the baseline
     is subtracted once from the whole result.  The row blocks, then the
-    event blocks, are jobs of :func:`parallel.map_jobs` on up to
-    ``n_workers`` processes, or in this process for a phase of less than
-    :data:`_POOL_MIN_BYTES` of float64 input; the result is bit-identical
-    at any count.
+    event blocks, run by :func:`parallel.map_blocks` on up to ``n_workers``
+    processes; the result is bit-identical at any count.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
@@ -337,20 +318,14 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     data = _filter_rows(rec.data, stages, n_workers=n_workers)
     _rereference(data)
 
-    step = max(1, _BLOCK_BYTES // (8 * rec.n_channels * length))
-    blocks = range(0, len(starts), step)
-    n_workers = _phase_workers(n_workers, 8 * len(starts) * rec.n_channels * length,
-                               len(blocks))
-    out = parallel.empty((len(starts), rec.n_channels, n_out), n_workers)
-
-    def epoch_block(j: int) -> None:
-        i = blocks[j]
-        block = np.stack([data[:, s:s + length] for s in starts[i:i + step]])
+    def epoch_block(sl: slice, out: np.ndarray) -> None:
+        block = np.stack([data[:, s:s + length] for s in starts[sl]])
         if spec.baseline_before_downsample:
             block -= block[..., base].mean(axis=-1, keepdims=True)
-        out[i:i + step] = _filter_rows(block, [lowpass], keep)
+        out[...] = _filter_rows(block, [lowpass], keep)
 
-    parallel.map_jobs(epoch_block, len(blocks), n_workers, "epoch")
+    out = parallel.map_blocks(epoch_block, len(starts), 8 * rec.n_channels * length,
+                              (len(starts), rec.n_channels, n_out), n_workers, "epoch")
     if not spec.baseline_before_downsample:
         out -= out[..., base].mean(axis=-1, keepdims=True)
     return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

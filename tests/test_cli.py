@@ -21,8 +21,9 @@ from errpkit.io import (
     read_epoch_container,
     read_report,
     write_continuous_container,
+    write_epoch_container,
 )
-from errpkit.preprocessing import ContinuousRecording
+from errpkit.preprocessing import ContinuousRecording, EpochSet
 
 PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "swap_scheme", "z"]
 
@@ -37,6 +38,12 @@ def synth_tiny(tmp_path, name="data", seed=3):
     out = tmp_path / name
     assert main(["synth", "--out", str(out), "--seed", str(seed), *TINY]) == 0
     return out
+
+
+def zero_channel_container(tmp_path, name="zero"):
+    """A well-formed epoch container of 20 trials of no channels."""
+    es = EpochSet(np.zeros((20, 0, 64)), np.arange(20) % 2, 64.0, -0.25, [])
+    return write_epoch_container(tmp_path / name, es)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +177,14 @@ class TestValidate:
         (out / "data.bin").write_bytes(raw[:100])
         assert main(["validate", "--input", str(out)]) == 2
         assert "violation" in capsys.readouterr().out
+
+    def test_zero_channels_exit_2(self, tmp_path, capsys):
+        out = zero_channel_container(tmp_path)
+        capsys.readouterr()
+        assert main(["validate", "--input", str(out)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: manifest field 'n_channels' must be at least 1, got 0"
+        ]
 
     def test_nan_sample_exits_2(self, tmp_path, capsys):
         out = synth_tiny(tmp_path, "nan")
@@ -407,14 +422,15 @@ class TestThreads:
         monkeypatch.setattr(evaluation, "_fold_split", fold_split)
         bad = synth_tiny(tmp_path, "bad")
         (bad / "labels.bin").unlink()
-        for later in (tmp_path / "nowhere", bad):
-            capsys.readouterr()
-            assert main(["compare", "--input", str(tiny_container), "--input", str(later),
-                         "--chance", "--threads", "2",
-                         "--out", str(tmp_path / "report.json")]) == 2
-            captured = capsys.readouterr()
-            [line] = (captured.out + captured.err).splitlines()
-            assert line.startswith("error: "), line
+        for later in (tmp_path / "nowhere", bad, zero_channel_container(tmp_path)):
+            for command in (["compare", "--input", str(tiny_container), "--chance"],
+                            ["run", "--method", "benchmark"], ["chance"]):
+                capsys.readouterr()
+                assert main([*command, "--input", str(later), "--threads", "2",
+                             "--out", str(tmp_path / "report.json")]) == 2
+                captured = capsys.readouterr()
+                [line] = (captured.out + captured.err).splitlines()
+                assert line.startswith("error: "), line
         assert folds.value == 0
         assert not (tmp_path / "report.json").exists()
 
@@ -426,8 +442,8 @@ class TestThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         # a preprocess phase of any size would pool on two CPUs
-        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1 << 18)
         assert main(["compare", "--input", str(tiny_container), "--threads", "2",
                      "--out", str(tmp_path / "report.json")]) == 0
         assert main(["preprocess", "--input", str(make_raw(tmp_path)),
@@ -973,14 +989,14 @@ class TestPreprocess:
         events (2 event jobs), and no lower bound on the bytes a pooled phase
         needs."""
         monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)
-        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 1 << 18)
-        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1 << 18)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
 
     def test_small_recording_stays_in_process_at_two_cpus(self, tmp_path, monkeypatch,
                                                          worker_filter_calls):
         raw = make_raw(tmp_path)
         rec, _ = read_continuous_container(raw)
-        assert 8 * rec.data.size < preprocessing._POOL_MIN_BYTES
+        assert 8 * rec.data.size < parallel._POOL_MIN_BYTES
         outputs = []
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)

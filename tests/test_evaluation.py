@@ -317,7 +317,7 @@ class TestFoldRunner:
         # (repeat, stack) order, whose fit fails: every training set holds 30
         # epochs, so a repeat's 4 folds fit as one stack
         rows = features.benchmark_features(es)
-        assert evaluation._folds_per_job(rows, "benchmark", plan) == 4
+        assert parallel.blocks(4, 8 * 30 * rows.shape[1]) == [slice(0, 4)]
         first = next(rep for rep in range(10) if any(self.planted(
             evaluation._fold_split(rows, es.labels, "benchmark", plan, rep, fold,
                                    Hyperparams())[0]) for fold in range(4)))

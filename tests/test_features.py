@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from errpkit import logreg, manifold
+from errpkit import logreg, manifold, parallel
 from errpkit.config import DEFAULTS
 from errpkit.errors import (
     DegenerateTrainingSet,
@@ -130,8 +130,8 @@ class TestCovarianceSet:
         windows = rng.standard_normal((7, 2, 40))
         protos = PrototypePair(rng.standard_normal((2, 40)), rng.standard_normal((2, 40)))
         whole = whole_array_covariances(_super_trials(windows, protos), shrinkage)
-        monkeypatch.setattr(manifold, "_BLOCK_BYTES", epochs * 8 * 6 * 40)
-        assert len(manifold._block_slices(7, 8 * 6 * 40)) > 2
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", epochs * 8 * 6 * 40)
+        assert len(parallel.blocks(7, 8 * 6 * 40)) > 2
         assert np.array_equal(_covariance_set(windows, protos, shrinkage), whole)
 
     def test_empty_set_is_still_checked(self):
@@ -147,7 +147,7 @@ class TestCovarianceSet:
         windows, labels = riemann_windows(es), es.labels
         d = 3 * es.n_channels
         block = 4 * 8 * d * d
-        monkeypatch.setattr(manifold, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", block)
         fit_riemann(windows[:6], labels[:6], mean_tol=1e-2)  # warms the lazy set-ups
         tracemalloc.start()
         try:

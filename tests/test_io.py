@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from errpkit import io
+from errpkit import io, parallel
 from errpkit.io import (
     ContainerError,
     canonical_json,
@@ -64,7 +64,7 @@ class TestEpochContainer:
         data.flat[[0, 6, 7, 200]] = [np.nan, np.inf, -np.inf, np.nan]
         small_set.data = data
         path = write_epoch_container(tmp_path / "c", small_set)
-        monkeypatch.setattr(io, "_CHUNK", 7)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 7)
         assert validate_epoch_container(path) == ["data file holds 4 non-finite samples"]
 
     def test_validate_ok(self, tmp_path, small_set):
@@ -112,8 +112,15 @@ class TestContinuousContainer:
         data[1, [10, 20, 490]] = np.nan
         rec = ContinuousRecording(512.0, ["a", "b", "c"], data, [(100, 1)])
         path = write_continuous_container(tmp_path / "raw", rec, [0])
-        monkeypatch.setattr(io, "_CHUNK", 64)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 64)
         with pytest.raises(ContainerError, match="^data file holds 3 non-finite samples$"):
+            read_continuous_container(path)
+
+    def test_zero_channels_rejected(self, tmp_path):
+        rec = ContinuousRecording(512.0, [], np.zeros((0, 500)), [(100, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0])
+        with pytest.raises(ContainerError,
+                           match="^manifest field 'n_channels' must be at least 1, got 0$"):
             read_continuous_container(path)
 
     def test_epoch_container_is_not_continuous(self, tmp_path):

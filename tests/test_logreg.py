@@ -17,7 +17,6 @@ from errpkit.logreg import (
     grad_check,
     objective,
     predict,
-    predict_proba,
 )
 
 
@@ -40,7 +39,7 @@ class TestFit:
         model = fit(x, y)
         assert np.all(model.weights == 0.0)
         assert model.bias == 0.0
-        assert predict_proba(model, np.zeros(3)) == 0.5
+        assert decision_value(model, np.zeros(3)) == 0.0
 
     def test_gradient_small_at_solution(self, rng):
         x, y = blobs(rng, gap=2.0)
@@ -84,27 +83,25 @@ class TestExpit:
 
 
 class TestPredict:
-    def test_flat_model_gives_half(self):
-        m = LogisticModel(np.zeros(4), 0.0, 1.0, True, 0.0)
-        assert predict_proba(m, np.ones(4)) == 0.5
-
-    def test_large_bias_saturates(self):
-        m = LogisticModel(np.zeros(2), 20.0, 1.0, True, 0.0)
-        assert predict_proba(m, np.zeros(2)) > 1 - 1e-8
-
-    def test_matches_direct_sigmoid(self, rng):
+    def test_predict_is_the_sign_of_the_decision_value(self, rng):
         w = rng.standard_normal(5)
         b = 0.37
         m = LogisticModel(w, b, 1.0, True, 0.0)
-        x = rng.standard_normal(5)
-        z = w @ x + b
-        assert abs(predict_proba(m, x) - 1.0 / (1.0 + np.exp(-z))) < 1e-12
-        assert predict(m, x) == (FAILURE if z >= 0 else SUCCESS)
+        x = rng.standard_normal((6, 5))
+        z = x @ w + b
+        assert np.array_equal(decision_value(m, x), z)
+        assert predict(m, x).tolist() == [FAILURE if v >= 0 else SUCCESS for v in z]
+        z0 = decision_value(m, x[0])
+        assert z0 == x[0] @ w + b
+        assert predict(m, x[0]) == (FAILURE if z0 >= 0 else SUCCESS)
+        flat = LogisticModel(np.zeros(5), 0.0, 1.0, True, 0.0)
+        assert predict(flat, x[0]) == FAILURE  # a zero decision value is failure
 
     def test_dim_mismatch(self):
         m = LogisticModel(np.zeros(3), 0.0, 1.0, True, 0.0)
-        with pytest.raises(DimMismatch):
-            predict_proba(m, np.zeros(4))
+        for fn in (predict, decision_value):
+            with pytest.raises(DimMismatch):
+                fn(m, np.zeros(4))
 
 
 class TestGradCheck:

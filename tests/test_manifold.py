@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from errpkit import evaluation, features, manifold
+from errpkit import evaluation, features, manifold, parallel
 from errpkit.errors import (
     DimMismatch,
     EmptyInput,
@@ -59,6 +59,11 @@ class TestSymEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrix):
             manifold.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_rejects_matrices_of_no_rows(self, shape):
+        with pytest.raises(InvalidMatrix, match="at least 1 row"):
+            manifold.check_symmetric(np.zeros(shape))
 
 
 class TestMatFn:
@@ -154,15 +159,11 @@ class TestBlocks:
 
     @classmethod
     def patch_blocks(cls, monkeypatch, matrices):
-        monkeypatch.setattr(manifold, "_BLOCK_BYTES", matrices * 8 * cls.D * cls.D)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", matrices * 8 * cls.D * cls.D)
 
     @classmethod
     def stack(cls, rng, n=7):
         return np.stack([random_spd(rng, cls.D, cond=100.0) for _ in range(n)])
-
-    def test_one_block_holds_a_small_stack(self):
-        assert manifold._block_slices(7, 8 * self.D * self.D) == [slice(0, 7)]
-        assert manifold._block_slices(0, 8) == []
 
     @pytest.mark.parametrize("matrices", [1, 2, 3])
     def test_block_edges_change_no_bit(self, rng, monkeypatch, matrices):
@@ -180,7 +181,7 @@ class TestBlocks:
         }
         karcher = manifold.geometric_mean(mats, tol=1e-10)
         self.patch_blocks(monkeypatch, matrices)
-        assert len(manifold._block_slices(len(mats), 8 * self.D * self.D)) > 2
+        assert len(parallel.blocks(len(mats), 8 * self.D * self.D)) > 2
         one = mats[4]
         assert manifold.check_symmetric(mats) is mats and manifold.check_symmetric(one) is one
         blocked = {

@@ -2,6 +2,9 @@ import concurrent.futures.process
 import multiprocessing
 import os
 
+import numpy as np
+import pytest
+
 from errpkit import parallel
 
 
@@ -42,3 +45,72 @@ def test_cpu_count_is_the_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform without a mask
     assert parallel.n_cpus() == 8
     assert parallel.workers_for(2, 10) == 2
+
+
+class TestBlocks:
+    def test_no_items_give_no_block(self):
+        assert parallel.blocks(0, 8) == []
+
+    def test_one_block_holds_a_small_stack(self):
+        assert parallel.blocks(7, 8 * 6 * 6) == [slice(0, 7)]
+
+    def test_items_of_no_bytes_fit_one_block(self):
+        assert parallel.blocks(10, 0) == [slice(0, 10)]
+
+    def test_an_item_over_the_budget_gets_a_block_of_its_own(self):
+        assert parallel.blocks(3, parallel._BLOCK_BYTES + 1) == [
+            slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_blocks_cover_the_items_contiguously(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 100)
+        for n in (1, 9, 10, 11, 100):
+            for item_bytes in (1, 7, 10, 33, 100, 101):
+                sls = parallel.blocks(n, item_bytes)
+                assert [i for sl in sls for i in range(n)[sl]] == list(range(n))
+                step = max(1, 100 // item_bytes)
+                assert all(sl.stop - sl.start == step for sl in sls[:-1])
+                assert 1 <= sls[-1].stop - sls[-1].start <= step
+
+
+class TestMapBlocks:
+    @staticmethod
+    def squares(sl, out):
+        out[:, 0] = np.arange(sl.start, sl.stop) ** 2
+        out[:, 1] = os.getpid()
+
+    def test_small_input_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool below the in-process bound")
+
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 16)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        out = parallel.map_blocks(self.squares, 10, 8, (10, 2), n_workers=2)
+        assert out.flags.owndata
+        assert out[:, 0].tolist() == [i * i for i in range(10)]
+        assert set(out[:, 1]) == {os.getpid()}
+
+    def test_one_and_two_workers_give_the_same_array(self, monkeypatch):
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 16)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        one = parallel.map_blocks(self.squares, 10, 8, (10, 2))
+        two = parallel.map_blocks(self.squares, 10, 8, (10, 2), n_workers=2)
+        assert np.array_equal(one[:, 0], two[:, 0])
+        assert os.getpid() not in set(two[:, 1])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_the_first_failing_block_raises(self, monkeypatch, n_workers):
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 16)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+
+        def fail(sl, out):
+            if sl.start >= 4:
+                raise ValueError(f"block at {sl.start}")
+            out[...] = 1.0
+
+        with pytest.raises(ValueError, match="^block at 4$"):
+            parallel.map_blocks(fail, 10, 8, (10,), n_workers=n_workers)
+        assert multiprocessing.active_children() == []

@@ -11,6 +11,12 @@ t-tests and permutation tests of three small fixed-seed compares:
 - ``two_null``: two 40x3 containers without components (``frn_amp_uv`` and
   ``p3a_amp_uv`` 0) in one compare at 5x2 folds, with its permutation test.
 
+It also holds the sha256 of ``data.bin`` and ``labels.bin`` of the tiny
+``synth`` container (``synth_tiny``) and of the ``preprocess`` output of a
+seeded 4-channel, 70 s recording at 1024 Hz in both baseline orders
+(``preprocess_baseline_first`` and ``preprocess_downsample_first``): its 4
+filtered rows and its 21 epochs fill several blocks of ``parallel.blocks``.
+
 Accuracies, medians, chance accuracies and the permutation test's observed
 metric are sums of fractions of test-fold sizes and are compared exactly;
 t, p, z, the null's standard deviation and the chance threshold to 1e-12
@@ -21,13 +27,18 @@ A change that moves a pinned value regenerates the file with
 
 and names each moved value in CHANGES.md.
 """
+import hashlib
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from errpkit.cli import main
+from errpkit.io import write_continuous_container
+from errpkit.preprocessing import ContinuousRecording
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "pinned_results.json"
@@ -55,8 +66,25 @@ def _results(report_path):
     return out
 
 
+def _digests(container: Path) -> dict:
+    return {name: hashlib.sha256((container / name).read_bytes()).hexdigest()
+            for name in ("data.bin", "labels.bin")}
+
+
+def _recording(tmp: Path) -> Path:
+    """A continuous container of 4 channels, 70 s at 1024 Hz, with 23 events
+    of code 1, one too close to each edge, and one of code 2."""
+    fs, rng = 1024.0, np.random.default_rng(11)
+    data = (rng.standard_normal((4, int(70 * fs))) * 20).astype(np.float32)
+    events = [(int(fs * t), 1) for t in (0.2, *(1.0 + 3.2 * i for i in range(21)), 69.0)]
+    events.append((int(fs * 30.5), 2))
+    rec = ContinuousRecording(fs, ["Fz", "FCz", "Cz", "Pz"], data, events)
+    return write_continuous_container(tmp / "raw", rec, [i % 2 for i in range(len(events))])
+
+
 def compute(tmp: Path) -> dict:
-    """Run the pinned compares under ``tmp``; the tiny one at 1 and 2 threads."""
+    """Run the pinned compares under ``tmp``, the tiny one at 1 and 2 threads,
+    and digest the tiny container and the preprocess outputs."""
     desk, tiny = tmp / "desk", tmp / "tiny"
     assert main(["synth", "--config", DESK_CONFIG, "--set", "n_trials=60", "--seed", "1",
                  "--out", str(desk)]) == 0
@@ -76,6 +104,13 @@ def compute(tmp: Path) -> dict:
     assert main(["compare", *(arg for path in nulls for arg in ("--input", str(path))),
                  "--seed", "9", "--folds", "5", "--repeats", "2",
                  "--out", str(tmp / "two_null.json")]) == 0
+    results["synth_tiny"] = _digests(tiny)
+    raw = _recording(tmp)
+    for order, first in (("baseline_first", "true"), ("downsample_first", "false")):
+        out = tmp / f"ep_{order}"
+        assert main(["preprocess", "--input", str(raw), "--set",
+                     f"baseline_before_downsample={first}", "--out", str(out)]) == 0
+        results[f"preprocess_{order}"] = _digests(out)
     report = json.loads((tmp / "two_null.json").read_text())
     results["two_null"] = {
         "datasets": _results(tmp / "two_null.json"),
@@ -103,7 +138,8 @@ def _assert_matches(got, want, path=""):
 def test_fixed_seed_results_match_the_pinned_file(tmp_path):
     pinned = json.loads(PINNED.read_text())
     got = compute(tmp_path)
-    assert sorted(pinned) == ["desk", "tiny_chance_threads_1", "tiny_chance_threads_2",
+    assert sorted(pinned) == ["desk", "preprocess_baseline_first", "preprocess_downsample_first",
+                              "synth_tiny", "tiny_chance_threads_1", "tiny_chance_threads_2",
                               "two_null"]
     _assert_matches(got, pinned)
 

@@ -371,7 +371,7 @@ class TestBlockwisePipeline:
         block = 300 * 1024
         assert block // (8 * self.N_SAMPLES) == 2
         assert block // (8 * self.N_CHANNELS * int(2.5 * self.FS)) == 3
-        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", block)
         rec, labels = self.recording(dtype)
         assert rec.data.dtype == dtype
         spec = PreprocessSpec(baseline_before_downsample=baseline_first)
@@ -386,8 +386,8 @@ class TestBlockwisePipeline:
     def test_pooled_equals_whole_array_filtering(self, monkeypatch, worker_filter_calls):
         # three row jobs (2, 2 and 1 channels) and three event jobs (3, 3 and 1
         # epochs) on two forked workers
-        monkeypatch.setattr(preprocessing, "_BLOCK_BYTES", 300 * 1024)
-        monkeypatch.setattr(preprocessing, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 300 * 1024)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
         monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
         rec, labels = self.recording(np.float32)
         for baseline_first in (True, False):
