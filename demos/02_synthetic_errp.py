@@ -13,6 +13,7 @@ import numpy as np
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.synth import (
     ErpTemplateSpec,
+    PsychometricModel,
     SynthSpec,
     estimate_threshold,
     generate_epochs,
@@ -24,14 +25,13 @@ from errpkit.synth import (
 # is wrong on a substantial fraction of trials - exactly what an
 # error-detection dataset needs.
 # ---------------------------------------------------------------------------
-behavior = SynthSpec(n_trials=300, psy_threshold_alpha=0.004, psy_slope_beta=3.5,
-                     psy_lapse=0.02, n_blocks=5)
+behavior = SynthSpec(n_trials=300, label_source="staircase")
 labels, blocks = simulate_labels(behavior, seed=1)
 pc = 100.0 * np.mean(labels == SUCCESS)
 print(f"observer: {pc:.1f}% correct over 300 trials "
       f"({np.sum(labels == FAILURE)} failure trials)")
 print(f"reversal-based threshold estimate: {estimate_threshold(blocks):.5f} "
-      f"(Weibull scale parameter was {behavior.psy_threshold_alpha})")
+      f"(Weibull scale parameter was {PsychometricModel().threshold_alpha})")
 
 # ---------------------------------------------------------------------------
 # Epochs: 32 channels at 256 samples/s, from 0.5 s before feedback to

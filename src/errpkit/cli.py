@@ -46,11 +46,22 @@ def _check_out(out: str | Path, kind: str) -> None:
         raise ValueError(f"--out {out}: {near} is {'a' if near.is_dir() else 'not a'} directory")
 
 
+def _seed(args, cfg: dict) -> int:
+    """``--seed`` if given, else the config's ``seed``; a value below 0 raises
+    naming the one it came from."""
+    if args.seed is not None:
+        seed, name = args.seed, "--seed"
+    else:
+        seed, name = cfg["seed"], "config field 'seed'"
+    if seed < 0:
+        raise ValueError(f"{name} must be at least 0, got {seed}")
+    return seed
+
+
 def cmd_synth(args) -> int:
     _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg["seed"] = _seed(args, cfg)
     es = synth.generate_dataset(from_config(synth.SynthSpec, cfg),
                                 from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
     io.write_epoch_container(args.out, es, extra_manifest={"generator": cfg})
@@ -93,7 +104,7 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     """Whole-dataset featurizer provenance for each method that ran."""
     audit = {}
     if "riemann" in methods:
-        windows = features.riemann_windows(es, hp.riemann_window_s)
+        windows = features.riemann_windows(es)
         features.check_covariance_shape(features.SUPER_TRIAL_ROWS * es.n_channels,
                                         windows.shape[-1], hp.shrinkage)
         protos = features.fit_prototypes(windows, es.labels)
@@ -102,7 +113,7 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
             "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
         }
     if "benchmark" in methods:
-        raw = features.benchmark_features(es, windows=hp.benchmark_windows_s)
+        raw = features.benchmark_features(es)
         audit["benchmark"] = {"scale": features.max_abs_scale(raw)}
     return audit
 
@@ -160,7 +171,7 @@ def cmd_evaluate(args) -> int:
     for path in (args.out, *csvs):
         _check_out(path, "file")
     cfg = load_config(args.config, args.set)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args, cfg)
     k = args.folds if args.folds is not None else cfg["folds"]
     r = args.repeats if args.repeats is not None else cfg["repeats"]
     hp = from_config(evaluation.Hyperparams, cfg)
@@ -228,7 +239,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    problems = io.validate_epoch_container(args.input)
+    problems = io.validate_container(args.input)
     if problems:
         for p in problems:
             print(f"violation: {p}")

@@ -32,15 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features, logreg, manifold, parallel
-from .errors import (
-    EmptyInput,
-    ErrpkitError,
-    InsufficientData,
-    InvalidWindow,
-    NumericalFailure,
-    PlanMismatch,
-)
-from .preprocessing import EpochSet, check_window
+from .errors import EmptyInput, ErrpkitError, InsufficientData, NumericalFailure, PlanMismatch
+from .preprocessing import EpochSet
 
 logger = logging.getLogger(__name__)
 
@@ -115,29 +108,20 @@ class ChanceLevel:
 class Hyperparams:
     """Featurizer and classifier settings shared by both pipelines.
 
-    Field names are config keys: ``config.DEFAULTS`` takes its entries for
-    them from these defaults.
+    The analysis windows and the classifier's stopping rule are constants of
+    :mod:`features` and :mod:`logreg`.  Field names are config keys:
+    ``config.DEFAULTS`` takes its entries for them from these defaults.
     """
 
-    riemann_window_s: tuple[float, float] = features.RIEMANN_WINDOW
     shrinkage: float = features.DEFAULT_SHRINKAGE
-    benchmark_windows_s: tuple = features.BENCHMARK_WINDOWS
     reg_c: float = logreg.DEFAULT_REG_C
-    clf_tol: float = logreg.DEFAULT_TOL
-    clf_max_iter: int = logreg.DEFAULT_MAX_ITER
     mean_tol: float = manifold.DEFAULT_MEAN_TOL
     mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER
 
     def __post_init__(self):
-        check_window("riemann_window_s", self.riemann_window_s)
-        if not self.benchmark_windows_s:
-            raise InvalidWindow("benchmark_windows_s must hold at least one window")
-        for i, window in enumerate(self.benchmark_windows_s):
-            check_window(f"benchmark_windows_s[{i}]", window)
-        for key in ("clf_max_iter", "mean_max_iter"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("reg_c", "clf_tol", "mean_tol"):
+        if self.mean_max_iter < 1:
+            raise ValueError(f"mean_max_iter must be at least 1, got {self.mean_max_iter}")
+        for key in ("reg_c", "mean_tol"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
@@ -302,8 +286,7 @@ def _fit_stacks(splits: list, rep: int, folds: range,
     models = [None] * len(splits)
     for members in by_shape.values():
         try:
-            fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c,
-                                     tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+            fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c)
         except ErrpkitError as exc:
             raise _named(exc, rep, [folds[i] for i in members]) from exc
         for i, model in zip(members, fitted):
@@ -347,7 +330,7 @@ def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperpara
             "%s: the classifier did not converge in %d of %d folds "
             "(largest final gradient norm %.3e, tol %.1e)",
             name, np.count_nonzero(~converged), converged.size, grad_norms[~converged].max(),
-            hp.clf_tol,
+            logreg.DEFAULT_TOL,
         )
     return accs.reshape(len(plans), -1)
 
@@ -368,8 +351,8 @@ def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
     if plan.n_epochs != len(dataset):
         raise PlanMismatch(f"plan covers {plan.n_epochs} epochs, dataset has {len(dataset)}")
     hp = hyperparams or Hyperparams()
-    rows = (features.riemann_windows(dataset, hp.riemann_window_s) if method == "riemann"
-            else features.benchmark_features(dataset, windows=hp.benchmark_windows_s))
+    rows = (features.riemann_windows(dataset) if method == "riemann"
+            else features.benchmark_features(dataset))
     accs = _fold_accuracies(rows, method, [dataset.labels], [plan], hp, n_workers, method)
     return CVResult(method, accs[0], plan)
 
@@ -437,7 +420,7 @@ def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int, k: int, r: 
               for s in range(n_shuffles)]
     plans = [make_fold_plan(y, k=k, r=r, seed=derive_seed(plan_seed, s, 1))
              for s, y in enumerate(labels)]
-    rows = features.benchmark_features(dataset, windows=hp.benchmark_windows_s)
+    rows = features.benchmark_features(dataset)
     means = _fold_accuracies(rows, "benchmark", labels, plans, hp, n_workers,
                              "chance level").mean(axis=1)
     return ChanceLevel(

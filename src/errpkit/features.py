@@ -128,10 +128,9 @@ def _sample_window(es: EpochSet, window: tuple[float, float]) -> slice:
     return sl
 
 
-def riemann_windows(es: EpochSet,
-                    window: tuple[float, float] = RIEMANN_WINDOW) -> np.ndarray:
-    """The analysis window of every epoch, an (n, n_channels, n_window) view."""
-    return es.data[:, :, _sample_window(es, window)]
+def riemann_windows(es: EpochSet) -> np.ndarray:
+    """The :data:`RIEMANN_WINDOW` of every epoch, an (n, n_channels, n_window) view."""
+    return es.data[:, :, _sample_window(es, RIEMANN_WINDOW)]
 
 
 def fit_prototypes(windows: np.ndarray, labels: np.ndarray) -> PrototypePair:
@@ -198,23 +197,21 @@ def transform_riemann_set(model: RiemannModel, windows: np.ndarray) -> np.ndarra
     return manifold.tangent_project(covs, model.reference)
 
 
-def benchmark_features(
-    es: EpochSet,
-    windows: tuple[tuple[float, float], ...] = BENCHMARK_WINDOWS,
-) -> np.ndarray:
-    """Unscaled windowed features of every epoch, (n, n_channels * n_windows * 2).
+def benchmark_features(es: EpochSet) -> np.ndarray:
+    """Unscaled features of every epoch over the :data:`BENCHMARK_WINDOWS`,
+    (n, n_channels * n_windows * 2).
 
     Layout is channel-major, window-minor, with (mean, std) innermost; std
     uses the n-1 denominator.  Each row depends on its own epoch only, so
     the rows of a subset equal the subset of the rows bit for bit.
     """
     n, c, _ = es.data.shape
-    feats = np.empty((n, c, len(windows), 2))
-    for w, window in enumerate(windows):
+    feats = np.empty((n, c, len(BENCHMARK_WINDOWS), 2))
+    for w, window in enumerate(BENCHMARK_WINDOWS):
         seg = es.data[:, :, _sample_window(es, window)]
         feats[:, :, w, 0] = seg.mean(axis=-1)
         feats[:, :, w, 1] = seg.std(axis=-1, ddof=1)
-    return feats.reshape(n, c * len(windows) * 2)
+    return feats.reshape(n, c * len(BENCHMARK_WINDOWS) * 2)
 
 
 def max_abs_scale(train_feats: np.ndarray) -> np.ndarray:

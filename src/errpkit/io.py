@@ -130,9 +130,16 @@ def read_epoch_container(path) -> EpochSet:
                     manifest["t0_offset_s"], list(manifest["channel_names"]))
 
 
-def validate_epoch_container(path) -> list[str]:
-    """Check every container invariant; return a list of violations (empty = ok)."""
-    return _inspect_epoch_container(Path(path))[0]
+def validate_container(path) -> list[str]:
+    """Every violation of the container at ``path`` (empty = ok): a continuous
+    container if its manifest's ``kind`` says so, else an epoch container."""
+    path = Path(path)
+    try:
+        manifest = _load_json(path / MANIFEST_NAME)
+    except ContainerError as exc:
+        return [str(exc)]
+    continuous = isinstance(manifest, dict) and manifest.get("kind") == "continuous"
+    return (_inspect_continuous_container if continuous else _inspect_epoch_container)(path)[0]
 
 
 def _count_nonfinite(data: np.ndarray) -> int:
@@ -228,11 +235,12 @@ def _event_problems(events, manifest: dict) -> list[str]:
     return _label_problems([e["label"] for e in events], manifest, "event field 'label'")
 
 
-def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
-    """The recording and the label of each of its events.  A container that
-    violates the format raises one ContainerError that names every violation."""
-    path = Path(path)
+def _inspect_continuous_container(path: Path) -> tuple[list[str], dict | None,
+                                                      np.ndarray | None, list | None]:
+    """:func:`_inspect` of a continuous container, plus the checks of
+    ``events.json`` and its events."""
     problems, manifest, data = _inspect(path, _CONTINUOUS_FIELDS, ("n_channels", "n_samples"))
+    events = None
     if manifest is not None:
         try:
             events = _load_json(path / EVENTS_NAME)
@@ -240,6 +248,13 @@ def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
             problems.append(str(exc))
         else:
             problems += _event_problems(events, manifest)
+    return problems, manifest, data, events
+
+
+def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
+    """The recording and the label of each of its events.  A container that
+    violates the format raises one ContainerError that names every violation."""
+    problems, manifest, data, events = _inspect_continuous_container(Path(path))
     if problems:
         raise ContainerError("; ".join(problems))
     rec = ContinuousRecording(manifest["fs_hz"], list(manifest["channel_names"]), data,

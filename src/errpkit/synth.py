@@ -5,7 +5,8 @@ realistic success/failure label streams, and an epoch generator plants
 class-dependent frontocentral components (an early negativity on failure
 trials and a later positivity with a class amplitude difference) in 1/f
 noise, with an optional tone-frequency confound bump of fixed shape.  The
-staircase starts at the observer's threshold and steps by
+staircase runs :data:`N_BLOCKS` blocks of the default
+:class:`PsychometricModel`, each starting at its threshold and stepping by
 :data:`STEP_FACTOR`; channel gains come from :func:`default_topography`.
 :class:`SynthSpec` sets a dataset's size, epoch shape and label source, and
 :func:`generate_dataset` builds the dataset ``errpkit synth`` writes.
@@ -32,6 +33,7 @@ FRONTOCENTRAL = {"Fz", "FC1", "FC2", "Cz"}
 _NEAR_FRONTOCENTRAL = {"F3", "F4", "C3", "C4", "AF3", "AF4", "CP1", "CP2"}
 
 STEP_FACTOR = 1.15  # the staircase's contrast ratio between consecutive trials
+N_BLOCKS = 5  # staircase blocks that simulate_labels splits its trials into
 _N_LAST_REVERSALS = 10  # reversals per block that estimate_threshold averages
 # the confound bump: peak and width (s), and amplitude (uV) on success and failure trials
 _CONFOUND_PEAK_S, _CONFOUND_WIDTH_S = 0.1375, 0.03
@@ -63,10 +65,9 @@ class SynthSpec:
     """Size, epoch shape and label stream of a synthetic dataset.
 
     ``label_source`` is ``"balanced"`` (equal classes in a seeded random
-    order) or ``"staircase"`` (:func:`simulate_labels`, whose observer has
-    the ``psy_*`` parameters; each block starts at ``psy_threshold_alpha``
-    and steps by :data:`STEP_FACTOR`).  Field names are config keys:
-    ``config.DEFAULTS`` takes its entries for them from these defaults.
+    order) or ``"staircase"`` (:func:`simulate_labels`).  Field names are
+    config keys: ``config.DEFAULTS`` takes its entries for them from these
+    defaults.
     """
 
     n_trials: int = 300
@@ -75,22 +76,15 @@ class SynthSpec:
     pre_s: float = 0.5
     post_s: float = 2.0
     label_source: str = "balanced"
-    psy_threshold_alpha: float = PsychometricModel.threshold_alpha
-    psy_slope_beta: float = PsychometricModel.slope_beta
-    psy_lapse: float = PsychometricModel.lapse
-    n_blocks: int = 5
 
     def __post_init__(self):
-        for key in ("n_trials", "n_channels", "n_blocks"):
+        for key in ("n_trials", "n_channels"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("fs_hz", "psy_threshold_alpha", "psy_slope_beta"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.fs_hz > 0:
+            raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
         if sample_index(self.post_s, -self.pre_s, self.fs_hz) < 1:
             raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
-        if not 0.0 <= self.psy_lapse <= 0.1:
-            raise ValueError(f"psy_lapse must lie in [0, 0.1], got {self.psy_lapse}")
         if self.label_source not in ("balanced", "staircase"):
             raise ValueError(
                 f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")
@@ -103,7 +97,6 @@ class StaircaseRun:
     contrasts: np.ndarray
     correct: np.ndarray
     reversals: np.ndarray
-    step_factor: float
 
     def percent_correct(self) -> float:
         return float(100.0 * self.correct.mean())
@@ -137,7 +130,7 @@ def staircase_run(
             reversals.append(c)
         prev_dir = direction
         c = c / step_factor if ok else c * step_factor
-    return StaircaseRun(contrasts, correct, np.asarray(reversals), step_factor)
+    return StaircaseRun(contrasts, correct, np.asarray(reversals))
 
 
 def estimate_threshold(blocks) -> float:
@@ -158,16 +151,15 @@ def estimate_threshold(blocks) -> float:
 
 def simulate_labels(spec: SynthSpec, seed: int = 0) -> tuple[np.ndarray, list[StaircaseRun]]:
     """Success/failure stream (failure = incorrect) of ``spec.n_trials``
-    staircase trials, split as evenly as possible into ``spec.n_blocks``
-    blocks that each start at ``spec.psy_threshold_alpha``;
-    ``spec.label_source`` is not read."""
-    model = PsychometricModel(spec.psy_threshold_alpha, spec.psy_slope_beta, spec.psy_lapse)
-    n_trials, n_blocks = spec.n_trials, spec.n_blocks
-    per_block = [n_trials // n_blocks] * n_blocks
-    for i in range(n_trials % n_blocks):
+    staircase trials of the default :class:`PsychometricModel`, split as
+    evenly as possible into :data:`N_BLOCKS` blocks that each start at its
+    threshold; ``spec.label_source`` is not read."""
+    model = PsychometricModel()
+    per_block = [spec.n_trials // N_BLOCKS] * N_BLOCKS
+    for i in range(spec.n_trials % N_BLOCKS):
         per_block[i] += 1
     runs = [
-        staircase_run(model, nb, spec.psy_threshold_alpha, STEP_FACTOR, seed=derive_seed(seed, b))
+        staircase_run(model, nb, model.threshold_alpha, STEP_FACTOR, seed=derive_seed(seed, b))
         for b, nb in enumerate(per_block) if nb > 0
     ]
     labels = np.concatenate([

@@ -88,12 +88,15 @@ class TestSynth:
 
 
 class TestSynthErrors:
-    """A synth setting the dataset spec rejects exits 2 with one line naming
-    the key, before anything is written."""
+    """A synth setting the dataset spec rejects, or a key of the staircase
+    observer, which is a constant, exits 2 with one line naming the key,
+    before anything is written."""
 
     @pytest.mark.parametrize("settings, line", [
-        (["label_source=staircase", "n_blocks=0"], "error: n_blocks must be at least 1, got 0"),
-        (["label_source=staircase", "n_blocks=-1"], "error: n_blocks must be at least 1, got -1"),
+        (["label_source=staircase", "n_blocks=0"],
+         "error: unknown config field 'n_blocks' in --set"),
+        (["label_source=staircase", "n_blocks=-1"],
+         "error: unknown config field 'n_blocks' in --set"),
         (["n_trials=-5"], "error: n_trials must be at least 1, got -5"),
         (["label_source=staircase", "n_trials=-5"], "error: n_trials must be at least 1, got -5"),
         (["n_channels=0"], "error: n_channels must be at least 1, got 0"),
@@ -101,10 +104,10 @@ class TestSynthErrors:
         (["fs_hz=0.1"], "error: fs_hz must give at least one sample per epoch, got 0.1"),
         (["label_source=random"],
          "error: label_source must be 'balanced' or 'staircase', got 'random'"),
-        (["psy_threshold_alpha=0"], "error: psy_threshold_alpha must be positive, got 0"),
+        (["psy_threshold_alpha=0"], "error: unknown config field 'psy_threshold_alpha' in --set"),
         (["label_source=staircase", "psy_slope_beta=-1"],
-         "error: psy_slope_beta must be positive, got -1"),
-        (["psy_lapse=0.5"], "error: psy_lapse must lie in [0, 0.1], got 0.5"),
+         "error: unknown config field 'psy_slope_beta' in --set"),
+        (["psy_lapse=0.5"], "error: unknown config field 'psy_lapse' in --set"),
         (["frn_amp_uv=NaN"],
          "error: config field 'frn_amp_uv' in --set must hold finite numbers only, got NaN"),
         (["noise_rms_uv=NaN"],
@@ -170,6 +173,12 @@ class TestValidate:
     def test_ok(self, tiny_container, capsys):
         assert main(["validate", "--input", str(tiny_container)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_continuous_ok(self, tmp_path, capsys):
+        raw = make_raw(tmp_path)
+        capsys.readouterr()
+        assert main(["validate", "--input", str(raw)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ok"]
 
     def test_truncated_exits_2(self, tmp_path, capsys):
         out = synth_tiny(tmp_path, "t")
@@ -315,6 +324,21 @@ class TestCompare:
         assert first[:4] == pytest.approx([es.t0_offset_s, succ, fail, fail - succ], rel=1e-12)
 
 
+# The analysis windows, the classifier's stopping rule and the staircase
+# observer are constants, so a config that names them is rejected: each
+# such key, a command that reads it and the value of its constant.
+CONSTANT_KEYS = {
+    "riemann_window_s": ("compare", [0.1, 0.6]),
+    "benchmark_windows_s": ("compare", [[0.1, 0.2], [0.2, 0.3], [0.3, 0.4], [0.4, 0.6]]),
+    "clf_tol": ("compare", 1e-6),
+    "clf_max_iter": ("compare", 500),
+    "psy_threshold_alpha": ("synth", 0.004),
+    "psy_slope_beta": ("synth", 3.5),
+    "psy_lapse": ("synth", 0.02),
+    "n_blocks": ("synth", 5),
+}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("setting", [
         ["--set", "folds=abc"],
@@ -353,15 +377,47 @@ class TestConfigErrors:
                 f"error: unknown config field '{key}' in {cfg}"], key
             assert not out.exists()
 
-
-class TestSolverSettings:
-    """A solver setting that cannot fit exits 2 with one line naming its key,
-    before the chance level or any fold runs."""
+    @pytest.mark.parametrize("source", ["file", "set"])
+    @pytest.mark.parametrize("key", CONSTANT_KEYS)
+    def test_constant_keys_exit_2(self, tiny_container, tmp_path, capsys, key, source):
+        command, value = CONSTANT_KEYS[key]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({key: value}))
+        setting = (["--config", str(cfg)] if source == "file"
+                   else ["--set", f"{key}={json.dumps(value)}"])
+        inputs = [] if command == "synth" else ["--input", str(tiny_container)]
+        capsys.readouterr()
+        assert main([command, *inputs, *setting, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: unknown config field '{key}' in {cfg if source == 'file' else '--set'}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting, line", [
-        ("clf_max_iter=0", "error: clf_max_iter must be at least 1, got 0"),
+        (["--seed", "-1"], "error: --seed must be at least 0, got -1"),
+        (["--set", "seed=-3"], "error: config field 'seed' must be at least 0, got -3"),
+    ], ids=["flag", "set"])
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    def test_negative_seed_exits_2(self, tiny_container, tmp_path, capsys, command, setting,
+                                   line):
+        out = tmp_path / "out"
+        inputs = [] if command == "synth" else ["--input", str(tiny_container)]
+        capsys.readouterr()
+        assert main([command, *inputs, *setting, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
+
+
+class TestSolverSettings:
+    """A solver setting that cannot fit, or a key of the classifier's stopping
+    rule, which is a constant, exits 2 with one line naming its key, before
+    the chance level or any fold runs."""
+
+    @pytest.mark.parametrize("setting, line", [
+        ("clf_max_iter=0", "error: unknown config field 'clf_max_iter' in --set"),
         ("mean_max_iter=0", "error: mean_max_iter must be at least 1, got 0"),
-        ("clf_tol=-1", "error: clf_tol must be positive, got -1"),
+        ("clf_tol=-1", "error: unknown config field 'clf_tol' in --set"),
         ("mean_tol=0", "error: mean_tol must be positive, got 0"),
         ("reg_c=0", "error: reg_c must be positive, got 0"),
     ], ids=["clf_max_iter", "mean_max_iter", "clf_tol", "mean_tol", "reg_c"])
@@ -694,8 +750,9 @@ class TestUnusableOut:
 
 
 class TestWindowSettings:
-    """A window setting that is not one (start, stop) pair, or no benchmark
-    window at all, exits 2 with one line before the input is read."""
+    """A baseline window that is not one (start, stop) pair, or an analysis
+    window key, which is a constant, exits 2 with one line before the input
+    is read."""
 
     @pytest.mark.parametrize("command, setting, line", [
         ("preprocess", "baseline_window_s=[0.1]",
@@ -704,15 +761,13 @@ class TestWindowSettings:
          "error: baseline_window_s must be a (start, stop) pair with start < stop, "
          "got [-0.5, -0.2, 0.0]"),
         ("compare", "riemann_window_s=[0.1]",
-         "error: riemann_window_s must be a (start, stop) pair with start < stop, got [0.1]"),
+         "error: unknown config field 'riemann_window_s' in --set"),
         ("compare", "riemann_window_s=[0.6, 0.1]",
-         "error: riemann_window_s must be a (start, stop) pair with start < stop, "
-         "got [0.6, 0.1]"),
+         "error: unknown config field 'riemann_window_s' in --set"),
         ("compare", "benchmark_windows_s=[]",
-         "error: benchmark_windows_s must hold at least one window"),
+         "error: unknown config field 'benchmark_windows_s' in --set"),
         ("compare", "benchmark_windows_s=[[0.1, 0.2], [0.3]]",
-         "error: benchmark_windows_s[1] must be a (start, stop) pair with start < stop, "
-         "got [0.3]"),
+         "error: unknown config field 'benchmark_windows_s' in --set"),
     ], ids=["baseline-one", "baseline-three", "riemann-one", "riemann-reversed",
             "benchmark-none", "benchmark-one"])
     def test_exits_2_before_reading(self, tmp_path, capsys, command, setting, line):
@@ -895,7 +950,8 @@ class TestMalformedContainers:
                          "--out", str(tmp_path / "r.json")]]
         else:
             path = make_raw(tmp_path)
-            commands = [["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")]]
+            commands = [["validate", "--input", str(path)],
+                        ["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")]]
         _set_field(path / name, key, value, index)
         for command in commands:
             capsys.readouterr()
@@ -911,20 +967,19 @@ class TestMalformedContainers:
         ("epochs", "manifest.json"),
     ], ids=["continuous-manifest", "continuous-events", "epochs-manifest"])
     def test_unparsable_json_names_the_file(self, tmp_path, capsys, kind, name):
-        if kind == "epochs":
-            path = synth_tiny(tmp_path, "bad")
-            command = ["validate", "--input", str(path)]
-        else:
-            path = make_raw(tmp_path)
-            command = ["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")]
+        path = synth_tiny(tmp_path, "bad") if kind == "epochs" else make_raw(tmp_path)
+        commands = [["validate", "--input", str(path)]]
+        if kind == "continuous":
+            commands.append(["preprocess", "--input", str(path), "--out", str(tmp_path / "ep")])
         (path / name).write_text("[}")
-        capsys.readouterr()
-        assert main(command) == 2
-        captured = capsys.readouterr()
-        [line] = (captured.out + captured.err).splitlines()
-        assert line.startswith((f"error: unreadable {name}: ",
-                                f"violation: unreadable {name}: ")), line
-        assert "line 1 column 2" in line and len(line) < 200, line
+        for command in commands:
+            capsys.readouterr()
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            [line] = (captured.out + captured.err).splitlines()
+            assert line.startswith((f"error: unreadable {name}: ",
+                                    f"violation: unreadable {name}: ")), line
+            assert "line 1 column 2" in line and len(line) < 200, line
 
 
 class TestPreprocess:

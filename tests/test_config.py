@@ -16,21 +16,18 @@ class TestTypeCheck:
     def test_compatible_values_accepted(self):
         cfg = load_config(overrides=[
             "reg_c=2",  # int for a float
-            "riemann_window_s=[0.1, 0.5]",  # list for a tuple
-            "benchmark_windows_s=[[0.1, 0.3], [0.3, 0.6]]",
+            "baseline_window_s=[-0.2, 0]",  # list for a tuple, int for a float
             "label_source=staircase",  # raw string fallback
             "notch_hz=[]",
         ])
         assert cfg["reg_c"] == 2
-        assert cfg["riemann_window_s"] == [0.1, 0.5]
+        assert cfg["baseline_window_s"] == [-0.2, 0]
         assert cfg["label_source"] == "staircase"
 
     @pytest.mark.parametrize("item", [
         "folds=abc", 'reg_c="x"', "folds=true", "reg_c=false", "confound_enabled=1",
-        "folds=10.0", "riemann_window_s=0.1", 'notch_hz=[50, "x"]',
-        "benchmark_windows_s=[0.1, 0.2]", "notch_hz=null",
+        "folds=10.0", "baseline_window_s=0.1", 'notch_hz=[50, "x"]', "notch_hz=null",
         "reg_c=NaN", "mean_tol=Infinity", "epoch_post_s=-Infinity", "notch_hz=[50, NaN]",
-        "benchmark_windows_s=[[0.1, Infinity]]",
     ])
     def test_mismatched_values_rejected(self, item):
         key, _, value = item.partition("=")
@@ -67,7 +64,7 @@ class TestFromConfig:
             from_config(cls, cfg)
 
     def test_lists_become_tuples(self):
-        cfg = load_config(overrides=["benchmark_windows_s=[[0.1, 0.3]]", "shrinkage=0.1"])
-        hp = from_config(Hyperparams, cfg)
-        assert hp.benchmark_windows_s == ((0.1, 0.3),)
-        assert hp.shrinkage == 0.1
+        cfg = load_config(overrides=["baseline_window_s=[-0.3, 0.0]", "notch_hz=[50, 100]"])
+        spec = from_config(PreprocessSpec, cfg)
+        assert spec.baseline_window_s == (-0.3, 0.0)
+        assert spec.notch_hz == (50, 100)

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import functools
 import itertools
 import math
 import multiprocessing
@@ -41,9 +42,14 @@ def tiny_dataset(seed=0, n=40, frn=-30.0, noise=6.0):
 def oracle_accuracy(xtr, ytr, xte, yte, hp):
     """One fold's accuracy from a classifier fitted to that fold alone."""
     order = _canonical_order(xtr, ytr)
-    clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c,
-                     tol=hp.clf_tol, max_iter=hp.clf_max_iter)
+    clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c)
     return float(np.mean(logreg.predict(clf, xte) == yte))
+
+
+@pytest.fixture
+def one_newton_step(monkeypatch):
+    """Fold classifiers fitted in one Newton iteration, which does not converge."""
+    monkeypatch.setattr(logreg, "fit_many", functools.partial(logreg.fit_many, max_iter=1))
 
 
 def synthetic_result(plan, accs, method="riemann"):
@@ -149,8 +155,8 @@ class TestRunCV:
         plan = make_fold_plan(es.labels, k=4, r=1, seed=15)
         res = run_cv(es, method, plan)
         hp = Hyperparams()
-        rows = (features.riemann_windows(es, hp.riemann_window_s) if method == "riemann"
-                else features.benchmark_features(es, windows=hp.benchmark_windows_s))
+        rows = (features.riemann_windows(es) if method == "riemann"
+                else features.benchmark_features(es))
         for fold in range(4):
             mask = plan.assignments[0] == fold
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
@@ -234,16 +240,16 @@ class TestRunCV:
         with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {threads}"):
             run_cv(es, "benchmark", plan, n_workers=threads)
 
-    def test_nonconverged_folds_warn_once(self, caplog):
+    def test_nonconverged_folds_warn_once(self, caplog, one_newton_step):
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=19)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
-            res = run_cv(es, "benchmark", plan, Hyperparams(clf_max_iter=1))
+            res = run_cv(es, "benchmark", plan)
         [record] = caplog.records
         assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
         msg = record.getMessage()
         assert msg.startswith("benchmark: the classifier did not converge in 8 of 8 folds")
-        assert "largest final gradient norm" in msg
+        assert "largest final gradient norm" in msg and msg.endswith("tol 1.0e-06)")
         assert res.accuracies.size == 8
 
     def test_null_container_folds_converge_at_defaults(self, caplog):
@@ -568,11 +574,10 @@ class TestChanceLevel:
         chance_level(es, plan_seed=35, n_shuffles=4, k=4, r=2, n_workers=n_workers)
         assert calls == [len(es)]
 
-    def test_nonconverged_folds_warn_once(self, caplog):
+    def test_nonconverged_folds_warn_once(self, caplog, one_newton_step):
         es = tiny_dataset(seed=18)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
-            ch = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2,
-                              hyperparams=Hyperparams(clf_max_iter=1))
+            ch = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2)
         [record] = caplog.records
         assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
         msg = record.getMessage()

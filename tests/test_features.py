@@ -200,20 +200,18 @@ class TestFitRiemann:
                 assert DEFAULTS[f.name] == f.default, f"{cls.__name__}.{f.name}"
         params = inspect.signature(fit_riemann).parameters
         hp = Hyperparams()
-        window = inspect.signature(riemann_windows).parameters["window"].default
-        assert window == hp.riemann_window_s
         assert params["shrinkage"].default == hp.shrinkage
         assert params["mean_tol"].default == hp.mean_tol == DEFAULTS["mean_tol"]
         assert params["mean_max_iter"].default == hp.mean_max_iter == DEFAULTS["mean_max_iter"]
-        windows = inspect.signature(benchmark_features).parameters["windows"].default
-        assert windows == hp.benchmark_windows_s
         mean = inspect.signature(manifold.geometric_mean).parameters
         assert mean["tol"].default == hp.mean_tol
         assert mean["max_iter"].default == hp.mean_max_iter
         clf = inspect.signature(logreg.fit).parameters
         assert clf["reg_c"].default == hp.reg_c == DEFAULTS["reg_c"]
-        assert clf["tol"].default == hp.clf_tol == DEFAULTS["clf_tol"]
-        assert clf["max_iter"].default == hp.clf_max_iter == DEFAULTS["clf_max_iter"]
+        # the classifier's stopping rule is logreg's constants, for one fit and a stack
+        many = inspect.signature(logreg.fit_many).parameters
+        assert clf["tol"].default == many["tol"].default == logreg.DEFAULT_TOL
+        assert clf["max_iter"].default == many["max_iter"].default == logreg.DEFAULT_MAX_ITER
 
     def test_single_class_rejected(self, rng):
         es = make_set(rng, n_trials=10, labels=np.zeros(10, dtype=int))

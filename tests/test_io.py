@@ -12,7 +12,7 @@ from errpkit.io import (
     read_epoch_container,
     read_report,
     sha256_hex,
-    validate_epoch_container,
+    validate_container,
     write_continuous_container,
     write_epoch_container,
     write_report,
@@ -65,33 +65,33 @@ class TestEpochContainer:
         small_set.data = data
         path = write_epoch_container(tmp_path / "c", small_set)
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 7)
-        assert validate_epoch_container(path) == ["data file holds 4 non-finite samples"]
+        assert validate_container(path) == ["data file holds 4 non-finite samples"]
 
     def test_validate_ok(self, tmp_path, small_set):
         path = write_epoch_container(tmp_path / "c", small_set)
-        assert validate_epoch_container(path) == []
+        assert validate_container(path) == []
 
     def test_truncated_data_diagnosed(self, tmp_path, small_set):
         path = write_epoch_container(tmp_path / "c", small_set)
         raw = (path / "data.bin").read_bytes()
         (path / "data.bin").write_bytes(raw[:-8])
-        problems = validate_epoch_container(path)
+        problems = validate_container(path)
         assert any("bytes" in p for p in problems)
 
     def test_unknown_label_byte_diagnosed(self, tmp_path, small_set):
         path = write_epoch_container(tmp_path / "c", small_set)
         (path / "labels.bin").write_bytes(bytes([0, 1, 7, 0]))
-        problems = validate_epoch_container(path)
+        problems = validate_container(path)
         assert any("7" in p for p in problems)
 
     def test_missing_manifest(self, tmp_path):
-        assert validate_epoch_container(tmp_path) == ["missing manifest.json"]
+        assert validate_container(tmp_path) == ["missing manifest.json"]
 
     def test_multiple_violations_all_listed(self, tmp_path, small_set):
         path = write_epoch_container(tmp_path / "c", small_set)
         (path / "data.bin").write_bytes(b"xx")
         (path / "labels.bin").write_bytes(bytes([9] * 4))
-        problems = validate_epoch_container(path)
+        problems = validate_container(path)
         assert len(problems) >= 2
 
 

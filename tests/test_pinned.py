@@ -12,10 +12,12 @@ t-tests and permutation tests of three small fixed-seed compares:
   ``p3a_amp_uv`` 0) in one compare at 5x2 folds, with its permutation test.
 
 It also holds the sha256 of ``data.bin`` and ``labels.bin`` of the tiny
-``synth`` container (``synth_tiny``) and of the ``preprocess`` output of a
-seeded 4-channel, 70 s recording at 1024 Hz in both baseline orders
-(``preprocess_baseline_first`` and ``preprocess_downsample_first``): its 4
-filtered rows and its 21 epochs fill several blocks of ``parallel.blocks``.
+``synth`` container (``synth_tiny``), of the same shape labelled by the
+staircase observer at seed 2 (``synth_staircase``), and of the
+``preprocess`` output of a seeded 4-channel, 70 s recording at 1024 Hz in
+both baseline orders (``preprocess_baseline_first`` and
+``preprocess_downsample_first``): its 4 filtered rows and its 21 epochs
+fill several blocks of ``parallel.blocks``.
 
 Accuracies, medians, chance accuracies and the permutation test's observed
 metric are sums of fractions of test-fold sizes and are compared exactly;
@@ -105,6 +107,10 @@ def compute(tmp: Path) -> dict:
                  "--seed", "9", "--folds", "5", "--repeats", "2",
                  "--out", str(tmp / "two_null.json")]) == 0
     results["synth_tiny"] = _digests(tiny)
+    stair = tmp / "staircase"
+    assert main(["synth", "--out", str(stair), "--seed", "2", *TINY,
+                 "--set", "label_source=staircase"]) == 0
+    results["synth_staircase"] = _digests(stair)
     raw = _recording(tmp)
     for order, first in (("baseline_first", "true"), ("downsample_first", "false")):
         out = tmp / f"ep_{order}"
@@ -139,8 +145,8 @@ def test_fixed_seed_results_match_the_pinned_file(tmp_path):
     pinned = json.loads(PINNED.read_text())
     got = compute(tmp_path)
     assert sorted(pinned) == ["desk", "preprocess_baseline_first", "preprocess_downsample_first",
-                              "synth_tiny", "tiny_chance_threads_1", "tiny_chance_threads_2",
-                              "two_null"]
+                              "synth_staircase", "synth_tiny", "tiny_chance_threads_1",
+                              "tiny_chance_threads_2", "two_null"]
     _assert_matches(got, pinned)
 
 

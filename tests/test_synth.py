@@ -14,12 +14,14 @@ from errpkit.synth import (
     generate_labels,
     simulate_labels,
     staircase_run,
+    N_BLOCKS,
     STANDARD_32,
     STEP_FACTOR,
 )
 
 DEFAULT = SynthSpec()
-STEPS = dict(start_contrast=DEFAULT.psy_threshold_alpha, step_factor=STEP_FACTOR)
+ALPHA = PsychometricModel().threshold_alpha
+STEPS = dict(start_contrast=ALPHA, step_factor=STEP_FACTOR)
 
 
 class TestPsychometric:
@@ -71,20 +73,20 @@ class TestEstimateThreshold:
     def test_constant_reversals(self):
         m = PsychometricModel()
         run = staircase_run(m, 120, **STEPS, seed=2)
-        forced = type(run)(run.contrasts, run.correct, np.full(12, 0.01), run.step_factor)
+        forced = type(run)(run.contrasts, run.correct, np.full(12, 0.01))
         assert np.isclose(estimate_threshold([forced]), 0.01)
 
     def test_alternating_reversals_geometric_mean(self):
         m = PsychometricModel()
         run = staircase_run(m, 120, **STEPS, seed=3)
         revs = np.array([0.002, 0.008] * 5)
-        forced = type(run)(run.contrasts, run.correct, revs, run.step_factor)
+        forced = type(run)(run.contrasts, run.correct, revs)
         assert np.isclose(estimate_threshold([forced]), np.sqrt(0.002 * 0.008))
 
     def test_too_few_reversals(self):
         m = PsychometricModel()
         run = staircase_run(m, 120, **STEPS, seed=4)
-        forced = type(run)(run.contrasts, run.correct, np.full(3, 0.01), run.step_factor)
+        forced = type(run)(run.contrasts, run.correct, np.full(3, 0.01))
         with pytest.raises(InsufficientData):
             estimate_threshold([forced])
 
@@ -92,14 +94,11 @@ class TestEstimateThreshold:
         # One-up/one-down with a 0.5 guessing floor hovers well below the
         # Weibull scale parameter; the band below was frozen from a 100-seed
         # Monte Carlo run of this generator (mean ratio 0.33 +/- 0.08).
-        alpha = 0.005
-        spec = SynthSpec(n_trials=300, psy_threshold_alpha=alpha, psy_slope_beta=3.5,
-                         psy_lapse=0.02)
         ests = []
         for seed in range(60):
-            _, runs = simulate_labels(spec, seed=seed)
+            _, runs = simulate_labels(SynthSpec(n_trials=300), seed=seed)
             ests.append(estimate_threshold(runs))
-        ratio = np.mean(ests) / alpha
+        ratio = np.mean(ests) / ALPHA
         assert 0.2 <= ratio <= 0.5
 
 
@@ -202,15 +201,17 @@ class TestSynthSpec:
         assert np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=4))
         assert not np.array_equal(labels, generate_labels(SynthSpec(n_trials=7), seed=5))
 
-    @pytest.mark.parametrize("alpha", [0.004, 0.02])
-    def test_every_staircase_block_starts_at_the_threshold(self, alpha):
-        spec = SynthSpec(n_trials=50, label_source="staircase", psy_threshold_alpha=alpha)
+    def test_every_staircase_block_starts_at_the_threshold(self):
+        spec = SynthSpec(n_trials=50, label_source="staircase")
         _, runs = simulate_labels(spec, seed=3)
-        assert len(runs) == spec.n_blocks
-        assert all(run.contrasts[0] == alpha for run in runs)
-        assert all(run.step_factor == STEP_FACTOR for run in runs)
+        assert len(runs) == N_BLOCKS == 5
+        for run in runs:
+            assert run.contrasts[0] == ALPHA
+            steps = run.contrasts[1:] / run.contrasts[:-1]
+            assert np.allclose(steps, np.where(run.correct[:-1], 1 / STEP_FACTOR, STEP_FACTOR))
 
     def test_staircase_labels_are_simulate_labels(self):
-        spec = SynthSpec(n_trials=50, label_source="staircase", n_blocks=3)
+        spec = SynthSpec(n_trials=52, label_source="staircase")
         assert np.array_equal(generate_labels(spec, seed=2), simulate_labels(spec, seed=2)[0])
-        assert [run.correct.size for run in simulate_labels(spec, seed=2)[1]] == [17, 17, 16]
+        sizes = [run.correct.size for run in simulate_labels(spec, seed=2)[1]]
+        assert sizes == [11, 11, 10, 10, 10]
