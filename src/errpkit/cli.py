@@ -46,22 +46,21 @@ def _check_out(out: str | Path, kind: str) -> None:
         raise ValueError(f"--out {out}: {near} is {'a' if near.is_dir() else 'not a'} directory")
 
 
-def _seed(args, cfg: dict) -> int:
-    """``--seed`` if given, else the config's ``seed``; a value below 0 raises
-    naming the one it came from."""
-    if args.seed is not None:
-        seed, name = args.seed, "--seed"
-    else:
-        seed, name = cfg["seed"], "config field 'seed'"
-    if seed < 0:
-        raise ValueError(f"{name} must be at least 0, got {seed}")
-    return seed
+def _setting(args, cfg: dict, key: str, least: int) -> int:
+    """The flag ``--key`` if the command has it and it is given, else the
+    config's ``key``; a value below ``least`` raises naming the one it came from."""
+    value, name = getattr(args, key, None), f"--{key}"
+    if value is None:
+        value, name = cfg[key], f"config field {key!r}"
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def cmd_synth(args) -> int:
     _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
-    cfg["seed"] = _seed(args, cfg)
+    cfg["seed"] = _setting(args, cfg, "seed", 0)
     es = synth.generate_dataset(from_config(synth.SynthSpec, cfg),
                                 from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
     io.write_epoch_container(args.out, es, extra_manifest={"generator": cfg})
@@ -118,16 +117,21 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     return audit
 
 
-def _write_erp_csv(path: Path, es: EpochSet) -> None:
+def _erp_table(es: EpochSet) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ERP CSV's header, times and (n_samples, 3 * n_channels) waves: the
+    success mean, the failure mean and their difference for each channel."""
     succ = es.data[es.labels == SUCCESS].mean(axis=0)
     fail = es.data[es.labels == FAILURE].mean(axis=0)
-    # (n_samples, 3 * n_channels): success, failure and difference of each channel
     waves = np.stack([succ, fail, fail - succ], axis=1).reshape(-1, es.n_samples).T
-    t = np.arange(es.n_samples) / es.fs_hz + es.t0_offset_s
+    return (["time_s"] + [f"{ch}_{kind}_uv" for ch in es.channels
+                          for kind in ("success", "failure", "diff")],
+            np.arange(es.n_samples) / es.fs_hz + es.t0_offset_s, waves)
+
+
+def _write_erp_csv(path: Path, header: list[str], t: np.ndarray, waves: np.ndarray) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_s"] + [f"{ch}_{kind}_uv" for ch in es.channels
-                                      for kind in ("success", "failure", "diff")])
+        writer.writerow(header)
         writer.writerows([f"{tj:.6f}", *map(repr, row)] for tj, row in zip(t, waves.tolist()))
 
 
@@ -144,7 +148,8 @@ def _write_accuracy_csv(path: Path, dataset_blocks: list[dict]) -> None:
 def _summary_line(block: dict) -> str:
     parts = [f"{m} {res['mean']:.4f}" for m, res in block["methods"].items()]
     if block["t_test"] is not None:
-        parts.append(f"t={block['t_test']['t']:.3f}, p={block['t_test']['p']:.4f}")
+        parts.append(f"t={block['t_test']['t']:.3f}, p={block['t_test']['p']:.4f}, "
+                     f"df={block['t_test']['df']}")
     if block["chance"] is not None:
         parts.append(f"chance {block['chance']['mean_accuracy']:.4f} "
                      f"(97.5th percentile {block['chance']['threshold_97_5']:.4f})")
@@ -160,7 +165,10 @@ def cmd_evaluate(args) -> int:
     the same in every report that holds it.  Blocks that do not apply are
     null: ``t_test`` needs both methods, ``permutation_test`` needs both
     methods on at least two datasets.  Every file it writes, the report and
-    with ``emit_erp`` the CSVs beside it, is checked before any input is read.
+    with ``emit_erp`` the CSVs beside it, and every setting are checked before
+    any input is read.  A check pass keeps each input's plan and audit, not its
+    samples, so a bad later input exits 2 before any fold; an evaluate pass then
+    reads, evaluates and drops one input at a time, keeping only its ERP table.
     """
     t_start = time.perf_counter()
     out = Path(args.out)
@@ -171,28 +179,29 @@ def cmd_evaluate(args) -> int:
     for path in (args.out, *csvs):
         _check_out(path, "file")
     cfg = load_config(args.config, args.set)
-    seed = _seed(args, cfg)
-    k = args.folds if args.folds is not None else cfg["folds"]
-    r = args.repeats if args.repeats is not None else cfg["repeats"]
+    seed, k, r, threads = (_setting(args, cfg, key, least) for key, least in
+                           (("seed", 0), ("folds", 2), ("repeats", 1), ("threads", 1)))
+    shuffles = _setting(args, cfg, "n_chance_shuffles", 1) if args.chance else None
     hp = from_config(evaluation.Hyperparams, cfg)
 
-    # every input, its plan and its audit first: a bad later one exits 2 before any fold
-    datasets = [io.read_epoch_container(in_path) for in_path in args.input]
-    plans = [evaluation.make_fold_plan(es.labels, k=k, r=r, seed=evaluation.derive_seed(seed, d))
-             for d, es in enumerate(datasets)]
-    audits = [_audit_blocks(es, hp, args.methods) for es in datasets]
-    dataset_blocks = []
-    pairs = []
-    for d_index, (in_path, es, plan, audit) in enumerate(zip(args.input, datasets, plans, audits)):
+    plans, audits = [], []
+    for d, in_path in enumerate(args.input):
+        es = io.read_epoch_container(in_path)
+        plans.append(evaluation.make_fold_plan(es.labels, k=k, r=r,
+                                               seed=evaluation.derive_seed(seed, d)))
+        audits.append(_audit_blocks(es, hp, args.methods))
+        del es
+    dataset_blocks, pairs, erps = [], [], []
+    for d_index, (in_path, plan, audit) in enumerate(zip(args.input, plans, audits)):
+        es = io.read_epoch_container(in_path)
         chance = None
-        if args.chance:  # before the folds: it rejects a shuffle count below 1
+        if args.chance:
             chance = asdict(evaluation.chance_level(
-                es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
-                n_shuffles=cfg["n_chance_shuffles"], k=k, r=r, hyperparams=hp,
-                n_workers=args.threads,
+                es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC), n_shuffles=shuffles,
+                k=k, r=r, hyperparams=hp, n_workers=threads,
             ))
         results = {
-            method: evaluation.run_cv(es, method, plan, hp, n_workers=args.threads)
+            method: evaluation.run_cv(es, method, plan, hp, n_workers=threads)
             for method in args.methods
         }
         ttest = None
@@ -210,6 +219,9 @@ def cmd_evaluate(args) -> int:
             "chance": chance,
             "audit": audit,
         })
+        if args.emit_erp:
+            erps.append(_erp_table(es))
+        del es
 
     perm = None
     if len(pairs) >= 2:
@@ -228,8 +240,8 @@ def cmd_evaluate(args) -> int:
         "permutation_test": perm,
     })
     if args.emit_erp:  # beside the report, in the directory write_report made
-        for path, es in zip(csvs, datasets):
-            _write_erp_csv(path, es)
+        for path, table in zip(csvs, erps):
+            _write_erp_csv(path, *table)
         _write_accuracy_csv(csvs[-1], dataset_blocks)
     for block in dataset_blocks:
         print(_summary_line(block))
@@ -319,8 +331,6 @@ def main(argv=None) -> int:
         if not isinstance(logging.getLevelName(level.upper()), int):
             raise ValueError(f"ERRP_LOG must be a log level such as INFO or DEBUG, got {level!r}")
         logging.basicConfig(level=level.upper())
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (InvalidInput, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

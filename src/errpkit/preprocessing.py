@@ -199,8 +199,6 @@ def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post
                    labels) -> tuple[list[int], int, np.ndarray, list[int]]:
     """Start samples, common length and labels of the epochs that fit in the
     recording, and the positions of the skipped events among the matching ones."""
-    if pre_s < 0 or post_s < 0:
-        raise InvalidWindow("pre_s and post_s must be nonnegative")
     matches = [s for s, code in rec.events if code == event_code]
     if not matches:
         raise EmptyInput(f"no events with code {event_code}")
@@ -248,8 +246,6 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     """The anti-alias lowpass stage ``(sos, padlen)`` (8th-order Butterworth at
     0.4 * target rate) for rows of ``n_samples`` at ``fs``, and the samples
     ``keep`` of each filtered row: every factor-th."""
-    if target_fs_hz <= 0:
-        raise InvalidResampleFactor("target rate must be positive")
     factor = fs / target_fs_hz
     if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
         raise InvalidResampleFactor(
@@ -269,7 +265,8 @@ class PreprocessSpec:
     """Settings of :func:`preprocess_recording`.
 
     Field names are config keys: ``config.DEFAULTS`` takes its entries for
-    them from these defaults.
+    them from these defaults.  A bad window, a negative epoch bound or a
+    target rate at or below 0 raises here, naming its key.
     """
 
     bandpass_lo_hz: float = 1.0
@@ -284,6 +281,11 @@ class PreprocessSpec:
 
     def __post_init__(self):
         check_window("baseline_window_s", self.baseline_window_s)
+        for key in ("epoch_pre_s", "epoch_post_s"):
+            if getattr(self, key) < 0:
+                raise InvalidWindow(f"{key} must be nonnegative, got {getattr(self, key)}")
+        if self.target_fs_hz <= 0:
+            raise InvalidResampleFactor(f"target_fs_hz must be positive, got {self.target_fs_hz}")
 
 
 def preprocess_recording(rec: ContinuousRecording, labels,

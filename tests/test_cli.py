@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,16 @@ CONSTANT_KEYS = {
 }
 
 
+@pytest.mark.parametrize("t, p, df, text", [
+    (math.inf, 0.0, 1, "t=inf, p=0.0000, df=1"),
+    (-0.358, 0.7289, 9, "t=-0.358, p=0.7289, df=9"),
+], ids=["two-folds", "ten-folds"])
+def test_summary_line_prints_df(t, p, df, text):
+    block = {"path": "in", "methods": {"riemann": {"mean": 1.0}, "benchmark": {"mean": 0.5}},
+             "t_test": {"t": t, "p": p, "df": df, "mean_diff": 0.5}, "chance": None}
+    assert cli._summary_line(block) == f"in: riemann 1.0000; benchmark 0.5000; {text}"
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("setting", [
         ["--set", "folds=abc"],
@@ -541,23 +552,39 @@ def test_unknown_log_level_exits_2_with_one_line(tiny_container):
 
 
 class TestEmptyProtocol:
-    """A protocol with no repeats or no chance shuffles exits 2 with one line."""
+    """Fewer than two folds, no repeats or no chance shuffles exits 2 with one
+    line that names the flag or the config key, before any input is read."""
 
     @pytest.mark.parametrize("command, line", [
         (["run", "--method", "benchmark", "--repeats", "0"],
-         "error: need at least 1 repeat, got r=0"),
+         "error: --repeats must be at least 1, got 0"),
         (["run", "--method", "benchmark", "--repeats", "-1"],
-         "error: need at least 1 repeat, got r=-1"),
+         "error: --repeats must be at least 1, got -1"),
         (["chance", "--folds", "5", "--repeats", "1", "--set", "n_chance_shuffles=0"],
-         "error: need at least 1 chance shuffle, got n_shuffles=0"),
-    ], ids=["repeats-0", "repeats-negative", "chance-shuffles-0"])
-    def test_exits_2(self, tiny_container, tmp_path, capsys, command, line):
+         "error: config field 'n_chance_shuffles' must be at least 1, got 0"),
+        (["compare", "--folds", "1"], "error: --folds must be at least 2, got 1"),
+        (["compare", "--set", "folds=1"], "error: config field 'folds' must be at least 2, got 1"),
+        (["compare", "--set", "repeats=0"],
+         "error: config field 'repeats' must be at least 1, got 0"),
+        (["compare", "--chance", "--set", "n_chance_shuffles=0"],
+         "error: config field 'n_chance_shuffles' must be at least 1, got 0"),
+    ], ids=["repeats-0", "repeats-negative", "chance-shuffles-0", "folds-1", "config-folds-1",
+            "config-repeats-0", "compare-chance-shuffles-0"])
+    def test_exits_2(self, tiny_container, tmp_path, capsys, monkeypatch, command, line):
+        reads = []
+        monkeypatch.setattr(io, "read_epoch_container", lambda path: reads.append(path))
         out = tmp_path / "r.json"
         capsys.readouterr()
         assert main([*command, "--input", str(tiny_container), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
+        assert reads == []
         assert not out.exists()
+
+    def test_shuffles_unchecked_without_the_chance_level(self, tiny_container, tmp_path):
+        assert main(["run", "--method", "benchmark", "--set", "n_chance_shuffles=0",
+                     "--folds", "2", "--repeats", "1", "--input", str(tiny_container),
+                     "--out", str(tmp_path / "r.json")]) == 0
 
 
     def test_compare_rejects_no_shuffles_before_any_fold(self, tiny_container, tmp_path,
@@ -570,7 +597,7 @@ class TestEmptyProtocol:
                      "--input", str(tiny_container), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            "error: need at least 1 chance shuffle, got n_shuffles=0"]
+            "error: config field 'n_chance_shuffles' must be at least 1, got 0"]
         assert calls == []
         assert not out.exists()
 
@@ -842,6 +869,32 @@ class TestOneReport:
         assert sorted(audit["benchmark"]) == ["scale"]
 
 
+def test_compare_holds_one_dataset_at_a_time(tmp_path):
+    """Four inputs peak within a fifth of one input's peak (tracemalloc, in
+    process), so the inputs are not all held at once."""
+    inputs = [tmp_path / f"in{seed}" for seed in range(4)]
+    for seed, path in enumerate(inputs):
+        assert main(["synth", "--out", str(path), "--seed", str(seed), "--set", "n_trials=120",
+                     "--set", "n_channels=16", "--set", "fs_hz=128.0"]) == 0
+
+    def compare(paths):
+        return main(["compare", *(arg for path in paths for arg in ("--input", str(path))),
+                     "--folds", "2", "--repeats", "1", "--emit-erp",
+                     "--out", str(tmp_path / f"r{len(paths)}.json")])
+
+    def peak(paths):
+        tracemalloc.start()
+        try:
+            assert compare(paths) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert compare(inputs[:1]) == 0  # first-call allocations out of the measurement
+    one, four = peak(inputs[:1]), peak(inputs)
+    assert four <= 1.2 * one, (one, four)
+
+
 @pytest.mark.parametrize("preset, printed", [(None, "1"), ("3", "3")])
 def test_import_pins_blas_threads_unless_set(preset, printed):
     env = _src_env()
@@ -983,6 +1036,23 @@ class TestMalformedContainers:
 
 
 class TestPreprocess:
+    @pytest.mark.parametrize("setting, line", [
+        ("epoch_pre_s=-0.5", "error: epoch_pre_s must be nonnegative, got -0.5"),
+        ("epoch_post_s=-2", "error: epoch_post_s must be nonnegative, got -2"),
+        ("target_fs_hz=0", "error: target_fs_hz must be positive, got 0"),
+    ], ids=["pre-negative", "post-negative", "target-zero"])
+    def test_bad_setting_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, setting,
+                                                line):
+        raw, out = make_raw(tmp_path), tmp_path / "ep"
+        reads = []
+        monkeypatch.setattr(io, "read_continuous_container", lambda path: reads.append(path))
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--set", setting, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert reads == []
+        assert not out.exists()
+
     def test_full_pipeline_shapes(self, tmp_path):
         raw = make_raw(tmp_path)
         out = tmp_path / "epochs"

@@ -9,7 +9,9 @@ t-tests and permutation tests of three small fixed-seed compares:
 - ``tiny_chance``: acceptance 10's 40x3 container under ``compare --chance``
   at 5x2 folds, run at one and at two threads;
 - ``two_null``: two 40x3 containers without components (``frn_amp_uv`` and
-  ``p3a_amp_uv`` 0) in one compare at 5x2 folds, with its permutation test.
+  ``p3a_amp_uv`` 0) in one compare at 5x2 folds, with its permutation test;
+  ``two_null_csv`` holds the sha256 of the two ERP CSVs and the accuracy
+  CSV that its ``--emit-erp`` writes.
 
 It also holds the sha256 of ``data.bin`` and ``labels.bin`` of the tiny
 ``synth`` container (``synth_tiny``), of the same shape labelled by the
@@ -29,6 +31,7 @@ A change that moves a pinned value regenerates the file with
 
 and names each moved value in CHANGES.md.
 """
+import contextlib
 import hashlib
 import json
 import math
@@ -68,9 +71,9 @@ def _results(report_path):
     return out
 
 
-def _digests(container: Path) -> dict:
-    return {name: hashlib.sha256((container / name).read_bytes()).hexdigest()
-            for name in ("data.bin", "labels.bin")}
+def _digests(directory: Path, names=("data.bin", "labels.bin")) -> dict:
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 def _recording(tmp: Path) -> Path:
@@ -103,9 +106,11 @@ def compute(tmp: Path) -> dict:
     nulls = [tmp / f"null_{seed}" for seed in (21, 22)]
     for seed, path in zip((21, 22), nulls):
         assert main(["synth", "--out", str(path), "--seed", str(seed), *TINY, *NULL]) == 0
-    assert main(["compare", *(arg for path in nulls for arg in ("--input", str(path))),
-                 "--seed", "9", "--folds", "5", "--repeats", "2",
-                 "--out", str(tmp / "two_null.json")]) == 0
+    # relative paths: the accuracy CSV names each input as it was given
+    with contextlib.chdir(tmp):
+        assert main(["compare", *(arg for path in nulls for arg in ("--input", path.name)),
+                     "--seed", "9", "--folds", "5", "--repeats", "2", "--emit-erp",
+                     "--out", "two_null.json"]) == 0
     results["synth_tiny"] = _digests(tiny)
     stair = tmp / "staircase"
     assert main(["synth", "--out", str(stair), "--seed", "2", *TINY,
@@ -123,6 +128,8 @@ def compute(tmp: Path) -> dict:
         "permutation_test": {key: report["permutation_test"][key]
                              for key in ("observed_metric", "z", "p", "null_std")},
     }
+    results["two_null_csv"] = _digests(tmp, ("two_null_erp_0.csv", "two_null_erp_1.csv",
+                                             "two_null_accuracies.csv"))
     return results
 
 
@@ -146,7 +153,7 @@ def test_fixed_seed_results_match_the_pinned_file(tmp_path):
     got = compute(tmp_path)
     assert sorted(pinned) == ["desk", "preprocess_baseline_first", "preprocess_downsample_first",
                               "synth_staircase", "synth_tiny", "tiny_chance_threads_1",
-                              "tiny_chance_threads_2", "two_null"]
+                              "tiny_chance_threads_2", "two_null", "two_null_csv"]
     _assert_matches(got, pinned)
 
 

@@ -288,6 +288,18 @@ class TestDownsample:
             preprocess_recording(rec, [0], PreprocessSpec(target_fs_hz=300.0))
 
 
+@pytest.mark.parametrize("setting, error", [
+    ({"epoch_pre_s": -0.5}, InvalidWindow),
+    ({"epoch_post_s": -1.0}, InvalidWindow),
+    ({"target_fs_hz": 0.0}, InvalidResampleFactor),
+    ({"target_fs_hz": -256.0}, InvalidResampleFactor),
+], ids=["pre-negative", "post-negative", "target-zero", "target-negative"])
+def test_spec_rejects_a_negative_epoch_or_rate(setting, error):
+    [key] = setting
+    with pytest.raises(error, match=f"^{key} must be"):
+        PreprocessSpec(**setting)
+
+
 class TestPipeline:
     def test_end_to_end_shapes(self):
         fs = 2048.0
