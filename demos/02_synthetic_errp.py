@@ -46,8 +46,8 @@ print(f"epochs: {epochs.data.shape} (trials x channels x samples), "
 
 fz = epochs.channels.index("Fz")
 t = np.arange(epochs.n_samples) / epochs.fs_hz + epochs.t0_offset_s
-succ = epochs.data[epochs.labels == SUCCESS, fz].mean(axis=0)
-fail = epochs.data[epochs.labels == FAILURE, fz].mean(axis=0)
+succ = epochs.data[epochs.labels == SUCCESS, fz].mean(axis=0, dtype=np.float64)
+fail = epochs.data[epochs.labels == FAILURE, fz].mean(axis=0, dtype=np.float64)
 diff = fail - succ
 
 peak_neg = t[np.argmin(diff)]

@@ -99,8 +99,10 @@ def _method_block(res: evaluation.CVResult) -> dict:
     }
 
 
-def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
-    """Whole-dataset featurizer provenance for each method that ran."""
+def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods, chance: bool) -> dict:
+    """Whole-dataset featurizer provenance for each method that ran, which
+    checks the method's windows; with ``chance``, the benchmark windows of
+    the chance level's folds are checked too, without an audit."""
     audit = {}
     if "riemann" in methods:
         windows = features.riemann_windows(es)
@@ -114,14 +116,18 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods) -> dict:
     if "benchmark" in methods:
         raw = features.benchmark_features(es)
         audit["benchmark"] = {"scale": features.max_abs_scale(raw)}
+    if chance:
+        for window in features.BENCHMARK_WINDOWS:
+            features._sample_window(es, window)
     return audit
 
 
 def _erp_table(es: EpochSet) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The ERP CSV's header, times and (n_samples, 3 * n_channels) waves: the
-    success mean, the failure mean and their difference for each channel."""
-    succ = es.data[es.labels == SUCCESS].mean(axis=0)
-    fail = es.data[es.labels == FAILURE].mean(axis=0)
+    success mean, the failure mean and their difference for each channel,
+    summed in float64."""
+    succ = es.data[es.labels == SUCCESS].mean(axis=0, dtype=np.float64)
+    fail = es.data[es.labels == FAILURE].mean(axis=0, dtype=np.float64)
     waves = np.stack([succ, fail, fail - succ], axis=1).reshape(-1, es.n_samples).T
     return (["time_s"] + [f"{ch}_{kind}_uv" for ch in es.channels
                           for kind in ("success", "failure", "diff")],
@@ -182,6 +188,7 @@ def cmd_evaluate(args) -> int:
     seed, k, r, threads = (_setting(args, cfg, key, least) for key, least in
                            (("seed", 0), ("folds", 2), ("repeats", 1), ("threads", 1)))
     shuffles = _setting(args, cfg, "n_chance_shuffles", 1) if args.chance else None
+    cfg.update(seed=seed, folds=k, repeats=r)  # the report's config is what ran
     hp = from_config(evaluation.Hyperparams, cfg)
 
     plans, audits = [], []
@@ -189,7 +196,7 @@ def cmd_evaluate(args) -> int:
         es = io.read_epoch_container(in_path)
         plans.append(evaluation.make_fold_plan(es.labels, k=k, r=r,
                                                seed=evaluation.derive_seed(seed, d)))
-        audits.append(_audit_blocks(es, hp, args.methods))
+        audits.append(_audit_blocks(es, hp, args.methods, args.chance))
         del es
     dataset_blocks, pairs, erps = [], [], []
     for d_index, (in_path, plan, audit) in enumerate(zip(args.input, plans, audits)):

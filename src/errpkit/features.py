@@ -203,12 +203,13 @@ def benchmark_features(es: EpochSet) -> np.ndarray:
 
     Layout is channel-major, window-minor, with (mean, std) innermost; std
     uses the n-1 denominator.  Each row depends on its own epoch only, so
-    the rows of a subset equal the subset of the rows bit for bit.
+    the rows of a subset equal the subset of the rows bit for bit.  Each
+    window's samples are upcast to float64 as it is cut.
     """
     n, c, _ = es.data.shape
     feats = np.empty((n, c, len(BENCHMARK_WINDOWS), 2))
     for w, window in enumerate(BENCHMARK_WINDOWS):
-        seg = es.data[:, :, _sample_window(es, window)]
+        seg = es.data[:, :, _sample_window(es, window)].astype(np.float64)
         feats[:, :, w, 0] = seg.mean(axis=-1)
         feats[:, :, w, 1] = seg.std(axis=-1, ddof=1)
     return feats.reshape(n, c * len(BENCHMARK_WINDOWS) * 2)

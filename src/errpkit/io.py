@@ -125,7 +125,7 @@ def read_epoch_container(path) -> EpochSet:
     problems, manifest, data, labels = _inspect_epoch_container(Path(path))
     if problems:
         raise ContainerError("; ".join(problems))
-    # EpochSet widens the float32 samples and the label bytes
+    # the float32 samples are held as read; EpochSet widens the label bytes
     return EpochSet(data, np.frombuffer(labels, dtype=np.uint8), manifest["fs_hz"],
                     manifest["t0_offset_s"], list(manifest["channel_names"]))
 

@@ -240,8 +240,6 @@ def geometric_mean(mats, tol: float = DEFAULT_MEAN_TOL,
         Iteration budget; exceeded -> :class:`NonConvergence`.
     """
     stack = np.asarray(mats, dtype=np.float64)
-    if stack.ndim == 2:
-        stack = stack[None]
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
         raise InvalidMatrix(f"expected a stack of square matrices, got shape {stack.shape}")
     if stack.shape[0] == 0:

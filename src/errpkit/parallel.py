@@ -11,7 +11,7 @@ shared with the workers.
 :func:`blocks` is the one rule that splits work: consecutive slices of as
 many items as fit in :data:`_BLOCK_BYTES`, and at least one.
 :func:`map_blocks` runs a function on each block into one output array,
-as jobs of :func:`map_jobs` or, for small inputs, in this process.
+as jobs of :func:`map_jobs`, in this process for small inputs.
 
 ``errpkit/__init__.py`` pins BLAS to one thread, so these workers are the
 package's only parallelism.
@@ -117,15 +117,10 @@ def map_blocks(fn, n: int, item_bytes: int, shape, n_workers: int = 1,
     """``out``, a float64 array of ``shape``, after ``fn(sl, out[sl])`` wrote
     each block ``sl`` of ``blocks(n, item_bytes)`` into its view.  The blocks
     are :func:`map_jobs` jobs named ``name`` on up to ``n_workers``
-    processes, or run in order in this process at one worker or below
-    :data:`_POOL_MIN_BYTES` of input (``n * item_bytes``)."""
+    processes, or on one (this process) below :data:`_POOL_MIN_BYTES` of
+    input (``n * item_bytes``)."""
     sls = blocks(n, item_bytes)
-    if n_workers == 1 or n * item_bytes < _POOL_MIN_BYTES:
-        out = np.empty(shape)
-        for sl in sls:
-            fn(sl, out[sl])
-        return out
-    n_workers = workers_for(n_workers, len(sls))
+    n_workers = workers_for(n_workers if n * item_bytes >= _POOL_MIN_BYTES else 1, len(sls))
     out = empty(shape, n_workers)
     map_jobs(lambda j: fn(sls[j], out[sls[j]]), len(sls), n_workers, name)
     return out

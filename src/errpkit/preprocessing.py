@@ -8,16 +8,18 @@ recording.  All filters are Butterworth/IIR designs applied
 forward-backward (``sosfiltfilt``) with reflect padding, so they are
 zero-phase and linear.
 
-Memory: a recording may hold float32 samples, as a continuous container
-stores them; float32 is storage only.  Every filter upcasts a block of
-rows (one block of :func:`parallel.blocks`, about 512 KiB of float64) at a
-time, so all arithmetic is float64, and writes each block into one
-preallocated float64 output.  :func:`preprocess_recording` filters the
-whole chain block by block into one float64 array, re-references it in
-place and epochs it a block of events at a time, so its peak is about
-that float64 filtered recording plus the float32 input; the epochs are
-bit-identical to whole-array filtering, because each row is filtered on
-its own.
+Memory: one storage rule, :func:`_stored`, holds the samples of a
+recording and of an epoch set: float32, as both container kinds store
+them, is kept as given, and any other dtype becomes float64.  float32 is
+storage only; arithmetic upcasts where it starts.  Every filter upcasts a
+block of rows (one block of :func:`parallel.blocks`, about 512 KiB of
+float64) at a time, so all arithmetic is float64, and writes each block
+into one preallocated float64 output.  :func:`preprocess_recording`
+filters the whole chain block by block into one float64 array,
+re-references it in place and epochs it a block of events at a time, so
+its peak is about that float64 filtered recording plus the float32 input;
+the epochs are bit-identical to whole-array filtering, because each row
+is filtered on its own.
 
 Parallelism: the row blocks, then the event blocks, are the blocks of
 :func:`parallel.map_blocks`.  At one worker (the library default), or for
@@ -54,13 +56,19 @@ def sample_index(t: float, t0: float, fs: float) -> int:
     return int(np.floor((t - t0) * fs + 0.5))
 
 
+def _stored(data) -> np.ndarray:
+    """``data`` as samples are held: a float32 array as given, any other
+    array-like as float64 (without a copy where it already is)."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+
+
 @dataclass
 class ContinuousRecording:
     """A multi-channel continuous recording with event markers.
 
-    data is (n_channels, n_samples) in microvolts, kept as given if float32
-    and converted to float64 otherwise; events are (sample_index,
-    event_code) pairs.
+    data is (n_channels, n_samples) in microvolts, held by :func:`_stored`;
+    events are (sample_index, event_code) pairs.
     """
 
     fs_hz: float
@@ -69,8 +77,7 @@ class ContinuousRecording:
     events: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        data = np.asarray(self.data)
-        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+        self.data = _stored(self.data)
         if self.fs_hz <= 0:
             raise ValueError("fs_hz must be positive")
         if self.data.ndim != 2:
@@ -93,7 +100,11 @@ class ContinuousRecording:
 
 @dataclass
 class EpochSet:
-    """A stack of equally-shaped labelled epochs sharing fs and channel names."""
+    """A stack of equally-shaped labelled epochs sharing fs and channel names.
+
+    data is held by :func:`_stored`: float32 from a container or from
+    :mod:`synth`, float64 from :func:`preprocess_recording`.
+    """
 
     data: np.ndarray  # (n_trials, n_channels, n_samples)
     labels: np.ndarray  # (n_trials,)
@@ -102,7 +113,7 @@ class EpochSet:
     channels: list[str]
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = _stored(self.data)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.data.ndim != 3:
             raise ValueError("data must be (n_trials, n_channels, n_samples)")
@@ -265,8 +276,11 @@ class PreprocessSpec:
     """Settings of :func:`preprocess_recording`.
 
     Field names are config keys: ``config.DEFAULTS`` takes its entries for
-    them from these defaults.  A bad window, a negative epoch bound or a
-    target rate at or below 0 raises here, naming its key.
+    them from these defaults.  A bad window, a negative epoch bound, a
+    target rate at or below 0, a bandpass lower edge at or below 0 or at or
+    above its upper edge, and a notch at or below 0 raise here, naming their
+    key; the checks that need a recording's sampling rate are made where its
+    filters are designed.
     """
 
     bandpass_lo_hz: float = 1.0
@@ -286,6 +300,14 @@ class PreprocessSpec:
                 raise InvalidWindow(f"{key} must be nonnegative, got {getattr(self, key)}")
         if self.target_fs_hz <= 0:
             raise InvalidResampleFactor(f"target_fs_hz must be positive, got {self.target_fs_hz}")
+        if self.bandpass_lo_hz <= 0:
+            raise InvalidFilterSpec(f"bandpass_lo_hz must be positive, got {self.bandpass_lo_hz}")
+        if self.bandpass_lo_hz >= self.bandpass_hi_hz:
+            raise InvalidFilterSpec(f"bandpass_lo_hz must be below bandpass_hi_hz, got "
+                                    f"{self.bandpass_lo_hz} and {self.bandpass_hi_hz}")
+        if any(f0 <= 0 for f0 in self.notch_hz):
+            raise InvalidFilterSpec(f"notch_hz must hold positive frequencies only, "
+                                    f"got {list(self.notch_hz)}")
 
 
 def preprocess_recording(rec: ContinuousRecording, labels,

@@ -292,8 +292,9 @@ def generate_epochs(
     Noise for epoch ``i`` comes from its own stream keyed by
     ``(seed, i)``, so generation order (or parallelism) cannot change the
     output.  Source channels carry a fixed RMS profile and are mixed by a
-    random orthonormal matrix, giving correlated channels.  Data is
-    quantized to float32 so container round-trips are bit-exact.
+    random orthonormal matrix, giving correlated channels.  Each epoch is
+    computed in float64 and stored as float32, the samples of an epoch
+    container, so container round-trips are bit-exact.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -302,7 +303,7 @@ def generate_epochs(
     names = default_channel_names(n_channels)
     success_t, failure_t = class_templates(spec, n_channels, fs_hz, pre_s, post_s, names)
     n_samples = success_t.shape[1]
-    data = np.empty((labels.size, n_channels, n_samples))
+    data = np.empty((labels.size, n_channels, n_samples), dtype=np.float32)
     templates = {SUCCESS: success_t, FAILURE: failure_t}
 
     if spec.noise_rms_uv > 0.0:
@@ -320,8 +321,6 @@ def generate_epochs(
     else:
         for i, lab in enumerate(labels):
             data[i] = templates[int(lab)]
-
-    data = data.astype(np.float32).astype(np.float64)
     return EpochSet(data, labels, fs_hz, -pre_s, names)
 
 

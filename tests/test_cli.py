@@ -320,9 +320,33 @@ class TestCompare:
         rows = (tmp_path / "new" / "cmp_erp_0.csv").read_text().splitlines()[1:]
         es = read_epoch_container(tiny_container)
         first = [float(v) for v in rows[0].split(",")]
-        succ = es.data[es.labels == 0][:, 0, 0].mean()
-        fail = es.data[es.labels == 1][:, 0, 0].mean()
+        succ = es.data[es.labels == 0][:, 0, 0].mean(dtype=np.float64)
+        fail = es.data[es.labels == 1][:, 0, 0].mean(dtype=np.float64)
         assert first[:4] == pytest.approx([es.t0_offset_s, succ, fail, fail - succ], rel=1e-12)
+
+    def test_erp_table_of_float32_samples_is_that_of_their_float64_copy(self, tiny_container):
+        es = read_epoch_container(tiny_container)
+        assert es.data.dtype == np.float32
+        wide = EpochSet(es.data.astype(np.float64), es.labels, es.fs_hz, es.t0_offset_s,
+                        es.channels)
+        (header, t, waves), (wide_header, wide_t, wide_waves) = map(cli._erp_table, (es, wide))
+        assert header == wide_header and np.array_equal(t, wide_t)
+        assert waves.dtype == np.float64
+        assert np.array_equal(waves, wide_waves)
+
+    def test_config_is_what_ran(self, tmp_path, tiny_container):
+        """The flags' seed, folds and repeats replace the config's in the
+        report; the settings the flags leave alone are echoed as given."""
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--input", str(tiny_container), "--folds", "2", "--repeats", "1",
+                     "--seed", "7", "--threads", "2", "--set", "reg_c=0.5",
+                     "--out", str(out)]) == 0
+        report = read_report(out)
+        assert {key: report["config"][key] for key in ("seed", "folds", "repeats", "reg_c")} == {
+            "seed": 7, "folds": 2, "repeats": 1, "reg_c": 0.5}
+        assert "threads" not in report["config"]
+        plan = report["datasets"][0]["plan"]
+        assert (report["seed"], plan["k"], plan["r"]) == (7, 2, 1)
 
 
 # The analysis windows, the classifier's stopping rule and the staircase
@@ -476,6 +500,21 @@ class TestThreads:
         assert lines[0] == lines[1] == [
             "failure: (repeat 0, folds 0, 1, 2, 3, 4, 5, 6, 7, 8, 9): planted failure"]
 
+    def test_karcher_failure_names_its_repeat_and_fold(self, tiny_container, tmp_path, capsys):
+        lines = []
+        for threads in ("1", "2"):
+            capsys.readouterr()
+            assert main(["compare", "--input", str(tiny_container), "--set", "mean_max_iter=1",
+                         "--folds", "2", "--repeats", "1", "--threads", threads,
+                         "--out", str(tmp_path / "report.json")]) == 1
+            captured = capsys.readouterr()
+            lines.append((captured.out + captured.err).splitlines())
+            assert multiprocessing.active_children() == []
+        assert len(lines[0]) == 1
+        assert lines[0][0].startswith("failure: (repeat 0, fold 0): Karcher mean residual")
+        assert lines[0] == lines[1]
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_later_input_exits_2_before_any_fold(self, tiny_container, tmp_path, capsys,
                                                      monkeypatch):
         folds = multiprocessing.get_context("fork").Value("i", 0)
@@ -623,6 +662,25 @@ class TestShortWindow:
                      "--folds", "2", "--repeats", "1"]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
+        assert calls == []
+        assert not out.exists()
+
+    def test_chance_rejects_a_later_short_window_before_any_fold(self, tmp_path, capsys,
+                                                                monkeypatch):
+        good, short, out = tmp_path / "good", tmp_path / "short", tmp_path / "r.json"
+        for path, fs_hz in ((good, "64"), (short, "8")):
+            assert main(["synth", "--out", str(path), "--seed", "1", "--set", "n_trials=20",
+                         "--set", "n_channels=2", "--set", f"fs_hz={fs_hz}"]) == 0
+        calls = []
+        fold_split = evaluation._fold_split
+        monkeypatch.setattr(evaluation, "_fold_split",
+                            lambda *args: calls.append(args) or fold_split(*args))
+        capsys.readouterr()
+        assert main(["chance", "--input", str(good), "--input", str(short), "--out", str(out),
+                     "--folds", "2", "--repeats", "1", "--set", "n_chance_shuffles=2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"]
         assert calls == []
         assert not out.exists()
 
@@ -1040,7 +1098,12 @@ class TestPreprocess:
         ("epoch_pre_s=-0.5", "error: epoch_pre_s must be nonnegative, got -0.5"),
         ("epoch_post_s=-2", "error: epoch_post_s must be nonnegative, got -2"),
         ("target_fs_hz=0", "error: target_fs_hz must be positive, got 0"),
-    ], ids=["pre-negative", "post-negative", "target-zero"])
+        ("bandpass_lo_hz=0", "error: bandpass_lo_hz must be positive, got 0"),
+        ("bandpass_lo_hz=150",
+         "error: bandpass_lo_hz must be below bandpass_hi_hz, got 150 and 100.0"),
+        ("notch_hz=[0]", "error: notch_hz must hold positive frequencies only, got [0]"),
+    ], ids=["pre-negative", "post-negative", "target-zero", "bandpass-lo-zero",
+            "bandpass-lo-above-hi", "notch-zero"])
     def test_bad_setting_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, setting,
                                                 line):
         raw, out = make_raw(tmp_path), tmp_path / "ep"

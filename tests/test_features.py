@@ -294,6 +294,39 @@ def scaled_features(train, es):
     return benchmark_features(es) / max_abs_scale(benchmark_features(train))
 
 
+class TestFloat32Samples:
+    """A set of float32 samples, as a container holds them, gives the bits of
+    its float64 copy: each featurizer upcasts where its arithmetic starts."""
+
+    @pytest.fixture
+    def pair(self, rng):
+        es = make_set(rng, n_trials=24)
+        narrow = EpochSet(es.data.astype(np.float32), es.labels, es.fs_hz, es.t0_offset_s,
+                          es.channels)
+        wide = EpochSet(narrow.data.astype(np.float64), es.labels, es.fs_hz, es.t0_offset_s,
+                        es.channels)
+        assert narrow.data.dtype == np.float32
+        return narrow, wide
+
+    def test_benchmark_features(self, pair):
+        narrow, wide = pair
+        feats = benchmark_features(narrow)
+        assert feats.dtype == np.float64
+        assert np.array_equal(feats, benchmark_features(wide))
+
+    def test_fit_riemann_and_transform(self, pair):
+        narrow, wide = (riemann_windows(es) for es in pair)
+        assert narrow.dtype == np.float32
+        labels = pair[0].labels[:16]
+        a, b = (fit_riemann(windows[:16], labels) for windows in (narrow, wide))
+        for x, y in [(a.prototypes.proto_success, b.prototypes.proto_success),
+                     (a.prototypes.proto_failure, b.prototypes.proto_failure),
+                     (a.reference, b.reference), (a.train_features, b.train_features),
+                     (transform_riemann_set(a, narrow[16:]), transform_riemann_set(b, wide[16:]))]:
+            assert x.dtype == np.float64
+            assert np.array_equal(x, y)
+
+
 class TestBenchmark:
     def test_feature_count(self, rng):
         es = make_set(rng, n_trials=6, n_channels=32, fs=256.0, pre=0.5, post=0.7)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from errpkit.io import (
     write_epoch_container,
     write_report,
 )
-from errpkit.preprocessing import ContinuousRecording
+from errpkit.preprocessing import ContinuousRecording, EpochSet
 from errpkit.synth import generate_epochs
 
 
@@ -36,6 +37,25 @@ class TestEpochContainer:
         assert back.fs_hz == small_set.fs_hz
         assert back.t0_offset_s == small_set.t0_offset_s
         assert back.channels == small_set.channels
+
+    def test_read_holds_the_float32_samples_once(self, tmp_path):
+        """A desk-shaped container (300 trials of 32 channels, 307 samples)
+        reads within a tenth over its data.bin: no float64 copy is made."""
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((300, 32, 307), dtype=np.float32)
+        path = write_epoch_container(tmp_path / "c", EpochSet(
+            data, np.arange(300) % 2, 256.0, -0.5, [f"c{i}" for i in range(32)]))
+        del data
+        read_epoch_container(path)  # first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            back = read_epoch_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.data.dtype == np.float32
+        size = (path / "data.bin").stat().st_size
+        assert peak <= 1.1 * size, peak / size
 
     def test_rewrite_is_idempotent(self, tmp_path, small_set):
         p1 = write_epoch_container(tmp_path / "a", small_set)

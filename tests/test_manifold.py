@@ -294,6 +294,10 @@ class TestGeometricMean:
         with pytest.raises(EmptyInput):
             manifold.geometric_mean(np.empty((0, 3, 3)))
 
+    def test_one_matrix_is_not_a_stack(self, rng):
+        with pytest.raises(InvalidMatrix, match=r"got shape \(4, 4\)$"):
+            manifold.geometric_mean(random_spd(rng, 4))
+
     def test_nonconvergence_reports_residual(self, rng):
         mats = np.stack([random_spd(rng, 4, cond=1000.0) for _ in range(5)])
         with pytest.raises(NonConvergence, match="residual"):

@@ -14,6 +14,7 @@ from errpkit.errors import (
 )
 from errpkit.preprocessing import (
     ContinuousRecording,
+    EpochSet,
     PreprocessSpec,
     bandpass,
     notch,
@@ -300,6 +301,18 @@ def test_spec_rejects_a_negative_epoch_or_rate(setting, error):
         PreprocessSpec(**setting)
 
 
+@pytest.mark.parametrize("setting, key", [
+    ({"bandpass_lo_hz": 0.0}, "bandpass_lo_hz"),
+    ({"bandpass_lo_hz": -1.0}, "bandpass_lo_hz"),
+    ({"bandpass_lo_hz": 100.0}, "bandpass_lo_hz"),
+    ({"bandpass_lo_hz": 30.0, "bandpass_hi_hz": 20.0}, "bandpass_lo_hz"),
+    ({"notch_hz": (50.0, 0.0)}, "notch_hz"),
+], ids=["lo-zero", "lo-negative", "lo-at-hi", "lo-above-hi", "notch-zero"])
+def test_spec_rejects_a_filter_setting_without_a_rate(setting, key):
+    with pytest.raises(InvalidFilterSpec, match=f"^{key} must "):
+        PreprocessSpec(**setting)
+
+
 class TestPipeline:
     def test_end_to_end_shapes(self):
         fs = 2048.0
@@ -439,6 +452,15 @@ class TestSampleStorage:
         assert ContinuousRecording(FS, ["a"], np.zeros((1, 4), np.float32)).data.dtype == np.float32
         assert ContinuousRecording(FS, ["a"], np.zeros((1, 4), np.int16)).data.dtype == np.float64
         assert ContinuousRecording(FS, ["a"], [[1, 2, 3]]).data.dtype == np.float64
+
+    def test_epoch_sets_hold_samples_as_recordings_do(self):
+        def epochs(data):
+            return EpochSet(data, [0], FS, 0.0, ["a"])
+
+        stored = np.zeros((1, 1, 4), np.float32)
+        assert epochs(stored).data is stored
+        assert epochs(np.zeros((1, 1, 4), np.int16)).data.dtype == np.float64
+        assert epochs([[[1, 2, 3]]]).data.dtype == np.float64
 
     def test_float32_filters_compute_in_float64(self):
         rng = np.random.default_rng(23)

@@ -191,6 +191,7 @@ class TestGenerateEpochs:
     def test_float32_quantized_for_container_roundtrip(self):
         es = generate_epochs(np.array([0, 1]), n_channels=2, fs_hz=64.0, seed=8,
                              pre_s=0.25, post_s=0.75)
+        assert es.data.dtype == np.float32
         assert np.array_equal(es.data, es.data.astype(np.float32).astype(np.float64))
 
 
