@@ -8,6 +8,8 @@ distance exactly.
 
 Run:  python3 demos/01_spd_geometry.py
 """
+import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
+
 import numpy as np
 
 from errpkit import manifold

@@ -8,6 +8,8 @@ negativity followed by a stronger late positivity; both are planted in
 
 Run:  python3 demos/02_synthetic_errp.py
 """
+import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
+
 import numpy as np
 
 from errpkit.labels import FAILURE, SUCCESS

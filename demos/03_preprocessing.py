@@ -8,6 +8,8 @@ subtraction, downsampling to 256/s.
 
 Run:  python3 demos/03_preprocessing.py
 """
+import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
+
 import numpy as np
 
 from errpkit.preprocessing import (

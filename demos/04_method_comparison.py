@@ -13,8 +13,13 @@ variance-corrected paired t-test compares them within the dataset, a
 label-shuffle run estimates the chance band, and a permutation test
 aggregates the median-accuracy difference across datasets.
 
-Run:  python3 demos/04_method_comparison.py   (about a minute)
+Each featurizer's rows are computed once per dataset, and every fold (and
+every chance shuffle) indexes them.
+
+Run:  python3 demos/04_method_comparison.py   (a few seconds)
 """
+import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
+
 import numpy as np
 
 from errpkit.evaluation import (
@@ -26,6 +31,7 @@ from errpkit.evaluation import (
     permutation_test,
     run_cv,
 )
+from errpkit.features import benchmark_features, riemann_windows
 from errpkit.synth import ErpTemplateSpec, generate_epochs
 
 SHAPE = dict(n_channels=8, fs_hz=128.0, pre_s=0.5, post_s=0.7)
@@ -39,8 +45,8 @@ for dataset_idx in range(3):
     labels = np.random.default_rng([dataset_idx, 99]).permutation(np.arange(120) % 2)
     es = generate_epochs(labels, template, seed=dataset_idx, **SHAPE)
     plan = make_fold_plan(es.labels, k=5, r=2, seed=derive_seed(dataset_idx, 1))
-    riemann = run_cv(es, "riemann", plan, hp)
-    benchmark = run_cv(es, "benchmark", plan, hp)
+    riemann = run_cv(riemann_windows(es), es.labels, "riemann", plan, hp)
+    benchmark = run_cv(benchmark_features(es), es.labels, "benchmark", plan, hp)
     ttest = corrected_t_test(riemann, benchmark)
     pairs.append((riemann, benchmark))
     print(f"dataset {dataset_idx}: tangent-space {riemann.accuracies.mean():.3f} "
@@ -54,7 +60,8 @@ for dataset_idx in range(3):
 # ---------------------------------------------------------------------------
 labels = np.arange(120) % 2
 es = generate_epochs(labels, template, seed=0, **SHAPE)
-ch = chance_level(es, plan_seed=7, n_shuffles=40, k=5, r=2, hyperparams=hp)
+ch = chance_level(benchmark_features(es), es.labels, plan_seed=7, n_shuffles=40, k=5, r=2,
+                  hyperparams=hp)
 print(f"\nchance level: mean {ch.mean_accuracy:.3f}, "
       f"97.5th percentile {ch.threshold_97_5:.3f} over {ch.n_shuffles} shuffles")
 

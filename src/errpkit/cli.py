@@ -99,11 +99,13 @@ def _method_block(res: evaluation.CVResult) -> dict:
     }
 
 
-def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods, chance: bool) -> dict:
-    """Whole-dataset featurizer provenance for each method that ran, which
-    checks the method's windows; with ``chance``, the benchmark windows of
-    the chance level's folds are checked too, without an audit."""
-    audit = {}
+def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams,
+                  methods) -> tuple[dict, np.ndarray | None]:
+    """Whole-dataset featurizer provenance for each method that ran, and the
+    benchmark rows when the benchmark ran.  The riemann audit checks the
+    riemann window, and the shrinkage against it, before the benchmark rows
+    check the benchmark windows."""
+    audit, rows = {}, None
     if "riemann" in methods:
         windows = features.riemann_windows(es)
         features.check_covariance_shape(features.SUPER_TRIAL_ROWS * es.n_channels,
@@ -114,12 +116,9 @@ def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams, methods, chance: boo
             "prototype_sha256_failure": io.sha256_hex(protos.proto_failure),
         }
     if "benchmark" in methods:
-        raw = features.benchmark_features(es)
-        audit["benchmark"] = {"scale": features.max_abs_scale(raw)}
-    if chance:
-        for window in features.BENCHMARK_WINDOWS:
-            features._sample_window(es, window)
-    return audit
+        rows = features.benchmark_features(es)
+        audit["benchmark"] = {"scale": features.max_abs_scale(rows)}
+    return audit, rows
 
 
 def _erp_table(es: EpochSet) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -172,8 +171,11 @@ def cmd_evaluate(args) -> int:
     null: ``t_test`` needs both methods, ``permutation_test`` needs both
     methods on at least two datasets.  Every file it writes, the report and
     with ``emit_erp`` the CSVs beside it, and every setting are checked before
-    any input is read.  A check pass keeps each input's plan and audit, not its
-    samples, so a bad later input exits 2 before any fold; an evaluate pass then
+    any input is read.  A check pass keeps each input's plan, audit and, where
+    the benchmark or the chance level runs, benchmark rows, not its samples, so
+    a bad later input exits 2 before any fold, with a line that starts with its
+    path.  The rows are computed once per input: the audit's ``scale``, the
+    chance level and the benchmark folds all read them.  An evaluate pass then
     reads, evaluates and drops one input at a time, keeping only its ERP table.
     """
     t_start = time.perf_counter()
@@ -191,24 +193,32 @@ def cmd_evaluate(args) -> int:
     cfg.update(seed=seed, folds=k, repeats=r)  # the report's config is what ran
     hp = from_config(evaluation.Hyperparams, cfg)
 
-    plans, audits = [], []
+    checked = []  # per input: its plan, its audit and its benchmark rows or None
     for d, in_path in enumerate(args.input):
-        es = io.read_epoch_container(in_path)
-        plans.append(evaluation.make_fold_plan(es.labels, k=k, r=r,
-                                               seed=evaluation.derive_seed(seed, d)))
-        audits.append(_audit_blocks(es, hp, args.methods, args.chance))
+        try:
+            es = io.read_epoch_container(in_path)
+            plan = evaluation.make_fold_plan(es.labels, k=k, r=r,
+                                             seed=evaluation.derive_seed(seed, d))
+            audit, rows = _audit_blocks(es, hp, args.methods)
+            if args.chance and rows is None:
+                rows = features.benchmark_features(es)
+        except (InvalidInput, OSError, ValueError) as exc:
+            raise type(exc)(f"{in_path}: {exc}") from exc
+        checked.append((plan, audit, rows))
         del es
     dataset_blocks, pairs, erps = [], [], []
-    for d_index, (in_path, plan, audit) in enumerate(zip(args.input, plans, audits)):
+    for d_index, (in_path, (plan, audit, rows)) in enumerate(zip(args.input, checked)):
         es = io.read_epoch_container(in_path)
         chance = None
         if args.chance:
             chance = asdict(evaluation.chance_level(
-                es, plan_seed=evaluation.derive_seed(seed, d_index, 0xC), n_shuffles=shuffles,
-                k=k, r=r, hyperparams=hp, n_workers=threads,
+                rows, es.labels, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
+                n_shuffles=shuffles, k=k, r=r, hyperparams=hp, n_workers=threads,
             ))
         results = {
-            method: evaluation.run_cv(es, method, plan, hp, n_workers=threads)
+            method: evaluation.run_cv(
+                rows if method == "benchmark" else features.riemann_windows(es), es.labels,
+                method, plan, hp, n_workers=threads)
             for method in args.methods
         }
         ttest = None

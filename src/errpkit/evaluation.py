@@ -7,14 +7,17 @@ and shuffle-based chance-level estimation (benchmark pipeline only).  The
 t and normal tails are computed here from the ``math`` module, so
 evaluation loads no scipy module.
 
-Folds are independent.  ``run_cv`` and ``chance_level`` each compute the
-method's rows once and map jobs over them with :func:`parallel.map_jobs`:
-in this process at one worker, else on forked worker processes.  A job is
-a block of :func:`parallel.blocks` of consecutive folds of one repeat of
-one labelling, whose items are the folds' training features; it fits the
-classifiers of its folds of equal training shape as one stack with
-:func:`logreg.fit_many`, which gives each the bits of its own fit.  The
-workers inherit the rows, labels, plans and hyperparameters in memory and
+Folds are independent.  ``run_cv`` and ``chance_level`` take a method's
+rows for the whole dataset, made once by the caller: the riemann windows
+(:func:`features.riemann_windows`, an ``(n, c, w)`` view) or the benchmark
+features (:func:`features.benchmark_features`, ``(n, p)``).  They compute no
+features of their own, and map jobs over the rows with
+:func:`parallel.map_jobs`: in this process at one worker, else on forked
+worker processes.  A job is a block of :func:`parallel.blocks` of
+consecutive folds of one repeat of one labelling, whose items are the
+folds' training features; it fits the classifiers of its folds of equal
+training shape as one stack with :func:`logreg.fit_many`, which gives each
+the bits of its own fit.  The workers inherit the rows, labels, plans and hyperparameters in memory and
 send back only each fold's accuracy and classifier convergence.  Results
 are placed by job index, and jobs do not depend on the worker count, so
 neither do the results.
@@ -32,12 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features, logreg, manifold, parallel
-from .errors import EmptyInput, ErrpkitError, InsufficientData, NumericalFailure, PlanMismatch
-from .preprocessing import EpochSet
+from .errors import (
+    DimMismatch,
+    EmptyInput,
+    ErrpkitError,
+    InsufficientData,
+    NumericalFailure,
+    PlanMismatch,
+)
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("riemann", "benchmark")
+# the number of dimensions of each method's rows, and their names
+_ROW_SHAPES = {"riemann": (3, "(n, c, w)"), "benchmark": (2, "(n, p)")}
 
 # Lentz's guard against a zero denominator, the relative change at which the
 # fraction has converged, and its term limit (it needs O(sqrt(df)) terms).
@@ -119,6 +130,7 @@ class Hyperparams:
     mean_max_iter: int = manifold.DEFAULT_MEAN_MAX_ITER
 
     def __post_init__(self):
+        features.check_shrinkage(self.shrinkage)
         if self.mean_max_iter < 1:
             raise ValueError(f"mean_max_iter must be at least 1, got {self.mean_max_iter}")
         for key in ("reg_c", "mean_tol"):
@@ -235,9 +247,9 @@ def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np.ndarray,
                    te_idx: np.ndarray, hp: Hyperparams):
-    """Training and test features of one fold, from the rows ``run_cv``
-    computed for the whole dataset: riemann windows, or benchmark features
-    divided by the training rows' scale."""
+    """Training and test features of one fold, from the method's rows of the
+    whole dataset: riemann windows, or benchmark features divided by the
+    training rows' scale."""
     if method == "riemann":
         model = features.fit_riemann(
             rows[tr_idx], labels[tr_idx], shrinkage=hp.shrinkage,
@@ -335,25 +347,36 @@ def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperpara
     return accs.reshape(len(plans), -1)
 
 
-def run_cv(dataset: EpochSet, method: str, plan: FoldPlan,
+def _check_rows(rows: np.ndarray, labels: np.ndarray, method: str) -> None:
+    """Raise unless ``rows`` have the dimensions of ``method``'s rows and
+    ``labels`` hold one label per row."""
+    ndim, names = _ROW_SHAPES[method]
+    if rows.ndim != ndim:
+        raise DimMismatch(f"{method} rows must be {names}, got shape {rows.shape}")
+    if labels.shape != rows.shape[:1]:
+        raise DimMismatch(f"{labels.size} labels for {len(rows)} rows")
+
+
+def run_cv(rows: np.ndarray, labels, method: str, plan: FoldPlan,
            hyperparams: Hyperparams | None = None, n_workers: int = 1) -> CVResult:
     """Fit on each training split, score accuracy on the held-out fold.
 
-    The method's rows (riemann windows or benchmark features) are computed
-    once per call; each fold indexes them.  Folds run on up to
-    ``n_workers`` processes (see the module docstring) and are placed by
-    (repeat, fold) index, so the output is identical for any ``n_workers``.
-    Folds whose classifier fit did not converge are counted in one WARNING
-    per call; they still count.
+    ``rows`` are the method's rows of the whole dataset, one per label:
+    :func:`features.riemann_windows` for riemann, an ``(n, c, w)`` stack, or
+    :func:`features.benchmark_features` for benchmark, ``(n, p)``.  Each fold
+    indexes them.  Folds run on up to ``n_workers`` processes (see the
+    module docstring) and are placed by (repeat, fold) index, so the output
+    is identical for any ``n_workers``.  Folds whose classifier fit did not
+    converge are counted in one WARNING per call; they still count.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if plan.n_epochs != len(dataset):
-        raise PlanMismatch(f"plan covers {plan.n_epochs} epochs, dataset has {len(dataset)}")
+    rows, labels = np.asarray(rows), np.asarray(labels)
+    _check_rows(rows, labels, method)
+    if plan.n_epochs != len(rows):
+        raise PlanMismatch(f"plan covers {plan.n_epochs} epochs, dataset has {len(rows)}")
     hp = hyperparams or Hyperparams()
-    rows = (features.riemann_windows(dataset) if method == "riemann"
-            else features.benchmark_features(dataset))
-    accs = _fold_accuracies(rows, method, [dataset.labels], [plan], hp, n_workers, method)
+    accs = _fold_accuracies(rows, method, [labels], [plan], hp, n_workers, method)
     return CVResult(method, accs[0], plan)
 
 
@@ -401,27 +424,28 @@ def permutation_test(per_participant) -> PermTestResult:
     return PermTestResult(observed, z, normal_two_sided_p(z), null_std)
 
 
-def chance_level(dataset: EpochSet, plan_seed: int, n_shuffles: int, k: int, r: int,
+def chance_level(rows: np.ndarray, labels, plan_seed: int, n_shuffles: int, k: int, r: int,
                  hyperparams: Hyperparams | None = None, n_workers: int = 1) -> ChanceLevel:
     """Label-shuffle chance estimate using the benchmark pipeline.
 
-    Each shuffle permutes the labels, draws a fresh stratified plan, runs
-    the full CV and records the mean accuracy; the threshold is the 97.5th
-    percentile (linear interpolation) of those means.  Benchmark features
-    do not depend on the labels, so they are computed once, and the folds
-    of every shuffle run as jobs (see the module docstring) on up to
-    ``n_workers`` processes.
+    ``rows`` are the dataset's :func:`features.benchmark_features`, one per
+    label.  Each shuffle permutes the labels, draws a fresh stratified plan,
+    runs the full CV on the same rows, which do not depend on the labels,
+    and records the mean accuracy; the threshold is the 97.5th percentile
+    (linear interpolation) of those means.  The folds of every shuffle run
+    as jobs (see the module docstring) on up to ``n_workers`` processes.
     Non-converged classifier fits are counted in one WARNING per call.
     """
     if n_shuffles < 1:
         raise ValueError(f"need at least 1 chance shuffle, got n_shuffles={n_shuffles}")
+    rows, labels = np.asarray(rows), np.asarray(labels)
+    _check_rows(rows, labels, "benchmark")
     hp = hyperparams or Hyperparams()
-    labels = [np.random.default_rng([int(plan_seed), s]).permutation(dataset.labels)
-              for s in range(n_shuffles)]
+    shuffled = [np.random.default_rng([int(plan_seed), s]).permutation(labels)
+                for s in range(n_shuffles)]
     plans = [make_fold_plan(y, k=k, r=r, seed=derive_seed(plan_seed, s, 1))
-             for s, y in enumerate(labels)]
-    rows = features.benchmark_features(dataset)
-    means = _fold_accuracies(rows, "benchmark", labels, plans, hp, n_workers,
+             for s, y in enumerate(shuffled)]
+    means = _fold_accuracies(rows, "benchmark", shuffled, plans, hp, n_workers,
                              "chance level").mean(axis=1)
     return ChanceLevel(
         mean_accuracy=float(means.mean()),

@@ -13,9 +13,11 @@ Benchmark route: per channel, the mean and standard deviation over four
 fixed windows, each feature scaled by its maximum absolute value in the
 training set.
 
-Both routes compute their rows once per dataset (:func:`riemann_windows`,
-:func:`benchmark_features`) and a fold indexes them: a row depends on its
-own epoch alone.
+Each route's rows are computed once per dataset (:func:`riemann_windows`,
+a view of the samples, and :func:`benchmark_features`), by the caller of
+:func:`evaluation.run_cv` and :func:`evaluation.chance_level`, and every fold
+indexes them: a row depends on its own epoch alone.  Computing the rows
+checks the route's windows.
 
 Fitting is bit-identical under any permutation of the training epochs
 (means summed in the order of the addends' bytes, max-based scaling).
@@ -72,12 +74,17 @@ class RiemannModel:
     train_features: np.ndarray  # (n_train, D(D+1)/2), rows in training order
 
 
+def check_shrinkage(shrinkage: float) -> None:
+    """Reject a shrinkage outside [0, 1)."""
+    if not 0.0 <= shrinkage < 1.0:
+        raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
+
+
 def check_covariance_shape(d: int, w: int, shrinkage: float) -> None:
     """Reject a shrinkage outside [0, 1), and fewer samples ``w`` than a shrunk
     covariance of ``d`` rows needs to be SPD: 2, or ``d + 1`` without
     shrinkage, as the centred rows span at most ``w - 1`` dimensions."""
-    if not 0.0 <= shrinkage < 1.0:
-        raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
+    check_shrinkage(shrinkage)
     need = 2 if shrinkage > 0.0 else d + 1
     if w < need:
         raise InvalidWindow(f"a {d}x{d} covariance at shrinkage {shrinkage} needs at least "

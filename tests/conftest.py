@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from errpkit import synth
+from errpkit import features, synth
 from errpkit.preprocessing import EpochSet
 
 
@@ -28,6 +28,12 @@ def subset(es: EpochSet, indices) -> EpochSet:
     """The epochs of ``es`` at ``indices``, in that order."""
     idx = np.asarray(indices)
     return EpochSet(es.data[idx], es.labels[idx], es.fs_hz, es.t0_offset_s, list(es.channels))
+
+
+def method_rows(es: EpochSet, method: str) -> np.ndarray:
+    """The rows of ``es`` that ``evaluation.run_cv`` takes for ``method``."""
+    return (features.riemann_windows(es) if method == "riemann"
+            else features.benchmark_features(es))
 
 
 def desk_shaped_epochs(n_trials: int = 150):
@@ -59,3 +65,23 @@ def worker_filter_calls(monkeypatch):
 
     monkeypatch.setattr(signal, "sosfiltfilt", sosfiltfilt)
     return calls
+
+
+@pytest.fixture
+def featurizer_calls(monkeypatch):
+    """A function that gives the fork-visible counts of the calls of
+    ``features.riemann_windows`` and ``features.benchmark_features``, made in
+    this process and in forked workers alike."""
+    context = multiprocessing.get_context("fork")
+    counts = {name: context.Value("i", 0) for name in ("riemann_windows", "benchmark_features")}
+
+    def counted(original, count):
+        def wrapper(es):
+            with count.get_lock():
+                count.value += 1
+            return original(es)
+        return wrapper
+
+    for name, count in counts.items():
+        monkeypatch.setattr(features, name, counted(getattr(features, name), count))
+    return lambda: {name: count.value for name, count in counts.items()}

@@ -37,7 +37,7 @@ from errpkit.synth import (
     staircase_run,
 )
 
-from conftest import random_spd
+from conftest import method_rows, random_spd
 from test_manifold import geodesic_midpoint
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -138,9 +138,10 @@ def test_05_null_calibration():
             es = generate_epochs(labels, spec, n_channels=3, fs_hz=64.0,
                                  seed=seed, pre_s=0.25, post_s=0.75)
             plan = make_fold_plan(es.labels, k=10, r=10, seed=derive_seed(seed, 1))
-            rr = run_cv(es, "riemann", plan, n_workers=2)
-            rb = run_cv(es, "benchmark", plan, n_workers=2)
-            ch = chance_level(es, plan_seed=derive_seed(seed, 2),
+            rows = method_rows(es, "benchmark")
+            rr = run_cv(method_rows(es, "riemann"), es.labels, "riemann", plan, n_workers=2)
+            rb = run_cv(rows, es.labels, "benchmark", plan, n_workers=2)
+            ch = chance_level(rows, es.labels, plan_seed=derive_seed(seed, 2),
                               n_shuffles=50, k=5, r=2, n_workers=2)
             below_r += rr.accuracies.mean() < ch.threshold_97_5
             below_b += rb.accuracies.mean() < ch.threshold_97_5
@@ -160,14 +161,14 @@ def test_06_signal_detection():
                              pre_s=0.25, post_s=0.75)
         plan = make_fold_plan(es.labels, k=5, r=2, seed=66)
         for method in ("riemann", "benchmark"):
-            acc = run_cv(es, method, plan).accuracies.mean()
+            acc = run_cv(method_rows(es, method), es.labels, method, plan).accuracies.mean()
             assert acc >= 0.95, f"{method} at high SNR: {acc}"
         clean = ErpTemplateSpec(frn_amp_uv=-40.0, p3a_amp_uv=6.0, noise_rms_uv=0.0)
         es0 = generate_epochs(labels, clean, n_channels=4, fs_hz=64.0, seed=7,
                               pre_s=0.25, post_s=0.75)
         plan0 = make_fold_plan(es0.labels, k=5, r=2, seed=67)
         for method in ("riemann", "benchmark"):
-            acc = run_cv(es0, method, plan0).accuracies.mean()
+            acc = run_cv(method_rows(es0, method), es0.labels, method, plan0).accuracies.mean()
             assert acc >= 0.999, f"{method} at zero noise: {acc}"
 
 
@@ -185,8 +186,10 @@ def test_07_desk_scale_method_comparison():
             es = generate_dataset(spec, template, seed)
             plan = make_fold_plan(es.labels, k=cfg["folds"], r=cfg["repeats"],
                                   seed=derive_seed(seed, 1))
-            med_r = float(np.median(run_cv(es, "riemann", plan, hp, n_workers=2).accuracies))
-            med_b = float(np.median(run_cv(es, "benchmark", plan, hp, n_workers=2).accuracies))
+            med_r, med_b = (
+                float(np.median(run_cv(method_rows(es, method), es.labels, method, plan, hp,
+                                       n_workers=2).accuracies))
+                for method in ("riemann", "benchmark"))
             wins += med_r > med_b
             losses += med_r < med_b
             print(f"\n  seed {seed}: riemann median {med_r:.4f} vs benchmark {med_b:.4f}")

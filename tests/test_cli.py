@@ -536,7 +536,7 @@ class TestThreads:
                              "--out", str(tmp_path / "report.json")]) == 2
                 captured = capsys.readouterr()
                 [line] = (captured.out + captured.err).splitlines()
-                assert line.startswith("error: "), line
+                assert line.startswith(f"error: {later}: "), line
         assert folds.value == 0
         assert not (tmp_path / "report.json").exists()
 
@@ -642,12 +642,13 @@ class TestEmptyProtocol:
 
 
 class TestShortWindow:
-    """A window too short for a method exits 2 with one line that names it,
-    before any fold runs."""
+    """A window too short for a method exits 2 with one line that names the
+    input and the window, before any fold runs; where both methods' windows
+    are too short, the riemann window's line comes first."""
 
     @pytest.mark.parametrize("fs_hz, line", [
-        ("8", "error: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"),
-        ("0.5", "error: window [0.1, 0.6] has fewer than 2 samples at fs=0.5"),
+        ("8", "error: {data}: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"),
+        ("0.5", "error: {data}: window [0.1, 0.6] has fewer than 2 samples at fs=0.5"),
     ], ids=["benchmark-window", "riemann-window"])
     def test_exits_2_before_any_fold(self, tmp_path, capsys, monkeypatch, fs_hz, line):
         data, out = tmp_path / "data", tmp_path / "r.json"
@@ -661,7 +662,7 @@ class TestShortWindow:
         assert main(["compare", "--input", str(data), "--out", str(out),
                      "--folds", "2", "--repeats", "1"]) == 2
         captured = capsys.readouterr()
-        assert (captured.out + captured.err).splitlines() == [line]
+        assert (captured.out + captured.err).splitlines() == [line.format(data=data)]
         assert calls == []
         assert not out.exists()
 
@@ -680,7 +681,7 @@ class TestShortWindow:
                      "--folds", "2", "--repeats", "1", "--set", "n_chance_shuffles=2"]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            "error: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"]
+            f"error: {short}: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"]
         assert calls == []
         assert not out.exists()
 
@@ -690,8 +691,8 @@ class TestShrinkage:
     chance level and the folds run."""
 
     @pytest.mark.parametrize("setting, line", [
-        ("shrinkage=0", "error: a 48x48 covariance at shrinkage 0 needs at least 49 samples, "
-                        "got 32"),
+        ("shrinkage=0", "error: {data}: a 48x48 covariance at shrinkage 0 needs at least 49 "
+                        "samples, got 32"),
         ("shrinkage=1.0", "error: shrinkage must be in [0, 1), got 1.0"),
         ("shrinkage=-0.1", "error: shrinkage must be in [0, 1), got -0.1"),
     ], ids=["zero-with-short-window", "one", "negative"])
@@ -707,7 +708,7 @@ class TestShrinkage:
         assert main(["compare", "--chance", "--set", setting, "--set", "n_chance_shuffles=2",
                      "--input", str(data), "--out", str(out), "--folds", "2", "--repeats", "1"]) == 2
         captured = capsys.readouterr()
-        assert (captured.out + captured.err).splitlines() == [line]
+        assert (captured.out + captured.err).splitlines() == [line.format(data=data)]
         assert calls == []
         assert not out.exists()
 
@@ -726,8 +727,28 @@ class TestShrinkage:
                      "--repeats", "1"]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            "error: a 48x48 covariance at shrinkage 0 needs at least 49 samples, got 32"]
+            f"error: {second}: a 48x48 covariance at shrinkage 0 needs at least 49 samples, "
+            "got 32"]
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting, line", [
+        (["run", "--method", "benchmark"], "shrinkage=5",
+         "error: shrinkage must be in [0, 1), got 5"),
+        (["compare"], "shrinkage=1.0", "error: shrinkage must be in [0, 1), got 1.0"),
+        (["chance"], "shrinkage=-0.1", "error: shrinkage must be in [0, 1), got -0.1"),
+    ], ids=["run-benchmark", "compare", "chance"])
+    def test_out_of_range_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, command,
+                                                 setting, line):
+        """Every command checks the shrinkage, whether riemann runs or not."""
+        reads, out = [], tmp_path / "r.json"
+        monkeypatch.setattr(io, "read_epoch_container", lambda path: reads.append(path))
+        capsys.readouterr()
+        assert main([*command, "--set", setting, "--input", str(tmp_path / "missing"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert reads == []
         assert not out.exists()
 
 
@@ -750,7 +771,7 @@ class TestPlanBeforeFolds:
         data, out = synth_tiny(tmp_path), tmp_path / "r.json"
         (data / "labels.bin").write_bytes(bytes(40))  # every trial a success
         self.exits_2([*command, "--input", str(data), "--out", str(out)], capsys, monkeypatch,
-                     "error: labels must hold both classes, got [0]")
+                     f"error: {data}: labels must hold both classes, got [0]")
         assert not out.exists()
 
     def test_later_input_too_small_for_k(self, tmp_path, capsys, monkeypatch):
@@ -760,7 +781,8 @@ class TestPlanBeforeFolds:
                      "--set", "n_trials=12"]) == 0
         self.exits_2(["compare", "--input", str(first), "--input", str(second), "--folds", "8",
                       "--repeats", "3", "--out", str(out)], capsys, monkeypatch,
-                     "error: every class needs at least k=8 epochs, got counts {0: 6, 1: 6}")
+                     f"error: {second}: every class needs at least k=8 epochs, "
+                     "got counts {0: 6, 1: 6}")
         assert not out.exists()
 
 
@@ -925,6 +947,21 @@ class TestOneReport:
         assert sorted(audit["riemann"]) == ["prototype_sha256_failure",
                                             "prototype_sha256_success"]
         assert sorted(audit["benchmark"]) == ["scale"]
+
+
+@pytest.mark.parametrize("command, benchmark_rows", [
+    (["compare", "--chance"], 2), (["chance"], 2), (["run", "--method", "benchmark"], 2),
+    (["run", "--method", "riemann"], 0),
+], ids=["compare-chance", "chance", "run-benchmark", "run-riemann"])
+def test_each_input_is_featurized_once(tiny_container, tmp_path, featurizer_calls, command,
+                                       benchmark_rows):
+    """The audit, the chance level and the benchmark folds share one set of
+    benchmark rows per input, in this process and in the fold workers."""
+    second = synth_tiny(tmp_path, "second", seed=4)
+    assert main([*command, "--input", str(tiny_container), "--input", str(second),
+                 "--folds", "2", "--repeats", "1", "--set", "n_chance_shuffles=2",
+                 "--threads", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert featurizer_calls()["benchmark_features"] == benchmark_rows
 
 
 def test_compare_holds_one_dataset_at_a_time(tmp_path):

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from errpkit import evaluation, features, logreg, parallel
-from errpkit.errors import ErrpkitError, InsufficientData, NumericalFailure, PlanMismatch
+from errpkit.errors import (
+    DimMismatch,
+    ErrpkitError,
+    InsufficientData,
+    NumericalFailure,
+    PlanMismatch,
+)
 from errpkit.evaluation import (
     CVResult,
     FoldPlan,
@@ -28,7 +34,7 @@ from errpkit.evaluation import (
 )
 from errpkit.synth import ErpTemplateSpec, generate_epochs
 
-from conftest import subset
+from conftest import method_rows, subset
 
 TINY = dict(n_channels=3, fs_hz=64.0, pre_s=0.25, post_s=0.75)
 
@@ -117,7 +123,7 @@ class TestRunCV:
         es = tiny_dataset(seed=4, frn=-40.0, noise=6.0)
         plan = make_fold_plan(es.labels, k=5, r=2, seed=5)
         for method in ("riemann", "benchmark"):
-            res = run_cv(es, method, plan)
+            res = run_cv(method_rows(es, method), es.labels, method, plan)
             assert res.accuracies.size == 10
             assert res.accuracies.mean() >= 0.95
 
@@ -127,36 +133,36 @@ class TestRunCV:
         shuffled = type(es)(es.data, rng.permutation(es.labels), es.fs_hz,
                             es.t0_offset_s, list(es.channels))
         plan = make_fold_plan(shuffled.labels, k=5, r=4, seed=8)
-        res = run_cv(shuffled, "benchmark", plan)
+        res = run_cv(method_rows(shuffled, "benchmark"), shuffled.labels, "benchmark", plan)
         assert 0.3 <= res.accuracies.mean() <= 0.7
 
     def test_permuted_storage_with_matching_plan_identical(self):
         es = tiny_dataset(seed=9)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=10)
-        base = run_cv(es, "riemann", plan)
+        base = run_cv(method_rows(es, "riemann"), es.labels, "riemann", plan)
 
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(es))
         es2 = subset(es, perm)
         plan2 = FoldPlan(plan.k, plan.assignments[:, perm], plan.seed)
-        moved = run_cv(es2, "riemann", plan2)
+        moved = run_cv(method_rows(es2, "riemann"), es2.labels, "riemann", plan2)
         assert np.array_equal(base.accuracies, moved.accuracies)
 
     def test_thread_count_does_not_change_result(self):
         es = tiny_dataset(seed=12)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=13)
-        r1 = run_cv(es, "benchmark", plan, n_workers=1)
-        r2 = run_cv(es, "benchmark", plan, n_workers=3)
+        rows = features.benchmark_features(es)
+        r1 = run_cv(rows, es.labels, "benchmark", plan, n_workers=1)
+        r2 = run_cv(rows, es.labels, "benchmark", plan, n_workers=3)
         assert np.array_equal(r1.accuracies, r2.accuracies)
 
     @pytest.mark.parametrize("method", ["riemann", "benchmark"])
     def test_fold_accuracy_is_pure_function_of_split(self, method):
         es = tiny_dataset(seed=14)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=15)
-        res = run_cv(es, method, plan)
+        rows = method_rows(es, method)
+        res = run_cv(rows, es.labels, method, plan)
         hp = Hyperparams()
-        rows = (features.riemann_windows(es) if method == "riemann"
-                else features.benchmark_features(es))
         for fold in range(4):
             mask = plan.assignments[0] == fold
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
@@ -193,58 +199,66 @@ class TestRunCV:
                     accs.append(oracle_accuracy(xtr, labels[tr], xte, labels[te], hp))
             return np.array(accs)
 
-        for method in ("riemann", "benchmark"):
-            rows = (features.riemann_windows(es) if method == "riemann"
-                    else features.benchmark_features(es))
-            res = run_cv(es, method, plan, n_workers=n_workers)
-            assert np.array_equal(res.accuracies, oracle(rows, es.labels, method, plan))
-        chance = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2, n_workers=n_workers)
-        rows = features.benchmark_features(es)
+        rows = {method: method_rows(es, method) for method in evaluation.METHODS}
+        for method in evaluation.METHODS:
+            res = run_cv(rows[method], es.labels, method, plan, n_workers=n_workers)
+            assert np.array_equal(res.accuracies, oracle(rows[method], es.labels, method, plan))
+        chance = chance_level(rows["benchmark"], es.labels, plan_seed=36, n_shuffles=3, k=4, r=2,
+                              n_workers=n_workers)
         for s in range(3):
             labels = np.random.default_rng([36, s]).permutation(es.labels)
             plan = make_fold_plan(labels, k=4, r=2, seed=derive_seed(36, s, 1))
             assert chance.per_shuffle_mean_accuracies[s] == oracle(
-                rows, labels, "benchmark", plan).mean()
+                rows["benchmark"], labels, "benchmark", plan).mean()
 
-    def test_benchmark_features_computed_once_per_call(self, monkeypatch):
-        calls = []
-
-        def counted(name):
-            original = getattr(features, name)
-
-            def wrapper(es, *args, **kwargs):
-                calls.append((name, len(es)))
-                return original(es, *args, **kwargs)
-
-            monkeypatch.setattr(features, name, wrapper)
-
-        counted("benchmark_features")
-        counted("riemann_windows")
+    def test_benchmark_features_computed_once_per_call(self, featurizer_calls):
+        """The caller computes each method's rows once; run_cv computes none,
+        in this process or in its workers."""
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=3, seed=19)
-        run_cv(es, "benchmark", plan, n_workers=2)
-        assert calls == [("benchmark_features", len(es))]
-        run_cv(es, "riemann", plan, n_workers=2)
-        assert calls == [("benchmark_features", len(es)), ("riemann_windows", len(es))]
+        rows = {method: method_rows(es, method) for method in evaluation.METHODS}
+        for method, n_workers in itertools.product(evaluation.METHODS, (1, 2)):
+            run_cv(rows[method], es.labels, method, plan, n_workers=n_workers)
+        assert featurizer_calls() == {"riemann_windows": 1, "benchmark_features": 1}
+
+    @pytest.mark.parametrize("method, rows_of, line", [
+        ("riemann", features.benchmark_features,
+         "riemann rows must be (n, c, w), got shape (40, 24)"),
+        ("benchmark", features.riemann_windows,
+         "benchmark rows must be (n, p), got shape (40, 3, 32)"),
+    ], ids=["riemann", "benchmark"])
+    def test_rows_of_the_other_method_rejected(self, method, rows_of, line):
+        es = tiny_dataset(seed=16)
+        plan = make_fold_plan(es.labels, k=4, r=1, seed=17)
+        with pytest.raises(DimMismatch) as info:
+            run_cv(rows_of(es), es.labels, method, plan)
+        assert str(info.value) == line
+
+    @pytest.mark.parametrize("method", evaluation.METHODS)
+    def test_labels_of_another_length_rejected(self, method):
+        es = tiny_dataset(seed=16)
+        plan = make_fold_plan(es.labels, k=4, r=1, seed=17)
+        with pytest.raises(DimMismatch, match="^39 labels for 40 rows$"):
+            run_cv(method_rows(es, method), es.labels[:-1], method, plan)
 
     def test_plan_size_mismatch(self):
         es = tiny_dataset(seed=16)
         plan = make_fold_plan(np.arange(20) % 2, k=4, r=1, seed=17)
         with pytest.raises(PlanMismatch):
-            run_cv(es, "benchmark", plan)
+            run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):
         es = tiny_dataset(seed=16)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=17)
         with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {threads}"):
-            run_cv(es, "benchmark", plan, n_workers=threads)
+            run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan, n_workers=threads)
 
     def test_nonconverged_folds_warn_once(self, caplog, one_newton_step):
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=19)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
-            res = run_cv(es, "benchmark", plan)
+            res = run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan)
         [record] = caplog.records
         assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
         msg = record.getMessage()
@@ -259,14 +273,14 @@ class TestRunCV:
         plan = make_fold_plan(es.labels, k=10, r=10, seed=3)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
             for method in ("benchmark", "riemann"):
-                run_cv(es, method, plan)
+                run_cv(method_rows(es, method), es.labels, method, plan)
         assert caplog.records == []
 
     def test_converged_folds_do_not_warn(self, caplog):
         es = tiny_dataset(seed=18)
         plan = make_fold_plan(es.labels, k=4, r=1, seed=19)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
-            run_cv(es, "benchmark", plan)
+            run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan)
         assert caplog.records == []
 
 
@@ -315,7 +329,8 @@ class TestFoldRunner:
         raised = []
         for n_workers in (1, 2):
             with pytest.raises(NumericalFailure) as info:
-                run_cv(es, "benchmark", plan, n_workers=n_workers)
+                run_cv(features.benchmark_features(es), es.labels, "benchmark", plan,
+                       n_workers=n_workers)
             raised.append((type(info.value), str(info.value)))
             assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
@@ -347,7 +362,7 @@ class TestFoldRunner:
         es = tiny_dataset(seed=23)
         plan = make_fold_plan(es.labels, k=4, r=25, seed=24)
         with pytest.raises(NumericalFailure, match=r"^\(repeat 0, fold 0\): planted failure$"):
-            run_cv(es, "benchmark", plan, n_workers=2)
+            run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan, n_workers=2)
         assert multiprocessing.active_children() == []
         # a job runs a repeat's 4 folds, 3 jobs a chunk, 3 chunks in flight:
         # only skipping the rest keeps the other worker from running all 12
@@ -366,7 +381,7 @@ class TestFoldRunner:
         es = tiny_dataset(seed=25)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=26)
         with pytest.raises(ErrpkitError, match="^a fold worker process died: "):
-            run_cv(es, "benchmark", plan, n_workers=2)
+            run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan, n_workers=2)
         assert multiprocessing.active_children() == []
 
     def test_pool_never_larger_than_cpu_count(self, monkeypatch):
@@ -378,12 +393,15 @@ class TestFoldRunner:
         es = tiny_dataset(seed=27)
         # a job runs a whole repeat of these small folds: 3 repeats, 3 jobs
         plan = make_fold_plan(es.labels, k=4, r=3, seed=28)
-        pooled = run_cv(es, "benchmark", plan, n_workers=10_000)
-        chance_level(es, plan_seed=29, n_shuffles=3, k=4, r=1, n_workers=10_000)
+        rows = features.benchmark_features(es)
+        pooled = run_cv(rows, es.labels, "benchmark", plan, n_workers=10_000)
+        chance_level(rows, es.labels, plan_seed=29, n_shuffles=3, k=4, r=1, n_workers=10_000)
         assert InProcessPool.sizes == [3, 3]
-        assert np.array_equal(pooled.accuracies, run_cv(es, "benchmark", plan).accuracies)
+        assert np.array_equal(pooled.accuracies,
+                              run_cv(rows, es.labels, "benchmark", plan).accuracies)
         # never more workers than jobs
-        run_cv(es, "benchmark", make_fold_plan(es.labels, k=2, r=2, seed=30), n_workers=10_000)
+        run_cv(rows, es.labels, "benchmark", make_fold_plan(es.labels, k=2, r=2, seed=30),
+               n_workers=10_000)
         assert InProcessPool.sizes == [3, 3, 2]
 
     def test_one_worker_constructs_no_executor(self, monkeypatch):
@@ -393,8 +411,9 @@ class TestFoldRunner:
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         es = tiny_dataset(seed=31)
         plan = make_fold_plan(es.labels, k=4, r=2, seed=32)
-        run_cv(es, "riemann", plan, n_workers=1)
-        chance_level(es, plan_seed=33, n_shuffles=2, k=4, r=1, n_workers=1)
+        run_cv(method_rows(es, "riemann"), es.labels, "riemann", plan, n_workers=1)
+        chance_level(features.benchmark_features(es), es.labels, plan_seed=33, n_shuffles=2,
+                     k=4, r=1, n_workers=1)
         assert multiprocessing.active_children() == []
 
 
@@ -545,11 +564,12 @@ class TestChanceLevel:
         labels = np.arange(300) % 2
         spec = ErpTemplateSpec(frn_amp_uv=-20.0, p3a_amp_uv=0.0, noise_rms_uv=8.0)
         es = generate_epochs(labels, spec, seed=17, **TINY)
-        ch1 = chance_level(es, plan_seed=18, n_shuffles=30, k=5, r=1)
+        rows = features.benchmark_features(es)
+        ch1 = chance_level(rows, es.labels, plan_seed=18, n_shuffles=30, k=5, r=1)
         assert 0.47 <= ch1.mean_accuracy <= 0.53
         assert ch1.threshold_97_5 >= ch1.mean_accuracy - 1e-6
         assert ch1.per_shuffle_mean_accuracies.size == 30
-        ch2 = chance_level(es, plan_seed=18, n_shuffles=30, k=5, r=1)
+        ch2 = chance_level(rows, es.labels, plan_seed=18, n_shuffles=30, k=5, r=1)
         assert np.array_equal(ch1.per_shuffle_mean_accuracies,
                               ch2.per_shuffle_mean_accuracies)
         assert ch1.threshold_97_5 == ch2.threshold_97_5
@@ -558,26 +578,34 @@ class TestChanceLevel:
     def test_thread_count_below_one_rejected(self, threads):
         es = tiny_dataset(seed=19)
         with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {threads}"):
-            chance_level(es, plan_seed=20, n_shuffles=2, k=4, r=1, n_workers=threads)
+            chance_level(features.benchmark_features(es), es.labels, plan_seed=20,
+                         n_shuffles=2, k=4, r=1, n_workers=threads)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_benchmark_features_computed_once_per_call(self, monkeypatch, n_workers):
-        calls = []
-        original = features.benchmark_features
-
-        def counted(es, *args, **kwargs):
-            calls.append(len(es))
-            return original(es, *args, **kwargs)
-
-        monkeypatch.setattr(features, "benchmark_features", counted)
+    def test_benchmark_features_computed_once_per_call(self, featurizer_calls, n_workers):
+        """The caller computes the rows once; chance_level computes none, in
+        this process or in its workers."""
         es = tiny_dataset(seed=34)
-        chance_level(es, plan_seed=35, n_shuffles=4, k=4, r=2, n_workers=n_workers)
-        assert calls == [len(es)]
+        rows = features.benchmark_features(es)
+        chance_level(rows, es.labels, plan_seed=35, n_shuffles=4, k=4, r=2, n_workers=n_workers)
+        assert featurizer_calls() == {"riemann_windows": 0, "benchmark_features": 1}
+
+    @pytest.mark.parametrize("labels, rows_of, line", [
+        (slice(-1), features.benchmark_features, "39 labels for 40 rows"),
+        (slice(None), features.riemann_windows,
+         "benchmark rows must be (n, p), got shape (40, 3, 32)"),
+    ], ids=["labels-of-another-length", "riemann-rows"])
+    def test_rows_checked(self, labels, rows_of, line):
+        es = tiny_dataset(seed=34)
+        with pytest.raises(DimMismatch) as info:
+            chance_level(rows_of(es), es.labels[labels], plan_seed=35, n_shuffles=2, k=4, r=1)
+        assert str(info.value) == line
 
     def test_nonconverged_folds_warn_once(self, caplog, one_newton_step):
         es = tiny_dataset(seed=18)
         with caplog.at_level("WARNING", logger="errpkit.evaluation"):
-            ch = chance_level(es, plan_seed=36, n_shuffles=3, k=4, r=2)
+            ch = chance_level(features.benchmark_features(es), es.labels, plan_seed=36,
+                              n_shuffles=3, k=4, r=2)
         [record] = caplog.records
         assert record.levelname == "WARNING" and record.name == "errpkit.evaluation"
         msg = record.getMessage()
@@ -589,7 +617,8 @@ class TestChanceLevel:
     def test_no_shuffles_rejected(self, n_shuffles):
         es = tiny_dataset(seed=19)
         with pytest.raises(ValueError, match="need at least 1 chance shuffle"):
-            chance_level(es, plan_seed=20, n_shuffles=n_shuffles, k=4, r=1)
+            chance_level(features.benchmark_features(es), es.labels, plan_seed=20,
+                         n_shuffles=n_shuffles, k=4, r=1)
 
 
 class TestTails:
