@@ -82,23 +82,6 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _plan_block(plan: evaluation.FoldPlan) -> dict:
-    return {
-        "seed": plan.seed,
-        "k": plan.k,
-        "r": plan.r,
-        "assignments_sha256": io.sha256_hex(plan.assignments.astype(np.float64)),
-    }
-
-
-def _method_block(res: evaluation.CVResult) -> dict:
-    return {
-        "accuracies": res.accuracies,
-        "mean": float(res.accuracies.mean()),
-        "median": float(np.median(res.accuracies)),
-    }
-
-
 def _audit_blocks(es: EpochSet, hp: evaluation.Hyperparams,
                   methods) -> tuple[dict, np.ndarray | None]:
     """Whole-dataset featurizer provenance for each method that ran, and the
@@ -171,12 +154,15 @@ def cmd_evaluate(args) -> int:
     null: ``t_test`` needs both methods, ``permutation_test`` needs both
     methods on at least two datasets.  Every file it writes, the report and
     with ``emit_erp`` the CSVs beside it, and every setting are checked before
-    any input is read.  A check pass keeps each input's plan, audit and, where
-    the benchmark or the chance level runs, benchmark rows, not its samples, so
-    a bad later input exits 2 before any fold, with a line that starts with its
+    any input is read.  A check pass reads each input once and builds its
+    report block: path, shape, plan and audit.  Beside the block it keeps the
+    plan, the labels, the benchmark rows where the benchmark or the chance
+    level runs, and with ``emit_erp`` the ERP table, not the samples, so a bad
+    later input exits 2 before any fold, with a line that starts with its
     path.  The rows are computed once per input: the audit's ``scale``, the
     chance level and the benchmark folds all read them.  An evaluate pass then
-    reads, evaluates and drops one input at a time, keeping only its ERP table.
+    fills in each block's ``chance``, ``methods`` and ``t_test``; only the
+    riemann folds read a container again, for its windows.
     """
     t_start = time.perf_counter()
     out = Path(args.out)
@@ -193,7 +179,7 @@ def cmd_evaluate(args) -> int:
     cfg.update(seed=seed, folds=k, repeats=r)  # the report's config is what ran
     hp = from_config(evaluation.Hyperparams, cfg)
 
-    checked = []  # per input: its plan, its audit and its benchmark rows or None
+    inputs, erps = [], []  # per input: (block, plan, labels, benchmark rows or None); ERP tables
     for d, in_path in enumerate(args.input):
         try:
             es = io.read_epoch_container(in_path)
@@ -204,41 +190,43 @@ def cmd_evaluate(args) -> int:
                 rows = features.benchmark_features(es)
         except (InvalidInput, OSError, ValueError) as exc:
             raise type(exc)(f"{in_path}: {exc}") from exc
-        checked.append((plan, audit, rows))
-        del es
-    dataset_blocks, pairs, erps = [], [], []
-    for d_index, (in_path, (plan, audit, rows)) in enumerate(zip(args.input, checked)):
-        es = io.read_epoch_container(in_path)
-        chance = None
-        if args.chance:
-            chance = asdict(evaluation.chance_level(
-                rows, es.labels, plan_seed=evaluation.derive_seed(seed, d_index, 0xC),
-                n_shuffles=shuffles, k=k, r=r, hyperparams=hp, n_workers=threads,
-            ))
-        results = {
-            method: evaluation.run_cv(
-                rows if method == "benchmark" else features.riemann_windows(es), es.labels,
-                method, plan, hp, n_workers=threads)
-            for method in args.methods
-        }
-        ttest = None
-        if len(results) == len(evaluation.METHODS):
-            pairs.append((results["riemann"], results["benchmark"]))
-            ttest = asdict(evaluation.corrected_t_test(*pairs[-1]))
-        dataset_blocks.append({
+        block = {
             "path": str(in_path),
             "n_trials": len(es),
             "n_channels": es.n_channels,
             "fs_hz": float(es.fs_hz),
-            "plan": _plan_block(plan),
-            "methods": {m: _method_block(res) for m, res in results.items()},
-            "t_test": ttest,
-            "chance": chance,
+            "plan": {"seed": plan.seed, "k": plan.k, "r": plan.r,
+                     "assignments_sha256": io.sha256_hex(plan.assignments.astype(np.float64))},
+            "methods": {},
+            "t_test": None,
+            "chance": None,
             "audit": audit,
-        })
+        }
+        inputs.append((block, plan, es.labels, rows))
         if args.emit_erp:
             erps.append(_erp_table(es))
         del es
+    pairs = []
+    for d, (block, plan, labels, rows) in enumerate(inputs):
+        if args.chance:
+            block["chance"] = asdict(evaluation.chance_level(
+                rows, labels, plan_seed=evaluation.derive_seed(seed, d, 0xC),
+                n_shuffles=shuffles, k=k, r=r, hyperparams=hp, n_workers=threads,
+            ))
+        results = {
+            method: evaluation.run_cv(
+                rows if method == "benchmark"
+                else features.riemann_windows(io.read_epoch_container(block["path"])),
+                labels, method, plan, hp, n_workers=threads)
+            for method in args.methods
+        }
+        block["methods"] = {m: {"accuracies": res.accuracies, "mean": float(res.accuracies.mean()),
+                                "median": float(np.median(res.accuracies))}
+                            for m, res in results.items()}
+        if len(results) == len(evaluation.METHODS):
+            pairs.append((results["riemann"], results["benchmark"]))
+            block["t_test"] = asdict(evaluation.corrected_t_test(*pairs[-1]))
+    blocks = [block for block, *_ in inputs]
 
     perm = None
     if len(pairs) >= 2:
@@ -253,14 +241,14 @@ def cmd_evaluate(args) -> int:
         },
         "config": cfg,
         "seed": seed,
-        "datasets": dataset_blocks,
+        "datasets": blocks,
         "permutation_test": perm,
     })
     if args.emit_erp:  # beside the report, in the directory write_report made
         for path, table in zip(csvs, erps):
             _write_erp_csv(path, *table)
-        _write_accuracy_csv(csvs[-1], dataset_blocks)
-    for block in dataset_blocks:
+        _write_accuracy_csv(csvs[-1], blocks)
+    for block in blocks:
         print(_summary_line(block))
     if perm is not None:
         print(f"across datasets: z={perm['z']:.3f}, p={perm['p']:.3e}")

@@ -17,10 +17,10 @@ worker processes.  A job is a block of :func:`parallel.blocks` of
 consecutive folds of one repeat of one labelling, whose items are the
 folds' training features; it fits the classifiers of its folds of equal
 training shape as one stack with :func:`logreg.fit_many`, which gives each
-the bits of its own fit.  The workers inherit the rows, labels, plans and hyperparameters in memory and
-send back only each fold's accuracy and classifier convergence.  Results
-are placed by job index, and jobs do not depend on the worker count, so
-neither do the results.
+the bits of its own fit.  The workers inherit the rows, labels, plans and
+hyperparameters in memory and send back only each fold's accuracy and
+classifier convergence.  Results are placed by job index, and jobs do not
+depend on the worker count, so neither do the results.
 """
 from __future__ import annotations
 

@@ -87,9 +87,15 @@ def _load_json(path: Path):
 
 def _label_problems(labels, manifest: dict, what: str) -> list[str]:
     """A line naming the codes among ``labels`` that the manifest's
-    ``label_codes`` does not declare, if any."""
-    bad = sorted(set(labels) - {int(code) for code in manifest["label_codes"]})
-    return [f"{what} contains undeclared codes {bad}"] if bad else []
+    ``label_codes`` does not declare, if any, and one naming the declared codes
+    among them that are neither success nor failure, if any."""
+    declared, found = {int(code) for code in manifest["label_codes"]}, set(labels)
+    problems = []
+    if undeclared := sorted(found - declared):
+        problems.append(f"{what} contains undeclared codes {undeclared}")
+    if other := sorted((found & declared) - set(LABEL_NAMES)):
+        problems.append(f"{what} contains codes {other} that are neither success nor failure")
+    return problems
 
 
 def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
@@ -225,14 +231,18 @@ def write_continuous_container(path, rec: ContinuousRecording, event_labels) -> 
 
 def _event_problems(events, manifest: dict) -> list[str]:
     """The violations of the ``events.json`` document ``events``: its type, the
-    fields of the first malformed event, or labels the manifest does not declare."""
+    fields of the first malformed event, or the first event past the end of
+    the recording and labels that are not declared success/failure codes."""
     if not isinstance(events, list):
         return [f"{EVENTS_NAME} is not a JSON list"]
     for i, event in enumerate(events):
         problems = _field_problems(event, _EVENT_FIELDS, f"event {i}")
         if problems:
             return problems
-    return _label_problems([e["label"] for e in events], manifest, "event field 'label'")
+    n = manifest["n_samples"]
+    late = [f"event {i} field 'sample' is {e['sample']}, outside recording of {n} samples"
+            for i, e in enumerate(events) if e["sample"] >= n][:1]
+    return late + _label_problems([e["label"] for e in events], manifest, "event field 'label'")
 
 
 def _inspect_continuous_container(path: Path) -> tuple[list[str], dict | None,

@@ -32,6 +32,7 @@ bytes do not depend on the worker count.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,8 +53,12 @@ NOTCH_Q = 35.0
 
 
 def sample_index(t: float, t0: float, fs: float) -> int:
-    """Half-up rounding of (t - t0) * fs; the package-wide time-to-index rule."""
-    return int(np.floor((t - t0) * fs + 0.5))
+    """Half-up rounding of (t - t0) * fs; the package-wide time-to-index rule.
+    A product that is not finite raises :class:`InvalidWindow`."""
+    x = (t - t0) * fs
+    if not math.isfinite(x):
+        raise InvalidWindow(f"time {t} s from {t0} s at {fs} Hz gives no finite sample index")
+    return int(np.floor(x + 0.5))
 
 
 def _stored(data) -> np.ndarray:
@@ -138,7 +143,22 @@ class EpochSet:
 
 def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
     # reflect padding of 3*order/lo_hz seconds, capped by the signal length
-    return int(min(n_samples - 1, round(3.0 * order * fs / lo_hz)))
+    pad = 3.0 * order * fs / lo_hz
+    if not math.isfinite(pad):
+        raise InvalidFilterSpec(f"filter edge {lo_hz} Hz is too low for fs={fs}")
+    return int(min(n_samples - 1, round(pad)))
+
+
+def _solvable(sos: np.ndarray, what: str) -> np.ndarray:
+    """``sos``, once the initial-state solve that ``sosfiltfilt`` makes on it
+    succeeds; a singular one raises :class:`InvalidFilterSpec` naming ``what``."""
+    from scipy import signal
+
+    try:
+        signal.sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        raise InvalidFilterSpec(f"{what} gives a filter whose initial state is singular") from None
+    return sos
 
 
 def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
@@ -176,8 +196,9 @@ def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
         )
     from scipy import signal
 
+    padlen = _padlen(4, lo_hz, rec.fs_hz, rec.n_samples)
     sos = signal.butter(2,[lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz, output="sos")
-    return sos, _padlen(4, lo_hz, rec.fs_hz, rec.n_samples)
+    return _solvable(sos, f"bandpass [{lo_hz}, {hi_hz}] Hz at fs={rec.fs_hz}"), padlen
 
 
 def _notch_stage(rec: ContinuousRecording, freq_hz: float):
@@ -185,8 +206,9 @@ def _notch_stage(rec: ContinuousRecording, freq_hz: float):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
     from scipy import signal
 
+    padlen = _padlen(2, freq_hz, rec.fs_hz, rec.n_samples)
     b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)
-    return signal.tf2sos(b, a), _padlen(2, freq_hz, rec.fs_hz, rec.n_samples)
+    return _solvable(signal.tf2sos(b, a), f"notch {freq_hz} Hz at fs={rec.fs_hz}"), padlen
 
 
 def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
@@ -258,7 +280,7 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     0.4 * target rate) for rows of ``n_samples`` at ``fs``, and the samples
     ``keep`` of each filtered row: every factor-th."""
     factor = fs / target_fs_hz
-    if abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
+    if not math.isfinite(factor) or abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
         raise InvalidResampleFactor(
             f"fs {fs} / target {target_fs_hz} = {factor} is not a positive integer"
         )
@@ -266,9 +288,10 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     cutoff = 0.4 * target_fs_hz
     from scipy import signal
 
+    padlen = _padlen(8, cutoff, fs, n_samples)
     sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
     keep = slice(None, n_samples // factor * factor, factor)
-    return (sos, _padlen(8, cutoff, fs, n_samples)), keep
+    return (_solvable(sos, f"anti-alias lowpass at {cutoff} Hz for fs={fs}"), padlen), keep
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ class TestSynthErrors:
         (["n_channels=0"], "error: n_channels must be at least 1, got 0"),
         (["fs_hz=0"], "error: fs_hz must be positive, got 0"),
         (["fs_hz=0.1"], "error: fs_hz must give at least one sample per epoch, got 0.1"),
+        (["fs_hz=1.7e308"],
+         "error: time 2.0 s from -0.5 s at 1.7e+308 Hz gives no finite sample index"),
         (["label_source=random"],
          "error: label_source must be 'balanced' or 'staircase', got 'random'"),
         (["psy_threshold_alpha=0"], "error: unknown config field 'psy_threshold_alpha' in --set"),
@@ -114,7 +116,7 @@ class TestSynthErrors:
         (["noise_rms_uv=NaN"],
          "error: config field 'noise_rms_uv' in --set must hold finite numbers only, got NaN"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
-            "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "label_source",
+            "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
             "frn_amp_uv-nan", "noise_rms_uv-nan"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
@@ -949,19 +951,24 @@ class TestOneReport:
         assert sorted(audit["benchmark"]) == ["scale"]
 
 
-@pytest.mark.parametrize("command, benchmark_rows", [
-    (["compare", "--chance"], 2), (["chance"], 2), (["run", "--method", "benchmark"], 2),
-    (["run", "--method", "riemann"], 0),
+@pytest.mark.parametrize("command, benchmark_rows, reads", [
+    (["compare", "--chance"], 2, 4), (["chance"], 2, 2), (["run", "--method", "benchmark"], 2, 2),
+    (["run", "--method", "riemann"], 0, 4),
 ], ids=["compare-chance", "chance", "run-benchmark", "run-riemann"])
-def test_each_input_is_featurized_once(tiny_container, tmp_path, featurizer_calls, command,
-                                       benchmark_rows):
+def test_each_input_is_featurized_once(tiny_container, tmp_path, featurizer_calls, monkeypatch,
+                                       command, benchmark_rows, reads):
     """The audit, the chance level and the benchmark folds share one set of
-    benchmark rows per input, in this process and in the fold workers."""
+    benchmark rows per input, in this process and in the fold workers.  Each
+    input is read once, and once more only for the riemann folds."""
     second = synth_tiny(tmp_path, "second", seed=4)
+    paths, original = [], io.read_epoch_container
+    monkeypatch.setattr(io, "read_epoch_container",
+                        lambda path: paths.append(path) or original(path))
     assert main([*command, "--input", str(tiny_container), "--input", str(second),
                  "--folds", "2", "--repeats", "1", "--set", "n_chance_shuffles=2",
                  "--threads", "2", "--out", str(tmp_path / "r.json")]) == 0
     assert featurizer_calls()["benchmark_features"] == benchmark_rows
+    assert len(paths) == reads, paths
 
 
 def test_compare_holds_one_dataset_at_a_time(tmp_path):
@@ -1109,6 +1116,16 @@ class TestMalformedContainers:
             assert line.startswith(("error: ", "violation: ")) and len(line) < 200, line
             assert repr(key) in line
 
+    @pytest.mark.parametrize("command", ["compare", "chance"])
+    def test_far_epoch_start_exits_2_with_one_line(self, tmp_path, capsys, command):
+        path = synth_tiny(tmp_path, "far")
+        _set_field(path / "manifest.json", "t0_offset_s", -1e308)
+        capsys.readouterr()
+        assert main([command, "--input", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"error: {path}: time 0.1 s from -1e+308 s at 64.0 Hz gives no finite sample index"]
+
     @pytest.mark.parametrize("kind, name", [
         ("continuous", "manifest.json"),
         ("continuous", "events.json"),
@@ -1153,6 +1170,33 @@ class TestPreprocess:
         assert reads == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, line", [
+        ("epoch_pre_s=1e308",
+         "error: time 1e+308 s from 0.0 s at 2048.0 Hz gives no finite sample index"),
+        ("epoch_post_s=1e307",
+         "error: time 1e+307 s from 0.0 s at 2048.0 Hz gives no finite sample index"),
+        ("baseline_window_s=[-1e308, 0.0]",
+         "error: time -1e+308 s from -0.5 s at 2048.0 Hz gives no finite sample index"),
+        ("target_fs_hz=1e-320", "error: fs 2048.0 / target 1e-320 = inf is not a positive integer"),
+        ("bandpass_lo_hz=1e-320", "error: filter edge 1e-320 Hz is too low for fs=2048.0"),
+        ("notch_hz=[1e-320]", "error: filter edge 1e-320 Hz is too low for fs=2048.0"),
+        ("bandpass_lo_hz=1e-300", "error: bandpass [1e-300, 100.0] Hz at fs=2048.0 gives a "
+                                  "filter whose initial state is singular"),
+        ("notch_hz=[1e-300]",
+         "error: notch 1e-300 Hz at fs=2048.0 gives a filter whose initial state is singular"),
+        ("target_fs_hz=1.862645149230957e-09",  # fs / 2**40
+         "error: anti-alias lowpass at 7.450580596923829e-10 Hz for fs=2048.0 gives a filter "
+         "whose initial state is singular"),
+    ], ids=["pre-huge", "post-huge", "baseline-huge", "target-tiny", "bandpass-lo-tiny",
+            "notch-tiny", "bandpass-lo-singular", "notch-singular", "lowpass-singular"])
+    def test_extreme_setting_exits_2_with_one_line(self, tmp_path, capsys, setting, line):
+        raw, out = make_raw(tmp_path), tmp_path / "ep"
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--set", setting, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
+
     def test_full_pipeline_shapes(self, tmp_path):
         raw = make_raw(tmp_path)
         out = tmp_path / "epochs"
@@ -1183,7 +1227,9 @@ class TestPreprocess:
         ("manifest.json", "channel_names", ["Fz", "Cz"],
          "error: channel_names has 2 entries, expected 3"),
         ("events.json", "label", 7, "error: event field 'label' contains undeclared codes [7]"),
-    ], ids=["no-data", "fs_hz-0", "channel-count", "event-label"])
+        ("events.json", "sample", 10**9,
+         "error: event 1 field 'sample' is 1000000000, outside recording of 30720 samples"),
+    ], ids=["no-data", "fs_hz-0", "channel-count", "event-label", "event-past-the-end"])
     def test_malformed_container_exits_2_before_filtering(self, tmp_path, capsys, monkeypatch,
                                                           name, key, value, line):
         raw = make_raw(tmp_path)

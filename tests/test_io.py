@@ -104,6 +104,18 @@ class TestEpochContainer:
         problems = validate_container(path)
         assert any("7" in p for p in problems)
 
+    def test_declared_label_neither_success_nor_failure_listed(self, tmp_path, small_set):
+        path = write_epoch_container(tmp_path / "c", small_set)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["label_codes"]["2"] = "other"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "labels.bin").write_bytes(bytes([0, 1, 2, 0]))
+        assert validate_container(path) == [
+            "labels file contains codes [2] that are neither success nor failure"]
+        with pytest.raises(ContainerError, match=r"^labels file contains codes \[2\] that are "
+                                                 r"neither success nor failure$"):
+            read_epoch_container(path)
+
     def test_missing_manifest(self, tmp_path):
         assert validate_container(tmp_path) == ["missing manifest.json"]
 
@@ -126,6 +138,17 @@ class TestContinuousContainer:
         assert np.array_equal(back.data, data)
         assert back.events == [(100, 1), (300, 1)]
         assert labels == [0, 1]
+
+    def test_event_past_the_end_listed(self, tmp_path):
+        rec = ContinuousRecording(512.0, ["a", "b", "c"], np.zeros((3, 500)), [(100, 1), (300, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0, 1])
+        events = json.loads((path / "events.json").read_text())
+        events[1]["sample"] = 10**9
+        (path / "events.json").write_text(json.dumps(events))
+        line = "event 1 field 'sample' is 1000000000, outside recording of 500 samples"
+        assert validate_container(path) == [line]
+        with pytest.raises(ContainerError, match=f"^{line}$"):
+            read_continuous_container(path)
 
     def test_nonfinite_samples_rejected(self, tmp_path, monkeypatch):
         data = np.zeros((3, 500))
