@@ -18,8 +18,6 @@ every chance shuffle) indexes them.
 
 Run:  python3 demos/04_method_comparison.py   (a few seconds)
 """
-import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
-
 import numpy as np
 
 from errpkit.evaluation import (

@@ -12,14 +12,20 @@ import it on use, so cross-validation, the statistics and the command
 line load no scipy module.
 """
 import os
+import sys
 
 # One BLAS thread per process: the worker processes of ``parallel``, which
 # run the folds of ``evaluation`` and the filter jobs of ``preprocessing``,
-# are the package's only parallelism.  A value the caller set wins, and none
-# of this has an effect once numpy is loaded.
+# are the package's only parallelism.  An OPENBLAS_NUM_THREADS the caller set
+# wins.  The variables pin a BLAS loaded after this; ``parallel._pin_blas``
+# sets the BLAS of a numpy loaded before, and forked workers inherit that.
+_numpy_first = "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-del _var
+if _numpy_first:
+    from .parallel import _pin_blas
+    _pin_blas()
+del _var, _numpy_first
 
 from .errors import (
     DegenerateTrainingSet,

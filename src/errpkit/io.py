@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidWindow
 from .labels import LABEL_NAMES
-from .preprocessing import ContinuousRecording, EpochSet
+from .preprocessing import ContinuousRecording, EpochSet, sample_index
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -174,9 +174,10 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
                         f"newer than the supported {FORMAT_VERSION}")
     if manifest["fs_hz"] <= 0:
         problems.append("fs_hz must be positive")
+    for key in ("n_channels", "n_samples"):
+        if manifest[key] < 1:
+            problems.append(f"manifest field {key!r} must be at least 1, got {manifest[key]}")
     n_names, c = len(manifest["channel_names"]), manifest["n_channels"]
-    if c < 1:
-        problems.append(f"manifest field 'n_channels' must be at least 1, got {c}")
     if n_names != c:
         problems.append(f"channel_names has {n_names} entries, expected {c}")
 
@@ -203,6 +204,10 @@ def _inspect_epoch_container(path: Path
                                         ("n_trials", "n_channels", "n_samples"))
     if manifest is None:
         return problems, None, None, None
+    try:  # the event's sample, by the rule every window is placed with
+        sample_index(0.0, manifest["t0_offset_s"], manifest["fs_hz"])
+    except InvalidWindow as exc:
+        problems.append(f"manifest field 't0_offset_s': {exc}")
     lpath, raw = path / LABELS_NAME, None
     if not lpath.is_file():
         problems.append(f"missing {LABELS_NAME}")

@@ -13,8 +13,9 @@ many items as fit in :data:`_BLOCK_BYTES`, and at least one.
 :func:`map_blocks` runs a function on each block into one output array,
 as jobs of :func:`map_jobs`, in this process for small inputs.
 
-``errpkit/__init__.py`` pins BLAS to one thread, so these workers are the
-package's only parallelism.
+Importing errpkit pins BLAS to one thread in this process, and so in every
+forked worker (:func:`_pin_blas`), so these workers are the package's only
+parallelism.
 """
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ _BLOCK_BYTES = 1 << 19  # bytes of the items of one block
 # 14-19 MiB (preprocessing's filter phase) and 11-15 MiB (its epoch phase).
 _POOL_MIN_BYTES = 1 << 24
 
+# numpy's bundled OpenBLAS, relative to the directory holding numpy
+_NUMPY_OPENBLAS = "numpy.libs/libscipy_openblas64_-*.so"
+
 # Set in each worker process by _install, never in the parent.
 _worker_fn = None
 _worker_abort = None
@@ -42,6 +46,24 @@ def n_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pin_blas() -> None:
+    """Set the BLAS of the loaded numpy to one thread through its library's own
+    setter; log one WARNING where no known setter is found."""
+    import ctypes
+    import logging
+    from pathlib import Path
+
+    for path in Path(np.__file__).parents[1].glob(_NUMPY_OPENBLAS):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_(1)
+            return
+    logging.getLogger(__name__).warning(
+        "numpy was imported before errpkit and its BLAS has no known thread setter, so it "
+        "may run several threads per process; set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS "
+        "and MKL_NUM_THREADS to 1 before importing numpy")
 
 
 def workers_for(n_workers: int, n_jobs: int) -> int:

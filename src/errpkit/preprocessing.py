@@ -278,7 +278,7 @@ def _window_slice(fs: float, t0: float, n_samples: int, t_a: float, t_b: float) 
 def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     """The anti-alias lowpass stage ``(sos, padlen)`` (8th-order Butterworth at
     0.4 * target rate) for rows of ``n_samples`` at ``fs``, and the samples
-    ``keep`` of each filtered row: every factor-th."""
+    ``keep`` of each filtered row: every factor-th, and at least one."""
     factor = fs / target_fs_hz
     if not math.isfinite(factor) or abs(factor - round(factor)) > 1e-9 or round(factor) < 1:
         raise InvalidResampleFactor(
@@ -289,9 +289,15 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
     from scipy import signal
 
     padlen = _padlen(8, cutoff, fs, n_samples)
-    sos = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    sos = _solvable(signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos"),
+                    f"anti-alias lowpass at {cutoff} Hz for fs={fs}")
+    if n_samples // factor == 0:
+        raise InvalidResampleFactor(
+            f"fs {fs} / target {target_fs_hz} = {factor} leaves no sample of an epoch "
+            f"of {n_samples} samples"
+        )
     keep = slice(None, n_samples // factor * factor, factor)
-    return (_solvable(sos, f"anti-alias lowpass at {cutoff} Hz for fs={fs}"), padlen), keep
+    return (sos, padlen), keep
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InsufficientData, InvalidWindow
+from .errors import EmptyInput, InsufficientData, InvalidInput, InvalidWindow
 from .evaluation import derive_seed
 from .labels import FAILURE, SUCCESS
 from .preprocessing import EpochSet, sample_index
@@ -294,33 +294,41 @@ def generate_epochs(
     output.  Source channels carry a fixed RMS profile and are mixed by a
     random orthonormal matrix, giving correlated channels.  Each epoch is
     computed in float64 and stored as float32, the samples of an epoch
-    container, so container round-trips are bit-exact.
+    container, so container round-trips are bit-exact.  An epoch that is not
+    finite as float32 raises :class:`InvalidInput`.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise EmptyInput("no labels given")
     spec = spec or ErpTemplateSpec()
     names = default_channel_names(n_channels)
-    success_t, failure_t = class_templates(spec, n_channels, fs_hz, pre_s, post_s, names)
-    n_samples = success_t.shape[1]
-    data = np.empty((labels.size, n_channels, n_samples), dtype=np.float32)
-    templates = {SUCCESS: success_t, FAILURE: failure_t}
+    # a setting too large for float64 or float32 overflows here without a
+    # warning, and the epoch it reaches raises below
+    with np.errstate(all="ignore"):
+        success_t, failure_t = class_templates(spec, n_channels, fs_hz, pre_s, post_s, names)
+        n_samples = success_t.shape[1]
+        data = np.empty((labels.size, n_channels, n_samples), dtype=np.float32)
+        templates = {SUCCESS: success_t, FAILURE: failure_t}
 
-    if spec.noise_rms_uv > 0.0:
-        master = np.random.default_rng([int(seed)])
-        mix = _mixing_matrix(master, n_channels)
-        # unequal source strengths, so the orthonormal mix yields spatially
-        # correlated channels rather than an isotropic covariance
-        profile = np.geomspace(0.4, 2.5, n_channels)
-        profile *= 1.0 / np.sqrt((profile ** 2).mean())
-        source_rms = spec.noise_rms_uv * profile
+        if spec.noise_rms_uv > 0.0:
+            master = np.random.default_rng([int(seed)])
+            mix = _mixing_matrix(master, n_channels)
+            # unequal source strengths, so the orthonormal mix yields spatially
+            # correlated channels rather than an isotropic covariance
+            profile = np.geomspace(0.4, 2.5, n_channels)
+            profile *= 1.0 / np.sqrt((profile ** 2).mean())
+            source_rms = spec.noise_rms_uv * profile
         for i, lab in enumerate(labels):
-            rng = np.random.default_rng([int(seed), i])
-            noise = _pink_noise(rng, n_channels, n_samples, spec.noise_exponent, fs_hz)
-            data[i] = templates[int(lab)] + mix @ (source_rms[:, None] * noise)
-    else:
-        for i, lab in enumerate(labels):
-            data[i] = templates[int(lab)]
+            if spec.noise_rms_uv > 0.0:
+                rng = np.random.default_rng([int(seed), i])
+                noise = _pink_noise(rng, n_channels, n_samples, spec.noise_exponent, fs_hz)
+                data[i] = templates[int(lab)] + mix @ (source_rms[:, None] * noise)
+            else:
+                data[i] = templates[int(lab)]
+            if not np.isfinite(data[i]).all():
+                raise InvalidInput(
+                    f"synthetic epoch {i} is not finite as float32: an amplitude, "
+                    f"noise_rms_uv or noise_exponent setting is too large")
     return EpochSet(data, labels, fs_hz, -pre_s, names)
 
 

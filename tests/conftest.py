@@ -1,5 +1,3 @@
-import errpkit  # noqa: F401  # first: it pins BLAS to one thread before numpy loads
-
 import multiprocessing
 import os
 

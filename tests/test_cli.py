@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +89,15 @@ class TestSynth:
         assert 0.4 <= frac_success <= 0.75
 
 
+NOT_FLOAT32 = ("error: synthetic epoch 0 is not finite as float32: an amplitude, noise_rms_uv or "
+               "noise_exponent setting is too large")
+
+
 class TestSynthErrors:
     """A synth setting the dataset spec rejects, or a key of the staircase
     observer, which is a constant, exits 2 with one line naming the key,
-    before anything is written."""
+    before anything is written; so does a setting that makes an epoch
+    overflow float32, with no warning."""
 
     @pytest.mark.parametrize("settings, line", [
         (["label_source=staircase", "n_blocks=0"],
@@ -115,17 +121,25 @@ class TestSynthErrors:
          "error: config field 'frn_amp_uv' in --set must hold finite numbers only, got NaN"),
         (["noise_rms_uv=NaN"],
          "error: config field 'noise_rms_uv' in --set must hold finite numbers only, got NaN"),
+        (["n_trials=40", "n_channels=3", "fs_hz=64.0", "noise_rms_uv=1e300"], NOT_FLOAT32),
+        (["n_trials=40", "n_channels=3", "fs_hz=64.0", "p3a_amp_uv=1e308",
+          "p3a_success_scale=1e308"], NOT_FLOAT32),
+        (["n_trials=4", "n_channels=2", "fs_hz=32.0", "noise_exponent=1e308"], NOT_FLOAT32),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
-            "frn_amp_uv-nan", "noise_rms_uv-nan"])
+            "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-huge", "p3a_amp_uv-huge",
+            "noise_exponent-huge"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()
-        assert main(["synth", "--out", str(out),
-                     *[arg for item in settings for arg in ("--set", item)]]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["synth", "--out", str(out),
+                         *[arg for item in settings for arg in ("--set", item)]]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
+        assert caught == []
         assert not out.exists()
 
 
@@ -1124,7 +1138,8 @@ class TestMalformedContainers:
         assert main([command, "--input", str(path), "--out", str(tmp_path / "r.json")]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            f"error: {path}: time 0.1 s from -1e+308 s at 64.0 Hz gives no finite sample index"]
+            f"error: {path}: manifest field 't0_offset_s': time 0.0 s from -1e+308 s at 64.0 Hz "
+            "gives no finite sample index"]
 
     @pytest.mark.parametrize("kind, name", [
         ("continuous", "manifest.json"),
@@ -1187,8 +1202,12 @@ class TestPreprocess:
         ("target_fs_hz=1.862645149230957e-09",  # fs / 2**40
          "error: anti-alias lowpass at 7.450580596923829e-10 Hz for fs=2048.0 gives a filter "
          "whose initial state is singular"),
+        ("target_fs_hz=0.001953125",  # fs / 2**20
+         "error: fs 2048.0 / target 0.001953125 = 1048576 leaves no sample of an epoch of "
+         "5120 samples"),
     ], ids=["pre-huge", "post-huge", "baseline-huge", "target-tiny", "bandpass-lo-tiny",
-            "notch-tiny", "bandpass-lo-singular", "notch-singular", "lowpass-singular"])
+            "notch-tiny", "bandpass-lo-singular", "notch-singular", "lowpass-singular",
+            "target-no-sample"])
     def test_extreme_setting_exits_2_with_one_line(self, tmp_path, capsys, setting, line):
         raw, out = make_raw(tmp_path), tmp_path / "ep"
         capsys.readouterr()

@@ -7,11 +7,6 @@ or keyword that a demo, the benchmark harness (``bench/``) or the README's
 quick start still uses fails here in well under a second, not when the
 benchmark runs or a reader copies the example.  The scanner cannot see a
 demo that fails at run time, so each demo also runs once to exit 0.
-
-Each demo and the README's quick start must also import errpkit before
-numpy: importing errpkit pins BLAS to one thread only while numpy is not yet
-loaded.  Running the demos cannot show this, because the test process pins
-the environment that they inherit.
 """
 import ast
 import importlib
@@ -107,35 +102,6 @@ def unknown_keywords(source: str) -> list[str]:
     return sorted(bad)
 
 
-def first_import(source: str, roots: set[str]) -> str | None:
-    """The first of ``roots`` that a top-level import statement names."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        for name in names:
-            if name.split(".")[0] in roots:
-                return name.split(".")[0]
-    return None
-
-
-def imports_errpkit_first(source: str) -> bool:
-    """Whether errpkit is imported before numpy, or scipy, which loads it."""
-    return first_import(source, {"errpkit", "numpy", "scipy"}) == "errpkit"
-
-
-def test_import_order_scanner():
-    assert imports_errpkit_first("import errpkit\nimport numpy as np\n")
-    assert imports_errpkit_first('"""doc"""\nfrom errpkit import io\nimport numpy\n')
-    assert not imports_errpkit_first("import numpy as np\nimport errpkit\n")
-    assert not imports_errpkit_first("import os, numpy\nfrom errpkit.synth import x\n")
-    assert not imports_errpkit_first("from scipy import signal\nimport errpkit\n")
-    assert not imports_errpkit_first("import numpy as np\n")
-
-
 def test_scanner_sees_imports_and_attributes():
     source = (
         "import errpkit.io\n"
@@ -179,11 +145,6 @@ def test_demo_names_resolve(demo):
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_imports_errpkit_before_numpy(demo):
-    assert imports_errpkit_first(demo.read_text())
-
-
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -203,10 +164,6 @@ def test_readme_names_resolve():
     for source in blocks:
         assert errpkit_names(source), "a README python block uses no errpkit names"
         assert problems(source) == []
-
-
-def test_readme_quick_start_imports_errpkit_before_numpy():
-    assert all(map(imports_errpkit_first, readme_blocks()))
 
 
 def test_bench_scripts_are_scanned():

@@ -116,6 +116,28 @@ class TestEpochContainer:
                                                  r"neither success nor failure$"):
             read_epoch_container(path)
 
+    def test_zero_samples_listed(self, tmp_path, small_set):
+        path = write_epoch_container(tmp_path / "c", small_set)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["n_samples"] = 0
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "data.bin").write_bytes(b"")
+        line = "manifest field 'n_samples' must be at least 1, got 0"
+        assert validate_container(path) == [line]
+        with pytest.raises(ContainerError, match=f"^{line}$"):
+            read_epoch_container(path)
+
+    def test_epoch_start_with_no_finite_event_sample_listed(self, tmp_path, small_set):
+        path = write_epoch_container(tmp_path / "c", small_set)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["t0_offset_s"] = -1e308
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        line = ("manifest field 't0_offset_s': time 0.0 s from -1e+308 s at 64.0 Hz gives no "
+                "finite sample index")
+        assert validate_container(path) == [line]
+        with pytest.raises(ContainerError, match=rf"^{line.replace('+', '[+]')}$"):
+            read_epoch_container(path)
+
     def test_missing_manifest(self, tmp_path):
         assert validate_container(tmp_path) == ["missing manifest.json"]
 

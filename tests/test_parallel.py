@@ -1,11 +1,64 @@
 import concurrent.futures.process
+import logging
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from errpkit import parallel
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMPY_OPENBLAS = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_-*.so"))
+
+# Imports numpy, then errpkit, and prints the thread count of numpy's OpenBLAS
+# (argv[1]) in this process and in each of four map_jobs jobs at two workers.
+NUMPY_FIRST = """
+import ctypes, sys
+import numpy
+import errpkit
+from errpkit import parallel
+get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_
+print(get(), *parallel.map_jobs(lambda i: get(), 4, 2, "probe"))
+"""
+needs_numpy_openblas = pytest.mark.skipif(
+    parallel.n_cpus() < 2 or not NUMPY_OPENBLAS,
+    reason="needs two CPUs and numpy's bundled OpenBLAS")
+
+
+def blas_threads_after_numpy_first(**env) -> list[int]:
+    """The BLAS thread counts NUMPY_FIRST prints in a child whose environment
+    holds none of the BLAS thread variables but those in ``env``: this test
+    process has them set by importing errpkit."""
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_VARS}, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FIRST, str(NUMPY_OPENBLAS[0])],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return [int(n) for n in proc.stdout.split()]
+
+
+@needs_numpy_openblas
+def test_numpy_first_import_pins_blas_in_parent_and_workers():
+    assert blas_threads_after_numpy_first() == [1] * 5
+
+
+@needs_numpy_openblas
+def test_numpy_first_import_keeps_the_callers_openblas_threads():
+    assert blas_threads_after_numpy_first(OPENBLAS_NUM_THREADS="2") == [2] * 5
+
+
+def test_pin_without_a_known_setter_logs_one_warning(monkeypatch, caplog):
+    monkeypatch.setattr(parallel, "_NUMPY_OPENBLAS", "no-such-dir/libblas-*.so")
+    with caplog.at_level("WARNING", logger="errpkit.parallel"):
+        parallel._pin_blas()
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert all(var in record.getMessage() for var in BLAS_VARS)
 
 
 def test_jobs_write_shared_memory_and_return_in_order(monkeypatch):
