@@ -21,7 +21,6 @@ Run:  python3 demos/04_method_comparison.py   (a few seconds)
 import numpy as np
 
 from errpkit.evaluation import (
-    Hyperparams,
     chance_level,
     corrected_t_test,
     derive_seed,
@@ -36,15 +35,14 @@ SHAPE = dict(n_channels=8, fs_hz=128.0, pre_s=0.5, post_s=0.7)
 template = ErpTemplateSpec(frn_amp_uv=-5.0, frn_width_s=0.05,
                            p3a_amp_uv=2.0, p3a_width_s=0.06,
                            noise_rms_uv=7.5, noise_exponent=1.2)
-hp = Hyperparams(mean_tol=1e-6)
 
 pairs = []
 for dataset_idx in range(3):
     labels = np.random.default_rng([dataset_idx, 99]).permutation(np.arange(120) % 2)
     es = generate_epochs(labels, template, seed=dataset_idx, **SHAPE)
     plan = make_fold_plan(es.labels, k=5, r=2, seed=derive_seed(dataset_idx, 1))
-    riemann = run_cv(riemann_windows(es), es.labels, "riemann", plan, hp)
-    benchmark = run_cv(benchmark_features(es), es.labels, "benchmark", plan, hp)
+    riemann = run_cv(riemann_windows(es), es.labels, "riemann", plan)
+    benchmark = run_cv(benchmark_features(es), es.labels, "benchmark", plan)
     ttest = corrected_t_test(riemann, benchmark)
     pairs.append((riemann, benchmark))
     print(f"dataset {dataset_idx}: tangent-space {riemann.accuracies.mean():.3f} "
@@ -58,8 +56,7 @@ for dataset_idx in range(3):
 # ---------------------------------------------------------------------------
 labels = np.arange(120) % 2
 es = generate_epochs(labels, template, seed=0, **SHAPE)
-ch = chance_level(benchmark_features(es), es.labels, plan_seed=7, n_shuffles=40, k=5, r=2,
-                  hyperparams=hp)
+ch = chance_level(benchmark_features(es), es.labels, plan_seed=7, n_shuffles=40, k=5, r=2)
 print(f"\nchance level: mean {ch.mean_accuracy:.3f}, "
       f"97.5th percentile {ch.threshold_97_5:.3f} over {ch.n_shuffles} shuffles")
 

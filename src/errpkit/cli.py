@@ -32,7 +32,7 @@ from . import evaluation, features, io, parallel, synth
 from .config import from_config, load_config
 from .errors import ErrpkitError, InvalidInput
 from .labels import FAILURE, SUCCESS
-from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
+from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording, sample_index
 
 logger = logging.getLogger(__name__)
 
@@ -61,8 +61,15 @@ def cmd_synth(args) -> int:
     _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
     cfg["seed"] = _setting(args, cfg, "seed", 0)
-    es = synth.generate_dataset(from_config(synth.SynthSpec, cfg),
-                                from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
+    spec = from_config(synth.SynthSpec, cfg)
+    try:
+        es = synth.generate_dataset(spec, from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
+    except MemoryError:
+        n_samples = sample_index(spec.post_s, -spec.pre_s, spec.fs_hz)
+        raise ValueError(
+            f"cannot allocate {spec.n_trials} epochs of {spec.n_channels} channels x {n_samples} "
+            f"samples (the epoch length of fs_hz {spec.fs_hz}, pre_s {spec.pre_s} and "
+            f"post_s {spec.post_s})") from None
     io.write_epoch_container(args.out, es, extra_manifest={"generator": cfg})
     print(f"wrote {len(es)} epochs to {args.out}")
     return 0

@@ -6,26 +6,30 @@ Minimizes, over weights w and (unpenalized) bias b,
 
 with y in {-1, +1} and failure encoded as +1.
 
-The fit works in the row space of the training features x (n x p).  At
-the optimum the gradient in w vanishes, so w = -reg_c x.T c, where c holds
-the per-sample derivatives of the loss term: the optimal weights lie in the
-row space of x.  With the reduced QR factorization x.T = q r (q is p x m
-with orthonormal columns, m = min(n, p)), span(q) contains that row space,
-and writing w = q beta gives x w = r.T beta and ||w|| = ||beta||.  So J
-becomes the same penalized problem on the m features r.T, with the same
-bias; its optimum beta maps back to the optimum w = q beta.  That problem
-is solved by damped Newton from a zero start.  A central-finite-difference
-harness verifies the analytic gradient.
+J is minimized by damped Newton from a zero start, on the training
+features x (n x p) themselves when p <= n, and otherwise in their row
+space.  At the optimum the gradient in w vanishes, so w = -reg_c x.T c,
+where c holds the per-sample derivatives of the loss term: the optimal
+weights lie in the row space of x.  With the reduced QR factorization
+x.T = q r (q is p x m with orthonormal columns, m = min(n, p)), span(q)
+contains that row space, and writing w = q beta gives x w = r.T beta and
+||w|| = ||beta||.  So J becomes the same penalized problem on the m
+features r.T, with the same bias, and its optimum beta maps back to the
+optimum w = q beta.  When p > n, each Newton step then solves an
+(n+1)-square system instead of a (p+1)-square one.  When p <= n, q is
+square and orthogonal, a rotation under which Newton's iterates are the
+same in exact arithmetic, so the factorization is skipped.  A
+central-finite-difference harness verifies the analytic gradient.
 
 :func:`fit_many` fits a stack of problems of one shape at once, and
 :func:`fit` is that stack of one, so there is one Newton loop.  The stack
-takes one batched QR, one label check and one Newton loop over all
-problems: a problem leaves the active set when it meets ``tol`` or when its
-line search fails, and each keeps its own Armijo step.  Every operand of a
-member has the memory layout of its own fit, and every reduction is taken
-per member as that fit takes it (a BLAS dot, matrix-vector or matrix
-product, or numpy's sum along one row), so each model is the same bits as
-a fit of its problem alone.
+takes one label check, one batched QR when p > n, and one Newton loop over
+all problems: a problem leaves the active set when it meets ``tol`` or
+when its line search fails, and each keeps its own Armijo step.  Every
+operand of a member has the memory layout of its own fit, and every
+reduction is taken per member as that fit takes it (a BLAS dot,
+matrix-vector or matrix product, or numpy's sum along one row), so each
+model is the same bits as a fit of its problem alone.
 """
 from __future__ import annotations
 
@@ -129,24 +133,30 @@ def fit_many(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAUL
     """Train one model per problem of a stack, ``features`` (B, n, p) and
     ``labels`` (B, n); ``converged`` reflects the gradient test at return.
 
-    Each problem's weights are found as ``q beta`` in the row space of its
-    features (see the module docstring), by at most ``max_iter`` Newton
-    steps on the (m+1)-parameter reduced problem, each backtracked from step
-    1 until the Armijo condition holds.  A problem's steps stop once the
-    2-norm of its reduced gradient is at most ``tol``: as ``q`` is
-    orthonormal, the weight gradient in the original space is ``q`` times
-    the reduced one, so its max-abs entry is at most that norm.
-    ``final_grad_norm`` is the max-abs gradient recomputed in the original
-    space, and ``converged`` is whether it is at most ``tol``.  Every model
-    is the same bits as a fit of its problem alone.
+    Each problem's parameters are found by at most ``max_iter`` Newton
+    steps, each backtracked from step 1 until the Armijo condition holds.
+    When ``p <= n`` the steps run on the features themselves.  When
+    ``p > n`` they run on the (n+1)-parameter reduced problem, and the
+    weights are ``q beta`` in the row space of the features (see the module
+    docstring).  A problem's steps stop once the 2-norm of its gradient,
+    reduced or not, is at most ``tol``: as ``q`` is orthonormal, the weight
+    gradient in the original space is ``q`` times the reduced one, so its
+    max-abs entry is at most that norm.  ``final_grad_norm`` is the max-abs
+    gradient recomputed in the original space, and ``converged`` is whether
+    it is at most ``tol``.  Every model is the same bits as a fit of its
+    problem alone.
     """
     if reg_c <= 0:
         raise ValueError("reg_c must be positive")
     x, y_pm = _prepare(features, labels)
-    q, r = np.linalg.qr(np.swapaxes(x, 1, 2))
-    beta = minimize(np.swapaxes(r, 1, 2), y_pm, reg_c, tol, max_iter)
-    weights = _matvec(q, beta[:, :-1])
-    params = np.concatenate([weights, beta[:, -1:]], axis=1)
+    if x.shape[2] <= x.shape[1]:
+        params = minimize(x, y_pm, reg_c, tol, max_iter)
+        weights = params[:, :-1]
+    else:
+        q, r = np.linalg.qr(np.swapaxes(x, 1, 2))
+        beta = minimize(np.swapaxes(r, 1, 2), y_pm, reg_c, tol, max_iter)
+        weights = _matvec(q, beta[:, :-1])
+        params = np.concatenate([weights, beta[:, -1:]], axis=1)
     if not np.all(np.isfinite(params)):
         raise NumericalFailure("optimizer produced non-finite parameters")
     _, grad = objective(params, x, y_pm, reg_c)
@@ -170,7 +180,7 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
     ``tol``, or when its line search finds no step that passes the Armijo
     test in :data:`_MAX_HALVINGS` halvings; the rest stop after
     ``max_iter`` Newton steps.  Each step solves with the full (p+1) x (p+1)
-    Hessian, so ``fit_many`` passes the reduced features.
+    Hessian, so ``fit_many`` passes the reduced features when p > n.
     """
     z1 = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)
     penalty = np.diag(np.append(np.full(z.shape[2], 1.0 / reg_c), 0.0))

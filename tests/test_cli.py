@@ -97,7 +97,8 @@ class TestSynthErrors:
     """A synth setting the dataset spec rejects, or a key of the staircase
     observer, which is a constant, exits 2 with one line naming the key,
     before anything is written; so does a setting that makes an epoch
-    overflow float32, with no warning."""
+    overflow float32, with no warning, or one that makes the data too large
+    to allocate."""
 
     @pytest.mark.parametrize("settings, line", [
         (["label_source=staircase", "n_blocks=0"],
@@ -125,11 +126,22 @@ class TestSynthErrors:
         (["n_trials=40", "n_channels=3", "fs_hz=64.0", "p3a_amp_uv=1e308",
           "p3a_success_scale=1e308"], NOT_FLOAT32),
         (["n_trials=4", "n_channels=2", "fs_hz=32.0", "noise_exponent=1e308"], NOT_FLOAT32),
+        # sizes past any address space, so that no allocation is ever made
+        (["n_trials=2", "n_channels=1", "fs_hz=1e16"],
+         "error: cannot allocate 2 epochs of 1 channels x 25000000000000000 samples "
+         "(the epoch length of fs_hz 1e+16, pre_s 0.5 and post_s 2.0)"),
+        (["n_trials=2", "n_channels=1", "post_s=1e15"],
+         "error: cannot allocate 2 epochs of 1 channels x 256000000000000128 samples "
+         "(the epoch length of fs_hz 256.0, pre_s 0.5 and post_s 1000000000000000.0)"),
+        (["n_trials=100000000000000000", "n_channels=1"],
+         "error: cannot allocate 100000000000000000 epochs of 1 channels x 640 samples "
+         "(the epoch length of fs_hz 256.0, pre_s 0.5 and post_s 2.0)"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
             "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-huge", "p3a_amp_uv-huge",
-            "noise_exponent-huge"])
+            "noise_exponent-huge", "fs_hz-epoch-too-large", "post_s-epoch-too-large",
+            "n_trials-too-many"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()

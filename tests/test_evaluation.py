@@ -283,6 +283,27 @@ class TestRunCV:
             run_cv(method_rows(es, "benchmark"), es.labels, "benchmark", plan)
         assert caplog.records == []
 
+    @pytest.mark.parametrize("shape", ["null", "erp-8ch"])
+    def test_default_mean_tol_moves_no_accuracy(self, shape):
+        """The default Karcher tolerance rests on this: every riemann fold
+        scores as it does with the mean taken to 1e-8.  A failure here says
+        the default is too loose, not that the test is wrong."""
+        if shape == "null":  # the null benchmark container: 60 x 3 at 64 Hz, no ERP
+            spec = ErpTemplateSpec(frn_amp_uv=0.0, p3a_amp_uv=0.0, noise_rms_uv=8.0)
+            es = generate_epochs(np.arange(60) % 2, spec, seed=5, **TINY)
+            plan = make_fold_plan(es.labels, k=10, r=5, seed=6)
+        else:  # a weak ERP on 8 channels, folds scoring 0.58 to 0.79
+            spec = ErpTemplateSpec(frn_amp_uv=-2.0, frn_width_s=0.05, p3a_amp_uv=1.0,
+                                   p3a_width_s=0.06, noise_rms_uv=7.5, noise_exponent=1.2)
+            es = generate_epochs(np.arange(120) % 2, spec, n_channels=8, fs_hz=128.0,
+                                 pre_s=0.5, post_s=0.7, seed=7)
+            plan = make_fold_plan(es.labels, k=5, r=1, seed=8)
+        rows = method_rows(es, "riemann")
+        loose = run_cv(rows, es.labels, "riemann", plan)
+        tight = run_cv(rows, es.labels, "riemann", plan, Hyperparams(mean_tol=1e-8))
+        assert Hyperparams().mean_tol > 1e-8
+        assert np.array_equal(loose.accuracies, tight.accuracies)
+
 
 class InProcessPool:
     """Stands in for ``ProcessPoolExecutor``: runs the map in this process

@@ -182,7 +182,8 @@ def shaped_problem(shape):
 
 
 class TestNewtonRowSpace:
-    """The row-space Newton fit reaches the penalized optimum in every shape."""
+    """The Newton fit, on x itself or in its row space, reaches the penalized
+    optimum in every shape."""
 
     @pytest.mark.parametrize("shape, duplicate", [
         ((30, 500), False), ((150, 4656), False), ((200, 12), False), ((60, 8), True),
@@ -211,6 +212,24 @@ class TestNewtonRowSpace:
         np.testing.assert_allclose(decision_value(model, x_eval), x_eval @ w_ref + b_ref,
                                    rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(54, 24), (54, 45), (270, 256)],
+                             ids=["null-benchmark", "null-riemann", "desk-benchmark"])
+    def test_direct_route_matches_row_space_route(self, shape):
+        """At p <= n the fit runs Newton on x itself; the row-space route it
+        skips, run here by hand, lands on the same model."""
+        x, y = shaped_problem(shape)
+        y_pm = np.where(y == FAILURE, 1.0, -1.0)
+        model = fit(x, y)
+        q, r = np.linalg.qr(x.T)
+        beta = logreg.minimize(r.T[None], y_pm[None], model.reg_c, DEFAULT_TOL,
+                               DEFAULT_MAX_ITER)[0]
+        w_qr, b_qr = q @ beta[:-1], beta[-1]
+        np.testing.assert_allclose(model.weights, w_qr, rtol=0, atol=1e-12 * np.abs(w_qr).max())
+        np.testing.assert_allclose(model.bias, b_qr, rtol=1e-12)
+        x_eval = np.vstack([x, np.random.default_rng(1).standard_normal(x.shape)])
+        assert np.array_equal(predict(model, x_eval),
+                              np.where(x_eval @ w_qr + b_qr >= 0.0, FAILURE, SUCCESS))
+
     def test_max_iter_counts_newton_steps(self, rng):
         x, y = blobs(rng, gap=1.0)
         assert not fit(x, y, max_iter=1).converged
@@ -233,7 +252,8 @@ class TestFitMany:
             xs[i] *= scale
         return xs, ys
 
-    @pytest.mark.parametrize("n, p", [(40, 6), (20, 60)], ids=["p-below-n", "p-above-n"])
+    @pytest.mark.parametrize("n, p", [(40, 6), (20, 60), (40, 40), (40, 41)],
+                             ids=["p-below-n", "p-above-n", "p-equals-n", "p-one-above-n"])
     def test_members_match_fit_bit_for_bit(self, n, p):
         xs, ys = self.mixed_stack(n, p)
         for max_iter in (DEFAULT_MAX_ITER, 1):
