@@ -32,7 +32,7 @@ from . import evaluation, features, io, parallel, synth
 from .config import from_config, load_config
 from .errors import ErrpkitError, InvalidInput
 from .labels import FAILURE, SUCCESS
-from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording, sample_index
+from .preprocessing import EpochSet, PreprocessSpec, preprocess_recording
 
 logger = logging.getLogger(__name__)
 
@@ -61,16 +61,10 @@ def cmd_synth(args) -> int:
     _check_out(args.out, "directory")
     cfg = load_config(args.config, args.set)
     cfg["seed"] = _setting(args, cfg, "seed", 0)
-    spec = from_config(synth.SynthSpec, cfg)
-    try:
-        es = synth.generate_dataset(spec, from_config(synth.ErpTemplateSpec, cfg), cfg["seed"])
-    except MemoryError:
-        n_samples = sample_index(spec.post_s, -spec.pre_s, spec.fs_hz)
-        raise ValueError(
-            f"cannot allocate {spec.n_trials} epochs of {spec.n_channels} channels x {n_samples} "
-            f"samples (the epoch length of fs_hz {spec.fs_hz}, pre_s {spec.pre_s} and "
-            f"post_s {spec.post_s})") from None
-    io.write_epoch_container(args.out, es, extra_manifest={"generator": cfg})
+    spec, template = from_config(synth.SynthSpec, cfg), from_config(synth.ErpTemplateSpec, cfg)
+    es = synth.generate_dataset(spec, template, cfg["seed"])
+    io.write_epoch_container(args.out, es, extra_manifest={
+        "generator": {"seed": cfg["seed"], **asdict(spec), **asdict(template)}})
     print(f"wrote {len(es)} epochs to {args.out}")
     return 0
 
@@ -83,7 +77,7 @@ def cmd_preprocess(args) -> int:
     labels = [lab for (_, code), lab in zip(rec.events, labels) if code == spec.event_code]
     es, skipped = preprocess_recording(rec, labels, spec, n_workers=parallel.n_cpus())
     io.write_epoch_container(
-        args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": cfg},
+        args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": asdict(spec)},
     )
     print(f"wrote {len(es)} epochs to {args.out} (skipped {len(skipped)} edge-clipped events)")
     return 0

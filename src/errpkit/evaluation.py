@@ -15,9 +15,11 @@ features of their own, and map jobs over the rows with
 :func:`parallel.map_jobs`: in this process at one worker, else on forked
 worker processes.  A job is a block of :func:`parallel.blocks` of
 consecutive folds of one repeat of one labelling, whose items are the
-folds' training features; it fits the classifiers of its folds of equal
-training shape as one stack with :func:`logreg.fit_many`, which gives each
-the bits of its own fit.  The workers inherit the rows, labels, plans and
+folds' training features, and it runs in two functions: :func:`_fold_split`
+featurizes one fold, and :func:`_run_folds` makes the block's splits, fits
+the classifiers of its folds of equal training shape as one stack with
+:func:`logreg.fit_many`, which gives each the bits of its own fit, and
+scores them.  The workers inherit the rows, labels, plans and
 hyperparameters in memory and send back only each fold's accuracy and
 classifier convergence.  Results are placed by job index, and jobs do not
 depend on the worker count, so neither do the results.
@@ -245,22 +247,6 @@ def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return o[np.argsort(y[o], kind="stable")]
 
 
-def _fit_transform(rows: np.ndarray, labels: np.ndarray, method: str, tr_idx: np.ndarray,
-                   te_idx: np.ndarray, hp: Hyperparams):
-    """Training and test features of one fold, from the method's rows of the
-    whole dataset: riemann windows, or benchmark features divided by the
-    training rows' scale."""
-    if method == "riemann":
-        model = features.fit_riemann(
-            rows[tr_idx], labels[tr_idx], shrinkage=hp.shrinkage,
-            mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter,
-        )
-        return model.train_features, features.transform_riemann_set(model, rows[te_idx])
-    raw_tr = rows[tr_idx]
-    scale = features.max_abs_scale(raw_tr)
-    return raw_tr / scale, rows[te_idx] / scale
-
-
 def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
     where = f"fold {folds[0]}" if len(folds) == 1 else "folds " + ", ".join(map(str, folds))
     return type(exc)(f"(repeat {rep}, {where}): {exc}")
@@ -269,53 +255,53 @@ def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
 def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
                 fold: int, hp: Hyperparams):
     """Training features and labels in canonical order, then test features
-    and labels, of one fold; an error names the fold."""
+    and labels, of fold ``fold`` of repeat ``rep``, from the method's rows of
+    the whole dataset: the riemann features of a model fitted to the training
+    rows, or the benchmark features divided by the training rows' scale.  A
+    feature error raises named by the repeat and the fold."""
     mask = plan.assignments[rep] == fold
-    te_idx = np.flatnonzero(mask)
-    tr_idx = np.flatnonzero(~mask)
+    tr_idx, te_idx = np.flatnonzero(~mask), np.flatnonzero(mask)
     ytr, yte = labels[tr_idx], labels[te_idx]
     try:
-        xtr, xte = _fit_transform(rows, labels, method, tr_idx, te_idx, hp)
+        if method == "riemann":
+            model = features.fit_riemann(rows[tr_idx], ytr, shrinkage=hp.shrinkage,
+                                         mean_tol=hp.mean_tol, mean_max_iter=hp.mean_max_iter)
+            xtr, xte = model.train_features, features.transform_riemann_set(model, rows[te_idx])
+        else:
+            raw_tr = rows[tr_idx]
+            scale = features.max_abs_scale(raw_tr)
+            xtr, xte = raw_tr / scale, rows[te_idx] / scale
     except ErrpkitError as exc:
         raise _named(exc, rep, [fold]) from exc
     order = _canonical_order(xtr, ytr)
     return xtr[order], ytr[order], xte, yte
 
 
-def _fit_stacks(splits: list, rep: int, folds: range,
-                hp: Hyperparams) -> list[logreg.LogisticModel]:
-    """One classifier per split of ``folds`` of repeat ``rep``, the splits of
-    equal training shape fitted as one stack by :func:`logreg.fit_many` in the
-    order of their first fold.  A failing stack raises named by ``rep`` and its folds."""
-    by_shape: dict = {}
-    for i, (xtr, *_) in enumerate(splits):
-        by_shape.setdefault(xtr.shape, []).append(i)
-
-    def stack(part, members):  # a lone split's arrays are viewed, not copied
-        arrays = [splits[i][part] for i in members]
-        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-    models = [None] * len(splits)
-    for members in by_shape.values():
-        try:
-            fitted = logreg.fit_many(stack(0, members), stack(1, members), reg_c=hp.reg_c)
-        except ErrpkitError as exc:
-            raise _named(exc, rep, [folds[i] for i in members]) from exc
-        for i, model in zip(members, fitted):
-            models[i] = model
-    return models
-
-
 def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
                folds: range, hp: Hyperparams) -> list[tuple[float, bool, float]]:
     """Accuracy, classifier convergence and final gradient norm of each of
-    ``folds`` of repeat ``rep``: their splits in fold order, where a feature
-    error raises named by its fold, then their classifiers by
-    :func:`_fit_stacks`, then their scores."""
+    ``folds`` of repeat ``rep``.  Their splits are made in fold order by
+    :func:`_fold_split`.  Then the splits of equal training shape are fitted
+    as one stack by :func:`logreg.fit_many`, in the order of each shape's
+    first fold; a failing stack raises named by ``rep`` and its folds."""
     splits = [_fold_split(rows, labels, method, plan, rep, fold, hp) for fold in folds]
-    models = _fit_stacks(splits, rep, folds, hp)
-    return [(float(np.mean(logreg.predict(clf, xte) == yte)), clf.converged, clf.final_grad_norm)
-            for (_, _, xte, yte), clf in zip(splits, models)]
+    by_shape: dict = {}
+    for i, (xtr, *_) in enumerate(splits):
+        by_shape.setdefault(xtr.shape, []).append(i)
+    results = [None] * len(splits)
+    for members in by_shape.values():
+        # a lone split's arrays are viewed, not copied
+        xtr, ytr = (splits[members[0]][part][None] if len(members) == 1
+                    else np.stack([splits[i][part] for i in members]) for part in (0, 1))
+        try:
+            fitted = logreg.fit_many(xtr, ytr, reg_c=hp.reg_c)
+        except ErrpkitError as exc:
+            raise _named(exc, rep, [folds[i] for i in members]) from exc
+        for i, clf in zip(members, fitted):
+            _, _, xte, yte = splits[i]
+            results[i] = (float(np.mean(logreg.predict(clf, xte) == yte)), clf.converged,
+                          clf.final_grad_norm)
+    return results
 
 
 def _fold_accuracies(rows: np.ndarray, method: str, labels, plans, hp: Hyperparams,

@@ -141,24 +141,24 @@ class EpochSet:
         return self.data.shape[2]
 
 
-def _padlen(order: int, lo_hz: float, fs: float, n_samples: int) -> int:
-    # reflect padding of 3*order/lo_hz seconds, capped by the signal length
-    pad = 3.0 * order * fs / lo_hz
-    if not math.isfinite(pad):
-        raise InvalidFilterSpec(f"filter edge {lo_hz} Hz is too low for fs={fs}")
-    return int(min(n_samples - 1, round(pad)))
-
-
-def _solvable(sos: np.ndarray, what: str) -> np.ndarray:
-    """``sos``, once the initial-state solve that ``sosfiltfilt`` makes on it
-    succeeds; a singular one raises :class:`InvalidFilterSpec` naming ``what``."""
+def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int, what: str):
+    """The zero-phase stage ``(sos, padlen)`` of the filter that ``design``
+    makes from :mod:`scipy.signal`, for rows of ``n_samples`` at ``fs``: a
+    reflect padding of ``3 * order / edge_hz`` seconds, capped by the row
+    length.  A padding that is not finite raises :class:`InvalidFilterSpec`
+    before the filter is designed, and so does a filter whose initial-state
+    solve, which ``sosfiltfilt`` makes, is singular; that line names ``what``."""
     from scipy import signal
 
+    pad = 3.0 * order * fs / edge_hz
+    if not math.isfinite(pad):
+        raise InvalidFilterSpec(f"filter edge {edge_hz} Hz is too low for fs={fs}")
+    sos = design(signal)
     try:
         signal.sosfilt_zi(sos)
     except np.linalg.LinAlgError:
         raise InvalidFilterSpec(f"{what} gives a filter whose initial state is singular") from None
-    return sos
+    return sos, int(min(n_samples - 1, round(pad)))
 
 
 def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
@@ -194,21 +194,17 @@ def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
         raise InvalidFilterSpec(
             f"need 0 < lo < hi < fs/2, got lo={lo_hz}, hi={hi_hz}, fs={rec.fs_hz}"
         )
-    from scipy import signal
-
-    padlen = _padlen(4, lo_hz, rec.fs_hz, rec.n_samples)
-    sos = signal.butter(2,[lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz, output="sos")
-    return _solvable(sos, f"bandpass [{lo_hz}, {hi_hz}] Hz at fs={rec.fs_hz}"), padlen
+    return _stage(
+        lambda signal: signal.butter(2, [lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz,
+                                     output="sos"),
+        lo_hz, 4, rec.fs_hz, rec.n_samples, f"bandpass [{lo_hz}, {hi_hz}] Hz at fs={rec.fs_hz}")
 
 
 def _notch_stage(rec: ContinuousRecording, freq_hz: float):
     if not (0.0 < freq_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
-    from scipy import signal
-
-    padlen = _padlen(2, freq_hz, rec.fs_hz, rec.n_samples)
-    b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)
-    return _solvable(signal.tf2sos(b, a), f"notch {freq_hz} Hz at fs={rec.fs_hz}"), padlen
+    return _stage(lambda signal: signal.tf2sos(*signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)),
+                  freq_hz, 2, rec.fs_hz, rec.n_samples, f"notch {freq_hz} Hz at fs={rec.fs_hz}")
 
 
 def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
@@ -286,18 +282,15 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
         )
     factor = int(round(factor))
     cutoff = 0.4 * target_fs_hz
-    from scipy import signal
-
-    padlen = _padlen(8, cutoff, fs, n_samples)
-    sos = _solvable(signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos"),
-                    f"anti-alias lowpass at {cutoff} Hz for fs={fs}")
+    stage = _stage(lambda signal: signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos"),
+                   cutoff, 8, fs, n_samples, f"anti-alias lowpass at {cutoff} Hz for fs={fs}")
     if n_samples // factor == 0:
         raise InvalidResampleFactor(
             f"fs {fs} / target {target_fs_hz} = {factor} leaves no sample of an epoch "
             f"of {n_samples} samples"
         )
     keep = slice(None, n_samples // factor * factor, factor)
-    return (sos, padlen), keep
+    return stage, keep
 
 
 @dataclass(frozen=True)

@@ -83,11 +83,23 @@ class SynthSpec:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.fs_hz > 0:
             raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
-        if sample_index(self.post_s, -self.pre_s, self.fs_hz) < 1:
+        n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
+        if n_samples < 1:
             raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
+        # numpy makes no array of more bytes than intp counts: neither the
+        # float32 epochs nor one float64 epoch, which holds the time axis
+        if 4 * max(self.n_trials, 2) * self.n_channels * n_samples > np.iinfo(np.intp).max:
+            raise self._too_large()
         if self.label_source not in ("balanced", "staircase"):
             raise ValueError(
                 f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")
+
+    def _too_large(self) -> ValueError:
+        n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
+        return ValueError(
+            f"cannot allocate {self.n_trials} epochs of {self.n_channels} channels x {n_samples} "
+            f"samples (the epoch length of fs_hz {self.fs_hz}, pre_s {self.pre_s} and "
+            f"post_s {self.post_s})")
 
 
 @dataclass(frozen=True)
@@ -342,6 +354,11 @@ def generate_labels(spec: SynthSpec, seed: int) -> np.ndarray:
 
 
 def generate_dataset(spec: SynthSpec, template: ErpTemplateSpec, seed: int) -> EpochSet:
-    """What ``errpkit synth`` writes: :func:`generate_labels` and their epochs."""
-    return generate_epochs(generate_labels(spec, seed), template, n_channels=spec.n_channels,
-                           fs_hz=spec.fs_hz, pre_s=spec.pre_s, post_s=spec.post_s, seed=seed)
+    """What ``errpkit synth`` writes: :func:`generate_labels` and their epochs.
+    Epochs too large to allocate raise ``ValueError`` with the line that
+    :class:`SynthSpec` gives for those too large to index."""
+    try:
+        return generate_epochs(generate_labels(spec, seed), template, n_channels=spec.n_channels,
+                               fs_hz=spec.fs_hz, pre_s=spec.pre_s, post_s=spec.post_s, seed=seed)
+    except MemoryError:
+        raise spec._too_large() from None

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -25,7 +26,7 @@ from errpkit.io import (
     write_continuous_container,
     write_epoch_container,
 )
-from errpkit.preprocessing import ContinuousRecording, EpochSet
+from errpkit.preprocessing import ContinuousRecording, EpochSet, PreprocessSpec
 
 PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "swap_scheme", "z"]
 
@@ -77,6 +78,16 @@ class TestSynth:
         for name in ("manifest.json", "data.bin", "labels.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_container_records_only_its_own_settings(self, tmp_path):
+        # an evaluation setting does not reach the container's bytes
+        a = synth_tiny(tmp_path, "a", seed=11)
+        b = tmp_path / "b"
+        assert main(["synth", "--out", str(b), "--seed", "11", *TINY, "--set", "reg_c=0.5"]) == 0
+        for name in ("manifest.json", "data.bin", "labels.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        generator = json.loads((a / "manifest.json").read_text())["generator"]
+        assert "reg_c" not in generator and generator["n_trials"] == 40
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"), "--set", "bogus=1"]) == 2
 
@@ -98,7 +109,7 @@ class TestSynthErrors:
     observer, which is a constant, exits 2 with one line naming the key,
     before anything is written; so does a setting that makes an epoch
     overflow float32, with no warning, or one that makes the data too large
-    to allocate."""
+    to allocate or to index."""
 
     @pytest.mark.parametrize("settings, line", [
         (["label_source=staircase", "n_blocks=0"],
@@ -136,12 +147,22 @@ class TestSynthErrors:
         (["n_trials=100000000000000000", "n_channels=1"],
          "error: cannot allocate 100000000000000000 epochs of 1 channels x 640 samples "
          "(the epoch length of fs_hz 256.0, pre_s 0.5 and post_s 2.0)"),
+        # sizes past what numpy can index, rejected before any generation
+        (["fs_hz=1e18"],
+         "error: cannot allocate 300 epochs of 32 channels x 2500000000000000000 samples "
+         "(the epoch length of fs_hz 1e+18, pre_s 0.5 and post_s 2.0)"),
+        (["fs_hz=1e300"],
+         f"error: cannot allocate 300 epochs of 32 channels x {int(2.5 * 1e300)} samples "
+         "(the epoch length of fs_hz 1e+300, pre_s 0.5 and post_s 2.0)"),
+        (["n_trials=1", "n_channels=1", "fs_hz=1e18"],
+         "error: cannot allocate 1 epochs of 1 channels x 2500000000000000000 samples "
+         "(the epoch length of fs_hz 1e+18, pre_s 0.5 and post_s 2.0)"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
             "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-huge", "p3a_amp_uv-huge",
             "noise_exponent-huge", "fs_hz-epoch-too-large", "post_s-epoch-too-large",
-            "n_trials-too-many"])
+            "n_trials-too-many", "fs_hz-1e18", "fs_hz-1e300", "fs_hz-1e18-one-epoch"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"
         capsys.readouterr()
@@ -439,6 +460,24 @@ class TestConfigErrors:
             assert (captured.out + captured.err).splitlines() == [
                 f"error: unknown config field '{key}' in {cfg}"], key
             assert not out.exists()
+
+    @pytest.mark.parametrize("config, setting, line", [
+        (None, ["--config", "missing.json"], "error: cannot read config missing.json: "
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        ([1, 2], ["--config", "list.json"], "error: config list.json must be a JSON object"),
+        (None, ["--set", "foo"], "error: --set expects key=value, got 'foo'"),
+    ], ids=["file-missing", "file-list", "set-no-equals"])
+    def test_unusable_config_exits_2_with_one_line(self, tiny_container, tmp_path, monkeypatch,
+                                                   capsys, config, setting, line):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path(setting[1]).write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["compare", "--input", str(tiny_container), *setting,
+                     "--out", "r.json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not Path("r.json").exists()
 
     @pytest.mark.parametrize("source", ["file", "set"])
     @pytest.mark.parametrize("key", CONSTANT_KEYS)
@@ -1142,6 +1181,32 @@ class TestMalformedContainers:
             assert line.startswith(("error: ", "violation: ")) and len(line) < 200, line
             assert repr(key) in line
 
+    @pytest.mark.parametrize("kind, name, spoil, command, line", [
+        ("epochs", "labels.bin", lambda raw: raw[:-1], "compare",
+         "error: {path}: labels file has 39 bytes, expected 40"),
+        ("epochs", "labels.bin", lambda raw: raw[:-1], "validate",
+         "violation: labels file has 39 bytes, expected 40"),
+        ("epochs", "manifest.json", lambda raw: b"[]", "validate",
+         "violation: manifest is not a JSON object"),
+        ("continuous", "events.json", lambda raw: b"{}", "preprocess",
+         "error: events.json is not a JSON list"),
+        ("continuous", "events.json", lambda raw: b"{}", "validate",
+         "violation: events.json is not a JSON list"),
+    ], ids=["labels-short-compare", "labels-short-validate", "manifest-list-validate",
+            "events-object-preprocess", "events-object-validate"])
+    def test_wrong_file_contents_exit_2_with_one_line(self, tmp_path, capsys, kind, name, spoil,
+                                                      command, line):
+        path = synth_tiny(tmp_path, "bad") if kind == "epochs" else make_raw(tmp_path)
+        (path / name).write_bytes(spoil((path / name).read_bytes()))
+        out = tmp_path / "out"
+        argv = [command, "--input", str(path)] + ([] if command == "validate" else
+                                                  ["--out", str(out)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line.format(path=path)]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compare", "chance"])
     def test_far_epoch_start_exits_2_with_one_line(self, tmp_path, capsys, command):
         path = synth_tiny(tmp_path, "far")
@@ -1238,6 +1303,16 @@ class TestPreprocess:
         assert es.t0_offset_s == -0.5
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["skipped_events"] == []
+
+    def test_container_records_only_its_own_settings(self, tmp_path):
+        raw = make_raw(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["preprocess", "--input", str(raw), "--out", str(a)]) == 0
+        assert main(["preprocess", "--input", str(raw), "--set", "folds=3", "--out", str(b)]) == 0
+        for name in ("manifest.json", "data.bin", "labels.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        recorded = json.loads((a / "manifest.json").read_text())["preprocess"]
+        assert sorted(recorded) == sorted(f.name for f in dataclasses.fields(PreprocessSpec))
 
     def test_nan_sample_exits_2_with_one_line(self, tmp_path, capsys):
         raw = make_raw(tmp_path)

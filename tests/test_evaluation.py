@@ -30,7 +30,7 @@ from errpkit.evaluation import (
     run_cv,
     t_two_sided_p,
     _canonical_order,
-    _fit_transform,
+    _fold_split,
 )
 from errpkit.synth import ErpTemplateSpec, generate_epochs
 
@@ -166,19 +166,23 @@ class TestRunCV:
         for fold in range(4):
             mask = plan.assignments[0] == fold
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
-            xtr, xte = _fit_transform(rows, es.labels, method, tr, te, hp)
-            # the fold's features are those of its own epochs alone
+            xtr, ytr, xte, yte = _fold_split(rows, es.labels, method, plan, 0, fold, hp)
+            # the fold's features are those of its own epochs alone, the
+            # training ones in canonical order
             train, test = subset(es, tr), subset(es, te)
             if method == "riemann":
                 model = features.fit_riemann(features.riemann_windows(train), train.labels)
-                assert np.array_equal(xtr, model.train_features)
-                assert np.array_equal(
-                    xte, features.transform_riemann_set(model, features.riemann_windows(test)))
+                want_tr = model.train_features
+                want_te = features.transform_riemann_set(model, features.riemann_windows(test))
             else:
                 scale = features.max_abs_scale(features.benchmark_features(train))
-                assert np.array_equal(xtr, features.benchmark_features(train) / scale)
-                assert np.array_equal(xte, features.benchmark_features(test) / scale)
-            assert oracle_accuracy(xtr, train.labels, xte, test.labels, hp) == res.accuracies[fold]
+                want_tr = features.benchmark_features(train) / scale
+                want_te = features.benchmark_features(test) / scale
+            order = _canonical_order(want_tr, train.labels)
+            assert np.array_equal(xtr, want_tr[order])
+            assert np.array_equal(ytr, train.labels[order])
+            assert np.array_equal(xte, want_te) and np.array_equal(yte, test.labels)
+            assert oracle_accuracy(xtr, ytr, xte, yte, hp) == res.accuracies[fold]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_uneven_folds_match_the_per_fold_oracle(self, n_workers):
@@ -193,10 +197,8 @@ class TestRunCV:
             accs = []
             for rep in range(plan.r):
                 for fold in range(plan.k):
-                    mask = plan.assignments[rep] == fold
-                    tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
-                    xtr, xte = _fit_transform(rows, labels, method, tr, te, hp)
-                    accs.append(oracle_accuracy(xtr, labels[tr], xte, labels[te], hp))
+                    split = _fold_split(rows, labels, method, plan, rep, fold, hp)
+                    accs.append(oracle_accuracy(*split, hp))
             return np.array(accs)
 
         rows = {method: method_rows(es, method) for method in evaluation.METHODS}
