@@ -16,7 +16,8 @@ features of their own, and map jobs over the rows with
 worker processes.  A job is a block of :func:`parallel.blocks` of
 consecutive folds of one repeat of one labelling, whose items are the
 folds' training features, and it runs in two functions: :func:`_fold_split`
-featurizes one fold, and :func:`_run_folds` makes the block's splits, fits
+featurizes one fold, its training rows and its test rows each in index
+order, and :func:`_run_folds` makes the block's splits, fits
 the classifiers of its folds of equal training shape as one stack with
 :func:`logreg.fit_many`, which gives each the bits of its own fit, and
 scores them.  The workers inherit the rows, labels, plans and
@@ -240,13 +241,6 @@ def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
     return FoldPlan(k, assignments, seed)
 
 
-def _canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Deterministic sample order that depends only on the (feature, label)
-    multiset: by label, then by the features' bytes, without copying them."""
-    o = manifold.canonical_order(x)
-    return o[np.argsort(y[o], kind="stable")]
-
-
 def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
     where = f"fold {folds[0]}" if len(folds) == 1 else "folds " + ", ".join(map(str, folds))
     return type(exc)(f"(repeat {rep}, {where}): {exc}")
@@ -254,11 +248,11 @@ def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
 
 def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
                 fold: int, hp: Hyperparams):
-    """Training features and labels in canonical order, then test features
-    and labels, of fold ``fold`` of repeat ``rep``, from the method's rows of
-    the whole dataset: the riemann features of a model fitted to the training
-    rows, or the benchmark features divided by the training rows' scale.  A
-    feature error raises named by the repeat and the fold."""
+    """Training features and labels, then test features and labels, of fold
+    ``fold`` of repeat ``rep``, each in the index order of the method's rows
+    of the whole dataset: the riemann features of a model fitted to the
+    training rows, or the benchmark features divided by the training rows'
+    scale.  A feature error raises named by the repeat and the fold."""
     mask = plan.assignments[rep] == fold
     tr_idx, te_idx = np.flatnonzero(~mask), np.flatnonzero(mask)
     ytr, yte = labels[tr_idx], labels[te_idx]
@@ -273,8 +267,7 @@ def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPla
             xtr, xte = raw_tr / scale, rows[te_idx] / scale
     except ErrpkitError as exc:
         raise _named(exc, rep, [fold]) from exc
-    order = _canonical_order(xtr, ytr)
-    return xtr[order], ytr[order], xte, yte
+    return xtr, ytr, xte, yte
 
 
 def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,

@@ -19,8 +19,10 @@ a view of the samples, and :func:`benchmark_features`), by the caller of
 indexes them: a row depends on its own epoch alone.  Computing the rows
 checks the route's windows.
 
-Fitting is bit-identical under any permutation of the training epochs
-(means summed in the order of the addends' bytes, max-based scaling).
+A featurizer's fit (the class prototypes, the Karcher mean, the benchmark
+scale) is bit-identical under any permutation of the training epochs (means
+summed in the order of the addends' bytes, max-based scaling).  The
+classifier fitted to its rows is not: a fold gives it them in index order.
 
 Memory: the super trials and their covariances are made a block of
 epochs at a time (:func:`parallel.map_blocks`) into one preallocated

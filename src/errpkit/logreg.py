@@ -180,7 +180,9 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
     ``tol``, or when its line search finds no step that passes the Armijo
     test in :data:`_MAX_HALVINGS` halvings; the rest stop after
     ``max_iter`` Newton steps.  Each step solves with the full (p+1) x (p+1)
-    Hessian, so ``fit_many`` passes the reduced features when p > n.
+    Hessian, so ``fit_many`` passes the reduced features when p > n.  A
+    singular Hessian, whose penalty ``1 / reg_c`` is lost in rounding,
+    raises :class:`NumericalFailure` naming ``reg_c``.
     """
     z1 = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)
     penalty = np.diag(np.append(np.full(z.shape[2], 1.0 / reg_c), 0.0))
@@ -198,7 +200,11 @@ def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,
         d = _expit(a) * _expit(-a)  # sigma'(a), without the underflow of p * (1 - p)
         hess = (np.swapaxes(az1, 1, 2) * d[:, None, :]) @ az1
         hess += penalty
-        step = -np.linalg.solve(hess, agrad[..., None])[..., 0]
+        try:
+            step = -np.linalg.solve(hess, agrad[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"the Newton system is singular at reg_c {reg_c}; a smaller "
+                                   "reg_c regularizes it") from exc
         slope = _dot(agrad, step)
         noise = _LOSS_RTOL * np.abs(aloss)
         # each problem halves its own step until it passes; one that has

@@ -165,17 +165,10 @@ def _whitened_logs(stack: np.ndarray, isq: np.ndarray, what: str) -> np.ndarray:
     return parallel.map_blocks(logs, len(stack), _entry_bytes(stack), stack.shape)
 
 
-def canonical_order(stack: np.ndarray) -> np.ndarray:
-    """Stable argsort of the entries along axis 0, keyed on their bytes: permuting
-    the entries changes it only among byte-identical ones."""
-    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    return np.argsort(keys, kind="stable")
-
-
 def canonical_mean(stack: np.ndarray) -> np.ndarray:
-    """Arithmetic mean along axis 0 of the entries reduced in
-    :func:`canonical_order`, so it is bit-identical under any permutation.
+    """Arithmetic mean along axis 0 of the entries reduced in the stable
+    order of their bytes, which permuting them changes only among
+    byte-identical ones, so it is bit-identical under any permutation.
 
     The entries are gathered a block at a time into one buffer behind the
     running total, and each reduction adds them to it in turn.  numpy adds
@@ -187,7 +180,9 @@ def canonical_mean(stack: np.ndarray) -> np.ndarray:
     n = len(stack)
     if n == 0:
         raise EmptyInput("canonical_mean of an empty stack")
-    order = canonical_order(stack)
+    rows = np.ascontiguousarray(stack).reshape(n, -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    order = np.argsort(keys, kind="stable")
     blocks = parallel.blocks(n, _entry_bytes(stack))
     buf = np.empty((blocks[0].stop + 1,) + stack.shape[1:])
     first = 1  # the first block has no running total before it

@@ -85,7 +85,9 @@ class SynthSpec:
             raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
         n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
         if n_samples < 1:
-            raise ValueError(f"fs_hz must give at least one sample per epoch, got {self.fs_hz}")
+            raise ValueError(
+                f"pre_s, post_s and fs_hz must give at least one sample per epoch, got pre_s "
+                f"{self.pre_s}, post_s {self.post_s} and fs_hz {self.fs_hz}")
         # numpy makes no array of more bytes than intp counts: neither the
         # float32 epochs nor one float64 epoch, which holds the time axis
         if 4 * max(self.n_trials, 2) * self.n_channels * n_samples > np.iinfo(np.intp).max:
@@ -94,12 +96,28 @@ class SynthSpec:
             raise ValueError(
                 f"label_source must be 'balanced' or 'staircase', got {self.label_source!r}")
 
-    def _too_large(self) -> ValueError:
+    def _too_large(self, noise: bool = False) -> ValueError:
+        """The line for epochs too large to index or to allocate.  With
+        ``noise`` it also names their float64 channel mixing matrix where
+        that has more bytes than the float32 epochs."""
         n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
+        c = _count(self.n_channels)
+        mixing = noise and 2 * self.n_channels > self.n_trials * n_samples
         return ValueError(
-            f"cannot allocate {self.n_trials} epochs of {self.n_channels} channels x {n_samples} "
-            f"samples (the epoch length of fs_hz {self.fs_hz}, pre_s {self.pre_s} and "
-            f"post_s {self.post_s})")
+            f"cannot allocate {_count(self.n_trials)} epochs of {c} channels x "
+            f"{_count(n_samples)} samples (the epoch length of fs_hz {self.fs_hz}, pre_s "
+            f"{self.pre_s} and post_s {self.post_s})"
+            + (f" and their {c} x {c} channel mixing matrix" if mixing else ""))
+
+
+def _count(n: int) -> str:
+    """``n`` in full up to 2**53, past which a count made from float settings
+    has no more exact digits; beyond, its first 6 digits, as ``2.5e+300``."""
+    if n <= 2 ** 53:
+        return str(n)
+    digits = str(n)
+    tail = digits[1:6].rstrip("0")
+    return f"{digits[0]}{'.' + tail if tail else ''}e+{len(digits) - 1}"
 
 
 @dataclass(frozen=True)
@@ -355,10 +373,11 @@ def generate_labels(spec: SynthSpec, seed: int) -> np.ndarray:
 
 def generate_dataset(spec: SynthSpec, template: ErpTemplateSpec, seed: int) -> EpochSet:
     """What ``errpkit synth`` writes: :func:`generate_labels` and their epochs.
-    Epochs too large to allocate raise ``ValueError`` with the line that
-    :class:`SynthSpec` gives for those too large to index."""
+    Epochs, or with noise their channel mixing matrix, too large to allocate
+    raise ``ValueError`` with the line that :class:`SynthSpec` gives for
+    epochs too large to index."""
     try:
         return generate_epochs(generate_labels(spec, seed), template, n_channels=spec.n_channels,
                                fs_hz=spec.fs_hz, pre_s=spec.pre_s, post_s=spec.post_s, seed=seed)
     except MemoryError:
-        raise spec._too_large() from None
+        raise spec._too_large(noise=template.noise_rms_uv > 0.0) from None

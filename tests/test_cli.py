@@ -120,7 +120,12 @@ class TestSynthErrors:
         (["label_source=staircase", "n_trials=-5"], "error: n_trials must be at least 1, got -5"),
         (["n_channels=0"], "error: n_channels must be at least 1, got 0"),
         (["fs_hz=0"], "error: fs_hz must be positive, got 0"),
-        (["fs_hz=0.1"], "error: fs_hz must give at least one sample per epoch, got 0.1"),
+        (["fs_hz=0.1"], "error: pre_s, post_s and fs_hz must give at least one sample per "
+         "epoch, got pre_s 0.5, post_s 2.0 and fs_hz 0.1"),
+        (["post_s=-0.5"], "error: pre_s, post_s and fs_hz must give at least one sample per "
+         "epoch, got pre_s 0.5, post_s -0.5 and fs_hz 256.0"),
+        (["pre_s=-2.0"], "error: pre_s, post_s and fs_hz must give at least one sample per "
+         "epoch, got pre_s -2.0, post_s 2.0 and fs_hz 256.0"),
         (["fs_hz=1.7e308"],
          "error: time 2.0 s from -0.5 s at 1.7e+308 Hz gives no finite sample index"),
         (["label_source=random"],
@@ -139,26 +144,27 @@ class TestSynthErrors:
         (["n_trials=4", "n_channels=2", "fs_hz=32.0", "noise_exponent=1e308"], NOT_FLOAT32),
         # sizes past any address space, so that no allocation is ever made
         (["n_trials=2", "n_channels=1", "fs_hz=1e16"],
-         "error: cannot allocate 2 epochs of 1 channels x 25000000000000000 samples "
+         "error: cannot allocate 2 epochs of 1 channels x 2.5e+16 samples "
          "(the epoch length of fs_hz 1e+16, pre_s 0.5 and post_s 2.0)"),
         (["n_trials=2", "n_channels=1", "post_s=1e15"],
-         "error: cannot allocate 2 epochs of 1 channels x 256000000000000128 samples "
+         "error: cannot allocate 2 epochs of 1 channels x 2.56e+17 samples "
          "(the epoch length of fs_hz 256.0, pre_s 0.5 and post_s 1000000000000000.0)"),
         (["n_trials=100000000000000000", "n_channels=1"],
-         "error: cannot allocate 100000000000000000 epochs of 1 channels x 640 samples "
+         "error: cannot allocate 1e+17 epochs of 1 channels x 640 samples "
          "(the epoch length of fs_hz 256.0, pre_s 0.5 and post_s 2.0)"),
         # sizes past what numpy can index, rejected before any generation
         (["fs_hz=1e18"],
-         "error: cannot allocate 300 epochs of 32 channels x 2500000000000000000 samples "
+         "error: cannot allocate 300 epochs of 32 channels x 2.5e+18 samples "
          "(the epoch length of fs_hz 1e+18, pre_s 0.5 and post_s 2.0)"),
         (["fs_hz=1e300"],
-         f"error: cannot allocate 300 epochs of 32 channels x {int(2.5 * 1e300)} samples "
+         "error: cannot allocate 300 epochs of 32 channels x 2.5e+300 samples "
          "(the epoch length of fs_hz 1e+300, pre_s 0.5 and post_s 2.0)"),
         (["n_trials=1", "n_channels=1", "fs_hz=1e18"],
-         "error: cannot allocate 1 epochs of 1 channels x 2500000000000000000 samples "
+         "error: cannot allocate 1 epochs of 1 channels x 2.5e+18 samples "
          "(the epoch length of fs_hz 1e+18, pre_s 0.5 and post_s 2.0)"),
     ], ids=["n_blocks-0", "n_blocks-negative", "n_trials-negative", "n_trials-staircase",
-            "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "fs_hz-huge", "label_source",
+            "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "post_s-negative", "pre_s-negative",
+            "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
             "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-huge", "p3a_amp_uv-huge",
             "noise_exponent-huge", "fs_hz-epoch-too-large", "post_s-epoch-too-large",
@@ -173,6 +179,28 @@ class TestSynthErrors:
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [line]
         assert caught == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise, raiser, matrix", [
+        ("10.0", "_mixing_matrix", " and their 60000 x 60000 channel mixing matrix"),
+        ("0.0", "class_templates", ""),
+    ], ids=["mixing-matrix", "no-noise"])
+    def test_allocation_failure_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                      noise, raiser, matrix):
+        # the float64 mixing matrix of 60000 channels takes 26.8 GiB, their
+        # epochs 9.6 MB; the patched function raises before either is made
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(synth, raiser, out_of_memory)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--set", "n_trials=2", "--set",
+                     "n_channels=60000", "--set", "fs_hz=8.0", "--set", f"noise_rms_uv={noise}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: cannot allocate 2 epochs of 60000 channels x 20 samples (the epoch length of "
+            f"fs_hz 8.0, pre_s 0.5 and post_s 2.0){matrix}"]
         assert not out.exists()
 
 
@@ -514,7 +542,9 @@ class TestConfigErrors:
 class TestSolverSettings:
     """A solver setting that cannot fit, or a key of the classifier's stopping
     rule, which is a constant, exits 2 with one line naming its key, before
-    the chance level or any fold runs."""
+    the chance level or any fold runs.  A ``reg_c`` so large that the
+    classifier's Newton system is singular exits 1 with one line naming its
+    folds and ``reg_c``."""
 
     @pytest.mark.parametrize("setting, line", [
         ("clf_max_iter=0", "error: unknown config field 'clf_max_iter' in --set"),
@@ -536,6 +566,17 @@ class TestSolverSettings:
         assert (captured.out + captured.err).splitlines() == [line]
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("reg_c", ["1e50", "1e200"])
+    def test_singular_newton_system_names_reg_c(self, tiny_container, tmp_path, capsys, reg_c):
+        capsys.readouterr()
+        assert main(["compare", "--input", str(tiny_container), "--set", f"reg_c={reg_c}",
+                     "--folds", "2", "--repeats", "1", "--out", str(tmp_path / "report.json")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            f"failure: (repeat 0, folds 0, 1): the Newton system is singular at reg_c "
+            f"{float(reg_c)}; a smaller reg_c regularizes it"]
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestThreads:

@@ -29,7 +29,6 @@ from errpkit.evaluation import (
     permutation_test,
     run_cv,
     t_two_sided_p,
-    _canonical_order,
     _fold_split,
 )
 from errpkit.synth import ErpTemplateSpec, generate_epochs
@@ -47,8 +46,7 @@ def tiny_dataset(seed=0, n=40, frn=-30.0, noise=6.0):
 
 def oracle_accuracy(xtr, ytr, xte, yte, hp):
     """One fold's accuracy from a classifier fitted to that fold alone."""
-    order = _canonical_order(xtr, ytr)
-    clf = logreg.fit(xtr[order], ytr[order], reg_c=hp.reg_c)
+    clf = logreg.fit(xtr, ytr, reg_c=hp.reg_c)
     return float(np.mean(logreg.predict(clf, xte) == yte))
 
 
@@ -167,8 +165,8 @@ class TestRunCV:
             mask = plan.assignments[0] == fold
             tr, te = np.flatnonzero(~mask), np.flatnonzero(mask)
             xtr, ytr, xte, yte = _fold_split(rows, es.labels, method, plan, 0, fold, hp)
-            # the fold's features are those of its own epochs alone, the
-            # training ones in canonical order
+            # the fold's features are those of its own epochs alone, in
+            # index order
             train, test = subset(es, tr), subset(es, te)
             if method == "riemann":
                 model = features.fit_riemann(features.riemann_windows(train), train.labels)
@@ -178,9 +176,7 @@ class TestRunCV:
                 scale = features.max_abs_scale(features.benchmark_features(train))
                 want_tr = features.benchmark_features(train) / scale
                 want_te = features.benchmark_features(test) / scale
-            order = _canonical_order(want_tr, train.labels)
-            assert np.array_equal(xtr, want_tr[order])
-            assert np.array_equal(ytr, train.labels[order])
+            assert np.array_equal(xtr, want_tr) and np.array_equal(ytr, train.labels)
             assert np.array_equal(xte, want_te) and np.array_equal(yte, test.labels)
             assert oracle_accuracy(xtr, ytr, xte, yte, hp) == res.accuracies[fold]
 
@@ -212,6 +208,35 @@ class TestRunCV:
             plan = make_fold_plan(labels, k=4, r=2, seed=derive_seed(36, s, 1))
             assert chance.per_shuffle_mean_accuracies[s] == oracle(
                 rows["benchmark"], labels, "benchmark", plan).mean()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_classifier_fits_training_rows_in_index_order(self, monkeypatch, n_workers):
+        # uneven folds, so that a job fits more than one stack
+        es = tiny_dataset(seed=16, n=42)
+        plan = make_fold_plan(es.labels, k=4, r=2, seed=17)
+        splits = [np.flatnonzero(plan.assignments[rep] != fold)
+                  for rep in range(plan.r) for fold in range(plan.k)]
+        fitted = multiprocessing.get_context("fork").Array("i", len(splits))
+        fit_many = logreg.fit_many
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        for method in evaluation.METHODS:
+            rows = method_rows(es, method)
+            want = [(features.fit_riemann(rows[tr], es.labels[tr]).train_features
+                     if method == "riemann" else rows[tr] / features.max_abs_scale(rows[tr]),
+                     es.labels[tr]) for tr in splits]
+
+            def checked_fit_many(xs, ys, **kwargs):
+                for x, y in zip(xs, ys):
+                    match = [i for i, (wx, wy) in enumerate(want)
+                             if np.array_equal(x, wx) and np.array_equal(y, wy)]
+                    assert len(match) == 1, "a stack member is no split's rows in index order"
+                    with fitted.get_lock():
+                        fitted[match[0]] += 1
+                return fit_many(xs, ys, **kwargs)
+
+            monkeypatch.setattr(logreg, "fit_many", checked_fit_many)
+            run_cv(rows, es.labels, method, plan, n_workers=n_workers)
+        assert list(fitted) == [len(evaluation.METHODS)] * len(splits)
 
     def test_benchmark_features_computed_once_per_call(self, featurizer_calls):
         """The caller computes each method's rows once; run_cv computes none,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from errpkit import logreg
-from errpkit.errors import DegenerateTrainingSet, DimMismatch
+from errpkit.errors import DegenerateTrainingSet, DimMismatch, NumericalFailure
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.logreg import (
     DEFAULT_MAX_ITER,
@@ -55,6 +55,17 @@ class TestFit:
         x = rng.standard_normal((6, 2))
         with pytest.raises(DegenerateTrainingSet):
             fit(x, np.zeros(6, dtype=int))
+
+    @pytest.mark.parametrize("reg_c", [1e50, 1e200])
+    def test_singular_newton_system_names_reg_c(self, reg_c):
+        # two equal columns: a penalty 1 / reg_c lost in rounding leaves the
+        # Hessian exactly singular
+        x = np.repeat(np.array([[1.0], [2.0], [3.0], [0.0]]), 2, axis=1)
+        assert fit(x, [0, 1, 0, 1], reg_c=1.0).converged
+        with pytest.raises(NumericalFailure) as err:
+            fit(x, [0, 1, 0, 1], reg_c=reg_c)
+        assert str(err.value) == (
+            f"the Newton system is singular at reg_c {reg_c}; a smaller reg_c regularizes it")
 
     def test_determinism(self, rng):
         x, y = blobs(rng, gap=1.0)
