@@ -6,12 +6,22 @@ An epoch container is a directory holding ``manifest.json``, ``data.bin``
 channels-by-samples float32 block plus ``events.json``.  One inspector
 checks the manifest and samples of both kinds and lists every violation.
 Reports are canonical JSON: sorted keys, fixed separators, native floats.
+
+Memory: a reader maps ``data.bin`` copy-on-write instead of reading it, so
+a set holds no copy of its samples: the pages it touches are the file's
+page cache, and writing to the array copies only the pages written.  The
+check for non-finite samples streams the file a block of
+:func:`parallel.blocks` at a time, so neither a read nor ``validate``
+holds the samples.  A writer writes ``data.bin`` to a new file and renames
+it over the old one, so a set read earlier from the same path keeps its
+samples.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +125,16 @@ def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
         **fields,
     }
     (path / MANIFEST_NAME).write_text(canonical_json(manifest))
-    (path / DATA_NAME).write_bytes(np.ascontiguousarray(rec.data, dtype="<f4").tobytes())
+    # a new file replaces data.bin, so a set read from it earlier, which maps
+    # the old file, keeps its samples
+    tmp = path / f".{DATA_NAME}.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as f:
+            np.ascontiguousarray(rec.data, dtype="<f4").tofile(f)
+        os.replace(tmp, path / DATA_NAME)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -148,20 +167,21 @@ def validate_container(path) -> list[str]:
     return (_inspect_continuous_container if continuous else _inspect_epoch_container)(path)[0]
 
 
-def _count_nonfinite(data: np.ndarray) -> int:
-    """Non-finite entries of ``data``, tested a block of :func:`parallel.blocks`
-    at a time: its items are mask bytes, so the mask stays at 512 KiB."""
-    flat = data.reshape(-1)
-    return sum(int(np.count_nonzero(~np.isfinite(flat[sl])))
-               for sl in parallel.blocks(flat.size, 1))
+def _count_nonfinite(dpath: Path, n: int) -> int:
+    """Non-finite samples among the ``n`` float32 of ``dpath``, read a block of
+    :func:`parallel.blocks` at a time, so only one block is held."""
+    with open(dpath, "rb") as f:
+        return sum(int(np.count_nonzero(~np.isfinite(
+                       np.fromfile(f, dtype="<f4", count=sl.stop - sl.start))))
+                   for sl in parallel.blocks(n, 4))
 
 
 def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
              ) -> tuple[list[str], dict | None, np.ndarray | None]:
     """The violations of the container at ``path``, whose manifest must hold
     the fields ``spec``; its manifest once that is well-typed; and its float32
-    samples, shaped by the manifest fields ``shape``, once ``data.bin`` has
-    that size."""
+    samples, shaped by the manifest fields ``shape`` and mapped from
+    ``data.bin``, once that file has their size."""
     try:
         manifest = _load_json(path / MANIFEST_NAME)
     except ContainerError as exc:
@@ -189,8 +209,11 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
     elif (actual := dpath.stat().st_size) != 4 * math.prod(dims):
         problems.append(f"data file is {actual} bytes, expected {4 * math.prod(dims)}")
     else:
-        data = np.fromfile(dpath, dtype="<f4").reshape(dims)
-        bad = _count_nonfinite(data)
+        # mapped, not read: a read holds no copy, and the pages it touches
+        # stay the file's; copy-on-write keeps the array writable
+        data = (np.memmap(dpath, dtype="<f4", mode="c", shape=dims) if actual
+                else np.empty(dims, dtype="<f4"))  # an empty file cannot be mapped
+        bad = _count_nonfinite(dpath, data.size)
         if bad:
             problems.append(f"data file holds {bad} non-finite samples")
     return problems, manifest, data

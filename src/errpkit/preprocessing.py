@@ -17,9 +17,12 @@ float64) at a time, so all arithmetic is float64, and writes each block
 into one preallocated float64 output.  :func:`preprocess_recording`
 filters the whole chain block by block into one float64 array,
 re-references it in place and epochs it a block of events at a time, so
-its peak is about that float64 filtered recording plus the float32 input;
-the epochs are bit-identical to whole-array filtering, because each row
-is filtered on its own.
+its peak is about that float64 filtered recording plus the float32 input
+that it reads; the epochs are bit-identical to whole-array filtering,
+because each row is filtered on its own.  A recording read from a
+container maps its ``data.bin`` (:mod:`io`), so where the filters run in
+forked workers this process never reads the input, and its peak is about
+the filtered recording alone.
 
 Parallelism: the row blocks, then the event blocks, are the blocks of
 :func:`parallel.map_blocks`.  At one worker (the library default), or for

@@ -83,11 +83,15 @@ class SynthSpec:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.fs_hz > 0:
             raise ValueError(f"fs_hz must be positive, got {self.fs_hz}")
-        n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
+        settings = f"pre_s {self.pre_s}, post_s {self.post_s} and fs_hz {self.fs_hz}"
+        try:
+            n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
+        except InvalidWindow:
+            raise ValueError(f"pre_s, post_s and fs_hz must give a finite epoch length, "
+                             f"got {settings}") from None
         if n_samples < 1:
             raise ValueError(
-                f"pre_s, post_s and fs_hz must give at least one sample per epoch, got pre_s "
-                f"{self.pre_s}, post_s {self.post_s} and fs_hz {self.fs_hz}")
+                f"pre_s, post_s and fs_hz must give at least one sample per epoch, got {settings}")
         # numpy makes no array of more bytes than intp counts: neither the
         # float32 epochs nor one float64 epoch, which holds the time axis
         if 4 * max(self.n_trials, 2) * self.n_channels * n_samples > np.iinfo(np.intp).max:
@@ -225,9 +229,10 @@ class ErpTemplateSpec:
 
     def __post_init__(self):
         if self.noise_rms_uv < 0:
-            raise ValueError("noise RMS cannot be negative")
-        if self.frn_width_s <= 0 or self.p3a_width_s <= 0:
-            raise ValueError("component widths must be positive")
+            raise ValueError(f"noise_rms_uv must be nonnegative, got {self.noise_rms_uv}")
+        for key in ("frn_width_s", "p3a_width_s"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 def default_channel_names(n_channels: int) -> list[str]:
@@ -271,9 +276,10 @@ def class_templates(
     gains = default_topography(names)
     n_samples = sample_index(post_s, -pre_s, fs_hz)
     t = np.arange(n_samples) / fs_hz - pre_s
-    for peak in (spec.frn_peak_s, spec.p3a_peak_s):
-        if not (-pre_s <= peak <= post_s):
-            raise InvalidWindow(f"component peak {peak}s is outside the epoch [{-pre_s}, {post_s}]s")
+    for key in ("frn_peak_s", "p3a_peak_s"):
+        if not (-pre_s <= getattr(spec, key) <= post_s):
+            raise InvalidWindow(f"{key} {getattr(spec, key)} s is outside the epoch "
+                                f"[-pre_s, post_s] = [{-pre_s}, {post_s}] s")
 
     success_wave = _bump(t, spec.p3a_peak_s, spec.p3a_width_s,
                          spec.p3a_amp_uv * spec.p3a_success_scale)

@@ -126,8 +126,8 @@ class TestSynthErrors:
          "epoch, got pre_s 0.5, post_s -0.5 and fs_hz 256.0"),
         (["pre_s=-2.0"], "error: pre_s, post_s and fs_hz must give at least one sample per "
          "epoch, got pre_s -2.0, post_s 2.0 and fs_hz 256.0"),
-        (["fs_hz=1.7e308"],
-         "error: time 2.0 s from -0.5 s at 1.7e+308 Hz gives no finite sample index"),
+        (["fs_hz=1.7e308"], "error: pre_s, post_s and fs_hz must give a finite epoch length, "
+         "got pre_s 0.5, post_s 2.0 and fs_hz 1.7e+308"),
         (["label_source=random"],
          "error: label_source must be 'balanced' or 'staircase', got 'random'"),
         (["psy_threshold_alpha=0"], "error: unknown config field 'psy_threshold_alpha' in --set"),
@@ -138,6 +138,13 @@ class TestSynthErrors:
          "error: config field 'frn_amp_uv' in --set must hold finite numbers only, got NaN"),
         (["noise_rms_uv=NaN"],
          "error: config field 'noise_rms_uv' in --set must hold finite numbers only, got NaN"),
+        (["noise_rms_uv=-1"], "error: noise_rms_uv must be nonnegative, got -1"),
+        (["frn_width_s=0"], "error: frn_width_s must be positive, got 0"),
+        (["p3a_width_s=-0.1"], "error: p3a_width_s must be positive, got -0.1"),
+        (["frn_peak_s=5"],
+         "error: frn_peak_s 5 s is outside the epoch [-pre_s, post_s] = [-0.5, 2.0] s"),
+        (["p3a_peak_s=-1"],
+         "error: p3a_peak_s -1 s is outside the epoch [-pre_s, post_s] = [-0.5, 2.0] s"),
         (["n_trials=40", "n_channels=3", "fs_hz=64.0", "noise_rms_uv=1e300"], NOT_FLOAT32),
         (["n_trials=40", "n_channels=3", "fs_hz=64.0", "p3a_amp_uv=1e308",
           "p3a_success_scale=1e308"], NOT_FLOAT32),
@@ -166,8 +173,9 @@ class TestSynthErrors:
             "n_channels-0", "fs_hz-0", "fs_hz-no-sample", "post_s-negative", "pre_s-negative",
             "fs_hz-huge", "label_source",
             "psy_threshold_alpha-0", "psy_slope_beta-staircase", "psy_lapse-0.5",
-            "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-huge", "p3a_amp_uv-huge",
-            "noise_exponent-huge", "fs_hz-epoch-too-large", "post_s-epoch-too-large",
+            "frn_amp_uv-nan", "noise_rms_uv-nan", "noise_rms_uv-negative", "frn_width_s-0",
+            "p3a_width_s-negative", "frn_peak_s-late", "p3a_peak_s-early", "noise_rms_uv-huge",
+            "p3a_amp_uv-huge", "noise_exponent-huge", "fs_hz-epoch-too-large", "post_s-epoch-too-large",
             "n_trials-too-many", "fs_hz-1e18", "fs_hz-1e300", "fs_hz-1e18-one-epoch"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, settings, line):
         out = tmp_path / "x"

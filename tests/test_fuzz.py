@@ -1,25 +1,42 @@
 """Property-based fuzz of the command line.
 
-Each property runs :func:`cli.main` in this process on settings drawn by
-``hypothesis`` from every finite double plus edge values, with a fixed
-derandomized example sequence and no example database, so it is the same
-test on every run.  A command exits 0 or 2; on 2 it prints exactly one
-``error:`` line; it raises no Python warning; and a container it writes
-passes ``validate``.
+Each property runs :func:`cli.main` in this process on inputs drawn by
+``hypothesis``, with a fixed derandomized example sequence and no example
+database, so it is the same test on every run.  No command raises a Python
+warning.
+
+- ``synth``, on settings drawn from every finite double plus edge values,
+  exits 0 or 2; on 2 it prints exactly one ``error:`` line; and a container
+  it writes passes ``validate``.
+- ``validate``, on a small valid container with edits drawn to its
+  manifest, ``data.bin``, ``labels.bin`` or ``events.json``, prints ``ok``
+  and exits 0, or prints ``violation:`` lines only and exits 2; a container
+  it passes reads as finite samples of the manifest's shape, the bytes of
+  its ``data.bin``.
 """
 import contextlib
+import functools
 import io
+import json
 import math
 import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errpkit.cli import main
-from errpkit.synth import ErpTemplateSpec
+from errpkit.io import (
+    read_continuous_container,
+    read_epoch_container,
+    write_continuous_container,
+    write_epoch_container,
+)
+from errpkit.preprocessing import ContinuousRecording
+from errpkit.synth import ErpTemplateSpec, generate_epochs
 
 # An epoch of more samples than this is made only where the settings are
 # rejected before anything is allocated; 40 epochs of 5 channels at the cap
@@ -82,3 +99,91 @@ def test_synth_exits_0_or_2_with_one_line(n_trials, n_channels, fs_hz, pre_s, po
             assert not Path(out).exists()
         else:
             assert run(["validate", "--input", out]) == (0, ["ok"], [])
+
+
+# manifest values: counts around the small shapes below, counts past any file,
+# every double plus edge values and the non-finite ones, and other JSON types
+VALUES = st.one_of(st.integers(-2, 12), st.sampled_from([2 ** 31, 2 ** 63, 10 ** 30]), FLOATS,
+                   st.sampled_from([math.nan, math.inf, -math.inf]), st.none(), st.booleans(),
+                   st.text(max_size=3))
+SHAPE_FIELDS = {"epochs": ("n_trials", "n_channels", "n_samples"),
+                "continuous": ("n_channels", "n_samples")}
+MAX_ITEMS = 4096  # samples of a data.bin refitted to an edited manifest
+DELETE = object()  # an event field edit that removes the field
+
+
+@functools.cache
+def valid_container(kind: str) -> dict[str, bytes]:
+    """The files of a small valid container of ``kind``: 4 epochs of 2
+    channels x 12 samples, or 2 channels x 64 samples with 2 events."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "epochs":
+            path = write_epoch_container(Path(tmp) / "c", generate_epochs(
+                np.array([0, 1, 1, 0]), n_channels=2, fs_hz=16.0, seed=1, pre_s=0.25, post_s=0.5))
+        else:
+            data = np.random.default_rng(1).standard_normal((2, 64)).astype(np.float32)
+            path = write_continuous_container(Path(tmp) / "c", ContinuousRecording(
+                64.0, ["a", "b"], data, [(10, 1), (40, 1)]), [0, 1])
+        return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["epochs", "continuous"]),
+       manifest_edits=st.dictionaries(st.sampled_from(
+           ["n_trials", "n_channels", "n_samples", "fs_hz", "t0_offset_s"]), VALUES, max_size=2),
+       refit=st.booleans(),
+       resize=settings_of(st.just(0), st.integers(-6, 6)),
+       nonfinite=st.lists(st.tuples(st.integers(0, MAX_ITEMS),
+                                    st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2),
+       labels=settings_of(st.none(), st.binary(max_size=6)),
+       event_edit=settings_of(st.none(), st.one_of(
+           st.tuples(st.integers(0, 1), st.sampled_from(["sample", "code", "label"]),
+                     VALUES | st.just(DELETE)),
+           st.sampled_from([{}, [], "events", None, [1]]))))
+def test_validate_exits_0_with_ok_or_2_with_violations(kind, manifest_edits, refit, resize,
+                                                       nonfinite, labels, event_edit):
+    files = dict(valid_container(kind))
+    manifest = {**json.loads(files["manifest.json"]), **manifest_edits}
+    files["manifest.json"] = json.dumps(manifest).encode()
+    data = np.frombuffer(files["data.bin"], dtype="<f4")
+    dims = [manifest[key] for key in SHAPE_FIELDS[kind]]
+    if refit and all(type(d) is int and 0 <= d <= MAX_ITEMS for d in dims) \
+            and math.prod(dims) <= MAX_ITEMS:
+        # a data.bin, and labels, of the edited shape, so that edits can pass
+        data = np.resize(data, math.prod(dims))
+        if kind == "epochs":
+            files["labels.bin"] = bytes(np.resize([0, 1], dims[0]).astype(np.uint8))
+    data = data.copy()
+    for position, value in nonfinite:
+        if data.size:
+            data[position % data.size] = value
+    raw = data.tobytes()
+    files["data.bin"] = raw[:len(raw) + resize] if resize < 0 else raw + bytes(resize)
+    if kind == "epochs" and labels is not None:
+        files["labels.bin"] = labels
+    if kind == "continuous" and event_edit is not None:
+        events = json.loads(files["events.json"])
+        if isinstance(event_edit, tuple):
+            i, key, value = event_edit
+            if value is DELETE:
+                del events[i][key]
+            else:
+                events[i][key] = value
+        else:
+            events = event_edit
+        files["events.json"] = json.dumps(events).encode()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            (Path(tmp) / name).write_bytes(content)
+        code, lines, caught = run(["validate", "--input", tmp])
+        assert caught == []
+        if code == 0:
+            assert lines == ["ok"]
+            back = (read_epoch_container(tmp) if kind == "epochs"
+                    else read_continuous_container(tmp)[0]).data
+            assert back.shape == tuple(dims) and np.isfinite(back).all()
+            assert back.tobytes() == files["data.bin"]
+        else:
+            assert code == 2 and lines, lines
+            assert all(line.startswith("violation: ") for line in lines), lines

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,20 +68,56 @@ class TestEpochContainer:
         assert (p1 / "labels.bin").read_bytes() == (p2 / "labels.bin").read_bytes()
 
     def test_data_file_read_once(self, tmp_path, small_set, monkeypatch):
+        """The reader maps data.bin once and reads its bytes once, a block at a
+        time, for the check of its samples."""
         path = write_epoch_container(tmp_path / "c", small_set)
-        reads = []
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 100)
+        memmap, fromfile, read_file = np.memmap, np.fromfile, Path.read_bytes
+        maps, read_bytes = [], []
 
-        def counting(read):
-            def wrapper(file, *args, **kwargs):
-                reads.append(Path(file).name)
-                return read(file, *args, **kwargs)
-            return wrapper
+        def mapping(file, *args, **kwargs):
+            maps.append(Path(file).name)
+            return memmap(file, *args, **kwargs)
 
-        monkeypatch.setattr(np, "fromfile", counting(np.fromfile))
-        monkeypatch.setattr(Path, "read_bytes", counting(Path.read_bytes))
+        def reading(file, *args, **kwargs):
+            out = fromfile(file, *args, **kwargs)
+            read_bytes.append((Path(file.name).name, out.nbytes))
+            return out
+
+        def whole_file(self):
+            read_bytes.append((self.name, len(data := read_file(self))))
+            return data
+
+        monkeypatch.setattr(np, "memmap", mapping)
+        monkeypatch.setattr(np, "fromfile", reading)
+        monkeypatch.setattr(Path, "read_bytes", whole_file)
         back = read_epoch_container(path)
-        assert reads.count("data.bin") == 1
+        assert maps == ["data.bin"]
+        data_reads = [n for name, n in read_bytes if name == "data.bin"]
+        assert len(data_reads) > 1
+        assert sum(data_reads) == (path / "data.bin").stat().st_size
         assert np.array_equal(back.data, small_set.data)
+
+    def test_rewrite_leaves_a_set_read_before_unchanged(self, tmp_path, small_set):
+        """A set maps the data.bin it was read from; writing a container at its
+        path replaces that file, so the set keeps its samples."""
+        path = write_epoch_container(tmp_path / "c", small_set)
+        before = read_epoch_container(path)
+        write_epoch_container(path, replace(small_set, data=small_set.data + 1))
+        assert np.array_equal(before.data, small_set.data)
+        assert np.array_equal(read_epoch_container(path).data, small_set.data + 1)
+        assert sorted(p.name for p in path.iterdir()) == ["data.bin", "labels.bin",
+                                                          "manifest.json"]
+
+    def test_no_trials_read_and_validate(self, tmp_path):
+        """A 0-byte data.bin, which cannot be mapped, reads as an empty set."""
+        path = write_epoch_container(tmp_path / "c", EpochSet(
+            np.zeros((0, 3, 5), np.float32), np.zeros(0), 64.0, -0.5, ["a", "b", "c"]))
+        assert (path / "data.bin").stat().st_size == 0
+        assert validate_container(path) == []
+        back = read_epoch_container(path)
+        assert back.data.shape == (0, 3, 5) and back.data.dtype == np.float32
+        assert len(back) == 0
 
     def test_nonfinite_samples_counted_across_chunks(self, tmp_path, small_set, monkeypatch):
         data = small_set.data.copy()
@@ -160,6 +200,35 @@ class TestContinuousContainer:
         assert np.array_equal(back.data, data)
         assert back.events == [(100, 1), (300, 1)]
         assert labels == [0, 1]
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_read_and_validate_leave_the_samples_unread(self, tmp_path):
+        """A 48 MB recording raises the resident memory of a fresh process by
+        less than 4 MB while it is held: its samples are mapped, not copied,
+        and the check of its samples streams them.  tracemalloc cannot see a
+        mapping, so this measures resident pages."""
+        rec = ContinuousRecording(512.0, [f"c{i}" for i in range(16)],
+                                  np.zeros((16, 750_000), np.float32), [(100, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0])
+        assert (path / "data.bin").stat().st_size == 48_000_000
+        code = (
+            "import os, sys\n"
+            "from errpkit.io import read_continuous_container, validate_container\n"
+            "def resident():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "before = resident()\n"
+            "rec, labels = read_continuous_container(sys.argv[1])\n"
+            "assert validate_container(sys.argv[1]) == []\n"
+            "print(rec.data.shape, (resident() - before) / 2**20)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(io.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        shape, grown_mb = proc.stdout.rsplit(" ", 1)
+        assert shape == "(16, 750000)"
+        assert float(grown_mb) < 4.0, grown_mb
 
     def test_event_past_the_end_listed(self, tmp_path):
         rec = ContinuousRecording(512.0, ["a", "b", "c"], np.zeros((3, 500)), [(100, 1), (300, 1)])
