@@ -15,22 +15,24 @@ storage only; arithmetic upcasts where it starts.  Every filter upcasts a
 block of rows (one block of :func:`parallel.blocks`, about 512 KiB of
 float64) at a time, so all arithmetic is float64, and writes each block
 into one preallocated float64 output.  :func:`preprocess_recording`
-filters the whole chain block by block into one float64 array,
-re-references it in place and epochs it a block of events at a time, so
-its peak is about that float64 filtered recording plus the float32 input
-that it reads; the epochs are bit-identical to whole-array filtering,
-because each row is filtered on its own.  A recording read from a
-container maps its ``data.bin`` (:mod:`io`), so where the filters run in
-forked workers this process never reads the input, and its peak is about
-the filtered recording alone.
+filters each row whole but stores only its samples inside the epoch
+windows, merged where they overlap or touch, and cuts, re-references,
+baselines and downsamples the epochs a block of events at a time.  Its
+peak is about that float64 store, at most the size of the filtered
+recording, plus the float32 input that it reads; the epochs are
+bit-identical to whole-array filtering, because each row is filtered on
+its own and each epoch's re-reference sums the same channels in the
+same order.  A recording read from a container maps its ``data.bin``
+(:mod:`io`), so where the filters and the epochs run in forked workers
+this process reads neither the input nor the store.
 
 Parallelism: the row blocks, then the event blocks, are the blocks of
 :func:`parallel.map_blocks`.  At one worker (the library default), or for
 a phase whose float64 input is below its 16 MiB bound, they run in this
 process.  Otherwise forked workers inherit the recording and write their
 blocks into anonymous shared memory, which then holds the filtered
-recording and the epochs; only block indexes cross the pipe, and the
-bytes do not depend on the worker count.
+windows and the epochs; only block indexes cross the pipe, and the bytes
+do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -164,10 +166,11 @@ def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int, what: 
     return sos, int(min(n_samples - 1, round(pad)))
 
 
-def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
+def _filter_rows(data: np.ndarray, stages, keep=(slice(None),),
                  n_workers: int = 1) -> np.ndarray:
     """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
-    last axis of ``data`` and keep samples ``keep`` of each filtered row.
+    last axis of ``data`` and keep the samples of each filtered row that the
+    slices ``keep`` select, end to end in their order.
 
     Rows are upcast to float64 and filtered a block at a time into one
     preallocated float64 array by :func:`parallel.map_blocks`, on up to
@@ -179,13 +182,17 @@ def _filter_rows(data: np.ndarray, stages, keep: slice = slice(None),
 
     n = data.shape[-1]
     rows = data.reshape(-1, n)
-    kept = len(range(n)[keep])
+    kept = sum(len(range(n)[k]) for k in keep)
 
     def filter_block(sl: slice, out: np.ndarray) -> None:
         block = np.asarray(rows[sl], dtype=np.float64)
         for sos, padlen in stages:
             block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
-        out[...] = block[:, keep]
+        at = 0
+        for k in keep:
+            piece = block[:, k]
+            out[:, at:at + piece.shape[-1]] = piece
+            at += piece.shape[-1]
 
     out = parallel.map_blocks(filter_block, rows.shape[0], 8 * n, (rows.shape[0], kept),
                               n_workers, "filter")
@@ -220,11 +227,34 @@ def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
     return replace(rec, data=_filter_rows(rec.data, [_notch_stage(rec, freq_hz)]))
 
 
-def _rereference(data: np.ndarray) -> None:
-    """Subtract the instantaneous mean across channels from float64 ``data`` in place."""
-    if data.shape[0] < 2:
+def _check_reference(n_channels: int) -> None:
+    if n_channels < 2:
         raise InsufficientChannels("average reference needs at least 2 channels")
-    data -= data.mean(axis=0, keepdims=True)
+
+
+def _rereference(data: np.ndarray) -> None:
+    """Subtract the instantaneous mean across channels, axis -2, from float64
+    ``data`` in place: a recording's rows or a block of epochs."""
+    _check_reference(data.shape[-2])
+    data -= data.mean(axis=-2, keepdims=True)
+
+
+def _merged_windows(starts: list[int], length: int) -> tuple[list[slice], list[int]]:
+    """The union of the windows ``[s, s + length)``, as slices in sample order
+    of which no two overlap or touch, and the offset of each window of
+    ``starts`` in those slices kept end to end: its start less the samples
+    outside the union before it.  Starts may be unsorted or repeated, and
+    windows may overlap."""
+    segments: list[list[int]] = []
+    offset_of, outside = {}, 0
+    for s in sorted(set(starts)):
+        if segments and s <= segments[-1][1]:
+            segments[-1][1] = s + length
+        else:
+            outside += s - (segments[-1][1] if segments else 0)
+            segments.append([s, s + length])
+        offset_of[s] = s - outside
+    return [slice(a, b) for a, b in segments], [offset_of[s] for s in starts]
 
 
 def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post_s: float,
@@ -346,8 +376,10 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     events are returned alongside the epochs.
 
     Bounded memory: the filter chain runs block by block into one float64
-    array, which is re-referenced in place, and the epochs are cut,
-    baselined and downsampled a block of events at a time into the result.
+    array that holds only the merged epoch windows, and the epochs are cut
+    from it, re-referenced, baselined and downsampled a block of events at
+    a time into the result.  A recording of fewer than 2 channels raises
+    :class:`InsufficientChannels` before any filter runs.
     The lowpass is designed once per call; downsampling first, the baseline
     is subtracted once from the whole result.  The row blocks, then the
     event blocks, run by :func:`parallel.map_blocks` on up to ``n_workers``
@@ -364,14 +396,16 @@ def preprocess_recording(rec: ContinuousRecording, labels,
         base = _window_slice(rec.fs_hz, t0, length, *spec.baseline_window_s)
     else:
         base = _window_slice(spec.target_fs_hz, t0, n_out, *spec.baseline_window_s)
-    data = _filter_rows(rec.data, stages, n_workers=n_workers)
-    _rereference(data)
+    _check_reference(rec.n_channels)
+    segments, offsets = _merged_windows(starts, length)
+    store = _filter_rows(rec.data, stages, segments, n_workers)
 
     def epoch_block(sl: slice, out: np.ndarray) -> None:
-        block = np.stack([data[:, s:s + length] for s in starts[sl]])
+        block = np.stack([store[:, o:o + length] for o in offsets[sl]])
+        _rereference(block)
         if spec.baseline_before_downsample:
             block -= block[..., base].mean(axis=-1, keepdims=True)
-        out[...] = _filter_rows(block, [lowpass], keep)
+        out[...] = _filter_rows(block, [lowpass], [keep])
 
     out = parallel.map_blocks(epoch_block, len(starts), 8 * rec.n_channels * length,
                               (len(starts), rec.n_channels, n_out), n_workers, "epoch")

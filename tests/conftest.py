@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 
@@ -39,6 +40,51 @@ def desk_shaped_epochs(n_trials: int = 150):
     training fold holds them: their super-trial covariances are 96x96."""
     return synth.generate_epochs(np.arange(n_trials) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
                                  n_channels=32, fs_hz=256.0, seed=0, pre_s=0.5, post_s=0.7)
+
+
+def whole_array_reference(rec, labels, spec):
+    """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle):
+    ``labels`` are those of the events of ``spec.event_code``, and times
+    become sample indexes by half-up rounding."""
+    from scipy import signal
+
+    fs, n = rec.fs_hz, rec.n_samples
+
+    def index(x):
+        return math.floor(x + 0.5)
+
+    def filtfilt(sos, x, order, lo_hz, length):
+        padlen = int(min(length - 1, round(3.0 * order * fs / lo_hz)))
+        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
+
+    lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
+    x = filtfilt(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
+                 rec.data.astype(np.float64), 4, lo, n)
+    for f0 in spec.notch_hz:
+        x = filtfilt(signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), x, 2, f0, n)
+    x = x - x.mean(axis=0, keepdims=True)
+    n_pre, n_post = index(spec.epoch_pre_s * fs), index(spec.epoch_post_s * fs)
+    matching = [s for s, code in rec.events if code == spec.event_code]
+    kept = [(s, lab) for s, lab in zip(matching, labels) if s - n_pre >= 0 and s + n_post <= n]
+    epochs = np.stack([x[:, s - n_pre:s + n_post] for s, _ in kept])
+
+    def baseline(e, rate):
+        a, b = (index((t + spec.epoch_pre_s) * rate) for t in spec.baseline_window_s)
+        return e - e[..., a:b].mean(axis=-1, keepdims=True)
+
+    factor = round(fs / spec.target_fs_hz)
+    cutoff = 0.4 * spec.target_fs_hz
+    lowpass = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    n_out = epochs.shape[-1] // factor
+
+    def downsample(e):
+        return filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
+
+    if spec.baseline_before_downsample:
+        epochs = downsample(baseline(epochs, fs))
+    else:
+        epochs = baseline(downsample(epochs), spec.target_fs_hz)
+    return epochs, [lab for _, lab in kept]
 
 
 @pytest.fixture

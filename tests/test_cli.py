@@ -1409,6 +1409,22 @@ class TestPreprocess:
         assert calls.value == 0
         assert not (tmp_path / "ep").exists()
 
+    def test_one_channel_exits_2_before_filtering(self, tmp_path, capsys, monkeypatch):
+        data = np.random.default_rng(0).standard_normal((1, 8192))
+        raw = write_continuous_container(
+            tmp_path / "raw", ContinuousRecording(2048.0, ["Cz"], data, [(2048, 1)]), [0])
+
+        def filter_rows(*args, **kwargs):
+            raise AssertionError("filtered a one-channel recording")
+
+        monkeypatch.setattr(preprocessing, "_filter_rows", filter_rows)
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), "--out", str(tmp_path / "ep")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: average reference needs at least 2 channels"]
+        assert not (tmp_path / "ep").exists()
+
     @staticmethod
     def two_cpus(monkeypatch, cpus=2):
         """``cpus`` CPUs to run on, blocks of 1 channel (3 row jobs) and 2

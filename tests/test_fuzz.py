@@ -13,6 +13,11 @@ warning.
   and exits 0, or prints ``violation:`` lines only and exits 2; a container
   it passes reads as finite samples of the manifest's shape, the bytes of
   its ``data.bin``.
+- ``preprocess``, on a small continuous recording with events drawn
+  overlapping, unsorted, repeated or edge-clipped, and filter, epoch,
+  baseline and rate settings drawn as for ``synth``, exits 0 or 2; on 2 it
+  prints exactly one ``error:`` line and writes nothing; the epochs it
+  writes pass ``validate`` and are the float32 of whole-array filtering.
 """
 import contextlib
 import functools
@@ -29,14 +34,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from errpkit.cli import main
+from errpkit.config import from_config, load_config
 from errpkit.io import (
     read_continuous_container,
     read_epoch_container,
     write_continuous_container,
     write_epoch_container,
 )
-from errpkit.preprocessing import ContinuousRecording
+from errpkit.preprocessing import ContinuousRecording, PreprocessSpec
 from errpkit.synth import ErpTemplateSpec, generate_epochs
+
+from conftest import whole_array_reference
 
 # An epoch of more samples than this is made only where the settings are
 # rejected before anything is allocated; 40 epochs of 5 channels at the cap
@@ -187,3 +195,70 @@ def test_validate_exits_0_with_ok_or_2_with_violations(kind, manifest_edits, ref
         else:
             assert code == 2 and lines, lines
             assert all(line.startswith("violation: ") for line in lines), lines
+
+
+RECORDING_FS = 256.0
+RECORDING_SAMPLES = 2048  # 8 s
+
+
+@functools.cache
+def recording_samples() -> np.ndarray:
+    """3 channels of an 8 s recording at 256 Hz, float32 as a container holds them."""
+    rng = np.random.default_rng(2)
+    return (rng.standard_normal((3, RECORDING_SAMPLES)) * 10).astype(np.float32)
+
+
+# the settings of ``preprocess``: usual values, and odd ones that an example
+# draws for at most two of them
+PREPROCESS_USUAL = {
+    "bandpass_lo_hz": st.floats(0.5, 20.0),
+    "bandpass_hi_hz": st.floats(30.0, 120.0),
+    "notch_hz": st.lists(st.floats(10.0, 120.0), max_size=2),
+    "epoch_pre_s": st.floats(0.5, 1.0),
+    "epoch_post_s": st.floats(0.5, 2.0),
+    "baseline_window_s": st.tuples(st.floats(-0.5, -0.05), st.floats(0.0, 0.5)),
+    "baseline_before_downsample": st.booleans(),
+    "target_fs_hz": st.sampled_from([256.0, 128.0, 64.0, 32.0]),
+    "event_code": st.just(1),
+}
+PREPROCESS_ODD = {
+    **{key: FLOATS for key in PREPROCESS_USUAL},
+    "notch_hz": st.lists(FLOATS, max_size=2),
+    "baseline_window_s": st.lists(FLOATS, max_size=3),
+    "baseline_before_downsample": st.sampled_from([0, None, "no"]),
+    "event_code": st.integers(-1, 3) | FLOATS,
+}
+
+
+@settings(max_examples=125, derandomize=True, database=None, deadline=None)
+@given(events=st.lists(st.tuples(st.integers(0, RECORDING_SAMPLES - 1),
+                                 st.sampled_from([1, 1, 1, 2]), st.integers(0, 1)),
+                       min_size=2, max_size=8),
+       repeat=st.booleans(),
+       usual=st.fixed_dictionaries(PREPROCESS_USUAL),
+       odd=st.lists(st.sampled_from(sorted(PREPROCESS_ODD)).flatmap(
+           lambda key: st.tuples(st.just(key), PREPROCESS_ODD[key])), max_size=2))
+def test_preprocess_exits_0_or_2_with_one_line(events, repeat, usual, odd):
+    if repeat:  # the first event again, at the end: one sample, two epochs
+        events = events + events[:1]
+    rec = ContinuousRecording(RECORDING_FS, ["a", "b", "c"], recording_samples(),
+                              [(s, code) for s, code, _ in events])
+    pairs = [f"{key}={json.dumps(value)}" for key, value in {**usual, **dict(odd)}.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = write_continuous_container(Path(tmp) / "raw", rec, [lab for *_, lab in events])
+        out = Path(tmp) / "ep"
+        code, lines, caught = run(["preprocess", "--input", str(raw), "--out", str(out),
+                                   *(arg for pair in pairs for arg in ("--set", pair))])
+        assert caught == []
+        assert code in (0, 2), lines
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+            return
+        assert run(["validate", "--input", str(out)]) == (0, ["ok"], [])
+        spec = from_config(PreprocessSpec, load_config(None, pairs))
+        expected, labels = whole_array_reference(
+            rec, [lab for _, c, lab in events if c == spec.event_code], spec)
+        es = read_epoch_container(out)
+        assert es.labels.tolist() == labels
+        assert np.array_equal(es.data, expected.astype(np.float32))

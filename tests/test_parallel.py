@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import ctypes
 import logging
 import multiprocessing
 import os
@@ -10,6 +11,11 @@ import numpy as np
 import pytest
 
 from errpkit import parallel
+
+try:
+    import resource
+except ImportError:  # not a Unix
+    resource = None
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMPY_OPENBLAS = sorted(Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_-*.so"))
@@ -167,3 +173,23 @@ class TestMapBlocks:
         with pytest.raises(ValueError, match="^block at 4$"):
             parallel.map_blocks(fail, 10, 8, (10,), n_workers=n_workers)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(resource is None or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="needs getrusage and glibc's mallopt")
+def test_workers_keep_freed_blocks_resident(monkeypatch):
+    def rounds(n):
+        for _ in range(n):
+            arrays = [np.full(1 << 20, 1.0) for _ in range(3)]  # 8 MiB each
+            del arrays
+
+    def minor_faults_of_four_rounds(i):
+        rounds(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rounds(4)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+    faults = parallel.map_jobs(minor_faults_of_four_rounds, 2, 2, "heap")
+    assert max(faults) < 100, faults
+    assert multiprocessing.active_children() == []

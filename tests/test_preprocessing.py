@@ -21,6 +21,8 @@ from errpkit.preprocessing import (
     preprocess_recording,
 )
 
+from conftest import whole_array_reference
+
 FS = 2048.0
 
 
@@ -333,46 +335,6 @@ class TestPipeline:
         assert list(es.labels) == labels
 
 
-def whole_array_reference(rec, labels, spec):
-    """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle)."""
-    from scipy import signal
-
-    fs, n = rec.fs_hz, rec.n_samples
-
-    def filtfilt(sos, x, order, lo_hz, length):
-        padlen = int(min(length - 1, round(3.0 * order * fs / lo_hz)))
-        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
-
-    lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
-    x = filtfilt(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
-                 rec.data.astype(np.float64), 4, lo, n)
-    for f0 in spec.notch_hz:
-        x = filtfilt(signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), x, 2, f0, n)
-    x = x - x.mean(axis=0, keepdims=True)
-    n_pre, n_post = round(spec.epoch_pre_s * fs), round(spec.epoch_post_s * fs)
-    kept = [(s, lab) for (s, _), lab in zip(rec.events, labels)
-            if s - n_pre >= 0 and s + n_post <= n]
-    epochs = np.stack([x[:, s - n_pre:s + n_post] for s, _ in kept])
-
-    def baseline(e, rate):
-        a, b = (round((t + spec.epoch_pre_s) * rate) for t in spec.baseline_window_s)
-        return e - e[..., a:b].mean(axis=-1, keepdims=True)
-
-    factor = round(fs / spec.target_fs_hz)
-    cutoff = 0.4 * spec.target_fs_hz
-    lowpass = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
-    n_out = epochs.shape[-1] // factor
-
-    def downsample(e):
-        return filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
-
-    if spec.baseline_before_downsample:
-        epochs = downsample(baseline(epochs, fs))
-    else:
-        epochs = baseline(downsample(epochs), spec.target_fs_hz)
-    return epochs, [lab for _, lab in kept]
-
-
 class TestBlockwisePipeline:
     FS = 1024.0
     N_CHANNELS = 5
@@ -426,6 +388,45 @@ class TestBlockwisePipeline:
         # per baseline order: 3 row jobs of 3 stages, 3 event jobs of one lowpass
         assert worker_filter_calls.value == 2 * (3 * 3 + 3)
 
+    # event times in s of layouts whose 2.5 s windows the store merges; the
+    # windows at 1.0 to 8.5 s of "touching" start 2,560 samples apart and
+    # make one segment
+    LAYOUTS = {
+        "overlapping": [1.0, 2.0, 2.5, 6.0, 7.0, 13.5],
+        "unsorted": [8.0, 1.0, 13.5, 4.5, 11.0, 0.2, 3.0],
+        "one-sample": [3.0, 3.0, 9.0, 3.0, 17.0],
+        "touching": [1.0, 3.5, 6.0, 8.5, 12.0],
+    }
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_merged_windows_equal_whole_array_filtering(self, monkeypatch, layout, n_workers):
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 300 * 1024)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        rec, _ = self.recording(np.float32)
+        rec.events = [(int(self.FS * t), 1) for t in self.LAYOUTS[layout]]
+        labels = [i % 2 for i in range(len(rec.events))]
+        stored = []
+        original = preprocessing._filter_rows
+
+        def spy(data, *args, **kwargs):
+            out = original(data, *args, **kwargs)
+            stored.append(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(preprocessing, "_filter_rows", spy)
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+            es, _ = preprocess_recording(rec, labels, spec, n_workers=n_workers)
+            expected, kept_labels = whole_array_reference(rec, labels, spec)
+            assert list(es.labels) == kept_labels
+            assert np.array_equal(es.data, expected)
+            assert multiprocessing.active_children() == []
+        windows = set().union(*(range(s - 512, s + 2048) for s, _ in rec.events
+                                if 512 <= s <= self.N_SAMPLES - 2048))
+        assert stored[0] == len(windows) < self.N_SAMPLES
+
     def test_peak_memory_is_bounded_by_four_times_float32_input(self):
         fs, n_channels = 512.0, 16
         rng = np.random.default_rng(22)
@@ -445,6 +446,24 @@ class TestBlockwisePipeline:
         # one worker by default: plain arrays that tracemalloc sees, no shared memory
         assert es.data.flags.owndata
         assert peak <= 4 * data.nbytes, peak / data.nbytes
+
+    def test_sparse_events_store_only_their_windows(self):
+        # 12 epochs of 2.5 s, 10 s apart, cover a quarter of the recording
+        fs, n_channels = 512.0, 16
+        rng = np.random.default_rng(24)
+        data = (rng.standard_normal((n_channels, int(120 * fs))) * 20).astype(np.float32)
+        events = [(int(fs * (2 + 10 * i)), 1) for i in range(12)]
+        rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
+        preprocess_recording(  # loads scipy.signal outside the measurement
+            ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
+        tracemalloc.start()
+        try:
+            es, _ = preprocess_recording(rec, [i % 2 for i in range(12)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.data.shape == (12, n_channels, 640)
+        assert peak <= 1.6 * data.nbytes, peak / data.nbytes
 
 
 class TestSampleStorage:
