@@ -7,14 +7,17 @@ channels-by-samples float32 block plus ``events.json``.  One inspector
 checks the manifest and samples of both kinds and lists every violation.
 Reports are canonical JSON: sorted keys, fixed separators, native floats.
 
-Memory: a reader maps ``data.bin`` copy-on-write instead of reading it, so
-a set holds no copy of its samples: the pages it touches are the file's
-page cache, and writing to the array copies only the pages written.  The
-check for non-finite samples streams the file a block of
-:func:`parallel.blocks` at a time, so neither a read nor ``validate``
-holds the samples.  A writer writes ``data.bin`` to a new file and renames
-it over the old one, so a set read earlier from the same path keeps its
-samples.
+Memory: a reader maps ``data.bin`` instead of reading it, so a set holds
+no copy of its samples: the pages it touches are the file's page cache.  A
+continuous recording's map is read-only, so a filter may drop the pages it
+has read from its process (:mod:`preprocessing`) and writing into the
+recording raises; an epoch set's map is copy-on-write, so its array is
+writable and a write copies only the pages written.  The check for
+non-finite samples streams the file a block of :func:`parallel.blocks` at
+a time, so neither a read nor ``validate`` holds the samples.  A writer
+writes ``data.bin`` a block of :func:`parallel.blocks` at a time to a new
+file and renames it over the old one, so it holds no copy of the samples,
+and a set read earlier from the same path keeps its samples.
 """
 from __future__ import annotations
 
@@ -130,7 +133,8 @@ def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
     tmp = path / f".{DATA_NAME}.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            np.ascontiguousarray(rec.data, dtype="<f4").tofile(f)
+            for sl in parallel.blocks(len(rec.data), 4 * math.prod(rec.data.shape[1:])):
+                np.ascontiguousarray(rec.data[sl], dtype="<f4").tofile(f)
         os.replace(tmp, path / DATA_NAME)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -176,12 +180,13 @@ def _count_nonfinite(dpath: Path, n: int) -> int:
                    for sl in parallel.blocks(n, 4))
 
 
-def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
+def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...], mode: str
              ) -> tuple[list[str], dict | None, np.ndarray | None]:
     """The violations of the container at ``path``, whose manifest must hold
     the fields ``spec``; its manifest once that is well-typed; and its float32
     samples, shaped by the manifest fields ``shape`` and mapped from
-    ``data.bin``, once that file has their size."""
+    ``data.bin`` in the :class:`numpy.memmap` ``mode``, once that file has
+    their size."""
     try:
         manifest = _load_json(path / MANIFEST_NAME)
     except ContainerError as exc:
@@ -210,8 +215,8 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
         problems.append(f"data file is {actual} bytes, expected {4 * math.prod(dims)}")
     else:
         # mapped, not read: a read holds no copy, and the pages it touches
-        # stay the file's; copy-on-write keeps the array writable
-        data = (np.memmap(dpath, dtype="<f4", mode="c", shape=dims) if actual
+        # stay the file's
+        data = (np.memmap(dpath, dtype="<f4", mode=mode, shape=dims) if actual
                 else np.empty(dims, dtype="<f4"))  # an empty file cannot be mapped
         bad = _count_nonfinite(dpath, data.size)
         if bad:
@@ -222,9 +227,9 @@ def _inspect(path: Path, spec: dict[str, str], shape: tuple[str, ...]
 def _inspect_epoch_container(path: Path
                              ) -> tuple[list[str], dict | None, np.ndarray | None, bytes | None]:
     """:func:`_inspect` of an epoch container, plus the checks of ``labels.bin``
-    and its bytes, read once."""
+    and its bytes, read once.  The samples are mapped copy-on-write."""
     problems, manifest, data = _inspect(path, _EPOCH_FIELDS,
-                                        ("n_trials", "n_channels", "n_samples"))
+                                        ("n_trials", "n_channels", "n_samples"), "c")
     if manifest is None:
         return problems, None, None, None
     try:  # the event's sample, by the rule every window is placed with
@@ -276,8 +281,9 @@ def _event_problems(events, manifest: dict) -> list[str]:
 def _inspect_continuous_container(path: Path) -> tuple[list[str], dict | None,
                                                       np.ndarray | None, list | None]:
     """:func:`_inspect` of a continuous container, plus the checks of
-    ``events.json`` and its events."""
-    problems, manifest, data = _inspect(path, _CONTINUOUS_FIELDS, ("n_channels", "n_samples"))
+    ``events.json`` and its events.  The samples are mapped read-only."""
+    problems, manifest, data = _inspect(path, _CONTINUOUS_FIELDS, ("n_channels", "n_samples"),
+                                        "r")
     events = None
     if manifest is not None:
         try:
@@ -290,7 +296,8 @@ def _inspect_continuous_container(path: Path) -> tuple[list[str], dict | None,
 
 
 def read_continuous_container(path) -> tuple[ContinuousRecording, list[int]]:
-    """The recording and the label of each of its events.  A container that
+    """The recording and the label of each of its events; its samples are
+    mapped read-only, so writing into them raises.  A container that
     violates the format raises one ContainerError that names every violation."""
     problems, manifest, data, events = _inspect_continuous_container(Path(path))
     if problems:

@@ -19,12 +19,14 @@ filters each row whole but stores only its samples inside the epoch
 windows, merged where they overlap or touch, and cuts, re-references,
 baselines and downsamples the epochs a block of events at a time.  Its
 peak is about that float64 store, at most the size of the filtered
-recording, plus the float32 input that it reads; the epochs are
-bit-identical to whole-array filtering, because each row is filtered on
-its own and each epoch's re-reference sums the same channels in the
-same order.  A recording read from a container maps its ``data.bin``
-(:mod:`io`), so where the filters and the epochs run in forked workers
-this process reads neither the input nor the store.
+recording; the epochs are bit-identical to whole-array filtering, because
+each row is filtered on its own and each epoch's re-reference sums the
+same channels in the same order.  A recording read from a container maps
+its ``data.bin`` read-only (:mod:`io`), and the process that filters a
+block of its rows drops their pages once they are upcast
+(:func:`_drop_mapped_pages`), so no process keeps the input resident: the
+pages stay in the page cache.  Where the filters and the epochs run in
+forked workers, this process reads neither the input nor the store.
 
 Parallelism: the row blocks, then the event blocks, are the blocks of
 :func:`parallel.map_blocks`.  At one worker (the library default), or for
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,6 +169,26 @@ def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int, what: 
     return sos, int(min(n_samples - 1, round(pad)))
 
 
+def _drop_mapped_pages(rows: np.ndarray) -> None:
+    """Drop from this process the pages of the C-contiguous ``rows`` where they
+    view a read-only file mapping, as :mod:`io` maps a continuous
+    container's ``data.bin``; leave any other array as it is.  The pages stay
+    in the page cache, and a later read faults them in again from the file
+    that the mapping holds open, so no value of the array changes."""
+    owner = rows
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if not (isinstance(owner, mmap.mmap) and rows.flags.c_contiguous
+            and hasattr(mmap, "MADV_DONTNEED")):
+        return
+    mapping = np.frombuffer(owner, np.uint8)
+    if mapping.flags.writeable:  # its pages may hold writes that only this process has
+        return
+    start = rows.ctypes.data - mapping.ctypes.data
+    first = start - start % mmap.PAGESIZE
+    owner.madvise(mmap.MADV_DONTNEED, first, start + rows.nbytes - first)
+
+
 def _filter_rows(data: np.ndarray, stages, keep=(slice(None),),
                  n_workers: int = 1) -> np.ndarray:
     """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
@@ -175,7 +198,9 @@ def _filter_rows(data: np.ndarray, stages, keep=(slice(None),),
     Rows are upcast to float64 and filtered a block at a time into one
     preallocated float64 array by :func:`parallel.map_blocks`, on up to
     ``n_workers`` processes, so the temporaries of ``sosfiltfilt`` stay
-    block-sized.  Every row is filtered on its own, so the result equals
+    block-sized.  Once a block is upcast, :func:`_drop_mapped_pages` drops
+    its input pages from the process, so a process keeps no mapped input
+    resident.  Every row is filtered on its own, so the result equals
     whole-array filtering bit for bit at any worker count.
     """
     from scipy import signal  # imported on use: it is the slowest import in the package
@@ -186,6 +211,7 @@ def _filter_rows(data: np.ndarray, stages, keep=(slice(None),),
 
     def filter_block(sl: slice, out: np.ndarray) -> None:
         block = np.asarray(rows[sl], dtype=np.float64)
+        _drop_mapped_pages(rows[sl])
         for sos, padlen in stages:
             block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
         at = 0

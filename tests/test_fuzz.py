@@ -13,11 +13,14 @@ warning.
   and exits 0, or prints ``violation:`` lines only and exits 2; a container
   it passes reads as finite samples of the manifest's shape, the bytes of
   its ``data.bin``.
-- ``preprocess``, on a small continuous recording with events drawn
+- ``preprocess``, on a small continuous container of drawn channel and
+  sample counts, in one example in four with its ``fs_hz``, its
+  ``channel_names`` or one event field edited, with events drawn
   overlapping, unsorted, repeated or edge-clipped, and filter, epoch,
-  baseline and rate settings drawn as for ``synth``, exits 0 or 2; on 2 it
-  prints exactly one ``error:`` line and writes nothing; the epochs it
-  writes pass ``validate`` and are the float32 of whole-array filtering.
+  baseline and rate settings drawn as for ``synth``, at 1 or 2 CPUs,
+  exits 0 or 2; on 2 it prints exactly one ``error:`` line
+  and writes nothing; the epochs it writes pass ``validate`` and are the
+  float32 of whole-array filtering.
 """
 import contextlib
 import functools
@@ -28,11 +31,13 @@ import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from errpkit import parallel
 from errpkit.cli import main
 from errpkit.config import from_config, load_config
 from errpkit.io import (
@@ -197,17 +202,6 @@ def test_validate_exits_0_with_ok_or_2_with_violations(kind, manifest_edits, ref
             assert all(line.startswith("violation: ") for line in lines), lines
 
 
-RECORDING_FS = 256.0
-RECORDING_SAMPLES = 2048  # 8 s
-
-
-@functools.cache
-def recording_samples() -> np.ndarray:
-    """3 channels of an 8 s recording at 256 Hz, float32 as a container holds them."""
-    rng = np.random.default_rng(2)
-    return (rng.standard_normal((3, RECORDING_SAMPLES)) * 10).astype(np.float32)
-
-
 # the settings of ``preprocess``: usual values, and odd ones that an example
 # draws for at most two of them
 PREPROCESS_USUAL = {
@@ -218,34 +212,68 @@ PREPROCESS_USUAL = {
     "epoch_post_s": st.floats(0.5, 2.0),
     "baseline_window_s": st.tuples(st.floats(-0.5, -0.05), st.floats(0.0, 0.5)),
     "baseline_before_downsample": st.booleans(),
-    "target_fs_hz": st.sampled_from([256.0, 128.0, 64.0, 32.0]),
     "event_code": st.just(1),
 }
 PREPROCESS_ODD = {
     **{key: FLOATS for key in PREPROCESS_USUAL},
+    "target_fs_hz": FLOATS,
     "notch_hz": st.lists(FLOATS, max_size=2),
     "baseline_window_s": st.lists(FLOATS, max_size=3),
     "baseline_before_downsample": st.sampled_from([0, None, "no"]),
     "event_code": st.integers(-1, 3) | FLOATS,
 }
+PAGE_SAMPLES = 1024  # float32 samples in a 4 KiB page
 
 
 @settings(max_examples=125, derandomize=True, database=None, deadline=None)
-@given(events=st.lists(st.tuples(st.integers(0, RECORDING_SAMPLES - 1),
+@given(n_channels=settings_of(st.integers(2, 4), st.just(1)),
+       n_samples=st.integers(1500, 5000).filter(lambda n: n % PAGE_SAMPLES),
+       fs_hz=st.sampled_from([250.0, 256.0, 512.0]),
+       factor=st.sampled_from([1, 2, 4, 8]),
+       events=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                  st.sampled_from([1, 1, 1, 2]), st.integers(0, 1)),
                        min_size=2, max_size=8),
        repeat=st.booleans(),
+       edit=settings_of(st.none(), st.one_of(
+           st.tuples(st.just("fs_hz"), VALUES),
+           st.tuples(st.just("channel_names"), VALUES | st.lists(st.text(max_size=2), max_size=5)),
+           st.tuples(st.integers(0, 1), st.sampled_from(["sample", "code", "label"]),
+                     VALUES | st.just(DELETE)))),
+       cpus=st.sampled_from([1, 2]),
        usual=st.fixed_dictionaries(PREPROCESS_USUAL),
-       odd=st.lists(st.sampled_from(sorted(PREPROCESS_ODD)).flatmap(
-           lambda key: st.tuples(st.just(key), PREPROCESS_ODD[key])), max_size=2))
-def test_preprocess_exits_0_or_2_with_one_line(events, repeat, usual, odd):
+       odd=settings_of(st.just([]), st.lists(st.sampled_from(sorted(PREPROCESS_ODD)).flatmap(
+           lambda key: st.tuples(st.just(key), PREPROCESS_ODD[key])), min_size=1, max_size=2)))
+def test_preprocess_exits_0_or_2_with_one_line(n_channels, n_samples, fs_hz, factor, events,
+                                               repeat, edit, cpus, usual, odd):
+    """Rows of ``n_samples`` float32 end inside a page, and each row, and each
+    event, is its own block, so the filter drops pages that the next block
+    reads again; at 2 CPUs both phases run on forked workers."""
+    samples = (np.random.default_rng(2).standard_normal((n_channels, n_samples)) * 10
+               ).astype(np.float32)
+    events = [(int(at * n_samples), code, lab) for at, code, lab in events]
     if repeat:  # the first event again, at the end: one sample, two epochs
         events = events + events[:1]
-    rec = ContinuousRecording(RECORDING_FS, ["a", "b", "c"], recording_samples(),
+    rec = ContinuousRecording(fs_hz, [f"c{i}" for i in range(n_channels)], samples,
                               [(s, code) for s, code, _ in events])
-    pairs = [f"{key}={json.dumps(value)}" for key, value in {**usual, **dict(odd)}.items()]
-    with tempfile.TemporaryDirectory() as tmp:
+    values = {"target_fs_hz": fs_hz / factor, **usual, **dict(odd)}
+    pairs = [f"{key}={json.dumps(value)}" for key, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(parallel, "n_cpus", lambda: cpus), \
+            mock.patch.object(parallel, "_BLOCK_BYTES", 4096), \
+            mock.patch.object(parallel, "_POOL_MIN_BYTES", 0):
         raw = write_continuous_container(Path(tmp) / "raw", rec, [lab for *_, lab in events])
+        manifest = json.loads((raw / "manifest.json").read_text())
+        doc = json.loads((raw / "events.json").read_text())
+        if edit is not None and len(edit) == 2:  # a manifest field
+            manifest[edit[0]] = edit[1]
+            (raw / "manifest.json").write_text(json.dumps(manifest))
+        elif edit is not None:  # a field of an event
+            i, key, value = edit
+            if value is DELETE:
+                del doc[i][key]
+            else:
+                doc[i][key] = value
+            (raw / "events.json").write_text(json.dumps(doc))
         out = Path(tmp) / "ep"
         code, lines, caught = run(["preprocess", "--input", str(raw), "--out", str(out),
                                    *(arg for pair in pairs for arg in ("--set", pair))])
@@ -258,7 +286,9 @@ def test_preprocess_exits_0_or_2_with_one_line(events, repeat, usual, odd):
         assert run(["validate", "--input", str(out)]) == (0, ["ok"], [])
         spec = from_config(PreprocessSpec, load_config(None, pairs))
         expected, labels = whole_array_reference(
-            rec, [lab for _, c, lab in events if c == spec.event_code], spec)
+            ContinuousRecording(manifest["fs_hz"], manifest["channel_names"], samples,
+                                [(e["sample"], e["code"]) for e in doc]),
+            [e["label"] for e in doc if e["code"] == spec.event_code], spec)
         es = read_epoch_container(out)
         assert es.labels.tolist() == labels
         assert np.array_equal(es.data, expected.astype(np.float32))

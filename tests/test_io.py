@@ -22,7 +22,7 @@ from errpkit.io import (
     write_epoch_container,
     write_report,
 )
-from errpkit.preprocessing import ContinuousRecording, EpochSet
+from errpkit.preprocessing import ContinuousRecording, EpochSet, preprocess_recording
 from errpkit.synth import generate_epochs
 
 
@@ -60,6 +60,31 @@ class TestEpochContainer:
         assert back.data.dtype == np.float32
         size = (path / "data.bin").stat().st_size
         assert peak <= 1.1 * size, peak / size
+
+    def test_write_of_a_float64_set_holds_one_block(self, tmp_path):
+        """Writing a float64 set (16 MB) converts it to float32 one block of
+        parallel.blocks at a time: no float32 copy of the whole set is made,
+        and the bytes are those of the whole set's float32."""
+        data = np.random.default_rng(5).standard_normal((200, 32, 307))
+        es = EpochSet(data, np.arange(200) % 2, 256.0, -0.5, [f"c{i}" for i in range(32)])
+        write_epoch_container(tmp_path / "warm", es)  # first-call allocations
+        tracemalloc.start()
+        try:
+            path = write_epoch_container(tmp_path / "c", es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * parallel._BLOCK_BYTES, peak
+        assert (path / "data.bin").read_bytes() == data.astype("<f4").tobytes()
+
+    def test_read_set_is_writable_and_leaves_its_file_unchanged(self, tmp_path, small_set):
+        path = write_epoch_container(tmp_path / "c", small_set)
+        raw = (path / "data.bin").read_bytes()
+        back = read_epoch_container(path)
+        back.data[0, 0, :] = 7.0
+        assert (back.data[0, 0] == 7.0).all()
+        assert (path / "data.bin").read_bytes() == raw
+        assert np.array_equal(read_epoch_container(path).data, small_set.data)
 
     def test_rewrite_is_idempotent(self, tmp_path, small_set):
         p1 = write_epoch_container(tmp_path / "a", small_set)
@@ -189,6 +214,17 @@ class TestEpochContainer:
         assert len(problems) >= 2
 
 
+def in_fresh_process(code: str, path: Path) -> str:
+    """The standard output of ``code`` run by a new interpreter that imports
+    this errpkit, with ``path`` as its one argument."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(io.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestContinuousContainer:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -221,14 +257,63 @@ class TestContinuousContainer:
             "rec, labels = read_continuous_container(sys.argv[1])\n"
             "assert validate_container(sys.argv[1]) == []\n"
             "print(rec.data.shape, (resident() - before) / 2**20)\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(io.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        shape, grown_mb = proc.stdout.rsplit(" ", 1)
+        shape, grown_mb = in_fresh_process(code, path).rsplit(" ", 1)
         assert shape == "(16, 750000)"
         assert float(grown_mb) < 4.0, grown_mb
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    def test_filtering_a_read_recording_leaves_its_samples_unresident(self, tmp_path):
+        """Filtering a 48 MB recording in a fresh process raises its resident
+        memory by less than 8 MB: each block's mapped input pages are dropped
+        once the block is upcast.  Only 10 samples of each row are kept, and
+        a first filter of a row held in memory makes the filter's own
+        allocations before the measurement."""
+        rec = ContinuousRecording(512.0, [f"c{i}" for i in range(16)],
+                                  np.zeros((16, 750_000), np.float32), [(100, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0])
+        code = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from errpkit.io import read_continuous_container\n"
+            "from errpkit.preprocessing import _bandpass_stage, _filter_rows\n"
+            "def resident():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "rec, labels = read_continuous_container(sys.argv[1])\n"
+            "stages = [_bandpass_stage(rec, 1.0, 40.0)]\n"
+            "_filter_rows(np.zeros((1, rec.n_samples), np.float32), stages, [slice(10)])\n"
+            "before = resident()\n"
+            "out = _filter_rows(rec.data, stages, [slice(10)])\n"
+            "print(out.shape, (resident() - before) / 2**20)\n")
+        shape, grown_mb = in_fresh_process(code, path).rsplit(" ", 1)
+        assert shape == "(16, 10)"
+        assert float(grown_mb) < 8.0, grown_mb
+
+    def test_read_recording_is_read_only(self, tmp_path):
+        rec = ContinuousRecording(512.0, ["a", "b"], np.ones((2, 500)), [(100, 1)])
+        back, _ = read_continuous_container(write_continuous_container(tmp_path / "raw", rec, [0]))
+        with pytest.raises(ValueError, match="read-only"):
+            back.data[0, 0] = 2.0
+        assert (back.data == 1.0).all()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rewrite_leaves_a_recording_read_before_unchanged(self, tmp_path, monkeypatch, cpus):
+        """A recording maps the data.bin it was read from, and a filter drops
+        the pages it has read; they are read again from that file, not from
+        a data.bin written over it since, so the epochs do not change."""
+        monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 4096)  # one row or event per block
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        data = np.random.default_rng(6).standard_normal((3, 5000)).astype(np.float32)
+        rec = ContinuousRecording(512.0, ["a", "b", "c"], data, [(1000, 1), (3000, 1)])
+        path = write_continuous_container(tmp_path / "raw", rec, [0, 1])
+        back, labels = read_continuous_container(path)
+        first, _ = preprocess_recording(back, labels, n_workers=cpus)
+        write_continuous_container(path, replace(rec, data=-data), [0, 1])
+        again, _ = preprocess_recording(back, labels, n_workers=cpus)
+        assert np.array_equal(again.data, first.data)
+        assert np.array_equal(back.data, data)
+        assert np.array_equal(read_continuous_container(path)[0].data, -data)
 
     def test_event_past_the_end_listed(self, tmp_path):
         rec = ContinuousRecording(512.0, ["a", "b", "c"], np.zeros((3, 500)), [(100, 1), (300, 1)])

@@ -488,3 +488,17 @@ class TestSampleStorage:
         out64 = bandpass(one_channel(x.astype(np.float64)), 1.0, 100.0).data
         assert out32.dtype == np.float64
         assert np.array_equal(out32, out64)
+
+    @pytest.mark.parametrize("mode", ["r", "c"])
+    def test_dropping_mapped_pages_changes_no_value(self, tmp_path, mode):
+        """Pages of a read-only map are dropped and read again from the file;
+        a copy-on-write map is left as it is, since its pages may hold writes
+        that the file does not."""
+        path = tmp_path / "x.bin"
+        np.arange(3 * 5000, dtype="<f4").tofile(path)
+        data = np.asarray(np.memmap(path, dtype="<f4", mode=mode, shape=(3, 5000)))
+        if mode == "c":
+            data[1, 7] = -1.0
+        expected = np.array(data)
+        preprocessing._drop_mapped_pages(data[1:2])
+        assert np.array_equal(data, expected)
