@@ -153,7 +153,9 @@ def cmd_evaluate(args) -> int:
     seed ``derive_seed(seed, d, 0xC)`` whichever command runs, so a block is
     the same in every report that holds it.  Blocks that do not apply are
     null: ``t_test`` needs both methods, ``permutation_test`` needs both
-    methods on at least two datasets.  Every file it writes, the report and
+    methods on at least two datasets.  The report's ``config`` is what ran:
+    the resolved seed, folds, repeats and chance shuffles (null without the
+    chance level) and the hyperparameters.  Every file it writes, the report and
     with ``emit_erp`` the CSVs beside it, and every setting are checked before
     any input is read.  A check pass reads each input once and builds its
     report block: path, shape, plan and audit.  Beside the block it keeps the
@@ -177,7 +179,6 @@ def cmd_evaluate(args) -> int:
     seed, k, r, threads = (_setting(args, cfg, key, least) for key, least in
                            (("seed", 0), ("folds", 2), ("repeats", 1), ("threads", 1)))
     shuffles = _setting(args, cfg, "n_chance_shuffles", 1) if args.chance else None
-    cfg.update(seed=seed, folds=k, repeats=r)  # the report's config is what ran
     hp = from_config(evaluation.Hyperparams, cfg)
 
     inputs, erps = [], []  # per input: (block, plan, labels, benchmark rows or None); ERP tables
@@ -240,8 +241,8 @@ def cmd_evaluate(args) -> int:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "runtime_s": time.perf_counter() - t_start,
         },
-        "config": cfg,
-        "seed": seed,
+        "config": {"seed": seed, "folds": k, "repeats": r, "n_chance_shuffles": shuffles,
+                   **asdict(hp)},
         "datasets": blocks,
         "permutation_test": perm,
     })

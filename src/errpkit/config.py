@@ -7,6 +7,13 @@ and :func:`from_config` builds any of these dataclasses back from a config.
 The CV settings ``folds``, ``repeats`` and ``n_chance_shuffles`` have the
 paper's protocol as their defaults here only: the evaluation functions that
 take them have none.
+
+Every command accepts every key and reads only those it uses, so one file
+can serve ``synth``, ``preprocess`` and the evaluation commands.  What a
+command writes records only the settings that ran: a container's manifest
+its generator or preprocessing settings, and a report's ``config`` the
+resolved ``seed``, ``folds``, ``repeats`` and ``n_chance_shuffles`` (null
+without the chance level) and the :class:`evaluation.Hyperparams` fields.
 """
 from __future__ import annotations
 

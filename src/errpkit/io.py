@@ -25,12 +25,14 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import parallel
 from .errors import InvalidInput, InvalidWindow
+from .evaluation import Hyperparams
 from .labels import LABEL_NAMES
 from .preprocessing import ContinuousRecording, EpochSet, sample_index
 
@@ -42,10 +44,14 @@ EVENTS_NAME = "events.json"
 
 # 2: one schema for run, compare and chance; no reference_eig_* audit.
 # 3: the permutation test's null moments in closed form, not drawn.
-REPORT_VERSION = 3
-_REPORT_KEYS = {
-    "format_version", "meta", "config", "seed", "datasets", "permutation_test",
-}
+# 4: ``config`` holds only the settings that ran, ``seed`` is written there
+#    only, and the permutation test adds its exact p.
+REPORT_VERSION = 4
+# the top-level keys of a report of REPORT_VERSION and of its config; versions
+# 1 to 3 also hold the top-level ``seed`` and echo the whole flat config
+_REPORT_KEYS = ("format_version", "meta", "config", "datasets", "permutation_test")
+_REPORT_CONFIG_KEYS = ("seed", "folds", "repeats", "n_chance_shuffles",
+                      *(f.name for f in fields(Hyperparams)))
 
 
 class ContainerError(InvalidInput):
@@ -319,30 +325,53 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, default=_native) + "\n"
 
 
+def _key_problem(doc: dict, keys, what: str) -> str | None:
+    """A line naming the keys of ``doc`` that are not ``keys``, or else
+    those of ``keys`` it lacks, or None when it holds exactly ``keys``."""
+    if unknown := sorted(set(doc) - set(keys)):
+        return f"{what} contains unknown fields {unknown}"
+    if missing := [key for key in keys if key not in doc]:
+        return f"{what} lacks fields {missing}"
+    return None
+
+
+def _report_problem(report) -> str | None:
+    """The line naming how ``report`` breaks the schema of its version, or
+    None.  Versions 1 to 3 may hold any config, and a top-level ``seed``;
+    version :data:`REPORT_VERSION` holds exactly :data:`_REPORT_KEYS`, and a
+    config of exactly :data:`_REPORT_CONFIG_KEYS`."""
+    if not isinstance(report, dict):
+        return "report is not a JSON object"
+    version = report.get("format_version")
+    if type(version) is not int or not 1 <= version <= REPORT_VERSION:
+        return f"report format_version {version!r} is not supported (max {REPORT_VERSION})"
+    if version < REPORT_VERSION:
+        unknown = sorted(set(report) - {*_REPORT_KEYS, "seed"})
+        return f"report contains unknown fields {unknown}" if unknown else None
+    if problem := _key_problem(report, _REPORT_KEYS, "report"):
+        return problem
+    if not isinstance(report["config"], dict):
+        return "report field 'config' is not a JSON object"
+    return _key_problem(report["config"], _REPORT_CONFIG_KEYS, "report config")
+
+
 def write_report(path, report: dict) -> Path:
+    """Write ``report`` as canonical JSON; one that :func:`read_report` would
+    reject raises ValueError and writes nothing."""
+    if problem := _report_problem(report):
+        raise ValueError(f"refusing to write: {problem}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    unknown = set(report) - _REPORT_KEYS
-    if unknown:
-        raise ValueError(f"refusing to write unknown report fields {sorted(unknown)}")
     path.write_text(canonical_json(report))
     return path
 
 
 def read_report(path) -> dict:
-    """Strict reader of versions 1 to :data:`REPORT_VERSION`: unknown top-level
-    fields or another version are errors."""
+    """Strict reader of versions 1 to :data:`REPORT_VERSION`: another
+    version, or a field its version does not hold, is an error."""
     report = json.loads(Path(path).read_text())
-    if not isinstance(report, dict):
-        raise ContainerError("report is not a JSON object")
-    version = report.get("format_version")
-    if type(version) is not int or not 1 <= version <= REPORT_VERSION:
-        raise ContainerError(
-            f"report format_version {version!r} is not supported (max {REPORT_VERSION})"
-        )
-    unknown = sorted(set(report) - _REPORT_KEYS)
-    if unknown:
-        raise ContainerError(f"report contains unknown fields {unknown}")
+    if problem := _report_problem(report):
+        raise ContainerError(problem)
     return report
 
 

@@ -28,7 +28,10 @@ from errpkit.io import (
 )
 from errpkit.preprocessing import ContinuousRecording, EpochSet, PreprocessSpec
 
-PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "swap_scheme", "z"]
+PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "p_exact", "swap_scheme", "z"]
+REPORT_KEYS = ["config", "datasets", "format_version", "meta", "permutation_test"]
+CONFIG_KEYS = ["folds", "mean_max_iter", "mean_tol", "n_chance_shuffles", "reg_c", "repeats",
+               "seed", "shrinkage"]
 
 TINY = [
     "--set", "n_trials=40", "--set", "n_channels=3", "--set", "fs_hz=64.0",
@@ -420,18 +423,33 @@ class TestCompare:
         assert np.array_equal(waves, wide_waves)
 
     def test_config_is_what_ran(self, tmp_path, tiny_container):
-        """The flags' seed, folds and repeats replace the config's in the
-        report; the settings the flags leave alone are echoed as given."""
+        """The report's config is the resolved seed, folds and repeats, no
+        chance shuffles where no chance level ran, and the hyperparameters;
+        the seed is written there only, and the thread count nowhere."""
         out = tmp_path / "cmp.json"
         assert main(["compare", "--input", str(tiny_container), "--folds", "2", "--repeats", "1",
                      "--seed", "7", "--threads", "2", "--set", "reg_c=0.5",
                      "--out", str(out)]) == 0
         report = read_report(out)
-        assert {key: report["config"][key] for key in ("seed", "folds", "repeats", "reg_c")} == {
-            "seed": 7, "folds": 2, "repeats": 1, "reg_c": 0.5}
-        assert "threads" not in report["config"]
+        assert sorted(report) == REPORT_KEYS
+        assert report["config"] == {"seed": 7, "folds": 2, "repeats": 1, "n_chance_shuffles": None,
+                                    **dataclasses.asdict(evaluation.Hyperparams(reg_c=0.5))}
         plan = report["datasets"][0]["plan"]
-        assert (report["seed"], plan["k"], plan["r"]) == (7, 2, 1)
+        assert (plan["k"], plan["r"]) == (2, 1)
+
+    def test_settings_that_do_not_run_leave_the_report(self, tmp_path, tiny_container):
+        """``synth`` and ``preprocess`` settings, which compare does not read,
+        do not move a byte of the report outside ``meta``."""
+        bodies = []
+        for extra in ([], ["--set", "n_trials=999", "--set", "notch_hz=[60]"]):
+            out = tmp_path / f"cmp{len(extra)}.json"
+            assert main(["compare", "--input", str(tiny_container), "--folds", "2",
+                         "--repeats", "1", "--seed", "7", *extra, "--out", str(out)]) == 0
+            report = read_report(out)
+            del report["meta"]
+            bodies.append(io.canonical_json(report))
+        assert bodies[0] == bodies[1]
+        assert sorted(json.loads(bodies[0])["config"]) == CONFIG_KEYS
 
 
 # The analysis windows, the classifier's stopping rule and the staircase
@@ -1035,10 +1053,13 @@ class TestOneReport:
             out[name] = read_report(path)
         return out
 
-    def test_every_report_is_version_3_with_every_dataset(self, reports):
-        for rep in reports.values():
-            assert rep["format_version"] == REPORT_VERSION == 3
-            assert "n_permutations" not in rep["config"]
+    def test_every_report_is_version_4_with_every_dataset(self, reports):
+        for name, rep in reports.items():
+            assert rep["format_version"] == REPORT_VERSION == 4
+            assert sorted(rep) == REPORT_KEYS
+            assert sorted(rep["config"]) == CONFIG_KEYS
+            assert rep["config"]["n_chance_shuffles"] == (3 if name in ("compare", "chance")
+                                                          else None)
             assert len(rep["datasets"]) == 2
 
     def test_run_reproduces_compare_method_blocks(self, reports):

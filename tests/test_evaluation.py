@@ -591,6 +591,7 @@ class TestPermutationTest:
         assert res.observed_metric == math.fsum(diffs)
         assert abs(res.z) <= math.sqrt(m)
         assert res.p == normal_two_sided_p(res.z)
+        assert res.p_exact == sum(abs(x) >= abs(res.observed_metric) for x in sums) / 2 ** m
 
     def test_exact_z(self):
         res = permutation_test(self.pairs_with_medians([0.25, 0.125, -0.125]))
@@ -604,6 +605,38 @@ class TestPermutationTest:
         assert permutation_test(self.pairs_with_medians([0.125] * 7)).z == pytest.approx(
             math.sqrt(7), rel=1e-15)
         assert permutation_test(self.pairs_with_medians([-0.25])).z == -1.0
+
+    @pytest.mark.parametrize("diffs, p_exact", [
+        ([0.3], 1.0),
+        ([0.25, 0.125], 0.5),
+        ([0.25, -0.25], 1.0),
+        ([0.1, 0.2, 0.3], 0.25),
+        ([0.1, -0.2, 0.3], 0.75),
+        ([0.0, 0.0, 0.0], 1.0),
+    ])
+    def test_exact_p_by_hand(self, diffs, p_exact):
+        res = permutation_test(self.pairs_with_medians(diffs))
+        assert res.p_exact == p_exact
+
+    @pytest.mark.parametrize("negative, z, p, p_exact", [
+        (0, 2.646, 0.0082, 0.015625), (1, 1.890, 0.0588, 0.125), (2, 1.134, 0.2568, 0.453125),
+    ])
+    def test_exact_p_of_seven_equal_differences(self, negative, z, p, p_exact):
+        """The normal tail understates p most when the differences are equal;
+        no order of the datasets and no swap of the methods moves p_exact."""
+        diffs = [-0.1] * negative + [0.1] * (7 - negative)
+        pairs = self.pairs_with_medians(diffs)
+        rng = np.random.default_rng(7)
+        for order in (pairs, pairs[::-1], [pairs[i] for i in rng.permutation(7)]):
+            for swapped in (order, [(b, a) for a, b in order]):
+                res = permutation_test(swapped)
+                assert (round(abs(res.z), 3), round(res.p, 4), res.p_exact) == (z, p, p_exact)
+
+    def test_exact_p_up_to_16_datasets(self):
+        at_16 = permutation_test(self.pairs_with_medians([0.125] * 16))
+        assert at_16.p_exact == 2 / 2 ** 16
+        at_17 = permutation_test(self.pairs_with_medians([0.125] * 17))
+        assert at_17.p_exact is None and at_17.z == pytest.approx(math.sqrt(17), rel=1e-15)
 
 
 class TestChanceLevel:

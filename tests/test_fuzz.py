@@ -21,6 +21,11 @@ warning.
   exits 0 or 2; on 2 it prints exactly one ``error:`` line
   and writes nothing; the epochs it writes pass ``validate`` and are the
   float32 of whole-array filtering.
+- ``run``, ``compare`` and ``chance``, on a tiny container, with the CV
+  settings and hyperparameters each drawn usual or odd and given in a config
+  file or as a flag, at 1 or 2 threads, exit 0, 1 or 2; on 1 or 2 they print
+  exactly one ``error:`` or ``failure:`` line and write no report; a report
+  they write reads back, and its config is the settings drawn.
 """
 import contextlib
 import functools
@@ -43,6 +48,7 @@ from errpkit.config import from_config, load_config
 from errpkit.io import (
     read_continuous_container,
     read_epoch_container,
+    read_report,
     write_continuous_container,
     write_epoch_container,
 )
@@ -292,3 +298,84 @@ def test_preprocess_exits_0_or_2_with_one_line(n_channels, n_samples, fs_hz, fac
         es = read_epoch_container(out)
         assert es.labels.tolist() == labels
         assert np.array_equal(es.data, expected.astype(np.float32))
+
+
+@functools.cache
+def tiny_epochs() -> dict[str, bytes]:
+    """The files of a small epoch container: 12 trials, 6 of each class, of 2
+    channels x 32 samples at 32 Hz."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_epoch_container(Path(tmp) / "c", generate_epochs(
+            np.arange(12) % 2, n_channels=2, fs_hz=32.0, seed=4, pre_s=0.25, post_s=0.75))
+        return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+EVALUATE_COMMANDS = {
+    "run riemann": ["run", "--method", "riemann"],
+    "run benchmark": ["run", "--method", "benchmark"],
+    "compare": ["compare"],
+    "compare --chance": ["compare", "--chance"],
+    "chance": ["chance"],
+}
+# the settings an evaluation command runs with: usual values, and odd ones
+EVALUATE_USUAL = {
+    "seed": st.integers(0, 3),
+    "folds": st.integers(2, 4),
+    "repeats": st.integers(1, 2),
+    "n_chance_shuffles": st.integers(1, 3),
+    "shrinkage": st.floats(0.0, 0.5),
+    "reg_c": st.floats(1e-3, 1e3),
+    "mean_tol": st.floats(1e-10, 1e-2),
+    "mean_max_iter": st.integers(30, 300),
+}
+EVALUATE_ODD = {
+    "seed": st.integers(-1, 2 ** 64),
+    "folds": st.integers(-1, 13),
+    "repeats": st.integers(-1, 0),
+    "n_chance_shuffles": st.integers(-1, 0),
+    "shrinkage": FLOATS,
+    "reg_c": FLOATS,
+    "mean_tol": FLOATS,
+    "mean_max_iter": st.integers(-1, 3) | FLOATS,
+}
+FLAGS = ("seed", "folds", "repeats")  # the settings that have a flag of their own
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(sorted(EVALUATE_COMMANDS)),
+       usual=st.fixed_dictionaries(EVALUATE_USUAL),
+       odd=settings_of(st.just([]), st.lists(st.sampled_from(sorted(EVALUATE_ODD)).flatmap(
+           lambda key: st.tuples(st.just(key), EVALUATE_ODD[key])), min_size=1, max_size=2)),
+       in_file=st.fixed_dictionaries({key: st.booleans() for key in EVALUATE_USUAL}),
+       threads=st.sampled_from([1, 2]))
+def test_evaluate_exits_0_1_or_2_and_reports_what_ran(command, usual, odd, in_file, threads):
+    """``run``, ``compare`` and ``chance`` of a tiny container, each setting
+    from a config file or from a flag (``--set`` where it has none), exit 0,
+    1 or 2; on 1 or 2 they print one ``error:`` or ``failure:`` line, and on
+    0 the report reads back and its config is the settings that ran."""
+    values = {**usual, **dict(odd)}
+    chance = command in ("compare --chance", "chance")
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        data.mkdir()
+        for name, content in tiny_epochs().items():
+            (data / name).write_bytes(content)
+        config, flags = Path(tmp) / "config.json", []
+        config.write_text(json.dumps({key: v for key, v in values.items() if in_file[key]}))
+        for key, value in values.items():
+            if not in_file[key]:
+                flags += ([f"--{key}", str(value)] if key in FLAGS
+                          else ["--set", f"{key}={json.dumps(value)}"])
+        out = Path(tmp) / "report.json"
+        code, lines, caught = run([*EVALUATE_COMMANDS[command], "--input", str(data),
+                                   "--config", str(config), *flags, "--threads", str(threads),
+                                   "--out", str(out)])
+        assert caught == []
+        assert code in (0, 1, 2), lines
+        if code:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("error: " if code == 2 else "failure: "), lines
+            assert not out.exists()
+            return
+        assert read_report(out)["config"] == {
+            **values, "n_chance_shuffles": values["n_chance_shuffles"] if chance else None}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from errpkit import io, parallel
+from errpkit.config import DEFAULTS
 from errpkit.io import (
     ContainerError,
     canonical_json,
@@ -351,19 +353,27 @@ class TestContinuousContainer:
 
 
 class TestReports:
+    CONFIG = {"seed": 7, "folds": 10, "repeats": 10, "n_chance_shuffles": None,
+              "shrinkage": 0.01, "reg_c": 1.0, "mean_tol": 1e-4, "mean_max_iter": 200}
+
     def report(self):
         return {
             "format_version": io.REPORT_VERSION,
             "meta": {"timestamp": "t", "runtime_s": 0.1},
-            "config": {"folds": 10},
-            "seed": 7,
+            "config": dict(self.CONFIG),
             "datasets": [],
             "permutation_test": None,
         }
 
+    def old_report(self, version):
+        """A report of a version before 4: the top-level seed and the whole
+        flat config, 33 keys, echoed."""
+        return {**self.report(), "format_version": version, "seed": 7,
+                "config": {**DEFAULTS, "seed": 7}}
+
     def test_roundtrip(self, tmp_path):
         path = write_report(tmp_path / "r.json", self.report())
-        assert read_report(path)["seed"] == 7
+        assert read_report(path) == self.report()
 
     def test_unknown_field_rejected_on_read(self, tmp_path):
         doc = self.report()
@@ -374,12 +384,36 @@ class TestReports:
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_versions_1_and_2_read(self, tmp_path, version):
-        doc = self.report()
-        doc["format_version"] = version
-        (tmp_path / "r.json").write_text(json.dumps(doc))
-        assert read_report(tmp_path / "r.json")["format_version"] == version
+        path = write_report(tmp_path / "r.json", self.old_report(version))
+        assert read_report(path)["format_version"] == version
 
-    @pytest.mark.parametrize("version", [0, 4, "2", None])
+    def test_version_3_reads_with_seed_and_whole_config(self, tmp_path):
+        doc = self.old_report(3)
+        assert len(doc["config"]) == 33
+        path = write_report(tmp_path / "r.json", doc)
+        assert read_report(path) == json.loads(canonical_json(doc))
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda doc: doc.update(seed=7), "report contains unknown fields ['seed']"),
+        (lambda doc: doc.pop("permutation_test"), "report lacks fields ['permutation_test']"),
+        (lambda doc: doc["config"].update(fs_hz=256.0),
+         "report config contains unknown fields ['fs_hz']"),
+        (lambda doc: doc["config"].pop("reg_c"), "report config lacks fields ['reg_c']"),
+        (lambda doc: doc.update(config=[7]), "report field 'config' is not a JSON object"),
+    ], ids=["top-level-seed", "no-permutation_test", "config-fs_hz", "config-no-reg_c",
+            "config-list"])
+    def test_version_4_holds_exactly_its_keys(self, tmp_path, edit, line):
+        doc = self.report()
+        edit(doc)
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match=f"^refusing to write: {re.escape(line)}$"):
+            write_report(path, doc)
+        assert not path.exists()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ContainerError, match=f"^{re.escape(line)}$"):
+            read_report(path)
+
+    @pytest.mark.parametrize("version", [0, 5, "2", None])
     def test_other_versions_rejected(self, tmp_path, version):
         doc = self.report()
         doc["format_version"] = version

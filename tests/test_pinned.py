@@ -22,9 +22,9 @@ both baseline orders (``preprocess_baseline_first`` and
 fill several blocks of ``parallel.blocks``.
 
 Accuracies, medians, chance accuracies and the permutation test's observed
-metric are sums of fractions of test-fold sizes and are compared exactly;
-t, p, z, the null's standard deviation and the chance threshold to 1e-12
-relative.
+metric are sums of fractions of test-fold sizes, and the exact permutation
+p a share of sign patterns, and are compared exactly; t, p, z, the null's
+standard deviation and the chance threshold to 1e-12 relative.
 A change that moves a pinned value regenerates the file with
 
     PYTHONPATH=src python tests/test_pinned.py
@@ -126,7 +126,7 @@ def compute(tmp: Path) -> dict:
     results["two_null"] = {
         "datasets": _results(tmp / "two_null.json"),
         "permutation_test": {key: report["permutation_test"][key]
-                             for key in ("observed_metric", "z", "p", "null_std")},
+                             for key in ("observed_metric", "z", "p", "null_std", "p_exact")},
     }
     results["two_null_csv"] = _digests(tmp, ("two_null_erp_0.csv", "two_null_erp_1.csv",
                                              "two_null_accuracies.csv"))
