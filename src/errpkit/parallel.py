@@ -37,8 +37,11 @@ from .errors import ErrpkitError
 
 _BLOCK_BYTES = 1 << 19  # bytes of the items of one block
 # Bytes of input below which map_blocks runs in this process: on 2 CPUs a pool
-# costs 45-90 ms to start and fill, and pays for itself only from about
-# 14-19 MiB (preprocessing's filter phase) and 11-15 MiB (its epoch phase).
+# costs 45-90 ms to start and fill, and paid for itself only from about
+# 14-19 MiB when preprocessing filtered in one pool and epoched in another.
+# Its one pool of filter-and-epoch jobs (32 channels at 1,024 Hz, an epoch
+# every 3 s, in a process that has imported scipy) took 75 ms against 86 ms
+# in process at 4 MiB, and 150 ms against 216 ms at 16 MiB.
 _POOL_MIN_BYTES = 1 << 24
 
 # numpy's bundled OpenBLAS, relative to the directory holding numpy
@@ -155,15 +158,24 @@ def blocks(n: int, item_bytes: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def block_workers(n: int, item_bytes: int, n_workers: int) -> int:
+    """How many processes :func:`map_blocks` runs ``n`` items of
+    ``item_bytes`` on when asked for ``n_workers``: one (this process) below
+    :data:`_POOL_MIN_BYTES` of input (``n * item_bytes``), else
+    :func:`workers_for` its blocks."""
+    return workers_for(n_workers if n * item_bytes >= _POOL_MIN_BYTES else 1,
+                       len(blocks(n, item_bytes)))
+
+
 def map_blocks(fn, n: int, item_bytes: int, shape, n_workers: int = 1,
-               name: str = "block") -> np.ndarray:
-    """``out``, a float64 array of ``shape``, after ``fn(sl, out[sl])`` wrote
-    each block ``sl`` of ``blocks(n, item_bytes)`` into its view.  The blocks
-    are :func:`map_jobs` jobs named ``name`` on up to ``n_workers``
-    processes, or on one (this process) below :data:`_POOL_MIN_BYTES` of
-    input (``n * item_bytes``)."""
+               name: str = "block", axis: int = 0) -> np.ndarray:
+    """``out``, a float64 array of ``shape``, after ``fn(sl, view)`` wrote
+    each block ``sl`` of ``blocks(n, item_bytes)`` into ``view``, the
+    slice ``sl`` of ``out`` along ``axis``.  The blocks are :func:`map_jobs`
+    jobs named ``name`` on :func:`block_workers` processes."""
     sls = blocks(n, item_bytes)
-    n_workers = workers_for(n_workers if n * item_bytes >= _POOL_MIN_BYTES else 1, len(sls))
+    n_workers = block_workers(n, item_bytes, n_workers)
     out = empty(shape, n_workers)
-    map_jobs(lambda j: fn(sls[j], out[sls[j]]), len(sls), n_workers, name)
+    lead = (slice(None),) * axis
+    map_jobs(lambda j: fn(sls[j], out[lead + (sls[j],)]), len(sls), n_workers, name)
     return out

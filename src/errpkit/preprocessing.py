@@ -1,8 +1,8 @@
 """Continuous-recording preprocessing and epoching.
 
 One pipeline, :func:`preprocess_recording`: zero-phase bandpass/notch
-filtering, average re-referencing, epoch extraction around feedback
-events, baseline subtraction and integer-factor downsampling.
+filtering, epoch extraction around feedback events, baseline subtraction,
+integer-factor downsampling and average re-referencing.
 :func:`bandpass` and :func:`notch` apply one filter stage to a whole
 recording.  All filters are Butterworth/IIR designs applied
 forward-backward (``sosfiltfilt``) with reflect padding, so they are
@@ -13,34 +13,36 @@ recording and of an epoch set: float32, as both container kinds store
 them, is kept as given, and any other dtype becomes float64.  float32 is
 storage only; arithmetic upcasts where it starts.  Every filter upcasts a
 block of rows (one block of :func:`parallel.blocks`, about 512 KiB of
-float64) at a time, so all arithmetic is float64, and writes each block
-into one preallocated float64 output.  :func:`preprocess_recording`
-filters each row whole but stores only its samples inside the epoch
-windows, merged where they overlap or touch, and cuts, re-references,
-baselines and downsamples the epochs a block of events at a time.  Its
-peak is about that float64 store, at most the size of the filtered
-recording; the epochs are bit-identical to whole-array filtering, because
-each row is filtered on its own and each epoch's re-reference sums the
-same channels in the same order.  A recording read from a container maps
-its ``data.bin`` read-only (:mod:`io`), and the process that filters a
-block of its rows drops their pages once they are upcast
+float64) at a time, so all arithmetic is float64.  :func:`bandpass` and
+:func:`notch` write each block into one preallocated float64 output.
+:func:`preprocess_recording` runs one job per block of rows: it filters
+each row whole, then cuts, baselines, lowpasses and downsamples that
+row's epochs a block of events at a time into the float64 epochs, and no
+filtered row outlives its job.  The average reference is linear and the
+same for every channel, so it commutes with every step after the notches
+and is subtracted from the downsampled epochs; the peak is about the
+epochs plus a few filtered rows per process, and the epochs are
+bit-identical to whole-array filtering in that order, because each row is
+filtered on its own.  A recording read from a container maps its
+``data.bin`` read-only (:mod:`io`), and the process that filters a block
+of its rows drops their pages once they are upcast
 (:func:`_drop_mapped_pages`), so no process keeps the input resident: the
-pages stay in the page cache.  Where the filters and the epochs run in
-forked workers, this process reads neither the input nor the store.
+pages stay in the page cache.  Where the jobs run in forked workers, this
+process reads no input and filters nothing.
 
-Parallelism: the row blocks, then the event blocks, are the blocks of
-:func:`parallel.map_blocks`.  At one worker (the library default), or for
-a phase whose float64 input is below its 16 MiB bound, they run in this
-process.  Otherwise forked workers inherit the recording and write their
-blocks into anonymous shared memory, which then holds the filtered
-windows and the epochs; only block indexes cross the pipe, and the bytes
-do not depend on the worker count.
+Parallelism: the row blocks are the blocks of :func:`parallel.map_blocks`.
+At one worker (the library default), or for a recording whose float64
+samples are below its 16 MiB bound, they run in this process.  Otherwise
+forked workers inherit the recording and write their channels' epochs
+into anonymous shared memory; only block indexes cross the pipe, and the
+bytes do not depend on the worker count.
 """
 from __future__ import annotations
 
 import logging
 import math
 import mmap
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,40 +191,34 @@ def _drop_mapped_pages(rows: np.ndarray) -> None:
     owner.madvise(mmap.MADV_DONTNEED, first, start + rows.nbytes - first)
 
 
-def _filter_rows(data: np.ndarray, stages, keep=(slice(None),),
-                 n_workers: int = 1) -> np.ndarray:
-    """Run the zero-phase ``stages``, ``(sos, padlen)`` pairs in order, along the
-    last axis of ``data`` and keep the samples of each filtered row that the
-    slices ``keep`` select, end to end in their order.
+def _filter_rows(rows: np.ndarray, stages) -> np.ndarray:
+    """``rows`` upcast to float64 and run through the zero-phase ``stages``,
+    ``(sos, padlen)`` pairs in order, along the last axis.
 
-    Rows are upcast to float64 and filtered a block at a time into one
-    preallocated float64 array by :func:`parallel.map_blocks`, on up to
-    ``n_workers`` processes, so the temporaries of ``sosfiltfilt`` stay
-    block-sized.  Once a block is upcast, :func:`_drop_mapped_pages` drops
-    its input pages from the process, so a process keeps no mapped input
-    resident.  Every row is filtered on its own, so the result equals
-    whole-array filtering bit for bit at any worker count.
+    Once the rows are upcast, :func:`_drop_mapped_pages` drops their input
+    pages from this process, so a process keeps no mapped input resident.
+    Every row is filtered on its own, so a row's result does not depend on
+    the rows filtered with it.
     """
     from scipy import signal  # imported on use: it is the slowest import in the package
 
-    n = data.shape[-1]
-    rows = data.reshape(-1, n)
-    kept = sum(len(range(n)[k]) for k in keep)
+    block = np.asarray(rows, dtype=np.float64)
+    _drop_mapped_pages(rows)
+    for sos, padlen in stages:
+        block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
+    return block
 
+
+def _filtered(rec: ContinuousRecording, stage) -> ContinuousRecording:
+    """``rec`` with ``stage`` run over its rows a :func:`parallel.blocks`
+    block at a time into one preallocated float64 array, so the temporaries
+    of ``sosfiltfilt`` stay block-sized; the samples equal whole-array
+    filtering bit for bit."""
     def filter_block(sl: slice, out: np.ndarray) -> None:
-        block = np.asarray(rows[sl], dtype=np.float64)
-        _drop_mapped_pages(rows[sl])
-        for sos, padlen in stages:
-            block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
-        at = 0
-        for k in keep:
-            piece = block[:, k]
-            out[:, at:at + piece.shape[-1]] = piece
-            at += piece.shape[-1]
+        out[...] = _filter_rows(rec.data[sl], [stage])
 
-    out = parallel.map_blocks(filter_block, rows.shape[0], 8 * n, (rows.shape[0], kept),
-                              n_workers, "filter")
-    return out.reshape(data.shape[:-1] + (kept,))
+    return replace(rec, data=parallel.map_blocks(filter_block, rec.n_channels, 8 * rec.n_samples,
+                                                 rec.data.shape, name="filter"))
 
 
 def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
@@ -245,12 +241,12 @@ def _notch_stage(rec: ContinuousRecording, freq_hz: float):
 
 def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
     """Zero-phase 4th-order Butterworth bandpass (8th-order after filtfilt)."""
-    return replace(rec, data=_filter_rows(rec.data, [_bandpass_stage(rec, lo_hz, hi_hz)]))
+    return _filtered(rec, _bandpass_stage(rec, lo_hz, hi_hz))
 
 
 def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
     """Zero-phase second-order IIR notch (quality factor 35)."""
-    return replace(rec, data=_filter_rows(rec.data, [_notch_stage(rec, freq_hz)]))
+    return _filtered(rec, _notch_stage(rec, freq_hz))
 
 
 def _check_reference(n_channels: int) -> None:
@@ -260,27 +256,9 @@ def _check_reference(n_channels: int) -> None:
 
 def _rereference(data: np.ndarray) -> None:
     """Subtract the instantaneous mean across channels, axis -2, from float64
-    ``data`` in place: a recording's rows or a block of epochs."""
+    ``data`` in place: epochs of shape ``(events, channels, samples)``."""
     _check_reference(data.shape[-2])
     data -= data.mean(axis=-2, keepdims=True)
-
-
-def _merged_windows(starts: list[int], length: int) -> tuple[list[slice], list[int]]:
-    """The union of the windows ``[s, s + length)``, as slices in sample order
-    of which no two overlap or touch, and the offset of each window of
-    ``starts`` in those slices kept end to end: its start less the samples
-    outside the union before it.  Starts may be unsorted or repeated, and
-    windows may overlap."""
-    segments: list[list[int]] = []
-    offset_of, outside = {}, 0
-    for s in sorted(set(starts)):
-        if segments and s <= segments[-1][1]:
-            segments[-1][1] = s + length
-        else:
-            outside += s - (segments[-1][1] if segments else 0)
-            segments.append([s, s + length])
-        offset_of[s] = s - outside
-    return [slice(a, b) for a, b in segments], [offset_of[s] for s in starts]
 
 
 def _event_windows(rec: ContinuousRecording, event_code: int, pre_s: float, post_s: float,
@@ -394,22 +372,28 @@ class PreprocessSpec:
 def preprocess_recording(rec: ContinuousRecording, labels,
                          spec: PreprocessSpec = PreprocessSpec(),
                          n_workers: int = 1) -> tuple[EpochSet, list[int]]:
-    """Full pipeline: bandpass, notches, average reference, epoching,
-    baseline subtraction, downsampling.
+    """Full pipeline: bandpass, notches, epoching, baseline subtraction,
+    downsampling, average reference.
 
     Sample 0 of each epoch sits at t = -``epoch_pre_s``.  Events too close
     to the recording edges are skipped; their positions among the matching
     events are returned alongside the epochs.
 
-    Bounded memory: the filter chain runs block by block into one float64
-    array that holds only the merged epoch windows, and the epochs are cut
-    from it, re-referenced, baselined and downsampled a block of events at
-    a time into the result.  A recording of fewer than 2 channels raises
+    Bounded memory: one job per :func:`parallel.blocks` block of rows
+    filters its rows whole, then cuts each kept window from a filtered row
+    a block of events at a time, subtracts the full-rate baseline, runs
+    the anti-alias lowpass and keeps every factor-th sample, writing into
+    the one ``(events, channels, samples)`` float64 result.  No filtered
+    row outlives its job.  The average reference is linear and the same
+    for every channel, so it commutes with the epoching, the baseline and
+    the lowpass; it is subtracted from the downsampled epochs in place,
+    followed, where ``baseline_before_downsample`` is false, by the
+    baseline.  A recording of fewer than 2 channels raises
     :class:`InsufficientChannels` before any filter runs.
-    The lowpass is designed once per call; downsampling first, the baseline
-    is subtracted once from the whole result.  The row blocks, then the
-    event blocks, run by :func:`parallel.map_blocks` on up to ``n_workers``
-    processes; the result is bit-identical at any count.
+    The jobs run by :func:`parallel.map_blocks` on up to ``n_workers``
+    processes; the result is bit-identical at any count.  One INFO line
+    gives the seconds of the jobs, with their worker count, and of the
+    re-reference.
     """
     stages = [_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
               *(_notch_stage(rec, f0) for f0 in spec.notch_hz)]
@@ -423,18 +407,28 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     else:
         base = _window_slice(spec.target_fs_hz, t0, n_out, *spec.baseline_window_s)
     _check_reference(rec.n_channels)
-    segments, offsets = _merged_windows(starts, length)
-    store = _filter_rows(rec.data, stages, segments, n_workers)
+    starts = np.asarray(starts)
+    event_blocks = parallel.blocks(len(starts), 8 * length)
 
-    def epoch_block(sl: slice, out: np.ndarray) -> None:
-        block = np.stack([store[:, o:o + length] for o in offsets[sl]])
-        _rereference(block)
-        if spec.baseline_before_downsample:
-            block -= block[..., base].mean(axis=-1, keepdims=True)
-        out[...] = _filter_rows(block, [lowpass], [keep])
+    def row_block(sl: slice, out: np.ndarray) -> None:
+        for i, row in enumerate(_filter_rows(rec.data[sl], stages)):
+            windows_of = np.lib.stride_tricks.sliding_window_view(row, length)
+            for events in event_blocks:
+                windows = windows_of[starts[events]]
+                if spec.baseline_before_downsample:
+                    windows -= windows[:, base].mean(axis=-1, keepdims=True)
+                out[events, i] = _filter_rows(windows, [lowpass])[:, keep]
 
-    out = parallel.map_blocks(epoch_block, len(starts), 8 * rec.n_channels * length,
-                              (len(starts), rec.n_channels, n_out), n_workers, "epoch")
+    row_bytes = 8 * rec.n_samples
+    begin = time.perf_counter()
+    out = parallel.map_blocks(row_block, rec.n_channels, row_bytes,
+                              (len(starts), rec.n_channels, n_out), n_workers, "filter", axis=1)
+    filtered = time.perf_counter()
+    _rereference(out)
+    logger.info("filtered and epoched %d channels in %.3f s on %d worker(s), "
+                "re-referenced in %.3f s", rec.n_channels, filtered - begin,
+                parallel.block_workers(rec.n_channels, row_bytes, n_workers),
+                time.perf_counter() - filtered)
     if not spec.baseline_before_downsample:
         out -= out[..., base].mean(axis=-1, keepdims=True)
     return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

@@ -42,10 +42,13 @@ def desk_shaped_epochs(n_trials: int = 150):
                                  n_channels=32, fs_hz=256.0, seed=0, pre_s=0.5, post_s=0.7)
 
 
-def whole_array_reference(rec, labels, spec):
+def whole_array_reference(rec, labels, spec, reference_first=False):
     """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle):
     ``labels`` are those of the events of ``spec.event_code``, and times
-    become sample indexes by half-up rounding."""
+    become sample indexes by half-up rounding.  The average reference is
+    subtracted from the downsampled epochs, before a baseline that follows
+    the downsampling; ``reference_first`` subtracts it from the filtered
+    recording instead, before the epochs are cut."""
     from scipy import signal
 
     fs, n = rec.fs_hz, rec.n_samples
@@ -57,12 +60,16 @@ def whole_array_reference(rec, labels, spec):
         padlen = int(min(length - 1, round(3.0 * order * fs / lo_hz)))
         return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
 
+    def rereference(x):
+        return x - x.mean(axis=-2, keepdims=True)
+
     lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
     x = filtfilt(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
                  rec.data.astype(np.float64), 4, lo, n)
     for f0 in spec.notch_hz:
         x = filtfilt(signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), x, 2, f0, n)
-    x = x - x.mean(axis=0, keepdims=True)
+    if reference_first:
+        x = rereference(x)
     n_pre, n_post = index(spec.epoch_pre_s * fs), index(spec.epoch_post_s * fs)
     matching = [s for s, code in rec.events if code == spec.event_code]
     kept = [(s, lab) for s, lab in zip(matching, labels) if s - n_pre >= 0 and s + n_post <= n]
@@ -78,7 +85,8 @@ def whole_array_reference(rec, labels, spec):
     n_out = epochs.shape[-1] // factor
 
     def downsample(e):
-        return filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
+        e = filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
+        return e if reference_first else rereference(e)
 
     if spec.baseline_before_downsample:
         epochs = downsample(baseline(epochs, fs))

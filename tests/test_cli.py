@@ -681,7 +681,7 @@ class TestThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
-        # a preprocess phase of any size would pool on two CPUs
+        # a preprocess of any size would pool on two CPUs
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1 << 18)
         assert main(["compare", "--input", str(tiny_container), "--threads", "2",
@@ -1448,11 +1448,11 @@ class TestPreprocess:
 
     @staticmethod
     def two_cpus(monkeypatch, cpus=2):
-        """``cpus`` CPUs to run on, blocks of 1 channel (3 row jobs) and 2
-        events (2 event jobs), and no lower bound on the bytes a pooled phase
-        needs."""
+        """``cpus`` CPUs to run on, blocks of 1 channel (3 row jobs) whose
+        epochs are cut 3 events at a time (blocks of 3 and 1), and no lower
+        bound on the bytes a pool needs."""
         monkeypatch.setattr(parallel, "n_cpus", lambda: cpus)
-        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1 << 18)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1 << 17)
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
 
     def test_small_recording_stays_in_process_at_two_cpus(self, tmp_path, monkeypatch,
@@ -1480,9 +1480,9 @@ class TestPreprocess:
             assert multiprocessing.active_children() == []
             outputs.append([(out / name).read_bytes()
                             for name in ("data.bin", "labels.bin", "manifest.json")])
-            # in this process at one CPU; on workers at two: 3 chains of 3 stages
-            # and 2 lowpass calls
-            assert worker_filter_calls.value == (0 if cpus == 1 else 3 * 3 + 2)
+            # in this process at one CPU; on workers at two: 3 row jobs of 3
+            # stages and 2 lowpass calls
+            assert worker_filter_calls.value == (0 if cpus == 1 else 3 * (3 + 2))
         assert outputs[0] == outputs[1]
 
     def test_dead_filter_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):

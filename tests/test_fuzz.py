@@ -16,7 +16,8 @@ warning.
 - ``preprocess``, on a small continuous container of drawn channel and
   sample counts, in one example in four with its ``fs_hz``, its
   ``channel_names`` or one event field edited, with events drawn
-  overlapping, unsorted, repeated or edge-clipped, and filter, epoch,
+  unsorted or repeated, in bursts spaced closer than an epoch, and in the
+  edge-clipped zones at either end, and filter, epoch,
   baseline and rate settings drawn as for ``synth``, at 1 or 2 CPUs,
   exits 0 or 2; on 2 it prints exactly one ``error:`` line
   and writes nothing; the epochs it writes pass ``validate`` and are the
@@ -239,6 +240,9 @@ PAGE_SAMPLES = 1024  # float32 samples in a 4 KiB page
        events=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
                                  st.sampled_from([1, 1, 1, 2]), st.integers(0, 1)),
                        min_size=2, max_size=8),
+       burst=st.lists(st.tuples(st.integers(0, 249), st.integers(0, 1)), max_size=5),
+       edges=st.lists(st.tuples(st.integers(0, 124), st.booleans(), st.integers(0, 1)),
+                      max_size=2),
        repeat=st.booleans(),
        edit=settings_of(st.none(), st.one_of(
            st.tuples(st.just("fs_hz"), VALUES),
@@ -250,13 +254,22 @@ PAGE_SAMPLES = 1024  # float32 samples in a 4 KiB page
        odd=settings_of(st.just([]), st.lists(st.sampled_from(sorted(PREPROCESS_ODD)).flatmap(
            lambda key: st.tuples(st.just(key), PREPROCESS_ODD[key])), min_size=1, max_size=2)))
 def test_preprocess_exits_0_or_2_with_one_line(n_channels, n_samples, fs_hz, factor, events,
-                                               repeat, edit, cpus, usual, odd):
+                                               burst, edges, repeat, edit, cpus, usual, odd):
     """Rows of ``n_samples`` float32 end inside a page, and each row, and each
     event, is its own block, so the filter drops pages that the next block
-    reads again; at 2 CPUs both phases run on forked workers."""
+    reads again; at 2 CPUs the row jobs run on forked workers.  A usual
+    epoch spans at least 250 samples, 125 of them on each side of its
+    event, so a ``burst`` of events is spaced closer than an epoch and the
+    ``edges`` events fall where epochs are clipped."""
     samples = (np.random.default_rng(2).standard_normal((n_channels, n_samples)) * 10
                ).astype(np.float32)
     events = [(int(at * n_samples), code, lab) for at, code, lab in events]
+    at = events[0][0]
+    for gap, lab in burst:
+        at = (at + gap) % n_samples
+        events.append((at, 1, lab))
+    events += [(offset if first else n_samples - 1 - offset, 1, lab)
+               for offset, first, lab in edges]
     if repeat:  # the first event again, at the end: one sample, two epochs
         events = events + events[:1]
     rec = ContinuousRecording(fs_hz, [f"c{i}" for i in range(n_channels)], samples,

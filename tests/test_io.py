@@ -265,30 +265,30 @@ class TestContinuousContainer:
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
     def test_filtering_a_read_recording_leaves_its_samples_unresident(self, tmp_path):
-        """Filtering a 48 MB recording in a fresh process raises its resident
-        memory by less than 8 MB: each block's mapped input pages are dropped
-        once the block is upcast.  Only 10 samples of each row are kept, and
-        a first filter of a row held in memory makes the filter's own
-        allocations before the measurement."""
+        """Preprocessing a 48 MB recording in a fresh process raises its
+        resident memory by less than 8 MB: each block's mapped input pages
+        are dropped once the block is upcast.  The recording has one epoch,
+        and a first run on rows of the same length held in memory makes the
+        filters' own allocations before the measurement."""
         rec = ContinuousRecording(512.0, [f"c{i}" for i in range(16)],
-                                  np.zeros((16, 750_000), np.float32), [(100, 1)])
+                                  np.zeros((16, 750_000), np.float32), [(1000, 1)])
         path = write_continuous_container(tmp_path / "raw", rec, [0])
         code = (
             "import os, sys\n"
             "import numpy as np\n"
             "from errpkit.io import read_continuous_container\n"
-            "from errpkit.preprocessing import _bandpass_stage, _filter_rows\n"
+            "from errpkit.preprocessing import ContinuousRecording, preprocess_recording\n"
             "def resident():\n"
             "    with open('/proc/self/statm') as f:\n"
             "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
             "rec, labels = read_continuous_container(sys.argv[1])\n"
-            "stages = [_bandpass_stage(rec, 1.0, 40.0)]\n"
-            "_filter_rows(np.zeros((1, rec.n_samples), np.float32), stages, [slice(10)])\n"
+            "preprocess_recording(ContinuousRecording(rec.fs_hz, ['a', 'b'],\n"
+            "    np.zeros((2, rec.n_samples), np.float32), rec.events), labels)\n"
             "before = resident()\n"
-            "out = _filter_rows(rec.data, stages, [slice(10)])\n"
-            "print(out.shape, (resident() - before) / 2**20)\n")
+            "es, _ = preprocess_recording(rec, labels)\n"
+            "print(es.data.shape, (resident() - before) / 2**20)\n")
         shape, grown_mb = in_fresh_process(code, path).rsplit(" ", 1)
-        assert shape == "(16, 10)"
+        assert shape == "(1, 16, 640)"
         assert float(grown_mb) < 8.0, grown_mb
 
     def test_read_recording_is_read_only(self, tmp_path):

@@ -1,4 +1,7 @@
+import concurrent.futures.process
+import logging
 import multiprocessing
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,16 +139,31 @@ def filter_calls(monkeypatch):
     return calls
 
 
-def with_channel_offsets(monkeypatch, offsets):
-    """Add a constant per channel right after the pipeline's re-reference, so
-    the epochs reach the baseline step with those offsets."""
-    original = preprocessing._rereference
+def with_channel_offsets(monkeypatch, rec, offsets, baseline_first):
+    """Add a constant per channel where the epochs of ``rec`` reach the
+    pipeline's baseline step: to its filtered rows, from which the full-rate
+    epochs are cut, or right after the re-reference of the downsampled
+    epochs."""
+    offsets = np.asarray(offsets)[:, None]
+    if baseline_first:
+        original = preprocessing._filter_rows
 
-    def rereference_then_offset(data):
-        original(data)
-        data += np.asarray(offsets)[:, None]
+        def filter_then_offset(rows, stages):
+            out = original(rows, stages)
+            if rows.shape[-1] == rec.n_samples:  # the recording's rows, not epochs
+                assert rows.shape == rec.data.shape, "the test needs one block of rows"
+                out += offsets
+            return out
 
-    monkeypatch.setattr(preprocessing, "_rereference", rereference_then_offset)
+        monkeypatch.setattr(preprocessing, "_filter_rows", filter_then_offset)
+    else:
+        original = preprocessing._rereference
+
+        def rereference_then_offset(data):
+            original(data)
+            data += offsets
+
+        monkeypatch.setattr(preprocessing, "_rereference", rereference_then_offset)
 
 
 class TestAverageReference:
@@ -222,24 +240,27 @@ class TestBaseline:
         return es.data
 
     def test_constant_channel_zeroed(self, monkeypatch):
-        with_channel_offsets(monkeypatch, [7.5, -7.5, 0.0])
         rec = ContinuousRecording(FS, ["a", "b", "c"], np.zeros((3, int(10 * FS))), self.EVENTS)
         for baseline_first in (True, False):
-            assert np.abs(self.run(rec, baseline_first)).max() < 1e-12
+            with monkeypatch.context() as patch:
+                with_channel_offsets(patch, rec, [7.5, -7.5, 0.0], baseline_first)
+                assert np.abs(self.run(rec, baseline_first)).max() < 1e-12
 
     def test_only_offset_changes(self, monkeypatch):
         rec = random_recording(3, 10.0, self.EVENTS, seed=4)
-        plain = [self.run(rec, baseline_first) for baseline_first in (True, False)]
-        with_channel_offsets(monkeypatch, self.OFFSETS)
-        for baseline_first, expected in zip((True, False), plain):
-            assert np.abs(self.run(rec, baseline_first) - expected).max() < 1e-10
+        for baseline_first in (True, False):
+            plain = self.run(rec, baseline_first)
+            with monkeypatch.context() as patch:
+                with_channel_offsets(patch, rec, self.OFFSETS, baseline_first)
+                assert np.abs(self.run(rec, baseline_first) - plain).max() < 1e-10
 
     def test_window_mean_vanishes(self, monkeypatch):
         rec = random_recording(4, 10.0, self.EVENTS, seed=5)
         calls = filter_calls(monkeypatch)
         self.run(rec, baseline_first=True)
-        epoch_blocks = [block for block in calls if block.ndim == 3]  # full-rate epochs
-        assert sum(len(block) for block in epoch_blocks) == 3
+        # the lowpass takes each channel's full-rate epochs, 5,120 samples long
+        epoch_blocks = [block for block in calls if block.shape[-1] == 5120]
+        assert sum(len(block) for block in epoch_blocks) == 3 * 4
         for block in epoch_blocks:  # the baseline is [-0.5, 0) s: samples [0, 1024) at 2048 Hz
             assert np.abs(block[..., :1024].mean(axis=-1)).max() < 1e-10
         out = self.run(rec, baseline_first=False)  # samples [0, 128) at 256 Hz
@@ -334,6 +355,20 @@ class TestPipeline:
         assert es.t0_offset_s == -0.5
         assert list(es.labels) == labels
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_logs_the_seconds_of_each_phase_once(self, monkeypatch, caplog, n_workers):
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 4096)  # a job per channel
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        rec = random_recording(3, 6.0, [(int(2 * FS), 1)], seed=9)
+        with caplog.at_level(logging.INFO, logger="errpkit"):
+            preprocess_recording(rec, [0], n_workers=n_workers)
+        [line] = [record.getMessage() for record in caplog.records
+                  if record.getMessage().startswith("filtered and epoched")]
+        assert re.fullmatch(rf"filtered and epoched 3 channels in \d+\.\d{{3}} s on {n_workers} "
+                            r"worker\(s\), re-referenced in \d+\.\d{3} s", line), line
+        assert all(record.levelno < logging.WARNING for record in caplog.records)
+
 
 class TestBlockwisePipeline:
     FS = 1024.0
@@ -354,10 +389,10 @@ class TestBlockwisePipeline:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("baseline_first", [True, False])
     def test_equals_whole_array_filtering(self, monkeypatch, dtype, baseline_first):
-        # blocks of 2 of the 5 channels and 3 of the 7 kept epochs
-        block = 300 * 1024
-        assert block // (8 * self.N_SAMPLES) == 2
-        assert block // (8 * self.N_CHANNELS * int(2.5 * self.FS)) == 3
+        # blocks of 1 of the 5 channels and 3 of the 7 kept epochs
+        block = 64 * 1024
+        assert block // (8 * self.N_SAMPLES) == 0
+        assert block // (8 * int(2.5 * self.FS)) == 3
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", block)
         rec, labels = self.recording(dtype)
         assert rec.data.dtype == dtype
@@ -371,11 +406,19 @@ class TestBlockwisePipeline:
         assert (es.fs_hz, es.t0_offset_s) == (256.0, -0.5)
 
     def test_pooled_equals_whole_array_filtering(self, monkeypatch, worker_filter_calls):
-        # three row jobs (2, 2 and 1 channels) and three event jobs (3, 3 and 1
-        # epochs) on two forked workers
-        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 300 * 1024)
+        # five row jobs of one channel each, on two forked workers of one pool
+        # per call; each job cuts its channel's epochs in blocks of 3, 3 and 1
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 64 * 1024)
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
         monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        pools = []
+        pool_class = concurrent.futures.process.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", counted_pool)
         rec, labels = self.recording(np.float32)
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
@@ -385,12 +428,13 @@ class TestBlockwisePipeline:
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
             assert multiprocessing.active_children() == []
-        # per baseline order: 3 row jobs of 3 stages, 3 event jobs of one lowpass
-        assert worker_filter_calls.value == 2 * (3 * 3 + 3)
+        assert len(pools) == 2
+        # per baseline order: 5 row jobs of 3 stages and 3 lowpass calls
+        assert worker_filter_calls.value == 2 * 5 * (3 + 3)
 
-    # event times in s of layouts whose 2.5 s windows the store merges; the
-    # windows at 1.0 to 8.5 s of "touching" start 2,560 samples apart and
-    # make one segment
+    # event times in s of layouts whose 2.5 s windows overlap, repeat, come
+    # unsorted or touch (the windows at 1.0 to 8.5 s of "touching" start
+    # 2,560 samples apart)
     LAYOUTS = {
         "overlapping": [1.0, 2.0, 2.5, 6.0, 7.0, 13.5],
         "unsorted": [8.0, 1.0, 13.5, 4.5, 11.0, 0.2, 3.0],
@@ -398,24 +442,18 @@ class TestBlockwisePipeline:
         "touching": [1.0, 3.5, 6.0, 8.5, 12.0],
     }
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_merged_windows_equal_whole_array_filtering(self, monkeypatch, layout, n_workers):
-        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 300 * 1024)
-        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+    def layout_recording(self, layout):
         rec, _ = self.recording(np.float32)
         rec.events = [(int(self.FS * t), 1) for t in self.LAYOUTS[layout]]
-        labels = [i % 2 for i in range(len(rec.events))]
-        stored = []
-        original = preprocessing._filter_rows
+        return rec, [i % 2 for i in range(len(rec.events))]
 
-        def spy(data, *args, **kwargs):
-            out = original(data, *args, **kwargs)
-            stored.append(out.shape[-1])
-            return out
-
-        monkeypatch.setattr(preprocessing, "_filter_rows", spy)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_event_layouts_equal_whole_array_filtering(self, monkeypatch, layout, n_workers):
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 64 * 1024)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        rec, labels = self.layout_recording(layout)
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
             es, _ = preprocess_recording(rec, labels, spec, n_workers=n_workers)
@@ -423,9 +461,66 @@ class TestBlockwisePipeline:
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
             assert multiprocessing.active_children() == []
-        windows = set().union(*(range(s - 512, s + 2048) for s, _ in rec.events
-                                if 512 <= s <= self.N_SAMPLES - 2048))
-        assert stored[0] == len(windows) < self.N_SAMPLES
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_reference_after_downsampling_matches_reference_first(self, layout):
+        """The average reference commutes with the epoching, the baseline and
+        the lowpass, so subtracting it from the downsampled epochs moves them
+        from the order that re-referenced the filtered recording by rounding
+        only."""
+        rec, labels = self.layout_recording(layout)
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+            es, _ = preprocess_recording(rec, labels, spec)
+            expected, kept_labels = whole_array_reference(rec, labels, spec,
+                                                          reference_first=True)
+            assert list(es.labels) == kept_labels
+            assert np.abs(es.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def dense_recording(self):
+        """8 channels of 60 s at 512 Hz, with an event every 0.5 s: the kept
+        2.5 s windows overlap and hold 4.75 times the recording's samples."""
+        fs, n_channels = 512.0, 8
+        rng = np.random.default_rng(25)
+        data = (rng.standard_normal((n_channels, int(60 * fs))) * 20).astype(np.float32)
+        events = [(int(fs * (1 + 0.5 * i)), 1) for i in range(114)]
+        rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
+        return rec, [i % 2 for i in range(len(events))]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_dense_events_equal_whole_array_filtering(self, monkeypatch, n_workers):
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 128 * 1024)  # blocks of 1 row, 12 events
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        rec, labels = self.dense_recording()
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+            es, skipped = preprocess_recording(rec, labels, spec, n_workers=n_workers)
+            expected, kept_labels = whole_array_reference(rec, labels, spec)
+            assert skipped == []
+            assert len(kept_labels) * int(2.5 * rec.fs_hz) >= 4 * rec.n_samples
+            assert list(es.labels) == kept_labels
+            assert np.array_equal(es.data, expected)
+            assert multiprocessing.active_children() == []
+
+    def test_dense_events_are_cut_a_block_at_a_time(self, monkeypatch):
+        """At one worker the peak is the float64 epochs plus at most 10 rows of
+        the float64 recording, though the windows hold 4.75 rows per channel:
+        each channel's windows are cut, baselined and lowpassed a block of
+        12 events (half a row) at a time."""
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 128 * 1024)  # blocks of 1 row, 12 events
+        rec, labels = self.dense_recording()
+        preprocess_recording(  # loads scipy.signal outside the measurement
+            ContinuousRecording(rec.fs_hz, ["a", "b"], rec.data[:2, :4096], [(1024, 1)]), [0])
+        tracemalloc.start()
+        try:
+            es, _ = preprocess_recording(rec, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.data.flags.owndata
+        row_bytes = 8 * rec.n_samples
+        assert peak <= es.data.nbytes + 10 * row_bytes, (peak - es.data.nbytes) / row_bytes
 
     def test_peak_memory_is_bounded_by_four_times_float32_input(self):
         fs, n_channels = 512.0, 16
