@@ -16,10 +16,16 @@ contains that row space, and writing w = q beta gives x w = r.T beta and
 ||w|| = ||beta||.  So J becomes the same penalized problem on the m
 features r.T, with the same bias, and its optimum beta maps back to the
 optimum w = q beta.  When p > n, each Newton step then solves an
-(n+1)-square system instead of a (p+1)-square one.  When p <= n, q is
-square and orthogonal, a rotation under which Newton's iterates are the
-same in exact arithmetic, so the factorization is skipped.  A
-central-finite-difference harness verifies the analytic gradient.
+(n+1)-square system instead of a (p+1)-square one, and q (p x n, the size
+of x) is never formed: LAPACK's ``geqrf`` (numpy's ``mode="raw"``) leaves
+r and the n Householder reflectors whose product is q, and w = q beta is
+those reflectors applied to [beta; 0].  The weights are not recovered from
+x instead, as x.T r^-T beta: that solve needs r invertible, and r is
+singular whenever the training rows are linearly dependent, as duplicated
+or all-zero trials make them.  When p <= n, q is square and orthogonal, a
+rotation under which Newton's iterates are the same in exact arithmetic,
+so the factorization is skipped.  A central-finite-difference harness
+verifies the analytic gradient.
 
 :func:`fit_many` fits a stack of problems of one shape at once, and
 :func:`fit` is that stack of one, so there is one Newton loop.  The stack
@@ -137,9 +143,10 @@ def fit_many(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAUL
     steps, each backtracked from step 1 until the Armijo condition holds.
     When ``p <= n`` the steps run on the features themselves.  When
     ``p > n`` they run on the (n+1)-parameter reduced problem, and the
-    weights are ``q beta`` in the row space of the features (see the module
-    docstring).  A problem's steps stop once the 2-norm of its gradient,
-    reduced or not, is at most ``tol``: as ``q`` is orthonormal, the weight
+    weights are ``q beta`` in the row space of the features, applied from
+    the reflectors of ``q`` without forming it (see the module docstring).
+    A problem's steps stop once the 2-norm of its gradient, reduced or not,
+    is at most ``tol``: as ``q`` is orthonormal, the weight
     gradient in the original space is ``q`` times the reduced one, so its
     max-abs entry is at most that norm.  ``final_grad_norm`` is the max-abs
     gradient recomputed in the original space, and ``converged`` is whether
@@ -153,9 +160,10 @@ def fit_many(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAUL
         params = minimize(x, y_pm, reg_c, tol, max_iter)
         weights = params[:, :-1]
     else:
-        q, r = np.linalg.qr(np.swapaxes(x, 1, 2))
+        h, tau = np.linalg.qr(np.swapaxes(x, 1, 2), mode="raw")
+        r = np.triu(np.swapaxes(h, 1, 2)[:, :x.shape[1]])
         beta = minimize(np.swapaxes(r, 1, 2), y_pm, reg_c, tol, max_iter)
-        weights = _matvec(q, beta[:, :-1])
+        weights = _reflect(h, tau, beta[:, :-1])
         params = np.concatenate([weights, beta[:, -1:]], axis=1)
     if not np.all(np.isfinite(params)):
         raise NumericalFailure("optimizer produced non-finite parameters")
@@ -168,6 +176,20 @@ def fit_many(features, labels, reg_c: float = DEFAULT_REG_C, tol: float = DEFAUL
                       converged=bool(gnorm[i] <= tol), final_grad_norm=float(gnorm[i]))
         for i in range(len(params))
     ]
+
+
+def _reflect(h: np.ndarray, tau: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``q[i] @ beta[i]`` from the Householder form ``(h, tau)`` of
+    ``np.linalg.qr(., mode="raw")``: ``H_1 ... H_k [beta; 0]``, with
+    ``H_j = I - tau_j v_j v_j.T`` and ``v_j`` row ``j`` of ``h`` from its
+    diagonal on, that diagonal read as 1.  ``h`` is overwritten."""
+    w = np.zeros((h.shape[0], h.shape[2]))
+    w[:, :beta.shape[1]] = beta
+    for j in reversed(range(tau.shape[1])):
+        v = h[:, j, j:]
+        v[:, 0] = 1.0
+        w[:, j:] -= (tau[:, j] * _dot(v, w[:, j:]))[:, None] * v
+    return w
 
 
 def minimize(z: np.ndarray, y_pm: np.ndarray, reg_c: float, tol: float,

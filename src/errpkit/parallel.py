@@ -36,12 +36,13 @@ import numpy as np
 from .errors import ErrpkitError
 
 _BLOCK_BYTES = 1 << 19  # bytes of the items of one block
-# Bytes of input below which map_blocks runs in this process: on 2 CPUs a pool
-# costs 45-90 ms to start and fill, and paid for itself only from about
-# 14-19 MiB when preprocessing filtered in one pool and epoched in another.
-# Its one pool of filter-and-epoch jobs (32 channels at 1,024 Hz, an epoch
-# every 3 s, in a process that has imported scipy) took 75 ms against 86 ms
-# in process at 4 MiB, and 150 ms against 216 ms at 16 MiB.
+# Bytes of input below which map_blocks runs in this process.  `errpkit
+# preprocess` on 2 CPUs (32 channels at 1,024 Hz, an epoch every 3 s; two
+# rounds of 10 runs alternating this bound with 0) was faster with the pool
+# in 7 and 4 of 10 runs at 3.75 MiB of float64 input, 7 and 6 at 7.5 MiB,
+# and 6 and 9 at 15.75 MiB.  The pool moved the median wall time of about
+# 1.2-1.5 s by +1.5 % to -5.5 % and took 3-6 % more CPU, so below this
+# bound a pool does not pay for its start.
 _POOL_MIN_BYTES = 1 << 24
 
 # numpy's bundled OpenBLAS, relative to the directory holding numpy

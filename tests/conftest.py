@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ def desk_shaped_epochs(n_trials: int = 150):
     training fold holds them: their super-trial covariances are 96x96."""
     return synth.generate_epochs(np.arange(n_trials) % 2, synth.ErpTemplateSpec(frn_amp_uv=-10.0),
                                  n_channels=32, fs_hz=256.0, seed=0, pre_s=0.5, post_s=0.7)
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)``'s result and the peak bytes tracemalloc
+    traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def whole_array_reference(rec, labels, spec, reference_first=False):

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from errpkit.io import (
     write_epoch_container,
 )
 from errpkit.preprocessing import ContinuousRecording, EpochSet, PreprocessSpec
+
+from conftest import traced_peak
 
 PERMUTATION_KEYS = ["null_std", "observed_metric", "p", "p_exact", "swap_scheme", "z"]
 REPORT_KEYS = ["config", "datasets", "format_version", "meta", "permutation_test"]
@@ -1119,16 +1120,10 @@ def test_compare_holds_one_dataset_at_a_time(tmp_path):
                      "--folds", "2", "--repeats", "1", "--emit-erp",
                      "--out", str(tmp_path / f"r{len(paths)}.json")])
 
-    def peak(paths):
-        tracemalloc.start()
-        try:
-            assert compare(paths) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     assert compare(inputs[:1]) == 0  # first-call allocations out of the measurement
-    one, four = peak(inputs[:1]), peak(inputs)
+    one_code, one = traced_peak(compare, inputs[:1])
+    four_code, four = traced_peak(compare, inputs)
+    assert one_code == four_code == 0
     assert four <= 1.2 * one, (one, four)
 
 

@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from errpkit.features import (
 from errpkit.preprocessing import EpochSet
 from errpkit.synth import ErpTemplateSpec
 
-from conftest import desk_shaped_epochs, subset
+from conftest import desk_shaped_epochs, subset, traced_peak
 
 
 def make_set(rng, n_trials=20, n_channels=4, fs=256.0, pre=0.5, post=0.7, scale=5.0,
@@ -149,13 +148,12 @@ class TestCovarianceSet:
         block = 4 * 8 * d * d
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", block)
         fit_riemann(windows[:6], labels[:6], mean_tol=1e-2)  # warms the lazy set-ups
-        tracemalloc.start()
-        try:
+
+        def fold():
             model = fit_riemann(windows[:48], labels[:48], mean_tol=1e-4)
-            test = transform_riemann_set(model, windows[48:])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return model, transform_riemann_set(model, windows[48:])
+
+        (model, test), peak = traced_peak(fold)
         assert test.shape == (16, manifold.tangent_dim(d))
         lasting = 2 * 48 * 8 * d * d + model.train_features.nbytes  # covariances, logs, features
         assert peak <= lasting + 6 * block, (peak - lasting) / block

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +25,8 @@ from errpkit.io import (
 )
 from errpkit.preprocessing import ContinuousRecording, EpochSet, preprocess_recording
 from errpkit.synth import generate_epochs
+
+from conftest import traced_peak
 
 
 @pytest.fixture
@@ -53,12 +54,7 @@ class TestEpochContainer:
             data, np.arange(300) % 2, 256.0, -0.5, [f"c{i}" for i in range(32)]))
         del data
         read_epoch_container(path)  # first-call allocations out of the measurement
-        tracemalloc.start()
-        try:
-            back = read_epoch_container(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(read_epoch_container, path)
         assert back.data.dtype == np.float32
         size = (path / "data.bin").stat().st_size
         assert peak <= 1.1 * size, peak / size
@@ -70,12 +66,7 @@ class TestEpochContainer:
         data = np.random.default_rng(5).standard_normal((200, 32, 307))
         es = EpochSet(data, np.arange(200) % 2, 256.0, -0.5, [f"c{i}" for i in range(32)])
         write_epoch_container(tmp_path / "warm", es)  # first-call allocations
-        tracemalloc.start()
-        try:
-            path = write_epoch_container(tmp_path / "c", es)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path, peak = traced_peak(write_epoch_container, tmp_path / "c", es)
         assert peak <= 2 * parallel._BLOCK_BYTES, peak
         assert (path / "data.bin").read_bytes() == data.astype("<f4").tobytes()
 

@@ -19,6 +19,8 @@ from errpkit.logreg import (
     predict,
 )
 
+from conftest import traced_peak
+
 
 def blobs(rng, n=40, dim=2, gap=8.0):
     x = rng.standard_normal((n, dim))
@@ -182,6 +184,22 @@ def lbfgs_reference(x, y, reg_c):
     return res.x[:-1], res.x[-1]
 
 
+def row_space_reference(x, y, reg_c=logreg.DEFAULT_REG_C):
+    """The weights ``q @ beta`` and bias of the Newton fit in the row space
+    of ``x``, from a reduced QR whose ``q`` is formed (test reference)."""
+    y_pm = np.where(np.asarray(y) == FAILURE, 1.0, -1.0)
+    q, r = np.linalg.qr(x.T)
+    beta = logreg.minimize(r.T[None], y_pm[None], reg_c, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
+    return q @ beta[:-1], beta[-1]
+
+
+def rank_deficient(x, deficiency):
+    """``x`` with its row 1 a copy of row 0, or with row 1 all zero."""
+    x = x.copy()
+    x[1] = x[0] if deficiency == "duplicated-row" else 0.0
+    return x
+
+
 def shaped_problem(shape):
     """Two-class features of the given (n, p) with a weak class shift."""
     n, p = shape
@@ -229,17 +247,38 @@ class TestNewtonRowSpace:
         """At p <= n the fit runs Newton on x itself; the row-space route it
         skips, run here by hand, lands on the same model."""
         x, y = shaped_problem(shape)
-        y_pm = np.where(y == FAILURE, 1.0, -1.0)
+        self.assert_matches_row_space_reference(x, y)
+
+    @pytest.mark.parametrize("deficiency", ["duplicated-row", "zero-row"])
+    def test_rank_deficient_rows_match_row_space_reference(self, deficiency):
+        """At p > n, training rows that are linearly dependent give a
+        singular r; the fit applies q's reflectors, solves nothing with r,
+        and lands on the reduced-QR model."""
+        x, y = shaped_problem((30, 500))
+        x = rank_deficient(x, deficiency)
+        diag = np.abs(np.diag(np.linalg.qr(x.T)[1]))
+        assert diag.min() <= 1e-12 * diag.max()
+        self.assert_matches_row_space_reference(x, y)
+
+    @staticmethod
+    def assert_matches_row_space_reference(x, y):
         model = fit(x, y)
-        q, r = np.linalg.qr(x.T)
-        beta = logreg.minimize(r.T[None], y_pm[None], model.reg_c, DEFAULT_TOL,
-                               DEFAULT_MAX_ITER)[0]
-        w_qr, b_qr = q @ beta[:-1], beta[-1]
+        assert model.converged
+        w_qr, b_qr = row_space_reference(x, y, model.reg_c)
         np.testing.assert_allclose(model.weights, w_qr, rtol=0, atol=1e-12 * np.abs(w_qr).max())
         np.testing.assert_allclose(model.bias, b_qr, rtol=1e-12)
         x_eval = np.vstack([x, np.random.default_rng(1).standard_normal(x.shape)])
         assert np.array_equal(predict(model, x_eval),
                               np.where(x_eval @ w_qr + b_qr >= 0.0, FAILURE, SUCCESS))
+
+    def test_p_above_n_fit_holds_one_copy_of_the_features(self):
+        """A desk-shaped p > n fit peaks at most 1.75 times the features'
+        bytes: the reflectors are one copy, and no p x n q is formed."""
+        x, y = shaped_problem((150, 4656))
+        fit_many(x[None, :20, :40], y[None, :20])  # first-call allocations out of the measurement
+        models, peak = traced_peak(fit_many, x[None], y[None])
+        assert models[0].converged
+        assert peak <= 1.75 * x.nbytes, peak / x.nbytes
 
     def test_max_iter_counts_newton_steps(self, rng):
         x, y = blobs(rng, gap=1.0)
@@ -263,10 +302,14 @@ class TestFitMany:
             xs[i] *= scale
         return xs, ys
 
-    @pytest.mark.parametrize("n, p", [(40, 6), (20, 60), (40, 40), (40, 41)],
-                             ids=["p-below-n", "p-above-n", "p-equals-n", "p-one-above-n"])
-    def test_members_match_fit_bit_for_bit(self, n, p):
+    @pytest.mark.parametrize("n, p, deficiency", [
+        (40, 6, None), (20, 60, None), (40, 40, None), (40, 41, None),
+        (20, 60, "duplicated-row"),
+    ], ids=["p-below-n", "p-above-n", "p-equals-n", "p-one-above-n", "p-above-n-rank-deficient"])
+    def test_members_match_fit_bit_for_bit(self, n, p, deficiency):
         xs, ys = self.mixed_stack(n, p)
+        if deficiency:
+            xs = np.stack([rank_deficient(x, deficiency) for x in xs])
         for max_iter in (DEFAULT_MAX_ITER, 1):
             models = fit_many(xs, ys, max_iter=max_iter)
             converged = [m.converged for m in models]

@@ -2,7 +2,6 @@ import concurrent.futures.process
 import logging
 import multiprocessing
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from errpkit.preprocessing import (
     preprocess_recording,
 )
 
-from conftest import whole_array_reference
+from conftest import traced_peak, whole_array_reference
 
 FS = 2048.0
 
@@ -512,12 +511,7 @@ class TestBlockwisePipeline:
         rec, labels = self.dense_recording()
         preprocess_recording(  # loads scipy.signal outside the measurement
             ContinuousRecording(rec.fs_hz, ["a", "b"], rec.data[:2, :4096], [(1024, 1)]), [0])
-        tracemalloc.start()
-        try:
-            es, _ = preprocess_recording(rec, labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (es, _), peak = traced_peak(preprocess_recording, rec, labels)
         assert es.data.flags.owndata
         row_bytes = 8 * rec.n_samples
         assert peak <= es.data.nbytes + 10 * row_bytes, (peak - es.data.nbytes) / row_bytes
@@ -531,12 +525,7 @@ class TestBlockwisePipeline:
         labels = [i % 2 for i in range(len(events))]
         preprocess_recording(  # loads scipy.signal outside the measurement
             ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
-        tracemalloc.start()
-        try:
-            es, _ = preprocess_recording(rec, labels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (es, _), peak = traced_peak(preprocess_recording, rec, labels)
         assert es.data.shape == (39, n_channels, 640)
         # one worker by default: plain arrays that tracemalloc sees, no shared memory
         assert es.data.flags.owndata
@@ -551,12 +540,7 @@ class TestBlockwisePipeline:
         rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
         preprocess_recording(  # loads scipy.signal outside the measurement
             ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
-        tracemalloc.start()
-        try:
-            es, _ = preprocess_recording(rec, [i % 2 for i in range(12)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (es, _), peak = traced_peak(preprocess_recording, rec, [i % 2 for i in range(12)])
         assert es.data.shape == (12, n_channels, 640)
         assert peak <= 1.6 * data.nbytes, peak / data.nbytes
 
