@@ -17,7 +17,10 @@ non-finite samples streams the file a block of :func:`parallel.blocks` at
 a time, so neither a read nor ``validate`` holds the samples.  A writer
 writes ``data.bin`` a block of :func:`parallel.blocks` at a time to a new
 file and renames it over the old one, so it holds no copy of the samples,
-and a set read earlier from the same path keeps its samples.
+and a set read earlier from the same path keeps its samples.  Once it has
+written a block, it drops that block's pages from this process where they
+are those of a map whose values survive it (:func:`parallel.drop_pages`):
+the pooled epochs of :mod:`preprocessing`, or a read-only recording.
 """
 from __future__ import annotations
 
@@ -120,7 +123,12 @@ def _label_problems(labels, manifest: dict, what: str) -> list[str]:
 def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
                      fields: dict) -> Path:
     """Write the manifest that both kinds share, plus ``fields``, and the
-    samples of ``rec`` as ``data.bin``."""
+    samples of ``rec`` as ``data.bin``, a :func:`parallel.blocks` block at
+    a time.  Each block, once written as float32, is dropped from this
+    process by :func:`parallel.drop_pages`: where the samples are the
+    shared map of :func:`parallel.empty` or a read-only file map, the map
+    keeps their values and this process keeps none of their pages; any
+    other array, such as a copy-on-write epoch set, is left as it is."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -140,7 +148,9 @@ def _write_container(path, kind: str, rec: EpochSet | ContinuousRecording,
     try:
         with open(tmp, "wb") as f:
             for sl in parallel.blocks(len(rec.data), 4 * math.prod(rec.data.shape[1:])):
-                np.ascontiguousarray(rec.data[sl], dtype="<f4").tofile(f)
+                block = rec.data[sl]
+                np.ascontiguousarray(block, dtype="<f4").tofile(f)
+                parallel.drop_pages(block)
         os.replace(tmp, path / DATA_NAME)
     except BaseException:
         tmp.unlink(missing_ok=True)

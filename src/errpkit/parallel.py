@@ -13,6 +13,15 @@ many items as fit in :data:`_BLOCK_BYTES`, and at least one.
 :func:`map_blocks` runs a function on each block into one output array,
 as jobs of :func:`map_jobs`, in this process for small inputs.
 
+Memory: :func:`drop_pages` drops a block of a map from the process that
+calls it.  It acts only on the ``MAP_SHARED`` map of :func:`empty` and on
+read-only file maps: the values of their pages live in shared memory or
+in the page cache, not in the process, so they survive and a later touch
+maps them back.  A pool worker drops each job's block of the output once
+the job has written it (:func:`map_blocks`), so no worker keeps the pages
+it wrote; the process that reads the output next drops each block once
+it is done with it (:mod:`preprocessing`, :mod:`io`).
+
 Importing errpkit pins BLAS to one thread in this process, and so in every
 forked worker (:func:`_pin_blas`), so these workers are the package's only
 parallelism.
@@ -32,6 +41,11 @@ import mmap
 import os
 
 import numpy as np
+
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:  # numpy < 2
+    from numpy import byte_bounds
 
 from .errors import ErrpkitError
 
@@ -93,14 +107,46 @@ def workers_for(n_workers: int, n_jobs: int) -> int:
     return max(1, min(n_workers, n_jobs, n_cpus()))
 
 
+class _SharedMap(mmap.mmap):
+    """The anonymous ``MAP_SHARED`` map of :func:`empty`, which
+    :func:`drop_pages` knows by this class."""
+
+
 def empty(shape, n_workers: int) -> np.ndarray:
     """An uninitialised float64 array for jobs to write into: ``np.empty``
-    at one worker, else anonymous shared memory that forked workers write
-    into and this process reads."""
+    at one worker, else an anonymous ``MAP_SHARED`` map that forked workers
+    write into and this process reads.  The map's pages belong to the map,
+    not to a process, so any process may :func:`drop_pages` of it that it
+    has written or read; they keep their values, and a later touch maps
+    them back."""
     if n_workers == 1:
         return np.empty(shape)
     n_bytes = 8 * int(np.prod(shape))
-    return np.frombuffer(mmap.mmap(-1, max(1, n_bytes)), np.float64, n_bytes // 8).reshape(shape)
+    return np.frombuffer(_SharedMap(-1, max(1, n_bytes)), np.float64, n_bytes // 8).reshape(shape)
+
+
+def drop_pages(arr: np.ndarray) -> None:
+    """Drop from this process the pages that ``arr`` spans, from its lowest
+    byte to its highest (a strided view spans its gaps), where it views a
+    map whose pages keep their values when dropped: the shared map of
+    :func:`empty`, or a read-only file map, as :mod:`io` maps a continuous
+    container's ``data.bin``.  A later touch maps the pages back from the
+    shared memory or the page cache, so no value of any array changes.  Any
+    other array is left as it is: a copy-on-write map would lose the pages
+    that this process has written, and a heap array would lose its values."""
+    owner = arr
+    while isinstance(owner, (np.ndarray, memoryview)):  # np.frombuffer's base is a memoryview
+        owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+    if not (isinstance(owner, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED") and arr.size):
+        return
+    if not isinstance(owner, _SharedMap):
+        with memoryview(owner) as view:
+            if not view.readonly:
+                return
+    lo, hi = byte_bounds(arr)
+    start = lo - np.frombuffer(owner, np.uint8).ctypes.data
+    first = start - start % mmap.PAGESIZE
+    owner.madvise(mmap.MADV_DONTNEED, first, start + hi - lo - first)
 
 
 def _install(fn, abort) -> None:
@@ -173,10 +219,18 @@ def map_blocks(fn, n: int, item_bytes: int, shape, n_workers: int = 1,
     """``out``, a float64 array of ``shape``, after ``fn(sl, view)`` wrote
     each block ``sl`` of ``blocks(n, item_bytes)`` into ``view``, the
     slice ``sl`` of ``out`` along ``axis``.  The blocks are :func:`map_jobs`
-    jobs named ``name`` on :func:`block_workers` processes."""
+    jobs named ``name`` on :func:`block_workers` processes; each job then
+    drops ``view`` from its process (:func:`drop_pages`), which at more
+    than one worker leaves no written page of ``out`` in a worker."""
     sls = blocks(n, item_bytes)
     n_workers = block_workers(n, item_bytes, n_workers)
     out = empty(shape, n_workers)
     lead = (slice(None),) * axis
-    map_jobs(lambda j: fn(sls[j], out[lead + (sls[j],)]), len(sls), n_workers, name)
+
+    def job(j: int) -> None:
+        view = out[lead + (sls[j],)]
+        fn(sls[j], view)
+        drop_pages(view)
+
+    map_jobs(job, len(sls), n_workers, name)
     return out

@@ -26,7 +26,7 @@ bit-identical to whole-array filtering in that order, because each row is
 filtered on its own.  A recording read from a container maps its
 ``data.bin`` read-only (:mod:`io`), and the process that filters a block
 of its rows drops their pages once they are upcast
-(:func:`_drop_mapped_pages`), so no process keeps the input resident: the
+(:func:`parallel.drop_pages`), so no process keeps the input resident: the
 pages stay in the page cache.  Where the jobs run in forked workers, this
 process reads no input and filters nothing.
 
@@ -34,14 +34,20 @@ Parallelism: the row blocks are the blocks of :func:`parallel.map_blocks`.
 At one worker (the library default), or for a recording whose float64
 samples are below its 16 MiB bound, they run in this process.  Otherwise
 forked workers inherit the recording and write their channels' epochs
-into anonymous shared memory; only block indexes cross the pipe, and the
-bytes do not depend on the worker count.
+into the shared map of :func:`parallel.empty`; only block indexes cross
+the pipe, and the bytes do not depend on the worker count.  Each worker
+drops the epoch pages it has written once its job ends, and this process
+re-references the epochs a block of events at a time and drops each block
+once it is done with it (:func:`parallel.drop_pages`).  The shared map,
+not a process, holds the values, so they survive, and no process keeps
+the float64 epochs resident: the writer (:mod:`io`) maps each block back
+only to write it.  At one worker the epochs are an ordinary array, which
+stays resident.
 """
 from __future__ import annotations
 
 import logging
 import math
-import mmap
 import time
 from dataclasses import dataclass, field, replace
 
@@ -171,31 +177,11 @@ def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int, what: 
     return sos, int(min(n_samples - 1, round(pad)))
 
 
-def _drop_mapped_pages(rows: np.ndarray) -> None:
-    """Drop from this process the pages of the C-contiguous ``rows`` where they
-    view a read-only file mapping, as :mod:`io` maps a continuous
-    container's ``data.bin``; leave any other array as it is.  The pages stay
-    in the page cache, and a later read faults them in again from the file
-    that the mapping holds open, so no value of the array changes."""
-    owner = rows
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    if not (isinstance(owner, mmap.mmap) and rows.flags.c_contiguous
-            and hasattr(mmap, "MADV_DONTNEED")):
-        return
-    mapping = np.frombuffer(owner, np.uint8)
-    if mapping.flags.writeable:  # its pages may hold writes that only this process has
-        return
-    start = rows.ctypes.data - mapping.ctypes.data
-    first = start - start % mmap.PAGESIZE
-    owner.madvise(mmap.MADV_DONTNEED, first, start + rows.nbytes - first)
-
-
 def _filter_rows(rows: np.ndarray, stages) -> np.ndarray:
     """``rows`` upcast to float64 and run through the zero-phase ``stages``,
     ``(sos, padlen)`` pairs in order, along the last axis.
 
-    Once the rows are upcast, :func:`_drop_mapped_pages` drops their input
+    Once the rows are upcast, :func:`parallel.drop_pages` drops their input
     pages from this process, so a process keeps no mapped input resident.
     Every row is filtered on its own, so a row's result does not depend on
     the rows filtered with it.
@@ -203,7 +189,7 @@ def _filter_rows(rows: np.ndarray, stages) -> np.ndarray:
     from scipy import signal  # imported on use: it is the slowest import in the package
 
     block = np.asarray(rows, dtype=np.float64)
-    _drop_mapped_pages(rows)
+    parallel.drop_pages(rows)
     for sos, padlen in stages:
         block = signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
     return block
@@ -386,9 +372,11 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     the one ``(events, channels, samples)`` float64 result.  No filtered
     row outlives its job.  The average reference is linear and the same
     for every channel, so it commutes with the epoching, the baseline and
-    the lowpass; it is subtracted from the downsampled epochs in place,
-    followed, where ``baseline_before_downsample`` is false, by the
-    baseline.  A recording of fewer than 2 channels raises
+    the lowpass; it is subtracted from the downsampled epochs in place, a
+    :func:`parallel.blocks` block of events at a time, followed, where
+    ``baseline_before_downsample`` is false, by the baseline, and each
+    block is then dropped from this process (:func:`parallel.drop_pages`).
+    A recording of fewer than 2 channels raises
     :class:`InsufficientChannels` before any filter runs.
     The jobs run by :func:`parallel.map_blocks` on up to ``n_workers``
     processes; the result is bit-identical at any count.  One INFO line
@@ -424,11 +412,14 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     out = parallel.map_blocks(row_block, rec.n_channels, row_bytes,
                               (len(starts), rec.n_channels, n_out), n_workers, "filter", axis=1)
     filtered = time.perf_counter()
-    _rereference(out)
+    for sl in parallel.blocks(len(starts), 8 * rec.n_channels * n_out):
+        epochs = out[sl]
+        _rereference(epochs)
+        if not spec.baseline_before_downsample:
+            epochs -= epochs[..., base].mean(axis=-1, keepdims=True)
+        parallel.drop_pages(epochs)
     logger.info("filtered and epoched %d channels in %.3f s on %d worker(s), "
                 "re-referenced in %.3f s", rec.n_channels, filtered - begin,
                 parallel.block_workers(rec.n_channels, row_bytes, n_workers),
                 time.perf_counter() - filtered)
-    if not spec.baseline_before_downsample:
-        out -= out[..., base].mean(axis=-1, keepdims=True)
     return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

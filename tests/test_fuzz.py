@@ -22,17 +22,21 @@ warning.
   exits 0 or 2; on 2 it prints exactly one ``error:`` line
   and writes nothing; the epochs it writes pass ``validate`` and are the
   float32 of whole-array filtering.
-- ``run``, ``compare`` and ``chance``, on a tiny container, with the CV
-  settings and hyperparameters each drawn usual or odd and given in a config
-  file or as a flag, at 1 or 2 threads, exit 0, 1 or 2; on 1 or 2 they print
-  exactly one ``error:`` or ``failure:`` line and write no report; a report
-  they write reads back, and its config is the settings drawn.
+- ``run``, ``compare`` and ``chance``, on a tiny container, in one example
+  in four with its ``fs_hz`` or ``t0_offset_s`` edited and in one in four
+  with label bytes that may leave a class fewer trials than folds, with the
+  CV settings and hyperparameters each drawn usual, odd or failing a fold
+  and given in a config file or as a flag, at 1 or 2 threads, exit 0, 1 or
+  2; on 1 or 2 they print exactly one ``error:`` or ``failure:`` line and
+  write no report, and a ``failure:`` line names a setting or a fold; a
+  report they write reads back, and its config is the settings drawn.
 """
 import contextlib
 import functools
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -352,26 +356,60 @@ EVALUATE_ODD = {
     "mean_max_iter": st.integers(-1, 3) | FLOATS,
 }
 FLAGS = ("seed", "folds", "repeats")  # the settings that have a flag of their own
+# edits of the tiny container's manifest: a rate or an epoch start near its
+# own (32 Hz, -0.25 s), or any double
+MANIFEST_EDITS = st.one_of(
+    st.tuples(st.just("fs_hz"), st.sampled_from([8.0, 16.0, 24.0, 40.0, 64.0]) | FLOATS),
+    st.tuples(st.just("t0_offset_s"), st.floats(-0.5, 0.25) | FLOATS))
+# settings that fail a fold of the tiny container: a singular Newton system, or a
+# Karcher mean that does not converge
+FAILING = st.sampled_from([("reg_c", 1e50), ("mean_max_iter", 1), ("mean_tol", 5e-324)])
+# what a failure line names: a fold, or a setting of the command or the container
+FAILURE_NAMES = re.compile(r"\bfolds? \d|\b(" + "|".join([*EVALUATE_USUAL, "fs_hz", "t0_offset_s"])
+                           + r")\b")
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+def names_a_setting_or_fold(line: str) -> bool:
+    return FAILURE_NAMES.search(line) is not None
+
+
+@settings(max_examples=160, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(sorted(EVALUATE_COMMANDS)),
        usual=st.fixed_dictionaries(EVALUATE_USUAL),
        odd=settings_of(st.just([]), st.lists(st.sampled_from(sorted(EVALUATE_ODD)).flatmap(
            lambda key: st.tuples(st.just(key), EVALUATE_ODD[key])), min_size=1, max_size=2)),
        in_file=st.fixed_dictionaries({key: st.booleans() for key in EVALUATE_USUAL}),
-       threads=st.sampled_from([1, 2]))
-def test_evaluate_exits_0_1_or_2_and_reports_what_ran(command, usual, odd, in_file, threads):
+       threads=st.sampled_from([1, 2]),
+       manifest_edit=settings_of(st.none(), MANIFEST_EDITS),
+       minority=settings_of(st.none(), st.tuples(st.integers(0, 5), st.permutations(range(12)))),
+       failing=settings_of(st.just([]), st.lists(FAILING, min_size=1, max_size=1)))
+def test_evaluate_exits_0_1_or_2_and_reports_what_ran(command, usual, odd, in_file, threads,
+                                                     manifest_edit, minority, failing):
     """``run``, ``compare`` and ``chance`` of a tiny container, each setting
     from a config file or from a flag (``--set`` where it has none), exit 0,
-    1 or 2; on 1 or 2 they print one ``error:`` or ``failure:`` line, and on
-    0 the report reads back and its config is the settings that ran."""
-    values = {**usual, **dict(odd)}
+    1 or 2; on 1 or 2 they print one ``error:`` or ``failure:`` line, a
+    failure line names a setting or a fold, and on 0 the report reads back
+    and its config is the settings that ran.  In one example in four the
+    container's ``fs_hz`` or ``t0_offset_s`` is edited, and in one in four
+    its label bytes are redrawn with ``minority`` trials, at most 5 of the
+    12, in class 1, so that a class may hold fewer trials than folds; in
+    one in four a setting of ``FAILING`` replaces its drawn value."""
+    values = {**usual, **dict(odd), **dict(failing)}
     chance = command in ("compare --chance", "chance")
+    files = dict(tiny_epochs())
+    if manifest_edit is not None:
+        key, value = manifest_edit
+        files["manifest.json"] = json.dumps(
+            {**json.loads(files["manifest.json"]), key: value}).encode()
+    if minority is not None:
+        count, order = minority
+        labels = np.zeros(12, np.uint8)
+        labels[list(order[:count])] = 1
+        files["labels.bin"] = labels.tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
         data.mkdir()
-        for name, content in tiny_epochs().items():
+        for name, content in files.items():
             (data / name).write_bytes(content)
         config, flags = Path(tmp) / "config.json", []
         config.write_text(json.dumps({key: v for key, v in values.items() if in_file[key]}))
@@ -388,6 +426,7 @@ def test_evaluate_exits_0_1_or_2_and_reports_what_ran(command, usual, odd, in_fi
         if code:
             assert len(lines) == 1, lines
             assert lines[0].startswith("error: " if code == 2 else "failure: "), lines
+            assert code == 2 or names_a_setting_or_fold(lines[0]), lines
             assert not out.exists()
             return
         assert read_report(out)["config"] == {

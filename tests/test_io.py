@@ -282,6 +282,51 @@ class TestContinuousContainer:
         assert shape == "(1, 16, 640)"
         assert float(grown_mb) < 8.0, grown_mb
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_pooled_epochs_stay_out_of_every_resident_set(self, tmp_path):
+        """Preprocessing a recording into 31 MiB of float64 epochs on two
+        workers, and writing them, raises the command's resident memory by
+        less than 8 MiB, and the workers' peak by less than 12 MiB over the
+        peak of the workers of a first pooled run on a small recording,
+        which also makes the imports and the filters' own allocations: every
+        process drops the pages of the shared epochs it has written or
+        read.  The command's own peak is not read: a process started by
+        ``exec`` keeps the peak of the process that started it."""
+        n_events = 200  # of 32 channels x 640 samples: 31.25 MiB of float64
+        rec = ContinuousRecording(256.0, [f"c{i}" for i in range(32)],
+                                  np.zeros((32, 256 * (n_events // 2 + 3)), np.float32),
+                                  [(128 * (i + 1), 1) for i in range(n_events)])
+        path = write_continuous_container(tmp_path / "raw", rec, [i % 2 for i in range(n_events)])
+        code = (
+            "import os, resource, sys\n"
+            "import numpy as np\n"
+            "from errpkit import parallel\n"
+            "from errpkit.io import read_continuous_container, write_epoch_container\n"
+            "from errpkit.preprocessing import (ContinuousRecording, PreprocessSpec,\n"
+            "    preprocess_recording)\n"
+            "parallel.n_cpus = lambda: 2\n"
+            "parallel._POOL_MIN_BYTES = 0\n"
+            "spec = PreprocessSpec(target_fs_hz=256.0)\n"
+            "def resident():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "def peak(who):\n"
+            "    return resource.getrusage(who).ru_maxrss * 1024\n"
+            "rec, labels = read_continuous_container(sys.argv[1])\n"
+            "small = ContinuousRecording(rec.fs_hz, ['a', 'b'],\n"
+            "    np.zeros((2, 40_000), np.float32), [(256, 1)])\n"
+            "es, _ = preprocess_recording(small, [0], spec, n_workers=2)\n"
+            "write_epoch_container(sys.argv[1] + '-small', es)\n"
+            "before, workers = resident(), peak(resource.RUSAGE_CHILDREN)\n"
+            "es, _ = preprocess_recording(rec, labels, spec, n_workers=2)\n"
+            "write_epoch_container(sys.argv[1] + '-epochs', es)\n"
+            "print(es.data.shape, (resident() - before) / 2**20,\n"
+            "      (peak(resource.RUSAGE_CHILDREN) - workers) / 2**20)\n")
+        shape, command_mb, worker_mb = in_fresh_process(code, path).rsplit(" ", 2)
+        assert shape == f"({n_events}, 32, 640)"
+        assert float(command_mb) < 8.0, command_mb
+        assert float(worker_mb) < 12.0, worker_mb
+
     def test_read_recording_is_read_only(self, tmp_path):
         rec = ContinuousRecording(512.0, ["a", "b"], np.ones((2, 500)), [(100, 1)])
         back, _ = read_continuous_container(write_continuous_container(tmp_path / "raw", rec, [0]))

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from errpkit import parallel
+from errpkit.io import read_epoch_container, write_epoch_container
+from errpkit.preprocessing import EpochSet
 
 try:
     import resource
@@ -193,3 +195,62 @@ def test_workers_keep_freed_blocks_resident(monkeypatch):
     faults = parallel.map_jobs(minor_faults_of_four_rounds, 2, 2, "heap")
     assert max(faults) < 100, faults
     assert multiprocessing.active_children() == []
+
+
+def resident() -> int:
+    """This process's resident bytes, from ``/proc/self/statm``."""
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+needs_statm = pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                                 reason="needs /proc/self/statm")
+
+
+class TestDropPages:
+    def test_values_that_workers_wrote_survive_a_drop(self, monkeypatch):
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        out = parallel.empty((4, 3000), 2)
+
+        def job(i):
+            out[i] = np.arange(3000) * (i + 1)
+            parallel.drop_pages(out[i])
+
+        parallel.map_jobs(job, 4, 2, "test")
+        expected = np.arange(3000) * np.arange(1, 5)[:, None]
+        assert np.array_equal(out, expected)
+        parallel.drop_pages(out[:, 1000:2000])  # a strided view
+        assert np.array_equal(out, expected)
+        parallel.drop_pages(out)
+        assert np.array_equal(out, expected)
+        assert multiprocessing.active_children() == []
+
+    @needs_statm
+    def test_a_drop_lowers_residency_by_the_arrays_size(self):
+        out = parallel.empty((1 << 21,), 2)  # 16 MiB
+        out[...] = 1.5
+        before = resident()
+        parallel.drop_pages(out[::2])
+        fallen = before - resident()
+        assert 0.95 * out.nbytes <= fallen <= out.nbytes + (1 << 20), fallen / out.nbytes
+        assert (out == 1.5).all()
+
+    @needs_statm
+    def test_a_heap_array_is_left_as_it_is(self):
+        heap = np.arange(1 << 21, dtype=np.float64)
+        before = resident()
+        parallel.drop_pages(heap)
+        assert before - resident() < 1 << 20
+        assert np.array_equal(heap, np.arange(1 << 21))
+
+    def test_a_copy_on_write_container_keeps_its_written_page(self, tmp_path):
+        data = np.arange(4 * 2 * 1024, dtype=np.float32).reshape(4, 2, 1024)
+        path = write_epoch_container(tmp_path / "c", EpochSet(data, [0, 1, 0, 1], 256.0, 0.0,
+                                                              ["a", "b"]))
+        es = read_epoch_container(path)
+        es.data[2, 1, 5] = -1.0
+        parallel.drop_pages(es.data)
+        parallel.drop_pages(es.data[2])
+        assert es.data[2, 1, 5] == -1.0
+        data[2, 1, 5] = -1.0
+        assert np.array_equal(es.data, data)

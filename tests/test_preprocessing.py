@@ -579,5 +579,5 @@ class TestSampleStorage:
         if mode == "c":
             data[1, 7] = -1.0
         expected = np.array(data)
-        preprocessing._drop_mapped_pages(data[1:2])
+        parallel.drop_pages(data[1:2])
         assert np.array_equal(data, expected)
