@@ -3,8 +3,9 @@
 Builds a 2048-samples/s multi-channel recording contaminated with drift
 and 50 Hz mains interference, plants a feedback-locked deflection at each
 event, then shows two filter stages alone and runs the whole chain in
-one call: bandpass, notches, epoching, baseline subtraction,
-downsampling to 256/s, average reference.
+one call: bandpass and notches (one zero-phase pass of their cascaded
+sections), epoching, baseline subtraction, downsampling to 256/s,
+average reference.
 
 Run:  python3 demos/03_preprocessing.py
 """

@@ -43,6 +43,8 @@ from .errors import (
     EmptyInput,
     ErrpkitError,
     InsufficientData,
+    NonConvergence,
+    NotPositiveDefinite,
     NumericalFailure,
     PlanMismatch,
 )
@@ -226,7 +228,8 @@ def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
         raise InsufficientData(f"labels must hold both classes, got {classes.tolist()}")
     if counts.min() < k:
         raise InsufficientData(
-            f"every class needs at least k={k} epochs, got counts {dict(zip(classes.tolist(), counts.tolist()))}"
+            f"every class needs at least folds={k} epochs, got counts "
+            f"{dict(zip(classes.tolist(), counts.tolist()))}"
         )
     rng = np.random.default_rng(seed)
     assignments = np.empty((r, n), dtype=np.int64)
@@ -249,9 +252,19 @@ def make_fold_plan(labels, k: int, r: int, seed: int = 0) -> FoldPlan:
     return FoldPlan(k, assignments, seed)
 
 
-def _named(exc: ErrpkitError, rep: int, folds: list[int]) -> ErrpkitError:
+# the Hyperparams fields a fold failure depends on, where its own line
+# does not name them
+_FAILURE_SETTINGS = {NonConvergence: ("mean_max_iter", "mean_tol"),
+                     NotPositiveDefinite: ("shrinkage",)}
+
+
+def _named(exc: ErrpkitError, rep: int, folds: list[int], hp: Hyperparams) -> ErrpkitError:
+    """``exc`` named by ``rep`` and its ``folds``, and by the settings of
+    ``hp`` that its class depends on."""
     where = f"fold {folds[0]}" if len(folds) == 1 else "folds " + ", ".join(map(str, folds))
-    return type(exc)(f"(repeat {rep}, {where}): {exc}")
+    keys = _FAILURE_SETTINGS.get(type(exc), ())
+    at = " at " + " and ".join(f"{key} {getattr(hp, key)}" for key in keys) if keys else ""
+    return type(exc)(f"(repeat {rep}, {where}): {exc}{at}")
 
 
 def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan, rep: int,
@@ -274,7 +287,7 @@ def _fold_split(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPla
             scale = features.max_abs_scale(raw_tr)
             xtr, xte = raw_tr / scale, rows[te_idx] / scale
     except ErrpkitError as exc:
-        raise _named(exc, rep, [fold]) from exc
+        raise _named(exc, rep, [fold], hp) from exc
     return xtr, ytr, xte, yte
 
 
@@ -297,7 +310,7 @@ def _run_folds(rows: np.ndarray, labels: np.ndarray, method: str, plan: FoldPlan
         try:
             fitted = logreg.fit_many(xtr, ytr, reg_c=hp.reg_c)
         except ErrpkitError as exc:
-            raise _named(exc, rep, [folds[i] for i in members]) from exc
+            raise _named(exc, rep, [folds[i] for i in members], hp) from exc
         for i, clf in zip(members, fitted):
             _, _, xte, yte = splits[i]
             results[i] = (float(np.mean(logreg.predict(clf, xte) == yte)), clf.converged,

@@ -130,10 +130,10 @@ def _covariances(stack: np.ndarray, shrinkage: float,
 def _sample_window(es: EpochSet, window: tuple[float, float]) -> slice:
     """The samples of ``window`` (seconds) in every epoch: at least 2, as a
     covariance and an n-1 standard deviation need."""
-    t_a, t_b = window
-    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, t_a, t_b)
+    settings = f"manifest fs_hz {es.fs_hz}, t0_offset_s {es.t0_offset_s}"
+    sl = _window_slice(es.fs_hz, es.t0_offset_s, es.n_samples, window, "window", settings)
     if sl.stop - sl.start < 2:
-        raise InvalidWindow(f"window [{t_a}, {t_b}] has fewer than 2 samples at fs={es.fs_hz}")
+        raise InvalidWindow(f"window {list(window)} s has fewer than 2 samples ({settings})")
     return sl
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyInput, InsufficientData, InvalidInput, InvalidWindow
 from .evaluation import derive_seed
 from .labels import FAILURE, SUCCESS
-from .preprocessing import EpochSet, sample_index
+from .preprocessing import EpochSet, format_count, sample_index
 
 # 32-channel montage used when no names are given (frontal/central/parietal/occipital rows)
 STANDARD_32 = [
@@ -105,23 +105,13 @@ class SynthSpec:
         ``noise`` it also names their float64 channel mixing matrix where
         that has more bytes than the float32 epochs."""
         n_samples = sample_index(self.post_s, -self.pre_s, self.fs_hz)
-        c = _count(self.n_channels)
+        c = format_count(self.n_channels)
         mixing = noise and 2 * self.n_channels > self.n_trials * n_samples
         return ValueError(
-            f"cannot allocate {_count(self.n_trials)} epochs of {c} channels x "
-            f"{_count(n_samples)} samples (the epoch length of fs_hz {self.fs_hz}, pre_s "
+            f"cannot allocate {format_count(self.n_trials)} epochs of {c} channels x "
+            f"{format_count(n_samples)} samples (the epoch length of fs_hz {self.fs_hz}, pre_s "
             f"{self.pre_s} and post_s {self.post_s})"
             + (f" and their {c} x {c} channel mixing matrix" if mixing else ""))
-
-
-def _count(n: int) -> str:
-    """``n`` in full up to 2**53, past which a count made from float settings
-    has no more exact digits; beyond, its first 6 digits, as ``2.5e+300``."""
-    if n <= 2 ** 53:
-        return str(n)
-    digits = str(n)
-    tail = digits[1:6].rstrip("0")
-    return f"{digits[0]}{'.' + tail if tail else ''}e+{len(digits) - 1}"
 
 
 @dataclass(frozen=True)

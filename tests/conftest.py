@@ -54,13 +54,15 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
-def whole_array_reference(rec, labels, spec, reference_first=False):
+def whole_array_reference(rec, labels, spec, reference_first=False, staged=False):
     """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle):
     ``labels`` are those of the events of ``spec.event_code``, and times
-    become sample indexes by half-up rounding.  The average reference is
-    subtracted from the downsampled epochs, before a baseline that follows
-    the downsampling; ``reference_first`` subtracts it from the filtered
-    recording instead, before the epochs are cut."""
+    become sample indexes by half-up rounding.  The bandpass and the notches
+    run as one forward-backward pass of their cascaded sections, padded by
+    the longest stage padding; ``staged`` runs one pass per stage instead.
+    The average reference is subtracted from the downsampled epochs, before
+    a baseline that follows the downsampling; ``reference_first`` subtracts
+    it from the filtered recording instead, before the epochs are cut."""
     from scipy import signal
 
     fs, n = rec.fs_hz, rec.n_samples
@@ -68,18 +70,25 @@ def whole_array_reference(rec, labels, spec, reference_first=False):
     def index(x):
         return math.floor(x + 0.5)
 
-    def filtfilt(sos, x, order, lo_hz, length):
-        padlen = int(min(length - 1, round(3.0 * order * fs / lo_hz)))
-        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=padlen)
+    def padlen(order, lo_hz, length):
+        return int(min(length - 1, round(3.0 * order * fs / lo_hz)))
+
+    def filtfilt(sos, x, pad):
+        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=pad)
 
     def rereference(x):
         return x - x.mean(axis=-2, keepdims=True)
 
     lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
-    x = filtfilt(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
-                 rec.data.astype(np.float64), 4, lo, n)
-    for f0 in spec.notch_hz:
-        x = filtfilt(signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), x, 2, f0, n)
+    chain = [(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"), padlen(4, lo, n)),
+             *((signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), padlen(2, f0, n))
+               for f0 in spec.notch_hz)]
+    x = rec.data.astype(np.float64)
+    if staged:
+        for sos, pad in chain:
+            x = filtfilt(sos, x, pad)
+    else:
+        x = filtfilt(np.vstack([sos for sos, _ in chain]), x, max(pad for _, pad in chain))
     if reference_first:
         x = rereference(x)
     n_pre, n_post = index(spec.epoch_pre_s * fs), index(spec.epoch_post_s * fs)
@@ -97,7 +106,7 @@ def whole_array_reference(rec, labels, spec, reference_first=False):
     n_out = epochs.shape[-1] // factor
 
     def downsample(e):
-        e = filtfilt(lowpass, e, 8, cutoff, e.shape[-1])[..., : n_out * factor : factor]
+        e = filtfilt(lowpass, e, padlen(8, cutoff, e.shape[-1]))[..., : n_out * factor : factor]
         return e if reference_first else rereference(e)
 
     if spec.baseline_before_downsample:

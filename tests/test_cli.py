@@ -647,8 +647,24 @@ class TestThreads:
             assert multiprocessing.active_children() == []
         assert len(lines[0]) == 1
         assert lines[0][0].startswith("failure: (repeat 0, fold 0): Karcher mean residual")
+        assert lines[0][0].endswith(" after 1 iterations (final step 0.973) at mean_max_iter 1 "
+                                    "and mean_tol 0.0001"), lines[0][0]
         assert lines[0] == lines[1]
         assert not (tmp_path / "report.json").exists()
+
+    def test_not_positive_definite_failure_names_the_shrinkage(self, tmp_path, capsys):
+        # 4 samples of the riemann window at 8 Hz for 6x6 super-trial covariances
+        data, out = tmp_path / "data", tmp_path / "report.json"
+        assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=20",
+                     "--set", "n_channels=2", "--set", "fs_hz=8"]) == 0
+        capsys.readouterr()
+        assert main(["run", "--method", "riemann", "--input", str(data),
+                     "--set", "shrinkage=1e-300", "--folds", "2", "--repeats", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "failure: (repeat 0, fold 0): iterate lost positive definiteness at shrinkage 1e-300"]
+        assert not out.exists()
 
     def test_bad_later_input_exits_2_before_any_fold(self, tiny_container, tmp_path, capsys,
                                                      monkeypatch):
@@ -782,8 +798,10 @@ class TestShortWindow:
     are too short, the riemann window's line comes first."""
 
     @pytest.mark.parametrize("fs_hz, line", [
-        ("8", "error: {data}: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"),
-        ("0.5", "error: {data}: window [0.1, 0.6] has fewer than 2 samples at fs=0.5"),
+        ("8", "error: {data}: window [0.1, 0.2] s has fewer than 2 samples "
+         "(manifest fs_hz 8.0, t0_offset_s -0.5)"),
+        ("0.5", "error: {data}: window [0.1, 0.6] s has fewer than 2 samples "
+                "(manifest fs_hz 0.5, t0_offset_s -0.5)"),
     ], ids=["benchmark-window", "riemann-window"])
     def test_exits_2_before_any_fold(self, tmp_path, capsys, monkeypatch, fs_hz, line):
         data, out = tmp_path / "data", tmp_path / "r.json"
@@ -801,6 +819,28 @@ class TestShortWindow:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("fs_hz", 128.0, "window [0.1, 0.6] s maps to samples [77, 141) outside the epoch of 80 "
+                        "samples (manifest fs_hz 128.0, t0_offset_s -0.5)"),
+        ("fs_hz", 1e300, "window [0.1, 0.6] s maps to samples [6e+299, 1.1e+300) outside the "
+                         "epoch of 80 samples (manifest fs_hz 1e+300, t0_offset_s -0.5)"),
+        ("t0_offset_s", 1e300, "window [0.1, 0.6] s maps to samples [-3.2e+301, -3.2e+301) "
+                               "outside the epoch of 80 samples (manifest fs_hz 32.0, "
+                               "t0_offset_s 1e+300)"),
+    ], ids=["fs-128", "fs-huge", "t0-huge"])
+    def test_window_outside_the_epoch_names_the_manifest_fields(self, tmp_path, capsys, key,
+                                                                value, line):
+        data, out = tmp_path / "data", tmp_path / "r.json"
+        assert main(["synth", "--out", str(data), "--seed", "1", "--set", "n_trials=20",
+                     "--set", "n_channels=2", "--set", "fs_hz=32"]) == 0
+        _set_field(data / "manifest.json", key, value)
+        capsys.readouterr()
+        assert main(["run", "--method", "riemann", "--input", str(data), "--out", str(out),
+                     "--folds", "2", "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [f"error: {data}: {line}"]
+        assert not out.exists()
+
     def test_chance_rejects_a_later_short_window_before_any_fold(self, tmp_path, capsys,
                                                                 monkeypatch):
         good, short, out = tmp_path / "good", tmp_path / "short", tmp_path / "r.json"
@@ -816,7 +856,8 @@ class TestShortWindow:
                      "--folds", "2", "--repeats", "1", "--set", "n_chance_shuffles=2"]) == 2
         captured = capsys.readouterr()
         assert (captured.out + captured.err).splitlines() == [
-            f"error: {short}: window [0.1, 0.2] has fewer than 2 samples at fs=8.0"]
+            f"error: {short}: window [0.1, 0.2] s has fewer than 2 samples "
+            "(manifest fs_hz 8.0, t0_offset_s -0.5)"]
         assert calls == []
         assert not out.exists()
 
@@ -916,7 +957,7 @@ class TestPlanBeforeFolds:
                      "--set", "n_trials=12"]) == 0
         self.exits_2(["compare", "--input", str(first), "--input", str(second), "--folds", "8",
                       "--repeats", "3", "--out", str(out)], capsys, monkeypatch,
-                     f"error: {second}: every class needs at least k=8 epochs, "
+                     f"error: {second}: every class needs at least folds=8 epochs, "
                      "got counts {0: 6, 1: 6}")
         assert not out.exists()
 
@@ -1358,6 +1399,27 @@ class TestPreprocess:
         assert (captured.out + captured.err).splitlines() == [line]
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("settings, line", [
+        (["baseline_window_s=[-1.0, 0.0]"],
+         "error: baseline_window_s [-1.0, 0.0] s maps to samples [-1024, 1024) outside the "
+         "epoch of 5120 samples (epoch_pre_s 0.5, epoch_post_s 2.0)"),
+        (["baseline_window_s=[-1.0, 0.0]", "baseline_before_downsample=false"],
+         "error: baseline_window_s [-1.0, 0.0] s maps to samples [-128, 128) outside the "
+         "epoch of 640 samples (epoch_pre_s 0.5, epoch_post_s 2.0)"),
+        (["baseline_window_s=[-0.5, 1e300]"],
+         "error: baseline_window_s [-0.5, 1e+300] s maps to samples [0, 2.048e+303) outside "
+         "the epoch of 5120 samples (epoch_pre_s 0.5, epoch_post_s 2.0)"),
+    ], ids=["before-downsample", "after-downsample", "huge"])
+    def test_baseline_outside_the_epoch_exits_2_naming_it(self, tmp_path, capsys, settings,
+                                                          line):
+        raw, out = make_raw(tmp_path), tmp_path / "ep"
+        capsys.readouterr()
+        assert main(["preprocess", "--input", str(raw), *(f"--set={s}" for s in settings),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [line]
+        assert not out.exists()
     def test_full_pipeline_shapes(self, tmp_path):
         raw = make_raw(tmp_path)
         out = tmp_path / "epochs"
@@ -1475,9 +1537,9 @@ class TestPreprocess:
             assert multiprocessing.active_children() == []
             outputs.append([(out / name).read_bytes()
                             for name in ("data.bin", "labels.bin", "manifest.json")])
-            # in this process at one CPU; on workers at two: 3 row jobs of 3
-            # stages and 2 lowpass calls
-            assert worker_filter_calls.value == (0 if cpus == 1 else 3 * (3 + 2))
+            # in this process at one CPU; on workers at two: 3 row jobs of one
+            # cascaded pass and 2 lowpass calls
+            assert worker_filter_calls.value == (0 if cpus == 1 else 3 * (1 + 2))
         assert outputs[0] == outputs[1]
 
     def test_dead_filter_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):

@@ -29,7 +29,8 @@ A change that moves a pinned value regenerates the file with
 
     PYTHONPATH=src python tests/test_pinned.py
 
-and names each moved value in CHANGES.md.
+which prints the path of each value that moved (``moved:
+preprocess_baseline_first.data.bin``); name each in CHANGES.md.
 """
 import contextlib
 import hashlib
@@ -157,7 +158,23 @@ def test_fixed_seed_results_match_the_pinned_file(tmp_path):
     _assert_matches(got, pinned)
 
 
+def _moved(old, new, path=""):
+    """The paths of the values of ``new`` that differ from ``old``, or that
+    only one of them holds."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [moved for key in sorted(old.keys() | new.keys())
+                for moved in _moved(old.get(key), new.get(key), f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [moved for i, (o, n) in enumerate(zip(old, new))
+                for moved in _moved(o, n, f"{path}[{i}]")]
+    return [] if old == new else [path]
+
+
 if __name__ == "__main__":
+    old = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        PINNED.write_text(json.dumps(compute(Path(tmp)), indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {PINNED}\n")
+        new = compute(Path(tmp))
+    PINNED.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    moved = _moved(old, new)
+    sys.stdout.write("".join(f"moved: {path}\n" for path in moved)
+                     + f"wrote {PINNED}, {len(moved)} value(s) moved\n")

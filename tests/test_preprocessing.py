@@ -19,6 +19,7 @@ from errpkit.preprocessing import (
     EpochSet,
     PreprocessSpec,
     bandpass,
+    format_count,
     notch,
     preprocess_recording,
 )
@@ -147,8 +148,8 @@ def with_channel_offsets(monkeypatch, rec, offsets, baseline_first):
     if baseline_first:
         original = preprocessing._filter_rows
 
-        def filter_then_offset(rows, stages):
-            out = original(rows, stages)
+        def filter_then_offset(rows, stage):
+            out = original(rows, stage)
             if rows.shape[-1] == rec.n_samples:  # the recording's rows, not epochs
                 assert rows.shape == rec.data.shape, "the test needs one block of rows"
                 out += offsets
@@ -274,6 +275,14 @@ class TestBaseline:
             with pytest.raises(InvalidWindow):
                 preprocess_recording(rec, [0], spec)
         assert calls == []
+
+
+@pytest.mark.parametrize("n, text", [
+    (0, "0"), (2 ** 53, "9007199254740992"), (-2 ** 53, "-9007199254740992"),
+    (2 ** 53 + 1, "9.00719e+15"), (25 * 10 ** 299, "2.5e+300"), (-10 ** 300, "-1e+300"),
+], ids=["zero", "2**53", "-2**53", "2**53+1", "2.5e300", "-1e300"])
+def test_format_count_prints_counts_past_2_53_compactly(n, text):
+    assert format_count(n) == text
 
 
 def sinusoid_epoch(freq):
@@ -428,8 +437,8 @@ class TestBlockwisePipeline:
             assert np.array_equal(es.data, expected)
             assert multiprocessing.active_children() == []
         assert len(pools) == 2
-        # per baseline order: 5 row jobs of 3 stages and 3 lowpass calls
-        assert worker_filter_calls.value == 2 * 5 * (3 + 3)
+        # per baseline order: 5 row jobs of one cascaded pass and 3 lowpass calls
+        assert worker_filter_calls.value == 2 * 5 * (1 + 3)
 
     # event times in s of layouts whose 2.5 s windows overlap, repeat, come
     # unsorted or touch (the windows at 1.0 to 8.5 s of "touching" start
@@ -475,6 +484,32 @@ class TestBlockwisePipeline:
                                                           reference_first=True)
             assert list(es.labels) == kept_labels
             assert np.abs(es.data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_cascade_matches_one_pass_per_stage_away_from_the_edges(self):
+        """One pass of the cascaded bandpass and notches has the zero-phase
+        response of one pass per stage; only the start-up transients at the
+        recording's edges differ.  Epochs at least ``3 * 4 / bandpass_lo_hz``
+        s, the bandpass's padding, from both edges agree within rounding."""
+        fs, n_channels, seconds = 512.0, 4, 40
+        rng = np.random.default_rng(27)
+        data = (rng.standard_normal((n_channels, int(seconds * fs))) * 20).astype(np.float32)
+        times = np.arange(1.0, seconds - 2.5, 1.5)
+        rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data,
+                                  [(int(fs * t), 1) for t in times])
+        labels = [i % 2 for i in range(len(times))]
+        for baseline_first in (True, False):
+            spec = PreprocessSpec(baseline_before_downsample=baseline_first)
+            edge_s = 3 * 4 / spec.bandpass_lo_hz
+            interior = ((times - spec.epoch_pre_s >= edge_s)
+                        & (times + spec.epoch_post_s <= seconds - edge_s))
+            assert interior.sum() == 9
+            es, skipped = preprocess_recording(rec, labels, spec)
+            staged, kept_labels = whole_array_reference(rec, labels, spec, staged=True)
+            assert skipped == []
+            assert list(es.labels) == kept_labels
+            assert not np.array_equal(es.data, staged)
+            scale = np.abs(es.data[interior]).max()
+            assert np.abs(es.data[interior] - staged[interior]).max() <= 1e-12 * scale
 
     def dense_recording(self):
         """8 channels of 60 s at 512 Hz, with an event every 0.5 s: the kept
