@@ -6,10 +6,9 @@ windowed mean/std benchmark, evaluated under stratified repeated k-fold
 cross-validation with corrected paired t-tests, a cross-dataset
 permutation test and shuffle-based chance levels.  A built-in generator
 fabricates staircase-driven label streams and template-plus-noise epochs
-for desk-scale verification.  scipy is needed only by the filters of
-``preprocessing`` and by the reference ``manifold.airm_distance``; both
-import it on use, so cross-validation, the statistics and the command
-line load no scipy module.
+for desk-scale verification.  The package depends on numpy alone: the
+filters of ``preprocessing`` are designed and run with numpy, and no
+module imports scipy, which only the tests use, as an independent oracle.
 """
 import os
 import sys

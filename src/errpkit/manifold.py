@@ -127,20 +127,22 @@ def mat_invsqrt(m) -> np.ndarray:
 def airm_distance(a, b) -> float:
     """Affine-invariant geodesic distance between two SPD matrices.
 
-    Computed from the generalized eigenvalues of the pencil ``(b, a)``,
-    which is an independent route from the whitening used by
+    Computed from the eigenvalues of the pencil ``(b, a)``, those of
+    ``inv(l) @ b @ inv(l).T`` for the Cholesky factor ``l`` of ``a``, which
+    is an independent route from the eigendecomposition whitening used by
     :func:`tangent_project`; the two must agree, and tests rely on that.
+    Either argument not positive definite raises
+    :class:`NotPositiveDefinite`.
     """
-    import scipy.linalg  # imported on use: it is a slow import, needed only here
-
     a = check_symmetric(a)
     b = check_symmetric(b)
     if a.shape != b.shape or a.ndim != 2:
         raise _dim_mismatch(a, b)
     try:
-        w = scipy.linalg.eigvalsh(b, a)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NotPositiveDefinite(f"generalized eigenproblem failed: {exc}") from exc
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"first argument is not positive definite: {exc}") from exc
+    w = np.linalg.eigvalsh(np.linalg.solve(low, np.linalg.solve(low, b).T))
     if w.min() <= 0.0:
         raise NotPositiveDefinite("second argument is not positive definite")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

@@ -29,12 +29,12 @@ parallelism.
 Each pool worker, and no other process, sets glibc's malloc to serve
 blocks of up to 32 MiB from its heap and to return free heap to the
 system only past 256 MiB (:func:`_install`).  A worker runs one job after
-another with temporaries of the same sizes, such as the ~23 MB that
-``sosfiltfilt`` makes for one 900 s row at 1,024 Hz (22.7 MB traced for
-the cascaded bandpass and notches of :mod:`preprocessing`); by default glibc
-hands them back to the system after each job and the next job faults
-them in again, page by page.  This process keeps the defaults, so a command that starts
-no pool holds no more memory than before.
+another with temporaries of the same sizes, such as the ~18 MB that
+``preprocessing._zero_phase`` makes for one 900 s row at 1,024 Hz (18.0 MB
+traced for the cascaded bandpass and notches of :mod:`preprocessing`); by
+default glibc hands them back to the system after each job and the next
+job faults them in again, page by page.  This process keeps the defaults,
+so a command that starts no pool holds no more memory than before.
 """
 from __future__ import annotations
 

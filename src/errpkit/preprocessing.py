@@ -5,16 +5,20 @@ filtering, epoch extraction around feedback events, baseline subtraction,
 integer-factor downsampling and average re-referencing.
 :func:`bandpass` and :func:`notch` apply one filter stage to a whole
 recording.  All filters are Butterworth/IIR designs applied
-forward-backward (``sosfiltfilt``) with reflect padding, so they are
-zero-phase and linear.  The pipeline runs its bandpass and notches as one
+forward-backward with even padding, so they are zero-phase and linear.
+They are designed and run with numpy alone: :func:`_butter` and
+:func:`_notch` build the second-order sections as ``scipy.signal``'s
+``butter`` and ``iirnotch`` do, and :func:`_zero_phase` makes the response
+of ``scipy.signal.sosfiltfilt`` with matrix products over blocks of
+:data:`_BLOCK` samples (:class:`_ZeroPhase`), so importing this module
+loads no scipy.  The pipeline runs its bandpass and notches as one
 forward-backward pass of their cascaded second-order sections
 (:func:`_cascade`), padded by the longest stage padding, the bandpass's
 ``3 * 4 / bandpass_lo_hz`` s: in exact arithmetic that is the zero-phase
-response of one pass per stage, and ``sosfilt`` costs about as much per
-sample at 4 sections as at 1, so it takes about half the time of the
-three passes.  The two orders differ only by rounding away from the
-recording's edges, and within the bandpass's start-up transient near them,
-where the padding and initial states differ.
+response of one pass per stage, at the cost of one.  The two orders differ
+only by rounding away from the recording's edges, and within the
+bandpass's start-up transient near them, where the padding and initial
+states differ.
 
 Memory: one storage rule, :func:`_stored`, holds the samples of a
 recording and of an epoch set: float32, as both container kinds store
@@ -176,56 +180,248 @@ class EpochSet:
         return self.data.shape[2]
 
 
-def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int, what: str):
-    """The zero-phase stage ``(sos, padlen)`` of the filter that ``design``
-    makes from :mod:`scipy.signal`, for rows of ``n_samples`` at ``fs``: a
-    reflect padding of ``3 * order / edge_hz`` seconds, capped by the row
-    length.  A padding that is not finite raises :class:`InvalidFilterSpec`
-    before the filter is designed, and so does a filter whose initial-state
-    solve, which ``sosfiltfilt`` makes, is singular; that line names ``what``."""
-    from scipy import signal
+def _butter(order: int, edges_hz, fs: float) -> np.ndarray:
+    """The second-order sections of the digital Butterworth filter of
+    ``order`` with edges ``edges_hz`` at ``fs``: a lowpass for one edge, a
+    bandpass (of twice the order) for two.  As ``scipy.signal.butter`` builds
+    it: the analog prototype's poles, the edges prewarped, the lowpass-to-
+    lowpass or lowpass-to-bandpass transform, the bilinear transform, then
+    the poles paired into sections by :func:`_sections`."""
+    warped = 4.0 * np.tan(np.pi * (np.asarray(edges_hz, dtype=np.float64) / (fs / 2)) / 2.0)
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    if warped.size == 1:
+        wo = float(warped)
+        z, p, k = np.zeros(0), wo * p, wo ** order
+    else:
+        bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+        p = p * bw / 2
+        shift = np.sqrt(p ** 2 - wo ** 2)
+        z, p, k = np.zeros(order), np.concatenate((p + shift, p - shift)), bw ** order
+    # bilinear transform at the normalized rate 2: zeros at infinity go to z = -1
+    z_z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(len(p) - len(z))))
+    return _sections(z_z, (4.0 + p) / (4.0 - p),
+                     k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p)))
 
+
+def _sections(z: np.ndarray, p: np.ndarray, k: float) -> np.ndarray:
+    """The second-order sections of the digital filter with real zeros
+    ``z``, poles ``p`` in conjugate pairs or in pairs of reals, and gain
+    ``k``, paired as ``scipy.signal.zpk2sos`` pairs them: the pole pair
+    nearest the unit circle goes last, each pair takes the two remaining
+    zeros nearest its pole, and the first section carries the gain."""
+    tol = 100 * np.finfo(np.float64).eps
+    p = p[np.lexsort((np.abs(p.imag), p.real))]
+    real = np.abs(p.imag) <= tol * np.abs(p)
+    p = np.concatenate((p[~real & (p.imag > 0)], p[real].real))
+    z = np.sort(z)
+    sos = np.empty((len(z) // 2, 6))
+    for i in reversed(range(len(sos))):
+        worst = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[worst], np.delete(p, worst)
+        if p1.imag == 0:
+            reals = np.flatnonzero(p.imag == 0)
+            other = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            pair, p = [p1, p[other]], np.delete(p, other)
+        else:
+            pair = [p1, p1.conj()]
+        nearest = np.argsort(np.abs(z - p1))[:2]
+        sos[i, :3], sos[i, 3:] = np.poly(z[nearest]), np.poly(pair).real
+        z = np.delete(z, nearest)
+    sos[0, :3] *= k
+    return sos
+
+
+def _notch(freq_hz: float, fs: float) -> np.ndarray:
+    """The one second-order section of the IIR notch at ``freq_hz`` with
+    quality factor :data:`NOTCH_Q` at ``fs``, in the closed form of
+    ``scipy.signal.iirnotch``: zeros on the unit circle at ``freq_hz`` and a
+    -3 dB bandwidth of ``freq_hz / NOTCH_Q``."""
+    w0 = 2 * float(freq_hz) / fs
+    bw = w0 / NOTCH_Q * np.pi
+    w0 = w0 * np.pi
+    gain = 1.0 / (1.0 + math.tan(bw / 2.0))
+    return np.array([[gain, gain * (-2.0 * math.cos(w0)), gain,
+                      1.0, -2.0 * gain * math.cos(w0), 2.0 * gain - 1.0]])
+
+
+def _steady_state(sos: np.ndarray) -> np.ndarray:
+    """Each section's transposed-direct-form state at rest under a unit
+    step, as ``scipy.signal.sosfilt_zi`` makes it: per section, the solve of
+    ``zi = A zi + B`` on I - companion(a), as ``lfilter_zi`` does, scaled by
+    the DC gain of the sections before it.  A singular solve raises
+    ``np.linalg.LinAlgError``."""
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for i, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        zi[i] = scale * np.linalg.solve([[1.0 + a[1], -1.0], [a[2], 1.0]], b[1:] - a[1:] * b[0])
+        scale *= b.sum() / a.sum()
+    return zi
+
+
+_BLOCK = 64  # samples per block of a pass of _zero_phase
+
+
+class _ZeroPhase:
+    """A zero-phase filter: the cascade of the second-order sections
+    ``sos`` run forward, then backward, over rows extended at each end by
+    ``padlen`` mirrored samples, each pass starting at the cascade's steady
+    state for the first sample it reads (``scipy.signal.sosfiltfilt`` with
+    ``padtype="even"``).  Made by :func:`_stage` and :func:`_cascade`, run by
+    :func:`_zero_phase`.
+
+    A pass runs the cascade as one linear system of two states per section
+    over blocks of :data:`_BLOCK` samples: a block's outputs are its samples
+    and its start state times :attr:`out` (the lower-triangular Toeplitz
+    matrix of the impulse response over the state's response), its samples
+    times :attr:`to_state` are their part of the next block's start state,
+    and :attr:`step` carries a state one block on.  A section with a pole
+    pair sigma +/- i omega keeps its states in the coupled form, whose state
+    matrix [[sigma, omega], [-omega, sigma]] has powers no larger than the
+    poles' radius: in the transposed direct form of ``sosfilt`` the powers of
+    a pole pair near z = 1 grow about a hundredfold before they decay, and
+    the block products would carry that growth into the rounding.  A section
+    with real poles keeps the transposed direct form.  Building one raises
+    ``np.linalg.LinAlgError`` where :func:`_steady_state` does."""
+
+    def __init__(self, sos: np.ndarray, padlen: int):
+        self.sos, self.padlen = sos, padlen
+        zi = _steady_state(sos)
+        n = 2 * len(sos)
+        a, b, c, d = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
+        self.zi = np.empty(n)  # the steady state for a unit step, in these states
+        for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+            s = slice(2 * i, 2 * i + 2)
+            direct = np.array([b1 - a1 * b0, b2 - a2 * b0])  # the direct form's input column
+            sigma = -a1 / 2.0
+            omega2 = a2 - sigma * sigma
+            if omega2 > 0:
+                omega = math.sqrt(omega2)
+                # direct-form state = [[1, 0], [-sigma, omega]] @ coupled state
+                a_i = np.array([[sigma, omega], [-omega, sigma]])
+                b_i = np.array([direct[0], (sigma * direct[0] + direct[1]) / omega])
+                self.zi[s] = zi[i, 0], (sigma * zi[i, 0] + zi[i, 1]) / omega
+            else:
+                a_i, b_i, self.zi[s] = np.array([[-a1, 1.0], [-a2, 0.0]]), direct, zi[i]
+            # the section's input is c @ state + d * x, and its output its first
+            # state plus b0 times that input
+            a[s] = np.outer(b_i, c)
+            a[s, s] += a_i
+            b[s] = b_i * d
+            c, d = b0 * c, b0 * d
+            c[2 * i] += 1.0
+        response, to_state = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
+        row, col = c, b
+        for j in range(_BLOCK):
+            response[j], to_state[_BLOCK - 1 - j] = row, col
+            row, col = row @ a, a @ col
+        impulse = np.concatenate(([d], response[:-1] @ b))
+        lag = np.arange(_BLOCK)
+        toeplitz = np.tril(impulse[np.abs(lag[:, None] - lag)])
+        self.out = np.vstack((toeplitz.T, response.T))
+        self.to_state = to_state
+        self.step = np.linalg.matrix_power(a, _BLOCK).T
+
+
+def _put(blocks: np.ndarray, at: int, seq: np.ndarray) -> None:
+    """Write the samples ``seq``, ``(rows, k)``, at flat sample ``at`` of
+    ``blocks``, ``(rows, n_blocks, _BLOCK + states)``, whose first
+    :data:`_BLOCK` columns hold each block's samples."""
+    end = at + seq.shape[1]
+    while at < end:
+        block, offset = divmod(at, _BLOCK)
+        if offset or end - at < _BLOCK:  # a part of one block
+            k = min(_BLOCK - offset, end - at)
+            blocks[:, block, offset:offset + k] = seq[:, :k]
+        else:  # whole blocks
+            k = (end - at) // _BLOCK * _BLOCK
+            blocks[:, block:block + k // _BLOCK, :_BLOCK] = seq[:, :k].reshape(
+                len(seq), -1, _BLOCK)
+        seq, at = seq[:, k:], at + k
+
+
+def _pass(filt: _ZeroPhase, blocks: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
+    """One causal pass of ``filt``'s cascade over the samples of ``blocks``
+    (see :func:`_put`) from the states ``start``, ``(rows, states)``, into
+    ``out``, ``(rows, n_blocks, _BLOCK)``.  The block start states come from a
+    doubling scan: after the step of span ``d`` each block's state holds the
+    input of the ``2 d`` blocks before it, carried on by ``step ** d``.
+    Every product runs row by row (numpy's stacked matmul), so a row's
+    result does not depend on the rows filtered with it."""
+    states = np.empty(blocks.shape[:2] + (filt.zi.size,))
+    states[:, 0] = start
+    np.matmul(blocks[:, :-1, :_BLOCK], filt.to_state, out=states[:, 1:])
+    step, d = filt.step, 1
+    while d < states.shape[1]:
+        states[:, d:] += states[:, :-d] @ step
+        step, d = step @ step, 2 * d
+    blocks[..., _BLOCK:] = states
+    np.matmul(blocks, filt.out, out=out)
+
+
+def _zero_phase(x: np.ndarray, filt: _ZeroPhase) -> np.ndarray:
+    """float64 ``x`` run through the zero-phase ``filt`` along its last
+    axis: extended by ``filt.padlen`` mirrored samples at each end, a
+    forward pass, a backward pass, and the extension cut off again."""
+    rows = x.reshape(-1, x.shape[-1])
+    n, p = rows.shape[1], filt.padlen
+    m = n + 2 * p
+    blocks = np.zeros((len(rows), -(-m // _BLOCK), _BLOCK + filt.zi.size))
+    _put(blocks, 0, rows[:, p:0:-1])
+    _put(blocks, p, rows)
+    _put(blocks, p + n, rows[:, -2:-(p + 2):-1])
+    out = np.empty(blocks.shape[:2] + (_BLOCK,))
+    _pass(filt, blocks, filt.zi * rows[:, p:p + 1], out)
+    y = out.reshape(len(rows), -1)
+    _put(blocks, 0, y[:, m - 1::-1])
+    _pass(filt, blocks, filt.zi * y[:, m - 1:m], out)
+    return y[:, p:p + n][:, ::-1].reshape(x.shape)
+
+
+def _stage(design, edge_hz: float, order: int, fs: float, n_samples: int,
+           what: str) -> _ZeroPhase:
+    """The zero-phase stage of the filter whose sections ``design()`` makes,
+    for rows of ``n_samples`` at ``fs``: a padding of ``3 * order / edge_hz``
+    seconds, capped by the row length.  A padding that is not finite raises
+    :class:`InvalidFilterSpec` before the filter is designed, and so does a
+    filter whose initial-state solve (:func:`_steady_state`) is singular;
+    that line names ``what``."""
     pad = 3.0 * order * fs / edge_hz
     if not math.isfinite(pad):
         raise InvalidFilterSpec(f"filter edge {edge_hz} Hz is too low for fs={fs}")
-    sos = design(signal)
     try:
-        signal.sosfilt_zi(sos)
+        return _ZeroPhase(design(), int(min(n_samples - 1, round(pad))))
     except np.linalg.LinAlgError:
         raise InvalidFilterSpec(f"{what} gives a filter whose initial state is singular") from None
-    return sos, int(min(n_samples - 1, round(pad)))
 
 
-def _cascade(stages):
-    """The zero-phase ``stages``, ``(sos, padlen)`` pairs, as one stage: their
-    second-order sections in order, padded by the longest of their paddings.
-    One forward-backward pass of the cascade makes the same zero-phase
-    response as one pass per stage; only the edges, where the padding and
-    initial states differ, and the last bits move."""
-    return np.concatenate([sos for sos, _ in stages]), max(padlen for _, padlen in stages)
+def _cascade(stages) -> _ZeroPhase:
+    """The zero-phase ``stages`` as one: their second-order sections in
+    order, padded by the longest of their paddings.  One forward-backward
+    pass of the cascade makes the same zero-phase response as one pass per
+    stage; only the edges, where the padding and initial states differ, and
+    the last bits move."""
+    return _ZeroPhase(np.concatenate([s.sos for s in stages]), max(s.padlen for s in stages))
 
 
-def _filter_rows(rows: np.ndarray, stage) -> np.ndarray:
-    """``rows`` upcast to float64 and run forward-backward through the
-    zero-phase ``stage``, a ``(sos, padlen)`` pair, along the last axis.
+def _filter_rows(rows: np.ndarray, stage: _ZeroPhase) -> np.ndarray:
+    """``rows`` upcast to float64 and run through the zero-phase ``stage``
+    along the last axis (:func:`_zero_phase`).
 
     Once the rows are upcast, :func:`parallel.drop_pages` drops their input
     pages from this process, so a process keeps no mapped input resident.
     Every row is filtered on its own, so a row's result does not depend on
     the rows filtered with it.
     """
-    from scipy import signal  # imported on use: it is the slowest import in the package
-
     block = np.asarray(rows, dtype=np.float64)
     parallel.drop_pages(rows)
-    sos, padlen = stage
-    return signal.sosfiltfilt(sos, block, axis=-1, padtype="even", padlen=padlen)
+    return _zero_phase(block, stage)
 
 
-def _filtered(rec: ContinuousRecording, stage) -> ContinuousRecording:
+def _filtered(rec: ContinuousRecording, stage: _ZeroPhase) -> ContinuousRecording:
     """``rec`` with ``stage`` run over its rows a :func:`parallel.blocks`
     block at a time into one preallocated float64 array, so the temporaries
-    of ``sosfiltfilt`` stay block-sized; the samples equal whole-array
+    of :func:`_zero_phase` stay block-sized; the samples equal whole-array
     filtering bit for bit."""
     def filter_block(sl: slice, out: np.ndarray) -> None:
         out[...] = _filter_rows(rec.data[sl], stage)
@@ -239,17 +435,15 @@ def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
         raise InvalidFilterSpec(
             f"need 0 < lo < hi < fs/2, got lo={lo_hz}, hi={hi_hz}, fs={rec.fs_hz}"
         )
-    return _stage(
-        lambda signal: signal.butter(2, [lo_hz, hi_hz], btype="bandpass", fs=rec.fs_hz,
-                                     output="sos"),
-        lo_hz, 4, rec.fs_hz, rec.n_samples, f"bandpass [{lo_hz}, {hi_hz}] Hz at fs={rec.fs_hz}")
+    return _stage(lambda: _butter(2, [lo_hz, hi_hz], rec.fs_hz), lo_hz, 4, rec.fs_hz,
+                  rec.n_samples, f"bandpass [{lo_hz}, {hi_hz}] Hz at fs={rec.fs_hz}")
 
 
 def _notch_stage(rec: ContinuousRecording, freq_hz: float):
     if not (0.0 < freq_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
-    return _stage(lambda signal: signal.tf2sos(*signal.iirnotch(freq_hz, NOTCH_Q, fs=rec.fs_hz)),
-                  freq_hz, 2, rec.fs_hz, rec.n_samples, f"notch {freq_hz} Hz at fs={rec.fs_hz}")
+    return _stage(lambda: _notch(freq_hz, rec.fs_hz), freq_hz, 2, rec.fs_hz, rec.n_samples,
+                  f"notch {freq_hz} Hz at fs={rec.fs_hz}")
 
 
 def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
@@ -338,8 +532,8 @@ def _downsample_stage(fs: float, target_fs_hz: float, n_samples: int):
         )
     factor = int(round(factor))
     cutoff = 0.4 * target_fs_hz
-    stage = _stage(lambda signal: signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos"),
-                   cutoff, 8, fs, n_samples, f"anti-alias lowpass at {cutoff} Hz for fs={fs}")
+    stage = _stage(lambda: _butter(8, cutoff, fs), cutoff, 8, fs, n_samples,
+                   f"anti-alias lowpass at {cutoff} Hz for fs={fs}")
     if n_samples // factor == 0:
         raise InvalidResampleFactor(
             f"fs {fs} / target {target_fs_hz} = {factor} leaves no sample of an epoch "

@@ -2,11 +2,12 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from errpkit import features, synth
+from errpkit import features, preprocessing, synth
 from errpkit.preprocessing import EpochSet
 
 
@@ -54,17 +55,52 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
-def whole_array_reference(rec, labels, spec, reference_first=False, staged=False):
-    """The pipeline from whole-array ``sosfiltfilt`` calls (test oracle):
-    ``labels`` are those of the events of ``spec.event_code``, and times
-    become sample indexes by half-up rounding.  The bandpass and the notches
-    run as one forward-backward pass of their cascaded sections, padded by
-    the longest stage padding; ``staged`` runs one pass per stage instead.
-    The average reference is subtracted from the downsampled epochs, before
-    a baseline that follows the downsampling; ``reference_first`` subtracts
-    it from the filtered recording instead, before the epochs are cut."""
+class Filters(NamedTuple):
+    """The filter designs and the zero-phase run that
+    :func:`whole_array_reference` builds its pipeline from: ``bandpass(lo,
+    hi, fs)``, ``notch(f0, fs)`` and ``lowpass(cutoff, fs)`` give
+    second-order sections, and ``filtfilt(sos, x, padlen)`` runs them
+    forward and backward along the last axis of ``x`` with even padding."""
+
+    bandpass: Callable
+    notch: Callable
+    lowpass: Callable
+    filtfilt: Callable
+
+
+# errpkit's own designs and its whole-array zero-phase function
+ERRPKIT_FILTERS = Filters(
+    lambda lo, hi, fs: preprocessing._butter(2, [lo, hi], fs),
+    preprocessing._notch,
+    lambda cutoff, fs: preprocessing._butter(8, cutoff, fs),
+    lambda sos, x, pad: preprocessing._zero_phase(x, preprocessing._ZeroPhase(sos, pad)),
+)
+
+
+def scipy_filters() -> Filters:
+    """scipy.signal's designs and ``sosfiltfilt``: an oracle that shares no
+    filter code with errpkit."""
     from scipy import signal
 
+    return Filters(
+        lambda lo, hi, fs: signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"),
+        lambda f0, fs: signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)),
+        lambda cutoff, fs: signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos"),
+        lambda sos, x, pad: signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=pad),
+    )
+
+
+def whole_array_reference(rec, labels, spec, reference_first=False, staged=False,
+                          filters=ERRPKIT_FILTERS):
+    """The pipeline from whole-array zero-phase calls of ``filters`` (test
+    oracle): ``labels`` are those of the events of ``spec.event_code``, and
+    times become sample indexes by half-up rounding.  The bandpass and the
+    notches run as one forward-backward pass of their cascaded sections,
+    padded by the longest stage padding; ``staged`` runs one pass per stage
+    instead.  The average reference is subtracted from the downsampled
+    epochs, before a baseline that follows the downsampling;
+    ``reference_first`` subtracts it from the filtered recording instead,
+    before the epochs are cut."""
     fs, n = rec.fs_hz, rec.n_samples
 
     def index(x):
@@ -73,22 +109,19 @@ def whole_array_reference(rec, labels, spec, reference_first=False, staged=False
     def padlen(order, lo_hz, length):
         return int(min(length - 1, round(3.0 * order * fs / lo_hz)))
 
-    def filtfilt(sos, x, pad):
-        return signal.sosfiltfilt(sos, x, axis=-1, padtype="even", padlen=pad)
-
     def rereference(x):
         return x - x.mean(axis=-2, keepdims=True)
 
     lo, hi = spec.bandpass_lo_hz, spec.bandpass_hi_hz
-    chain = [(signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos"), padlen(4, lo, n)),
-             *((signal.tf2sos(*signal.iirnotch(f0, 35.0, fs=fs)), padlen(2, f0, n))
-               for f0 in spec.notch_hz)]
+    chain = [(filters.bandpass(lo, hi, fs), padlen(4, lo, n)),
+             *((filters.notch(f0, fs), padlen(2, f0, n)) for f0 in spec.notch_hz)]
     x = rec.data.astype(np.float64)
     if staged:
         for sos, pad in chain:
-            x = filtfilt(sos, x, pad)
+            x = filters.filtfilt(sos, x, pad)
     else:
-        x = filtfilt(np.vstack([sos for sos, _ in chain]), x, max(pad for _, pad in chain))
+        x = filters.filtfilt(np.vstack([sos for sos, _ in chain]), x,
+                             max(pad for _, pad in chain))
     if reference_first:
         x = rereference(x)
     n_pre, n_post = index(spec.epoch_pre_s * fs), index(spec.epoch_post_s * fs)
@@ -102,11 +135,12 @@ def whole_array_reference(rec, labels, spec, reference_first=False, staged=False
 
     factor = round(fs / spec.target_fs_hz)
     cutoff = 0.4 * spec.target_fs_hz
-    lowpass = signal.butter(8, cutoff, btype="lowpass", fs=fs, output="sos")
+    lowpass = filters.lowpass(cutoff, fs)
     n_out = epochs.shape[-1] // factor
 
     def downsample(e):
-        e = filtfilt(lowpass, e, padlen(8, cutoff, e.shape[-1]))[..., : n_out * factor : factor]
+        e = filters.filtfilt(lowpass, e, padlen(8, cutoff, e.shape[-1]))
+        e = e[..., : n_out * factor : factor]
         return e if reference_first else rereference(e)
 
     if spec.baseline_before_downsample:
@@ -116,6 +150,19 @@ def whole_array_reference(rec, labels, spec, reference_first=False, staged=False
     return epochs, [lab for _, lab in kept]
 
 
+# Bound, fixed before the first run, on float64 epochs against scipy's filters
+SCIPY_RELATIVE_BOUND = 1e-9
+
+
+def assert_near_scipy(data, rec, labels, spec):
+    """``data``, float64 epochs of ``rec``, within :data:`SCIPY_RELATIVE_BOUND`
+    of max|expected| of the pipeline run on scipy's filters."""
+    expected, _ = whole_array_reference(rec, labels, spec, filters=scipy_filters())
+    scale = np.abs(expected).max()
+    assert np.abs(data - expected).max() <= SCIPY_RELATIVE_BOUND * scale, \
+        np.abs(data - expected).max() / scale
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -123,20 +170,18 @@ def rng():
 
 @pytest.fixture
 def worker_filter_calls(monkeypatch):
-    """A fork-visible count of the ``sosfiltfilt`` calls made in processes
-    other than this one, such as forked filter workers."""
-    from scipy import signal
-
+    """A fork-visible count of the ``preprocessing._zero_phase`` calls made
+    in processes other than this one, such as forked filter workers."""
     parent, calls = os.getpid(), multiprocessing.get_context("fork").Value("i", 0)
-    original = signal.sosfiltfilt
+    original = preprocessing._zero_phase
 
-    def sosfiltfilt(*args, **kwargs):
+    def zero_phase(*args, **kwargs):
         if os.getpid() != parent:
             with calls.get_lock():
                 calls.value += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(signal, "sosfiltfilt", sosfiltfilt)
+    monkeypatch.setattr(preprocessing, "_zero_phase", zero_phase)
     return calls
 
 

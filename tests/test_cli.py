@@ -1205,9 +1205,10 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert not _loaded_by_cli_import("multiprocessing")
 
 
-def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container):
+def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container, tmp_path):
     # two datasets at two workers: the t-test, the permutation test and the
-    # forked fold pool all run in the compare
+    # forked fold pool all run in the compare; then a recording is
+    # preprocessed (its filters designed and run) and its epochs validated
     second = synth_tiny(shared_tmp, "no_scipy_second", seed=21)
     flags = ["--input", str(tiny_container), "--input", str(second), "--seed", "5",
              "--folds", "5", "--repeats", "2", "--set", "n_chance_shuffles=2"]
@@ -1215,6 +1216,9 @@ def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container):
                 ["chance"]]
     argvs = [[*command, *flags, "--out", str(shared_tmp / f"no_scipy_{command[0]}.json")]
              for command in commands]
+    epochs = tmp_path / "ep"
+    argvs += [["preprocess", "--input", str(make_raw(tmp_path)), "--out", str(epochs)],
+              ["validate", "--input", str(epochs)]]
     code = ("import json, sys\n"
             "from errpkit.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -1223,7 +1227,7 @@ def test_compare_run_and_chance_load_no_scipy(shared_tmp, tiny_container):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
     rep = read_report(shared_tmp / "no_scipy_compare.json")
     assert rep["permutation_test"]["z"] != 0.0
@@ -1543,15 +1547,13 @@ class TestPreprocess:
         assert outputs[0] == outputs[1]
 
     def test_dead_filter_worker_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
-        from scipy import signal
-
         parent = os.getpid()
 
-        def sosfiltfilt(*args, **kwargs):
+        def zero_phase(*args, **kwargs):
             assert os.getpid() != parent, "the filter ran in the parent"
             os._exit(3)
 
-        monkeypatch.setattr(signal, "sosfiltfilt", sosfiltfilt)
+        monkeypatch.setattr(preprocessing, "_zero_phase", zero_phase)
         self.two_cpus(monkeypatch)
         raw = make_raw(tmp_path)
         capsys.readouterr()

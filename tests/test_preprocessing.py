@@ -24,7 +24,7 @@ from errpkit.preprocessing import (
     preprocess_recording,
 )
 
-from conftest import traced_peak, whole_array_reference
+from conftest import assert_near_scipy, traced_peak, whole_array_reference
 
 FS = 2048.0
 
@@ -117,6 +117,86 @@ class TestFilterProperties:
             lags = range(-5, 6)
             corr = [np.dot(y[sl], np.roll(x, lag)[sl]) for lag in lags]
             assert list(lags)[int(np.argmax(corr))] == 0
+
+
+
+def frequency_response(sos, w):
+    """The response at ``w`` rad/sample of the second-order sections ``sos``
+    (test oracle)."""
+    z = np.exp(-1j * w)[:, None] ** np.arange(3)
+    return np.prod((z @ sos[:, :3].T) / (z @ sos[:, 3:].T), axis=1)
+
+
+# Bounds fixed before the first run: on the frequency responses of the
+# designs, and on zero-phase filtering relative to max|expected|
+RESPONSE_BOUND = 1e-9
+FILTFILT_BOUND = 1e-9
+
+
+class TestZeroPhase:
+    """errpkit's numpy filter designs and blocked zero-phase kernel against
+    scipy.signal's (an independent oracle), and the kernel's row
+    independence."""
+
+    @pytest.mark.parametrize("fs", [64.0, 250.0, 256.0, 1000.0, 1024.0, 2048.0, 4096.0])
+    def test_designs_match_scipy_responses(self, fs):
+        from scipy import signal
+
+        nyq = fs / 2
+        w = np.linspace(0.0, np.pi, 2049)
+        edges = [1e-4 * nyq, 0.01, 1.0, 0.1 * nyq, 0.5 * nyq, 0.9 * nyq, 0.999 * nyq]
+        for lo in edges:
+            ours = preprocessing._butter(8, lo, fs)
+            theirs = signal.butter(8, lo, btype="lowpass", fs=fs, output="sos")
+            assert ours.shape == theirs.shape
+            assert np.abs(frequency_response(ours, w)
+                          - frequency_response(theirs, w)).max() <= RESPONSE_BOUND, lo
+            ours = preprocessing._notch(lo, fs)
+            b, a = signal.iirnotch(lo, preprocessing.NOTCH_Q, fs=fs)
+            assert np.abs(frequency_response(ours, w)
+                          - frequency_response(np.concatenate((b, a))[None], w)).max() \
+                <= RESPONSE_BOUND, lo
+            for hi in (h for h in edges if h > lo):
+                ours = preprocessing._butter(2, [lo, hi], fs)
+                theirs = signal.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+                assert ours.shape == theirs.shape
+                assert np.abs(frequency_response(ours, w)
+                              - frequency_response(theirs, w)).max() <= RESPONSE_BOUND, (lo, hi)
+
+    @pytest.mark.parametrize("fs, lo_hz", [(256.0, 0.5), (1024.0, 1.0), (4096.0, 0.1)])
+    def test_kernel_matches_scipy_sosfiltfilt(self, fs, lo_hz):
+        """Edges near z = 1, where the transposed direct form's states would
+        carry a hundredfold growth into the block products, and rows shorter
+        than, equal to and past a block, up to padding the whole row."""
+        from scipy import signal
+
+        rng = np.random.default_rng(31)
+        sos = np.concatenate([preprocessing._butter(2, [lo_hz, 100.0], fs),
+                              preprocessing._notch(50.0, fs)])
+        for n in (1, 2, 63, 64, 65, 3000, int(30 * fs)):
+            x = rng.standard_normal((2, n)).cumsum(axis=1) + 40.0
+            for padlen in sorted({0, min(n - 1, 5), n - 1, min(n - 1, round(12 * fs / lo_hz))}):
+                expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+                got = preprocessing._zero_phase(x, preprocessing._ZeroPhase(sos, padlen))
+                assert np.abs(got - expected).max() <= FILTFILT_BOUND * np.abs(x).max(), \
+                    (n, padlen)
+
+    def test_row_bits_do_not_depend_on_the_rows_filtered_with_it(self):
+        rng = np.random.default_rng(32)
+        windows = rng.standard_normal((100, 2560)) * 20
+        lowpass = preprocessing._ZeroPhase(preprocessing._butter(8, 102.4, 1024.0), 240)
+        whole = preprocessing._zero_phase(windows, lowpass)
+        for size in range(1, 101):
+            for start in range(0, 100, size):
+                part = preprocessing._zero_phase(windows[start:start + size], lowpass)
+                assert np.array_equal(part, whole[start:start + size]), (size, start)
+        rows = rng.standard_normal((5, int(30 * 1024))) * 20
+        chain = preprocessing._ZeroPhase(np.concatenate(
+            [preprocessing._butter(2, [1.0, 100.0], 1024.0), preprocessing._notch(50.0, 1024.0)]),
+            12288)
+        whole = preprocessing._zero_phase(rows, chain)
+        for i in range(5):
+            assert np.array_equal(preprocessing._zero_phase(rows[i:i + 1], chain), whole[i:i + 1])
 
 
 def random_recording(n_channels, seconds, events, seed, fs=FS):
@@ -411,6 +491,7 @@ class TestBlockwisePipeline:
         assert list(es.labels) == kept_labels
         assert es.data.dtype == np.float64
         assert np.array_equal(es.data, expected)
+        assert_near_scipy(es.data, rec, labels, spec)
         assert (es.fs_hz, es.t0_offset_s) == (256.0, -0.5)
 
     def test_pooled_equals_whole_array_filtering(self, monkeypatch, worker_filter_calls):
@@ -435,6 +516,7 @@ class TestBlockwisePipeline:
             assert skipped == [7, 8]
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
+            assert_near_scipy(es.data, rec, labels, spec)
             assert multiprocessing.active_children() == []
         assert len(pools) == 2
         # per baseline order: 5 row jobs of one cascaded pass and 3 lowpass calls
@@ -468,6 +550,7 @@ class TestBlockwisePipeline:
             expected, kept_labels = whole_array_reference(rec, labels, spec)
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
+            assert_near_scipy(es.data, rec, labels, spec)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -535,6 +618,7 @@ class TestBlockwisePipeline:
             assert len(kept_labels) * int(2.5 * rec.fs_hz) >= 4 * rec.n_samples
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
+            assert_near_scipy(es.data, rec, labels, spec)
             assert multiprocessing.active_children() == []
 
     def test_dense_events_are_cut_a_block_at_a_time(self, monkeypatch):
@@ -544,7 +628,7 @@ class TestBlockwisePipeline:
         12 events (half a row) at a time."""
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 128 * 1024)  # blocks of 1 row, 12 events
         rec, labels = self.dense_recording()
-        preprocess_recording(  # loads scipy.signal outside the measurement
+        preprocess_recording(  # first-call set-up outside the measurement
             ContinuousRecording(rec.fs_hz, ["a", "b"], rec.data[:2, :4096], [(1024, 1)]), [0])
         (es, _), peak = traced_peak(preprocess_recording, rec, labels)
         assert es.data.flags.owndata
@@ -558,7 +642,7 @@ class TestBlockwisePipeline:
         events = [(int(fs * (2 + 3 * i)), 1) for i in range(39)]
         rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
         labels = [i % 2 for i in range(len(events))]
-        preprocess_recording(  # loads scipy.signal outside the measurement
+        preprocess_recording(  # first-call set-up outside the measurement
             ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
         (es, _), peak = traced_peak(preprocess_recording, rec, labels)
         assert es.data.shape == (39, n_channels, 640)
@@ -573,7 +657,7 @@ class TestBlockwisePipeline:
         data = (rng.standard_normal((n_channels, int(120 * fs))) * 20).astype(np.float32)
         events = [(int(fs * (2 + 10 * i)), 1) for i in range(12)]
         rec = ContinuousRecording(fs, [f"c{i}" for i in range(n_channels)], data, events)
-        preprocess_recording(  # loads scipy.signal outside the measurement
+        preprocess_recording(  # first-call set-up outside the measurement
             ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
         (es, _), peak = traced_peak(preprocess_recording, rec, [i % 2 for i in range(12)])
         assert es.data.shape == (12, n_channels, 640)
