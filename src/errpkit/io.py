@@ -20,7 +20,8 @@ file and renames it over the old one, so it holds no copy of the samples,
 and a set read earlier from the same path keeps its samples.  Once it has
 written a block, it drops that block's pages from this process where they
 are those of a map whose values survive it (:func:`parallel.drop_pages`):
-the pooled epochs of :mod:`preprocessing`, or a read-only recording.
+the pooled epochs of :mod:`preprocessing` or :mod:`synth`, or a read-only
+recording.
 """
 from __future__ import annotations
 

@@ -5,13 +5,16 @@ results in job order.  At one worker, or where ``fork`` is unavailable, the
 jobs run in this process.  Otherwise a ``fork`` process pool of
 :func:`workers_for` workers inherits ``fn`` and everything it refers to in
 memory, so only job indexes and results cross the pipe.  A job that writes
-its result into an array of :func:`empty` returns nothing: that memory is
-shared with the workers.
+its result into an array of :func:`empty` (float64 unless a ``dtype`` is
+given) returns nothing: that memory is shared with the workers.
 
 :func:`blocks` is the one rule that splits work: consecutive slices of as
 many items as fit in :data:`_BLOCK_BYTES`, and at least one.
 :func:`map_blocks` runs a function on each block into one output array,
-as jobs of :func:`map_jobs`, in this process for small inputs.
+as jobs of :func:`map_jobs`, in this process for small inputs.  It runs
+on a pool for :mod:`preprocessing` (filtered rows, epochs) and
+:mod:`synth` (float32 epochs); :mod:`features` and :mod:`manifold` use
+its blocks in this process.
 
 Memory: :func:`drop_pages` drops a block of a map from the process that
 calls it.  It acts only on the ``MAP_SHARED`` map of :func:`empty` and on
@@ -38,6 +41,7 @@ so a command that starts no pool holds no more memory than before.
 """
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 
@@ -113,20 +117,29 @@ class _SharedMap(mmap.mmap):
     :func:`drop_pages` knows by this class."""
 
 
-def empty(shape, n_workers: int) -> np.ndarray:
-    """An uninitialised float64 array for jobs to write into: ``np.empty``
-    at one worker, else an anonymous ``MAP_SHARED`` map that forked workers
-    write into and this process reads.  The map's pages belong to the map,
-    not to a process, so any process may :func:`drop_pages` of it that it
-    has written or read; they keep their values, and a later touch maps
+def empty(shape, n_workers: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of ``dtype`` for jobs to write into:
+    ``np.empty`` at one worker, else an anonymous ``MAP_SHARED`` map that
+    forked workers write into and this process reads.  A map that cannot
+    be made (``mmap``'s ``ENOMEM`` or ``OverflowError``) raises
+    ``MemoryError``, as ``np.empty`` does.  The map's pages belong to the
+    map, not to a process, so any process may :func:`drop_pages` of it that
+    it has written or read; they keep their values, and a later touch maps
     them back.  So dropping lowers each process's resident set, not the
     machine's use: the map stays in shared memory, whole, until its last
     reference is gone (46.9 MB for the 300 x 32 x 640 epochs of a 900 s
     recording, held for the rest of a ``preprocess`` run)."""
+    dtype = np.dtype(dtype)
     if n_workers == 1:
-        return np.empty(shape)
-    n_bytes = 8 * int(np.prod(shape))
-    return np.frombuffer(_SharedMap(-1, max(1, n_bytes)), np.float64, n_bytes // 8).reshape(shape)
+        return np.empty(shape, dtype)
+    n_items = int(np.prod(shape))
+    try:
+        buf = _SharedMap(-1, max(1, n_items * dtype.itemsize))
+    except (OSError, OverflowError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {n_items} items of {dtype}") from exc
+    return np.frombuffer(buf, dtype, n_items).reshape(shape)
 
 
 def drop_pages(arr: np.ndarray) -> None:
@@ -208,10 +221,15 @@ def map_jobs(fn, n_jobs: int, n_workers: int, name: str) -> list:
         raise ErrpkitError(f"a {name} worker process died: {exc}") from exc
 
 
+def _block_items(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` one block of :func:`blocks` holds."""
+    return max(1, _BLOCK_BYTES // max(item_bytes, 1))
+
+
 def blocks(n: int, item_bytes: int) -> list[slice]:
     """Consecutive slices covering ``range(n)``, each of as many items of
     ``item_bytes`` as fit in :data:`_BLOCK_BYTES`, and at least one."""
-    step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
+    step = _block_items(item_bytes)
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -221,20 +239,20 @@ def block_workers(n: int, item_bytes: int, n_workers: int) -> int:
     :data:`_POOL_MIN_BYTES` of input (``n * item_bytes``), else
     :func:`workers_for` its blocks."""
     return workers_for(n_workers if n * item_bytes >= _POOL_MIN_BYTES else 1,
-                       len(blocks(n, item_bytes)))
+                       len(range(0, n, _block_items(item_bytes))))
 
 
 def map_blocks(fn, n: int, item_bytes: int, shape, n_workers: int = 1,
-               name: str = "block", axis: int = 0) -> np.ndarray:
-    """``out``, a float64 array of ``shape``, after ``fn(sl, view)`` wrote
+               name: str = "block", axis: int = 0, dtype=np.float64) -> np.ndarray:
+    """``out``, an array of ``shape`` and ``dtype``, after ``fn(sl, view)`` wrote
     each block ``sl`` of ``blocks(n, item_bytes)`` into ``view``, the
     slice ``sl`` of ``out`` along ``axis``.  The blocks are :func:`map_jobs`
     jobs named ``name`` on :func:`block_workers` processes; each job then
     drops ``view`` from its process (:func:`drop_pages`), which at more
     than one worker leaves no written page of ``out`` in a worker."""
-    sls = blocks(n, item_bytes)
     n_workers = block_workers(n, item_bytes, n_workers)
-    out = empty(shape, n_workers)
+    out = empty(shape, n_workers, dtype)  # a set too large raises here, not listing its blocks
+    sls = blocks(n, item_bytes)
     lead = (slice(None),) * axis
 
     def job(j: int) -> None:

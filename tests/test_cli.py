@@ -1,5 +1,6 @@
 import concurrent.futures.process
 import dataclasses
+import errno
 import json
 import math
 import multiprocessing
@@ -213,6 +214,29 @@ class TestSynthErrors:
         assert (captured.out + captured.err).splitlines() == [
             "error: cannot allocate 2 epochs of 60000 channels x 20 samples (the epoch length of "
             f"fs_hz 8.0, pre_s 0.5 and post_s 2.0){matrix}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
+                                       OverflowError("cannot fit 'int' into an index-sized integer")],
+                             ids=["ENOMEM", "overflow"])
+    def test_a_shared_map_that_cannot_be_made_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                     monkeypatch, error):
+        # 2 epochs of 60000 channels x 40 samples: 19.2 MB of float32, over the
+        # pool bound, so on two CPUs they go to the shared map, which fails
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_SharedMap", fail)
+        assert 4 * 2 * 60000 * 40 >= parallel._POOL_MIN_BYTES
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--set", "n_trials=2", "--set",
+                     "n_channels=60000", "--set", "fs_hz=16.0", "--set", "noise_rms_uv=0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).splitlines() == [
+            "error: cannot allocate 2 epochs of 60000 channels x 40 samples (the epoch length of "
+            "fs_hz 16.0, pre_s 0.5 and post_s 2.0)"]
         assert not out.exists()
 
 

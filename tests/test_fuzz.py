@@ -31,7 +31,8 @@ warning.
   2; on 1 or 2 they print exactly one ``error:`` or ``failure:`` line,
   which names a config key, a flag or a field of the container, and write
   no report; a report they write reads back, and its config is the
-  settings drawn.
+  settings drawn.  Each command is also run once with each failing
+  setting, which the drawn examples do not all reach.
 """
 import contextlib
 import functools
@@ -46,6 +47,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -371,8 +373,9 @@ MANIFEST_EDITS = st.one_of(
 # by a penalty lost in rounding (in 3-fold splits of both methods; 4 folds of 9
 # training trials keep the benchmark's nonsingular), or a Karcher mean that does
 # not converge (one iteration does not reach 1e-10)
-FAILING = st.sampled_from([{"folds": 3, "reg_c": 1e50}, {"mean_max_iter": 1, "mean_tol": 1e-10},
-                           {"mean_tol": 5e-324}])
+FAILING_SETTINGS = [{"folds": 3, "reg_c": 1e50}, {"mean_max_iter": 1, "mean_tol": 1e-10},
+                    {"mean_tol": 5e-324}]
+FAILING = st.sampled_from(FAILING_SETTINGS)
 # what an error or failure line names: a config key, a flag, or a field of
 # the container, which is a manifest field or its labels (``labels.bin``)
 SETTING_NAMES = [*DEFAULTS, *(f"--{flag}" for flag in ("input", "out", "config", "set", "threads",
@@ -470,3 +473,32 @@ def test_evaluate_exits_0_1_or_2_and_reports_what_ran(command, usual, in_file, t
             return
         assert read_report(out)["config"] == {
             **values, "n_chance_shuffles": values["n_chance_shuffles"] if chance else None}
+
+
+@pytest.mark.parametrize("failing", FAILING_SETTINGS, ids=lambda d: ",".join(d))
+@pytest.mark.parametrize("command", sorted(COMMAND_METHODS))
+def test_every_command_with_every_failing_setting(command, failing):
+    """Each command on the tiny container with a setting of ``FAILING``:
+    exit 1 with one ``failure:`` line naming that setting where one of the
+    command's methods runs it, else exit 0 with a report of the settings."""
+    values = {"seed": 0, "folds": 2, "repeats": 1, "n_chance_shuffles": 2, **failing}
+    key = list(failing)[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        data.mkdir()
+        for name, content in tiny_epochs().items():
+            (data / name).write_bytes(content)
+        config, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        config.write_text(json.dumps(values))
+        code, lines, caught = run([*EVALUATE_COMMANDS[command], "--input", str(data),
+                                   "--config", str(config), "--out", str(out)])
+        assert caught == []
+        if FAILING_METHODS[key] & COMMAND_METHODS[command]:
+            assert code == 1, lines
+            [line] = lines
+            assert line.startswith("failure: "), line
+            assert key in SETTING.findall(FOLD_PREFIX.sub("", line)), line
+            assert not out.exists()
+        else:
+            assert code == 0, lines
+            assert {k: read_report(out)["config"][k] for k in failing} == failing

@@ -1,5 +1,6 @@
 import concurrent.futures.process
 import ctypes
+import errno
 import logging
 import multiprocessing
 import os
@@ -96,6 +97,36 @@ def test_runs_in_process_without_fork(monkeypatch):
     assert parallel.empty((2, 3), 1).flags.owndata
     assert parallel.map_jobs(lambda i: (os.getpid(), i), 3, 4, "test") == [
         (os.getpid(), i) for i in range(3)]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_empty_makes_the_dtype_asked_for(n_workers):
+    out = parallel.empty((3, 5), n_workers, dtype=np.float32)
+    assert out.dtype == np.float32 and out.shape == (3, 5)
+    assert out.flags.owndata == (n_workers == 1)
+    assert parallel.empty((3, 5), n_workers).dtype == np.float64
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"),
+                                   OverflowError("cannot fit 'int' into an index-sized integer")],
+                         ids=["ENOMEM", "overflow"])
+def test_a_shared_map_that_cannot_be_made_is_a_memory_error(monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(parallel, "_SharedMap", fail)
+    with pytest.raises(MemoryError):
+        parallel.empty((3, 5), 2)
+    assert parallel.empty((3, 5), 1).shape == (3, 5)
+
+
+def test_a_shared_map_fails_on_other_errors_as_they_are(monkeypatch):
+    def fail(*args):
+        raise OSError(errno.ENODEV, "No such device")
+
+    monkeypatch.setattr(parallel, "_SharedMap", fail)
+    with pytest.raises(OSError, match="No such device"):
+        parallel.empty((3, 5), 2)
 
 
 def test_cpu_count_is_the_affinity_mask(monkeypatch):

@@ -1,7 +1,12 @@
+import concurrent.futures.process
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
-from errpkit.errors import EmptyInput, InsufficientData, InvalidWindow
+from errpkit import parallel
+from errpkit.errors import EmptyInput, InsufficientData, InvalidInput, InvalidWindow
 from errpkit.labels import FAILURE, SUCCESS
 from errpkit.synth import (
     ErpTemplateSpec,
@@ -193,6 +198,54 @@ class TestGenerateEpochs:
                              pre_s=0.25, post_s=0.75)
         assert es.data.dtype == np.float32
         assert np.array_equal(es.data, es.data.astype(np.float32).astype(np.float64))
+
+
+class TestGenerateOnWorkers:
+    """Blocks of epochs on forked workers: the pool rule is the one of
+    ``parallel.map_blocks``, applied to the float32 bytes of the epochs."""
+
+    SMALL = dict(n_channels=3, fs_hz=64.0, pre_s=0.25, post_s=0.75, seed=9)  # 768 B an epoch
+
+    @staticmethod
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_BLOCK_BYTES", 1600)  # two epochs a block
+
+    @pytest.mark.parametrize("noise", [4.0, 0.0])
+    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch, two_cpus, noise):
+        labels = np.array([0, 1, 1, 0, 1, 0, 0])
+        spec = ErpTemplateSpec(noise_rms_uv=noise)
+        one = generate_epochs(labels, spec, **self.SMALL)
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        two = generate_epochs(labels, spec, **self.SMALL)
+        assert one.data.flags.owndata and not two.data.flags.owndata  # the shared map
+        assert two.data.dtype == np.float32
+        assert one.data.tobytes() == two.data.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_non_finite_epoch_raises_without_a_warning(self, monkeypatch, capfd,
+                                                                   two_cpus):
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        # forked workers inherit the filter, so a warning in a worker fails its
+        # job, and the error raised is then not the epoch line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^synthetic epoch 0 is not finite as float32"):
+                generate_epochs(np.arange(8) % 2, ErpTemplateSpec(noise_rms_uv=1e300),
+                                **self.SMALL)
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    def test_a_set_below_the_pool_bound_starts_no_pool(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", self.no_pool)
+        n = parallel._POOL_MIN_BYTES // 768 - 1
+        es = generate_epochs(np.arange(n) % 2, ErpTemplateSpec(noise_rms_uv=0.0), **self.SMALL)
+        assert es.data.flags.owndata
+        assert es.data.shape == (n, 3, 64)
 
 
 class TestSynthSpec:
