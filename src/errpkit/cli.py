@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, features, io, parallel, synth
+from . import evaluation, features, io, synth
 from .config import from_config, load_config
 from .errors import ErrpkitError, InvalidInput
 from .labels import FAILURE, SUCCESS
@@ -75,7 +75,7 @@ def cmd_preprocess(args) -> int:
     spec = from_config(PreprocessSpec, cfg)
     rec, labels = io.read_continuous_container(args.input)
     labels = [lab for (_, code), lab in zip(rec.events, labels) if code == spec.event_code]
-    es, skipped = preprocess_recording(rec, labels, spec, n_workers=parallel.n_cpus())
+    es, skipped = preprocess_recording(rec, labels, spec)
     io.write_epoch_container(
         args.out, es, extra_manifest={"skipped_events": skipped, "preprocess": asdict(spec)},
     )

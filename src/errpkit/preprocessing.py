@@ -2,31 +2,28 @@
 
 One pipeline, :func:`preprocess_recording`: zero-phase bandpass/notch
 filtering, epoch extraction around feedback events, baseline subtraction,
-integer-factor downsampling and average re-referencing.
-:func:`bandpass` and :func:`notch` apply one filter stage to a whole
-recording.  All filters are Butterworth/IIR designs applied
-forward-backward with even padding, so they are zero-phase and linear.
-They are designed and run with numpy alone: :func:`_butter` and
-:func:`_notch` build the second-order sections as ``scipy.signal``'s
-``butter`` and ``iirnotch`` do, and :func:`_zero_phase` makes the response
-of ``scipy.signal.sosfiltfilt`` with matrix products over blocks of
-:data:`_BLOCK` samples (:class:`_ZeroPhase`), so importing this module
-loads no scipy.  The pipeline runs its bandpass and notches as one
-forward-backward pass of their cascaded second-order sections
-(:func:`_cascade`), padded by the longest stage padding, the bandpass's
-``3 * 4 / bandpass_lo_hz`` s: in exact arithmetic that is the zero-phase
-response of one pass per stage, at the cost of one.  The two orders differ
-only by rounding away from the recording's edges, and within the
-bandpass's start-up transient near them, where the padding and initial
-states differ.
+integer-factor downsampling and average re-referencing.  All filters are
+Butterworth/IIR designs applied forward-backward with even padding, so
+they are zero-phase and linear.  They are designed and run with numpy
+alone: :func:`_butter` and :func:`_notch` build the second-order sections
+as ``scipy.signal``'s ``butter`` and ``iirnotch`` do, and
+:func:`_zero_phase` makes the response of ``scipy.signal.sosfiltfilt``
+with matrix products over blocks of :data:`_BLOCK` samples
+(:class:`_ZeroPhase`), so importing this module loads no scipy.  The
+pipeline runs its bandpass and notches as one forward-backward pass of
+their cascaded second-order sections (:func:`_cascade`), padded by the
+longest stage padding, the bandpass's ``3 * 4 / bandpass_lo_hz`` s: in
+exact arithmetic that is the zero-phase response of one pass per stage, at
+the cost of one.  The two orders differ only by rounding away from the
+recording's edges, and within the bandpass's start-up transient near them,
+where the padding and initial states differ.
 
 Memory: one storage rule, :func:`_stored`, holds the samples of a
 recording and of an epoch set: float32, as both container kinds store
 them, is kept as given, and any other dtype becomes float64.  float32 is
 storage only; arithmetic upcasts where it starts.  Every filter upcasts a
 block of rows (one block of :func:`parallel.blocks`, about 512 KiB of
-float64) at a time, so all arithmetic is float64.  :func:`bandpass` and
-:func:`notch` write each block into one preallocated float64 output.
+float64) at a time, so all arithmetic is float64.
 :func:`preprocess_recording` runs one job per block of rows: it filters
 each row whole, then cuts, baselines, lowpasses and downsamples that
 row's epochs a block of events at a time into the float64 epochs, and no
@@ -43,25 +40,25 @@ pages stay in the page cache.  Where the jobs run in forked workers, this
 process reads no input and filters nothing.
 
 Parallelism: the row blocks are the blocks of :func:`parallel.map_blocks`.
-At one worker (the library default), or for a recording whose float64
+On one CPU (:func:`parallel.n_cpus`), or for a recording whose float64
 samples are below its 16 MiB bound, they run in this process.  Otherwise
-forked workers inherit the recording and write their channels' epochs
-into the shared map of :func:`parallel.empty`; only block indexes cross
-the pipe, and the bytes do not depend on the worker count.  Each worker
-drops the epoch pages it has written once its job ends, and this process
-re-references the epochs a block of events at a time and drops each block
-once it is done with it (:func:`parallel.drop_pages`).  The shared map,
-not a process, holds the values, so they survive, and no process keeps
-the float64 epochs resident: the writer (:mod:`io`) maps each block back
-only to write it.  At one worker the epochs are an ordinary array, which
-stays resident.
+one forked worker per CPU inherits the recording, and the workers write
+their channels' epochs into the shared map of :func:`parallel.empty`; only
+block indexes cross the pipe, and the bytes do not depend on the worker
+count.  Each worker drops the epoch pages it has written once its job ends,
+and this process re-references the epochs a block of events at a time and
+drops each block once it is done with it (:func:`parallel.drop_pages`).
+The shared map, not a process, holds the values, so they survive, and no
+process keeps the float64 epochs resident: the writer (:mod:`io`) maps
+each block back only to write it.  In this process the epochs are an
+ordinary array, which stays resident.
 """
 from __future__ import annotations
 
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -418,19 +415,8 @@ def _filter_rows(rows: np.ndarray, stage: _ZeroPhase) -> np.ndarray:
     return _zero_phase(block, stage)
 
 
-def _filtered(rec: ContinuousRecording, stage: _ZeroPhase) -> ContinuousRecording:
-    """``rec`` with ``stage`` run over its rows a :func:`parallel.blocks`
-    block at a time into one preallocated float64 array, so the temporaries
-    of :func:`_zero_phase` stay block-sized; the samples equal whole-array
-    filtering bit for bit."""
-    def filter_block(sl: slice, out: np.ndarray) -> None:
-        out[...] = _filter_rows(rec.data[sl], stage)
-
-    return replace(rec, data=parallel.map_blocks(filter_block, rec.n_channels, 8 * rec.n_samples,
-                                                 rec.data.shape, name="filter"))
-
-
 def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
+    """Zero-phase 4th-order Butterworth bandpass (8th-order after filtfilt)."""
     if not (0.0 < lo_hz < hi_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(
             f"need 0 < lo < hi < fs/2, got lo={lo_hz}, hi={hi_hz}, fs={rec.fs_hz}"
@@ -440,20 +426,11 @@ def _bandpass_stage(rec: ContinuousRecording, lo_hz: float, hi_hz: float):
 
 
 def _notch_stage(rec: ContinuousRecording, freq_hz: float):
+    """Zero-phase second-order IIR notch (quality factor 35)."""
     if not (0.0 < freq_hz < rec.fs_hz / 2.0):
         raise InvalidFilterSpec(f"notch frequency {freq_hz} outside (0, fs/2) for fs={rec.fs_hz}")
     return _stage(lambda: _notch(freq_hz, rec.fs_hz), freq_hz, 2, rec.fs_hz, rec.n_samples,
                   f"notch {freq_hz} Hz at fs={rec.fs_hz}")
-
-
-def bandpass(rec: ContinuousRecording, lo_hz: float, hi_hz: float) -> ContinuousRecording:
-    """Zero-phase 4th-order Butterworth bandpass (8th-order after filtfilt)."""
-    return _filtered(rec, _bandpass_stage(rec, lo_hz, hi_hz))
-
-
-def notch(rec: ContinuousRecording, freq_hz: float) -> ContinuousRecording:
-    """Zero-phase second-order IIR notch (quality factor 35)."""
-    return _filtered(rec, _notch_stage(rec, freq_hz))
 
 
 def _check_reference(n_channels: int) -> None:
@@ -583,8 +560,7 @@ class PreprocessSpec:
 
 
 def preprocess_recording(rec: ContinuousRecording, labels,
-                         spec: PreprocessSpec = PreprocessSpec(),
-                         n_workers: int = 1) -> tuple[EpochSet, list[int]]:
+                         spec: PreprocessSpec = PreprocessSpec()) -> tuple[EpochSet, list[int]]:
     """Full pipeline: bandpass and notches, epoching, baseline subtraction,
     downsampling, average reference.
 
@@ -609,10 +585,10 @@ def preprocess_recording(rec: ContinuousRecording, labels,
     block is then dropped from this process (:func:`parallel.drop_pages`).
     A recording of fewer than 2 channels raises
     :class:`InsufficientChannels` before any filter runs.
-    The jobs run by :func:`parallel.map_blocks` on up to ``n_workers``
-    processes; the result is bit-identical at any count.  One INFO line
-    gives the seconds of the jobs, with their worker count, and of the
-    re-reference.
+    The jobs run by :func:`parallel.map_blocks` on the workers that
+    :func:`parallel.block_workers` picks for :func:`parallel.n_cpus` CPUs;
+    the result is bit-identical at any count.  One INFO line gives the
+    seconds of the jobs, with their worker count, and of the re-reference.
     """
     chain = _cascade([_bandpass_stage(rec, spec.bandpass_lo_hz, spec.bandpass_hi_hz),
                       *(_notch_stage(rec, f0) for f0 in spec.notch_hz)])
@@ -639,6 +615,7 @@ def preprocess_recording(rec: ContinuousRecording, labels,
                 out[events, i] = _filter_rows(windows, lowpass)[:, keep]
 
     row_bytes = 8 * rec.n_samples
+    n_workers = parallel.block_workers(rec.n_channels, row_bytes, parallel.n_cpus())
     begin = time.perf_counter()
     out = parallel.map_blocks(row_block, rec.n_channels, row_bytes,
                               (len(starts), rec.n_channels, n_out), n_workers, "filter", axis=1)
@@ -650,7 +627,6 @@ def preprocess_recording(rec: ContinuousRecording, labels,
             epochs -= epochs[..., base].mean(axis=-1, keepdims=True)
         parallel.drop_pages(epochs)
     logger.info("filtered and epoched %d channels in %.3f s on %d worker(s), "
-                "re-referenced in %.3f s", rec.n_channels, filtered - begin,
-                parallel.block_workers(rec.n_channels, row_bytes, n_workers),
+                "re-referenced in %.3f s", rec.n_channels, filtered - begin, n_workers,
                 time.perf_counter() - filtered)
     return EpochSet(out, kept_labels, spec.target_fs_hz, t0, list(rec.channels)), skipped

@@ -384,9 +384,7 @@ def generate_epochs(
         data = parallel.map_blocks(fill, labels.size, item_bytes, shape, n_workers, "synth",
                                    dtype=np.float32)
     else:
-        # one block: between blocks this process's malloc would return the
-        # trials' freed temporaries to the system and fault them in again
-        # (2.2e5 minor faults, +30 % time, for the bench recording on 1 CPU)
+        # one block, not map_blocks' job per block (see parallel's docstring)
         data = np.empty(shape, np.float32)
         fill(slice(0, labels.size), data)
     return EpochSet(data, labels, fs_hz, -pre_s, names)

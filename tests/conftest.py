@@ -55,6 +55,13 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
+def one_stage(rec, build, *args) -> np.ndarray:
+    """The rows of ``rec``, upcast to float64, through the one zero-phase
+    stage ``build(rec, *args)`` (``preprocessing._bandpass_stage`` or
+    ``_notch_stage``) and no other, as the pipeline filters its rows."""
+    return preprocessing._filter_rows(rec.data, build(rec, *args))
+
+
 class Filters(NamedTuple):
     """The filter designs and the zero-phase run that
     :func:`whole_array_reference` builds its pipeline from: ``bandpass(lo,

@@ -260,15 +260,18 @@ class TestContinuousContainer:
         resident memory by less than 8 MB: each block's mapped input pages
         are dropped once the block is upcast.  The recording has one epoch,
         and a first run on rows of the same length held in memory makes the
-        filters' own allocations before the measurement."""
+        filters' own allocations before the measurement.  One CPU keeps the
+        filtering in this process, whose residency is the one measured."""
         rec = ContinuousRecording(512.0, [f"c{i}" for i in range(16)],
                                   np.zeros((16, 750_000), np.float32), [(1000, 1)])
         path = write_continuous_container(tmp_path / "raw", rec, [0])
         code = (
             "import os, sys\n"
             "import numpy as np\n"
+            "from errpkit import parallel\n"
             "from errpkit.io import read_continuous_container\n"
             "from errpkit.preprocessing import ContinuousRecording, preprocess_recording\n"
+            "parallel.n_cpus = lambda: 1\n"
             "def resident():\n"
             "    with open('/proc/self/statm') as f:\n"
             "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
@@ -315,10 +318,10 @@ class TestContinuousContainer:
             "rec, labels = read_continuous_container(sys.argv[1])\n"
             "small = ContinuousRecording(rec.fs_hz, ['a', 'b'],\n"
             "    np.zeros((2, 40_000), np.float32), [(256, 1)])\n"
-            "es, _ = preprocess_recording(small, [0], spec, n_workers=2)\n"
+            "es, _ = preprocess_recording(small, [0], spec)\n"
             "write_epoch_container(sys.argv[1] + '-small', es)\n"
             "before, workers = resident(), peak(resource.RUSAGE_CHILDREN)\n"
-            "es, _ = preprocess_recording(rec, labels, spec, n_workers=2)\n"
+            "es, _ = preprocess_recording(rec, labels, spec)\n"
             "write_epoch_container(sys.argv[1] + '-epochs', es)\n"
             "print(es.data.shape, (resident() - before) / 2**20,\n"
             "      (peak(resource.RUSAGE_CHILDREN) - workers) / 2**20)\n")
@@ -346,9 +349,9 @@ class TestContinuousContainer:
         rec = ContinuousRecording(512.0, ["a", "b", "c"], data, [(1000, 1), (3000, 1)])
         path = write_continuous_container(tmp_path / "raw", rec, [0, 1])
         back, labels = read_continuous_container(path)
-        first, _ = preprocess_recording(back, labels, n_workers=cpus)
+        first, _ = preprocess_recording(back, labels)
         write_continuous_container(path, replace(rec, data=-data), [0, 1])
-        again, _ = preprocess_recording(back, labels, n_workers=cpus)
+        again, _ = preprocess_recording(back, labels)
         assert np.array_equal(again.data, first.data)
         assert np.array_equal(back.data, data)
         assert np.array_equal(read_continuous_container(path)[0].data, -data)

@@ -18,13 +18,11 @@ from errpkit.preprocessing import (
     ContinuousRecording,
     EpochSet,
     PreprocessSpec,
-    bandpass,
     format_count,
-    notch,
     preprocess_recording,
 )
 
-from conftest import assert_near_scipy, traced_peak, whole_array_reference
+from conftest import assert_near_scipy, one_stage, traced_peak, whole_array_reference
 
 FS = 2048.0
 
@@ -51,47 +49,47 @@ def measured_amplitude(x, freq, fs=FS):
 class TestBandpass:
     def test_dc_removed(self):
         rec = one_channel(np.full(int(8 * FS), 5.0))
-        out = bandpass(rec, 1.0, 100.0)
-        assert np.abs(out.data).max() < 0.05  # < 1% of the input amplitude
+        out = one_stage(rec, preprocessing._bandpass_stage, 1.0, 100.0)
+        assert np.abs(out).max() < 0.05  # < 1% of the input amplitude
 
     def test_midband_passes(self):
         x, _ = sinusoid(10.0)
-        out = bandpass(one_channel(x), 1.0, 100.0)
-        amp = measured_amplitude(out.data[0], 10.0)
+        out = one_stage(one_channel(x), preprocessing._bandpass_stage, 1.0, 100.0)
+        amp = measured_amplitude(out[0], 10.0)
         assert 0.88 <= amp <= 1.12
 
     def test_subband_attenuated(self):
         x, _ = sinusoid(0.1, seconds=40.0)
-        out = bandpass(one_channel(x), 1.0, 100.0)
-        assert measured_amplitude(out.data[0], 0.1) < 0.10
+        out = one_stage(one_channel(x), preprocessing._bandpass_stage, 1.0, 100.0)
+        assert measured_amplitude(out[0], 0.1) < 0.10
 
     def test_invalid_band(self):
         rec = one_channel(np.zeros(4096))
         with pytest.raises(InvalidFilterSpec):
-            bandpass(rec, 100.0, 1.0)
+            preprocessing._bandpass_stage(rec, 100.0, 1.0)
         with pytest.raises(InvalidFilterSpec):
-            bandpass(rec, 1.0, 2000.0)
+            preprocessing._bandpass_stage(rec, 1.0, 2000.0)
 
 
 class TestNotch:
     def test_notch_frequency_removed(self):
         x, _ = sinusoid(50.0)
-        out = notch(one_channel(x), 50.0)
-        assert measured_amplitude(out.data[0], 50.0) <= 0.01
+        out = one_stage(one_channel(x), preprocessing._notch_stage, 50.0)
+        assert measured_amplitude(out[0], 50.0) <= 0.01
 
     def test_neighbour_passes(self):
         x, _ = sinusoid(20.0)
-        out = notch(one_channel(x), 50.0)
-        amp = measured_amplitude(out.data[0], 20.0)
+        out = one_stage(one_channel(x), preprocessing._notch_stage, 50.0)
+        amp = measured_amplitude(out[0], 20.0)
         assert 0.88 <= amp <= 1.12
 
     def test_zero_in_zero_out(self):
-        out = notch(one_channel(np.zeros(8192)), 50.0)
-        assert np.abs(out.data).max() == 0.0
+        out = one_stage(one_channel(np.zeros(8192)), preprocessing._notch_stage, 50.0)
+        assert np.abs(out).max() == 0.0
 
     def test_invalid_frequency(self):
         with pytest.raises(InvalidFilterSpec):
-            notch(one_channel(np.zeros(4096)), 2000.0)
+            preprocessing._notch_stage(one_channel(np.zeros(4096)), 2000.0)
 
 
 class TestFilterProperties:
@@ -100,18 +98,18 @@ class TestFilterProperties:
         x = rng.standard_normal(int(4 * FS))
         y = rng.standard_normal(int(4 * FS))
         a, b = 2.5, -1.25
-        fx = bandpass(one_channel(x), 1.0, 100.0).data
-        fy = bandpass(one_channel(y), 1.0, 100.0).data
-        fxy = bandpass(one_channel(a * x + b * y), 1.0, 100.0).data
+        fx = one_stage(one_channel(x), preprocessing._bandpass_stage, 1.0, 100.0)
+        fy = one_stage(one_channel(y), preprocessing._bandpass_stage, 1.0, 100.0)
+        fxy = one_stage(one_channel(a * x + b * y), preprocessing._bandpass_stage, 1.0, 100.0)
         assert np.abs(fxy - (a * fx + b * fy)).max() < 1e-8
 
     def test_zero_phase_lag(self):
         x, _ = sinusoid(10.0)
         for out in (
-            bandpass(one_channel(x), 1.0, 100.0),
-            notch(one_channel(x), 50.0),
+            one_stage(one_channel(x), preprocessing._bandpass_stage, 1.0, 100.0),
+            one_stage(one_channel(x), preprocessing._notch_stage, 50.0),
         ):
-            y = out.data[0]
+            y = out[0]
             n = x.size
             sl = slice(n // 4, 3 * n // 4)
             lags = range(-5, 6)
@@ -447,10 +445,10 @@ class TestPipeline:
     def test_logs_the_seconds_of_each_phase_once(self, monkeypatch, caplog, n_workers):
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 4096)  # a job per channel
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: n_workers)
         rec = random_recording(3, 6.0, [(int(2 * FS), 1)], seed=9)
         with caplog.at_level(logging.INFO, logger="errpkit"):
-            preprocess_recording(rec, [0], n_workers=n_workers)
+            preprocess_recording(rec, [0])
         [line] = [record.getMessage() for record in caplog.records
                   if record.getMessage().startswith("filtered and epoched")]
         assert re.fullmatch(rf"filtered and epoched 3 channels in \d+\.\d{{3}} s on {n_workers} "
@@ -511,7 +509,7 @@ class TestBlockwisePipeline:
         rec, labels = self.recording(np.float32)
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
-            es, skipped = preprocess_recording(rec, labels, spec, n_workers=2)
+            es, skipped = preprocess_recording(rec, labels, spec)
             expected, kept_labels = whole_array_reference(rec, labels, spec)
             assert skipped == [7, 8]
             assert list(es.labels) == kept_labels
@@ -521,6 +519,20 @@ class TestBlockwisePipeline:
         assert len(pools) == 2
         # per baseline order: 5 row jobs of one cascaded pass and 3 lowpass calls
         assert worker_filter_calls.value == 2 * 5 * (1 + 3)
+
+    def test_the_cpu_count_picks_the_workers(self, monkeypatch, worker_filter_calls):
+        """Past the pool bound the rows are filtered on forked workers at 2
+        CPUs and in this process at 1, to the same bytes."""
+        monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
+        rec, labels = self.recording(np.float32)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        pooled, _ = preprocess_recording(rec, labels)
+        assert worker_filter_calls.value > 0
+        worker_filter_calls.value = 0
+        monkeypatch.setattr(parallel, "n_cpus", lambda: 1)
+        alone, _ = preprocess_recording(rec, labels)
+        assert worker_filter_calls.value == 0
+        assert pooled.data.tobytes() == alone.data.tobytes()
 
     # event times in s of layouts whose 2.5 s windows overlap, repeat, come
     # unsorted or touch (the windows at 1.0 to 8.5 s of "touching" start
@@ -542,11 +554,11 @@ class TestBlockwisePipeline:
     def test_event_layouts_equal_whole_array_filtering(self, monkeypatch, layout, n_workers):
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 64 * 1024)
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: n_workers)
         rec, labels = self.layout_recording(layout)
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
-            es, _ = preprocess_recording(rec, labels, spec, n_workers=n_workers)
+            es, _ = preprocess_recording(rec, labels, spec)
             expected, kept_labels = whole_array_reference(rec, labels, spec)
             assert list(es.labels) == kept_labels
             assert np.array_equal(es.data, expected)
@@ -608,11 +620,11 @@ class TestBlockwisePipeline:
     def test_dense_events_equal_whole_array_filtering(self, monkeypatch, n_workers):
         monkeypatch.setattr(parallel, "_BLOCK_BYTES", 128 * 1024)  # blocks of 1 row, 12 events
         monkeypatch.setattr(parallel, "_POOL_MIN_BYTES", 0)
-        monkeypatch.setattr(parallel, "n_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "n_cpus", lambda: n_workers)
         rec, labels = self.dense_recording()
         for baseline_first in (True, False):
             spec = PreprocessSpec(baseline_before_downsample=baseline_first)
-            es, skipped = preprocess_recording(rec, labels, spec, n_workers=n_workers)
+            es, skipped = preprocess_recording(rec, labels, spec)
             expected, kept_labels = whole_array_reference(rec, labels, spec)
             assert skipped == []
             assert len(kept_labels) * int(2.5 * rec.fs_hz) >= 4 * rec.n_samples
@@ -646,7 +658,7 @@ class TestBlockwisePipeline:
             ContinuousRecording(fs, ["a", "b"], data[:2, :4096], [(1024, 1)]), [0])
         (es, _), peak = traced_peak(preprocess_recording, rec, labels)
         assert es.data.shape == (39, n_channels, 640)
-        # one worker by default: plain arrays that tracemalloc sees, no shared memory
+        # below the pool bound, so in process: plain arrays that tracemalloc sees
         assert es.data.flags.owndata
         assert peak <= 4 * data.nbytes, peak / data.nbytes
 
@@ -682,8 +694,9 @@ class TestSampleStorage:
     def test_float32_filters_compute_in_float64(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(4096).astype(np.float32)
-        out32 = bandpass(one_channel(x), 1.0, 100.0).data
-        out64 = bandpass(one_channel(x.astype(np.float64)), 1.0, 100.0).data
+        out32 = one_stage(one_channel(x), preprocessing._bandpass_stage, 1.0, 100.0)
+        out64 = one_stage(one_channel(x.astype(np.float64)), preprocessing._bandpass_stage,
+                          1.0, 100.0)
         assert out32.dtype == np.float64
         assert np.array_equal(out32, out64)
 

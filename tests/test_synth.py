@@ -247,6 +247,18 @@ class TestGenerateOnWorkers:
         assert es.data.flags.owndata
         assert es.data.shape == (n, 3, 64)
 
+    def test_a_set_below_the_pool_bound_is_filled_as_one_block(self, monkeypatch, two_cpus):
+        """``map_blocks`` in this process would give the same bytes a block at
+        a time, and more slowly: between blocks glibc returns the freed
+        temporaries to the system and faults them in again."""
+        def block_by_block(*args, **kwargs):
+            raise AssertionError("filled block by block")
+
+        monkeypatch.setattr(parallel, "map_blocks", block_by_block)
+        es = generate_epochs(np.arange(7) % 2, ErpTemplateSpec(noise_rms_uv=4.0), **self.SMALL)
+        assert es.data.flags.owndata
+        assert es.data.shape == (7, 3, 64)
+
 
 class TestSynthSpec:
     def test_balanced_labels_are_a_seeded_permutation(self):
