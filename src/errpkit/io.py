@@ -51,8 +51,7 @@ EVENTS_NAME = "events.json"
 # 4: ``config`` holds only the settings that ran, ``seed`` is written there
 #    only, and the permutation test adds its exact p.
 REPORT_VERSION = 4
-# the top-level keys of a report of REPORT_VERSION and of its config; versions
-# 1 to 3 also hold the top-level ``seed`` and echo the whole flat config
+# the top-level keys of a report and of its config
 _REPORT_KEYS = ("format_version", "meta", "config", "datasets", "permutation_test")
 _REPORT_CONFIG_KEYS = ("seed", "folds", "repeats", "n_chance_shuffles",
                       *(f.name for f in fields(Hyperparams)))
@@ -347,18 +346,14 @@ def _key_problem(doc: dict, keys, what: str) -> str | None:
 
 
 def _report_problem(report) -> str | None:
-    """The line naming how ``report`` breaks the schema of its version, or
-    None.  Versions 1 to 3 may hold any config, and a top-level ``seed``;
-    version :data:`REPORT_VERSION` holds exactly :data:`_REPORT_KEYS`, and a
-    config of exactly :data:`_REPORT_CONFIG_KEYS`."""
+    """The line naming how ``report`` breaks the schema, or None: a report
+    is of version :data:`REPORT_VERSION` and holds exactly
+    :data:`_REPORT_KEYS`, and a config of exactly :data:`_REPORT_CONFIG_KEYS`."""
     if not isinstance(report, dict):
         return "report is not a JSON object"
     version = report.get("format_version")
-    if type(version) is not int or not 1 <= version <= REPORT_VERSION:
-        return f"report format_version {version!r} is not supported (max {REPORT_VERSION})"
-    if version < REPORT_VERSION:
-        unknown = sorted(set(report) - {*_REPORT_KEYS, "seed"})
-        return f"report contains unknown fields {unknown}" if unknown else None
+    if type(version) is not int or version != REPORT_VERSION:
+        return f"report format_version {version!r} is not supported (only {REPORT_VERSION})"
     if problem := _key_problem(report, _REPORT_KEYS, "report"):
         return problem
     if not isinstance(report["config"], dict):
@@ -378,8 +373,8 @@ def write_report(path, report: dict) -> Path:
 
 
 def read_report(path) -> dict:
-    """Strict reader of versions 1 to :data:`REPORT_VERSION`: another
-    version, or a field its version does not hold, is an error."""
+    """Strict reader of version :data:`REPORT_VERSION`: another version, or
+    a field the schema does not hold, is an error."""
     report = json.loads(Path(path).read_text())
     if problem := _report_problem(report):
         raise ContainerError(problem)

@@ -7,17 +7,25 @@ or keyword that a demo, the benchmark harness (``bench/``) or the README's
 quick start still uses fails here in well under a second, not when the
 benchmark runs or a reader copies the example.  The scanner cannot see a
 demo that fails at run time, so each demo also runs once to exit 0.
+
+The README's shell blocks are held to the parser the same way: each
+``errpkit`` command line in them must parse with ``cli.build_parser()``, so a
+flag that is renamed or removed fails here too.  And every demo script must
+be named in the README, so its demo table lists each one.
 """
 import ast
 import importlib
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from errpkit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -153,9 +161,21 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def readme_blocks() -> list[str]:
-    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+def readme_blocks(lang: str = "python") -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", (ROOT / "README.md").read_text(),
                       flags=re.MULTILINE | re.DOTALL)
+
+
+def readme_commands() -> list[str]:
+    """The ``errpkit`` command lines of the README's ``sh`` blocks, with
+    ``\\``-continued lines joined and ``#`` comments stripped."""
+    lines = []
+    for block in readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("errpkit"):
+                lines.append(line)
+    return lines
 
 
 def test_readme_names_resolve():
@@ -164,6 +184,32 @@ def test_readme_names_resolve():
     for source in blocks:
         assert errpkit_names(source), "a README python block uses no errpkit names"
         assert problems(source) == []
+
+
+def full_flag_parser():
+    """``cli.build_parser()`` with no prefix of a flag standing for the flag,
+    so a README line must spell each flag as the parser names it."""
+    parser = cli.build_parser()
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # the subcommands' parsers
+            for sub in action.choices.values():
+                sub.allow_abbrev = False
+    return parser
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands, "README.md has no errpkit command in an sh block"
+    for line in commands:
+        try:
+            full_flag_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_lists_every_demo():
+    readme = (ROOT / "README.md").read_text()
+    assert [d.name for d in DEMOS if d.name not in readme] == []
 
 
 def test_bench_scripts_are_scanned():

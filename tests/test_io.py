@@ -421,16 +421,18 @@ class TestReports:
         with pytest.raises(ContainerError, match="surprise"):
             read_report(tmp_path / "r.json")
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_versions_1_and_2_read(self, tmp_path, version):
-        path = write_report(tmp_path / "r.json", self.old_report(version))
-        assert read_report(path)["format_version"] == version
-
-    def test_version_3_reads_with_seed_and_whole_config(self, tmp_path):
-        doc = self.old_report(3)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_versions_1_to_3_rejected(self, tmp_path, version):
+        doc = self.old_report(version)
         assert len(doc["config"]) == 33
-        path = write_report(tmp_path / "r.json", doc)
-        assert read_report(path) == json.loads(canonical_json(doc))
+        line = f"report format_version {version} is not supported (only 4)"
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match=f"^refusing to write: {re.escape(line)}$"):
+            write_report(path, doc)
+        assert not path.exists()
+        path.write_text(canonical_json(doc))
+        with pytest.raises(ContainerError, match=f"^{re.escape(line)}$"):
+            read_report(path)
 
     @pytest.mark.parametrize("edit, line", [
         (lambda doc: doc.update(seed=7), "report contains unknown fields ['seed']"),
